@@ -11,6 +11,7 @@ import pytest
 
 from repro.common.clock import SimClock
 from repro.messaging.cluster import ACKS_LEADER, MessagingCluster
+from repro.messaging.config import ProducerConfig
 from repro.messaging.producer import Producer
 
 from reporting import attach, format_table, publish
@@ -23,7 +24,9 @@ def produce_all(linger: int) -> float:
     """Simulated seconds to produce MESSAGES records with given batching."""
     cluster = MessagingCluster(num_brokers=3, clock=SimClock())
     cluster.create_topic("t", num_partitions=1, replication_factor=3)
-    producer = Producer(cluster, acks=ACKS_LEADER, linger_messages=linger)
+    producer = Producer(
+        cluster, ProducerConfig(acks=ACKS_LEADER, linger_messages=linger)
+    )
     total = 0.0
     for i in range(MESSAGES):
         ack = producer.send("t", {"i": i})
@@ -66,7 +69,7 @@ class TestA1Shape:
     def test_all_records_delivered_regardless_of_batching(self):
         cluster = MessagingCluster(num_brokers=3, clock=SimClock())
         cluster.create_topic("t", num_partitions=1, replication_factor=3)
-        producer = Producer(cluster, linger_messages=64)
+        producer = Producer(cluster, ProducerConfig(linger_messages=64))
         for i in range(333):
             producer.send("t", i)
         producer.flush()
@@ -79,7 +82,7 @@ class TestA1Shape:
 def test_a1_batched_produce_kernel(benchmark):
     cluster = MessagingCluster(num_brokers=3, clock=SimClock())
     cluster.create_topic("t", num_partitions=1, replication_factor=3)
-    producer = Producer(cluster, linger_messages=50)
+    producer = Producer(cluster, ProducerConfig(linger_messages=50))
     counter = iter(range(10**9))
 
     def send_one():

@@ -16,6 +16,7 @@ from repro.common.clock import SimClock
 from repro.common.errors import BrokerUnavailableError
 from repro.common.records import TopicPartition
 from repro.messaging.cluster import ACKS_LEADER, MessagingCluster
+from repro.messaging.config import ProducerConfig
 from repro.messaging.producer import Producer
 
 from reporting import attach, format_table, publish
@@ -31,7 +32,7 @@ def run_scenario(allow_unclean: bool) -> dict:
         replication_max_lag=2,
     )
     cluster.create_topic("t", num_partitions=1, replication_factor=2)
-    producer = Producer(cluster, acks=ACKS_LEADER, max_retries=0)
+    producer = Producer(cluster, ProducerConfig(acks=ACKS_LEADER, max_retries=0))
     leader = cluster.leader_of("t", 0)
     follower = 1 - leader
 

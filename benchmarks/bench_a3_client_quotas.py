@@ -19,6 +19,7 @@ import pytest
 from repro.common.clock import SimClock
 from repro.common.records import estimate_size
 from repro.messaging.cluster import MessagingCluster
+from repro.messaging.config import ProducerConfig
 from repro.messaging.producer import Producer
 from repro.messaging.quotas import ClientQuota
 
@@ -38,8 +39,8 @@ def run_scenario(with_quota: bool) -> dict:
         cluster.quotas.set_quota(
             "bulk-loader", ClientQuota(produce_bytes_per_sec=QUOTA_BYTES_PER_SEC)
         )
-    hog = Producer(cluster, client_id="bulk-loader")
-    interactive = Producer(cluster, client_id="dashboard")
+    hog = Producer(cluster, ProducerConfig(client_id="bulk-loader"))
+    interactive = Producer(cluster, ProducerConfig(client_id="dashboard"))
 
     hog_seconds = 0.0
     interactive_latencies = []
@@ -113,7 +114,7 @@ def test_a3_throttled_produce_kernel(benchmark):
     cluster.quotas.set_quota(
         "bulk-loader", ClientQuota(produce_bytes_per_sec=QUOTA_BYTES_PER_SEC)
     )
-    producer = Producer(cluster, client_id="bulk-loader")
+    producer = Producer(cluster, ProducerConfig(client_id="bulk-loader"))
 
     def send_one():
         ack = producer.send("bulk", PAYLOAD)

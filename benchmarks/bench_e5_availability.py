@@ -27,6 +27,7 @@ from repro.messaging.cluster import (
     ACKS_NONE,
     MessagingCluster,
 )
+from repro.messaging.config import ProducerConfig
 from repro.messaging.producer import Producer
 
 from reporting import attach, format_table, publish
@@ -38,7 +39,7 @@ def produce_latency(acks: str, replication: int) -> tuple[float, float]:
     """Returns (mean latency s, throughput msg/s) for one ack mode."""
     cluster = MessagingCluster(num_brokers=3, clock=SimClock())
     cluster.create_topic("t", num_partitions=1, replication_factor=replication)
-    producer = Producer(cluster, acks=acks)
+    producer = Producer(cluster, ProducerConfig(acks=acks))
     total = 0.0
     for i in range(BATCH):
         ack = producer.send("t", {"i": i})
@@ -75,7 +76,7 @@ def run_failover_run(idempotent: bool) -> dict:
         "t", num_partitions=1, replication_factor=3, min_insync_replicas=2
     )
     producer = Producer(
-        cluster, acks=ACKS_ALL, max_retries=4, idempotent=idempotent
+        cluster, ProducerConfig(acks=ACKS_ALL, max_retries=4, idempotent=idempotent)
     )
     acked = []
     kills = 0
@@ -173,7 +174,7 @@ class TestE5Shape:
 def test_e5_acks_all_kernel(benchmark):
     cluster = MessagingCluster(num_brokers=3, clock=SimClock())
     cluster.create_topic("t", num_partitions=1, replication_factor=3)
-    producer = Producer(cluster, acks=ACKS_ALL)
+    producer = Producer(cluster, ProducerConfig(acks=ACKS_ALL))
     counter = iter(range(10**9))
 
     def produce_one():

@@ -18,6 +18,7 @@ import pytest
 
 from repro.common.clock import SimClock
 from repro.messaging.cluster import ACKS_ALL, MessagingCluster
+from repro.messaging.config import ConsumerConfig, ProducerConfig
 from repro.messaging.consumer import Consumer
 from repro.messaging.consumer_group import GroupCoordinator
 from repro.messaging.producer import Producer
@@ -32,7 +33,7 @@ GROUP_SIZES = [1, 2, 4, 8]
 def loaded_cluster() -> MessagingCluster:
     cluster = MessagingCluster(num_brokers=3, clock=SimClock())
     cluster.create_topic("t", num_partitions=PARTITIONS, replication_factor=3)
-    producer = Producer(cluster, acks=ACKS_ALL, linger_messages=20)
+    producer = Producer(cluster, ProducerConfig(acks=ACKS_ALL, linger_messages=20))
     for i in range(MESSAGES):
         producer.send("t", {"i": i}, key=f"k{i}")
     producer.flush()
@@ -48,7 +49,8 @@ def drain_time(cluster: MessagingCluster, members: int) -> tuple[float, int]:
     """
     gc = GroupCoordinator(cluster)
     consumers = [
-        Consumer(cluster, group="g", group_coordinator=gc) for _ in range(members)
+        Consumer(cluster, ConsumerConfig(group="g"), group_coordinator=gc)
+        for _ in range(members)
     ]
     for consumer in consumers:
         consumer.subscribe(["t"])
@@ -97,7 +99,7 @@ def run_fanout() -> dict:
     deliveries = {}
     for group in ("search", "recs", "metrics"):
         members = [
-            Consumer(cluster, group=group, group_coordinator=gc)
+            Consumer(cluster, ConsumerConfig(group=group), group_coordinator=gc)
             for _ in range(2)
         ]
         for member in members:

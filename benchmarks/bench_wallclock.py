@@ -42,6 +42,7 @@ from repro.common.clock import SimClock  # noqa: E402
 from repro.common.records import StoredMessage, TopicPartition  # noqa: E402
 from repro.storage.log import LogConfig, PartitionLog  # noqa: E402
 from repro.messaging.cluster import ACKS_LEADER, MessagingCluster  # noqa: E402
+from repro.messaging.config import ConsumerConfig, ProducerConfig  # noqa: E402
 from repro.messaging.consumer import Consumer  # noqa: E402
 from repro.messaging.producer import Producer  # noqa: E402
 from repro.processing.job import (  # noqa: E402
@@ -183,8 +184,10 @@ def bench_pipeline(messages: int, repeats: int) -> dict:
     def run() -> tuple[float, float]:
         cluster = MessagingCluster(num_brokers=3, clock=SimClock())
         cluster.create_topic("t", num_partitions=1, replication_factor=3)
-        producer = Producer(cluster, acks=ACKS_LEADER, linger_messages=LINGER)
-        consumer = Consumer(cluster, max_poll_messages=500)
+        producer = Producer(
+            cluster, ProducerConfig(acks=ACKS_LEADER, linger_messages=LINGER)
+        )
+        consumer = Consumer(cluster, ConsumerConfig(max_poll_messages=500))
         consumer.assign([TopicPartition("t", 0)])
         start = time.perf_counter()
         sim = 0.0
@@ -236,12 +239,20 @@ def _compressed_run(
     cluster = MessagingCluster(num_brokers=3, clock=SimClock())
     cluster.create_topic("t", num_partitions=1, replication_factor=3)
     producer = Producer(
-        cluster, acks=ACKS_LEADER, linger_messages=LINGER,
-        compression=compression,
+        cluster,
+        ProducerConfig(
+            acks=ACKS_LEADER,
+            linger_messages=LINGER,
+            compression=compression,
+        ),
     )
     consumer = Consumer(
-        cluster, max_poll_messages=500, prefetch=prefetch,
-        auto_offset_reset="earliest",
+        cluster,
+        ConsumerConfig(
+            max_poll_messages=500,
+            prefetch=prefetch,
+            auto_offset_reset="earliest",
+        ),
     )
     consumer.assign([TopicPartition("t", 0)])
     start = time.perf_counter()
@@ -338,7 +349,9 @@ def _job_run(messages: int, guarantee: str) -> tuple[float, float]:
     cluster = MessagingCluster(num_brokers=3, clock=SimClock())
     cluster.create_topic("in", num_partitions=2, replication_factor=3)
     cluster.create_topic("out", num_partitions=2, replication_factor=3)
-    producer = Producer(cluster, acks=ACKS_LEADER, linger_messages=LINGER)
+    producer = Producer(
+        cluster, ProducerConfig(acks=ACKS_LEADER, linger_messages=LINGER)
+    )
     for i in range(messages):
         producer.send("in", {"i": i}, key=f"k{i % 100}", partition=i % 2)
     producer.flush()
@@ -402,7 +415,9 @@ def _telemetry_job_run(
     cluster = MessagingCluster(num_brokers=3, clock=SimClock())
     cluster.create_topic("in", num_partitions=2, replication_factor=3)
     cluster.create_topic("out", num_partitions=2, replication_factor=3)
-    producer = Producer(cluster, acks=ACKS_LEADER, linger_messages=LINGER)
+    producer = Producer(
+        cluster, ProducerConfig(acks=ACKS_LEADER, linger_messages=LINGER)
+    )
     for i in range(messages):
         producer.send("in", {"i": i}, key=f"k{i % 100}", partition=i % 2)
     producer.flush()

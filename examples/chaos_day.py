@@ -23,6 +23,7 @@ from repro.chaos import ChaosConfig, ChaosReport, ChaosSchedule
 from repro.common.clock import SimClock
 from repro.common.errors import MessagingError
 from repro.messaging.cluster import ACKS_ALL, MessagingCluster
+from repro.messaging.config import ConsumerConfig, ProducerConfig
 from repro.messaging.consumer import Consumer
 from repro.messaging.consumer_group import GroupCoordinator
 from repro.messaging.producer import Producer
@@ -46,12 +47,18 @@ def main() -> None:
 
     report = ChaosReport()
     producer = Producer(
-        cluster, acks=ACKS_ALL, idempotent=True, max_retries=2,
-        retry_jitter_seed=SEED,
+        cluster,
+        ProducerConfig(
+            acks=ACKS_ALL,
+            idempotent=True,
+            max_retries=2,
+            retry_jitter_seed=SEED,
+        ),
     )
     coordinator = GroupCoordinator(cluster)
-    consumer = Consumer(cluster, group="dashboard",
-                        group_coordinator=coordinator)
+    consumer = Consumer(
+        cluster, ConsumerConfig(group="dashboard"), group_coordinator=coordinator
+    )
     consumer.subscribe(["events"])
 
     sent = 0

@@ -19,6 +19,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from repro.common.records import TopicPartition
 from repro.messaging.cluster import MessagingCluster
+from repro.messaging.config import ConsumerConfig
 from repro.messaging.consumer import Consumer
 from repro.messaging.topic import TopicConfig
 from repro.storage.log import LogConfig
@@ -60,7 +61,7 @@ def main() -> None:
           f"in {leader.cold_tier.manifest.segment_count} segments")
 
     # Rewind to the very beginning — before the hot log starts — and replay.
-    consumer = Consumer(cluster, max_poll_messages=200)
+    consumer = Consumer(cluster, ConsumerConfig(max_poll_messages=200))
     consumer.assign([tp])
     consumer.seek_to_beginning(tp)
     assert consumer.position(tp) == 0, "beginning_offset reaches the archive"

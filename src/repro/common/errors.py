@@ -18,6 +18,10 @@ class ConfigError(LiquidError):
     """A configuration value is missing, malformed, or inconsistent."""
 
 
+class ReservedHeaderError(ConfigError):
+    """A client record set a header in the system's ``__`` namespace."""
+
+
 class SerdeError(LiquidError):
     """A value could not be serialized or deserialized."""
 

@@ -16,8 +16,6 @@ isolated container hosts for those jobs.
 
 from __future__ import annotations
 
-import warnings
-
 from dataclasses import replace
 from typing import Any, Iterable
 
@@ -49,25 +47,6 @@ from repro.core.annotations import (
 )
 from repro.core.feeds import Feed, FeedRegistry
 from repro.core.incremental import IncrementalFold
-
-#: Which legacy-kwargs deprecation notices have fired this process; one
-#: warning per call site keeps a loop over ``liquid.producer(acks="all")``
-#: from flooding stderr while still steering every distinct caller to the
-#: frozen config objects.
-_LEGACY_KWARGS_WARNED: set[str] = set()
-
-
-def _warn_legacy_kwargs(method: str, kwargs: dict[str, Any]) -> None:
-    if method in _LEGACY_KWARGS_WARNED:
-        return
-    _LEGACY_KWARGS_WARNED.add(method)
-    config_cls = "ProducerConfig" if method == "producer" else "ConsumerConfig"
-    warnings.warn(
-        f"Liquid.{method}({', '.join(sorted(kwargs))}=...) with loose keyword "
-        f"options is deprecated; pass config={config_cls}(...) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 class Liquid:
@@ -165,19 +144,14 @@ class Liquid:
         self,
         principal: str | None = None,
         config: ProducerConfig | None = None,
-        **kwargs: Any,
     ):
         """A producer publishing into the stack's feeds.
 
-        Pass a :class:`~repro.messaging.config.ProducerConfig` (or the
-        legacy keyword options, which are deprecated — a one-shot
-        ``DeprecationWarning`` fires; unknown ones raise ``ConfigError``).
+        Options go in a :class:`~repro.messaging.config.ProducerConfig`.
         With access control enabled, pass the team's ``principal``; writes
         are then checked against its grants.
         """
-        if kwargs:
-            _warn_legacy_kwargs("producer", kwargs)
-        producer = Producer(self.cluster, config=config, **kwargs)
+        producer = Producer(self.cluster, config)
         if self.acl.enabled:
             return SecureProducer(producer, self.acl, principal or "")
         return producer
@@ -187,34 +161,22 @@ class Liquid:
         group: str | None = None,
         principal: str | None = None,
         config: ConsumerConfig | None = None,
-        **kwargs: Any,
     ):
         """A consumer for back-end systems; pass ``group`` for queue semantics.
 
-        Accepts a :class:`~repro.messaging.config.ConsumerConfig` or the
-        legacy keyword options (deprecated; a one-shot
-        ``DeprecationWarning`` fires).  ``group`` may come from either the
-        config or the argument (the argument wins if both are given).
+        Options go in a :class:`~repro.messaging.config.ConsumerConfig`.
+        ``group`` may come from either the config or the argument (the
+        argument wins if both are given).
         """
-        if kwargs:
-            _warn_legacy_kwargs("consumer", kwargs)
-        if config is not None:
-            if group is not None and config.group != group:
-                config = replace(config, group=group)
-            consumer = Consumer(
-                self.cluster,
-                config=config,
-                group_coordinator=(
-                    self.group_coordinator if config.group or group else None
-                ),
-            )
-        else:
-            consumer = Consumer(
-                self.cluster,
-                group=group,
-                group_coordinator=self.group_coordinator if group else None,
-                **kwargs,
-            )
+        if config is None:
+            config = ConsumerConfig()
+        if group is not None and config.group != group:
+            config = replace(config, group=group)
+        consumer = Consumer(
+            self.cluster,
+            config,
+            group_coordinator=self.group_coordinator if config.group else None,
+        )
         if self.acl.enabled:
             return SecureConsumer(consumer, self.acl, principal or "")
         return consumer

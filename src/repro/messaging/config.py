@@ -1,23 +1,20 @@
 """Typed, frozen client configuration objects (the stable public API).
 
-The client constructors grew organically: a dozen loose keyword arguments on
-:class:`~repro.messaging.producer.Producer` and
-:class:`~repro.messaging.consumer.Consumer`, silently swallowing typos.
-These dataclasses make the supported surface explicit, in the mold of
+These dataclasses are the only way to configure a
+:class:`~repro.messaging.producer.Producer` or
+:class:`~repro.messaging.consumer.Consumer`, in the mold of
 :class:`~repro.processing.job.JobConfig`:
 
 * construction validates every field once, in ``__post_init__``;
-* :meth:`from_kwargs` rejects unknown keywords with
-  :class:`~repro.common.errors.ConfigError` (not ``TypeError``), so the
-  legacy keyword path of ``Producer(cluster, **kwargs)`` /
-  ``Liquid.producer(**kwargs)`` gets the same checking;
+* an unknown option is a ``TypeError`` from the dataclass constructor, so
+  typos fail at the call site;
 * instances are frozen, so a config can be shared between clients and
   snapshotted by the public-API tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.common.compression import parse_compression
@@ -32,23 +29,6 @@ AUTO_OFFSET_RESETS = ("earliest", "latest")
 
 #: Consumer isolation levels.
 ISOLATION_LEVELS = ("read_uncommitted", "read_committed")
-
-
-def reject_unknown_options(cls: type, kwargs: dict[str, Any]) -> None:
-    """Raise :class:`ConfigError` (not ``TypeError``) for unknown keywords.
-
-    Shared by every ``from_kwargs`` constructor — the client configs here
-    and the job-layer :class:`~repro.processing.job.JobConfig` /
-    :class:`~repro.processing.job.StoreConfig` — so typos fail the same way
-    everywhere, with the supported surface listed.
-    """
-    known = {f.name for f in fields(cls)}
-    unknown = sorted(set(kwargs) - known)
-    if unknown:
-        raise ConfigError(
-            f"unknown {cls.__name__} option(s): {', '.join(unknown)}; "
-            f"supported: {', '.join(sorted(known))}"
-        )
 
 
 @dataclass(frozen=True)
@@ -86,12 +66,6 @@ class ProducerConfig:
         ):
             raise ConfigError(f"unknown partitioner {self.partitioner!r}")
 
-    @classmethod
-    def from_kwargs(cls, **kwargs: Any) -> "ProducerConfig":
-        """Build from legacy keywords; unknown keywords raise ConfigError."""
-        reject_unknown_options(cls, kwargs)
-        return cls(**kwargs)
-
 
 @dataclass(frozen=True)
 class ConsumerConfig:
@@ -126,9 +100,3 @@ class ConsumerConfig:
             )
         if self.max_poll_messages < 1:
             raise ConfigError("max_poll_messages must be >= 1")
-
-    @classmethod
-    def from_kwargs(cls, **kwargs: Any) -> "ConsumerConfig":
-        """Build from legacy keywords; unknown keywords raise ConfigError."""
-        reject_unknown_options(cls, kwargs)
-        return cls(**kwargs)

@@ -42,11 +42,10 @@ _M_PREFETCH_HITS = metric_name("messaging", "consumer", "prefetch_hits")
 class Consumer:
     """Pull-based consumer with optional group membership.
 
-    Construction takes either a frozen
-    :class:`~repro.messaging.config.ConsumerConfig` or the legacy keyword
-    arguments (delegated to the dataclass; unknown keywords raise
-    :class:`~repro.common.errors.ConfigError`).  The ``group_coordinator``
-    stays a constructor argument: it is live runtime wiring, not config.
+    Construction takes a frozen
+    :class:`~repro.messaging.config.ConsumerConfig` (defaults when
+    omitted).  The ``group_coordinator`` stays a constructor argument: it
+    is live runtime wiring, not config.
     """
 
     def __init__(
@@ -54,14 +53,9 @@ class Consumer:
         cluster: MessagingCluster,
         config: ConsumerConfig | None = None,
         group_coordinator: GroupCoordinator | None = None,
-        **kwargs: Any,
     ) -> None:
-        if config is not None and kwargs:
-            raise ConfigError(
-                "pass either a ConsumerConfig or keyword options, not both"
-            )
         if config is None:
-            config = ConsumerConfig.from_kwargs(**kwargs)
+            config = ConsumerConfig()
         if config.group is not None and group_coordinator is None:
             raise ConfigError("group subscription requires a group_coordinator")
         self.config = config

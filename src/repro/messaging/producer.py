@@ -10,10 +10,8 @@ partition selection, optional batching (``linger_messages``), bounded
 retries on leadership changes (at-least-once delivery), and the optional
 idempotent mode that upgrades retries to exactly-once per partition.
 
-Construction takes either a frozen
-:class:`~repro.messaging.config.ProducerConfig` or the legacy keyword
-arguments (which delegate to the dataclass; unknown keywords raise
-:class:`~repro.common.errors.ConfigError`).
+Construction takes a frozen
+:class:`~repro.messaging.config.ProducerConfig` (defaults when omitted).
 
 ``send`` is also the root of the per-record tracing layer: with a tracer
 installed (:mod:`repro.observability.trace`) each sampled record starts a
@@ -34,18 +32,24 @@ from repro.common.errors import (
     NotEnoughReplicasError,
     NotLeaderForPartitionError,
     ProducerFlushError,
+    ReservedHeaderError,
     StaleEpochError,
 )
 from repro.common.metrics import metric_name
 from repro.common.partitioning import partition_for_key
-from repro.common.records import TRACE_HEADER, ProducerRecord, TopicPartition
+from repro.common.records import (
+    RESERVED_HEADER_PREFIX,
+    TRACE_HEADER,
+    ProducerRecord,
+    TopicPartition,
+)
 from repro.messaging.cluster import MessagingCluster, ProduceAck
 from repro.messaging.config import (
     PARTITIONER_HASH,
     PARTITIONER_ROUND_ROBIN,
     ProducerConfig,
 )
-from repro.observability.trace import current_tracer
+from repro.observability.trace import TraceContext, current_tracer
 
 #: Transient produce failures the retry loop absorbs.  NotEnoughReplicas is
 #: retriable because the ISR usually recovers (follower catch-up re-expands
@@ -70,14 +74,9 @@ class Producer:
         self,
         cluster: MessagingCluster,
         config: ProducerConfig | None = None,
-        **kwargs: Any,
     ) -> None:
-        if config is not None and kwargs:
-            raise ConfigError(
-                "pass either a ProducerConfig or keyword options, not both"
-            )
         if config is None:
-            config = ProducerConfig.from_kwargs(**kwargs)
+            config = ProducerConfig()
         self.config = config
         self.cluster = cluster
         self.acks = config.acks
@@ -162,6 +161,15 @@ class Producer:
         batch parked, newly buffered records for it are held back — sending
         them first would reorder the partition and break broker-side dedup.
         """
+        if headers:
+            for name, held in headers.items():
+                if name.startswith(RESERVED_HEADER_PREFIX) and not (
+                    name == TRACE_HEADER and isinstance(held, TraceContext)
+                ):
+                    raise ReservedHeaderError(
+                        f"header {name!r} is in the system's reserved "
+                        f"{RESERVED_HEADER_PREFIX!r} namespace"
+                    )
         if self.value_serde is not None:
             value = self.value_serde.serialize(value)
         if self.key_serde is not None and key is not None:

@@ -47,14 +47,19 @@ from repro.common.errors import (
     NotEnoughReplicasError,
     NotLeaderForPartitionError,
     ProducerFencedError,
+    ReservedHeaderError,
     StaleEpochError,
     TransactionError,
 )
 from repro.common.metrics import metric_name
 from repro.common.partitioning import partition_for_key
-from repro.common.records import TopicPartition
+from repro.common.records import (
+    RESERVED_HEADER_PREFIX,
+    TRACE_HEADER,
+    TopicPartition,
+)
 from repro.messaging.cluster import ACKS_ALL, MessagingCluster
-from repro.observability.trace import current_tracer
+from repro.observability.trace import TraceContext, current_tracer
 
 #: Header keys for transactional records and control markers.
 HDR_PID = "__pid"
@@ -432,6 +437,15 @@ class TransactionalProducer:
         returned; the partition's batch is produced when it reaches
         ``linger_messages`` records (ack returned then) or at commit.
         """
+        if headers:
+            for name, held in headers.items():
+                if name.startswith(RESERVED_HEADER_PREFIX) and not (
+                    name == TRACE_HEADER and isinstance(held, TraceContext)
+                ):
+                    raise ReservedHeaderError(
+                        f"header {name!r} is in the system's reserved "
+                        f"{RESERVED_HEADER_PREFIX!r} namespace"
+                    )
         if not self.coordinator.is_open(self.transactional_id):
             raise TransactionError("send outside a transaction; call begin()")
         num_partitions = len(self.cluster.partitions_of(topic))

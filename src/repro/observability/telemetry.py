@@ -124,12 +124,13 @@ class TelemetryExporter:
         self._replication_factor = replication_factor
         self._ensure_feeds()
         # Runtime import: producer imports this package's trace module.
+        from repro.messaging.config import ProducerConfig
         from repro.messaging.producer import Producer
 
         # Linger high and flush once per cycle: each cycle's records land
         # as one batch per feed (the vectorized append path), which keeps
         # the exporter's wall-clock overhead inside the <=5% budget.
-        self._producer = Producer(cluster, linger_messages=500)
+        self._producer = Producer(cluster, ProducerConfig(linger_messages=500))
         #: Counter/gauge high-water marks: name -> last exported value.
         self._marks: dict[str, float] = {}
         self._timer: TimerHandle | None = None

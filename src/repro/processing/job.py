@@ -22,7 +22,7 @@ from __future__ import annotations
 import zlib
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from repro.chaos.failpoints import SKIP, failpoint
 from repro.common.clock import SimClock
@@ -30,7 +30,7 @@ from repro.common.errors import JobConfigError, MessagingError, TaskFailedError
 from repro.common.metrics import metric_name, metric_segment
 from repro.common.records import TRACE_HEADER, ConsumerRecord, TopicPartition
 from repro.messaging.cluster import ACKS_LEADER, MessagingCluster
-from repro.messaging.config import reject_unknown_options
+from repro.messaging.config import ProducerConfig
 from repro.messaging.producer import Producer
 from repro.messaging.transactions import TransactionalProducer
 from repro.observability.trace import TraceContext, Tracer, current_tracer
@@ -72,12 +72,6 @@ class StoreConfig:
                 f"store {self.name!r}: unknown store_type "
                 f"{self.store_type!r}; known: {sorted(STORE_TYPES)}"
             )
-
-    @classmethod
-    def from_kwargs(cls, **kwargs: Any) -> "StoreConfig":
-        """Build from loose keywords; unknown keywords raise ConfigError."""
-        reject_unknown_options(cls, kwargs)
-        return cls(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -128,12 +122,6 @@ class JobConfig:
         if len(set(names)) != len(names):
             raise JobConfigError(f"duplicate store names in job {self.name!r}")
 
-    @classmethod
-    def from_kwargs(cls, **kwargs: Any) -> "JobConfig":
-        """Build from loose keywords; unknown keywords raise ConfigError."""
-        reject_unknown_options(cls, kwargs)
-        return cls(**kwargs)
-
 
 @dataclass
 class PollResult:
@@ -142,6 +130,101 @@ class PollResult:
     records_processed: int = 0
     records_emitted: int = 0
     latency: float = 0.0
+
+
+class _AtLeastOnceOutput:
+    """Where one task's writes go and how its checkpoint commits.
+
+    At-least-once: emits go through the job's output producer, state updates
+    through the ``acks=all`` changelog producer, and a checkpoint is a plain
+    offset commit.  Nothing ties the three together, so a crash between a
+    write and the next checkpoint replays (duplicates).
+    """
+
+    #: Isolation of every read in the job — inputs and changelog restores.
+    isolation = "read_uncommitted"
+    #: Whether a drained run must end with a checkpoint for its writes to
+    #: become visible downstream.
+    commit_on_idle = False
+
+    def __init__(self, runner: "JobRunner", task_id: int) -> None:
+        # Anything with ``Producer.send``'s signature.  Held as objects, not
+        # bound ``send`` methods, so instrumentation that wraps
+        # ``Producer.send`` on the class after the job is built (the
+        # benchmark's span recorder) still sees these writes.
+        self.emits: Any = runner.producer
+        self.changelog: Any = runner._changelog_producer
+        self.checkpoints = runner.checkpoints
+
+    def commit_open(
+        self, positions: dict[TopicPartition, int], metadata: dict[str, Any]
+    ) -> bool:
+        """Commit writes still held back, with ``positions``; returns
+        whether there were any (never, here: every write is already out)."""
+        return False
+
+    def commit(
+        self, positions: dict[TopicPartition, int], metadata: dict[str, Any]
+    ) -> None:
+        """Checkpoint ``positions``: together with the held-back writes
+        when there are any, else as a plain offset commit."""
+        if not self.commit_open(positions, metadata):
+            self.checkpoints.commit(dict(positions), metadata)
+
+
+class _ExactlyOnceOutput(_AtLeastOnceOutput):
+    """Exactly-once: every write joins the task's transaction.
+
+    Emits and changelog entries are staged through one fenced
+    :class:`TransactionalProducer`, invisible to ``read_committed`` readers
+    until the checkpoint — which *is* the transaction commit — makes
+    outputs, state and input offsets visible atomically (or not at all).
+    """
+
+    # Neither open nor aborted transactions (our own or an upstream
+    # job's) are ever observed.
+    isolation = "read_committed"
+    commit_on_idle = True
+
+    def __init__(self, runner: "JobRunner", task_id: int) -> None:
+        self.emits = self.changelog = self
+        self.checkpoints = runner.checkpoints
+        # Re-initializing the stable id bumps the epoch: zombies of the
+        # previous incarnation are fenced, an undecided crashed transaction
+        # aborts, a decided one rolls forward — all *before* the changelog
+        # restore reads read_committed.
+        self.producer = TransactionalProducer(
+            runner.cluster,
+            transactional_id(runner.config.name, task_id),
+            linger_messages=runner.config.txn_linger_messages,
+        )
+
+    def send(
+        self, topic, value, key=None, partition=None, timestamp=None, headers=None
+    ):
+        """Stage one record (``Producer.send``'s signature), beginning a
+        transaction at the first write after a commit; it stays open until
+        the next checkpoint boundary."""
+        producer = self.producer
+        if not producer.in_transaction:
+            producer.begin()
+        return producer.send(topic, value, key, partition, timestamp, headers)
+
+    def commit_open(
+        self, positions: dict[TopicPartition, int], metadata: dict[str, Any]
+    ) -> bool:
+        producer = self.producer
+        if not producer.in_transaction:
+            return False
+        self.checkpoints.commit_transactional(producer, positions, metadata)
+        producer.commit()
+        return True
+
+
+_OUTPUT_PATHS = {
+    AT_LEAST_ONCE: _AtLeastOnceOutput,
+    EXACTLY_ONCE: _ExactlyOnceOutput,
+}
 
 
 class _TaskInstance:
@@ -160,6 +243,8 @@ class _TaskInstance:
         self.partitions = partitions
         self.stores = stores
         self.context = context
+        #: Set once per incarnation, after any predecessor's restore reads.
+        self.output: _AtLeastOnceOutput | None = None
         self.positions: dict[TopicPartition, int] = {}
         self.records_since_checkpoint = 0
         self.last_window_at = 0.0
@@ -199,25 +284,17 @@ class JobRunner:
         # producer id: a job's send latencies must replay identically no
         # matter how many producers other code created first.
         jitter = zlib.crc32(config.name.encode())
-        self.exactly_once = config.processing_guarantee == EXACTLY_ONCE
-        # Under exactly-once every read in the job — inputs and changelog
-        # restores — is read_committed, so neither open nor aborted
-        # transactions (our own or an upstream job's) are ever observed.
-        self.isolation = (
-            "read_committed" if self.exactly_once else "read_uncommitted"
-        )
-        #: task_id -> fenced transactional producer (exactly-once only).
-        #: Rebuilt by ``_build_tasks`` so restart and migration epoch-bump.
-        self._txn_producers: dict[int, TransactionalProducer] = {}
+        self._output_path = _OUTPUT_PATHS[config.processing_guarantee]
+        self.isolation = self._output_path.isolation
         self.producer = Producer(
-            cluster, acks=config.acks, retry_jitter_seed=jitter
+            cluster, ProducerConfig(acks=config.acks, retry_jitter_seed=jitter)
         )
         # Changelog writes are the job's state durability: they always use
         # acks=all, independent of the output acks, so a checkpointed input
         # offset can never outlive the state updates it implies.  (This is
         # the paper's "fall back to the highly-available messaging layer".)
         self._changelog_producer = Producer(
-            cluster, acks="all", retry_jitter_seed=jitter + 1
+            cluster, ProducerConfig(acks="all", retry_jitter_seed=jitter + 1)
         )
         self.checkpoints = CheckpointManager(cluster.offset_manager, config.name)
         self.cpu_cost = (
@@ -277,37 +354,37 @@ class JobRunner:
     def _build_tasks(self) -> None:
         self._tasks = []
         for task_id in range(self.num_tasks):
-            if self.exactly_once:
-                # Re-initializing the stable id bumps the epoch: zombies of
-                # the previous incarnation are fenced, an undecided crashed
-                # transaction aborts, a decided one rolls forward — all
-                # *before* the changelog restore reads read_committed.
-                self._txn_producers[task_id] = TransactionalProducer(
-                    self.cluster,
-                    transactional_id(self.config.name, task_id),
-                    linger_messages=self.config.txn_linger_messages,
-                )
             partitions = [
                 TopicPartition(topic, task_id)
                 for topic in self.config.inputs
                 if task_id < len(self.cluster.partitions_of(topic))
             ]
-            stores = self._build_stores(task_id)
-            context = TaskContext(
-                self.config.name,
-                task_id,
-                self.clock,
-                stores,
-                processing_guarantee=self.config.processing_guarantee,
-            )
-            task = self.config.task_factory()
-            instance = _TaskInstance(task_id, task, partitions, stores, context)
-            self._seed_positions(instance)
-            instance.last_window_at = self.clock.now()
-            init = getattr(task, "init", None)
-            if callable(init):
-                init(context)
+            instance = self._new_task(task_id, partitions)
             self._tasks.append(instance)
+            instance.output = self._output_path(self, task_id)
+            self._seed_positions(instance)
+            self._start_task(instance)
+
+    def _new_task(
+        self, task_id: int, partitions: list[TopicPartition]
+    ) -> _TaskInstance:
+        """A fresh incarnation of one task: empty stores, new user object."""
+        stores = self._build_stores(task_id)
+        context = TaskContext(
+            self.config.name,
+            task_id,
+            self.clock,
+            stores,
+            processing_guarantee=self.config.processing_guarantee,
+        )
+        task = self.config.task_factory()
+        return _TaskInstance(task_id, task, partitions, stores, context)
+
+    def _start_task(self, instance: _TaskInstance) -> None:
+        instance.last_window_at = self.clock.now()
+        init = getattr(instance.task, "init", None)
+        if callable(init):
+            init(instance.context)
 
     def _build_stores(self, task_id: int) -> dict[str, KeyValueState]:
         stores: dict[str, KeyValueState] = {}
@@ -317,17 +394,11 @@ class JobRunner:
                 topic = changelog_topic_name(self.config.name, store_config.name)
 
                 def append(key: Any, value: Any, _topic=topic, _p=task_id) -> None:
-                    if self.exactly_once:
-                        # State updates join the task's transaction: a
-                        # changelog entry is only ever restored if the
-                        # outputs and offsets it belongs with committed.
-                        self._txn_producer(_p).send(
-                            _topic, value, key=_key_wrap(key), partition=_p
-                        )
-                    else:
-                        self._changelog_producer.send(
-                            _topic, value, key=_key_wrap(key), partition=_p
-                        )
+                    # Through the task table, so the write lands on the
+                    # output path of whichever incarnation owns the slot.
+                    self._tasks[_p].output.changelog.send(
+                        _topic, value, key=key, partition=_p
+                    )
 
             stores[store_config.name] = KeyValueState(
                 store_config.name,
@@ -344,18 +415,6 @@ class JobRunner:
                 instance.positions[tp] = commit.offset
             else:
                 instance.positions[tp] = self.cluster.beginning_offset(tp)
-
-    def _txn_producer(self, task_id: int) -> TransactionalProducer:
-        """The task's transactional producer, with a transaction open.
-
-        Transactions begin lazily at the first write (emit or changelog
-        entry) after a commit and stay open until the next checkpoint
-        boundary — the checkpoint *is* the commit.
-        """
-        producer = self._txn_producers[task_id]
-        if not producer.in_transaction:
-            producer.begin()
-        return producer
 
     # -- standby replicas / snapshots (serving + fast failover) ------------------------
 
@@ -408,37 +467,29 @@ class JobRunner:
                     # tail at promotion.  Never fail a checkpoint for it.
                     continue
 
+    def _changelog_end_offsets(self, task_id: int) -> dict[str, int] | None:
+        """Current end offset of each of the task's changelog partitions, by
+        store name (``None`` while a changelog leader is offline)."""
+        try:
+            return {
+                sc.name: self.cluster.end_offset(
+                    TopicPartition(
+                        changelog_topic_name(self.config.name, sc.name), task_id
+                    )
+                )
+                for sc in self._changelogged_stores()
+            }
+        except MessagingError:
+            return None
+
     def _record_snapshot(self, task_id: int) -> None:
         """Pin the changelog end offsets that define 'state as of the last
         checkpoint' — the bound snapshot-consistency reads serve at."""
-        offsets: dict[str, int] = {}
-        try:
-            for sc in self._changelogged_stores():
-                tp = TopicPartition(
-                    changelog_topic_name(self.config.name, sc.name), task_id
-                )
-                offsets[sc.name] = self.cluster.end_offset(tp)
-        except MessagingError:
-            return  # changelog leader offline; keep the previous snapshot
+        offsets = self._changelog_end_offsets(task_id)
+        if offsets is None:
+            return  # keep the previous snapshot
         self._snapshot_offsets[task_id] = offsets
         self._snapshot_times[task_id] = self.clock.now()
-
-    def _changelog_offsets_stamp(self, task_id: int) -> dict[str, int] | None:
-        """Changelog end offsets for the checkpoint metadata stamp (``None``
-        when the job has no changelogged stores or a leader is offline)."""
-        stores = self._changelogged_stores()
-        if not stores:
-            return None
-        offsets: dict[str, int] = {}
-        try:
-            for sc in stores:
-                tp = TopicPartition(
-                    changelog_topic_name(self.config.name, sc.name), task_id
-                )
-                offsets[sc.name] = self.cluster.end_offset(tp)
-        except MessagingError:
-            return None
-        return offsets
 
     def _seed_snapshots(self) -> None:
         """Initial snapshot bounds: the last checkpoint's durable stamp when
@@ -504,28 +555,9 @@ class JobRunner:
         so freshly produced records on replicated topics become visible —
         the always-running follower fetch loop of a real cluster.
         """
-        if not self.running:
-            raise JobConfigError(f"job {self.config.name!r} is not running")
-        # Armed with `skipping`, the whole pass is lost — a stalled container
-        # whose backlog simply grows (the paper's slow-job decoupling).
-        if failpoint("job.poll", job=self.config.name) is SKIP:
-            return PollResult()
-        self.cluster.tick(0.0)
-        result = PollResult()
-        for instance in self._tasks:
-            budget = (
-                max_messages
-                if max_messages is not None
-                else self.max_fetch_per_partition
-            )
-            self._poll_task(instance, budget, result)
-        if result.latency and self.auto_advance_clock and isinstance(self.clock, SimClock):
-            self.clock.advance(result.latency)
-        if result.records_processed:
-            self.metrics.counter(self._m_processed).increment(
-                result.records_processed
-            )
-        return result
+        return self._poll_pass(
+            range(len(self._tasks)), max_messages, shared_budget=False
+        )
 
     def poll_tasks(
         self, task_ids: list[int], max_messages: int | None = None
@@ -538,8 +570,18 @@ class JobRunner:
         tasks (served in task order, each draining what the previous left).
         Unlike :meth:`poll_once`, the budget is shared, not per task.
         """
+        return self._poll_pass(task_ids, max_messages, shared_budget=True)
+
+    def _poll_pass(
+        self,
+        task_ids: Iterable[int],
+        max_messages: int | None,
+        shared_budget: bool,
+    ) -> PollResult:
         if not self.running:
             raise JobConfigError(f"job {self.config.name!r} is not running")
+        # Armed with `skipping`, the whole pass is lost — a stalled container
+        # whose backlog simply grows (the paper's slow-job decoupling).
         if failpoint("job.poll", job=self.config.name) is SKIP:
             return PollResult()
         self.cluster.tick(0.0)
@@ -550,11 +592,12 @@ class JobRunner:
             else self.max_fetch_per_partition
         )
         for task_id in task_ids:
-            if budget <= 0:
-                break
-            before = result.records_processed
-            self._poll_task(self._tasks[task_id], budget, result)
-            budget -= result.records_processed - before
+            remaining = budget
+            if shared_budget:
+                remaining -= result.records_processed
+                if remaining <= 0:
+                    break
+            self._poll_task(self._tasks[task_id], remaining, result)
         if result.latency and self.auto_advance_clock and isinstance(self.clock, SimClock):
             self.clock.advance(result.latency)
         if result.records_processed:
@@ -603,30 +646,19 @@ class JobRunner:
         ctx: TraceContext | None,
         result: PollResult,
     ) -> None:
+        send = instance.output.emits.send
         for emit in emits:
             headers = emit.headers
             if ctx is not None:
                 headers = {**(headers or {}), TRACE_HEADER: ctx}
-            if self.exactly_once:
-                # Staged inside the task's transaction: invisible to
-                # read_committed readers until the checkpoint commits.
-                ack = self._txn_producer(instance.task_id).send(
-                    emit.topic,
-                    emit.value,
-                    key=emit.key,
-                    partition=emit.partition,
-                    timestamp=emit.timestamp,
-                    headers=headers,
-                )
-            else:
-                ack = self.producer.send(
-                    emit.topic,
-                    emit.value,
-                    key=emit.key,
-                    partition=emit.partition,
-                    timestamp=emit.timestamp,
-                    headers=headers,
-                )
+            ack = send(
+                emit.topic,
+                emit.value,
+                key=emit.key,
+                partition=emit.partition,
+                timestamp=emit.timestamp,
+                headers=headers,
+            )
             if ack is not None:
                 result.latency += ack.latency
         result.records_emitted += len(emits)
@@ -705,30 +737,15 @@ class JobRunner:
             "software_version": self.config.version,
             "task_id": instance.task_id,
         }
-        stamp = self._changelog_offsets_stamp(instance.task_id)
-        if stamp is not None:
+        stamp = self._changelog_end_offsets(instance.task_id)
+        if stamp:
             # Durable record of the changelog positions this checkpoint
             # covers, so a brand-new runner can seed its snapshot bound from
             # the offset manager.  Under exactly-once this is a lower bound
             # (the open transaction's tail lands at commit); the in-memory
             # post-commit _record_snapshot value is the authoritative bound.
             metadata[CHANGELOG_OFFSETS_KEY] = stamp
-        if self.exactly_once:
-            producer = self._txn_producers[instance.task_id]
-            if producer.in_transaction:
-                # The checkpoint IS the transaction commit: outputs,
-                # changelog entries, and input offsets become visible
-                # atomically (or not at all).
-                self.checkpoints.commit_transactional(
-                    producer, instance.positions, metadata
-                )
-                producer.commit()
-            else:
-                # Nothing was written since the last commit (the task
-                # filtered everything): positions alone commit directly.
-                self.checkpoints.commit(dict(instance.positions), metadata)
-        else:
-            self.checkpoints.commit(dict(instance.positions), metadata)
+        instance.output.commit(instance.positions, metadata)
         instance.records_since_checkpoint = 0
         self._record_snapshot(instance.task_id)
         self._catch_up_standbys(instance.task_id)
@@ -746,7 +763,7 @@ class JobRunner:
             total += result.records_processed
             if result.records_processed == 0:
                 break
-        if self.exactly_once:
+        if self._output_path.commit_on_idle:
             # Commit the trailing open transactions so everything the run
             # produced is visible to read_committed readers downstream.
             self.checkpoint()
@@ -825,33 +842,16 @@ class JobRunner:
         from repro.processing.recovery import restore_task_state  # local: avoid cycle
 
         old = self._tasks[task_id]
-        if self.exactly_once:
-            producer = self._txn_producers[task_id]
-            if producer.in_transaction:
-                # Commit-or-abort before the task moves: the new container
-                # must not inherit an open transaction.  Everything staged
-                # so far is fully processed work, so it commits — together
-                # with the positions that account for it.
-                self.checkpoints.commit_transactional(
-                    producer,
-                    old.positions,
-                    {
-                        "software_version": self.config.version,
-                        "task_id": task_id,
-                    },
-                )
-                producer.commit()
-                old.records_since_checkpoint = 0
-        stores = self._build_stores(task_id)
-        context = TaskContext(
-            self.config.name,
-            task_id,
-            self.clock,
-            stores,
-            processing_guarantee=self.config.processing_guarantee,
-        )
-        task = self.config.task_factory()
-        instance = _TaskInstance(task_id, task, old.partitions, stores, context)
+        # Commit-or-abort before the task moves: the new container must not
+        # inherit an open transaction.  Everything staged so far is fully
+        # processed work, so it commits — together with the positions that
+        # account for it.
+        if old.output.commit_open(
+            old.positions,
+            {"software_version": self.config.version, "task_id": task_id},
+        ):
+            old.records_since_checkpoint = 0
+        instance = self._new_task(task_id, old.partitions)
         self._tasks[task_id] = instance
         try:
             report = restore_task_state(self, task_id)
@@ -861,19 +861,11 @@ class JobRunner:
             # container keeps the task; the controller may retry later.
             self._tasks[task_id] = old
             raise
-        if self.exactly_once:
-            # Fresh incarnation on the new container: the epoch bump fences
-            # any zombie writes from the task's previous home.
-            self._txn_producers[task_id] = TransactionalProducer(
-                self.cluster,
-                transactional_id(self.config.name, task_id),
-                linger_messages=self.config.txn_linger_messages,
-            )
-        instance.last_window_at = self.clock.now()
+        # Fresh incarnation on the new container: under exactly-once the
+        # epoch bump fences any zombie writes from the task's previous home.
+        instance.output = self._output_path(self, task_id)
         self._record_snapshot(task_id)
-        init = getattr(task, "init", None)
-        if callable(init):
-            init(context)
+        self._start_task(instance)
         return report
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -881,11 +873,6 @@ class JobRunner:
             f"JobRunner({self.config.name!r}, tasks={len(self._tasks)}, "
             f"processed={self.records_processed})"
         )
-
-
-def _key_wrap(key: Any) -> Any:
-    """Changelog keys must be hashable and stable; pass through as-is."""
-    return key
 
 
 # Re-exported here because recovery reports are part of the job API surface.

@@ -59,13 +59,8 @@ class RecoveryReport:
     simulated_seconds: float = 0.0
     stores_restored: int = 0
     #: One :class:`RestoredStore` per (store, task) the restore touched, in
-    #: restore order — the actionable detail ``per_store`` used to flatten away.
+    #: restore order.
     entries: list[RestoredStore] = field(default_factory=list)
-
-    @property
-    def per_store(self) -> dict[str, int]:
-        """Back-compat view: ``"store[task]" -> records_replayed``."""
-        return {entry.label: entry.records_replayed for entry in self.entries}
 
     def standby_promotions(self) -> int:
         """How many stores came back via standby promotion."""

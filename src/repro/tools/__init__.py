@@ -1,7 +1,6 @@
 """Operational tooling: the engineer-facing inspection surface."""
 
 from repro.tools.admin import AdminClient, GroupLag, HealthReport, PartitionInfo
-from repro.tools.metrics_feed import METRICS_FEED, MetricsPublisher
 from repro.tools.tracequery import SpanNode, TraceQuery, render_timeline
 
 __all__ = [
@@ -9,8 +8,6 @@ __all__ = [
     "PartitionInfo",
     "GroupLag",
     "HealthReport",
-    "MetricsPublisher",
-    "METRICS_FEED",
     "TraceQuery",
     "SpanNode",
     "render_timeline",

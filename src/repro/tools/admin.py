@@ -105,9 +105,8 @@ class HealthReport:
 # ---------------------------------------------------------------------------
 # Typed admin reports
 #
-# Every report method returns one of these frozen dataclasses: fields for
-# programmatic use, ``as_dict()`` for the loose nested-dict shape the methods
-# used to return (serialization, diffing, older scripts).
+# Every report method returns one of these frozen dataclasses
+# (``dataclasses.asdict`` serves callers that want plain dicts).
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -119,15 +118,6 @@ class PartitionLag:
     committed_offset: int | None
     end_offset: int
     lag: int
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "topic": self.topic,
-            "partition": self.partition,
-            "committed_offset": self.committed_offset,
-            "end_offset": self.end_offset,
-            "lag": self.lag,
-        }
 
 
 @dataclass(frozen=True)
@@ -141,13 +131,6 @@ class GroupLagReport:
     @property
     def total_lag(self) -> int:
         return sum(p.lag for p in self.partitions)
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "partitions": [p.as_dict() for p in self.partitions],
-            "total_lag": self.total_lag,
-            "consumption_rate": self.consumption_rate,
-        }
 
 
 @dataclass(frozen=True)
@@ -164,9 +147,6 @@ class ConsumerLagReport:
             f"unknown group {name!r}; known: {[g.group for g in self.groups]}"
         )
 
-    def as_dict(self) -> dict[str, dict[str, Any]]:
-        return {entry.group: entry.as_dict() for entry in self.groups}
-
 
 @dataclass(frozen=True)
 class OpenTransaction:
@@ -178,16 +158,6 @@ class OpenTransaction:
     partitions: tuple[str, ...]
     pending_offsets: int
     decided: str | None
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "transactional_id": self.transactional_id,
-            "producer_id": self.producer_id,
-            "epoch": self.epoch,
-            "partitions": list(self.partitions),
-            "pending_offsets": self.pending_offsets,
-            "decided": self.decided,
-        }
 
 
 @dataclass(frozen=True)
@@ -201,13 +171,6 @@ class TransactionReport:
     #: ``messaging.transactions.*`` counter values, keyed by short name.
     counters: dict[str, float]
 
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "open_transactions": [t.as_dict() for t in self.open_transactions],
-            "lso_lag": dict(self.lso_lag),
-            "counters": dict(self.counters),
-        }
-
 
 @dataclass(frozen=True)
 class StageLatency:
@@ -217,9 +180,6 @@ class StageLatency:
     count: int
     p50: float
     p99: float
-
-    def as_dict(self) -> dict[str, float]:
-        return {"count": float(self.count), "p50": self.p50, "p99": self.p99}
 
 
 @dataclass(frozen=True)
@@ -238,9 +198,6 @@ class StageLatencyReport:
 
     def __bool__(self) -> bool:
         return bool(self.stages)
-
-    def as_dict(self) -> dict[str, dict[str, float]]:
-        return {entry.stage: entry.as_dict() for entry in self.stages}
 
 
 class AdminClient:
@@ -356,8 +313,7 @@ class AdminClient:
         elasticity layer's autoscaler acts on, and the numbers behind an
         ``all_group_lags`` summary when an on-call engineer needs to know
         *which* partition is behind and whether the group is gaining.
-        Returns a typed :class:`ConsumerLagReport`
-        (``.as_dict()`` restores the legacy nested-dict shape).
+        Returns a typed :class:`ConsumerLagReport`.
         """
         from repro.elasticity.lagmonitor import Ewma
 
@@ -448,7 +404,7 @@ class AdminClient:
         records a ``read_committed`` consumer cannot see yet because an
         open transaction holds them back.  Lifecycle counters come from the
         ``messaging.transactions.*`` instruments.  Returns a typed
-        :class:`TransactionReport` (``.as_dict()`` restores the legacy shape).
+        :class:`TransactionReport`.
         """
         from repro.messaging.transactions import get_transaction_coordinator
 
@@ -497,8 +453,7 @@ class AdminClient:
         to the aggregate ``*_latency`` histograms in the metrics registry.
         Uses the installed tracer when none is passed; the report is empty
         (falsy) when tracing is off or nothing was retained.  Returns a
-        typed :class:`StageLatencyReport` (``.as_dict()`` restores the
-        legacy shape).
+        typed :class:`StageLatencyReport`.
         """
         from repro.common.metrics import Histogram
         from repro.observability.trace import current_tracer

@@ -12,6 +12,7 @@ the seen-ids store is changelogged.
 from repro.common.clock import SimClock
 from repro.core.etl import DeduplicateTask
 from repro.messaging.cluster import ACKS_ALL, MessagingCluster
+from repro.messaging.config import ProducerConfig
 from repro.messaging.producer import Producer
 from repro.processing.job import JobConfig, JobRunner, StoreConfig
 
@@ -37,7 +38,7 @@ def make_env():
 
 def produce_with_duplicates(cluster, n, duplicate_every=5):
     """Emulates at-least-once retries: every Nth batch is re-sent."""
-    producer = Producer(cluster, acks=ACKS_ALL)
+    producer = Producer(cluster, ProducerConfig(acks=ACKS_ALL))
     for i in range(n):
         event = {"event_id": f"evt-{i}", "n": i}
         producer.send("raw", event, key=event["event_id"])

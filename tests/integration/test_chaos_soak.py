@@ -21,6 +21,7 @@ from repro.chaos.failpoints import registry
 from repro.common.clock import SimClock
 from repro.common.errors import MessagingError
 from repro.messaging.cluster import ACKS_ALL, MessagingCluster
+from repro.messaging.config import ConsumerConfig, ProducerConfig
 from repro.messaging.consumer import Consumer
 from repro.messaging.consumer_group import GroupCoordinator
 from repro.messaging.producer import Producer
@@ -61,14 +62,18 @@ def run_soak(seed, compression="none"):
     # differ between two runs of the same seed and fork the traces.
     producer = Producer(
         cluster,
-        acks=ACKS_ALL,
-        idempotent=True,
-        max_retries=2,
-        retry_jitter_seed=seed,
-        compression=compression,
+        ProducerConfig(
+            acks=ACKS_ALL,
+            idempotent=True,
+            max_retries=2,
+            retry_jitter_seed=seed,
+            compression=compression,
+        ),
     )
     coordinator = GroupCoordinator(cluster)
-    consumer = Consumer(cluster, group="soak", group_coordinator=coordinator)
+    consumer = Consumer(
+        cluster, ConsumerConfig(group="soak"), group_coordinator=coordinator
+    )
     consumer.subscribe(["events"])
 
     next_value = 0

@@ -26,6 +26,7 @@ from repro.elasticity import (
     ScalingPolicy,
 )
 from repro.messaging.cluster import ACKS_ALL, MessagingCluster
+from repro.messaging.config import ProducerConfig
 from repro.messaging.producer import Producer
 from repro.messaging.topic import TopicConfig
 from repro.processing.job import JobConfig, JobRunner
@@ -175,8 +176,15 @@ def run_scale_soak(seed):
     )
     schedule.install()
     report = ChaosReport()
-    producer = Producer(cluster, acks=ACKS_ALL, idempotent=True,
-                        max_retries=2, retry_jitter_seed=seed)
+    producer = Producer(
+        cluster,
+        ProducerConfig(
+            acks=ACKS_ALL,
+            idempotent=True,
+            max_retries=2,
+            retry_jitter_seed=seed,
+        ),
+    )
     runner = make_runner(cluster)
     controller = ElasticJobController(
         runner,

@@ -10,6 +10,7 @@ feed sees each input's effect exactly once.
 from repro.common.clock import SimClock
 from repro.common.records import TopicPartition
 from repro.messaging.cluster import MessagingCluster
+from repro.messaging.config import ConsumerConfig
 from repro.messaging.consumer import Consumer
 from repro.messaging.producer import Producer
 from repro.messaging.transactions import TransactionalProducer
@@ -133,7 +134,7 @@ class TestExactlyOncePipeline:
     def test_downstream_consumer_sees_consistent_stream(self):
         cluster = make_cluster()
         producer = Producer(cluster)
-        consumer = Consumer(cluster, isolation_level="read_committed")
+        consumer = Consumer(cluster, ConsumerConfig(isolation_level="read_committed"))
         consumer.assign([TopicPartition("out", 0)])
         worker = ExactlyOnceTransformer(cluster, "etl-10")
         seen = []

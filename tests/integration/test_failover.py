@@ -7,6 +7,7 @@ from repro.common.clock import SimClock
 from repro.common.errors import MessagingError
 from repro.common.records import TopicPartition
 from repro.messaging.cluster import ACKS_ALL, ACKS_LEADER, MessagingCluster
+from repro.messaging.config import ProducerConfig
 from repro.messaging.consumer import Consumer
 from repro.messaging.producer import Producer
 
@@ -25,7 +26,7 @@ def make_cluster(brokers=3, min_insync=2) -> MessagingCluster:
 class TestLeaderFailover:
     def test_acked_data_survives_leader_crash(self):
         cluster = make_cluster()
-        producer = Producer(cluster, acks=ACKS_ALL)
+        producer = Producer(cluster, ProducerConfig(acks=ACKS_ALL))
         for i in range(50):
             producer.send("t", {"i": i})
         cluster.kill_broker(cluster.leader_of("t", 0))
@@ -34,7 +35,7 @@ class TestLeaderFailover:
 
     def test_writes_continue_through_n_minus_1_failures(self):
         cluster = make_cluster(brokers=3, min_insync=1)
-        producer = Producer(cluster, acks=ACKS_ALL, max_retries=3)
+        producer = Producer(cluster, ProducerConfig(acks=ACKS_ALL, max_retries=3))
         produced = 0
         for round_no in range(3):
             for i in range(10):
@@ -47,7 +48,7 @@ class TestLeaderFailover:
 
     def test_all_brokers_down_is_unavailable(self):
         cluster = make_cluster()
-        producer = Producer(cluster, max_retries=1)
+        producer = Producer(cluster, ProducerConfig(max_retries=1))
         for broker_id in range(3):
             cluster.kill_broker(broker_id)
         with pytest.raises(MessagingError):
@@ -55,7 +56,7 @@ class TestLeaderFailover:
 
     def test_epoch_fences_consumers_from_stale_reads(self):
         cluster = make_cluster()
-        producer = Producer(cluster, acks=ACKS_ALL)
+        producer = Producer(cluster, ProducerConfig(acks=ACKS_ALL))
         for i in range(10):
             producer.send("t", i)
         old_leader = cluster.leader_of("t", 0)
@@ -72,7 +73,7 @@ class TestLeaderFailover:
 class TestRecoveryAndCatchup:
     def test_restarted_broker_catches_up_and_rejoins_isr(self):
         cluster = make_cluster()
-        producer = Producer(cluster, acks=ACKS_LEADER)
+        producer = Producer(cluster, ProducerConfig(acks=ACKS_LEADER))
         victim = [b for b in range(3) if b != cluster.leader_of("t", 0)][0]
         cluster.kill_broker(victim)
         for i in range(100):
@@ -88,7 +89,7 @@ class TestRecoveryAndCatchup:
 
     def test_full_cluster_restart_preserves_log(self):
         cluster = make_cluster()
-        producer = Producer(cluster, acks=ACKS_ALL)
+        producer = Producer(cluster, ProducerConfig(acks=ACKS_ALL))
         for i in range(20):
             producer.send("t", i)
         for broker_id in range(3):
@@ -101,7 +102,7 @@ class TestRecoveryAndCatchup:
 
     def test_divergent_follower_truncates_and_converges(self):
         cluster = make_cluster(min_insync=1)
-        producer = Producer(cluster, acks=ACKS_LEADER)
+        producer = Producer(cluster, ProducerConfig(acks=ACKS_LEADER))
         for i in range(10):
             producer.send("t", i)
         cluster.tick(0.1)
@@ -138,7 +139,7 @@ class TestScriptedFaults:
         injector.kill_leader_at(5.0, cluster, "t", 0)
         injector.restart_broker_at(10.0, cluster, 0)
 
-        producer = Producer(cluster, acks=ACKS_ALL, max_retries=3)
+        producer = Producer(cluster, ProducerConfig(acks=ACKS_ALL, max_retries=3))
         sent = 0
         for step in range(20):
             cluster.tick(1.0)
@@ -153,7 +154,7 @@ class TestScriptedFaults:
 class TestConsumerContinuity:
     def test_consumer_rides_through_failover(self):
         cluster = make_cluster()
-        producer = Producer(cluster, acks=ACKS_ALL)
+        producer = Producer(cluster, ProducerConfig(acks=ACKS_ALL))
         consumer = Consumer(cluster)
         consumer.assign([TP])
         for i in range(30):

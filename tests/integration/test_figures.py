@@ -12,6 +12,7 @@ from repro.common.records import TopicPartition
 from repro.core.etl import MapTask
 from repro.core.liquid import Liquid
 from repro.messaging.cluster import MessagingCluster
+from repro.messaging.config import ConsumerConfig
 from repro.messaging.consumer import Consumer
 from repro.messaging.consumer_group import GroupCoordinator
 from repro.messaging.producer import Producer
@@ -112,10 +113,10 @@ class TestFigure3:
         cluster.tick(0.1)
 
         # CG-1 subscribed to topic-a; CG-2 (two members) to topic-b.
-        cg1 = Consumer(cluster, group="cg-1", group_coordinator=gc)
+        cg1 = Consumer(cluster, ConsumerConfig(group="cg-1"), group_coordinator=gc)
         cg1.subscribe(["topic-a"])
-        cg2_a = Consumer(cluster, group="cg-2", group_coordinator=gc)
-        cg2_b = Consumer(cluster, group="cg-2", group_coordinator=gc)
+        cg2_a = Consumer(cluster, ConsumerConfig(group="cg-2"), group_coordinator=gc)
+        cg2_b = Consumer(cluster, ConsumerConfig(group="cg-2"), group_coordinator=gc)
         cg2_a.subscribe(["topic-b"])
         cg2_b.subscribe(["topic-b"])
 

@@ -14,6 +14,7 @@ so the monitoring stack is just another Liquid job.  Two scenarios:
 from repro.common.records import TopicPartition
 from repro.core.liquid import Liquid
 from repro.messaging.cluster import MessagingCluster
+from repro.messaging.config import ConsumerConfig
 from repro.messaging.consumer import Consumer
 from repro.messaging.topic import LogConfig, RetentionConfig, TopicConfig
 from repro.observability.slo import ALERT_FIRING, ALERT_RESOLVED, Slo, SloMonitor
@@ -190,7 +191,7 @@ class TestAlertsSurviveRetentionStorm:
         # A late consumer seats at "earliest": retention deleted its
         # nominal start, so it reseats at the surviving head and reads
         # the recent alerts without error.
-        consumer = Consumer(cluster, auto_offset_reset="earliest")
+        consumer = Consumer(cluster, ConsumerConfig(auto_offset_reset="earliest"))
         consumer.assign([tp])
         survivors = []
         while True:

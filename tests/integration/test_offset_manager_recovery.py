@@ -9,6 +9,7 @@ it from that topic, including after compaction and broker failure.
 from repro.common.clock import SimClock
 from repro.common.records import TopicPartition
 from repro.messaging.cluster import ACKS_ALL, MessagingCluster
+from repro.messaging.config import ConsumerConfig, ProducerConfig
 from repro.messaging.consumer import Consumer
 from repro.messaging.consumer_group import GroupCoordinator
 from repro.messaging.offset_manager import OFFSETS_TOPIC
@@ -18,7 +19,7 @@ from repro.messaging.producer import Producer
 def make_cluster() -> MessagingCluster:
     cluster = MessagingCluster(num_brokers=3, clock=SimClock())
     cluster.create_topic("t", num_partitions=2, replication_factor=3)
-    producer = Producer(cluster, acks=ACKS_ALL)
+    producer = Producer(cluster, ProducerConfig(acks=ACKS_ALL))
     for i in range(40):
         producer.send("t", {"i": i}, key=f"k{i}")
     return cluster
@@ -59,7 +60,9 @@ class TestRecovery:
     def test_consumers_resume_correctly_after_manager_recovery(self):
         cluster = make_cluster()
         gc = GroupCoordinator(cluster)
-        consumer = Consumer(cluster, group="readers", group_coordinator=gc)
+        consumer = Consumer(
+            cluster, ConsumerConfig(group="readers"), group_coordinator=gc
+        )
         consumer.subscribe(["t"])
         first = consumer.poll(10)
         consumer.commit()
@@ -68,7 +71,7 @@ class TestRecovery:
 
         cluster.recover_offset_manager()
 
-        fresh = Consumer(cluster, group="readers", group_coordinator=gc)
+        fresh = Consumer(cluster, ConsumerConfig(group="readers"), group_coordinator=gc)
         fresh.subscribe(["t"])
         rest = []
         for _ in range(20):

@@ -2,6 +2,7 @@
 
 from repro.common.clock import SimClock
 from repro.messaging.cluster import ACKS_ALL, MessagingCluster
+from repro.messaging.config import ConsumerConfig, ProducerConfig
 from repro.messaging.consumer import Consumer
 from repro.messaging.consumer_group import GroupCoordinator
 from repro.messaging.producer import Producer
@@ -10,7 +11,7 @@ from repro.messaging.producer import Producer
 def make_env(partitions=6, n=120):
     cluster = MessagingCluster(num_brokers=3, clock=SimClock())
     cluster.create_topic("t", num_partitions=partitions, replication_factor=3)
-    producer = Producer(cluster, acks=ACKS_ALL)
+    producer = Producer(cluster, ProducerConfig(acks=ACKS_ALL))
     for i in range(n):
         producer.send("t", {"i": i}, key=f"k{i}")
     gc = GroupCoordinator(cluster)
@@ -18,7 +19,7 @@ def make_env(partitions=6, n=120):
 
 
 def new_consumer(cluster, gc, group="g") -> Consumer:
-    consumer = Consumer(cluster, group=group, group_coordinator=gc)
+    consumer = Consumer(cluster, ConsumerConfig(group=group), group_coordinator=gc)
     consumer.subscribe(["t"])
     return consumer
 

@@ -20,6 +20,7 @@ import pytest
 from repro.common.clock import SimClock
 from repro.common.errors import MessagingError, NotEnoughReplicasError
 from repro.messaging.cluster import ACKS_ALL, MessagingCluster
+from repro.messaging.config import ProducerConfig
 from repro.messaging.producer import Producer
 from repro.processing.job import JobConfig, JobRunner, StoreConfig
 from repro.tools.admin import AdminClient
@@ -41,7 +42,9 @@ def run_scenario(seed: int, steps: int = 120) -> None:
     cluster.create_topic(
         "events", num_partitions=2, replication_factor=3, min_insync_replicas=2
     )
-    producer = Producer(cluster, acks=ACKS_ALL, max_retries=3, idempotent=True)
+    producer = Producer(
+        cluster, ProducerConfig(acks=ACKS_ALL, max_retries=3, idempotent=True)
+    )
     runner = JobRunner(
         JobConfig(
             name="soak-count",

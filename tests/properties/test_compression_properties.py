@@ -20,7 +20,7 @@ from repro.common.compression import (
     decompress_entries,
     parse_compression,
 )
-from repro.common.records import TopicPartition
+from repro.common.records import RESERVED_HEADER_PREFIX, TopicPartition
 from repro.messaging.cluster import MessagingCluster
 from repro.messaging.config import ConsumerConfig, ProducerConfig
 from repro.messaging.consumer import Consumer
@@ -39,9 +39,12 @@ values = st.one_of(
     st.dictionaries(st.text(max_size=6), st.integers(), max_size=4),
     st.lists(st.text(max_size=8), max_size=6),
 )
-headers = st.dictionaries(
-    st.text(min_size=1, max_size=8), st.text(max_size=10), max_size=3
+# Client header keys: the ``__`` namespace is the system's (the frame lifts
+# ``__trace`` out of band) and is rejected at ``Producer.send``.
+header_keys = st.text(min_size=1, max_size=8).filter(
+    lambda name: not name.startswith(RESERVED_HEADER_PREFIX)
 )
+headers = st.dictionaries(header_keys, st.text(max_size=10), max_size=3)
 batches = st.lists(
     st.tuples(
         keys, values, st.floats(min_value=0, max_value=1e6), headers

@@ -16,6 +16,7 @@ from repro.common.errors import (
 )
 from repro.common.records import TopicPartition
 from repro.messaging.cluster import ACKS_ALL, MessagingCluster
+from repro.messaging.config import ProducerConfig
 from repro.messaging.producer import Producer
 
 TP = TopicPartition("t", 0)
@@ -41,7 +42,7 @@ def run_schedule(schedule):
     cluster.create_topic(
         "t", num_partitions=1, replication_factor=3, min_insync_replicas=2
     )
-    producer = Producer(cluster, acks=ACKS_ALL, max_retries=2)
+    producer = Producer(cluster, ProducerConfig(acks=ACKS_ALL, max_retries=2))
     acked = []
     counter = 0
     for action, arg in schedule:

@@ -6,8 +6,9 @@ from repro.common.clock import SimClock
 from repro.common.errors import TopicNotFoundError
 from repro.common.records import TopicPartition
 from repro.messaging.cluster import ACKS_ALL, MessagingCluster
+from repro.messaging.config import ProducerConfig
 from repro.messaging.producer import Producer
-from repro.tools.admin import AdminClient
+from repro.tools.admin import AdminClient, PartitionLag
 
 
 def make_env(brokers=3):
@@ -26,7 +27,7 @@ class TestDescribe:
 
     def test_describe_topic_partitions(self):
         cluster, admin = make_env()
-        producer = Producer(cluster, acks=ACKS_ALL)
+        producer = Producer(cluster, ProducerConfig(acks=ACKS_ALL))
         for i in range(10):
             producer.send("t", i, partition=0)
         infos = admin.describe_topic("t")
@@ -60,7 +61,7 @@ class TestDescribe:
 class TestConsumerLag:
     def test_lag_computed_from_commits(self):
         cluster, admin = make_env()
-        producer = Producer(cluster, acks=ACKS_ALL)
+        producer = Producer(cluster, ProducerConfig(acks=ACKS_ALL))
         for i in range(20):
             producer.send("t", i, partition=0)
         tp = TopicPartition("t", 0)
@@ -71,7 +72,7 @@ class TestConsumerLag:
 
     def test_all_group_lags(self):
         cluster, admin = make_env()
-        producer = Producer(cluster, acks=ACKS_ALL)
+        producer = Producer(cluster, ProducerConfig(acks=ACKS_ALL))
         for i in range(10):
             producer.send("t", i, partition=0)
         tp = TopicPartition("t", 0)
@@ -108,7 +109,7 @@ class TestHealth:
 
     def test_lagging_group_flagged(self):
         cluster, admin = make_env()
-        producer = Producer(cluster, acks=ACKS_ALL)
+        producer = Producer(cluster, ProducerConfig(acks=ACKS_ALL))
         for i in range(50):
             producer.send("t", i, partition=0)
         tp = TopicPartition("t", 0)
@@ -127,7 +128,7 @@ class TestHealth:
 class TestConsumerLagReport:
     def test_report_has_lag_and_rate(self):
         cluster, admin = make_env()
-        producer = Producer(cluster, acks=ACKS_ALL)
+        producer = Producer(cluster, ProducerConfig(acks=ACKS_ALL))
         for i in range(40):
             producer.send("t", i, partition=0)
         tp = TopicPartition("t", 0)
@@ -140,23 +141,15 @@ class TestConsumerLagReport:
         entry = report.group("etl")
         assert entry.total_lag == 10
         assert entry.consumption_rate == pytest.approx(10.0)
-        assert [p.as_dict() for p in entry.partitions] == [
-            {
-                "topic": "t",
-                "partition": 0,
-                "committed_offset": 30,
-                "end_offset": 40,
-                "lag": 10,
-            }
-        ]
-        # as_dict() restores the legacy nested-dict shape end to end.
-        legacy = report.as_dict()
-        assert legacy["etl"]["total_lag"] == 10
-        assert legacy["etl"]["partitions"][0]["end_offset"] == 40
+        assert entry.partitions == (
+            PartitionLag(
+                topic="t", partition=0, committed_offset=30, end_offset=40, lag=10
+            ),
+        )
 
     def test_idle_group_has_zero_rate(self):
         cluster, admin = make_env()
-        producer = Producer(cluster, acks=ACKS_ALL)
+        producer = Producer(cluster, ProducerConfig(acks=ACKS_ALL))
         for i in range(5):
             producer.send("t", i, partition=0)
         cluster.offset_manager.commit("idle", TopicPartition("t", 0), 0)

@@ -1,10 +1,4 @@
-"""Client construction: config objects, legacy keywords, and rejection.
-
-The redesigned constructors accept either a frozen config dataclass or the
-legacy loose keywords; both paths funnel through ``from_kwargs`` so typos
-raise :class:`~repro.common.errors.ConfigError` instead of silently
-configuring nothing.
-"""
+"""Client construction from frozen config objects, and their validation."""
 
 import pytest
 
@@ -36,12 +30,6 @@ class TestProducerConfig:
         assert config.linger_messages == 1
         assert config.idempotent is False
 
-    def test_unknown_kwarg_rejected_with_supported_list(self):
-        with pytest.raises(ConfigError) as exc:
-            ProducerConfig.from_kwargs(ack="all")
-        assert "ack" in str(exc.value)
-        assert "acks" in str(exc.value)  # the supported list names the fix
-
     def test_validation(self):
         with pytest.raises(ConfigError):
             ProducerConfig(linger_messages=0)
@@ -64,10 +52,6 @@ class TestConsumerConfig:
         assert config.auto_offset_reset == "earliest"
         assert config.isolation_level == "read_uncommitted"
 
-    def test_unknown_kwarg_rejected(self):
-        with pytest.raises(ConfigError):
-            ConsumerConfig.from_kwargs(offset_reset="latest")
-
     def test_validation(self):
         with pytest.raises(ConfigError):
             ConsumerConfig(auto_offset_reset="middle")
@@ -89,21 +73,6 @@ class TestProducerConstruction:
         assert producer.idempotent is True
         assert producer.client_id == "c1"
 
-    def test_legacy_kwargs_equivalent(self, cluster):
-        legacy = Producer(cluster, acks=ACKS_ALL, linger_messages=5)
-        typed = Producer(
-            cluster, config=ProducerConfig(acks=ACKS_ALL, linger_messages=5)
-        )
-        assert legacy.config == typed.config
-
-    def test_unknown_kwarg_raises(self, cluster):
-        with pytest.raises(ConfigError):
-            Producer(cluster, lingering_messages=5)
-
-    def test_config_xor_kwargs(self, cluster):
-        with pytest.raises(ConfigError):
-            Producer(cluster, config=ProducerConfig(), acks=ACKS_ALL)
-
     def test_shared_config_between_clients(self, cluster):
         config = ProducerConfig(partitioner=PARTITIONER_ROUND_ROBIN)
         a = Producer(cluster, config=config)
@@ -124,14 +93,6 @@ class TestConsumerConstruction:
         assert consumer.config is config
         assert consumer.max_poll_messages == 7
         assert consumer.auto_offset_reset == "latest"
-
-    def test_unknown_kwarg_raises(self, cluster):
-        with pytest.raises(ConfigError):
-            Consumer(cluster, max_poll=7)
-
-    def test_config_xor_kwargs(self, cluster):
-        with pytest.raises(ConfigError):
-            Consumer(cluster, config=ConsumerConfig(), max_poll_messages=7)
 
     def test_group_config_requires_coordinator(self, cluster):
         with pytest.raises(ConfigError):
@@ -169,74 +130,14 @@ class TestLiquidFactories:
         assert consumer.group == "readers"
         assert consumer.group_coordinator is liquid.group_coordinator
 
-    def test_legacy_kwargs_still_work(self):
-        liquid = Liquid(num_brokers=1)
-        liquid.create_feed("f", partitions=1)
-        producer = liquid.producer(linger_messages=4)
-        assert producer.linger_messages == 4
-        with pytest.raises(ConfigError):
-            liquid.producer(linger=4)
 
-    def test_legacy_kwargs_warn_once_per_factory(self, monkeypatch):
-        import repro.core.liquid as liquid_module
-
-        monkeypatch.setattr(liquid_module, "_LEGACY_KWARGS_WARNED", set())
-        liquid = Liquid(num_brokers=1)
-        liquid.create_feed("f", partitions=1)
-        with pytest.warns(DeprecationWarning, match="ProducerConfig"):
-            liquid.producer(linger_messages=4)
-        with pytest.warns(DeprecationWarning, match="ConsumerConfig"):
-            liquid.consumer(max_poll_messages=3)
-        # The notice is one-shot: a second legacy call stays silent.
-        import warnings as warnings_module
-
-        with warnings_module.catch_warnings():
-            warnings_module.simplefilter("error")
-            liquid.producer(linger_messages=2)
-            liquid.consumer(max_poll_messages=5)
-
-    def test_config_objects_do_not_warn(self, monkeypatch):
-        import repro.core.liquid as liquid_module
-        import warnings as warnings_module
-
-        monkeypatch.setattr(liquid_module, "_LEGACY_KWARGS_WARNED", set())
-        liquid = Liquid(num_brokers=1)
-        liquid.create_feed("f", partitions=1)
-        with warnings_module.catch_warnings():
-            warnings_module.simplefilter("error")
-            liquid.producer(config=ProducerConfig(linger_messages=4))
-            liquid.consumer(config=ConsumerConfig(max_poll_messages=3))
-
-
-class TestJobConfigParity:
-    """Job-layer configs reject unknown keywords like the client configs."""
-
-    def test_job_config_from_kwargs_unknown_rejected(self):
-        with pytest.raises(ConfigError) as exc:
-            JobConfig.from_kwargs(
-                name="j", inputs=["in"], task_factory=object, standby_replicas=2
-            )
-        assert "standby_replicas" in str(exc.value)
-        assert "num_standby_replicas" in str(exc.value)  # names the fix
-
-    def test_job_config_from_kwargs_roundtrip(self):
-        config = JobConfig.from_kwargs(
-            name="j", inputs=["in"], task_factory=object, num_standby_replicas=2
-        )
-        assert config.num_standby_replicas == 2
-
-    def test_store_config_from_kwargs_unknown_rejected(self):
-        with pytest.raises(ConfigError) as exc:
-            StoreConfig.from_kwargs(name="table", kind="lsm")
-        assert "kind" in str(exc.value)
-        assert "store_type" in str(exc.value)
-
+class TestJobConfigValidation:
     def test_store_config_validation(self):
         with pytest.raises(JobConfigError):
             StoreConfig(name="")
         with pytest.raises(JobConfigError):
             StoreConfig(name="table", store_type="rocksdb")
-        assert StoreConfig.from_kwargs(name="t", store_type="lsm").store_type == "lsm"
+        assert StoreConfig(name="t", store_type="lsm").store_type == "lsm"
 
     def test_negative_standby_replicas_rejected(self):
         with pytest.raises(JobConfigError):

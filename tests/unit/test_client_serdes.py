@@ -7,6 +7,7 @@ from repro.common.errors import SerdeError
 from repro.common.records import TopicPartition
 from repro.common.serde import JsonSerde, StringSerde
 from repro.messaging.cluster import MessagingCluster
+from repro.messaging.config import ConsumerConfig, ProducerConfig
 from repro.messaging.consumer import Consumer
 from repro.messaging.producer import Producer
 
@@ -20,13 +21,13 @@ def make_cluster() -> MessagingCluster:
 class TestSerdeRoundtrip:
     def test_json_values_roundtrip_through_the_log(self):
         cluster = make_cluster()
-        producer = Producer(cluster, value_serde=JsonSerde())
+        producer = Producer(cluster, ProducerConfig(value_serde=JsonSerde()))
         producer.send("t", {"nested": {"x": [1, 2]}})
         # On the wire / in the log: bytes.
         raw = cluster.fetch("t", 0, 0).records
         assert isinstance(raw[0].value, bytes)
         # Typed consumer decodes.
-        consumer = Consumer(cluster, value_serde=JsonSerde())
+        consumer = Consumer(cluster, ConsumerConfig(value_serde=JsonSerde()))
         consumer.assign([TopicPartition("t", 0)])
         records = consumer.poll(10)
         assert records[0].value == {"nested": {"x": [1, 2]}}
@@ -34,11 +35,11 @@ class TestSerdeRoundtrip:
     def test_string_keys_roundtrip(self):
         cluster = make_cluster()
         producer = Producer(
-            cluster, key_serde=StringSerde(), value_serde=JsonSerde()
+            cluster, ProducerConfig(key_serde=StringSerde(), value_serde=JsonSerde())
         )
         producer.send("t", {"v": 1}, key="member-42")
         consumer = Consumer(
-            cluster, key_serde=StringSerde(), value_serde=JsonSerde()
+            cluster, ConsumerConfig(key_serde=StringSerde(), value_serde=JsonSerde())
         )
         consumer.assign([TopicPartition("t", 0)])
         records = consumer.poll(10)
@@ -46,17 +47,19 @@ class TestSerdeRoundtrip:
 
     def test_none_keys_pass_through(self):
         cluster = make_cluster()
-        producer = Producer(cluster, key_serde=StringSerde(),
-                            value_serde=JsonSerde())
+        producer = Producer(
+            cluster, ProducerConfig(key_serde=StringSerde(), value_serde=JsonSerde())
+        )
         producer.send("t", {"v": 1})  # no key
-        consumer = Consumer(cluster, key_serde=StringSerde(),
-                            value_serde=JsonSerde())
+        consumer = Consumer(
+            cluster, ConsumerConfig(key_serde=StringSerde(), value_serde=JsonSerde())
+        )
         consumer.assign([TopicPartition("t", 0)])
         assert consumer.poll(10)[0].key is None
 
     def test_serialization_errors_surface_at_send(self):
         cluster = make_cluster()
-        producer = Producer(cluster, value_serde=JsonSerde())
+        producer = Producer(cluster, ProducerConfig(value_serde=JsonSerde()))
         with pytest.raises(SerdeError):
             producer.send("t", object())
 
@@ -74,12 +77,12 @@ class TestSerdeRoundtrip:
         stored and transferred."""
         cluster = make_cluster()
         producer = Producer(
-            cluster, key_serde=StringSerde(), value_serde=JsonSerde()
+            cluster, ProducerConfig(key_serde=StringSerde(), value_serde=JsonSerde())
         )
         producer.send("t", {"payload": "x" * 64, "n": [1, 2, 3]}, key="k1")
         raw = cluster.fetch("t", 0, 0).records[0]
         consumer = Consumer(
-            cluster, key_serde=StringSerde(), value_serde=JsonSerde()
+            cluster, ConsumerConfig(key_serde=StringSerde(), value_serde=JsonSerde())
         )
         consumer.assign([TopicPartition("t", 0)])
         typed = consumer.poll(10)[0]
@@ -89,7 +92,7 @@ class TestSerdeRoundtrip:
     def test_partitioning_consistent_for_serialized_keys(self):
         cluster = MessagingCluster(num_brokers=1, clock=SimClock())
         cluster.create_topic("multi", num_partitions=4, replication_factor=1)
-        producer = Producer(cluster, key_serde=StringSerde())
+        producer = Producer(cluster, ProducerConfig(key_serde=StringSerde()))
         partitions = {
             producer.send("multi", i, key="stable").partition.partition
             for i in range(5)

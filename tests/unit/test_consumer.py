@@ -6,6 +6,7 @@ from repro.common.clock import SimClock
 from repro.common.errors import ConfigError
 from repro.common.records import TopicPartition
 from repro.messaging.cluster import ACKS_ALL, MessagingCluster
+from repro.messaging.config import ConsumerConfig, ProducerConfig
 from repro.messaging.consumer import Consumer
 from repro.messaging.consumer_group import GroupCoordinator
 from repro.messaging.producer import Producer
@@ -18,7 +19,7 @@ def setup_cluster(partitions=2, n=20):
     clock = SimClock()
     cluster = MessagingCluster(num_brokers=3, clock=clock)
     cluster.create_topic("t", num_partitions=partitions, replication_factor=3)
-    producer = Producer(cluster, acks=ACKS_ALL)
+    producer = Producer(cluster, ProducerConfig(acks=ACKS_ALL))
     for i in range(n):
         producer.send("t", {"i": i}, key=f"k{i % 5}", timestamp=float(i))
     return clock, cluster
@@ -41,7 +42,7 @@ class TestManualAssign:
     def test_assign_after_group_rejected(self):
         _clock, cluster = setup_cluster()
         gc = GroupCoordinator(cluster)
-        consumer = Consumer(cluster, group="g", group_coordinator=gc)
+        consumer = Consumer(cluster, ConsumerConfig(group="g"), group_coordinator=gc)
         with pytest.raises(ConfigError):
             consumer.assign(cluster.partitions_of("t"))
 
@@ -118,18 +119,18 @@ class TestGroupFlow:
     def test_subscribe_requires_coordinator(self):
         _clock, cluster = setup_cluster()
         with pytest.raises(ConfigError):
-            Consumer(cluster, group="g")
+            Consumer(cluster, ConsumerConfig(group="g"))
 
     def test_commit_and_resume(self):
         _clock, cluster = setup_cluster(partitions=1)
         gc = GroupCoordinator(cluster)
-        consumer = Consumer(cluster, group="g", group_coordinator=gc)
+        consumer = Consumer(cluster, ConsumerConfig(group="g"), group_coordinator=gc)
         consumer.subscribe(["t"])
         consumer.poll(8)
         consumer.commit()
         consumer.close()
 
-        fresh = Consumer(cluster, group="g", group_coordinator=gc)
+        fresh = Consumer(cluster, ConsumerConfig(group="g"), group_coordinator=gc)
         fresh.subscribe(["t"])
         batch = fresh.poll(100)
         assert batch[0].offset == 8
@@ -137,7 +138,7 @@ class TestGroupFlow:
     def test_commit_metadata_visible(self):
         _clock, cluster = setup_cluster(partitions=1)
         gc = GroupCoordinator(cluster)
-        consumer = Consumer(cluster, group="g", group_coordinator=gc)
+        consumer = Consumer(cluster, ConsumerConfig(group="g"), group_coordinator=gc)
         consumer.subscribe(["t"])
         consumer.poll(5)
         consumer.commit({"software_version": "v7"})
@@ -151,7 +152,7 @@ class TestGroupFlow:
     def test_committed(self):
         _clock, cluster = setup_cluster(partitions=1)
         gc = GroupCoordinator(cluster)
-        consumer = Consumer(cluster, group="g", group_coordinator=gc)
+        consumer = Consumer(cluster, ConsumerConfig(group="g"), group_coordinator=gc)
         consumer.subscribe(["t"])
         assert consumer.committed(TopicPartition("t", 0)) is None
         consumer.poll(3)
@@ -161,10 +162,10 @@ class TestGroupFlow:
     def test_rebalance_detected_on_poll(self):
         _clock, cluster = setup_cluster(partitions=2)
         gc = GroupCoordinator(cluster)
-        first = Consumer(cluster, group="g", group_coordinator=gc)
+        first = Consumer(cluster, ConsumerConfig(group="g"), group_coordinator=gc)
         first.subscribe(["t"])
         assert len(first.assignment()) == 2
-        second = Consumer(cluster, group="g", group_coordinator=gc)
+        second = Consumer(cluster, ConsumerConfig(group="g"), group_coordinator=gc)
         second.subscribe(["t"])
         first.poll(1)  # notices the generation bump
         assert len(first.assignment()) == 1
@@ -173,8 +174,8 @@ class TestGroupFlow:
     def test_close_triggers_rebalance(self):
         _clock, cluster = setup_cluster(partitions=2)
         gc = GroupCoordinator(cluster)
-        a = Consumer(cluster, group="g", group_coordinator=gc)
-        b = Consumer(cluster, group="g", group_coordinator=gc)
+        a = Consumer(cluster, ConsumerConfig(group="g"), group_coordinator=gc)
+        b = Consumer(cluster, ConsumerConfig(group="g"), group_coordinator=gc)
         a.subscribe(["t"])
         b.subscribe(["t"])
         b.close()
@@ -193,14 +194,14 @@ class TestGroupFlow:
 class TestAutoOffsetReset:
     def test_latest_starts_at_end(self):
         _clock, cluster = setup_cluster(partitions=1)
-        consumer = Consumer(cluster, auto_offset_reset="latest")
+        consumer = Consumer(cluster, ConsumerConfig(auto_offset_reset="latest"))
         consumer.assign([TopicPartition("t", 0)])
         assert consumer.poll(10) == []
 
     def test_invalid_policy_rejected(self):
         _clock, cluster = setup_cluster()
         with pytest.raises(ConfigError):
-            Consumer(cluster, auto_offset_reset="nearest")
+            Consumer(cluster, ConsumerConfig(auto_offset_reset="nearest"))
 
     def test_position_reset_after_retention(self):
         clock = SimClock()
@@ -278,7 +279,7 @@ class TestPauseResume:
 
     def test_prefetch_skips_paused_partitions(self):
         _clock, cluster = setup_cluster()
-        consumer = Consumer(cluster, prefetch=True)
+        consumer = Consumer(cluster, ConsumerConfig(prefetch=True))
         consumer.assign(cluster.partitions_of("t"))
         tp0, _tp1 = cluster.partitions_of("t")
         consumer.pause(tp0)
@@ -289,13 +290,19 @@ class TestPauseResume:
     def test_rebalance_prunes_paused_set(self):
         _clock, cluster = setup_cluster()
         gc = GroupCoordinator(cluster)
-        consumer = Consumer(cluster, group="g", group_coordinator=gc,
-                            auto_offset_reset="earliest")
+        consumer = Consumer(
+            cluster,
+            ConsumerConfig(group="g", auto_offset_reset="earliest"),
+            group_coordinator=gc,
+        )
         consumer.subscribe(["t"])
         consumer.pause(*consumer.assignment())
         # A second member takes half the partitions away.
-        other = Consumer(cluster, group="g", group_coordinator=gc,
-                         auto_offset_reset="earliest")
+        other = Consumer(
+            cluster,
+            ConsumerConfig(group="g", auto_offset_reset="earliest"),
+            group_coordinator=gc,
+        )
         other.subscribe(["t"])
         consumer.poll(10)  # detects the generation bump
         assert consumer.paused() <= set(consumer.assignment())

@@ -8,6 +8,7 @@ from repro.common.records import TopicPartition
 from repro.core.etl import MapTask
 from repro.core.liquid import Liquid
 from repro.messaging.cluster import ACKS_ALL, MessagingCluster
+from repro.messaging.config import ProducerConfig
 from repro.messaging.producer import Producer
 from repro.processing.containers import ResourceQuota
 from repro.processing.dataflow import Dataflow
@@ -144,7 +145,7 @@ class TestHighWatermarkVisibility:
         """A consumer's committed-data view never regresses across failover."""
         cluster = MessagingCluster(num_brokers=3, clock=SimClock())
         cluster.create_topic("t", replication_factor=3)
-        producer = Producer(cluster, acks=ACKS_ALL)
+        producer = Producer(cluster, ProducerConfig(acks=ACKS_ALL))
         for i in range(10):
             producer.send("t", i)
         tp = TopicPartition("t", 0)

@@ -9,6 +9,7 @@ from repro.common.errors import JobConfigError, ProducerFencedError
 from repro.common.records import TopicPartition
 from repro.messaging.cluster import MessagingCluster
 from repro.messaging.producer import Producer
+from repro.processing.checkpoint import CHANGELOG_OFFSETS_KEY
 from repro.processing.job import (
     AT_LEAST_ONCE,
     EXACTLY_ONCE,
@@ -17,6 +18,7 @@ from repro.processing.job import (
     StoreConfig,
     transactional_id,
 )
+from repro.processing.state import changelog_topic_name
 
 
 @pytest.fixture(autouse=True)
@@ -148,6 +150,46 @@ class TestTransactionBoundary:
         assert len(committed_outputs(cluster)) == 19
 
 
+class TestSnapshotBound:
+    """The durable checkpoint stamp is taken before the commit, the served
+    snapshot bound after it."""
+
+    @staticmethod
+    def _stamp_and_snapshot(guarantee, txn_linger_messages=16):
+        _clock, cluster, _producer = make_env(partitions=1, n=10)
+        runner = JobRunner(
+            eo_config(
+                task_factory=CountingTask,
+                stores=(StoreConfig("counts"),),
+                checkpoint_interval=10,
+                processing_guarantee=guarantee,
+                txn_linger_messages=txn_linger_messages,
+            ),
+            cluster,
+        )
+        runner.poll_once()  # 10 store writes, then the checkpoint
+        commit = runner.checkpoints.fetch(TopicPartition("in", 0))
+        stamp = commit.metadata[CHANGELOG_OFFSETS_KEY]["counts"]
+        snapshot = runner.snapshot_offset(0, "counts")
+        changelog = TopicPartition(changelog_topic_name("eo", "counts"), 0)
+        assert snapshot == cluster.end_offset(changelog)
+        return stamp, snapshot
+
+    @pytest.mark.parametrize("linger, staged_before_commit", [(1, 10), (16, 0)])
+    def test_exactly_once_stamp_precedes_the_commit(
+        self, linger, staged_before_commit
+    ):
+        stamp, snapshot = self._stamp_and_snapshot(EXACTLY_ONCE, linger)
+        # In between land the transaction's staged tail and commit marker.
+        assert stamp == staged_before_commit
+        assert snapshot == 10 + 1
+        assert stamp < snapshot
+
+    def test_at_least_once_stamp_equals_snapshot(self):
+        stamp, snapshot = self._stamp_and_snapshot(AT_LEAST_ONCE)
+        assert stamp == snapshot == 10
+
+
 class TestCrashRecovery:
     def test_crash_mid_transaction_leaves_no_duplicates(self):
         _clock, cluster, _producer = make_env(partitions=2, n=30)
@@ -218,7 +260,7 @@ class TestCrashRecovery:
         _clock, cluster, _producer = make_env(partitions=1, n=10)
         runner = JobRunner(eo_config(checkpoint_interval=100), cluster)
         runner.poll_once(max_messages=3)
-        zombie = runner._txn_producers[0]
+        zombie = runner.task(0).output.producer
         runner.crash()
         runner.recover()
         with pytest.raises(ProducerFencedError):
@@ -259,9 +301,9 @@ class TestMigration:
     def test_migration_bumps_epoch_and_fences(self):
         _clock, cluster, _producer = make_env(partitions=2, n=20)
         runner = JobRunner(eo_config(), cluster)
-        old_producer = runner._txn_producers[0]
+        old_producer = runner.task(0).output.producer
         runner.migrate_task(0)
-        assert runner._txn_producers[0].epoch > old_producer.epoch
+        assert runner.task(0).output.producer.epoch > old_producer.epoch
         with pytest.raises(ProducerFencedError):
             old_producer.begin()
 

@@ -20,6 +20,7 @@ from repro.common.metrics import (
 from repro.common.records import TopicPartition
 from repro.core.liquid import Liquid
 from repro.messaging.cluster import MessagingCluster
+from repro.messaging.config import ConsumerConfig, ProducerConfig
 from repro.messaging.producer import Producer
 from repro.messaging.topic import LogConfig, RetentionConfig, TopicConfig
 from repro.processing.job import JobConfig
@@ -101,13 +102,17 @@ def _exercise_stack() -> MetricsRegistry:
         outputs=["derived"],
     )
     # Compression + prefetch armed so their instruments join the sweep.
-    producer = liquid.producer(compression="zlib:6", linger_messages=5)
+    producer = liquid.producer(
+        config=ProducerConfig(compression="zlib:6", linger_messages=5)
+    )
     for i in range(5):
         producer.send("source", {"i": i}, key=f"k{i}")
     producer.flush()
     liquid.cluster.run_until_replicated()
     liquid.process_available()
-    consumer = liquid.consumer(prefetch=True, auto_offset_reset="earliest")
+    consumer = liquid.consumer(
+        config=ConsumerConfig(prefetch=True, auto_offset_reset="earliest")
+    )
     consumer.assign([TopicPartition("derived", 0)])
     consumer.poll()
     consumer.poll()

@@ -9,11 +9,15 @@ from repro.common.errors import (
     ConfigError,
     MessagingError,
     ProducerFlushError,
+    ReservedHeaderError,
 )
 from repro.common.records import TopicPartition
 from repro.common.partitioning import stable_hash
 from repro.messaging.cluster import ACKS_ALL, MessagingCluster
+from repro.messaging.config import ProducerConfig
 from repro.messaging.producer import Producer
+from repro.messaging.transactions import TransactionalProducer
+from repro.observability.trace import TraceContext
 
 
 @pytest.fixture(autouse=True)
@@ -52,13 +56,13 @@ class TestPartitioning:
 
     def test_round_robin_partitioner_ignores_keys(self):
         cluster = make_cluster()
-        producer = Producer(cluster, partitioner="round_robin")
+        producer = Producer(cluster, ProducerConfig(partitioner="round_robin"))
         acks = [producer.send("t", i, key="same") for i in range(4)]
         assert [a.partition.partition for a in acks] == [0, 1, 2, 3]
 
     def test_custom_partitioner(self):
         cluster = make_cluster()
-        producer = Producer(cluster, partitioner=lambda key, n: 2)
+        producer = Producer(cluster, ProducerConfig(partitioner=lambda key, n: 2))
         ack = producer.send("t", "v", key="anything")
         assert ack.partition.partition == 2
 
@@ -76,7 +80,7 @@ class TestPartitioning:
 
     def test_unknown_partitioner_rejected(self):
         with pytest.raises(ConfigError):
-            Producer(make_cluster(), partitioner="random")
+            Producer(make_cluster(), ProducerConfig(partitioner="random"))
 
 
 class TestBatching:
@@ -86,7 +90,9 @@ class TestBatching:
         assert producer.pending() == 0
 
     def test_batched_buffers_until_linger(self):
-        producer = Producer(make_cluster(partitions=1), linger_messages=3)
+        producer = Producer(
+            make_cluster(partitions=1), ProducerConfig(linger_messages=3)
+        )
         assert producer.send("t", 1) is None
         assert producer.send("t", 2) is None
         assert producer.pending() == 2
@@ -96,7 +102,9 @@ class TestBatching:
         assert producer.pending() == 0
 
     def test_flush_sends_partial_batches(self):
-        producer = Producer(make_cluster(partitions=2), linger_messages=10)
+        producer = Producer(
+            make_cluster(partitions=2), ProducerConfig(linger_messages=10)
+        )
         producer.send("t", 1, partition=0)
         producer.send("t", 2, partition=1)
         acks = producer.flush()
@@ -105,13 +113,13 @@ class TestBatching:
 
     def test_invalid_linger_rejected(self):
         with pytest.raises(ConfigError):
-            Producer(make_cluster(), linger_messages=0)
+            Producer(make_cluster(), ProducerConfig(linger_messages=0))
 
 
 class TestRetries:
     def test_retry_succeeds_after_failover(self):
         cluster = make_cluster(partitions=1)
-        producer = Producer(cluster, max_retries=3)
+        producer = Producer(cluster, ProducerConfig(max_retries=3))
         producer.send("t", "before")
         leader = cluster.leader_of("t", 0)
         cluster.kill_broker(leader)
@@ -121,7 +129,7 @@ class TestRetries:
 
     def test_retry_on_stale_leader_view(self):
         cluster = make_cluster(partitions=1)
-        producer = Producer(cluster, max_retries=3)
+        producer = Producer(cluster, ProducerConfig(max_retries=3))
         leader = cluster.leader_of("t", 0)
         # Crash the machine without the controller noticing yet: the first
         # attempt hits the dead broker and is retried after the session
@@ -141,7 +149,7 @@ class TestRetries:
 
     def test_retries_exhausted_raises(self):
         cluster = make_cluster(partitions=1)
-        producer = Producer(cluster, max_retries=1)
+        producer = Producer(cluster, ProducerConfig(max_retries=1))
         # Kill all brokers: nothing can lead.
         for broker_id in range(3):
             cluster.kill_broker(broker_id)
@@ -152,9 +160,11 @@ class TestRetries:
         def delays(seed):
             producer = Producer(
                 make_cluster(),
-                retry_backoff=0.1,
-                retry_backoff_max=0.5,
-                retry_jitter_seed=seed,
+                ProducerConfig(
+                    retry_backoff=0.1,
+                    retry_backoff_max=0.5,
+                    retry_jitter_seed=seed,
+                ),
             )
             return [producer._backoff(attempts) for attempts in range(1, 10)]
 
@@ -166,7 +176,9 @@ class TestRetries:
 
     def test_invalid_backoff_rejected(self):
         with pytest.raises(ConfigError):
-            Producer(make_cluster(), retry_backoff=1.0, retry_backoff_max=0.5)
+            Producer(
+                make_cluster(), ProducerConfig(retry_backoff=1.0, retry_backoff_max=0.5)
+            )
 
 
 class TestFailureRebuffering:
@@ -179,7 +191,7 @@ class TestFailureRebuffering:
 
     def test_failed_send_is_rebuffered_and_redelivered(self):
         cluster = make_cluster(partitions=1)
-        producer = Producer(cluster, max_retries=0)
+        producer = Producer(cluster, ProducerConfig(max_retries=0))
         with pytest.raises(MessagingError, match="re-buffered"):
             with registry().scoped(
                 "cluster.produce",
@@ -196,7 +208,7 @@ class TestFailureRebuffering:
 
     def test_flush_failure_keeps_batch_and_reports_partial_acks(self):
         cluster = make_cluster(partitions=2)
-        producer = Producer(cluster, linger_messages=10, max_retries=0)
+        producer = Producer(cluster, ProducerConfig(linger_messages=10, max_retries=0))
         producer.send("t", "doomed", partition=0)
         producer.send("t", "fine", partition=1)
 
@@ -221,7 +233,7 @@ class TestFailureRebuffering:
 
     def test_sends_behind_a_parked_batch_hold_order(self):
         cluster = make_cluster(partitions=1)
-        producer = Producer(cluster, max_retries=0)
+        producer = Producer(cluster, ProducerConfig(max_retries=0))
         producer.send("t", "v0")
         with pytest.raises(MessagingError):
             with registry().scoped(
@@ -245,7 +257,7 @@ class TestFailureRebuffering:
             "t", num_partitions=1, replication_factor=3, min_insync_replicas=2
         )
         producer = Producer(
-            cluster, acks=ACKS_ALL, idempotent=True, max_retries=0
+            cluster, ProducerConfig(acks=ACKS_ALL, idempotent=True, max_retries=0)
         )
         leader = cluster.leader_of("t", 0)
         followers = [b for b in range(3) if b != leader]
@@ -269,7 +281,7 @@ class TestFailureRebuffering:
 class TestIdempotent:
     def test_sequences_advance_per_partition(self):
         cluster = make_cluster(partitions=2)
-        producer = Producer(cluster, idempotent=True)
+        producer = Producer(cluster, ProducerConfig(idempotent=True))
         producer.send("t", 1, partition=0)
         producer.send("t", 2, partition=0)
         producer.send("t", 3, partition=1)
@@ -278,7 +290,31 @@ class TestIdempotent:
         ] == 1
 
     def test_acks_counted(self):
-        producer = Producer(make_cluster(), acks=ACKS_ALL)
+        producer = Producer(make_cluster(), ProducerConfig(acks=ACKS_ALL))
         for i in range(5):
             producer.send("t", i)
         assert producer.acks_received == 5
+
+
+class TestReservedHeaders:
+    """The ``__`` header namespace is the system's at both send entry points."""
+
+    @staticmethod
+    def _senders(cluster):
+        txn = TransactionalProducer(cluster, "txn-1")
+        txn.begin()
+        return [Producer(cluster), txn]
+
+    def test_reserved_keys_rejected(self):
+        for sender in self._senders(make_cluster()):
+            for name in ("__trace", "__txn", "__pid", "__seq", "__ctrl", "__x"):
+                with pytest.raises(ReservedHeaderError, match=name):
+                    sender.send("t", "v", headers={name: "x", "a": "b"})
+
+    def test_trace_context_and_plain_keys_accepted(self):
+        cluster = make_cluster()
+        for sender in self._senders(cluster):
+            ctx = TraceContext("trace-1", 7)
+            ack = sender.send("t", "v", partition=0, headers={"__trace": ctx})
+            assert ack is not None
+            assert sender.send("t", "v", headers={"_a": "b", "a__b": "c"})

@@ -181,6 +181,30 @@ class TestConfigSnapshots:
             consumer.group = "g"
 
 
+class TestClientSignatures:
+    """Client options live in the config objects and nowhere else."""
+
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            api.Producer.__init__,
+            api.Consumer.__init__,
+            api.Liquid.producer,
+            api.Liquid.consumer,
+        ],
+    )
+    def test_no_catch_all_keywords(self, factory):
+        kinds = {p.kind for p in inspect.signature(factory).parameters.values()}
+        assert inspect.Parameter.VAR_KEYWORD not in kinds, factory.__qualname__
+
+    def test_loose_option_is_a_type_error(self):
+        cluster = api.MessagingCluster(num_brokers=1)
+        with pytest.raises(TypeError):
+            api.Producer(cluster, acks="all")
+        with pytest.raises(TypeError):
+            api.Consumer(cluster, max_poll_messages=7)
+
+
 class TestErrorHierarchy:
     def test_every_exported_error_is_a_liquid_error(self):
         for name in api.__all__:

@@ -5,6 +5,7 @@ import pytest
 from repro.common.clock import SimClock
 from repro.common.errors import ConfigError
 from repro.messaging.cluster import MessagingCluster
+from repro.messaging.config import ConsumerConfig, ProducerConfig
 from repro.messaging.consumer import Consumer
 from repro.messaging.producer import Producer
 from repro.messaging.quotas import ClientQuota, QuotaManager
@@ -82,8 +83,8 @@ class TestClusterIntegration:
     def test_throttled_producer_pays_latency(self):
         cluster = self._cluster()
         cluster.quotas.set_quota("hog", ClientQuota(produce_bytes_per_sec=100))
-        fast = Producer(cluster, client_id=None)
-        slow = Producer(cluster, client_id="hog")
+        fast = Producer(cluster, ProducerConfig(client_id=None))
+        slow = Producer(cluster, ProducerConfig(client_id="hog"))
         payload = {"data": "x" * 500}
         fast_latency = fast.send("t", payload).latency
         slow_latency = slow.send("t", payload).latency
@@ -92,8 +93,8 @@ class TestClusterIntegration:
     def test_other_clients_unaffected_by_hogs_quota(self):
         cluster = self._cluster()
         cluster.quotas.set_quota("hog", ClientQuota(produce_bytes_per_sec=10))
-        hog = Producer(cluster, client_id="hog")
-        neighbour = Producer(cluster, client_id="polite")
+        hog = Producer(cluster, ProducerConfig(client_id="hog"))
+        neighbour = Producer(cluster, ProducerConfig(client_id="polite"))
         hog.send("t", {"data": "x" * 1000})
         latency = neighbour.send("t", {"data": "y"}).latency
         assert latency < 0.01  # normal intra-DC produce cost
@@ -107,7 +108,7 @@ class TestClusterIntegration:
         cluster.quotas.set_quota("reader", ClientQuota(fetch_bytes_per_sec=100))
         from repro.common.records import TopicPartition
 
-        throttled = Consumer(cluster, client_id="reader")
+        throttled = Consumer(cluster, ConsumerConfig(client_id="reader"))
         throttled.assign([TopicPartition("t", 0)])
         throttled.poll(50)
         unlimited = Consumer(cluster)

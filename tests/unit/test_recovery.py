@@ -148,8 +148,6 @@ class TestRecoveryReportEntries:
         assert entry.source == SOURCE_CHANGELOG
         assert entry.records_replayed == report.records_replayed
         assert entry.label == "table[0]"
-        # Back-compat dict view mirrors the typed entries.
-        assert report.per_store == {"table[0]": report.records_replayed}
 
     def test_job_restore_reports_every_task(self):
         clock = SimClock()
@@ -215,4 +213,7 @@ class TestRecoveryReportEntries:
         assert a.simulated_seconds == 0.75
         assert a.stores_restored == 2
         assert a.standby_promotions() == 1
-        assert a.per_store == {"s1[0]": 5, "s2[1]": 3}
+        assert [(e.label, e.records_replayed) for e in a.entries] == [
+            ("s1[0]", 5),
+            ("s2[1]", 3),
+        ]

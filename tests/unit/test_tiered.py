@@ -12,6 +12,7 @@ from repro.common.errors import (
 from repro.common.records import TopicPartition
 from repro.baselines.dfs import SimulatedDFS
 from repro.messaging.cluster import MessagingCluster
+from repro.messaging.config import ConsumerConfig
 from repro.messaging.consumer import Consumer
 from repro.messaging.topic import CLEANUP_COMPACT, TopicConfig
 from repro.storage.log import LogConfig, PartitionLog
@@ -494,7 +495,7 @@ class TestClusterIntegration:
     def test_consumer_auto_reset_earliest_without_cold_tier(self):
         cluster = make_tiered_cluster(tiered=False)
         tp = produce_and_expire(cluster)
-        consumer = Consumer(cluster, auto_offset_reset="earliest")
+        consumer = Consumer(cluster, ConsumerConfig(auto_offset_reset="earliest"))
         consumer.assign([tp])
         consumer.seek(tp, 0)  # below the truncated log start
         first_poll = consumer.poll()  # hits OffsetOutOfRange, resets
@@ -506,7 +507,7 @@ class TestClusterIntegration:
     def test_consumer_auto_reset_latest_without_cold_tier(self):
         cluster = make_tiered_cluster(tiered=False)
         tp = produce_and_expire(cluster)
-        consumer = Consumer(cluster, auto_offset_reset="latest")
+        consumer = Consumer(cluster, ConsumerConfig(auto_offset_reset="latest"))
         consumer.assign([tp])
         consumer.seek(tp, 0)
         consumer.poll()

@@ -7,6 +7,7 @@ from repro.common.clock import SimClock
 from repro.common.errors import ConfigError, ProducerFencedError, TransactionError
 from repro.common.records import TopicPartition
 from repro.messaging.cluster import MessagingCluster
+from repro.messaging.config import ConsumerConfig
 from repro.messaging.consumer import Consumer
 from repro.messaging.producer import Producer
 from repro.messaging.transactions import (
@@ -193,7 +194,7 @@ class TestTransactionalOffsets:
 class TestConsumerIntegration:
     def test_read_committed_consumer_end_to_end(self):
         cluster = make_cluster()
-        consumer = Consumer(cluster, isolation_level="read_committed")
+        consumer = Consumer(cluster, ConsumerConfig(isolation_level="read_committed"))
         consumer.assign([TP])
         producer = TransactionalProducer(cluster, "tx")
         producer.begin()
@@ -209,7 +210,7 @@ class TestConsumerIntegration:
 
     def test_invalid_isolation_level_rejected(self):
         with pytest.raises(ConfigError):
-            Consumer(make_cluster(), isolation_level="serializable")
+            Consumer(make_cluster(), ConsumerConfig(isolation_level="serializable"))
 
     def test_marker_order_is_deterministic_across_insertion_orders(self):
         """Regression: ``_write_markers`` used to iterate the ``in_flight``
