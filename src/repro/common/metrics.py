@@ -267,7 +267,9 @@ class Histogram:
         if low == high:
             return values[low]
         frac = rank - low
-        return values[low] * (1 - frac) + values[high] * frac
+        blend = values[low] * (1 - frac) + values[high] * frac
+        # Rounding can land one ulp outside the two samples it blends.
+        return min(max(blend, values[low]), values[high])
 
     def snapshot(self) -> dict[str, float]:
         """Summary dict (count/mean/min/p50/p95/p99/max) for reports."""

@@ -47,21 +47,34 @@ def estimate_size(value: Any) -> int:
     be stable and cheap, not exact.  Strings/bytes use their true length;
     containers recurse; other scalars use fixed costs.
 
-    This sits on the per-message append path, so the common concrete types
-    (str/dict/int/...) take exact-``type`` fast paths; subclasses and exotic
-    containers fall through to the isinstance chain with identical results.
+    This is the one walk a record gets on the produce path, so the common
+    concrete types take exact-``type`` fast paths and a ``dict`` sizes its
+    ``str``/``int``/``float`` leaves inside its own loop (no call per leaf;
+    an ASCII string's UTF-8 length is its ``len``, so nothing is encoded).
+    Subclasses and exotic containers fall through to the isinstance chain
+    with identical results.
     """
     if value is None:
         return 0
     tp = type(value)
     if tp is str:
-        return len(value.encode("utf-8"))
+        return len(value) if value.isascii() else len(value.encode("utf-8"))
     if tp is dict:
         total = 0
         for k, v in value.items():
             if k == TRACE_HEADER:
                 continue  # accounting-invisible (see TRACE_HEADER)
-            total += estimate_size(k) + estimate_size(v) + 2
+            if type(k) is str:
+                total += (len(k) if k.isascii() else len(k.encode("utf-8"))) + 2
+            else:
+                total += estimate_size(k) + 2
+            tp = type(v)
+            if tp is str:
+                total += len(v) if v.isascii() else len(v.encode("utf-8"))
+            elif tp is int or tp is float:
+                total += 8
+            else:
+                total += estimate_size(v)
         return total
     if tp is int:
         return 8
@@ -72,7 +85,7 @@ def estimate_size(value: Any) -> int:
     if tp is bool:
         return 1
     if tp is list or tp is tuple:
-        return sum(estimate_size(item) + 1 for item in value)
+        return sum([estimate_size(item) + 1 for item in value])
     return _estimate_size_slow(value)
 
 
@@ -132,6 +145,13 @@ class StoredMessage:
     Offsets are positional: ``segment.base_offset + index``.  Storing them
     implicitly keeps compaction simple (surviving messages keep their
     original offsets via an explicit field set at append time).
+
+    Immutable once appended: the leader's log builds the record (with the
+    ``size`` the produce path already computed) and assigns ``stored_size``
+    before the record enters a segment; from then on followers, fetches and
+    the cold tier hold the *same object*, the way they share a
+    :class:`~repro.common.compression.BatchFrame`.  Truncation, compaction
+    and retention change which records a log lists, never a record.
     """
 
     key: Any
@@ -143,6 +163,8 @@ class StoredMessage:
     stored_size: int = 0
 
     def __post_init__(self) -> None:
+        # The only place a size that was not supplied gets computed (direct
+        # ``PartitionLog.append*`` / ``StoredMessage(...)`` callers).
         if self.size == 0:
             self.size = (
                 estimate_size(self.key)

@@ -69,6 +69,12 @@ class IntSerde:
         return int.from_bytes(data, "big", signed=True)
 
 
+# ``json.dumps`` with non-default settings builds a JSONEncoder per call; the
+# codecs are stateless, so one of each serves every JsonSerde.
+_JSON_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_JSON_DECODE = json.JSONDecoder().decode
+
+
 class JsonSerde:
     """JSON serde for dict/list/scalar payloads.
 
@@ -78,15 +84,13 @@ class JsonSerde:
 
     def serialize(self, value: Any) -> bytes:
         try:
-            return json.dumps(value, sort_keys=True, separators=(",", ":")).encode(
-                "utf-8"
-            )
+            return _JSON_ENCODE(value).encode("utf-8")
         except (TypeError, ValueError) as exc:
             raise SerdeError(f"value is not JSON-serializable: {exc}") from exc
 
     def deserialize(self, data: bytes) -> Any:
         try:
-            return json.loads(data.decode("utf-8"))
+            return _JSON_DECODE(data.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise SerdeError(f"invalid JSON payload: {exc}") from exc
 

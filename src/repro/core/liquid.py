@@ -211,7 +211,7 @@ class Liquid:
                     f"job {config.name!r} input {topic!r} is not a registered feed"
                 )
         default_partitions = max(
-            len(self.cluster.partitions_of(t)) for t in config.inputs
+            self.cluster.topic_config(t).num_partitions for t in config.inputs
         )
         for output in outputs:
             self._create_derived_feed(

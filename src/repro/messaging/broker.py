@@ -12,7 +12,7 @@ leadership; replication traffic uses :meth:`replica_fetch`.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Sequence
 
 from repro.common.clock import Clock
 from repro.common.compression import BatchFrame
@@ -140,13 +140,18 @@ class Broker:
         producer_id: int | None = None,
         producer_seq: int | None = None,
         frame: BatchFrame | None = None,
+        sizes: Sequence[int] | None = None,
     ) -> tuple[ProduceResult, float]:
-        """Append a batch on the leader replica; returns (result, latency)."""
+        """Append a batch on the leader replica; returns (result, latency).
+
+        ``sizes`` is the cluster's payload-size column for ``entries``
+        (see :meth:`PartitionLog.append_batch`).
+        """
         failpoint("broker.produce", broker=self.broker_id, partition=partition)
         self._check_online()
         replica = self.replica(partition)
         result = replica.append_batch(
-            entries, epoch, producer_id, producer_seq, frame=frame
+            entries, epoch, producer_id, producer_seq, frame, sizes
         )
         latency = self.cost_model.request(len(entries)) + result.latency
         self.metrics.counter(_M_MESSAGES_IN).increment(len(entries))

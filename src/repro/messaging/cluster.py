@@ -305,25 +305,16 @@ class MessagingCluster:
         # Armed by chaos schedules to drop the request before it reaches the
         # leader — the client sees a transient error, nothing is appended.
         failpoint("cluster.produce", partition=tp, acks=acks)
-        stamped = [
-            (k, v, ts if ts is not None else self.clock.now(), h or {})
-            for (k, v, ts, h) in entries
-        ]
-        ack = self._produce_to(
-            tp, stamped, acks, producer_id, producer_seq, frame=frame
+        if frame is None:
+            # A framed batch was stamped by its producer before compressing.
+            now = self.clock.now()
+            entries = [
+                (k, v, ts if ts is not None else now, h or {})
+                for (k, v, ts, h) in entries
+            ]
+        return self._produce_to(
+            tp, entries, acks, producer_id, producer_seq, frame, client_id
         )
-        if client_id is not None:
-            if frame is not None:
-                batch_bytes = frame.wire_bytes
-            else:
-                batch_bytes = sum(
-                    estimate_size(k) + estimate_size(v) + estimate_size(h)
-                    for (k, v, _ts, h) in stamped
-                )
-            throttle = self.quotas.record_produce(client_id, batch_bytes)
-            if throttle:
-                ack.latency += throttle
-        return ack
 
     def _produce_to(
         self,
@@ -333,6 +324,7 @@ class MessagingCluster:
         producer_id: int | None = None,
         producer_seq: int | None = None,
         frame: BatchFrame | None = None,
+        client_id: str | None = None,
     ) -> ProduceAck:
         if acks not in _ACK_MODES:
             raise ConfigError(f"unknown acks mode {acks!r}; expected {_ACK_MODES}")
@@ -341,16 +333,21 @@ class MessagingCluster:
         if state.leader is None:
             raise BrokerUnavailableError(f"{tp} is offline (no leader)")
         leader_broker = self._brokers[state.leader]
+        # The one walk over the batch: this payload-size column feeds the
+        # wire charge, the produce quota and every StoredMessage.size.
         if frame is not None:
-            # Compressed batch: the wire carries the frame, and the producer
-            # paid one deflate pass over the logical payload.
+            # Compressed batch: the producer sized the records when it built
+            # the frame, the wire carries the frame, and the producer paid
+            # one deflate pass over the logical payload.
+            sizes = frame.sizes
             batch_bytes = frame.wire_bytes
             latency = self.cost_model.compress(frame.payload_bytes)
         else:
-            batch_bytes = sum(
+            sizes = [
                 estimate_size(k) + estimate_size(v) + estimate_size(h)
                 for (k, v, _ts, h) in entries
-            )
+            ]
+            batch_bytes = sum(sizes)
             latency = 0.0
         if acks == ACKS_NONE:
             latency += self.cost_model.network_oneway(batch_bytes)
@@ -363,13 +360,15 @@ class MessagingCluster:
                 f"{config.min_insync_replicas}"
             )
         result, broker_latency = leader_broker.produce(
-            tp, entries, state.epoch, producer_id, producer_seq, frame=frame
+            tp, entries, state.epoch, producer_id, producer_seq, frame, sizes
         )
         latency += broker_latency
         if acks == ACKS_ALL and not result.duplicate:
             latency += self._replicate_synchronously(tp, state, batch_bytes)
         self.metrics.histogram(_M_PRODUCE_LATENCY[acks]).observe(latency)
         self.metrics.counter(_M_MESSAGES_IN).increment(len(entries))
+        if client_id is not None:
+            latency += self.quotas.record_produce(client_id, batch_bytes)
         return ProduceAck(
             tp, result.base_offset, result.last_offset, latency, result.duplicate
         )

@@ -21,7 +21,7 @@ appending duplicates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Sequence
 
 from repro.common.compression import BatchFrame
 from repro.common.errors import (
@@ -29,7 +29,12 @@ from repro.common.errors import (
     NotLeaderForPartitionError,
     StaleEpochError,
 )
-from repro.common.records import TRACE_HEADER, StoredMessage, TopicPartition
+from repro.common.records import (
+    TRACE_HEADER,
+    StoredMessage,
+    TopicPartition,
+    estimate_size,
+)
 from repro.observability.trace import current_tracer
 from repro.storage.log import PartitionLog, ReadResult
 from repro.storage.tiered.tier import ColdTier
@@ -118,6 +123,7 @@ class PartitionReplica:
         producer_id: int | None = None,
         producer_seq: int | None = None,
         frame: BatchFrame | None = None,
+        sizes: Sequence[int] | None = None,
     ) -> ProduceResult:
         """Leader-side append of a batch of (key, value, timestamp, headers).
 
@@ -125,7 +131,9 @@ class PartitionReplica:
         lower sequence) is deduplicated and the original offsets returned —
         the idempotent-producer upgrade from at-least-once.  ``frame`` is the
         producer's compressed blob for this batch: the log stores it as an
-        opaque unit and charges storage by its wire bytes.
+        opaque unit and charges storage by its wire bytes.  ``sizes`` is the
+        payload-size column the cluster computed for ``entries`` (see
+        :meth:`PartitionLog.append_batch`).
         """
         self._check_leader(epoch)
         if not entries:
@@ -143,21 +151,28 @@ class PartitionReplica:
                     f"producer {producer_id} replayed seq {producer_seq} "
                     "with no cached result"
                 )
-        if producer_id is not None and producer_seq is not None:
             # Producer state travels inside the log (as in Kafka batch
             # headers) so a newly elected leader can keep deduplicating.
+            stamp = {"__pid": producer_id, "__seq": producer_seq}
+            if sizes is not None:
+                # The stamp grows a record by the keys it adds, not by a
+                # constant: transactional entries already carry ``__pid``.
+                added = estimate_size(stamp)
+                sizes = [
+                    size + added - estimate_size(
+                        {name: held[name] for name in stamp if name in held}
+                    )
+                    if held
+                    else size + added
+                    for size, (_k, _v, _ts, held) in zip(sizes, entries)
+                ]
             entries = [
-                (
-                    key,
-                    value,
-                    timestamp,
-                    {**headers, "__pid": producer_id, "__seq": producer_seq},
-                )
+                (key, value, timestamp, {**headers, **stamp})
                 for key, value, timestamp, headers in entries
             ]
         start_offset = self.log.log_end_offset
         try:
-            batch = self.log.append_batch(entries, frame=frame)
+            batch = self.log.append_batch(entries, frame, sizes)
         except ConfigError:
             # Per-record semantics: records before the failing one were
             # appended, so their transaction state must still be tracked.
@@ -294,7 +309,7 @@ class PartitionReplica:
         messages: list[StoredMessage],
         frames: list[tuple[int, int, BatchFrame]] | None = None,
     ) -> float:
-        """Follower-side append of records copied from the leader.
+        """Follower-side append of records fetched from the leader.
 
         The whole fetched batch lands through one
         :meth:`~repro.storage.log.PartitionLog.append_stored_batch` call —
@@ -307,34 +322,24 @@ class PartitionReplica:
             raise ConfigError(f"{self.partition}: leader cannot replicate from itself")
         if not messages:
             return 0.0
-        copies = [
-            StoredMessage(
-                key=message.key,
-                value=message.value,
-                timestamp=message.timestamp,
-                offset=message.offset,
-                headers=dict(message.headers),
-                size=message.size,
-                stored_size=message.stored_size,
-            )
-            for message in messages
-        ]
-        latency = self.log.append_stored_batch(copies, frames=frames).latency
-        for copy in copies:
-            if copy.headers:
-                self._absorb_producer_state(copy)
+        # The leader's records themselves, not copies: a StoredMessage is
+        # immutable once appended, like the frames shipped beside it.
+        latency = self.log.append_stored_batch(messages, frames=frames).latency
+        for message in messages:
+            if message.headers:
+                self._absorb_producer_state(message)
         tracer = current_tracer()
         if tracer is not None:
             now = self.log.clock.now()
-            for copy in copies:
-                ctx = copy.headers.get(TRACE_HEADER) if copy.headers else None
+            for message in messages:
+                ctx = message.headers.get(TRACE_HEADER) if message.headers else None
                 if ctx is not None:
                     tracer.record(
                         "replication.replicate", ctx, now, now + latency,
                         follower=self.broker_id,
                         topic=self.partition.topic,
                         partition=self.partition.partition,
-                        offset=copy.offset,
+                        offset=message.offset,
                     )
         return latency
 

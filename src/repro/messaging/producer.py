@@ -40,7 +40,6 @@ from repro.common.partitioning import partition_for_key
 from repro.common.records import (
     RESERVED_HEADER_PREFIX,
     TRACE_HEADER,
-    ProducerRecord,
     TopicPartition,
 )
 from repro.messaging.cluster import MessagingCluster, ProduceAck
@@ -121,20 +120,20 @@ class Producer:
 
     # -- partition selection ------------------------------------------------------
 
-    def _choose_partition(self, record: ProducerRecord) -> int:
-        num_partitions = len(self.cluster.partitions_of(record.topic))
-        if record.partition is not None:
-            if not 0 <= record.partition < num_partitions:
+    def _choose_partition(self, topic: str, key: Any, partition: int | None) -> int:
+        num_partitions = self.cluster.topic_config(topic).num_partitions
+        if partition is not None:
+            if not 0 <= partition < num_partitions:
                 raise ConfigError(
-                    f"partition {record.partition} out of range for "
-                    f"{record.topic} ({num_partitions} partitions)"
+                    f"partition {partition} out of range for "
+                    f"{topic} ({num_partitions} partitions)"
                 )
-            return record.partition
+            return partition
         if callable(self.partitioner):
-            return self.partitioner(record.key, num_partitions) % num_partitions
-        if self.partitioner == PARTITIONER_HASH and record.key is not None:
-            return partition_for_key(record.key, num_partitions)
-        counter = self._round_robin.setdefault(record.topic, itertools.count())
+            return self.partitioner(key, num_partitions) % num_partitions
+        if self.partitioner == PARTITIONER_HASH and key is not None:
+            return partition_for_key(key, num_partitions)
+        counter = self._round_robin.setdefault(topic, itertools.count())
         return next(counter) % num_partitions
 
     # -- send path ----------------------------------------------------------------
@@ -192,18 +191,10 @@ class Producer:
                     span.attrs["client_id"] = self.client_id
                 headers = dict(headers) if headers else {}
                 headers[TRACE_HEADER] = span.context()
-        record = ProducerRecord(
-            topic=topic,
-            value=value,
-            key=key,
-            partition=partition,
-            timestamp=timestamp,
-            headers=headers if headers is not None else {},
-        )
-        tp = TopicPartition(topic, self._choose_partition(record))
+        tp = TopicPartition(topic, self._choose_partition(topic, key, partition))
         if span is not None:
             span.attrs["partition"] = tp.partition
-        entry = (record.key, record.value, record.timestamp, record.headers)
+        entry = (key, value, timestamp, headers if headers is not None else {})
         if self.linger_messages == 1 and tp not in self._failed_batches:
             if span is None:
                 return self._send_batch(tp, [entry])

@@ -448,7 +448,7 @@ class TransactionalProducer:
                     )
         if not self.coordinator.is_open(self.transactional_id):
             raise TransactionError("send outside a transaction; call begin()")
-        num_partitions = len(self.cluster.partitions_of(topic))
+        num_partitions = self.cluster.topic_config(topic).num_partitions
         if partition is None:
             if key is not None:
                 partition = partition_for_key(key, num_partitions)

@@ -403,7 +403,7 @@ class ClusterSloSampler:
 
         admin = AdminClient(self.cluster)
         total = sum(
-            len(self.cluster.partitions_of(topic))
+            self.cluster.topic_config(topic).num_partitions
             for topic in self.cluster.topics()
         )
         if total == 0:

@@ -330,7 +330,7 @@ class JobRunner:
     def _discover_parallelism(self) -> int:
         counts = []
         for topic in self.config.inputs:
-            counts.append(len(self.cluster.partitions_of(topic)))
+            counts.append(self.cluster.topic_config(topic).num_partitions)
         return max(counts)
 
     def _ensure_changelog_topics(self) -> None:
@@ -357,7 +357,7 @@ class JobRunner:
             partitions = [
                 TopicPartition(topic, task_id)
                 for topic in self.config.inputs
-                if task_id < len(self.cluster.partitions_of(topic))
+                if task_id < self.cluster.topic_config(topic).num_partitions
             ]
             instance = self._new_task(task_id, partitions)
             self._tasks.append(instance)

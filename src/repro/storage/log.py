@@ -16,14 +16,14 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from itertools import accumulate
-from typing import Any
+from itertools import accumulate, repeat
+from typing import Any, Sequence
 
 from repro.common.clock import Clock, SimClock
 from repro.common.compression import BatchFrame
 from repro.common.costmodel import DEFAULT_COST_MODEL, CostModel
 from repro.common.errors import ConfigError, OffsetOutOfRangeError
-from repro.common.records import StoredMessage
+from repro.common.records import RECORD_FRAMING_BYTES, StoredMessage
 from repro.chaos.failpoints import failpoint
 from repro.storage.index import SparseOffsetIndex
 from repro.storage.pagecache import PageCache
@@ -192,6 +192,7 @@ class PartitionLog:
         self,
         entries: list[tuple[Any, Any, float | None, dict[str, Any] | None]],
         frame: BatchFrame | None = None,
+        sizes: Sequence[int] | None = None,
     ) -> BatchAppendResult:
         """Append a batch of ``(key, value, timestamp, headers)`` at the tail.
 
@@ -206,20 +207,32 @@ class PartitionLog:
         record's physical footprint becomes its share of the frame's wire
         bytes, and the frame is registered so fetches can serve the blob
         without re-materializing records.
+
+        ``sizes`` is the produce path's payload-size column (one
+        ``estimate_size`` total per entry, framing excluded — the shape of
+        ``BatchFrame.sizes``): each record is built with it rather than
+        walked again.  Without it the record sizes itself.
         """
         failpoint("log.append", log=self.name, count=len(entries))
+        if sizes is not None and len(sizes) != len(entries):
+            raise ConfigError(
+                f"{len(sizes)} sizes for {len(entries)} entries"
+            )
         now = self.clock.now()
         messages: list[StoredMessage] = []
         error: ConfigError | None = None
         offset = self._next_offset
         max_bytes = self.config.max_message_bytes
-        for key, value, timestamp, headers in entries:
+        for (key, value, timestamp, headers), size in zip(
+            entries, sizes if sizes is not None else repeat(None)
+        ):
             message = StoredMessage(
-                key=key,
-                value=value,
-                timestamp=timestamp if timestamp is not None else now,
-                offset=offset,
-                headers=headers if headers is not None else {},
+                key,
+                value,
+                timestamp if timestamp is not None else now,
+                offset,
+                headers if headers is not None else {},
+                0 if size is None else size + RECORD_FRAMING_BYTES,
             )
             if message.size > max_bytes:
                 error = ConfigError(

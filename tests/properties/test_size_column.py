@@ -1,0 +1,225 @@
+"""One walk, one object: the size a record carries is the size it has.
+
+The produce path sizes each record once (``MessagingCluster._produce_to``,
+or the producer when it builds a ``BatchFrame``) and that column becomes the
+wire charge, the quota charge and ``StoredMessage.size``; followers then
+hold the leader's record objects.  Nothing downstream recomputes, so these
+properties do: every stored size on every replica, every delivered
+``ConsumerRecord.size`` and the cluster's ``bytes_on_wire`` must equal what
+an independent re-walk of the stored fields gives — for plain, idempotent,
+transactional and compressed producers alike.  The leader's ``__pid`` /
+``__seq`` stamp is the trap: it grows a record by the keys it *adds*, and a
+transactional record already carries ``__pid``.
+"""
+
+from collections.abc import Mapping
+
+from hypothesis import given, settings, strategies as st
+
+from repro.common.clock import SimClock
+from repro.common.records import (
+    RECORD_FRAMING_BYTES,
+    TRACE_HEADER,
+    TopicPartition,
+    _estimate_size_slow,
+    estimate_size,
+)
+from repro.messaging.cluster import ACKS_ALL, MessagingCluster
+from repro.messaging.config import ProducerConfig
+from repro.messaging.producer import Producer
+from repro.messaging.transactions import TransactionalProducer
+from repro.observability.trace import TraceContext
+
+TP = TopicPartition("t", 0)
+WIRE_BYTES = "messaging.cluster.bytes_on_wire"
+
+
+def reference_size(value) -> int:
+    """The sizing rule written out as one isinstance chain (no fast paths)."""
+    if value is None:
+        return 0
+    if isinstance(value, bytes):
+        return len(value)
+    if isinstance(value, str):
+        return len(value.encode("utf-8"))
+    if isinstance(value, bool):
+        return 1
+    if isinstance(value, (int, float)):
+        return 8
+    if isinstance(value, Mapping):
+        return sum(
+            reference_size(k) + reference_size(v) + 2
+            for k, v in value.items()
+            if k != TRACE_HEADER
+        )
+    assert isinstance(value, (list, tuple))
+    return sum(reference_size(item) + 1 for item in value)
+
+
+def payload_size(key, value, headers) -> int:
+    return reference_size(key) + reference_size(value) + reference_size(headers)
+
+
+text = st.text(alphabet="abZ09 -_é☃𝄞", max_size=8)
+scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-10, 10**12), st.floats(allow_nan=False),
+    text, st.binary(max_size=6),
+)
+values = st.recursive(
+    scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(text, inner, max_size=3),
+    ),
+    max_leaves=8,
+)
+keys = st.one_of(st.none(), text, st.integers(0, 2**40), st.binary(max_size=6))
+user_headers = st.dictionaries(
+    text.filter(lambda name: not name.startswith("__")), scalars, max_size=2
+)
+trace_contexts = st.one_of(
+    st.none(), st.builds(TraceContext, text, st.integers(0, 99))
+)
+entries = st.lists(
+    st.tuples(keys, values, user_headers, trace_contexts), min_size=1, max_size=12
+)
+MODES = ("plain", "idempotent", "transactional", "zlib", "zlib-idempotent")
+
+
+def produce(cluster: MessagingCluster, mode: str, linger: int, batch) -> None:
+    """Send ``batch`` through the producer ``mode`` names and flush it."""
+    if mode == "transactional":
+        producer = TransactionalProducer(cluster, "sizes", linger_messages=linger)
+        producer.begin()
+    else:
+        producer = Producer(
+            cluster,
+            ProducerConfig(
+                linger_messages=linger,
+                idempotent=mode.endswith("idempotent"),
+                compression="zlib:6" if mode.startswith("zlib") else "none",
+            ),
+        )
+    for key, value, headers, ctx in batch:
+        if ctx is not None:
+            headers = {**headers, TRACE_HEADER: ctx}
+        producer.send(
+            "t", value, key=key, partition=0, timestamp=1.0, headers=headers or None
+        )
+    if mode == "transactional":
+        producer.commit()  # flushes, then writes the control marker
+    else:
+        producer.flush()
+
+
+class TestCarriedSizeEqualsRecomputedSize:
+    @given(entries, st.sampled_from(MODES), st.sampled_from([1, 3, 50]))
+    @settings(max_examples=120, deadline=None)
+    def test_every_replica_consumer_and_the_wire_agree(self, batch, mode, linger):
+        cluster = MessagingCluster(num_brokers=3, clock=SimClock())
+        cluster.create_topic("t", num_partitions=1, replication_factor=3)
+        wire = cluster.metrics.counter(WIRE_BYTES)
+
+        # What the wire charge was before sizes travelled: each produce call
+        # pays its frame's wire bytes, or the payload of the entries as sent
+        # (before the leader's stamp), once — and once more per follower
+        # when acks=all replicates synchronously.
+        expected_wire = 0
+        real_produce = cluster.produce
+
+        def recording_produce(topic, partition, sent, acks="leader", **kwargs):
+            nonlocal expected_wire
+            frame = kwargs.get("frame")
+            ingress = (
+                frame.wire_bytes
+                if frame is not None
+                else sum(payload_size(k, v, h) for k, v, _ts, h in sent)
+            )
+            expected_wire += ingress * (3 if acks == ACKS_ALL else 1)
+            return real_produce(topic, partition, sent, acks=acks, **kwargs)
+
+        cluster.produce = recording_produce
+        produce(cluster, mode, linger, batch)
+        del cluster.produce
+        synchronous = wire.value
+        cluster.run_until_replicated()
+        background = wire.value - synchronous
+
+        leader_id = cluster.leader_of("t", 0)
+        leader_log = cluster.broker(leader_id).replica(TP).log
+        stored = leader_log.all_messages()
+        assert len(stored) == len(batch) + (mode == "transactional")
+        shares = {
+            base + i: share
+            for base, _last, frame in leader_log.frames_between(0, len(stored))
+            for i, share in enumerate(frame.stored_sizes())
+        }
+        for broker in cluster.brokers():
+            replica_log = broker.replica(TP).log
+            assert [m.offset for m in replica_log.all_messages()] == [
+                m.offset for m in stored
+            ]
+            for message in replica_log.all_messages():
+                logical = (
+                    payload_size(message.key, message.value, message.headers)
+                    + RECORD_FRAMING_BYTES
+                )
+                assert message.size == logical
+                assert message.stored_size == shares.get(message.offset, logical)
+        if mode.startswith("zlib"):
+            assert len(shares) == len(stored)
+
+        fetched = cluster.fetch(
+            "t", 0, 0, max_messages=1000, isolation="read_committed"
+        ).records
+        assert len(fetched) == len(batch)
+        for record in fetched:
+            assert record.size == stored[record.offset].size - RECORD_FRAMING_BYTES
+            assert record.size == payload_size(
+                record.key, record.value, dict(record.headers)
+            )
+
+        stored_bytes = sum(m.stored_size for m in stored)
+        if mode == "transactional":  # acks=all: both followers paid above
+            assert background == 0
+        else:  # acks=leader: both followers caught up in the background
+            expected_wire += 2 * stored_bytes
+        expected_wire += sum(stored[r.offset].stored_size for r in fetched)
+        assert wire.value == expected_wire
+
+
+class TestEstimateSizeFastPaths:
+    @given(st.one_of(values, keys, user_headers))
+    @settings(max_examples=300, deadline=None)
+    def test_fast_path_equals_isinstance_chain(self, value):
+        assert estimate_size(value) == reference_size(value)
+
+    def test_subclasses_take_the_slow_path_to_the_same_answer(self):
+        class Text(str):
+            pass
+
+        class Count(int):
+            pass
+
+        class Table(dict):
+            pass
+
+        plain = {"né☃": "𝄞x", "n": 7, "f": 0.5, "b": True, "l": ["é", 1, None]}
+        exotic = Table(
+            {Text("né☃"): Text("𝄞x"), "n": Count(7), "f": 0.5, "b": True,
+             "l": ["é", Count(1), None]}
+        )
+        assert estimate_size(exotic) == estimate_size(plain) == reference_size(plain)
+        assert _estimate_size_slow(plain) == estimate_size(plain)
+        for leaf in ("é☃", Text("é☃"), 3, Count(3), True, 2.5, b"\xff\x00", None):
+            assert estimate_size(leaf) == reference_size(leaf)
+            if leaf is not None:
+                assert _estimate_size_slow(leaf) == reference_size(leaf)
+
+    def test_trace_header_is_skipped_at_every_level(self):
+        ctx = TraceContext("trace", 1)
+        bare = {"h": "é", "n": 1}
+        traced = {**bare, TRACE_HEADER: ctx}
+        assert estimate_size(traced) == estimate_size(bare) == reference_size(bare)
+        assert _estimate_size_slow(traced) == estimate_size(bare)
+        assert estimate_size({"outer": traced}) == estimate_size({"outer": bare})

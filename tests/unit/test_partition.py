@@ -10,6 +10,7 @@ from repro.common.errors import (
 )
 from repro.common.records import StoredMessage, TopicPartition
 from repro.messaging.partition import PartitionReplica
+from repro.storage.compaction import LogCompactor
 from repro.storage.log import LogConfig, PartitionLog
 
 TP = TopicPartition("t", 0)
@@ -140,12 +141,56 @@ class TestReplicateBatch:
             replica.replicate_batch([])
 
     def test_copies_are_independent(self):
-        source = leader()
-        source.append_batch([("k", {"mutable": []}, 0.0, {})])
-        follower = make_replica(1)
-        follower.replicate_batch(source.log.all_messages())
-        source.log.all_messages()[0].headers["x"] = 1
-        assert "x" not in follower.log.all_messages()[0].headers
+        # The follower's log lists the leader's record objects themselves;
+        # what stays independent is each replica's *log*: truncating,
+        # compacting or dropping segments on one never touches the other.
+        def replicated_pair():
+            config = LogConfig(segment_max_messages=2)
+            source = PartitionReplica(
+                TP, 0, PartitionLog("b0/t-0", config, clock=SimClock())
+            )
+            source.become_leader(1, [0])
+            source.append_batch(
+                [(f"k{i % 2}", {"i": i}, 0.0, {"h": "x" * i}) for i in range(6)]
+            )
+            follower = PartitionReplica(
+                TP, 1, PartitionLog("b1/t-0", config, clock=SimClock())
+            )
+            follower.replicate_batch(source.log.all_messages())
+            return source, follower
+
+        def snapshot(replica):
+            return [
+                (m.offset, m.key, m.size, m.stored_size)
+                for m in replica.log.all_messages()
+            ]
+
+        source, follower = replicated_pair()
+        shared = source.log.all_messages()
+        assert len(shared) == 6
+        assert all(
+            theirs is ours
+            for theirs, ours in zip(follower.log.all_messages(), shared)
+        )
+        before = snapshot(source)
+
+        follower.truncate_to(3)
+        assert [m.offset for m in follower.log.all_messages()] == [0, 1, 2]
+        assert snapshot(source) == before
+        assert source.log.size_bytes == sum(m.stored_size for m in shared)
+
+        source, follower = replicated_pair()
+        before = snapshot(follower)
+        LogCompactor().compact(source.log)
+        assert len(source.log.all_messages()) < 6
+        assert snapshot(follower) == before
+
+        source, follower = replicated_pair()
+        before = snapshot(source)
+        follower.log.drop_segment(follower.log.sealed_segments()[0])
+        assert follower.log.log_start_offset == 2
+        assert snapshot(source) == before
+        assert len(source.log.read(0, 10).messages) == 6
 
 
 class TestIdempotentProduce:
