@@ -6,7 +6,8 @@ exact, hardware-independent numbers (``sim_s_per_krec``,
 A wall-clock optimisation must leave them identical to the last bit; a
 change that means to move them re-measures the baseline in its own PR.
 
-    python3 benchmarks/check_sim_baseline.py nearline_ingest exactly_once_serving
+    python3 benchmarks/check_sim_baseline.py nearline_ingest compressed_ingest \
+        exactly_once_serving offline_rewind
 """
 
 from __future__ import annotations

@@ -182,13 +182,19 @@ class StoredMessage:
             self.stored_size = self.size
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(init=False, slots=True, unsafe_hash=True)
 class ConsumerRecord:
     """A message as delivered to a consumer, with full provenance.
 
     ``size`` (payload bytes, excluding log framing) is computed once at
     construction — fetch paths that already know the stored size pass it in
     so quota/WAN accounting never re-walks keys, values and headers.
+
+    Immutable, yet built by plain slot stores: ``__init__`` ends by
+    re-classing the instance to a slot-less subclass whose ``__setattr__``
+    raises.  One exists per delivered record, so construction cost and the
+    96-byte footprint are the read path's per-record budget (a frozen
+    dataclass pays ``object.__setattr__`` per field, a tuple is larger).
     """
 
     topic: str
@@ -197,18 +203,39 @@ class ConsumerRecord:
     key: Any
     value: Any
     timestamp: float
-    headers: Mapping[str, Any] = field(default_factory=dict)
-    size: int = 0
+    headers: Mapping[str, Any]
+    size: int
 
-    def __post_init__(self) -> None:
-        if self.size == 0:
-            object.__setattr__(
-                self,
-                "size",
-                estimate_size(self.key)
-                + estimate_size(self.value)
-                + estimate_size(dict(self.headers)),
-            )
+    def __init__(
+        self, topic, partition, offset, key, value, timestamp, headers=None, size=0
+    ) -> None:
+        self.topic = topic
+        self.partition = partition
+        self.offset = offset
+        self.key = key
+        self.value = value
+        self.timestamp = timestamp
+        self.headers = headers = {} if headers is None else headers
+        self.size = size or (
+            estimate_size(key) + estimate_size(value) + estimate_size(dict(headers))
+        )
+        self.__class__ = _FrozenConsumerRecord
+
+
+class _FrozenConsumerRecord(ConsumerRecord):
+    """What every constructed :class:`ConsumerRecord` becomes."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: Any = None) -> None:
+        raise AttributeError(f"ConsumerRecord is immutable ({name!r})")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self) -> tuple:  # copy/pickle rebuild through __init__
+        return ConsumerRecord, tuple(
+            getattr(self, name) for name in ConsumerRecord.__slots__
+        )
 
 
 @dataclass(frozen=True)

@@ -189,10 +189,13 @@ class Broker:
         offset: int,
         follower_id: int,
         max_messages: int = 1000,
-    ) -> tuple[list[StoredMessage], int, int, list[tuple[int, int, BatchFrame]]]:
+    ) -> tuple[
+        list[StoredMessage], int, int, list[tuple[int, int, BatchFrame]], int
+    ]:
         """Follower fetch from this (leader) broker.
 
-        Returns ``(messages, leader_leo, leader_hw, frames)``.  As in Kafka,
+        Returns ``(messages, leader_leo, leader_hw, frames, stored_bytes)``
+        (the last being the run's physical size).  As in Kafka,
         the fetch *offset itself* tells the leader how far the follower has
         got: the leader records it and may advance the high watermark.
         ``frames`` are the compressed-batch registry entries covering the
@@ -203,12 +206,8 @@ class Broker:
         replica = self.replica(partition)
         hw = replica.record_follower_position(follower_id, offset)
         result = replica.fetch(offset, max_messages, committed_only=False)
-        frames: list[tuple[int, int, BatchFrame]] = []
-        if result.messages:
-            frames = replica.log.frames_between(
-                result.messages[0].offset, result.messages[-1].offset
-            )
-        return result.messages, replica.log_end_offset, hw, frames
+        frames = replica.log.frames_spanned_by(result.messages)
+        return result.messages, replica.log_end_offset, hw, frames, result.stored_bytes
 
     # -- maintenance (driven by the cluster tick) -------------------------------------------
 

@@ -48,7 +48,6 @@ from repro.messaging.broker import Broker
 from repro.messaging.fetchbuffer import (
     FetchBatch,
     build_fetch_batches,
-    inflate_all,
 )
 from repro.messaging.offset_manager import OFFSETS_TOPIC, OffsetManager
 from repro.messaging.quotas import QuotaManager
@@ -411,13 +410,9 @@ class MessagingCluster:
             )
             # Ship the leader's compressed frames with the records so the
             # follower stores the identical opaque blobs (no re-encode).
-            frames = None
-            if pending.messages:
-                frames = leader_replica.log.frames_between(
-                    pending.messages[0].offset, pending.messages[-1].offset
-                )
             append_latency = follower_replica.replicate_batch(
-                pending.messages, frames=frames
+                pending.messages,
+                frames=leader_replica.log.frames_spanned_by(pending.messages),
             )
             leader_replica.record_follower_position(
                 follower_id, follower_replica.log_end_offset
@@ -475,15 +470,11 @@ class MessagingCluster:
         result, latency = broker.fetch(
             tp, offset, max_messages, max_bytes, isolation=isolation
         )
-        frames: list[tuple[int, int, BatchFrame]] = []
-        if result.messages:
-            frames = broker.replica(tp).log.frames_between(
-                result.messages[0].offset, result.messages[-1].offset
-            )
+        frames = broker.replica(tp).log.frames_spanned_by(result.messages)
         batches = build_fetch_batches(topic, partition, result.messages, frames)
         # The wire carries what the log stores: compressed runs ship as their
         # frames, so egress shrinks by the same ratio as the disk did.
-        out_bytes = sum(m.stored_size for m in result.messages)
+        out_bytes = result.stored_bytes
         latency += self.cost_model.network_transfer(out_bytes)
         self.metrics.counter(_M_WIRE_BYTES).increment(out_bytes)
         if client_id is not None:
@@ -492,8 +483,11 @@ class MessagingCluster:
         self.metrics.counter(_M_MESSAGES_OUT).increment(len(result.messages))
         if lazy:
             return FetchResult([], latency, result.next_offset, batches=batches)
-        records, inflate_latency = inflate_all(batches, self.cost_model)
-        latency += inflate_latency
+        records: list[ConsumerRecord] = []
+        for batch in batches:
+            inflated, inflate_latency = batch.inflate(self.cost_model)
+            records.extend(inflated)
+            latency += inflate_latency
         return FetchResult(records, latency, result.next_offset)
 
     # -- offset / metadata queries -----------------------------------------------------------

@@ -169,10 +169,10 @@ class Consumer:
         refreshes the assignment before fetching.
 
         Responses arrive as lazy :class:`~repro.messaging.fetchbuffer.FetchBuffer`
-        objects: compressed batches are inflated only when drained into the
-        poll.  With ``prefetch=True`` the consumer issues the next fetch as
-        soon as a buffer drains, so its latency overlaps whatever simulated
-        time the application spends processing the previous poll.
+        objects: records are built (frames inflated, serdes applied) only as
+        a poll drains them.  With ``prefetch=True`` the consumer issues the
+        next fetch as soon as a buffer drains, so its latency overlaps whatever
+        simulated time the application spends processing the previous poll.
         """
         if self.closed:
             raise ConfigError("consumer is closed")
@@ -195,23 +195,12 @@ class Consumer:
                 buffer = None
             if buffer is None:
                 try:
-                    result = self.cluster.fetch(
-                        tp.topic, tp.partition, self._positions[tp], budget,
-                        isolation=self.isolation_level,
-                        client_id=self.client_id,
-                        lazy=True,
-                    )
+                    buffer = self._fetch(tp, budget)
                 except OffsetOutOfRangeError as exc:
                     self._positions[tp] = self._reset_position(tp, exc)
                     continue
                 except (BrokerUnavailableError, NotLeaderForPartitionError):
                     continue  # transient during failover; retry next poll
-                buffer = FetchBuffer(
-                    result.batches or [],
-                    result.next_offset,
-                    result.latency,
-                    issued_at=self.cluster.clock.now(),
-                )
             if buffer.latency:
                 if buffer.prefetched:
                     # The fetch has been in flight since it was issued; only
@@ -222,14 +211,14 @@ class Consumer:
                 else:
                     latency += buffer.latency
                 buffer.latency = 0.0
-            batch, inflate_latency = buffer.take(budget, self.cluster.cost_model)
+            batch, inflate_latency = buffer.take(
+                budget, self.cluster.cost_model, self.key_serde, self.value_serde
+            )
             latency += inflate_latency
             if batch:
                 if buffer.prefetched:
                     self.cluster.metrics.counter(_M_PREFETCH_HITS).increment(1)
                     buffer.prefetched = False
-                if self.key_serde is not None or self.value_serde is not None:
-                    batch = [self._deserialize(r) for r in batch]
                 records.extend(batch)
                 budget -= len(batch)
             # Advance by the scan position, not the last delivered record:
@@ -269,46 +258,30 @@ class Consumer:
         if tp in self._paused:
             return
         try:
-            result = self.cluster.fetch(
-                tp.topic, tp.partition, self._positions[tp],
-                self.max_poll_messages,
-                isolation=self.isolation_level,
-                client_id=self.client_id,
-                lazy=True,
-            )
+            self._buffers[tp] = self._fetch(tp, self.max_poll_messages, True)
         except (
             OffsetOutOfRangeError,
             BrokerUnavailableError,
             NotLeaderForPartitionError,
         ):
             return  # next poll falls back to a synchronous fetch
-        self._buffers[tp] = FetchBuffer(
+
+    def _fetch(
+        self, tp: TopicPartition, max_messages: int, prefetched: bool = False
+    ) -> FetchBuffer:
+        """One lazy fetch from ``tp``'s position, buffered for draining."""
+        result = self.cluster.fetch(
+            tp.topic, tp.partition, self._positions[tp], max_messages,
+            isolation=self.isolation_level,
+            client_id=self.client_id,
+            lazy=True,
+        )
+        return FetchBuffer(
             result.batches or [],
             result.next_offset,
             result.latency,
             issued_at=self.cluster.clock.now(),
-            prefetched=True,
-        )
-
-    def _deserialize(self, record: ConsumerRecord) -> ConsumerRecord:
-        key = record.key
-        value = record.value
-        if self.key_serde is not None and key is not None:
-            key = self.key_serde.deserialize(key)
-        if self.value_serde is not None:
-            value = self.value_serde.deserialize(value)
-        return ConsumerRecord(
-            topic=record.topic,
-            partition=record.partition,
-            offset=record.offset,
-            key=key,
-            value=value,
-            timestamp=record.timestamp,
-            headers=record.headers,
-            # Keep the stored wire size: recomputing from the deserialized
-            # objects would skew quota/WAN accounting away from the bytes
-            # actually transferred.
-            size=record.size,
+            prefetched=prefetched,
         )
 
     def _maybe_rejoin(self) -> None:

@@ -1,13 +1,16 @@
-"""Zero-copy fetch buffers: batch-granular lazy decompression for consumers.
+"""Zero-copy fetch buffers: one materialisation, at the poll boundary.
 
 A fetch response is not a flat record list but a sequence of *batches* —
-some plain (materialized :class:`~repro.common.records.ConsumerRecord`
-lists), some still the compressed :class:`~repro.common.compression.BatchFrame`
-the producer shipped.  A framed batch stays compressed until the consumer
-actually drains into it: :meth:`FetchBatch.inflate` decodes the frame's
-payload through a memoryview (no intermediate copy of the blob), charges the
-simulated inflate CPU once, and memoizes the records.  A poll that stops
-mid-response therefore never inflates the batches behind its cursor.
+some plain (a run of the log's own :class:`~repro.common.records.StoredMessage`
+objects, the list the log read returned), some still the compressed
+:class:`~repro.common.compression.BatchFrame` the producer shipped.  Neither
+holds a :class:`~repro.common.records.ConsumerRecord`: :meth:`FetchBatch.inflate`
+builds exactly the records a drain delivers, once each, with the consumer's
+serdes applied in that same construction.  A framed batch stays compressed
+until the consumer drains into it (the payload is decoded through a
+memoryview, no intermediate copy of the blob) and is charged the simulated
+inflate CPU on that first touch only.  A poll that stops mid-response
+therefore neither inflates nor materialises what lies past its cursor.
 
 :class:`FetchBuffer` holds one response's batches plus the bookkeeping a
 prefetching consumer needs: the fetch latency still owed, the simulated
@@ -16,6 +19,9 @@ re-charged), and the position a partially-drained poll should commit.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
+from operator import attrgetter
 
 from repro.common.compression import BatchFrame
 from repro.common.costmodel import CostModel
@@ -26,98 +32,114 @@ from repro.common.records import (
     StoredMessage,
     estimate_size,
 )
+from repro.common.serde import Serde
 
-
-def record_from_stored(
-    topic: str, partition: int, message: StoredMessage
-) -> ConsumerRecord:
-    """Materialize one stored record into a consumer record (eager path)."""
-    return ConsumerRecord(
-        topic=topic,
-        partition=partition,
-        offset=message.offset,
-        key=message.key,
-        value=message.value,
-        timestamp=message.timestamp,
-        headers=message.headers,
-        # Logical size minus log framing == the payload size the record
-        # would recompute; carrying it avoids re-walking keys/values/headers
-        # on every quota/WAN accounting pass.
-        size=message.size - RECORD_FRAMING_BYTES,
-    )
+_offset_of = attrgetter("offset")
 
 
 class FetchBatch:
-    """One batch of a fetch response: either materialized or still framed."""
+    """One batch of a fetch response: a run of log records, or the frame
+    standing in for one."""
 
-    __slots__ = ("topic", "partition", "records", "frame", "base_offset")
+    __slots__ = (
+        "topic", "partition", "messages", "frame", "base_offset", "count", "inflated"
+    )
 
     def __init__(
         self,
         topic: str,
         partition: int,
-        records: list[ConsumerRecord] | None = None,
+        messages: list[StoredMessage] | None = None,
         frame: BatchFrame | None = None,
         base_offset: int = 0,
     ) -> None:
         self.topic = topic
         self.partition = partition
-        self.records = records
+        self.messages = messages
         self.frame = frame
         self.base_offset = base_offset
+        self.count = len(messages) if frame is None else frame.count
+        #: Whether the simulated inflate CPU has been charged (nothing to
+        #: charge for a plain batch).
+        self.inflated = frame is None
 
-    @property
-    def count(self) -> int:
-        if self.records is not None:
-            return len(self.records)
-        return self.frame.count
+    def inflate(
+        self,
+        cost_model: CostModel,
+        start: int = 0,
+        stop: int | None = None,
+        key_serde: Serde | None = None,
+        value_serde: Serde | None = None,
+    ) -> tuple[list[ConsumerRecord], float]:
+        """Materialise records ``[start:stop]`` of the batch, deserialized.
 
-    @property
-    def compressed(self) -> bool:
-        return self.records is None
-
-    def inflate(self, cost_model: CostModel) -> tuple[list[ConsumerRecord], float]:
-        """Return the batch's records, decompressing at most once.
-
-        The returned latency is the simulated inflate CPU for a framed batch
-        on its first touch, ``0.0`` afterwards and for plain batches.
+        Nothing is memoized: the caller's cursor guarantees each record is
+        asked for once.  The returned latency is the simulated inflate CPU
+        for a framed batch on its first touch, ``0.0`` afterwards and for
+        plain batches.  ``size`` stays the stored wire size — recomputing it
+        from deserialized objects would skew quota/WAN accounting away from
+        the bytes actually transferred.
         """
-        if self.records is not None:
-            return self.records, 0.0
+        topic, partition = self.topic, self.partition
+        key_of = key_serde.deserialize if key_serde is not None else None
+        value_of = value_serde.deserialize if value_serde is not None else None
+        if stop is None:
+            stop = self.count
         frame = self.frame
-        latency = cost_model.decompress(frame.payload_bytes)
+        if frame is None:
+            run = self.messages
+            if stop - start < self.count:
+                run = run[start:stop]
+            # Logical size minus log framing == the payload size the record
+            # would recompute from its key, value and headers.
+            return [
+                ConsumerRecord(
+                    topic,
+                    partition,
+                    m.offset,
+                    m.key if key_of is None or m.key is None else key_of(m.key),
+                    m.value if value_of is None else value_of(m.value),
+                    m.timestamp,
+                    m.headers,
+                    m.size - RECORD_FRAMING_BYTES,
+                )
+                for m in run
+            ], 0.0
+        latency = 0.0
+        if not self.inflated:
+            latency = cost_model.decompress(frame.payload_bytes)
+            self.inflated = True
+        entries = frame.entries()[start:stop]
+        headers = [entry[3] for entry in entries]
         # Batch-header state rides uncompressed on the frame; re-attach it so
         # frame-served records are indistinguishable from eagerly stored ones.
-        pid_headers = None
         extra = 0
         if frame.producer_id is not None and frame.producer_seq is not None:
-            pid_headers = {
-                "__pid": frame.producer_id,
-                "__seq": frame.producer_seq,
-            }
-            extra = estimate_size(pid_headers)
-        contexts = frame.trace_contexts
-        records = []
-        for i, (key, value, timestamp, headers) in enumerate(frame.entries()):
-            if pid_headers is not None:
-                headers = {**headers, **pid_headers}
-            if contexts and contexts[i] is not None:
-                headers = dict(headers)
-                headers[TRACE_HEADER] = contexts[i]
-            records.append(
-                ConsumerRecord(
-                    topic=self.topic,
-                    partition=self.partition,
-                    offset=self.base_offset + i,
-                    key=key,
-                    value=value,
-                    timestamp=timestamp,
-                    headers=headers,
-                    size=frame.sizes[i] + extra,
-                )
+            stamp = {"__pid": frame.producer_id, "__seq": frame.producer_seq}
+            extra = estimate_size(stamp)
+            headers = [{**held, **stamp} for held in headers]
+        if frame.trace_contexts:
+            for i, ctx in enumerate(frame.trace_contexts[start:stop]):
+                if ctx is not None:
+                    headers[i] = {**headers[i], TRACE_HEADER: ctx}
+        return [
+            ConsumerRecord(
+                topic,
+                partition,
+                offset,
+                key if key_of is None or key is None else key_of(key),
+                value if value_of is None else value_of(value),
+                timestamp,
+                held,
+                size + extra,
             )
-        self.records = records
-        return records, latency
+            for offset, (key, value, timestamp, _), held, size in zip(
+                range(self.base_offset + start, self.base_offset + stop),
+                entries,
+                headers,
+                frame.sizes[start:stop],
+            )
+        ], latency
 
 
 def build_fetch_batches(
@@ -130,76 +152,29 @@ def build_fetch_batches(
 
     A frame stands in for its records only when the response contains the
     frame's *entire* offset range contiguously — partial visibility (high
-    watermark cut, compaction, skipped markers) falls back to the
-    materialized records, so correctness never depends on frame coverage.
+    watermark cut, compaction, skipped markers) falls back to the log's
+    records, so correctness never depends on frame coverage.  No record is
+    built here, and a frameless response is one batch over ``messages``
+    itself.
     """
     batches: list[FetchBatch] = []
-    if not messages:
-        return batches
-    if not frames:
-        return [
-            FetchBatch(
-                topic,
-                partition,
-                records=[record_from_stored(topic, partition, m) for m in messages],
-            )
-        ]
-    plain: list[StoredMessage] = []
-
-    def flush_plain() -> None:
-        if plain:
-            batches.append(
-                FetchBatch(
-                    topic,
-                    partition,
-                    records=[
-                        record_from_stored(topic, partition, m) for m in plain
-                    ],
-                )
-            )
-            plain.clear()
-
-    i = 0
-    fi = 0
     n = len(messages)
-    while i < n:
-        offset = messages[i].offset
-        while fi < len(frames) and frames[fi][1] < offset:
-            fi += 1
-        if fi < len(frames):
-            base, last, frame = frames[fi]
-            end = i + frame.count
-            # Offsets strictly increase, so matching endpoints over exactly
-            # ``count`` records proves the whole frame range is present.
-            if (
-                offset == base
-                and end <= n
-                and messages[end - 1].offset == last
-            ):
-                flush_plain()
-                batches.append(
-                    FetchBatch(topic, partition, frame=frame, base_offset=base)
-                )
-                i = end
-                fi += 1
-                continue
-        plain.append(messages[i])
-        i += 1
-    flush_plain()
+    done = 0  # messages[:done] are batched
+    for base, last, frame in frames:
+        i = bisect_left(messages, base, done, key=_offset_of)
+        end = i + frame.count
+        # Offsets strictly increase, so matching endpoints over exactly
+        # ``count`` records proves the whole frame range is present.
+        if end <= n and messages[i].offset == base and messages[end - 1].offset == last:
+            if i > done:
+                batches.append(FetchBatch(topic, partition, messages[done:i]))
+            batches.append(FetchBatch(topic, partition, frame=frame, base_offset=base))
+            done = end
+    if done < n:
+        batches.append(
+            FetchBatch(topic, partition, messages[done:] if done else messages)
+        )
     return batches
-
-
-def inflate_all(
-    batches: list[FetchBatch], cost_model: CostModel
-) -> tuple[list[ConsumerRecord], float]:
-    """Materialize every batch (legacy eager path); returns records + CPU."""
-    records: list[ConsumerRecord] = []
-    latency = 0.0
-    for batch in batches:
-        recs, lat = batch.inflate(cost_model)
-        records.extend(recs)
-        latency += lat
-    return records, latency
 
 
 class FetchBuffer:
@@ -243,32 +218,36 @@ class FetchBuffer:
     def exhausted(self) -> bool:
         return self._index >= len(self.batches)
 
-    def remaining(self) -> int:
-        total = 0
-        for i in range(self._index, len(self.batches)):
-            total += self.batches[i].count
-        return total - self._cursor
-
     def take(
-        self, limit: int, cost_model: CostModel
+        self,
+        limit: int,
+        cost_model: CostModel,
+        key_serde: Serde | None = None,
+        value_serde: Serde | None = None,
     ) -> tuple[list[ConsumerRecord], float]:
-        """Drain up to ``limit`` records; returns them + inflate latency."""
+        """Drain up to ``limit`` records; returns them + inflate latency.
+
+        This is where consumer records come into being: only the drained
+        slice of each batch is materialised.
+        """
         out: list[ConsumerRecord] = []
         latency = 0.0
-        while limit > 0 and self._index < len(self.batches):
-            batch = self.batches[self._index]
-            records, lat = batch.inflate(cost_model)
+        batches = self.batches
+        while limit > 0 and self._index < len(batches):
+            batch = batches[self._index]
+            start = self._cursor
+            stop = min(batch.count, start + limit)
+            records, lat = batch.inflate(
+                cost_model, start, stop, key_serde, value_serde
+            )
             latency += lat
-            available = len(records) - self._cursor
-            if available <= limit:
-                out.extend(records[self._cursor:])
-                limit -= available
+            out.extend(records)
+            limit -= stop - start
+            if stop == batch.count:
                 self._index += 1
                 self._cursor = 0
             else:
-                out.extend(records[self._cursor : self._cursor + limit])
-                self._cursor += limit
-                limit = 0
+                self._cursor = stop
         if out:
             self._last_taken = out[-1].offset
         return out, latency

@@ -84,6 +84,9 @@ class PartitionReplica:
         self._open_txns: dict[int, int] = {}
         self._aborted_offsets: set[int] = set()
         self._txn_record_offsets: dict[int, list[int]] = {}
+        # Whether any control marker was ever absorbed: until one is, a
+        # fetch has nothing to hide below its bound and skips the filter.
+        self._has_markers = False
 
     # -- role transitions ---------------------------------------------------------
 
@@ -270,22 +273,27 @@ class PartitionReplica:
         bound = self.high_watermark
         if isolation == "read_committed":
             bound = min(bound, self.last_stable_offset)
-        visible = []
-        for message in result.messages:
-            if message.offset >= bound:
-                break
-            if "__ctrl" in message.headers:
-                continue  # control markers are never client-visible
-            if (
-                isolation == "read_committed"
-                and message.offset in self._aborted_offsets
-            ):
-                continue
-            visible.append(message)
+        messages = result.messages
+        if messages and (self._has_markers or messages[-1].offset >= bound):
+            visible = []
+            for message in messages:
+                if message.offset >= bound:
+                    break
+                if "__ctrl" in message.headers:
+                    continue  # control markers are never client-visible
+                if (
+                    isolation == "read_committed"
+                    and message.offset in self._aborted_offsets
+                ):
+                    continue
+                visible.append(message)
+            if len(visible) != len(messages):
+                result.messages = visible
+                result.stored_bytes = sum([m.stored_size for m in visible])
         tracer = current_tracer()
-        if tracer is not None and visible:
+        if tracer is not None and result.messages:
             now = self.log.clock.now()
-            for message in visible:
+            for message in result.messages:
                 ctx = message.headers.get(TRACE_HEADER) if message.headers else None
                 if ctx is not None:
                     tracer.record(
@@ -296,11 +304,8 @@ class PartitionReplica:
                         offset=message.offset,
                         cold=cold,
                     )
-        next_offset = min(result.next_offset, bound)
-        next_offset = max(next_offset, offset)
-        return ReadResult(
-            visible, result.latency, result.log_end_offset, next_offset
-        )
+        result.next_offset = max(min(result.next_offset, bound), offset)
+        return result
 
     # -- replication bookkeeping ---------------------------------------------------------
 
@@ -350,6 +355,8 @@ class PartitionReplica:
         transaction visibility survives failover like everything else in the
         log does.
         """
+        if "__ctrl" in headers:
+            self._has_markers = True
         producer_id = headers.get("__pid")
         if producer_id is None:
             return

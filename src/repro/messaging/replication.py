@@ -124,8 +124,10 @@ class ReplicationManager:
 
         fetch_offset = follower_replica.log_end_offset
         try:
-            messages, leader_leo, leader_hw, frames = leader_broker.replica_fetch(
-                partition, fetch_offset, follower_id, self.max_fetch
+            messages, leader_leo, leader_hw, frames, stored_bytes = (
+                leader_broker.replica_fetch(
+                    partition, fetch_offset, follower_id, self.max_fetch
+                )
             )
         except (
             BrokerUnavailableError,
@@ -138,9 +140,7 @@ class ReplicationManager:
             # the same opaque blobs the leader stores (no re-encode).
             follower_replica.replicate_batch(messages, frames=frames)
             stats.messages_copied += len(messages)
-            self.cluster.metrics.counter(_M_WIRE_BYTES).increment(
-                sum(m.stored_size for m in messages)
-            )
+            self.cluster.metrics.counter(_M_WIRE_BYTES).increment(stored_bytes)
             # Report the new position so the leader can advance the HW
             # without waiting for the next pass.
             leader_hw = leader_replica.record_follower_position(

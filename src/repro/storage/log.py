@@ -79,12 +79,17 @@ class ReadResult:
     the last *scanned* record.  Layers above may filter records out of
     ``messages`` (high-watermark bounds, transaction markers); consumers
     advance by ``next_offset`` so filtered batches cannot wedge them.
+
+    ``stored_bytes`` is the physical size of ``messages`` — read off the
+    segments' cumulative positions, so the wire, quota and byte-budget
+    charges above never re-sum ``stored_size`` per record.
     """
 
     messages: list[StoredMessage]
     latency: float
     log_end_offset: int
     next_offset: int = 0
+    stored_bytes: int = 0
 
 
 class PartitionLog:
@@ -430,6 +435,7 @@ class PartitionLog:
 
         collected: list[StoredMessage] = []
         latency = 0.0
+        stored_bytes = 0
         byte_budget = max_bytes if max_bytes is not None else 1 << 62
         seg_idx = self._segment_index_for(offset)
         cursor = offset
@@ -460,6 +466,7 @@ class PartitionLog:
                         self._file_id(segment), view.start_position, nbytes
                     )
                     collected.extend(kept)
+                    stored_bytes += nbytes
                     byte_budget -= nbytes
                     cursor = kept[-1].offset + 1
             if budget_hit:
@@ -468,7 +475,9 @@ class PartitionLog:
             if seg_idx < len(segments):
                 cursor = max(cursor, segments[seg_idx].base_offset)
         next_offset = collected[-1].offset + 1 if collected else offset
-        return ReadResult(collected, latency, self._next_offset, next_offset)
+        return ReadResult(
+            collected, latency, self._next_offset, next_offset, stored_bytes
+        )
 
     # -- compressed-batch registry -------------------------------------------------
 
@@ -497,6 +506,14 @@ class PartitionLog:
             if last <= hi:
                 out.append((base, last, frame))
         return out
+
+    def frames_spanned_by(
+        self, messages: list[StoredMessage]
+    ) -> list[tuple[int, int, BatchFrame]]:
+        """:meth:`frames_between` the first and last offset of a read run."""
+        if not messages:
+            return []
+        return self.frames_between(messages[0].offset, messages[-1].offset)
 
     def _drop_frames_overlapping(self, lo: int, hi: int) -> None:
         """Invalidate every frame overlapping offsets ``[lo, hi]``."""

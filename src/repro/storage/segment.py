@@ -16,10 +16,13 @@ arithmetic rather than per-record summation.
 from __future__ import annotations
 
 from bisect import bisect_left
+from operator import attrgetter
 from typing import Any, Iterator
 
 from repro.common.errors import ConfigError
 from repro.common.records import StoredMessage
+
+_timestamp_of = attrgetter("timestamp")
 
 
 class SegmentView:
@@ -229,8 +232,7 @@ class LogSegment:
 
     def offset_for_timestamp(self, timestamp: float) -> int | None:
         """Smallest offset whose record timestamp >= ``timestamp``."""
-        keys = [m.timestamp for m in self._messages]
-        idx = bisect_left(keys, timestamp)
+        idx = bisect_left(self._messages, timestamp, key=_timestamp_of)
         if idx >= len(self._messages):
             return None
         return self._messages[idx].offset

@@ -20,9 +20,10 @@ touch of archived history pays the cold fetch, the rest of the scan streams.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from itertools import accumulate
+from operator import attrgetter
 
 from repro.common.clock import Clock
 from repro.common.costmodel import DEFAULT_COST_MODEL, CostModel
@@ -152,6 +153,7 @@ class ColdReader:
             raise OffsetOutOfRangeError(offset, start if start is not None else 0, end if end is not None else 0)
         collected: list[StoredMessage] = []
         latency = 0.0
+        stored_bytes = 0
         byte_budget = max_bytes if max_bytes is not None else 1 << 62
         cursor = offset
         entry = self.manifest.entry_for(offset)
@@ -160,17 +162,23 @@ class ColdReader:
             latency += fetch_latency
             idx = bisect_left(hydrated.offsets, cursor)
             stop = min(len(hydrated.records), idx + max_messages - len(collected))
-            keep = idx
-            while keep < stop:
-                size = hydrated.records[keep].stored_size
-                if size > byte_budget and (collected or keep > idx):
-                    break  # Kafka semantics: always deliver >= 1 record
-                byte_budget -= size
-                keep += 1
+            positions = hydrated.positions
+            # Largest prefix whose bytes fit the budget: a bisect over the
+            # cumulative positions, as SegmentView.prefix_within does.
+            keep = (
+                bisect_right(
+                    positions, positions[idx] + byte_budget, idx + 1, stop + 1
+                )
+                - 1
+            )
+            if keep == idx and idx < stop and not collected:
+                keep = idx + 1  # Kafka semantics: always deliver >= 1 record
             if keep > idx:
-                nbytes = hydrated.positions[keep] - hydrated.positions[idx]
+                nbytes = positions[keep] - positions[idx]
+                stored_bytes += nbytes
+                byte_budget -= nbytes
                 latency += self._charge_read(
-                    entry.object_key, hydrated.positions[idx], nbytes
+                    entry.object_key, positions[idx], nbytes
                 )
                 collected.extend(hydrated.records[idx:keep])
                 cursor = hydrated.offsets[keep - 1] + 1
@@ -186,7 +194,7 @@ class ColdReader:
         if entry is None and len(collected) < max_messages and byte_budget > 0:
             # Ran off the end of the archive: the hot log continues at `end`.
             next_offset = max(next_offset, end)
-        return ReadResult(collected, latency, end, next_offset)
+        return ReadResult(collected, latency, end, next_offset, stored_bytes)
 
     def _charge_read(self, object_key: str, position: int, nbytes: int) -> float:
         """Cost of copying served bytes out of the hydrated segment."""
@@ -216,8 +224,7 @@ class ColdReader:
         if entry is None:
             return None
         hydrated, _latency = self._hydrate(entry)
-        keys = [r.timestamp for r in hydrated.records]
-        idx = bisect_left(keys, timestamp)
+        idx = bisect_left(hydrated.records, timestamp, key=attrgetter("timestamp"))
         if idx >= len(hydrated.records):
             return None
         return hydrated.records[idx].offset

@@ -97,35 +97,28 @@ class ColdTier:
             )
         if not self.covers(offset):
             return self.log.read(offset, max_messages, max_bytes)
-        cold = self.reader.read(offset, max_messages, max_bytes)
+        result = self.reader.read(offset, max_messages, max_bytes)
         self.metrics.counter(_M_COLD_READS).increment()
-        self.metrics.histogram(_M_COLD_READ_LATENCY).observe(cold.latency)
-        messages = cold.messages
-        latency = cold.latency
-        next_offset = cold.next_offset
-        remaining = max_messages - len(messages)
+        self.metrics.histogram(_M_COLD_READ_LATENCY).observe(result.latency)
+        result.log_end_offset = self.log.log_end_offset
+        remaining = max_messages - len(result.messages)
         byte_budget = None
         if max_bytes is not None:
-            byte_budget = max_bytes - sum(m.stored_size for m in messages)
+            byte_budget = max_bytes - result.stored_bytes
         # The archive ended at or before the hot log's start; continue the
         # scan in the hot tier when the caller's budgets are not exhausted.
         if (
             remaining > 0
             and (byte_budget is None or byte_budget > 0)
-            and next_offset >= self.log.log_start_offset
-            and next_offset < self.log.log_end_offset
+            and result.next_offset >= self.log.log_start_offset
+            and result.next_offset < self.log.log_end_offset
         ):
-            hot = self.log.read(
-                max(next_offset, self.log.log_start_offset),
-                remaining,
-                byte_budget,
-            )
-            messages = messages + hot.messages
-            latency += hot.latency
-            next_offset = hot.next_offset
-        return ReadResult(
-            messages, latency, self.log.log_end_offset, next_offset
-        )
+            hot = self.log.read(result.next_offset, remaining, byte_budget)
+            result.messages += hot.messages
+            result.latency += hot.latency
+            result.next_offset = hot.next_offset
+            result.stored_bytes += hot.stored_bytes
+        return result
 
     def offset_for_timestamp(self, timestamp: float) -> int | None:
         """Tier-spanning timestamp lookup: archive first, then hot log."""

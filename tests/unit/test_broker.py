@@ -80,9 +80,12 @@ class TestRequestPaths:
     def test_replica_fetch_reports_position(self):
         _clock, broker = leader_broker()
         broker.produce(TP, entries(3))
-        messages, leo, hw, frames = broker.replica_fetch(TP, 0, follower_id=1)
+        messages, leo, hw, frames, stored_bytes = broker.replica_fetch(
+            TP, 0, follower_id=1
+        )
         assert len(messages) == 3
         assert leo == 3
+        assert stored_bytes == sum(m.stored_size for m in messages)
         assert frames == []  # uncompressed produce registers no frames
 
     def test_metrics_recorded(self):

@@ -1,5 +1,11 @@
 """Unit tests for message record types and size estimation."""
 
+import copy
+import pickle
+import sys
+
+import pytest
+
 from repro.common.records import (
     ConsumerRecord,
     ProducerRecord,
@@ -79,6 +85,52 @@ class TestConsumerRecord:
     def test_size(self):
         record = ConsumerRecord("t", 0, 5, "kk", "vvvv", 1.0)
         assert record.size == 6
+
+    def test_no_field_can_be_assigned_or_deleted(self):
+        record = ConsumerRecord("t", 0, 5, "k", "v", 1.0, {"h": 1}, 9)
+        for name in ConsumerRecord.__slots__ + ("extra", "__class__"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        assert (record.offset, record.headers, record.size) == (5, {"h": 1}, 9)
+
+    def test_small_slot_object(self):
+        record = ConsumerRecord("t", 0, 5, "k", "v", 1.0)
+        assert isinstance(record, ConsumerRecord)
+        assert not hasattr(record, "__dict__")
+        assert sys.getsizeof(record) <= 96
+
+    def test_value_equality_and_hash(self):
+        a = ConsumerRecord("t", 0, 5, "k", "v", 1.0, (), 3)
+        b = ConsumerRecord("t", 0, 5, "k", "v", 1.0, (), 3)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != ConsumerRecord("t", 0, 6, "k", "v", 1.0, (), 3)
+        assert a != ConsumerRecord("t", 0, 5, "k", "v", 1.0, (), 4)
+        assert a != ("t", 0, 5, "k", "v", 1.0, (), 3)
+
+    def test_positional_and_keyword_construction_agree(self):
+        by_keyword = ConsumerRecord(
+            topic="t", partition=0, offset=5, key="kk", value="vvvv",
+            timestamp=1.0, headers={"h": "x"}, size=11,
+        )
+        assert by_keyword == ConsumerRecord("t", 0, 5, "kk", "vvvv", 1.0, {"h": "x"}, 11)
+        assert "offset=5" in repr(by_keyword)
+
+    def test_omitted_size_is_recomputed_with_headers(self):
+        record = ConsumerRecord("t", 0, 5, "kk", "vvvv", 1.0, headers={"h": "x"})
+        assert record.size == 6 + (1 + 2 + 1)
+        assert ConsumerRecord("t", 0, 5, "kk", "vvvv", 1.0).headers == {}
+
+    def test_copy_and_pickle_round_trip(self):
+        record = ConsumerRecord("t", 0, 5, "k", {"v": [1]}, 1.0, {"h": 1}, 9)
+        for clone in (
+            copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record)),
+        ):
+            assert clone == record and clone is not record
+            with pytest.raises(AttributeError):
+                clone.offset = 6
 
 
 class TestTopicPartition:

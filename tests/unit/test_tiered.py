@@ -415,6 +415,30 @@ class TestColdTier:
         assert tier.offset_for_timestamp(2.0) == 2  # archived
         assert tier.offset_for_timestamp(17.0) == 17  # hot
 
+    def test_timestamp_lookup_with_duplicates_and_past_the_end(self):
+        """Three records share each timestamp: the lookup lands on the first
+        of a run in either tier, and past the newest record finds nothing."""
+        clock = SimClock()
+        log = PartitionLog("t-0", LogConfig(segment_max_messages=5), clock=clock)
+        for i in range(20):
+            log.append(f"k{i}", f"v{i}", timestamp=float(i // 3))
+        clock.advance(8.0)
+        tier = ColdTier(log, InMemoryObjectStore(), namespace="t/0", config=TieredConfig())
+        RetentionEnforcer(
+            RetentionConfig(retention_seconds=3.5), clock, archiver=tier.archiver
+        ).enforce(log)
+        assert log.log_start_offset == 15  # offsets 0-14 archived, 15-19 hot
+        for timestamp in (0.0, 0.5, 1.0, 3.0, 4.0, 4.5, 5.0, 6.0):
+            want = next(i for i in range(20) if i // 3 >= timestamp)
+            assert tier.offset_for_timestamp(timestamp) == want
+        assert tier.reader.offset_for_timestamp(4.0) == 12
+        assert tier.reader.offset_for_timestamp(4.5) is None  # archive ends at 4.0
+        assert log.offset_for_timestamp(5.0) == 15
+        assert tier.offset_for_timestamp(6.5) is None
+        segment = log.segments()[0]
+        assert segment.offset_for_timestamp(6.0) == 18
+        assert segment.offset_for_timestamp(6.5) is None
+
     def test_stats(self):
         log, store, tier, _ = tiered_fixture()
         tier.read_through(0, max_messages=1000)
