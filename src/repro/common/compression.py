@@ -219,10 +219,9 @@ def compress_entries(
 ) -> BatchFrame | None:
     """Build a :class:`BatchFrame` for one linger batch.
 
-    Returns ``None`` for the ``none`` codec (the uncompressed path carries
-    no frame at all, keeping it byte-identical to a build without this
-    module) and for payloads the canonical serializer cannot handle — the
-    producer then falls back to sending the batch uncompressed.
+    Returns ``None`` for the ``none`` codec (it sends no frame — same flush
+    path, no compress step) and for payloads the canonical serializer
+    cannot handle — the producer then sends the batch uncompressed.
     """
     if codec == CODEC_NONE or not entries:
         return None

@@ -91,7 +91,8 @@ class Producer:
         self.value_serde = config.value_serde
         # Batch compression: each linger batch is deflated once, client-side,
         # into a BatchFrame that then travels broker -> follower -> cold tier
-        # as an opaque blob.  codec "none" keeps the frameless legacy path.
+        # as an opaque blob.  codec "none" sends no frame: same flush path,
+        # no compress step.
         self._codec, self._codec_level = parse_compression(config.compression)
         self._last_frame: BatchFrame | None = None
         self.producer_id = next(_producer_ids)

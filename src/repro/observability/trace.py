@@ -20,7 +20,7 @@ Design constraints, in order:
 2. **Free when off.**  Following the failpoint pattern
    (:mod:`repro.chaos.failpoints`), every hot-path hook starts with one
    ``current_tracer() is None`` check and does nothing else when no tracer
-   is installed — guarded against ``bench_wallclock.py``.
+   is installed — guarded by liquidbench's wall-clock pairs.
 3. **Bounded.**  Spans land in a ring buffer (``capacity`` spans, oldest
    evicted first) and head-based sampling (``sample_rate``) decides at the
    root whether a record is traced at all, so tracing can stay on in

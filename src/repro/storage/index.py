@@ -42,45 +42,19 @@ class SparseOffsetIndex:
         self._bytes_since_entry += record_size
         return added
 
-    def extend(self, entries: list[tuple[int, int, int]]) -> int:
-        """Bulk :meth:`maybe_add` of ``(offset, position, size)`` triples.
-
-        One call per appended batch instead of one per record; state after
-        the call is identical to N sequential ``maybe_add`` calls.  Returns
-        the number of index entries added.
-        """
-        offsets = self._offsets
-        positions = self._positions
-        interval = self.interval_bytes
-        accumulated = self._bytes_since_entry
-        added = 0
-        for offset, position, size in entries:
-            if offsets and offset <= offsets[-1]:
-                self._bytes_since_entry = accumulated
-                raise ConfigError(
-                    f"index offsets must increase: {offset} <= {offsets[-1]}"
-                )
-            if accumulated >= interval:
-                offsets.append(offset)
-                positions.append(position)
-                accumulated = 0
-                added += 1
-            accumulated += size
-        self._bytes_since_entry = accumulated
-        return added
-
     def extend_run(
         self, offsets: list[int], positions: list[int], end_position: int
     ) -> int:
-        """Bulk :meth:`maybe_add` for a validated, offset-ordered run.
+        """Index a validated, offset-ordered run of appended records.
 
         ``offsets``/``positions`` are the run's parallel arrays (positions
         are absolute segment byte positions, strictly increasing);
-        ``end_position`` is one past the run's last byte.  Because index
-        entries are sparse (one per ``interval_bytes``), this jumps from
-        entry to entry with a bisect over ``positions`` instead of touching
-        every record; state afterwards is identical to N sequential
-        ``maybe_add`` calls.
+        ``end_position`` is one past the run's last byte.  A record gets an
+        entry ``(offset, position)`` when at least ``interval_bytes`` were
+        appended since the previous entry (the first record of a segment
+        always does); because entries are sparse, this jumps from entry to
+        entry with a bisect over ``positions`` instead of touching every
+        record.  Returns the number of entries added.
 
         The caller guarantees offsets strictly increase within the run; only
         the run's head is checked against the last existing entry.

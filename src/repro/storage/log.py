@@ -60,9 +60,9 @@ class AppendResult:
 class BatchAppendResult:
     """Outcome of a batched append: offset range plus charged latency.
 
-    ``latency`` is the same total the per-record path would have charged
-    (record costs are accumulated in append order), so batched and looped
-    appends are indistinguishable in simulated time.
+    ``latency`` is each record's ``stored_size / ram_bandwidth`` folded left
+    to right in append order, so how a run of records is cut into batches
+    never shows in simulated time.
     """
 
     base_offset: int
@@ -144,54 +144,15 @@ class PartitionLog:
         timestamp: float | None = None,
         headers: dict[str, Any] | None = None,
     ) -> AppendResult:
-        """Append one record at the tail; returns offset and latency."""
-        now = self.clock.now()
-        message = StoredMessage(
-            key=key,
-            value=value,
-            timestamp=timestamp if timestamp is not None else now,
-            offset=self._next_offset,
-            headers=headers if headers is not None else {},
-        )
-        if message.size > self.config.max_message_bytes:
-            raise ConfigError(
-                f"message of {message.size}B exceeds max_message_bytes="
-                f"{self.config.max_message_bytes}"
-            )
-        segment = self._maybe_roll(message.stored_size, now)
-        position = segment.append(message, now)
-        self._indexes[segment.base_offset].maybe_add(
-            message.offset, position, message.stored_size
-        )
-        latency = self.page_cache.write(
-            self._file_id(segment), position, message.stored_size
-        )
-        self._next_offset += 1
-        return AppendResult(offset=message.offset, latency=latency)
+        """Append one record at the tail: a one-entry :meth:`append_batch`."""
+        result = self.append_batch([(key, value, timestamp, headers)])
+        return AppendResult(result.base_offset, result.latency)
 
     def append_stored(self, message: StoredMessage) -> AppendResult:
-        """Append a pre-built record, preserving its offset.
-
-        Used by follower replicas copying from the leader: offsets must match
-        the leader's exactly, so gaps after the local end offset are allowed
-        only when they continue the leader's sequence.
-        """
-        if message.offset < self._next_offset:
-            raise ConfigError(
-                f"replica append out of order: {message.offset} < "
-                f"{self._next_offset}"
-            )
-        now = self.clock.now()
-        segment = self._maybe_roll(message.stored_size, now)
-        position = segment.append(message, now)
-        self._indexes[segment.base_offset].maybe_add(
-            message.offset, position, message.stored_size
-        )
-        latency = self.page_cache.write(
-            self._file_id(segment), position, message.stored_size
-        )
-        self._next_offset = message.offset + 1
-        return AppendResult(offset=message.offset, latency=latency)
+        """Append a pre-built record, preserving its offset: a one-record
+        :meth:`append_stored_batch`."""
+        result = self.append_stored_batch([message])
+        return AppendResult(result.base_offset, result.latency)
 
     def append_batch(
         self,
@@ -201,12 +162,12 @@ class PartitionLog:
     ) -> BatchAppendResult:
         """Append a batch of ``(key, value, timestamp, headers)`` at the tail.
 
-        Semantically identical to one :meth:`append` per entry — same offset
-        assignment, same ``max_message_bytes`` enforcement (records before an
-        oversized one are appended, then :class:`ConfigError` raised), same
-        segment roll points, same index entries, and the same total simulated
-        latency — but charges the page cache once per segment run and updates
-        the index in bulk, so the wall-clock cost amortizes over the batch.
+        Entries take consecutive offsets from the log end offset; a missing
+        timestamp is the clock's ``now``.  A record larger than
+        ``max_message_bytes`` ends the batch: the records before it are
+        appended, then :class:`ConfigError` is raised.  Roll points, index
+        entries and latency follow :meth:`_append_run`, so the log that
+        results does not depend on how entries were cut into batches.
 
         With ``frame`` set the batch arrived as one compressed blob: each
         record's physical footprint becomes its share of the frame's wire
@@ -276,12 +237,13 @@ class PartitionLog:
         messages: list[StoredMessage],
         frames: list[tuple[int, int, BatchFrame]] | None = None,
     ) -> BatchAppendResult:
-        """Batched :meth:`append_stored`: a follower copying a fetched batch.
+        """Append pre-built records, preserving their offsets: a follower
+        copying a fetched batch.
 
         Offsets must continue the leader's sequence (strictly increasing,
         starting at or beyond the local end offset; gaps from compaction are
-        allowed).  Records before an out-of-order one are appended before
-        :class:`ConfigError` is raised, matching the per-record loop.
+        allowed).  An out-of-order record ends the batch: the records before
+        it are appended, then :class:`ConfigError` is raised.
 
         ``frames`` carries the leader's ``(base, last, frame)`` registry
         entries covering the batch: the follower re-registers the *same*
@@ -320,13 +282,17 @@ class PartitionLog:
         )
 
     def _append_run(self, messages: list[StoredMessage], now: float) -> float:
-        """Append pre-built, offset-ordered records, amortizing roll checks,
-        index updates and page-cache charges over segment-contiguous chunks.
+        """Land pre-built, offset-ordered records in the log.
 
-        Returns the charged latency; advances ``_next_offset`` past the last
-        record.  Roll decisions replay the per-record rule exactly (an empty
-        active segment always accepts a record; otherwise the segment rolls
-        when byte or message capacity would be exceeded).
+        The rule, per record of ``stored_size`` s: when the active segment is
+        non-empty and ``size_bytes + s > segment_max_bytes`` or
+        ``message_count >= segment_max_messages``, it is sealed and a new
+        segment starts at the log end offset (an empty segment accepts any
+        record); the record's position is the segment's size before it; the
+        log end offset becomes its offset + 1.  The rule is applied to whole
+        segment-contiguous chunks — one bisect for the roll point, one
+        segment/index extend and one page-cache charge per chunk — and the
+        returned latency is folded per record, left to right.
         """
         if not messages:
             return 0.0
@@ -346,7 +312,7 @@ class PartitionLog:
         while i < n:
             active = self._segments[-1]
             count = active.message_count
-            # Largest k where messages[i:i+k] pass the per-record roll rule:
+            # Largest k where messages[i:i+k] all fit the active segment:
             # bytes — first record whose cumulative size would overflow the
             # segment; messages — remaining capacity.
             k = (
@@ -362,11 +328,10 @@ class PartitionLog:
             if k <= 0:
                 if count == 0:
                     # An empty active segment always accepts one record,
-                    # even an oversized one (per-record roll semantics).
+                    # even one larger than segment_max_bytes.
                     k = 1
                 else:
-                    # Active segment is full: seal and roll, as _maybe_roll
-                    # would.
+                    # Active segment is full: seal it and roll.
                     active.seal()
                     active = LogSegment(vnext, now)
                     self._segments.append(active)
@@ -394,22 +359,6 @@ class PartitionLog:
             i = end
         self._next_offset = vnext
         return latency
-
-    def _maybe_roll(self, incoming_size: int, now: float) -> LogSegment:
-        active = self._segments[-1]
-        full = (
-            active.size_bytes + incoming_size > self.config.segment_max_bytes
-            or active.message_count >= self.config.segment_max_messages
-        )
-        if full and active.message_count > 0:
-            active.seal()
-            active = LogSegment(self._next_offset, now)
-            self._segments.append(active)
-            self._bases.append(active.base_offset)
-            self._indexes[active.base_offset] = SparseOffsetIndex(
-                self.config.index_interval_bytes
-            )
-        return active
 
     # -- read path ----------------------------------------------------------------
 

@@ -102,67 +102,29 @@ class PageCache:
     # -- write path -----------------------------------------------------------
 
     def write(self, file_id: str, start: int, nbytes: int) -> float:
-        """Write ``nbytes`` at ``start``; returns foreground latency.
-
-        Pages land dirty in RAM and are flushed to disk ``flush_timeout``
-        seconds later by a scheduled background flush, per the paper's
-        configurable-timeout design.
-        """
-        if nbytes <= 0:
-            return 0.0
-        now = self.clock.now()
-        touched = self._page_range(start, nbytes)
-        for page_no in touched:
-            key = (file_id, page_no)
-            page = self._pages.get(key)
-            if page is None:
-                page = _Page(file_id, page_no, dirty=True, now=now)
-                self._pages[key] = page
-            else:
-                page.dirty = True
-                page.last_access = now
-                self._pages.move_to_end(key)  # rewritten pages are newest
-        self._evict_to_capacity()
-        if isinstance(self.clock, SimClock) and self.flush_timeout > 0:
-            keys = [(file_id, p) for p in touched]
-            self.clock.schedule(self.flush_timeout, self._flush_pages, keys)
-        elif self.flush_timeout == 0:
-            self._flush_pages([(file_id, p) for p in touched])
-        self.metrics.counter(_M_BYTES_WRITTEN).increment(nbytes)
-        return self.cost_model.ram_write(nbytes)
+        """Write ``nbytes`` at ``start``; returns foreground latency."""
+        return self.write_batch(file_id, start, [nbytes])
 
     def write_batch(
         self, file_id: str, start: int, sizes: list[int], base_latency: float = 0.0
     ) -> float:
         """Write a contiguous run of records starting at ``start``.
 
-        Equivalent to one :meth:`write` per record (same pages dirtied, same
-        flush scheduling, same metrics totals) but with a single bookkeeping
-        pass over the touched page range.  Latency is folded onto
-        ``base_latency`` per record, left to right — the same accumulation
-        order as a caller summing per-record :meth:`write` results — so
-        simulated totals stay bit-identical even across chunked calls.
+        Pages land dirty in RAM and are flushed to disk ``flush_timeout``
+        seconds later by one scheduled background flush per call (at once
+        when the timeout is 0), per the paper's configurable-timeout design.
+        Latency is each positive size's ``size / ram_bandwidth`` (what
+        :meth:`CostModel.ram_write` evaluates) folded onto ``base_latency``
+        left to right, so simulated totals are bit-identical however a run
+        is cut into calls.
         """
-        if not sizes:
-            return base_latency
         latency = base_latency
         nbytes = 0
-        cost_model = self.cost_model
-        if type(cost_model).ram_write is CostModel.ram_write:
-            # Stock linear model: inline nbytes / ram_bandwidth — the exact
-            # expression ram_write evaluates, so the fold stays bit-identical
-            # while skipping one method call per record.
-            bandwidth = cost_model.ram_bandwidth
-            for size in sizes:
-                if size > 0:
-                    latency += size / bandwidth
-                    nbytes += size
-        else:
-            ram_write = cost_model.ram_write
-            for size in sizes:
-                if size > 0:
-                    latency += ram_write(size)
-                    nbytes += size
+        bandwidth = self.cost_model.ram_bandwidth
+        for size in sizes:
+            if size > 0:
+                latency += size / bandwidth
+                nbytes += size
         if nbytes == 0:
             return latency
         now = self.clock.now()
@@ -178,11 +140,11 @@ class PageCache:
                 page.last_access = now
                 pages.move_to_end(key)  # rewritten pages are newest
         self._evict_to_capacity()
-        if isinstance(self.clock, SimClock) and self.flush_timeout > 0:
-            keys = [(file_id, p) for p in touched]
+        keys = [(file_id, p) for p in touched]
+        if self.flush_timeout > 0:
             self.clock.schedule(self.flush_timeout, self._flush_pages, keys)
-        elif self.flush_timeout == 0:
-            self._flush_pages([(file_id, p) for p in touched])
+        else:
+            self._flush_pages(keys)
         self.metrics.counter(_M_BYTES_WRITTEN).increment(nbytes)
         return latency
 

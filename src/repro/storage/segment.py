@@ -108,33 +108,17 @@ class LogSegment:
 
     def append(self, message: StoredMessage, now: float) -> int:
         """Append one record; returns its start byte position in the segment."""
-        if self.sealed:
-            raise ConfigError(
-                f"segment@{self.base_offset} is sealed; appends go to the "
-                "active segment"
-            )
-        if self._offsets and message.offset <= self._offsets[-1]:
-            raise ConfigError(
-                f"offset {message.offset} not greater than last "
-                f"{self._offsets[-1]}"
-            )
-        position = self._size_bytes
-        self._messages.append(message)
-        self._offsets.append(message.offset)
-        self._positions.append(position)
-        # Positions and sizes are *physical* bytes: a record's share of its
-        # (possibly compressed) batch frame.  Equal to the logical size for
-        # uncompressed records.
-        self._size_bytes += message.stored_size
-        self.last_append_at = now
-        return position
+        return self.append_bulk([message], now)
 
     def append_bulk(self, messages: list[StoredMessage], now: float) -> int:
         """Append an offset-ordered run of records in one pass.
 
-        Returns the start byte position of the first record.  Equivalent to
-        N :meth:`append` calls but with a single validation and one extend
-        per parallel array instead of N list growths.
+        Returns the start byte position of the first record.  Every offset
+        must exceed the one before it (and the segment's last); each
+        record's position is the segment's size before it.  Positions and
+        sizes are *physical* bytes: a record's share of its (possibly
+        compressed) batch frame, equal to the logical size when
+        uncompressed.
         """
         if not messages:
             return self._size_bytes

@@ -1,17 +1,23 @@
-"""Batch append paths must be indistinguishable from per-record loops.
+"""The batch append path must land records exactly as the per-record rule says.
 
-The wall-clock optimizations (``append_batch``, ``append_stored_batch``,
-bulk index updates, batched page-cache charges) promise *bit-identical*
-semantics: same offsets, same segment layout and roll points, same index
-contents, the same simulated latency to the last ulp, and the same error
-behaviour.  These properties drive both implementations side by side over
-random workloads — including byte- and message-triggered segment rolls,
-offset gaps, and oversized records — and require exact equality.
+``PartitionLog`` has one implementation of "land records in a log"
+(``_append_run`` → ``_extend_trusted`` / ``extend_run`` / ``write_batch``),
+and it works on whole segment-contiguous chunks.  The rule it implements is
+per record (DESIGN.md §8), so the reference here is that rule written out
+the slow way, one record at a time, sharing no code with ``repro.storage``.
+The properties drive the log and the reference side by side over random
+workloads — byte- and message-triggered segment rolls, offset gaps,
+oversized and out-of-order records — and require exact equality: offsets,
+segment layout and roll points, index contents, simulated latency to the
+last ulp, and the commit-prefix-then-raise error behaviour.
 """
+
+from types import SimpleNamespace
 
 from hypothesis import given, settings, strategies as st
 
 from repro.common.clock import SimClock
+from repro.common.costmodel import DEFAULT_COST_MODEL
 from repro.common.errors import ConfigError
 from repro.common.records import StoredMessage
 from repro.storage.log import LogConfig, PartitionLog
@@ -52,82 +58,176 @@ def chunked(data, draw):
     return chunks
 
 
-def assert_logs_identical(a: PartitionLog, b: PartitionLog) -> None:
-    """Full structural equality: records, segment layout, indexes."""
-    assert a.log_end_offset == b.log_end_offset
-    assert a.log_start_offset == b.log_start_offset
-    seg_a, seg_b = a.segments(), b.segments()
-    assert [s.base_offset for s in seg_a] == [s.base_offset for s in seg_b]
-    assert [s.sealed for s in seg_a] == [s.sealed for s in seg_b]
-    for x, y in zip(seg_a, seg_b):
-        assert list(x.messages()) == list(y.messages())
-        assert x._offsets == y._offsets
-        assert x._positions == y._positions
-        assert x.size_bytes == y.size_bytes
-    assert a._bases == b._bases
-    assert set(a._indexes) == set(b._indexes)
-    for base in a._indexes:
-        ia, ib = a._indexes[base], b._indexes[base]
-        assert ia._offsets == ib._offsets
-        assert ia._positions == ib._positions
-        assert ia._bytes_since_entry == ib._bytes_since_entry
+class ReferenceLog:
+    """The append rule, one record at a time, from the spec.
+
+    For a record of ``stored_size`` s: a non-empty active segment that would
+    exceed ``segment_max_bytes`` with it, or already holds
+    ``segment_max_messages``, is sealed and a new one starts at the log end
+    offset; the record's position is the segment's bytes before it; it gets
+    an index entry when ``index_interval_bytes`` accumulated since the last
+    one (counting from ``interval``, so a segment's first record always
+    does); it costs ``s / ram_bandwidth``, folded left to right; the log end
+    offset becomes its offset + 1.
+    """
+
+    def __init__(self, config: LogConfig) -> None:
+        self.config = config
+        self.leo = 0
+        self.segments = [self._segment(0)]
+
+    def _segment(self, base: int) -> SimpleNamespace:
+        return SimpleNamespace(
+            base=base, sealed=False, records=[], offsets=[], positions=[],
+            bytes=0, index_offsets=[], index_positions=[],
+            since_entry=self.config.index_interval_bytes,
+        )
+
+    def land(self, record: StoredMessage, latency: float) -> float:
+        """Land one record; returns ``latency`` plus its charge."""
+        config, segment, s = self.config, self.segments[-1], record.stored_size
+        if segment.records and (
+            segment.bytes + s > config.segment_max_bytes
+            or len(segment.records) >= config.segment_max_messages
+        ):
+            segment.sealed = True
+            segment = self._segment(self.leo)
+            self.segments.append(segment)
+        if segment.since_entry >= config.index_interval_bytes:
+            segment.index_offsets.append(record.offset)
+            segment.index_positions.append(segment.bytes)
+            segment.since_entry = 0
+        segment.since_entry += s
+        segment.records.append(record)
+        segment.offsets.append(record.offset)
+        segment.positions.append(segment.bytes)
+        segment.bytes += s
+        self.leo = record.offset + 1
+        return latency + s / DEFAULT_COST_MODEL.ram_bandwidth
+
+    def append(self, batch) -> tuple[list[int], float]:
+        """Leader append at time 0.0: consecutive offsets from the log end;
+        an oversized record raises after the records before it landed."""
+        offsets, latency = [], 0.0
+        for key, value, timestamp, hdr in batch:
+            record = StoredMessage(
+                key, value, timestamp if timestamp is not None else 0.0,
+                self.leo, hdr if hdr is not None else {},
+            )
+            if record.size > self.config.max_message_bytes:
+                raise ConfigError(
+                    f"message of {record.size}B exceeds max_message_bytes="
+                    f"{self.config.max_message_bytes}"
+                )
+            latency = self.land(record, latency)
+            offsets.append(record.offset)
+        return offsets, latency
+
+    def append_stored(self, records) -> float:
+        """Follower copy: offsets kept; one below the log end raises after
+        the records before it landed."""
+        latency = 0.0
+        for record in records:
+            if record.offset < self.leo:
+                raise ConfigError(
+                    f"replica append out of order: {record.offset} < {self.leo}"
+                )
+            latency = self.land(record, latency)
+        return latency
+
+    def layout(self) -> dict:
+        bases = [s.base for s in self.segments]  # one index per segment
+        return {
+            "leo": self.leo,
+            "start": 0,
+            "bases": bases,
+            "indexed": bases,
+            "segments": [vars(s) for s in self.segments],
+        }
+
+
+def layout(log: PartitionLog) -> dict:
+    """Everything an append decides about a log, in :meth:`ReferenceLog.layout`
+    shape: records, segment layout and seal flags, indexes, end offset."""
+    segments = []
+    for s in log.segments():
+        index = log._indexes[s.base_offset]
+        segments.append({
+            "base": s.base_offset, "sealed": s.sealed,
+            "records": list(s.messages()), "offsets": s._offsets,
+            "positions": s._positions, "bytes": s.size_bytes,
+            "index_offsets": index._offsets,
+            "index_positions": index._positions,
+            "since_entry": index._bytes_since_entry,
+        })
+    return {
+        "leo": log.log_end_offset,
+        "start": log.log_start_offset,
+        "bases": log._bases,
+        "indexed": sorted(log._indexes),
+        "segments": segments,
+    }
+
+
+def raised(call, *args) -> str | None:
+    """The ConfigError text ``call(*args)`` raises, or None."""
+    try:
+        call(*args)
+    except ConfigError as exc:
+        return str(exc)
+    return None
 
 
 class TestAppendBatchEquivalence:
     @given(entries, configs, st.data())
     @settings(max_examples=100, deadline=None)
     def test_matches_per_record_loop_exactly(self, data, config, draw):
-        looped, batched = fresh_log(config), fresh_log(config)
+        reference, batched = ReferenceLog(config), fresh_log(config)
         for chunk in chunked(data, draw):
-            loop_latency = 0.0
-            loop_offsets = []
-            for key, value, ts, hdr in chunk:
-                result = looped.append(key, value, ts, hdr)
-                loop_latency += result.latency
-                loop_offsets.append(result.offset)
+            offsets, latency = reference.append(chunk)
             result = batched.append_batch(chunk)
-            # Exact float equality: the batch fold replays the per-record
-            # accumulation order, so not even the last ulp may differ.
-            assert result.latency == loop_latency
+            # Exact float equality: the batch folds per record, left to
+            # right, so not even the last ulp may differ.
+            assert result.latency == latency
             assert result.count == len(chunk)
-            if chunk:
-                assert result.base_offset == loop_offsets[0]
-                assert result.last_offset == loop_offsets[-1]
-            assert_logs_identical(looped, batched)
+            assert result.base_offset == offsets[0]
+            assert result.last_offset == offsets[-1]
+            assert layout(batched) == reference.layout()
 
     @given(entries, configs)
     @settings(max_examples=50, deadline=None)
     def test_single_batch_equals_one_big_loop(self, data, config):
-        looped, batched = fresh_log(config), fresh_log(config)
-        for key, value, ts, hdr in data:
-            looped.append(key, value, ts, hdr)
-        batched.append_batch(data)
-        assert_logs_identical(looped, batched)
+        reference, batched = ReferenceLog(config), fresh_log(config)
+        _offsets, latency = reference.append(data)
+        assert batched.append_batch(data).latency == latency
+        assert layout(batched) == reference.layout()
+
+    @given(entries, configs, st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_any_chunking_equals_one_batch(self, data, config, draw):
+        # How entries are cut into batches never shows in the log.
+        whole, pieces = fresh_log(config), fresh_log(config)
+        whole.append_batch(data)
+        for chunk in chunked(data, draw):
+            pieces.append_batch(chunk)
+        assert layout(pieces) == layout(whole)
 
     @given(entries, configs, st.data())
     @settings(max_examples=50, deadline=None)
     def test_oversized_record_commits_prefix_then_raises(
         self, data, config, draw
     ):
-        # Plant an oversized record at a random position: both paths must
-        # append everything before it, then raise, leaving identical logs.
+        # Plant an oversized record at a random position: everything before
+        # it must be appended, then the error raised.
         pos = draw.draw(st.integers(min_value=0, max_value=len(data)))
         big = "z" * (config.max_message_bytes + 1)
         poisoned = data[:pos] + [("k", big, None, None)] + data[pos:]
-        looped, batched = fresh_log(config), fresh_log(config)
-        loop_error = batch_error = None
-        try:
-            for key, value, ts, hdr in poisoned:
-                looped.append(key, value, ts, hdr)
-        except ConfigError as exc:
-            loop_error = exc
-        try:
-            batched.append_batch(poisoned)
-        except ConfigError as exc:
-            batch_error = exc
-        assert loop_error is not None and batch_error is not None
-        assert str(loop_error) == str(batch_error)
-        assert_logs_identical(looped, batched)
+        reference, batched = ReferenceLog(config), fresh_log(config)
+        expected = raised(reference.append, poisoned)
+        assert expected is not None
+        assert raised(batched.append_batch, poisoned) == expected
+        assert batched.log_end_offset == pos
+        assert layout(batched) == reference.layout()
 
 
 def gapped_messages(data, draw):
@@ -151,17 +251,15 @@ class TestAppendStoredBatchEquivalence:
     @settings(max_examples=100, deadline=None)
     def test_matches_per_record_loop_exactly(self, data, config, draw):
         messages = gapped_messages(data, draw)
-        looped, batched = fresh_log(config), fresh_log(config)
+        reference, batched = ReferenceLog(config), fresh_log(config)
         for chunk in chunked(messages, draw):
-            loop_latency = 0.0
-            for message in chunk:
-                copy = StoredMessage(**vars_of(message))
-                loop_latency += looped.append_stored(copy).latency
-            result = batched.append_stored_batch(
-                [StoredMessage(**vars_of(m)) for m in chunk]
+            latency = reference.append_stored(chunk)
+            result = batched.append_stored_batch(chunk)
+            assert result.latency == latency
+            assert (result.base_offset, result.last_offset, result.count) == (
+                chunk[0].offset, chunk[-1].offset, len(chunk)
             )
-            assert result.latency == loop_latency
-            assert_logs_identical(looped, batched)
+            assert layout(batched) == reference.layout()
 
     @given(entries, configs, st.data())
     @settings(max_examples=50, deadline=None)
@@ -169,40 +267,17 @@ class TestAppendStoredBatchEquivalence:
         messages = gapped_messages(data, draw)
         if len(messages) < 2:
             return
-        # Clone a message back to an already-used offset somewhere after it.
+        # Repeat the first message at an already-used offset somewhere later.
         bad_after = draw.draw(
             st.integers(min_value=1, max_value=len(messages) - 1)
         )
-        stale = StoredMessage(**vars_of(messages[0]))
-        poisoned = messages[:bad_after] + [stale] + messages[bad_after:]
-        looped, batched = fresh_log(config), fresh_log(config)
-        loop_error = batch_error = None
-        try:
-            for message in poisoned:
-                looped.append_stored(StoredMessage(**vars_of(message)))
-        except ConfigError as exc:
-            loop_error = exc
-        try:
-            batched.append_stored_batch(
-                [StoredMessage(**vars_of(m)) for m in poisoned]
-            )
-        except ConfigError as exc:
-            batch_error = exc
-        assert loop_error is not None and batch_error is not None
-        assert str(loop_error) == str(batch_error)
-        assert_logs_identical(looped, batched)
-
-
-def vars_of(message: StoredMessage) -> dict:
-    """Field dict of a slotted StoredMessage (no __dict__ to vars())."""
-    return {
-        "key": message.key,
-        "value": message.value,
-        "timestamp": message.timestamp,
-        "offset": message.offset,
-        "headers": dict(message.headers),
-        "size": message.size,
-    }
+        poisoned = messages[:bad_after] + [messages[0]] + messages[bad_after:]
+        reference, batched = ReferenceLog(config), fresh_log(config)
+        expected = raised(reference.append_stored, poisoned)
+        assert expected is not None
+        assert raised(batched.append_stored_batch, poisoned) == expected
+        assert batched.log_end_offset == messages[bad_after - 1].offset + 1
+        assert layout(batched) == reference.layout()
 
 
 class TestReadEquivalence:
@@ -211,6 +286,7 @@ class TestReadEquivalence:
     def test_reads_agree_between_batch_and_loop_built_logs(
         self, data, config, draw
     ):
+        # One-record batches vs. random chunking: reads cannot tell.
         looped, batched = fresh_log(config), fresh_log(config)
         for key, value, ts, hdr in data:
             looped.append(key, value, ts, hdr)

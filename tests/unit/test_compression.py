@@ -17,7 +17,7 @@ from repro.common.compression import (
 )
 from repro.common.errors import ConfigError
 from repro.common.records import TRACE_HEADER, TopicPartition, estimate_size
-from repro.messaging.cluster import MessagingCluster
+from repro.messaging.cluster import ACKS_LEADER, MessagingCluster
 from repro.messaging.config import ConsumerConfig, ProducerConfig
 from repro.messaging.consumer import Consumer
 from repro.messaging.producer import Producer
@@ -213,3 +213,52 @@ class TestObservability:
         assert stats["compressed_batches"] == 0.0
         assert stats["bytes_saved"] == 0.0
         assert stats["prefetch_hits"] == 0.0
+
+
+def tracking_event(i: int) -> dict:
+    """A typical tracking event: repetitive field names, enum-ish values."""
+    return {
+        "event_type": "page_view" if i % 3 else "click",
+        "member_id": f"member-{i % 500:06d}",
+        "session_id": f"session-{i % 50:08d}",
+        "page_key": f"/feed/updates/{i % 20}",
+        "user_agent": "Mozilla/5.0 (X11; Linux x86_64) AppleWebKit/537.36",
+        "locale": "en_US",
+        "properties": {"position": i % 10, "channel": "web", "treatment": "A"},
+    }
+
+
+class TestWireReduction:
+    EVENTS = 2000
+
+    def _bytes_on_wire(self, compression: str) -> float:
+        """Produce (linger 200, rf=3) -> replicate -> consume; every hop's
+        simulated bytes land in ``messaging.cluster.bytes_on_wire``."""
+        cluster = MessagingCluster(num_brokers=3, clock=SimClock())
+        cluster.create_topic("t", num_partitions=1, replication_factor=3)
+        producer = Producer(
+            cluster,
+            config=ProducerConfig(
+                acks=ACKS_LEADER, linger_messages=200, compression=compression
+            ),
+        )
+        for i in range(self.EVENTS):
+            producer.send("t", tracking_event(i), key=f"member-{i % 500:06d}")
+        producer.flush()
+        cluster.run_until_replicated()
+        consumer = Consumer(
+            cluster,
+            config=ConsumerConfig(
+                auto_offset_reset="earliest", max_poll_messages=500
+            ),
+        )
+        consumer.assign([TopicPartition("t", 0)])
+        consumed = 0
+        while consumed < self.EVENTS:
+            consumed += len(consumer.poll())
+        return cluster.metrics.counter("messaging.cluster.bytes_on_wire").value
+
+    def test_json_ish_events_at_least_halve_bytes_on_wire(self):
+        # The W1 acceptance floor (EXPERIMENTS.md); measured ~26x.
+        plain = self._bytes_on_wire("none")
+        assert plain >= 2.0 * self._bytes_on_wire("zlib:6")

@@ -5,7 +5,7 @@ import pytest
 from repro.common.clock import SimClock
 from repro.common.errors import ConfigError
 from repro.common.records import TopicPartition
-from repro.messaging.cluster import ACKS_ALL, MessagingCluster
+from repro.messaging.cluster import ACKS_ALL, ACKS_LEADER, MessagingCluster
 from repro.messaging.config import ConsumerConfig, ProducerConfig
 from repro.messaging.consumer import Consumer
 from repro.messaging.consumer_group import GroupCoordinator
@@ -306,3 +306,48 @@ class TestPauseResume:
         other.subscribe(["t"])
         consumer.poll(10)  # detects the generation bump
         assert consumer.paused() <= set(consumer.assignment())
+
+
+class TestPrefetchOverlap:
+    RECORDS = 600
+
+    def _drain(self, prefetch: bool):
+        """Drain one compressed partition in 100-record polls, 'processing'
+        each poll for 0.1 simulated ms; returns (records, summed latency)."""
+        cluster = MessagingCluster(num_brokers=3, clock=SimClock())
+        cluster.create_topic("t", num_partitions=1, replication_factor=3)
+        producer = Producer(
+            cluster,
+            ProducerConfig(
+                acks=ACKS_LEADER, linger_messages=50, compression="zlib:6"
+            ),
+        )
+        for i in range(self.RECORDS):
+            producer.send(
+                "t", {"i": i, "page": f"/feed/updates/{i % 20}"}, key=f"k{i % 50}"
+            )
+        producer.flush()
+        cluster.run_until_replicated()
+        consumer = Consumer(
+            cluster,
+            ConsumerConfig(
+                auto_offset_reset="earliest",
+                max_poll_messages=100,
+                prefetch=prefetch,
+            ),
+        )
+        consumer.assign([TopicPartition("t", 0)])
+        records, latency = [], 0.0
+        while len(records) < self.RECORDS:
+            records.extend(consumer.poll())
+            latency += consumer.last_poll_latency
+            # The application's processing time: what fetch N+1 overlaps.
+            cluster.clock.advance(1e-4)
+        return records, latency
+
+    def test_prefetch_delivers_the_same_records_at_lower_latency(self):
+        sync_records, sync_latency = self._drain(prefetch=False)
+        ahead_records, ahead_latency = self._drain(prefetch=True)
+        assert ahead_records == sync_records
+        assert len(ahead_records) == self.RECORDS
+        assert ahead_latency < sync_latency

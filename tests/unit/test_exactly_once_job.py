@@ -7,7 +7,8 @@ from repro.chaos.failpoints import registry
 from repro.common.clock import SimClock
 from repro.common.errors import JobConfigError, ProducerFencedError
 from repro.common.records import TopicPartition
-from repro.messaging.cluster import MessagingCluster
+from repro.messaging.cluster import ACKS_LEADER, MessagingCluster
+from repro.messaging.config import ProducerConfig
 from repro.messaging.producer import Producer
 from repro.processing.checkpoint import CHANGELOG_OFFSETS_KEY
 from repro.processing.job import (
@@ -329,3 +330,41 @@ class TestMigration:
                 )
             results.append(outputs)
         assert results[0] == results[1]
+
+
+class TestSimulatedOverhead:
+    RECORDS = 2000
+
+    def _drain_seconds(self, guarantee: str) -> float:
+        """Simulated seconds the pass-through job takes to drain the same
+        replicated input under ``guarantee``."""
+        cluster = MessagingCluster(num_brokers=3, clock=SimClock())
+        cluster.create_topic("in", num_partitions=2, replication_factor=3)
+        cluster.create_topic("out", num_partitions=2, replication_factor=3)
+        producer = Producer(
+            cluster, ProducerConfig(acks=ACKS_LEADER, linger_messages=200)
+        )
+        for i in range(self.RECORDS):
+            producer.send("in", {"i": i}, key=f"k{i % 100}", partition=i % 2)
+        producer.flush()
+        cluster.run_until_replicated()
+        runner = JobRunner(
+            JobConfig(
+                name="overhead",
+                inputs=["in"],
+                task_factory=TagTask,
+                checkpoint_interval=500,
+                processing_guarantee=guarantee,
+            ),
+            cluster,
+        )
+        start = cluster.clock.now()
+        runner.run_until_idle()
+        assert len(committed_outputs(cluster)) == self.RECORDS
+        return cluster.clock.now() - start
+
+    def test_exactly_once_within_1_5x_of_at_least_once(self):
+        # The EO1 acceptance ceiling (EXPERIMENTS.md); measured ~0.13x —
+        # staged sends batch, at-least-once produces per record.
+        exactly_once = self._drain_seconds(EXACTLY_ONCE)
+        assert 0 < exactly_once <= 1.5 * self._drain_seconds(AT_LEAST_ONCE)

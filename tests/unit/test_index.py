@@ -1,5 +1,7 @@
 """Unit tests for the sparse offset index."""
 
+import random
+
 import pytest
 
 from repro.common.errors import ConfigError
@@ -72,3 +74,35 @@ class TestRebuild:
         index.maybe_add(1, 10, 10)
         assert index.size_bytes() == 32
         assert index.entry_count == 2
+
+
+class TestExtendRun:
+    @pytest.mark.parametrize("interval", [1, 64, 4096])
+    def test_matches_maybe_add_loop_over_carried_state(self, interval):
+        rng = random.Random(interval)
+        for _trial in range(50):
+            looped = SparseOffsetIndex(interval)
+            bulk = SparseOffsetIndex(interval)
+            offset = position = 0
+            # Several runs into the same index: _bytes_since_entry carries.
+            for _run in range(rng.randint(1, 6)):
+                offsets, positions = [], []
+                for _ in range(rng.randint(0, 40)):
+                    offset += rng.randint(1, 3)  # gaps, as after compaction
+                    size = rng.choice([1, 17, 63, 64, 65, 300, 5000])
+                    looped.maybe_add(offset, position, size)
+                    offsets.append(offset)
+                    positions.append(position)
+                    position += size
+                before = bulk.entry_count
+                added = bulk.extend_run(offsets, positions, position)
+                assert added == bulk.entry_count - before
+                assert bulk._offsets == looped._offsets
+                assert bulk._positions == looped._positions
+                assert bulk._bytes_since_entry == looped._bytes_since_entry
+
+    def test_run_must_follow_the_last_entry(self):
+        index = SparseOffsetIndex(interval_bytes=1)
+        index.extend_run([3, 4], [0, 10], 20)
+        with pytest.raises(ConfigError):
+            index.extend_run([4], [20], 30)

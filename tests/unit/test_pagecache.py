@@ -54,6 +54,55 @@ class TestWrite:
         assert cache.dirty_pages() == 0
 
 
+class TestWriteBatch:
+    # Three records starting 10 bytes before a page boundary: pages 0..2.
+    START = PAGE - 10
+    SIZES = [PAGE // 2, PAGE, 100]
+
+    def _folded(self, cache: PageCache, sizes, base: float = 0.0) -> float:
+        latency = base
+        for size in sizes:
+            latency += size / cache.cost_model.ram_bandwidth
+        return latency
+
+    def test_run_crossing_page_boundaries(self):
+        clock, cache = make_cache(flush_timeout=5.0)
+        latency = cache.write_batch("f", self.START, self.SIZES, 1e-3)
+        assert latency == self._folded(cache, self.SIZES, 1e-3)  # to the ulp
+        assert cache.is_resident("f", 0, 3 * PAGE)
+        assert cache.resident_pages_of("f") == 3
+        assert cache.dirty_pages() == 3
+        written = cache.metrics.counter("storage.pagecache.bytes_written")
+        assert written.value == sum(self.SIZES)
+        # One flush timer for the whole run, not one per record or page.
+        assert clock.pending_timers() == 1
+        assert clock.advance(5.0) == 1
+        assert cache.dirty_pages() == 0
+        assert cache.is_resident("f", 0, 3 * PAGE)
+
+    def test_zero_size_record_costs_and_dirties_nothing(self):
+        clock, cache = make_cache()
+        with_zero = [self.SIZES[0], 0, *self.SIZES[1:]]
+        latency = cache.write_batch("f", self.START, with_zero)
+        assert latency == self._folded(cache, self.SIZES)
+        assert cache.dirty_pages() == 3
+        assert clock.pending_timers() == 1
+        # A run of only empty records touches nothing at all.
+        assert cache.write_batch("g", 0, [0, 0], 2.5) == 2.5
+        assert cache.resident_pages_of("g") == 0
+        assert clock.pending_timers() == 1
+
+    def test_zero_timeout_flushes_now_without_a_timer(self):
+        clock, cache = make_cache(flush_timeout=0.0)
+        latency = cache.write_batch("f", self.START, self.SIZES)
+        assert latency == self._folded(cache, self.SIZES)
+        assert cache.is_resident("f", 0, 3 * PAGE)
+        assert cache.dirty_pages() == 0
+        assert clock.pending_timers() == 0
+        flushed = cache.metrics.counter("storage.pagecache.bytes_flushed")
+        assert flushed.value == 3 * PAGE
+
+
 class TestRead:
     def test_hit_is_ram_speed(self):
         _clock, cache = make_cache()

@@ -1,5 +1,7 @@
 """Unit tests for log segments."""
 
+from itertools import accumulate
+
 import pytest
 
 from repro.common.errors import ConfigError
@@ -59,6 +61,48 @@ class TestAppend:
         segment = LogSegment(0, created_at=0.0)
         segment.append(msg(0), now=4.2)
         assert segment.last_append_at == 4.2
+
+
+class TestBulkAppend:
+    def _run(self) -> list[StoredMessage]:
+        # Gapped offsets, differing sizes.
+        return [
+            msg(offset, value="v" * n)
+            for offset, n in ((4, 1), (5, 50), (9, 7))
+        ]
+
+    def test_extend_trusted_equals_append_bulk(self):
+        run = self._run()
+        bulk, trusted = LogSegment(0, 0.0), LogSegment(0, 0.0)
+        for segment in (bulk, trusted):
+            segment.append(msg(2), now=0.0)  # runs land after existing data
+        start = bulk.append_bulk(run, now=3.0)
+        assert start == msg(2).size
+        cum = list(accumulate((m.stored_size for m in run), initial=start))
+        positions, end = cum[:-1], cum[-1]
+        trusted._extend_trusted(
+            run, [m.offset for m in run], positions, end, now=3.0
+        )
+        assert list(trusted.messages()) == list(bulk.messages())
+        assert trusted._offsets == bulk._offsets == [2, 4, 5, 9]
+        assert trusted._positions == bulk._positions
+        assert trusted.size_bytes == bulk.size_bytes == end
+        assert trusted.last_append_at == bulk.last_append_at == 3.0
+
+    def test_append_bulk_rejects_unordered_run(self):
+        segment = LogSegment(0, created_at=0.0)
+        with pytest.raises(ConfigError):
+            segment.append_bulk([msg(1), msg(1)], now=0.0)
+        assert segment.is_empty
+
+    def test_sealed_rejects_both(self):
+        segment = LogSegment(0, created_at=0.0)
+        segment.seal()
+        with pytest.raises(ConfigError):
+            segment.append_bulk(self._run(), now=0.0)
+        with pytest.raises(ConfigError):
+            segment._extend_trusted(self._run(), [4, 5, 9], [0, 1, 2], 3, 0.0)
+        assert segment.is_empty
 
 
 class TestRead:
