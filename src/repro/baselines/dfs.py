@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.common.clock import Clock, SimClock
+from repro.common.clock import SimClock
 from repro.common.costmodel import DEFAULT_COST_MODEL, CostModel
 from repro.common.errors import ConfigError, FileExistsInDfsError, FileNotFoundInDfsError
 from repro.common.records import estimate_size
@@ -55,7 +55,7 @@ class SimulatedDFS:
 
     def __init__(
         self,
-        clock: Clock | None = None,
+        clock: SimClock | None = None,
         cost_model: CostModel = DEFAULT_COST_MODEL,
         replication: int = 3,
     ) -> None:

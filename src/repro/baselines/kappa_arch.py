@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.common.clock import Clock, SimClock
+from repro.common.clock import SimClock
 from repro.common.costmodel import DEFAULT_COST_MODEL, CostModel
 from repro.common.errors import ConfigError
 from repro.common.records import TopicPartition
@@ -49,7 +49,7 @@ class KappaArchitecture:
 
     def __init__(
         self,
-        clock: Clock | None = None,
+        clock: SimClock | None = None,
         cost_model: CostModel = DEFAULT_COST_MODEL,
         num_brokers: int = 1,
     ) -> None:
@@ -97,8 +97,7 @@ class KappaArchitecture:
         )
         self._position += processed
         self.compute_seconds += latency
-        if isinstance(self.clock, SimClock):
-            self.clock.advance(latency)
+        self.clock.advance(latency)
         return processed
 
     def _tp(self) -> TopicPartition:
@@ -140,16 +139,14 @@ class KappaArchitecture:
         end = self.stream.end_offset(self._tp())
         processed, latency = self._fold_range(new_view, 0, end)
         self.reprocess_seconds += latency
-        if isinstance(self.clock, SimClock):
-            self.clock.advance(latency)
+        self.clock.advance(latency)
         # Catch up anything ingested while reprocessing ran.
         self.stream.tick(0.0)
         tail, tail_latency = self._fold_range(
             new_view, end, self.stream.end_offset(self._tp())
         )
         self.reprocess_seconds += tail_latency
-        if isinstance(self.clock, SimClock):
-            self.clock.advance(tail_latency)
+        self.clock.advance(tail_latency)
         # Cutover.
         self.view = new_view
         self._position = end + tail

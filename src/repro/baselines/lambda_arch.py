@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
-from repro.common.clock import Clock, SimClock
+from repro.common.clock import SimClock
 from repro.common.costmodel import DEFAULT_COST_MODEL, CostModel
 from repro.common.errors import ConfigError
 from repro.common.records import TopicPartition
@@ -55,7 +55,7 @@ class LambdaArchitecture:
 
     def __init__(
         self,
-        clock: Clock | None = None,
+        clock: SimClock | None = None,
         cost_model: CostModel = DEFAULT_COST_MODEL,
         num_brokers: int = 1,
         ingest_batch_size: int = 500,
@@ -155,8 +155,7 @@ class LambdaArchitecture:
             processed += len(records)
             self._speed_position = records[-1].offset + 1
             self.speed_compute_seconds += latency
-            if isinstance(self.clock, SimClock):
-                self.clock.advance(latency)
+            self.clock.advance(latency)
         return processed
 
     # -- batch layer -------------------------------------------------------------------------

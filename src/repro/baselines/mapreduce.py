@@ -26,7 +26,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
-from repro.common.clock import Clock, SimClock
+from repro.common.clock import SimClock
 from repro.common.costmodel import DEFAULT_COST_MODEL, CostModel
 from repro.common.errors import ConfigError, MapReduceError
 from repro.common.records import estimate_size
@@ -81,7 +81,7 @@ class MapReduceEngine:
     def __init__(
         self,
         dfs: SimulatedDFS,
-        clock: Clock | None = None,
+        clock: SimClock | None = None,
         cost_model: CostModel = DEFAULT_COST_MODEL,
         map_parallelism: int = 4,
         reduce_parallelism: int = 2,
@@ -164,7 +164,7 @@ class MapReduceEngine:
         write = self.dfs.overwrite_file(part, output)
         result.output_write_seconds = write.latency
 
-        if advance_clock and isinstance(self.clock, SimClock):
+        if advance_clock:
             self.clock.advance(result.total_seconds)
         return result
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.common.clock import SimClock
 from repro.common.errors import ConfigError
 from repro.common.metrics import metric_name, metric_segment
 from repro.elasticity.lagmonitor import LagMonitor, LagSample
@@ -184,8 +183,7 @@ class ElasticJobController:
             poll.records_processed += result.records_processed
             poll.records_emitted += result.records_emitted
             poll.latency += result.latency
-        if isinstance(self.clock, SimClock):
-            self.clock.advance(dt)
+        self.clock.advance(dt)
         self.steps += 1
         sample = self.monitor.observe()
         decision = self.policy.decide(self.containers, sample, self.clock.now())
@@ -210,7 +208,7 @@ class ElasticJobController:
             # Jobs with standby replicas restart moved tasks off a warm
             # copy — the migration pays only the changelog catch-up tail.
             promotions += report.standby_promotions()
-        if migration_seconds and isinstance(self.clock, SimClock):
+        if migration_seconds:
             self.clock.advance(migration_seconds)
         event = ScaleEvent(
             at=decision.at,

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.common.clock import Clock, SimClock
+from repro.common.clock import SimClock
 from repro.common.compression import BatchFrame
 from repro.common.costmodel import DEFAULT_COST_MODEL, CostModel
 from repro.common.errors import (
@@ -118,7 +118,7 @@ class MessagingCluster:
     def __init__(
         self,
         num_brokers: int = 3,
-        clock: Clock | None = None,
+        clock: SimClock | None = None,
         cost_model: CostModel = DEFAULT_COST_MODEL,
         page_cache_bytes: int = 256 * 1024 * 1024,
         allow_unclean_election: bool = False,
@@ -555,8 +555,7 @@ class MessagingCluster:
         Fires flush timers, runs the follower replication loop, and runs
         retention/compaction sweeps every ``maintenance_interval`` seconds.
         """
-        if isinstance(self.clock, SimClock):
-            self.clock.advance(dt)
+        self.clock.advance(dt)
         stats = ReplicationStats()
         for _ in range(replication_passes):
             passed = self.replication.poll()

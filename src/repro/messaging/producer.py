@@ -69,6 +69,10 @@ _M_COMPRESSION_RATIO = metric_name("messaging", "producer", "compression_ratio")
 class Producer:
     """Publishes records to topics with partitioning, batching and retries."""
 
+    #: Counter bumped per retried produce, beside ``self.retries`` (the
+    #: transactional subclass names one).
+    _retries_metric: str | None = None
+
     def __init__(
         self,
         cluster: MessagingCluster,
@@ -95,7 +99,7 @@ class Producer:
         # no compress step.
         self._codec, self._codec_level = parse_compression(config.compression)
         self._last_frame: BatchFrame | None = None
-        self.producer_id = next(_producer_ids)
+        self.producer_id = self._new_producer_id()
         self.retry_backoff = config.retry_backoff
         self.retry_backoff_max = config.retry_backoff_max
         # Deterministic jitter: seeded from the producer id unless the caller
@@ -118,6 +122,10 @@ class Producer:
         ] = {}
         self.acks_received = 0
         self.retries = 0
+
+    def _new_producer_id(self) -> int:
+        """The identity idempotent dedup keys on (process-local here)."""
+        return next(_producer_ids)
 
     # -- partition selection ------------------------------------------------------
 
@@ -326,6 +334,8 @@ class Producer:
             except _RETRIABLE as exc:
                 attempts += 1
                 self.retries += 1
+                if self._retries_metric is not None:
+                    self.cluster.metrics.counter(self._retries_metric).increment()
                 if attempts > self.max_retries:
                     self._failed_batches.setdefault(tp, []).append(
                         (producer_seq, list(entries))

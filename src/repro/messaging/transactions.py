@@ -10,7 +10,9 @@ shipped (KIP-98), reduced to its semantics:
 * a **transaction coordinator** maps a stable ``transactional_id`` to a
   producer id and an epoch; re-initialization bumps the epoch and *fences*
   the previous incarnation (:class:`~repro.common.errors.ProducerFencedError`);
-* a :class:`TransactionalProducer` groups sends into atomic units:
+* a :class:`TransactionalProducer` — a
+  :class:`~repro.messaging.producer.Producer` whose producer id, epoch and
+  sequences are the coordinator's — groups sends into atomic units:
   ``begin() … commit()/abort()`` writes **control markers** into every
   partition the transaction touched;
 * partitions track open transactions and aborted ranges, exposing the
@@ -34,32 +36,22 @@ offsets or vice versa.
 from __future__ import annotations
 
 import itertools
-import random
 import zlib
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable
 
 from repro.chaos.failpoints import failpoint
 from repro.common.errors import (
-    BrokerUnavailableError,
     ConfigError,
-    MessagingError,
-    NotEnoughReplicasError,
-    NotLeaderForPartitionError,
     ProducerFencedError,
-    ReservedHeaderError,
-    StaleEpochError,
     TransactionError,
 )
 from repro.common.metrics import metric_name
-from repro.common.partitioning import partition_for_key
-from repro.common.records import (
-    RESERVED_HEADER_PREFIX,
-    TRACE_HEADER,
-    TopicPartition,
-)
-from repro.messaging.cluster import ACKS_ALL, MessagingCluster
-from repro.observability.trace import TraceContext, current_tracer
+from repro.common.records import TopicPartition
+from repro.messaging.cluster import ACKS_ALL, MessagingCluster, ProduceAck
+from repro.messaging.config import ProducerConfig
+from repro.messaging.producer import Producer
+from repro.observability.trace import current_tracer
 
 #: Header keys for transactional records and control markers.
 HDR_PID = "__pid"
@@ -81,16 +73,8 @@ _M_COMMITS_RESUMED = metric_name(
 )
 _M_SEND_RETRIES = metric_name("messaging", "transactions", "send_retries")
 
-#: Errors a transactional send retries under its original sequence number —
-#: the same transient set the plain idempotent producer re-buffers on.
-_RETRIABLE = (
-    NotLeaderForPartitionError,
-    BrokerUnavailableError,
-    StaleEpochError,
-    NotEnoughReplicasError,
-)
 
-def _sorted_partitions(partitions: set[TopicPartition]) -> list[TopicPartition]:
+def _sorted_partitions(partitions: Iterable[TopicPartition]) -> list[TopicPartition]:
     """Deterministic marker/offset order regardless of PYTHONHASHSEED."""
     return sorted(partitions, key=lambda tp: (tp.topic, tp.partition))
 
@@ -157,7 +141,8 @@ class TransactionCoordinator:
                 self._apply_abort(transactional_id, state)
         return state.producer_id, state.epoch
 
-    def _state_for(self, transactional_id: str, epoch: int) -> _TxnState:
+    def state_for(self, transactional_id: str, epoch: int) -> _TxnState:
+        """State of the current incarnation; a stale ``epoch`` is fenced."""
         state = self._states.get(transactional_id)
         if state is None:
             raise TransactionError(f"unknown transactional id {transactional_id!r}")
@@ -170,7 +155,7 @@ class TransactionCoordinator:
     # -- transaction lifecycle ----------------------------------------------------
 
     def begin(self, transactional_id: str, epoch: int) -> None:
-        state = self._state_for(transactional_id, epoch)
+        state = self.state_for(transactional_id, epoch)
         if state.open:
             raise TransactionError(f"{transactional_id!r}: transaction already open")
         state.open = True
@@ -179,7 +164,7 @@ class TransactionCoordinator:
     def add_partition(
         self, transactional_id: str, epoch: int, tp: TopicPartition
     ) -> None:
-        state = self._state_for(transactional_id, epoch)
+        state = self.state_for(transactional_id, epoch)
         if not state.open:
             raise TransactionError(f"{transactional_id!r}: no open transaction")
         state.in_flight.add(tp)
@@ -192,24 +177,11 @@ class TransactionCoordinator:
         offsets: dict[TopicPartition, int],
         metadata: dict[str, Any] | None = None,
     ) -> None:
-        state = self._state_for(transactional_id, epoch)
+        state = self.state_for(transactional_id, epoch)
         if not state.open:
             raise TransactionError(f"{transactional_id!r}: no open transaction")
         for tp, offset in offsets.items():
             state.pending_offsets[(group, tp)] = (offset, dict(metadata or {}))
-
-    def next_sequence(
-        self, transactional_id: str, epoch: int, tp: TopicPartition
-    ) -> int:
-        """Allocate the next idempotence sequence for one partition.
-
-        Sequences advance at allocation, not on success — a retried send
-        replays its original sequence and the broker dedups it.
-        """
-        state = self._state_for(transactional_id, epoch)
-        seq = state.sequences.get(tp, -1) + 1
-        state.sequences[tp] = seq
-        return seq
 
     def commit(self, transactional_id: str, epoch: int) -> None:
         """Atomically commit outputs + staged offsets.
@@ -221,7 +193,7 @@ class TransactionCoordinator:
         outputs are never observable without their offsets.  Re-invoking
         ``commit`` on a decided transaction resumes the apply phase.
         """
-        state = self._state_for(transactional_id, epoch)
+        state = self.state_for(transactional_id, epoch)
         if state.decided == CTRL_COMMIT:
             self._complete_commit(transactional_id, state)
             return
@@ -259,7 +231,7 @@ class TransactionCoordinator:
         self._close_span(span)
 
     def abort(self, transactional_id: str, epoch: int) -> None:
-        state = self._state_for(transactional_id, epoch)
+        state = self.state_for(transactional_id, epoch)
         if state.decided == CTRL_COMMIT:
             raise TransactionError(
                 f"{transactional_id!r}: transaction already decided to commit"
@@ -337,8 +309,10 @@ class TransactionCoordinator:
                 tracer.close(span, end=self.cluster.clock.now())
 
 
-class TransactionalProducer:
-    """Producer whose sends are atomic per transaction.
+class TransactionalProducer(Producer):
+    """A :class:`~repro.messaging.producer.Producer` whose producer id, epoch
+    and sequences are the coordinator's, and whose sends are atomic per
+    transaction.
 
     Usage::
 
@@ -348,58 +322,49 @@ class TransactionalProducer:
         producer.send_offsets_to_transaction("job-etl", {tp: offset})
         producer.commit()   # or .abort()
 
-    Sends carry per-partition idempotence sequences (allocated by the
-    coordinator, so they survive restarts of the same transactional id) and
-    retry transient broker errors under the original sequence — the broker
-    dedups replays of an append that actually stood, same as the plain
-    idempotent :class:`~repro.messaging.producer.Producer`.
+    It is the idempotent ``acks=all`` producer — same validation,
+    partitioning, linger buffer, retries and parking of a batch that
+    exhausted them — under an identity that outlives the process: the
+    coordinator hands out the producer id and holds the per-partition
+    sequence table, so a restarted incarnation of the same transactional id
+    continues the numbering and broker-side dedup stays correct.  This class
+    adds only what a transaction adds: the lifecycle, registering each
+    touched partition, and the ``__pid`` / ``__txn`` stamp on every batch.
     """
+
+    _retries_metric = _M_SEND_RETRIES
 
     def __init__(
         self,
         cluster: MessagingCluster,
         transactional_id: str,
-        coordinator: TransactionCoordinator | None = None,
-        max_retries: int = 3,
-        retry_backoff: float = 0.05,
-        retry_backoff_max: float = 1.0,
         linger_messages: int = 1,
     ) -> None:
         if not transactional_id:
             raise ConfigError("transactional_id must be non-empty")
-        if linger_messages < 1:
-            raise ConfigError("linger_messages must be >= 1")
-        self.cluster = cluster
         self.transactional_id = transactional_id
-        self.coordinator = (
-            coordinator
-            if coordinator is not None
-            else get_transaction_coordinator(cluster)
-        )
+        self.coordinator = get_transaction_coordinator(cluster)
         self.producer_id, self.epoch = self.coordinator.initialize(
             transactional_id
         )
-        self.max_retries = max_retries
-        self.retry_backoff = retry_backoff
-        self.retry_backoff_max = retry_backoff_max
-        self.retries = 0
-        # Deterministic jitter: seeded from (id, epoch) so a same-seed
-        # replay of a whole run reproduces every backoff exactly.
-        self._retry_rng = random.Random(
-            zlib.crc32(transactional_id.encode()) ^ self.epoch
+        super().__init__(
+            cluster,
+            ProducerConfig(
+                acks=ACKS_ALL,
+                idempotent=True,
+                linger_messages=linger_messages,
+                # Deterministic jitter: seeded from (id, epoch) so a
+                # same-seed replay of a whole run reproduces every backoff.
+                retry_jitter_seed=zlib.crc32(transactional_id.encode())
+                ^ self.epoch,
+            ),
         )
-        self._rr = itertools.count()
-        # Staged-but-unsent records, per partition.  Like the plain
-        # producer's linger buffer, but scoped to the transaction: commit
-        # flushes, abort discards (they were never on the wire).  Each entry
-        # carries the sequence it was allocated at staging time, so a batch
-        # is produced under its first record's sequence and broker-side
-        # dedup of a replayed batch stays correct.
-        self.linger_messages = linger_messages
-        self._buffers: dict[
-            TopicPartition,
-            list[tuple[tuple[Any, Any, float | None, dict[str, Any]], int]],
-        ] = {}
+        self._sequences = self.coordinator.state_for(
+            transactional_id, self.epoch
+        ).sequences
+
+    def _new_producer_id(self) -> int:
+        return self.producer_id  # the coordinator's, set before Producer.__init__
 
     # -- lifecycle ------------------------------------------------------------------
 
@@ -407,12 +372,17 @@ class TransactionalProducer:
         self.coordinator.begin(self.transactional_id, self.epoch)
 
     def commit(self) -> None:
+        """Flush, then commit.  A flush that cannot deliver every batch
+        raises and leaves the transaction open with the failed batches
+        parked; a retried ``commit()`` sends them first."""
         self.flush()
         self.coordinator.commit(self.transactional_id, self.epoch)
 
     def abort(self) -> None:
-        # Buffered records were never produced; aborting simply drops them.
+        # Buffered records were never produced; a parked batch's leader
+        # append may have stood, and the abort marker covers it either way.
         self._buffers.clear()
+        self._failed_batches.clear()
         self.coordinator.abort(self.transactional_id, self.epoch)
 
     @property
@@ -429,98 +399,49 @@ class TransactionalProducer:
         partition: int | None = None,
         timestamp: float | None = None,
         headers: dict[str, Any] | None = None,
-    ):
-        """Send one record inside the current transaction (acks=all).
+    ) -> ProduceAck | None:
+        """:meth:`Producer.send` inside the current transaction.
 
-        With ``linger_messages == 1`` the record is produced immediately and
-        its ack returned.  With batching enabled it is staged and ``None``
-        returned; the partition's batch is produced when it reaches
-        ``linger_messages`` records (ack returned then) or at commit.
+        The partition is registered with the coordinator at staging time —
+        which is also the per-send fencing check — so the commit or abort
+        marker reaches every partition the transaction touched.
         """
-        if headers:
-            for name, held in headers.items():
-                if name.startswith(RESERVED_HEADER_PREFIX) and not (
-                    name == TRACE_HEADER and isinstance(held, TraceContext)
-                ):
-                    raise ReservedHeaderError(
-                        f"header {name!r} is in the system's reserved "
-                        f"{RESERVED_HEADER_PREFIX!r} namespace"
-                    )
         if not self.coordinator.is_open(self.transactional_id):
             raise TransactionError("send outside a transaction; call begin()")
-        num_partitions = self.cluster.topic_config(topic).num_partitions
-        if partition is None:
-            if key is not None:
-                partition = partition_for_key(key, num_partitions)
-            else:
-                partition = next(self._rr) % num_partitions
-        tp = TopicPartition(topic, partition)
-        self.coordinator.add_partition(self.transactional_id, self.epoch, tp)
-        txn_headers = {
-            **(headers or {}),
-            HDR_PID: self.producer_id,
-            HDR_TXN: True,
-        }
-        sequence = self.coordinator.next_sequence(
-            self.transactional_id, self.epoch, tp
+        partition = self._choose_partition(topic, key, partition)
+        self.coordinator.add_partition(
+            self.transactional_id, self.epoch, TopicPartition(topic, partition)
         )
-        entry = (key, value, timestamp, txn_headers)
-        if self.linger_messages == 1:
-            return self._produce_batch(tp, [(entry, sequence)])
-        buffer = self._buffers.setdefault(tp, [])
-        buffer.append((entry, sequence))
-        if len(buffer) >= self.linger_messages:
-            del self._buffers[tp]
-            return self._produce_batch(tp, buffer)
-        return None
+        return Producer.send(
+            self, topic, value, key, partition, timestamp, headers
+        )
 
-    def flush(self) -> list:
-        """Produce every staged batch; returns their acks.
-
-        Partitions flush in deterministic (sorted) order so a same-seed
-        replay appends identically.  ``commit`` flushes implicitly.
-        """
-        if not self._buffers:
+    def flush(self) -> list[ProduceAck]:
+        """:meth:`Producer.flush` in deterministic (sorted) partition order,
+        so a same-seed replay appends identically.  ``commit`` flushes
+        implicitly."""
+        if not self._buffers and not self._failed_batches:
             return []
         # Fencing check up front: a zombie incarnation must not push its
         # staged records onto the wire under a stale epoch.
-        self.coordinator._state_for(self.transactional_id, self.epoch)
-        acks = []
-        for tp in _sorted_partitions(set(self._buffers)):
-            acks.append(self._produce_batch(tp, self._buffers.pop(tp)))
-        return acks
+        self.coordinator.state_for(self.transactional_id, self.epoch)
+        self._buffers = {
+            tp: self._buffers[tp] for tp in _sorted_partitions(self._buffers)
+        }
+        return Producer.flush(self)
 
-    def _produce_batch(self, tp, batch):
-        """One produce of staged entries, retried under its base sequence."""
-        entries = [entry for entry, _seq in batch]
-        sequence = batch[0][1]
-        attempts = 0
-        while True:
-            try:
-                return self.cluster.produce(
-                    tp.topic,
-                    tp.partition,
-                    entries,
-                    acks=ACKS_ALL,
-                    producer_id=self.producer_id,
-                    producer_seq=sequence,
-                )
-            except _RETRIABLE as exc:
-                attempts += 1
-                self.retries += 1
-                self.cluster.metrics.counter(_M_SEND_RETRIES).increment()
-                if attempts > self.max_retries:
-                    raise MessagingError(
-                        f"transactional produce to {tp} failed after "
-                        f"{attempts} attempts"
-                    ) from exc
-                self.cluster.tick(self._backoff(attempts))
-
-    def _backoff(self, attempts: int) -> float:
-        delay = min(
-            self.retry_backoff_max, self.retry_backoff * (2 ** (attempts - 1))
-        )
-        return delay * (0.5 + 0.5 * self._retry_rng.random())
+    def _send_batch(
+        self,
+        tp: TopicPartition,
+        entries: list[tuple[Any, Any, float | None, dict[str, Any]]],
+        seq: int | None = None,
+    ) -> ProduceAck:
+        # Stamped per batch: after send() validated the user's headers,
+        # before the cluster sizes the entries (re-stamping a parked batch
+        # changes nothing).
+        stamp = {HDR_PID: self.producer_id, HDR_TXN: True}
+        entries = [(k, v, ts, {**h, **stamp}) for (k, v, ts, h) in entries]
+        return Producer._send_batch(self, tp, entries, seq)
 
     def send_offsets_to_transaction(
         self,

@@ -157,7 +157,7 @@ class IsolatedHost:
 
     def _advance_clock(self, dt: float) -> None:
         clock = next(iter(self._jobs.values())).runner.clock if self._jobs else None
-        if clock is not None and hasattr(clock, "advance"):
+        if clock is not None:
             clock.advance(dt)
 
     # -- introspection -------------------------------------------------------------------

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
 from repro.chaos.failpoints import SKIP, failpoint
-from repro.common.clock import SimClock
 from repro.common.errors import JobConfigError, MessagingError, TaskFailedError
 from repro.common.metrics import metric_name, metric_segment
 from repro.common.records import TRACE_HEADER, ConsumerRecord, TopicPartition
@@ -598,7 +597,7 @@ class JobRunner:
                 if remaining <= 0:
                     break
             self._poll_task(self._tasks[task_id], remaining, result)
-        if result.latency and self.auto_advance_clock and isinstance(self.clock, SimClock):
+        if result.latency and self.auto_advance_clock:
             self.clock.advance(result.latency)
         if result.records_processed:
             self.metrics.counter(self._m_processed).increment(
@@ -822,7 +821,7 @@ class JobRunner:
         self.running = True
         for instance in self._tasks:
             self._record_snapshot(instance.task_id)
-        if self.auto_advance_clock and isinstance(self.clock, SimClock):
+        if self.auto_advance_clock:
             self.clock.advance(report.simulated_seconds)
         return report
 

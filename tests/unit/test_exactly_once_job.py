@@ -5,7 +5,12 @@ import pytest
 
 from repro.chaos.failpoints import registry
 from repro.common.clock import SimClock
-from repro.common.errors import JobConfigError, ProducerFencedError
+from repro.common.errors import (
+    BrokerUnavailableError,
+    JobConfigError,
+    MessagingError,
+    ProducerFencedError,
+)
 from repro.common.records import TopicPartition
 from repro.messaging.cluster import ACKS_LEADER, MessagingCluster
 from repro.messaging.config import ProducerConfig
@@ -284,6 +289,30 @@ class TestCrashRecovery:
         assert runner.run_until_idle() == 0  # pending input invisible
         upstream.commit()
         assert runner.run_until_idle() == 1
+
+
+class TestFailedCheckpoint:
+    def test_failed_checkpoint_flush_loses_nothing(self):
+        """Regression: a checkpoint whose flush exhausted its retries used
+        to drop the staged outputs, and the next checkpoint then committed
+        the input offsets without them — offset 10, output ``[]``."""
+        _clock, cluster, _producer = make_env(partitions=1, n=10)
+        runner = JobRunner(eo_config(checkpoint_interval=10), cluster)
+
+        def out_is_down(partition=None, **_ctx):
+            if partition.topic == "out":
+                raise BrokerUnavailableError("out is down")
+
+        with registry().scoped("cluster.produce", out_is_down):
+            with pytest.raises(MessagingError):
+                runner.poll_once()  # 10 records, then the checkpoint
+        assert committed_outputs(cluster, partitions=1) == []
+        assert runner.checkpoints.fetch(TopicPartition("in", 0)) is None
+        runner.run_until_idle()
+        assert committed_outputs(cluster, partitions=1) == [
+            (0, offset) for offset in range(10)
+        ]
+        assert runner.checkpoints.fetch(TopicPartition("in", 0)).offset == 10
 
 
 class TestMigration:

@@ -18,7 +18,7 @@ from repro.observability.trace import (
     tracing,
     uninstall_tracer,
 )
-from repro.processing.job import JobConfig
+from repro.processing.job import AT_LEAST_ONCE, EXACTLY_ONCE, JobConfig
 from repro.tools.admin import AdminClient
 from repro.tools.tracequery import TraceQuery, render_timeline
 
@@ -115,12 +115,20 @@ class _EnrichTask:
         collector.send("derived", {"v": record.value}, key=record.key)
 
 
-def _traced_pipeline(sample_rate=1):
+def _traced_pipeline(sample_rate=1, processing_guarantee=AT_LEAST_ONCE):
     """One record through source feed -> job -> derived feed, traced."""
     liquid = Liquid(num_brokers=3)
     liquid.create_feed("source", partitions=1)
     liquid.submit_job(
-        JobConfig(name="enrich", inputs=["source"], task_factory=_EnrichTask),
+        JobConfig(
+            name="enrich",
+            inputs=["source"],
+            task_factory=_EnrichTask,
+            processing_guarantee=processing_guarantee,
+            # Exactly-once: produce each emit at once instead of staging it
+            # until a checkpoint, so both guarantees run the same steps.
+            txn_linger_messages=1,
+        ),
         outputs=["derived"],
     )
     with tracing(Tracer(sample_rate=sample_rate)) as tracer:
@@ -135,8 +143,8 @@ def _traced_pipeline(sample_rate=1):
 
 
 class TestEndToEnd:
-    def test_single_record_yields_one_connected_tree(self):
-        liquid, tracer, records = _traced_pipeline()
+    def test_single_record_yields_one_connected_tree(self, guarantee=AT_LEAST_ONCE):
+        liquid, tracer, records = _traced_pipeline(processing_guarantee=guarantee)
         assert len(records) == 1
         query = TraceQuery(tracer)
         assert len(query.trace_ids()) == 1
@@ -153,8 +161,8 @@ class TestEndToEnd:
         # 3 brokers -> 2 followers per hop.
         assert stages.count("replication.replicate") == 4
 
-    def test_job_emit_parents_on_process_span(self):
-        _liquid, tracer, _records = _traced_pipeline()
+    def test_job_emit_parents_on_process_span(self, guarantee=AT_LEAST_ONCE):
+        _liquid, tracer, _records = _traced_pipeline(processing_guarantee=guarantee)
         query = TraceQuery(tracer)
         trace_id = query.trace_ids()[0]
         process = query.find(trace_id, "job.process")[0]
@@ -165,6 +173,12 @@ class TestEndToEnd:
         ]
         assert len(hop2_sends) == 1
         assert hop2_sends[0].parent_id == process.span_id
+
+    def test_trace_shape_is_the_same_under_exactly_once(self):
+        """Regression: the transactional client opened no ``produce.send``
+        span, so exactly-once derived feeds had no produce stage."""
+        self.test_single_record_yields_one_connected_tree(EXACTLY_ONCE)
+        self.test_job_emit_parents_on_process_span(EXACTLY_ONCE)
 
     def test_consumed_record_header_carries_context(self):
         _liquid, tracer, records = _traced_pipeline()

@@ -4,7 +4,13 @@ import pytest
 
 from repro.chaos.failpoints import raising, registry
 from repro.common.clock import SimClock
-from repro.common.errors import ConfigError, ProducerFencedError, TransactionError
+from repro.common.errors import (
+    BrokerUnavailableError,
+    ConfigError,
+    MessagingError,
+    ProducerFencedError,
+    TransactionError,
+)
 from repro.common.records import TopicPartition
 from repro.messaging.cluster import MessagingCluster
 from repro.messaging.config import ConsumerConfig
@@ -413,5 +419,72 @@ class TestIdempotentSequences:
         assert attempts["n"] >= 2  # first attempt failed, retry went through
         assert ack.duplicate  # broker recognized the replayed sequence
         assert producer.retries >= 1
+        retried = cluster.metrics.counter("messaging.transactions.send_retries")
+        assert retried.value == producer.retries
         producer.commit()
         assert committed_values(cluster) == ["exactly-once"]
+
+
+class TestFailedFlush:
+    """Regression: ``flush()`` used to pop a partition's batch before
+    producing it, so a batch that exhausted its retries was gone and a
+    retried ``commit()`` committed the transaction without it."""
+
+    def commit_with_partition_0_down(self):
+        cluster = make_cluster(partitions=2)
+        producer = TransactionalProducer(cluster, "tx", linger_messages=8)
+        producer.begin()
+        for i in range(3):
+            producer.send("t", f"p0-{i}", partition=0)
+            producer.send("t", f"p1-{i}", partition=1)
+
+        def partition_0_is_down(partition=None, **_ctx):
+            if partition == TP:
+                raise BrokerUnavailableError("partition 0 is down")
+
+        with registry().scoped("cluster.produce", partition_0_is_down):
+            with pytest.raises(MessagingError):
+                producer.commit()
+        # The failed batch is parked, not lost, and nothing was decided.
+        assert producer.in_transaction
+        assert producer.pending() == 3
+        return cluster, producer
+
+    def test_retried_commit_delivers_the_parked_batch(self):
+        cluster, producer = self.commit_with_partition_0_down()
+        producer.commit()
+        assert producer.pending() == 0
+        assert committed_values(cluster, 0) == ["p0-0", "p0-1", "p0-2"]
+        assert committed_values(cluster, 1) == ["p1-0", "p1-1", "p1-2"]
+
+    def test_abort_drops_the_parked_batch(self):
+        cluster, producer = self.commit_with_partition_0_down()
+        producer.abort()
+        assert producer.pending() == 0
+        assert committed_values(cluster, 0) == []
+        assert committed_values(cluster, 1) == []
+        # The id stays usable, and the dropped batch does not resurface.
+        producer.begin()
+        producer.send("t", "next", partition=0)
+        producer.commit()
+        assert committed_values(cluster, 0) == ["next"]
+
+
+class TestPartitionRange:
+    def test_out_of_range_partition_rejected_before_registration(self):
+        """Regression: ``send(partition=99)`` used to register ``t-99`` with
+        the coordinator, after which commit, abort and re-initialising the
+        id all failed on the marker write to a partition that does not
+        exist — the transactional id was wedged for good."""
+        cluster = make_cluster(partitions=2)
+        producer = TransactionalProducer(cluster, "tx", linger_messages=8)
+        producer.begin()
+        with pytest.raises(ConfigError):
+            producer.send("t", "x", partition=99)
+        coordinator = get_transaction_coordinator(cluster)
+        assert [t["partitions"] for t in coordinator.open_transactions()] == [[]]
+        producer.send("t", "ok", partition=1)
+        producer.commit()
+        assert committed_values(cluster, 1) == ["ok"]
+        successor = TransactionalProducer(cluster, "tx")
+        assert successor.epoch == producer.epoch + 1
