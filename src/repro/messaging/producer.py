@@ -363,6 +363,13 @@ class Producer:
         )
         return delay * (0.5 + 0.5 * self._retry_rng.random())
 
+    def drop_pending(self) -> None:
+        """Forget every buffered and parked batch: the client that held them
+        is gone (a crashed container) or disowns them (an abort).  A parked
+        batch's leader append may have stood; nothing here retries it."""
+        self._buffers.clear()
+        self._failed_batches.clear()
+
     def pending(self) -> int:
         """Records buffered or parked after a failure, not yet acked."""
         buffered = sum(len(b) for b in self._buffers.values())

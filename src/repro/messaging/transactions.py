@@ -381,8 +381,7 @@ class TransactionalProducer(Producer):
     def abort(self) -> None:
         # Buffered records were never produced; a parked batch's leader
         # append may have stood, and the abort marker covers it either way.
-        self._buffers.clear()
-        self._failed_batches.clear()
+        self.drop_pending()
         self.coordinator.abort(self.transactional_id, self.epoch)
 
     @property

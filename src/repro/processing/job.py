@@ -19,6 +19,7 @@ end-to-end latencies across multi-job dataflows are meaningful (E2).
 
 from __future__ import annotations
 
+import sys
 import zlib
 
 from dataclasses import dataclass, field
@@ -46,6 +47,11 @@ from repro.processing.task import Emit, MessageCollector, StreamTask, TaskContex
 AT_LEAST_ONCE = "at_least_once"
 EXACTLY_ONCE = "exactly_once"
 PROCESSING_GUARANTEES = (AT_LEAST_ONCE, EXACTLY_ONCE)
+
+
+#: Linger of every producer a job owns: a send only stages, and the pass-end
+#: flush decides the batch (one request per touched partition per pass).
+_STAGE_ONLY = sys.maxsize
 
 
 def transactional_id(job_name: str, task_id: int) -> str:
@@ -89,10 +95,6 @@ class JobConfig:
     changelog_replication: int = 1
     changelog_segment_messages: int = 1000  # smaller = compaction kicks in sooner
     processing_guarantee: str = AT_LEAST_ONCE
-    #: Exactly-once only: staged records per partition before the task's
-    #: transactional producer ships a batch (the rest flush at commit).
-    #: Batching amortizes the acks=all round trip each staged write pays.
-    txn_linger_messages: int = 16
     #: Warm store copies per task, kept on other containers by tailing the
     #: changelog.  Failover and elastic migration promote one and pay only
     #: the catch-up tail instead of a full changelog restore, and the
@@ -111,8 +113,6 @@ class JobConfig:
             raise JobConfigError(f"job {self.name!r} declares no inputs")
         if self.checkpoint_interval <= 0:
             raise JobConfigError("checkpoint_interval must be > 0")
-        if self.txn_linger_messages < 1:
-            raise JobConfigError("txn_linger_messages must be >= 1")
         if self.window_interval is not None and self.window_interval <= 0:
             raise JobConfigError("window_interval must be > 0")
         if self.num_standby_replicas < 0:
@@ -134,10 +134,17 @@ class PollResult:
 class _AtLeastOnceOutput:
     """Where one task's writes go and how its checkpoint commits.
 
+    Under either guarantee a write only *stages* while a pass runs;
+    :meth:`flush` ships everything staged at pass end, one request per
+    touched partition, and always before the checkpoint that covers it.
+
     At-least-once: emits go through the job's output producer, state updates
     through the ``acks=all`` changelog producer, and a checkpoint is a plain
     offset commit.  Nothing ties the three together, so a crash between a
-    write and the next checkpoint replays (duplicates).
+    flush and the next checkpoint replays (duplicates).  The two producers
+    are shared by the runner's tasks: a batch parked on one output partition
+    fails every task's pass-end flush — and so every checkpoint — until it
+    drains.  Conservative, never lossy.
     """
 
     #: Isolation of every read in the job — inputs and changelog restores.
@@ -155,11 +162,19 @@ class _AtLeastOnceOutput:
         self.changelog: Any = runner._changelog_producer
         self.checkpoints = runner.checkpoints
 
+    def flush(self) -> float:
+        """Ship every staged (and any parked) write; returns the summed ack
+        latency.  Raises, leaving the undelivered batches parked for the
+        next flush, when a partition cannot take its batch."""
+        acks = self.emits.flush() + self.changelog.flush()
+        return sum(ack.latency for ack in acks)
+
     def commit_open(
         self, positions: dict[TopicPartition, int], metadata: dict[str, Any]
     ) -> bool:
         """Commit writes still held back, with ``positions``; returns
-        whether there were any (never, here: every write is already out)."""
+        whether there were any (never, here: a flushed write is out)."""
+        self.flush()
         return False
 
     def commit(
@@ -195,7 +210,7 @@ class _ExactlyOnceOutput(_AtLeastOnceOutput):
         self.producer = TransactionalProducer(
             runner.cluster,
             transactional_id(runner.config.name, task_id),
-            linger_messages=runner.config.txn_linger_messages,
+            linger_messages=_STAGE_ONLY,
         )
 
     def send(
@@ -209,12 +224,18 @@ class _ExactlyOnceOutput(_AtLeastOnceOutput):
             producer.begin()
         return producer.send(topic, value, key, partition, timestamp, headers)
 
+    def flush(self) -> float:
+        return sum(ack.latency for ack in self.producer.flush())
+
     def commit_open(
         self, positions: dict[TopicPartition, int], metadata: dict[str, Any]
     ) -> bool:
         producer = self.producer
         if not producer.in_transaction:
             return False
+        # Offsets are staged with the coordinator and apply only at the
+        # commit, which flushes first: a failed flush leaves the
+        # transaction open, the batch parked and the offsets uncommitted.
         self.checkpoints.commit_transactional(producer, positions, metadata)
         producer.commit()
         return True
@@ -270,14 +291,16 @@ class JobRunner:
         self._m_processed = metric_name(
             "processing", "job", metric_segment(config.name), "processed"
         )
-        self._m_record_age = metric_name(
-            "processing", "job", metric_segment(config.name), "record_age"
-        )
         # Freshness stamp: a hoisted gauge (safe now that registry.reset()
         # zeroes in place) tracking the age of the last record processed —
         # the end-to-end signal the SLO monitor samples on its cadence.
+        # The age histogram beside it is held the same way, for the same
+        # reason: one lookup per runner, not one per record.
         self._g_freshness = self.metrics.gauge(metric_name(
             "processing", "job", metric_segment(config.name), "freshness"
+        ))
+        self._h_record_age = self.metrics.histogram(metric_name(
+            "processing", "job", metric_segment(config.name), "record_age"
         ))
         # Retry jitter seeded from the job name, not the process-global
         # producer id: a job's send latencies must replay identically no
@@ -285,15 +308,27 @@ class JobRunner:
         jitter = zlib.crc32(config.name.encode())
         self._output_path = _OUTPUT_PATHS[config.processing_guarantee]
         self.isolation = self._output_path.isolation
+        # A plain attribute on purpose: callers read its counters
+        # (``runner.producer.retries``, ``.pending()``).
         self.producer = Producer(
-            cluster, ProducerConfig(acks=config.acks, retry_jitter_seed=jitter)
+            cluster,
+            ProducerConfig(
+                acks=config.acks,
+                linger_messages=_STAGE_ONLY,
+                retry_jitter_seed=jitter,
+            ),
         )
         # Changelog writes are the job's state durability: they always use
         # acks=all, independent of the output acks, so a checkpointed input
         # offset can never outlive the state updates it implies.  (This is
         # the paper's "fall back to the highly-available messaging layer".)
         self._changelog_producer = Producer(
-            cluster, ProducerConfig(acks="all", retry_jitter_seed=jitter + 1)
+            cluster,
+            ProducerConfig(
+                acks="all",
+                linger_messages=_STAGE_ONLY,
+                retry_jitter_seed=jitter + 1,
+            ),
         )
         self.checkpoints = CheckpointManager(cluster.offset_manager, config.name)
         self.cpu_cost = (
@@ -395,6 +430,7 @@ class JobRunner:
                 def append(key: Any, value: Any, _topic=topic, _p=task_id) -> None:
                     # Through the task table, so the write lands on the
                     # output path of whichever incarnation owns the slot.
+                    # Staged: its ack arrives with the pass-end flush.
                     self._tasks[_p].output.changelog.send(
                         _topic, value, key=key, partition=_p
                     )
@@ -635,6 +671,9 @@ class JobRunner:
                 instance.positions[tp], fetched.next_offset
             )
         self._maybe_window(instance, result)
+        # The pass is the batch: everything it staged — emits and changelog —
+        # leaves the task here, before any checkpoint that would cover it.
+        result.latency += instance.output.flush()
         if instance.records_since_checkpoint >= self.config.checkpoint_interval:
             self._checkpoint_task(instance)
 
@@ -650,7 +689,7 @@ class JobRunner:
             headers = emit.headers
             if ctx is not None:
                 headers = {**(headers or {}), TRACE_HEADER: ctx}
-            ack = send(
+            send(
                 emit.topic,
                 emit.value,
                 key=emit.key,
@@ -658,8 +697,6 @@ class JobRunner:
                 timestamp=emit.timestamp,
                 headers=headers,
             )
-            if ack is not None:
-                result.latency += ack.latency
         result.records_emitted += len(emits)
         self.records_emitted += len(emits)
 
@@ -703,7 +740,7 @@ class JobRunner:
         self.records_processed += 1
         age = self.clock.now() - record.timestamp
         if age >= 0:
-            self.metrics.histogram(self._m_record_age).observe(age)
+            self._h_record_age.observe(age)
             self._g_freshness.set(age)
         if span is not None:
             # CPU cost is charged to the pass latency, not the clock yet;
@@ -732,6 +769,9 @@ class JobRunner:
         failpoint(
             "job.checkpoint", job=self.config.name, task=instance.task_id
         )
+        # A forced checkpoint may find a batch an earlier pass parked: it
+        # ships first, or the flush raises and nothing is committed.
+        instance.output.flush()
         metadata = {
             "software_version": self.config.version,
             "task_id": instance.task_id,
@@ -741,8 +781,8 @@ class JobRunner:
             # Durable record of the changelog positions this checkpoint
             # covers, so a brand-new runner can seed its snapshot bound from
             # the offset manager.  Under exactly-once this is a lower bound
-            # (the open transaction's tail lands at commit); the in-memory
-            # post-commit _record_snapshot value is the authoritative bound.
+            # (the commit marker lands after it); the in-memory post-commit
+            # _record_snapshot value is the authoritative bound.
             metadata[CHANGELOG_OFFSETS_KEY] = stamp
         instance.output.commit(instance.positions, metadata)
         instance.records_since_checkpoint = 0
@@ -806,10 +846,14 @@ class JobRunner:
 
         Standby replicas survive — they live on other containers, which is
         the whole reason :meth:`recover` can promote one instead of
-        replaying the full changelog.
+        replaying the full changelog.  Writes still staged or parked in a
+        producer are client memory and die too (each task's transactional
+        producer goes with its task); the replay re-creates them.
         """
         self.running = False
         self._tasks = []
+        self.producer.drop_pending()
+        self._changelog_producer.drop_pending()
 
     def recover(self) -> "RecoveryReport":
         """Restart after a crash: rebuild stores from changelogs, then resume

@@ -2,8 +2,14 @@
 
 import pytest
 
+from repro.chaos.failpoints import registry
 from repro.common.clock import SimClock
-from repro.common.errors import JobConfigError, TaskFailedError
+from repro.common.errors import (
+    BrokerUnavailableError,
+    JobConfigError,
+    MessagingError,
+    TaskFailedError,
+)
 from repro.common.records import TopicPartition
 from repro.messaging.cluster import MessagingCluster
 from repro.messaging.producer import Producer
@@ -23,6 +29,22 @@ class CountTask:
     def process(self, record, collector):
         n = self.counts.get_or_default(record.key, 0) + 1
         self.counts.put(record.key, n)
+
+
+class TagTask:
+    """Emit each input back out on its own partition, tagged with the input
+    offset — duplicates and holes are then directly countable downstream."""
+
+    def process(self, record, collector):
+        collector.send(
+            "out", record.offset, key=record.key, partition=record.partition
+        )
+
+
+class CountAndTagTask(CountTask):
+    def process(self, record, collector):
+        super().process(record, collector)
+        TagTask.process(self, record, collector)
 
 
 class FailingTask:
@@ -254,6 +276,137 @@ class TestStateAndRecovery:
         report = runner.recover()
         assert report.records_replayed == 0
         assert len(runner.task(0).stores["counts"]) == 0
+
+
+class TestPassIsTheBatch:
+    """Pinned by request count, not by wall-clock: a pass ships one request
+    per touched partition, however many records it processed."""
+
+    PARTITIONS = 3
+    RECORDS = 60
+
+    def _one_pass(self, changelog=True):
+        """Run one pass of a counting, emitting job over every input; returns
+        the cluster, the runner and the produce requests the pass made,
+        counted and timed per acks mode."""
+        _clock, cluster, _producer = make_env(
+            partitions=self.PARTITIONS, n=self.RECORDS
+        )
+        runner = JobRunner(
+            JobConfig(
+                name="j", inputs=["in"], task_factory=CountAndTagTask,
+                stores=[StoreConfig("counts", changelog=changelog)],
+            ),
+            cluster,
+        )
+        requests = {
+            acks: cluster.metrics.histogram(
+                f"messaging.cluster.produce_latency.{acks}"
+            )
+            for acks in ("leader", "all")
+        }
+        before = {acks: (h.count, h.total) for acks, h in requests.items()}
+        result = runner.poll_once()
+        assert result.records_processed == result.records_emitted == self.RECORDS
+        made = {
+            acks: (h.count - before[acks][0], h.total - before[acks][1])
+            for acks, h in requests.items()
+        }
+        return cluster, runner, result, made
+
+    def test_one_pass_is_one_request_per_touched_partition(self):
+        cluster, runner, _result, made = self._one_pass()
+        # P output requests (the job's acks) + P changelog requests (acks=all).
+        assert made["leader"][0] == self.PARTITIONS
+        assert made["all"][0] == self.PARTITIONS
+        assert runner.producer.pending() == 0
+        for partition in range(self.PARTITIONS):
+            changelog = TopicPartition(changelog_topic_name("j", "counts"), partition)
+            assert cluster.end_offset(changelog) == cluster.end_offset(
+                TopicPartition("in", partition)
+            )
+
+    def test_pass_latency_includes_the_changelog_acks(self):
+        """The changelog's acks=all round trips are part of what a pass
+        costs; the per-record closure used to drop them on the floor."""
+        _, _, without, made = self._one_pass(changelog=False)
+        assert made["all"] == (0, 0.0)
+        _, _, with_changelog, made = self._one_pass(changelog=True)
+        assert made["all"][1] > 0
+        assert with_changelog.latency == pytest.approx(
+            without.latency + made["all"][1]
+        )
+
+
+class TestFailedOutputFlush:
+    """At-least-once twin of ``test_exactly_once_job.py::TestFailedCheckpoint``.
+
+    Regression: nothing in the job ever flushed its output producer, so one
+    batch that exhausted its retries parked its partition for good — every
+    later emit queued behind it while checkpoints kept committing: offset
+    10, output ``[]``, 11 records pending.
+
+    The accepted conservative property: the output and changelog producers
+    are shared by the runner's tasks, so while one partition's batch is
+    parked *every* task's pass-end flush (and checkpoint) fails until it
+    drains.  Never lossy.
+    """
+
+    IN = TopicPartition("in", 0)
+
+    @staticmethod
+    def _out_is_down(partition=None, **_ctx):
+        if partition.topic == "out":
+            raise BrokerUnavailableError("out is down")
+
+    def _runner_after_one_failed_pass(self, still_down=lambda runner: None):
+        _clock, cluster, _producer = make_env(partitions=1, n=10)
+        runner = JobRunner(
+            JobConfig(
+                name="j", inputs=["in"], task_factory=TagTask,
+                checkpoint_interval=10,
+            ),
+            cluster,
+        )
+        with registry().scoped("cluster.produce", self._out_is_down):
+            with pytest.raises(MessagingError):
+                runner.poll_once()  # 10 records, then the pass-end flush
+            still_down(runner)
+        assert cluster.end_offset(TopicPartition("out", 0)) == 0
+        assert runner.checkpoints.fetch(self.IN) is None
+        return cluster, runner
+
+    @staticmethod
+    def _output_offsets(cluster):
+        fetched = cluster.fetch("out", 0, 0, max_messages=100_000)
+        return [record.value for record in fetched.records]
+
+    def test_parked_output_drains_before_the_checkpoint(self):
+        cluster, runner = self._runner_after_one_failed_pass()
+        assert runner.producer.pending() == 10
+        runner.run_until_idle()
+        runner.checkpoint()
+        assert self._output_offsets(cluster) == list(range(10))
+        assert runner.checkpoints.fetch(self.IN).offset == 10
+        assert runner.producer.pending() == 0
+
+    def test_forced_checkpoint_commits_nothing_while_output_is_down(self):
+        def forced_checkpoint(runner):
+            with pytest.raises(MessagingError):
+                runner.checkpoint()
+            assert runner.checkpoints.fetch(self.IN) is None
+
+        self._runner_after_one_failed_pass(still_down=forced_checkpoint)
+
+    def test_crash_drops_the_parked_batch_and_the_replay_re_emits_it(self):
+        cluster, runner = self._runner_after_one_failed_pass()
+        runner.crash()  # the parked batch was container memory
+        assert runner.producer.pending() == 0
+        runner.recover()
+        runner.run_until_idle()
+        runner.checkpoint()
+        assert self._output_offsets(cluster) == list(range(10))
+        assert runner.checkpoints.fetch(self.IN).offset == 10
 
 
 class TestWindowing:

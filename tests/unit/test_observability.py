@@ -125,9 +125,6 @@ def _traced_pipeline(sample_rate=1, processing_guarantee=AT_LEAST_ONCE):
             inputs=["source"],
             task_factory=_EnrichTask,
             processing_guarantee=processing_guarantee,
-            # Exactly-once: produce each emit at once instead of staging it
-            # until a checkpoint, so both guarantees run the same steps.
-            txn_linger_messages=1,
         ),
         outputs=["derived"],
     )
