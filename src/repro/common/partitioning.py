@@ -54,4 +54,7 @@ def stable_hash(key: Any) -> int:
 
 def partition_for_key(key: Any, num_partitions: int) -> int:
     """Deterministically map a key onto one of ``num_partitions``."""
+    if type(key) is str:
+        # The common key type, hashed in place: the bytes are key_to_bytes's.
+        return zlib.crc32(key.encode()) % num_partitions
     return stable_hash(key) % num_partitions

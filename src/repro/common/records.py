@@ -18,7 +18,7 @@ from __future__ import annotations
 import sys
 from collections.abc import Mapping as _AbcMapping
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 
 #: Per-record framing overhead charged by the log (offset, length, crc).
@@ -138,7 +138,7 @@ class ProducerRecord:
         )
 
 
-@dataclass(slots=True)
+@dataclass(init=False, slots=True)
 class StoredMessage:
     """A message at rest inside a log segment.
 
@@ -158,26 +158,38 @@ class StoredMessage:
     value: Any
     timestamp: float
     offset: int
-    headers: dict[str, Any] = field(default_factory=dict)
-    size: int = 0
-    stored_size: int = 0
+    headers: dict[str, Any]
+    size: int
+    stored_size: int
 
-    def __post_init__(self) -> None:
-        # The only place a size that was not supplied gets computed (direct
-        # ``PartitionLog.append*`` / ``StoredMessage(...)`` callers).
-        if self.size == 0:
-            self.size = (
-                estimate_size(self.key)
-                + estimate_size(self.value)
-                + estimate_size(self.headers)
-                + RECORD_FRAMING_BYTES
-            )
+    def __init__(
+        self, key, value, timestamp, offset, headers=None, size=0, stored_size=0
+    ) -> None:
+        self.key = key
+        self.value = value
+        self.timestamp = timestamp
+        self.offset = offset
+        self.headers = {} if headers is None else headers
+        self.size = size
         # ``size`` is the record's *logical* payload (what a consumer is
         # billed for); ``stored_size`` is its *physical* footprint — its
         # share of the (possibly compressed) batch frame it arrived in.
         # Segments, the page cache, replication and the cold tier all move
         # physical bytes, so they charge stored_size; uncompressed records
         # occupy exactly their logical size.
+        self.stored_size = stored_size or size
+        if size == 0:
+            self.__post_init__()
+
+    def __post_init__(self) -> None:
+        # The only place a size that was not supplied gets computed (direct
+        # ``PartitionLog.append*`` / ``StoredMessage(...)`` callers).
+        self.size = (
+            estimate_size(self.key)
+            + estimate_size(self.value)
+            + estimate_size(self.headers)
+            + RECORD_FRAMING_BYTES
+        )
         if self.stored_size == 0:
             self.stored_size = self.size
 
@@ -238,9 +250,15 @@ class _FrozenConsumerRecord(ConsumerRecord):
         )
 
 
-@dataclass(frozen=True)
-class TopicPartition:
-    """Identifies one partition of one topic (hashable; used as dict key)."""
+class TopicPartition(NamedTuple):
+    """Identifies one partition of one topic (hashable; used as dict key).
+
+    A tuple, so hashing, comparing and building one never runs Python code —
+    it keys every per-record dict on the produce path.  What that shows:
+    it equals (and hashes like) the plain ``(topic, partition)`` tuple, it
+    unpacks and orders by ``(topic, partition)``, and assigning a field
+    raises :class:`AttributeError`.
+    """
 
     topic: str
     partition: int

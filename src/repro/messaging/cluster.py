@@ -342,8 +342,13 @@ class MessagingCluster:
             batch_bytes = frame.wire_bytes
             latency = self.cost_model.compress(frame.payload_bytes)
         else:
+            # estimate_size(k) + estimate_size(v) + estimate_size(h), with
+            # the two cheap cases in place: an ASCII str key is its length,
+            # empty headers are nothing.  One call per record, the value's.
             sizes = [
-                estimate_size(k) + estimate_size(v) + estimate_size(h)
+                (len(k) if type(k) is str and k.isascii() else estimate_size(k))
+                + estimate_size(v)
+                + (estimate_size(h) if h else 0)
                 for (k, v, _ts, h) in entries
             ]
             batch_bytes = sum(sizes)

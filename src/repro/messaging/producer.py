@@ -110,6 +110,11 @@ class Producer:
             else config.retry_jitter_seed
         )
         self._round_robin: dict[str, itertools.count] = {}
+        # topic -> its partitions, one shared TopicPartition each: every
+        # send to a partition keys the dicts below with the same object.
+        # Filled on a topic's first successful lookup; a partition count
+        # never changes, so an entry is never stale.
+        self._partitions: dict[str, list[TopicPartition]] = {}
         self._sequences: dict[TopicPartition, int] = {}
         self._buffers: dict[TopicPartition, list[tuple[Any, Any, float | None, dict[str, Any]]]] = {}
         # Batches that exhausted their retries, parked with the idempotent
@@ -129,21 +134,27 @@ class Producer:
 
     # -- partition selection ------------------------------------------------------
 
-    def _choose_partition(self, topic: str, key: Any, partition: int | None) -> int:
-        num_partitions = self.cluster.topic_config(topic).num_partitions
+    def _choose_partition(
+        self, topic: str, key: Any, partition: int | None
+    ) -> TopicPartition:
+        partitions = self._partitions.get(topic)
+        if partitions is None:
+            # Raises TopicNotFoundError (and caches nothing) if unknown.
+            partitions = self._partitions[topic] = self.cluster.partitions_of(topic)
+        num_partitions = len(partitions)
         if partition is not None:
             if not 0 <= partition < num_partitions:
                 raise ConfigError(
                     f"partition {partition} out of range for "
                     f"{topic} ({num_partitions} partitions)"
                 )
-            return partition
+            return partitions[partition]
         if callable(self.partitioner):
-            return self.partitioner(key, num_partitions) % num_partitions
+            return partitions[self.partitioner(key, num_partitions) % num_partitions]
         if self.partitioner == PARTITIONER_HASH and key is not None:
-            return partition_for_key(key, num_partitions)
+            return partitions[partition_for_key(key, num_partitions)]
         counter = self._round_robin.setdefault(topic, itertools.count())
-        return next(counter) % num_partitions
+        return partitions[next(counter) % num_partitions]
 
     # -- send path ----------------------------------------------------------------
 
@@ -200,11 +211,12 @@ class Producer:
                     span.attrs["client_id"] = self.client_id
                 headers = dict(headers) if headers else {}
                 headers[TRACE_HEADER] = span.context()
-        tp = TopicPartition(topic, self._choose_partition(topic, key, partition))
+        tp = self._choose_partition(topic, key, partition)
         if span is not None:
             span.attrs["partition"] = tp.partition
         entry = (key, value, timestamp, headers if headers is not None else {})
-        if self.linger_messages == 1 and tp not in self._failed_batches:
+        parked = tp in self._failed_batches
+        if self.linger_messages == 1 and not parked:
             if span is None:
                 return self._send_batch(tp, [entry])
             try:
@@ -216,12 +228,11 @@ class Producer:
             finally:
                 tracer.close(span, end=self.cluster.clock.now())
             return ack
-        buffer = self._buffers.setdefault(tp, [])
+        buffer = self._buffers.get(tp)
+        if buffer is None:
+            buffer = self._buffers[tp] = []
         buffer.append(entry)
-        if (
-            len(buffer) >= self.linger_messages
-            and tp not in self._failed_batches
-        ):
+        if len(buffer) >= self.linger_messages and not parked:
             del self._buffers[tp]
             if span is None:
                 return self._send_batch(tp, buffer)

@@ -6,10 +6,10 @@ a given partition may not have incorporated all data from the lead broker
 when it fails."
 
 The :class:`ReplicationManager` is driven from the cluster tick: each pass,
-every follower replica fetches from its leader, reconciles divergent tails
-(truncation after leader changes), and the controller's ISR is shrunk or
-re-expanded based on observed lag — the "configurable minimum up-to-date
-threshold" the paper describes.
+every follower replica reconciles a divergent tail (truncation after leader
+changes) and, unless it is already caught up, fetches from its leader; the
+controller's ISR is shrunk or re-expanded based on observed lag — the
+"configurable minimum up-to-date threshold" the paper describes.
 """
 
 from __future__ import annotations
@@ -123,6 +123,18 @@ class ReplicationManager:
                 stats.truncations.append((partition, follower_id, removed))
 
         fetch_offset = follower_replica.log_end_offset
+        if (
+            follower_replica.leader_epoch == leader_replica.leader_epoch
+            and fetch_offset == leader_replica.log_end_offset
+            and leader_replica._follower_leo.get(follower_id) == fetch_offset
+            and follower_replica.high_watermark >= leader_replica.high_watermark
+            and follower_id in controller.isr_for(partition)
+        ):
+            # Caught up, and the leader knows it: the fetch would return
+            # nothing, record the position the leader already holds, and
+            # leave both high watermarks and the ISR as they are.
+            stats.partitions_synced += 1
+            return
         try:
             messages, leader_leo, leader_hw, frames, stored_bytes = (
                 leader_broker.replica_fetch(

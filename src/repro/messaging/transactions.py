@@ -38,7 +38,7 @@ from __future__ import annotations
 import itertools
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any
 
 from repro.chaos.failpoints import failpoint
 from repro.common.errors import (
@@ -72,11 +72,6 @@ _M_COMMITS_RESUMED = metric_name(
     "messaging", "transactions", "commits_resumed"
 )
 _M_SEND_RETRIES = metric_name("messaging", "transactions", "send_retries")
-
-
-def _sorted_partitions(partitions: Iterable[TopicPartition]) -> list[TopicPartition]:
-    """Deterministic marker/offset order regardless of PYTHONHASHSEED."""
-    return sorted(partitions, key=lambda tp: (tp.topic, tp.partition))
 
 
 @dataclass
@@ -202,7 +197,7 @@ class TransactionCoordinator:
         failpoint("txn.commit", transactional_id=transactional_id)
         # Decision point: from here the transaction IS committed.
         state.decided = CTRL_COMMIT
-        state.markers_pending = _sorted_partitions(state.in_flight)
+        state.markers_pending = sorted(state.in_flight)
         self._complete_commit(transactional_id, state)
 
     def _complete_commit(self, transactional_id: str, state: _TxnState) -> None:
@@ -217,9 +212,7 @@ class TransactionCoordinator:
             self._write_marker(tp, CTRL_COMMIT, state.producer_id)
             state.markers_pending.pop(0)
         failpoint("txn.commit.offsets", transactional_id=transactional_id)
-        for (group, tp) in sorted(
-            state.pending_offsets, key=lambda k: (k[0], k[1].topic, k[1].partition)
-        ):
+        for (group, tp) in sorted(state.pending_offsets):
             offset, metadata = state.pending_offsets[(group, tp)]
             self.cluster.offset_manager.commit(group, tp, offset, metadata)
             self.cluster.metrics.counter(_M_OFFSETS).increment()
@@ -242,7 +235,7 @@ class TransactionCoordinator:
 
     def _apply_abort(self, transactional_id: str, state: _TxnState) -> None:
         span = self._open_span("txn.abort", transactional_id, state)
-        for tp in _sorted_partitions(state.in_flight):
+        for tp in sorted(state.in_flight):
             self._write_marker(tp, CTRL_ABORT, state.producer_id)
         state.pending_offsets.clear()
         state.in_flight.clear()
@@ -277,9 +270,7 @@ class TransactionCoordinator:
                     "transactional_id": transactional_id,
                     "producer_id": state.producer_id,
                     "epoch": state.epoch,
-                    "partitions": [
-                        str(tp) for tp in _sorted_partitions(state.in_flight)
-                    ],
+                    "partitions": [str(tp) for tp in sorted(state.in_flight)],
                     "pending_offsets": len(state.pending_offsets),
                     "decided": state.decided,
                 }
@@ -407,12 +398,10 @@ class TransactionalProducer(Producer):
         """
         if not self.coordinator.is_open(self.transactional_id):
             raise TransactionError("send outside a transaction; call begin()")
-        partition = self._choose_partition(topic, key, partition)
-        self.coordinator.add_partition(
-            self.transactional_id, self.epoch, TopicPartition(topic, partition)
-        )
+        tp = self._choose_partition(topic, key, partition)
+        self.coordinator.add_partition(self.transactional_id, self.epoch, tp)
         return Producer.send(
-            self, topic, value, key, partition, timestamp, headers
+            self, topic, value, key, tp.partition, timestamp, headers
         )
 
     def flush(self) -> list[ProduceAck]:
@@ -424,9 +413,7 @@ class TransactionalProducer(Producer):
         # Fencing check up front: a zombie incarnation must not push its
         # staged records onto the wire under a stale epoch.
         self.coordinator.state_for(self.transactional_id, self.epoch)
-        self._buffers = {
-            tp: self._buffers[tp] for tp in _sorted_partitions(self._buffers)
-        }
+        self._buffers = {tp: self._buffers[tp] for tp in sorted(self._buffers)}
         return Producer.flush(self)
 
     def _send_batch(

@@ -185,29 +185,30 @@ class PartitionLog:
                 f"{len(sizes)} sizes for {len(entries)} entries"
             )
         now = self.clock.now()
-        messages: list[StoredMessage] = []
-        error: ConfigError | None = None
-        offset = self._next_offset
-        max_bytes = self.config.max_message_bytes
-        for (key, value, timestamp, headers), size in zip(
-            entries, sizes if sizes is not None else repeat(None)
-        ):
-            message = StoredMessage(
+        messages = [
+            StoredMessage(
                 key,
                 value,
                 timestamp if timestamp is not None else now,
                 offset,
-                headers if headers is not None else {},
+                headers,
                 0 if size is None else size + RECORD_FRAMING_BYTES,
             )
-            if message.size > max_bytes:
-                error = ConfigError(
-                    f"message of {message.size}B exceeds max_message_bytes="
-                    f"{max_bytes}"
-                )
-                break
-            messages.append(message)
-            offset += 1
+            for offset, ((key, value, timestamp, headers), size) in enumerate(
+                zip(entries, sizes if sizes is not None else repeat(None)),
+                self._next_offset,
+            )
+        ]
+        error: ConfigError | None = None
+        max_bytes = self.config.max_message_bytes
+        if max([m.size for m in messages], default=0) > max_bytes:
+            # The batch ends before its first oversized record.
+            cut = next(i for i, m in enumerate(messages) if m.size > max_bytes)
+            error = ConfigError(
+                f"message of {messages[cut].size}B exceeds max_message_bytes="
+                f"{max_bytes}"
+            )
+            del messages[cut:]
         if (
             frame is not None
             and error is None

@@ -14,12 +14,13 @@ last ulp, and the commit-prefix-then-raise error behaviour.
 
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.clock import SimClock
 from repro.common.costmodel import DEFAULT_COST_MODEL
 from repro.common.errors import ConfigError
-from repro.common.records import StoredMessage
+from repro.common.records import StoredMessage, estimate_size
 from repro.storage.log import LogConfig, PartitionLog
 
 keys = st.one_of(st.none(), st.text(alphabet="abcde", min_size=1, max_size=3))
@@ -220,12 +221,29 @@ class TestAppendBatchEquivalence:
         # Plant an oversized record at a random position: everything before
         # it must be appended, then the error raised.
         pos = draw.draw(st.integers(min_value=0, max_value=len(data)))
+        self.check_oversized(data, config, pos, draw.draw(st.booleans()))
+
+    @pytest.mark.parametrize("pos", [0, 2, 4])
+    def test_oversized_record_under_a_supplied_sizes_column(self, pos):
+        # First, middle, last: the one max() over the column trips and the
+        # batch is cut exactly where the per-record loop stopped.
+        data = [(f"k{i}", "v" * i, None, {"h": i}) for i in range(4)]
+        self.check_oversized(data, LogConfig(segment_max_messages=3), pos, True)
+
+    @staticmethod
+    def check_oversized(data, config, pos, with_sizes):
         big = "z" * (config.max_message_bytes + 1)
         poisoned = data[:pos] + [("k", big, None, None)] + data[pos:]
+        sizes = None
+        if with_sizes:  # the produce path's column: payload, framing excluded
+            sizes = [
+                estimate_size(k) + estimate_size(v) + estimate_size(h)
+                for k, v, _ts, h in poisoned
+            ]
         reference, batched = ReferenceLog(config), fresh_log(config)
         expected = raised(reference.append, poisoned)
         assert expected is not None
-        assert raised(batched.append_batch, poisoned) == expected
+        assert raised(batched.append_batch, poisoned, None, sizes) == expected
         assert batched.log_end_offset == pos
         assert layout(batched) == reference.layout()
 

@@ -73,7 +73,10 @@ values = st.recursive(
     ),
     max_leaves=8,
 )
-keys = st.one_of(st.none(), text, st.integers(0, 2**40), st.binary(max_size=6))
+keys = st.one_of(
+    st.none(), text, st.integers(0, 2**40), st.binary(max_size=6),
+    st.tuples(text, st.integers(0, 9)),
+)
 user_headers = st.dictionaries(
     text.filter(lambda name: not name.startswith("__")), scalars, max_size=2
 )
@@ -186,6 +189,34 @@ class TestCarriedSizeEqualsRecomputedSize:
             expected_wire += 2 * stored_bytes
         expected_wire += sum(stored[r.offset].stored_size for r in fetched)
         assert wire.value == expected_wire
+
+
+class TestInlinedColumn:
+    """``_produce_to`` sizes an ASCII ``str`` key and empty headers in place
+    and walks only the value; the column is still the three walks' sum."""
+
+    def test_column_is_the_sum_of_three_walks(self):
+        class Name(str):
+            pass
+
+        keys = [None, "", "ascii-key", "né☃", Name("sub"), Name("sübé"),
+                b"\xff\x00", 7, ("t", 3)]
+        headers = [{}, {"user": "é", "n": 1}, {TRACE_HEADER: TraceContext("t", 1)},
+                   {"user": "x", TRACE_HEADER: TraceContext("t", 1)}]
+        batch = [
+            (key, {"k": "v", "n": i}, 1.0, held)
+            for i, key in enumerate(keys) for held in headers
+        ]
+        cluster = MessagingCluster(num_brokers=1, clock=SimClock())
+        cluster.create_topic("t", num_partitions=1, replication_factor=1)
+        cluster.produce("t", 0, batch)
+        column = [
+            estimate_size(k) + estimate_size(v) + estimate_size(h)
+            for k, v, _ts, h in batch
+        ]
+        stored = cluster.broker(0).replica(TP).log.all_messages()
+        assert [m.size - RECORD_FRAMING_BYTES for m in stored] == column
+        assert cluster.metrics.counter(WIRE_BYTES).value == sum(column)
 
 
 class TestEstimateSizeFastPaths:

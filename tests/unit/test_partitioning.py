@@ -10,7 +10,9 @@ diff, not as silently re-shuffled topics.
 import zlib
 
 import pytest
+from hypothesis import given, strategies as st
 
+from repro.common import partitioning
 from repro.common.clock import SimClock
 from repro.common.partitioning import key_to_bytes, partition_for_key, stable_hash
 from repro.messaging.cluster import MessagingCluster
@@ -78,6 +80,39 @@ class TestPinnedAssignments:
         for key, _h, _p in self.PINNED:
             for n in (1, 2, 3, 7, 64):
                 assert 0 <= partition_for_key(key, n) < n
+
+
+class TestStrFastPath:
+    """``partition_for_key`` hashes an exact ``str`` in place; the result is
+    ``stable_hash(key) % n`` all the same."""
+
+    @given(st.text(), st.integers(1, 64))
+    def test_any_text_lands_where_stable_hash_puts_it(self, key, n):
+        assert partition_for_key(key, n) == stable_hash(key) % n
+        assert stable_hash(key) == zlib.crc32(key.encode("utf-8"))
+
+    def test_non_ascii_and_empty(self):
+        for key in ("", "é", "☃𝄞", "user-é-42"):
+            assert partition_for_key(key, 7) == stable_hash(key) % 7
+
+    def test_str_subclass_takes_the_general_path_to_the_same_partition(
+        self, monkeypatch
+    ):
+        class Name(str):
+            pass
+
+        seen = []
+        real = partitioning.stable_hash
+        monkeypatch.setattr(
+            partitioning, "stable_hash", lambda key: seen.append(key) or real(key)
+        )
+        assert partition_for_key(Name("user-é"), 5) == partition_for_key("user-é", 5)
+        assert seen == ["user-é"] and type(seen[0]) is Name
+
+    def test_lone_surrogate_is_refused_on_both_paths(self):
+        for path in (stable_hash, lambda key: partition_for_key(key, 4)):
+            with pytest.raises(UnicodeEncodeError):
+                path("\ud800")
 
 
 class TestClientsAgree:

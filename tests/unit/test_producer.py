@@ -10,6 +10,7 @@ from repro.common.errors import (
     MessagingError,
     ProducerFlushError,
     ReservedHeaderError,
+    TopicNotFoundError,
 )
 from repro.common.records import TopicPartition
 from repro.common.partitioning import stable_hash
@@ -81,6 +82,46 @@ class TestPartitioning:
     def test_unknown_partitioner_rejected(self):
         with pytest.raises(ConfigError):
             Producer(make_cluster(), ProducerConfig(partitioner="random"))
+
+
+class TestSharedPartitions:
+    """One TopicPartition object per (topic, partition) per producer, handed
+    out from a per-topic list that is only ever filled with the truth."""
+
+    def test_every_send_to_a_partition_keys_with_the_same_object(self):
+        producer = Producer(
+            make_cluster(), ProducerConfig(linger_messages=10, idempotent=True)
+        )
+        for value in range(3):
+            producer.send("t", value, key="stable")
+        producer.send("t", "explicit", partition=stable_hash("stable") % 4)
+        (buffered,) = producer._buffers
+        assert len(producer._buffers[buffered]) == 4
+        (ack,) = producer.flush()
+        (sequenced,) = producer._sequences
+        assert sequenced is buffered
+        # A fresh instance (the ack's is the cluster's own) is the same key.
+        assert ack.partition == buffered and ack.partition is not buffered
+        assert hash(ack.partition) == hash(buffered)
+        assert producer._sequences[TopicPartition(*buffered)] == 0
+
+    def test_unknown_topic_raises_every_time_and_caches_nothing(self):
+        cluster = make_cluster()
+        producer = Producer(cluster)
+        for _ in range(2):
+            with pytest.raises(TopicNotFoundError):
+                producer.send("late", "v", key="k")
+        cluster.create_topic("late", num_partitions=2, replication_factor=1)
+        assert producer.send("late", "v", partition=1).partition == ("late", 1)
+
+    def test_out_of_range_partition_buffers_nothing(self):
+        producer = Producer(make_cluster(), ProducerConfig(linger_messages=5))
+        producer.send("t", "kept", partition=3)
+        for bad in (4, -1):
+            with pytest.raises(ConfigError):
+                producer.send("t", "v", partition=bad)
+        assert list(producer._buffers) == [TopicPartition("t", 3)]
+        assert producer.pending() == 1
 
 
 class TestBatching:

@@ -145,3 +145,35 @@ class TestTopicPartition:
 
     def test_str(self):
         assert str(TopicPartition("events", 3)) == "events-3"
+        assert repr(TopicPartition("events", 3)) == (
+            "TopicPartition(topic='events', partition=3)"
+        )
+
+    def test_is_a_tuple(self):
+        tp = TopicPartition("t", 1)
+        assert tp == ("t", 1) and hash(tp) == hash(("t", 1))
+        assert {("t", 1): "plain"}[tp] == "plain"
+        topic, partition = tp
+        assert (topic, partition) == (tp.topic, tp.partition) == ("t", 1)
+
+    def test_orders_by_topic_then_partition(self):
+        shuffled = [
+            TopicPartition("b", 0), TopicPartition("a", 10), TopicPartition("a", 2)
+        ]
+        assert sorted(shuffled) == [("a", 2), ("a", 10), ("b", 0)]
+
+    def test_immutable(self):
+        tp = TopicPartition("t", 1)
+        with pytest.raises(AttributeError):
+            tp.partition = 2
+        with pytest.raises(AttributeError):
+            tp.extra = 1
+
+    def test_copy_and_pickle_round_trip(self):
+        tp = TopicPartition("t", 1)
+        for clone in (
+            copy.copy(tp), copy.deepcopy(tp), pickle.loads(pickle.dumps(tp))
+        ):
+            assert type(clone) is TopicPartition
+            assert clone == tp and hash(clone) == hash(tp)
+            assert str(clone) == "t-1"

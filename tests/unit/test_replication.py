@@ -1,5 +1,8 @@
 """Unit tests for the replication loop and ISR maintenance (§4.3)."""
 
+import pytest
+
+from repro.chaos.failpoints import registry, skipping
 from repro.common.clock import SimClock
 from repro.common.records import TopicPartition
 from repro.messaging.cluster import ACKS_LEADER, MessagingCluster
@@ -59,6 +62,66 @@ class TestCopying:
         cluster.produce("t", 0, entries(4), acks=ACKS_LEADER)
         stats = cluster.replication.poll()
         assert stats.messages_copied == 4  # only the live follower
+
+
+class TestIdleFollower:
+    """A caught-up follower costs a comparison, not a fetch: same epoch, same
+    end offset, the leader has that offset on record, nothing to learn about
+    the high watermark, already in the ISR.  Each condition carries weight."""
+
+    @staticmethod
+    def settled():
+        cluster = make_cluster()
+        cluster.produce("t", 0, entries(5), acks=ACKS_LEADER)
+        cluster.run_until_replicated()
+        cluster.replication.poll()  # the slower follower learns the HW
+        leader_id = cluster.leader_of("t", 0)
+        follower_id = [b for b in range(3) if b != leader_id][0]
+        return (
+            cluster,
+            cluster.broker(leader_id).replica(TP),
+            cluster.broker(follower_id).replica(TP),
+        )
+
+    @staticmethod
+    def fetches_in_one_pass(cluster) -> int:
+        """Log reads a pass performs, counted where a replica fetch lands."""
+        registry().reset_counters()
+        with registry().scoped("log.read"):
+            stats = cluster.replication.poll()
+        # Two followers each for "t" and the offsets topic: all still polled.
+        assert stats.partitions_synced == 4
+        return registry().fires("log.read")
+
+    def test_settled_cluster_fetches_nothing(self):
+        cluster, _leader, _follower = self.settled()
+        assert self.fetches_in_one_pass(cluster) == 0
+
+    def test_stall_is_still_evaluated_first(self):
+        cluster, _leader, _follower = self.settled()
+        with registry().scoped("replication.sync", skipping):
+            assert cluster.replication.poll().partitions_synced == 0
+
+    @pytest.mark.parametrize(
+        "unsettle",
+        [
+            lambda c, leader, f: f.become_follower(leader.leader_epoch + 1),
+            lambda c, leader, f: f.truncate_to(4),
+            lambda c, leader, f: leader._follower_leo.update({f.broker_id: 4}),
+            lambda c, leader, f: setattr(f, "high_watermark", 4),
+            lambda c, leader, f: c.controller.shrink_isr(TP, f.broker_id),
+        ],
+        ids=["epoch", "end-offset", "recorded-position", "high-watermark", "isr"],
+    )
+    def test_any_one_condition_missing_means_a_fetch(self, unsettle):
+        cluster, leader, follower = self.settled()
+        unsettle(cluster, leader, follower)
+        assert self.fetches_in_one_pass(cluster) == 1  # the other one idles
+        # ... and the fetch did its job: position, HW and ISR are whole again.
+        assert follower.log_end_offset == leader.log_end_offset == 5
+        assert leader._follower_leo[follower.broker_id] == 5
+        assert follower.high_watermark == leader.high_watermark == 5
+        assert len(cluster.controller.isr_for(TP)) == 3
 
 
 class TestIsrMaintenance:

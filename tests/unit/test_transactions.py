@@ -488,3 +488,17 @@ class TestPartitionRange:
         assert committed_values(cluster, 1) == ["ok"]
         successor = TransactionalProducer(cluster, "tx")
         assert successor.epoch == producer.epoch + 1
+
+    def test_send_registers_the_partition_object_it_buffers_under(self):
+        cluster = make_cluster(partitions=2)
+        producer = TransactionalProducer(cluster, "tx", linger_messages=8)
+        producer.begin()
+        producer.send("t", "a", key="k")
+        producer.send("t", "b", key="k")
+        state = get_transaction_coordinator(cluster).state_for("tx", producer.epoch)
+        (registered,) = state.in_flight
+        (buffered,) = producer._buffers
+        assert registered is buffered
+        producer.commit()
+        (sequenced,) = state.sequences
+        assert sequenced is buffered
