@@ -4,21 +4,21 @@ crept back in.
 Runs liquidbench workloads untraced at the default seed and compares the
 exact, hardware-independent numbers (``sim_s_per_krec``,
 ``sim_wire_bytes_per_record``) with ``benchmarks/liquidbench/baseline.json``.
-A wall-clock optimisation must leave them identical to the last bit; a
-change that means to move them re-measures the baseline in its own PR.
+A wall-clock optimisation must leave them identical to the last bit.
+
+A change that means to move one says so up front and, because only a
+``[benchmark]`` PR may edit ``baseline.json``, records the new exact value in
+:data:`MOVED_SINCE_BASELINE`, which overrides the stale baseline entry — so
+every ``sim_*`` number of every workload stays pinned to the bit.  The
+``[benchmark]`` re-anchor (ROADMAP item 2a) re-measures ``baseline.json``,
+folds this table and :data:`CALL_CEILINGS` into it and deletes both.
 
 The same run's ``py_calls_per_record`` (a ``cProfile`` call count — it
 repeats exactly on one Python version) must stay at or under the
 workload's entry in :data:`CALL_CEILINGS`.
 
-An argument is ``workload`` (both numbers) or ``workload:metric`` (that one
-only — for a workload whose other number was moved on purpose and whose
-baseline has not been re-measured yet); the call ceiling is checked either
-way.
-
     python3 benchmarks/check_sim_baseline.py nearline_ingest compressed_ingest \
-        offline_rewind stateful_job:sim_wire_bytes_per_record \
-        exactly_once_serving:sim_wire_bytes_per_record
+        offline_rewind stateful_job exactly_once_serving
 """
 
 from __future__ import annotations
@@ -34,21 +34,29 @@ EXACT = ("sim_s_per_krec", "sim_wire_bytes_per_record")
 #: each) x 1.01, the bound BENCHMARK.json puts on the metric.  A change that
 #: lowers a count lowers its ceiling in the same PR.
 CALL_CEILINGS = {
-    "nearline_ingest": 66.71,  # 66.0517
-    "compressed_ingest": 48.28,  # 47.80635
-    "stateful_job": 167.78,  # 166.12158
-    "exactly_once_serving": 383.69,  # 379.897
+    "nearline_ingest": 65.72,  # 65.0757
+    "compressed_ingest": 47.32,  # 46.86015
+    "stateful_job": 165.85,  # 164.20867
+    "exactly_once_serving": 269.10,  # 266.44119
     "offline_rewind": 1.4091,  # 1.39522
+}
+#: Exact values a PR moved on purpose after ``baseline.json`` was measured:
+#: PR 19 made the pass the batch (``sim_s_per_krec`` on both job workloads);
+#: PR 21 made producer state batch metadata (no per-record stamp bytes, one
+#: batch header per stamped batch: ``exactly_once_serving`` only).
+MOVED_SINCE_BASELINE = {
+    "stateful_job": {"sim_s_per_krec": 0.04208991866666691},
+    "exactly_once_serving": {
+        "sim_s_per_krec": 0.04275546945000021,
+        "sim_wire_bytes_per_record": 1480.03,
+    },
 }
 
 
 def main(targets: list[str]) -> int:
     baseline = json.loads((BENCH / "baseline.json").read_text())["workloads"]
     moved = 0
-    for target in targets:
-        workload, _, only = target.partition(":")
-        if only and only not in EXACT:
-            sys.exit(f"{target}: metric must be one of {', '.join(EXACT)}")
+    for workload in targets:
         run = subprocess.run(
             [sys.executable, str(BENCH / "run.py"), "--workload", workload, "--trace", "0"],
             stdout=subprocess.PIPE,
@@ -56,8 +64,10 @@ def main(targets: list[str]) -> int:
             check=True,
         )
         got = json.loads(run.stdout.splitlines()[-1])["metrics"]
-        for metric in (only,) if only else EXACT:
-            want = baseline[workload]["end_to_end"][metric]
+        for metric in EXACT:
+            want = MOVED_SINCE_BASELINE.get(workload, {}).get(
+                metric, baseline[workload]["end_to_end"][metric]
+            )
             verdict = "ok" if got[metric]["value"] == want else "MOVED"
             moved += verdict != "ok"
             print(f"{workload:22s} {metric:26s} {got[metric]['value']!r} baseline {want!r} {verdict}")

@@ -20,13 +20,14 @@ A :class:`BatchFrame` carries two byte counts:
   ``len()`` of the zlib-compressed canonical serialization plus a fixed
   frame header.
 
-Batch-level metadata that Kafka keeps in the (uncompressed) batch header —
-idempotent producer id/sequence, per-record trace contexts — rides on the
-frame object rather than inside the payload.  The reserved ``__trace``
-header is therefore *excluded* from the canonical serialization, preserving
-the observe-don't-mutate invariant: installing a tracer never changes a
-frame's compressed bytes, so traced and untraced runs stay byte-identical
-even with compression armed.
+Per-record trace contexts ride on the frame object rather than inside the
+payload, the way Kafka keeps batch-level metadata in the (uncompressed)
+batch header; a batch's producer id and sequence are the produce request's
+and live in the log's batch index, beside the frame registry.  The reserved
+``__trace`` header is therefore *excluded* from the canonical serialization,
+preserving the observe-don't-mutate invariant: installing a tracer never
+changes a frame's compressed bytes, so traced and untraced runs stay
+byte-identical even with compression armed.
 """
 
 from __future__ import annotations
@@ -139,8 +140,6 @@ class BatchFrame:
         "wire_bytes",
         "sizes",
         "trace_contexts",
-        "producer_id",
-        "producer_seq",
         "_entries",
     )
 
@@ -162,10 +161,6 @@ class BatchFrame:
         self.wire_bytes = len(payload) + BATCH_FRAME_HEADER_BYTES
         self.sizes = sizes
         self.trace_contexts = trace_contexts
-        # Batch-header producer state (Kafka keeps these uncompressed in the
-        # batch header too); set by the producer after sequence allocation.
-        self.producer_id: int | None = None
-        self.producer_seq: int | None = None
         self._entries: list | None = None
 
     # -- payload access ------------------------------------------------------

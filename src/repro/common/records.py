@@ -31,10 +31,10 @@ RECORD_FRAMING_BYTES = 24
 #: enforces.
 TRACE_HEADER = "__trace"
 
-#: Header keys with this prefix belong to the system (``__trace``, ``__pid``,
-#: ``__seq``, ``__txn``, ``__ctrl``): the log and the batch frame give them
-#: meaning, so a client record carrying one would not round-trip.  The
-#: producers' ``send`` rejects them with
+#: Header keys with this prefix belong to the system (``__trace`` on a traced
+#: record; ``__ctrl`` and ``__pid`` on a control marker): the log and the
+#: batch frame give them meaning, so a client record carrying one would not
+#: round-trip.  The producers' ``send`` rejects them with
 #: :class:`~repro.common.errors.ReservedHeaderError`; the one exception is
 #: ``__trace`` holding a ``TraceContext``, which continues an existing trace.
 RESERVED_HEADER_PREFIX = "__"

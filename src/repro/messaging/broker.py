@@ -26,7 +26,7 @@ from repro.common.metrics import MetricsRegistry, metric_name
 from repro.common.records import StoredMessage, TopicPartition
 from repro.chaos.failpoints import failpoint
 from repro.storage.compaction import CompactionConfig, LogCompactor
-from repro.storage.log import PartitionLog, ReadResult
+from repro.storage.log import BatchEntry, PartitionLog, ReadResult
 from repro.storage.pagecache import PageCache
 from repro.storage.retention import RetentionEnforcer
 from repro.storage.tiered import ColdTier, ObjectStore
@@ -141,17 +141,20 @@ class Broker:
         producer_seq: int | None = None,
         frame: BatchFrame | None = None,
         sizes: Sequence[int] | None = None,
+        transactional: bool = False,
     ) -> tuple[ProduceResult, float]:
         """Append a batch on the leader replica; returns (result, latency).
 
         ``sizes`` is the cluster's payload-size column for ``entries``
-        (see :meth:`PartitionLog.append_batch`).
+        (see :meth:`PartitionLog.append_batch`); ``producer_id``,
+        ``producer_seq`` and ``transactional`` are the batch's producer
+        state (see :meth:`PartitionReplica.append_batch`).
         """
         failpoint("broker.produce", broker=self.broker_id, partition=partition)
         self._check_online()
         replica = self.replica(partition)
         result = replica.append_batch(
-            entries, epoch, producer_id, producer_seq, frame, sizes
+            entries, epoch, producer_id, producer_seq, frame, sizes, transactional
         )
         latency = self.cost_model.request(len(entries)) + result.latency
         self.metrics.counter(_M_MESSAGES_IN).increment(len(entries))
@@ -190,24 +193,35 @@ class Broker:
         follower_id: int,
         max_messages: int = 1000,
     ) -> tuple[
-        list[StoredMessage], int, int, list[tuple[int, int, BatchFrame]], int
+        list[StoredMessage],
+        int,
+        int,
+        list[tuple[int, int, BatchFrame]],
+        int,
+        list[BatchEntry],
     ]:
         """Follower fetch from this (leader) broker.
 
-        Returns ``(messages, leader_leo, leader_hw, frames, stored_bytes)``
-        (the last being the run's physical size).  As in Kafka,
-        the fetch *offset itself* tells the leader how far the follower has
-        got: the leader records it and may advance the high watermark.
-        ``frames`` are the compressed-batch registry entries covering the
-        returned run, shipped alongside so the follower stores the same
-        opaque blobs.
+        Returns ``(messages, leader_leo, leader_hw, frames, stored_bytes,
+        batches)`` (``stored_bytes`` being the run's physical size).  As in
+        Kafka, the fetch *offset itself* tells the leader how far the
+        follower has got: the leader records it and may advance the high
+        watermark.  ``frames`` are the compressed-batch registry entries
+        covering the returned run, shipped alongside so the follower stores
+        the same opaque blobs; ``batches`` are the batch-index entries
+        overlapping it (from ``offset`` on), so the follower learns the
+        producer state the run carries.
         """
         self._check_online()
         replica = self.replica(partition)
         hw = replica.record_follower_position(follower_id, offset)
         result = replica.fetch(offset, max_messages, committed_only=False)
         frames = replica.log.frames_spanned_by(result.messages)
-        return result.messages, replica.log_end_offset, hw, frames, result.stored_bytes
+        batches = replica.log.batches_spanned_by(offset, result.messages)
+        return (
+            result.messages, replica.log_end_offset, hw, frames,
+            result.stored_bytes, batches,
+        )
 
     # -- maintenance (driven by the cluster tick) -------------------------------------------
 
@@ -229,6 +243,8 @@ class Broker:
                 config.retention, self.clock, archiver=archiver
             )
             result = enforcer.enforce(replica.log)
+            if result.messages_deleted:
+                replica.trim_producer_state()
             deleted += result.messages_deleted
             archived += result.segments_archived
         if deleted:

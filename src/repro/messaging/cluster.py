@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.common.clock import SimClock
-from repro.common.compression import BatchFrame
+from repro.common.compression import BATCH_FRAME_HEADER_BYTES, BatchFrame
 from repro.common.costmodel import DEFAULT_COST_MODEL, CostModel
 from repro.common.errors import (
     BrokerUnavailableError,
@@ -291,13 +291,16 @@ class MessagingCluster:
         producer_seq: int | None = None,
         client_id: str | None = None,
         frame: BatchFrame | None = None,
+        transactional: bool = False,
     ) -> ProduceAck:
         """Produce a batch to one partition (low-level; see Producer).
 
         ``client_id`` enables per-application byte-rate quotas (§4.5): a
         client over its produce quota has the throttle delay added to its
         ack latency.  With ``frame`` set the batch travels (and is charged)
-        as the producer's compressed blob.
+        as the producer's compressed blob.  ``producer_id`` /
+        ``producer_seq`` / ``transactional`` are the request's producer
+        state — fields of the batch, never of its records.
         """
         tp = TopicPartition(topic, partition)
         self.topic_config(topic)
@@ -312,7 +315,8 @@ class MessagingCluster:
                 for (k, v, ts, h) in entries
             ]
         return self._produce_to(
-            tp, entries, acks, producer_id, producer_seq, frame, client_id
+            tp, entries, acks, producer_id, producer_seq, frame, client_id,
+            transactional,
         )
 
     def _produce_to(
@@ -324,6 +328,7 @@ class MessagingCluster:
         producer_seq: int | None = None,
         frame: BatchFrame | None = None,
         client_id: str | None = None,
+        transactional: bool = False,
     ) -> ProduceAck:
         if acks not in _ACK_MODES:
             raise ConfigError(f"unknown acks mode {acks!r}; expected {_ACK_MODES}")
@@ -352,6 +357,10 @@ class MessagingCluster:
                 for (k, v, _ts, h) in entries
             ]
             batch_bytes = sum(sizes)
+            if producer_id is not None:
+                # Producer state travels once per batch, in the batch header
+                # a framed batch already pays for inside its wire bytes.
+                batch_bytes += BATCH_FRAME_HEADER_BYTES
             latency = 0.0
         if acks == ACKS_NONE:
             latency += self.cost_model.network_oneway(batch_bytes)
@@ -364,7 +373,8 @@ class MessagingCluster:
                 f"{config.min_insync_replicas}"
             )
         result, broker_latency = leader_broker.produce(
-            tp, entries, state.epoch, producer_id, producer_seq, frame, sizes
+            tp, entries, state.epoch, producer_id, producer_seq, frame, sizes,
+            transactional,
         )
         latency += broker_latency
         if acks == ACKS_ALL and not result.duplicate:
@@ -414,10 +424,12 @@ class MessagingCluster:
                 committed_only=False,
             )
             # Ship the leader's compressed frames with the records so the
-            # follower stores the identical opaque blobs (no re-encode).
+            # follower stores the identical opaque blobs (no re-encode), and
+            # its batch-index entries so it holds the same producer state.
             append_latency = follower_replica.replicate_batch(
                 pending.messages,
-                frames=leader_replica.log.frames_spanned_by(pending.messages),
+                leader_replica.log.frames_spanned_by(pending.messages),
+                leader_replica.log.batches_spanned_by(fetch_from, pending.messages),
             )
             leader_replica.record_follower_position(
                 follower_id, follower_replica.log_end_offset

@@ -30,7 +30,6 @@ from repro.common.records import (
     TRACE_HEADER,
     ConsumerRecord,
     StoredMessage,
-    estimate_size,
 )
 from repro.common.serde import Serde
 
@@ -111,13 +110,8 @@ class FetchBatch:
             self.inflated = True
         entries = frame.entries()[start:stop]
         headers = [entry[3] for entry in entries]
-        # Batch-header state rides uncompressed on the frame; re-attach it so
+        # Trace contexts ride uncompressed on the frame; re-attach them so
         # frame-served records are indistinguishable from eagerly stored ones.
-        extra = 0
-        if frame.producer_id is not None and frame.producer_seq is not None:
-            stamp = {"__pid": frame.producer_id, "__seq": frame.producer_seq}
-            extra = estimate_size(stamp)
-            headers = [{**held, **stamp} for held in headers]
         if frame.trace_contexts:
             for i, ctx in enumerate(frame.trace_contexts[start:stop]):
                 if ctx is not None:
@@ -131,7 +125,7 @@ class FetchBatch:
                 value if value_of is None else value_of(value),
                 timestamp,
                 held,
-                size + extra,
+                size,
             )
             for offset, (key, value, timestamp, _), held, size in zip(
                 range(self.base_offset + start, self.base_offset + stop),

@@ -33,12 +33,6 @@ from repro.messaging.config import ISOLATION_LEVELS
 #: Default cross-datacenter round-trip time (continental WAN).
 DEFAULT_WAN_RTT = 30e-3
 
-#: Source-side transaction/idempotence bookkeeping stripped on re-produce:
-#: a read_committed mirror only ever sees committed data, so carrying the
-#: ``__txn`` flag over would open a phantom transaction on the target that
-#: no marker ever closes (wedging the target's LSO forever).
-_TXN_HEADERS = ("__txn", "__pid", "__seq")
-
 
 @dataclass
 class MirrorStats:
@@ -159,18 +153,10 @@ class MirrorMaker:
             position = reseated
         stats.simulated_seconds += result.latency
         if result.records:
+            # A record's headers are the user's: the source's producer
+            # state stayed in its batch index, so nothing needs stripping.
             entries = [
-                (
-                    r.key,
-                    r.value,
-                    r.timestamp,
-                    {
-                        k: v
-                        for k, v in r.headers.items()
-                        if k not in _TXN_HEADERS
-                    },
-                )
-                for r in result.records
+                (r.key, r.value, r.timestamp, r.headers) for r in result.records
             ]
             batch_bytes = sum(r.size for r in result.records)
             # One WAN round trip carries the whole batch.

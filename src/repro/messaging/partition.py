@@ -16,11 +16,23 @@ Idempotent produce (the paper's "ongoing effort to ... implement support for
 exactly-once semantics") is supported via per-producer sequence numbers:
 a retry of an already-appended batch returns the original offsets instead of
 appending duplicates.
+
+Producer state is batch metadata, as in a Kafka batch header: a run appended
+under a producer id adds one ``(base, last, producer_id, producer_seq,
+kind)`` entry to the log's batch index, which replication ships, truncation
+clips and retention trims with the records.  Everything a replica knows
+about producers — the dedup window, open transactions, what a fetch hides —
+is a fold over that index (:meth:`PartitionReplica._apply_entry`), so it
+survives failover and shrinks with the log.  A record's headers are the
+user's; only a control marker, one record in a batch of its own, carries
+``__ctrl`` / ``__pid``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Sequence
 
 from repro.common.compression import BatchFrame
@@ -33,15 +45,25 @@ from repro.common.records import (
     TRACE_HEADER,
     StoredMessage,
     TopicPartition,
-    estimate_size,
 )
 from repro.observability.trace import current_tracer
-from repro.storage.log import PartitionLog, ReadResult
+from repro.storage.log import BatchEntry, PartitionLog, ReadResult, runs_overlapping
 from repro.storage.tiered.tier import ColdTier
 
 ROLE_LEADER = "leader"
 ROLE_FOLLOWER = "follower"
 ROLE_OFFLINE = "offline"
+
+#: Kinds of batch-index entry.  A control marker's kind is its verdict.
+KIND_IDEMPOTENT = "idempotent"
+KIND_TRANSACTIONAL = "transactional"
+KIND_ABORT = "abort"
+
+#: Batches per producer a replica can still answer a retry of: the dedup
+#: cache is the producer's last few index entries.
+DEDUP_WINDOW_BATCHES = 5
+
+_offset_of = attrgetter("offset")
 
 
 @dataclass
@@ -76,17 +98,17 @@ class PartitionReplica:
         # Leader-only state: follower LEOs and current ISR membership.
         self._follower_leo: dict[int, int] = {}
         self._isr: list[int] = []
-        # Idempotent-producer dedup: (producer_id, seq) -> ProduceResult.
-        self._producer_seqs: dict[int, int] = {}
-        self._producer_results: dict[tuple[int, int], ProduceResult] = {}
-        # Transaction bookkeeping (read_committed isolation):
-        # open transactions (pid -> first offset) and aborted offset sets.
+        # Producer state, all of it a fold of the log's batch index:
+        # each producer's last DEDUP_WINDOW_BATCHES sequenced entries (the
+        # dedup cache; the last one holds the last sequence) ...
+        self._windows: dict[int, list[BatchEntry]] = {}
+        # ... open transactions, pid -> first offset ...
         self._open_txns: dict[int, int] = {}
-        self._aborted_offsets: set[int] = set()
-        self._txn_record_offsets: dict[int, list[int]] = {}
-        # Whether any control marker was ever absorbed: until one is, a
-        # fetch has nothing to hide below its bound and skips the filter.
-        self._has_markers = False
+        # ... and what a fetch hides, as sorted disjoint (base, last) runs:
+        # control markers from everyone, and from read_committed readers the
+        # batches of aborted transactions too.
+        self._markers: list[tuple[int, int]] = []
+        self._hidden: list[tuple[int, int]] = []
 
     # -- role transitions ---------------------------------------------------------
 
@@ -127,61 +149,59 @@ class PartitionReplica:
         producer_seq: int | None = None,
         frame: BatchFrame | None = None,
         sizes: Sequence[int] | None = None,
+        transactional: bool = False,
     ) -> ProduceResult:
         """Leader-side append of a batch of (key, value, timestamp, headers).
 
         With ``producer_id``/``producer_seq`` set, a replayed batch (same or
         lower sequence) is deduplicated and the original offsets returned —
-        the idempotent-producer upgrade from at-least-once.  ``frame`` is the
-        producer's compressed blob for this batch: the log stores it as an
-        opaque unit and charges storage by its wire bytes.  ``sizes`` is the
-        payload-size column the cluster computed for ``entries`` (see
-        :meth:`PartitionLog.append_batch`).
+        the idempotent-producer upgrade from at-least-once — as long as it is
+        one of the producer's last :data:`DEDUP_WINDOW_BATCHES`; an older
+        replay is refused.  ``transactional`` opens (or continues) the
+        producer's transaction on this partition; the one-record batch that
+        closes it is a control marker, told by its ``__ctrl`` header.
+        ``frame`` is the producer's compressed blob for this batch: the log
+        stores it as an opaque unit and charges storage by its wire bytes.
+        ``sizes`` is the payload-size column the cluster computed for
+        ``entries`` (see :meth:`PartitionLog.append_batch`).
         """
         self._check_leader(epoch)
         if not entries:
             raise ConfigError("append_batch requires at least one entry")
+        kind = None
         if producer_id is not None and producer_seq is not None:
-            last_seq = self._producer_seqs.get(producer_id, -1)
-            if producer_seq <= last_seq:
-                cached = self._producer_results.get((producer_id, producer_seq))
-                if cached is not None:
-                    return ProduceResult(
-                        cached.base_offset, cached.last_offset, 0.0, duplicate=True
-                    )
-                # Sequence seen but result evicted: still refuse to re-append.
+            window = self._windows.get(producer_id)
+            if window is not None and producer_seq <= window[-1][3]:
+                for base, last, _pid, seq, _kind in window:
+                    if seq == producer_seq:
+                        return ProduceResult(base, last, 0.0, duplicate=True)
+                # Sequence seen but evicted from the window: still refuse to
+                # re-append.
                 raise ConfigError(
                     f"producer {producer_id} replayed seq {producer_seq} "
                     "with no cached result"
                 )
-            # Producer state travels inside the log (as in Kafka batch
-            # headers) so a newly elected leader can keep deduplicating.
-            stamp = {"__pid": producer_id, "__seq": producer_seq}
-            if sizes is not None:
-                # The stamp grows a record by the keys it adds, not by a
-                # constant: transactional entries already carry ``__pid``.
-                added = estimate_size(stamp)
-                sizes = [
-                    size + added - estimate_size(
-                        {name: held[name] for name in stamp if name in held}
-                    )
-                    if held
-                    else size + added
-                    for size, (_k, _v, _ts, held) in zip(sizes, entries)
-                ]
-            entries = [
-                (key, value, timestamp, {**headers, **stamp})
-                for key, value, timestamp, headers in entries
-            ]
-        start_offset = self.log.log_end_offset
+            kind = KIND_TRANSACTIONAL if transactional else KIND_IDEMPOTENT
+        elif transactional:
+            raise ConfigError("a transactional batch needs a producer id and sequence")
+        elif len(entries) == 1 and entries[0][3]:
+            kind = entries[0][3].get("__ctrl")
+            if kind is not None:
+                producer_id = entries[0][3].get("__pid")
+        log = self.log
+        start_offset = log.log_end_offset
         try:
-            batch = self.log.append_batch(entries, frame, sizes)
-        except ConfigError:
-            # Per-record semantics: records before the failing one were
-            # appended, so their transaction state must still be tracked.
-            self._track_entry_transactions(entries, start_offset, self.log.log_end_offset)
-            raise
-        self._track_entry_transactions(entries, batch.base_offset, self.log.log_end_offset)
+            batch = log.append_batch(entries, frame, sizes)
+        finally:
+            # In a ``finally`` because a record over the size limit ends the
+            # batch with its prefix appended: that prefix is the run.
+            if kind is not None and log.log_end_offset > start_offset:
+                self._apply_entry(
+                    log.note_batch(
+                        start_offset, log.log_end_offset - 1,
+                        producer_id, producer_seq, kind,
+                    )
+                )
         result = ProduceResult(batch.base_offset, batch.last_offset, batch.latency)
         tracer = current_tracer()
         if tracer is not None:
@@ -196,28 +216,50 @@ class PartitionReplica:
                         partition=self.partition.partition,
                         offset=batch.base_offset + i,
                     )
-        if producer_id is not None and producer_seq is not None:
-            self._producer_seqs[producer_id] = producer_seq
-            self._producer_results[(producer_id, producer_seq)] = result
         if self._only_isr_member():
             self._advance_high_watermark()
         return result
 
-    def _track_entry_transactions(
-        self,
-        entries: list[tuple[Any, Any, float, dict[str, Any]]],
-        start_offset: int,
-        end_offset: int,
-    ) -> None:
-        """Track transaction markers for the appended prefix of ``entries``."""
-        offset = start_offset
-        for entry in entries:
-            if offset >= end_offset:
-                break
-            headers = entry[3]
-            if headers:
-                self._track_transaction(headers, offset)
-            offset += 1
+    def _apply_entry(self, entry: BatchEntry) -> None:
+        """Fold one batch-index entry into the producer state.
+
+        Called once per entry as it joins the index — on the leader's append
+        and a follower's copy alike — and, after the index lost entries
+        (:meth:`truncate_to`, :meth:`trim_producer_state`), for every entry
+        left.  An entry a continued copy grew arrives again, grown.
+        """
+        base, last, producer_id, producer_seq, kind = entry
+        if producer_seq is not None:
+            window = self._windows.get(producer_id)
+            if window is None:
+                self._windows[producer_id] = [entry]
+            elif window[-1][3] == producer_seq:
+                window[-1] = entry
+            else:
+                window.append(entry)
+                if len(window) > DEDUP_WINDOW_BATCHES:
+                    del window[0]
+            if kind == KIND_TRANSACTIONAL:
+                self._open_txns.setdefault(producer_id, base)
+            return
+        # A control marker: it is the newest record, so both lists stay
+        # sorted by appending; the runs it aborts lie before it.
+        self._markers.append(entry[:2])
+        self._hidden.append(entry[:2])
+        first = self._open_txns.pop(producer_id, None)
+        if kind == KIND_ABORT and first is not None:
+            for run in self.log.batches_between(first, base):
+                if run[2] == producer_id and run[4] == KIND_TRANSACTIONAL:
+                    insort(self._hidden, run[:2])
+
+    def _refold_producer_state(self) -> None:
+        """Recompute the producer state from what the batch index still holds."""
+        self._windows.clear()
+        self._open_txns.clear()
+        self._markers.clear()
+        self._hidden.clear()
+        for entry in self.log.batches():
+            self._apply_entry(entry)
 
     def _only_isr_member(self) -> bool:
         return self.role == ROLE_LEADER and set(self._isr) <= {self.broker_id}
@@ -271,25 +313,34 @@ class PartitionReplica:
             # (``replication.replicate``) on the follower's append.
             return result
         bound = self.high_watermark
+        hidden = self._markers  # control markers are never client-visible
         if isolation == "read_committed":
             bound = min(bound, self.last_stable_offset)
+            hidden = self._hidden
         messages = result.messages
-        if messages and (self._has_markers or messages[-1].offset >= bound):
-            visible = []
-            for message in messages:
-                if message.offset >= bound:
-                    break
-                if "__ctrl" in message.headers:
-                    continue  # control markers are never client-visible
-                if (
-                    isolation == "read_committed"
-                    and message.offset in self._aborted_offsets
-                ):
-                    continue
-                visible.append(message)
-            if len(visible) != len(messages):
-                result.messages = visible
-                result.stored_bytes = sum([m.stored_size for m in visible])
+        if messages and (hidden or messages[-1].offset >= bound):
+            # The run against the bound and the hidden runs, by bisection:
+            # when it ends below the bound and none intersects it, the
+            # log's own list goes out untouched.
+            end = bisect_left(messages, bound, key=_offset_of)
+            runs = (
+                runs_overlapping(
+                    hidden, messages[0].offset, messages[end - 1].offset
+                )
+                if hidden and end
+                else ()
+            )
+            if runs or end < len(messages):
+                visible: list[StoredMessage] = []
+                kept = 0  # messages[:kept] are dealt with
+                for base, last in runs:
+                    cut = bisect_left(messages, base, kept, end, key=_offset_of)
+                    visible += messages[kept:cut]
+                    kept = bisect_right(messages, last, cut, end, key=_offset_of)
+                visible += messages[kept:end]
+                if len(visible) != len(messages):
+                    result.messages = visible
+                    result.stored_bytes = sum([m.stored_size for m in visible])
         tracer = current_tracer()
         if tracer is not None and result.messages:
             now = self.log.clock.now()
@@ -313,6 +364,7 @@ class PartitionReplica:
         self,
         messages: list[StoredMessage],
         frames: list[tuple[int, int, BatchFrame]] | None = None,
+        batches: list[BatchEntry] | None = None,
     ) -> float:
         """Follower-side append of records fetched from the leader.
 
@@ -322,6 +374,11 @@ class PartitionReplica:
         carries the leader's compressed-batch registry entries for the copied
         range: the follower shares the immutable frame objects, so compressed
         batches cross the replication hop without being re-encoded.
+        ``batches`` carries the leader's batch-index entries overlapping the
+        range, counted from this log's end: each is clipped to what was
+        copied (a fetch may stop inside a batch; the next copy grows the
+        entry) and folded into the producer state, so this replica can keep
+        deduplicating and filtering if it becomes leader.
         """
         if self.role == ROLE_LEADER:
             raise ConfigError(f"{self.partition}: leader cannot replicate from itself")
@@ -329,10 +386,16 @@ class PartitionReplica:
             return 0.0
         # The leader's records themselves, not copies: a StoredMessage is
         # immutable once appended, like the frames shipped beside it.
+        lo = self.log.log_end_offset if batches else 0
         latency = self.log.append_stored_batch(messages, frames=frames).latency
-        for message in messages:
-            if message.headers:
-                self._absorb_producer_state(message)
+        if batches:
+            hi = messages[-1].offset
+            for base, last, producer_id, producer_seq, kind in batches:
+                self._apply_entry(
+                    self.log.note_batch(
+                        max(base, lo), min(last, hi), producer_id, producer_seq, kind
+                    )
+                )
         tracer = current_tracer()
         if tracer is not None:
             now = self.log.clock.now()
@@ -348,29 +411,6 @@ class PartitionReplica:
                     )
         return latency
 
-    def _track_transaction(self, headers: dict[str, Any], offset: int) -> None:
-        """Maintain open-transaction and aborted-range state (read_committed).
-
-        Called for every appended record, leader- or replication-side, so
-        transaction visibility survives failover like everything else in the
-        log does.
-        """
-        if "__ctrl" in headers:
-            self._has_markers = True
-        producer_id = headers.get("__pid")
-        if producer_id is None:
-            return
-        verdict = headers.get("__ctrl")
-        if verdict is not None:
-            self._open_txns.pop(producer_id, None)
-            offsets = self._txn_record_offsets.pop(producer_id, [])
-            if verdict == "abort":
-                self._aborted_offsets.update(offsets)
-            return
-        if headers.get("__txn"):
-            self._open_txns.setdefault(producer_id, offset)
-            self._txn_record_offsets.setdefault(producer_id, []).append(offset)
-
     @property
     def last_stable_offset(self) -> int:
         """First offset of the earliest open transaction, capped by the HW.
@@ -382,24 +422,6 @@ class PartitionReplica:
         for first_offset in self._open_txns.values():
             lso = min(lso, first_offset)
         return lso
-
-    def _absorb_producer_state(self, message: StoredMessage) -> None:
-        """Rebuild idempotent-producer dedup state from replicated records,
-        so this replica can keep deduplicating if it becomes leader."""
-        self._track_transaction(message.headers, message.offset)
-        producer_id = message.headers.get("__pid")
-        producer_seq = message.headers.get("__seq")
-        if producer_id is None or producer_seq is None:
-            return
-        if producer_seq > self._producer_seqs.get(producer_id, -1):
-            self._producer_seqs[producer_id] = producer_seq
-        cached = self._producer_results.get((producer_id, producer_seq))
-        if cached is None:
-            self._producer_results[(producer_id, producer_seq)] = ProduceResult(
-                message.offset, message.offset, 0.0
-            )
-        else:
-            cached.last_offset = max(cached.last_offset, message.offset)
 
     def record_follower_position(self, follower_id: int, leo: int) -> int:
         """Leader records a follower's LEO after a replica fetch; returns the
@@ -433,10 +455,36 @@ class PartitionReplica:
             self.high_watermark = new_hw
 
     def truncate_to(self, offset: int) -> int:
-        """Follower reconciliation: drop any log tail past the leader's."""
+        """Follower reconciliation: drop any log tail past the leader's, and
+        the producer state that tail carried — a sequence whose records are
+        gone is forgotten, a transaction whose marker is gone is open again,
+        one whose first record is gone never was."""
         removed = self.log.truncate_to(offset)
         self.high_watermark = min(self.high_watermark, offset)
+        self._refold_producer_state()
         return removed
+
+    def trim_producer_state(self) -> None:
+        """After retention moved :attr:`earliest_offset`: forget producer
+        state about records no tier can serve any more.
+
+        Two things outlive their records.  The batches of a still-open
+        transaction stay as they are (its marker has yet to judge them).  A
+        producer's dedup window stays as bare dedup answers: such an entry's
+        transaction is closed and its marker may be gone, so it is kept as
+        an idempotent one — it must not reopen the transaction on a refold.
+        """
+        def keep(entry: BatchEntry) -> BatchEntry | None:
+            base, last, producer_id, producer_seq, kind = entry
+            first = self._open_txns.get(producer_id)
+            if kind == KIND_TRANSACTIONAL and first is not None and base >= first:
+                return entry
+            if entry in self._windows.get(producer_id, ()):
+                return (base, last, producer_id, producer_seq, KIND_IDEMPOTENT)
+            return None
+
+        self.log.trim_batches(self.earliest_offset, keep)
+        self._refold_producer_state()
 
     # -- introspection ----------------------------------------------------------------------
 

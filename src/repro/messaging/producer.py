@@ -72,6 +72,9 @@ class Producer:
     #: Counter bumped per retried produce, beside ``self.retries`` (the
     #: transactional subclass names one).
     _retries_metric: str | None = None
+    #: Whether every batch joins a transaction (the ``transactional`` field
+    #: of the produce request; the transactional subclass sets it).
+    _transactional = False
 
     def __init__(
         self,
@@ -84,6 +87,11 @@ class Producer:
         self.cluster = cluster
         self.acks = config.acks
         self.partitioner = config.partitioner
+        # Known per producer, so asked once: a callable partitioner is used
+        # as is, a name selects one of the built-in rules below.
+        self._partition_fn = (
+            config.partitioner if callable(config.partitioner) else None
+        )
         self.linger_messages = config.linger_messages
         self.max_retries = config.max_retries
         self.idempotent = config.idempotent
@@ -149,8 +157,8 @@ class Producer:
                     f"{topic} ({num_partitions} partitions)"
                 )
             return partitions[partition]
-        if callable(self.partitioner):
-            return partitions[self.partitioner(key, num_partitions) % num_partitions]
+        if self._partition_fn is not None:
+            return partitions[self._partition_fn(key, num_partitions) % num_partitions]
         if self.partitioner == PARTITIONER_HASH and key is not None:
             return partitions[partition_for_key(key, num_partitions)]
         counter = self._round_robin.setdefault(topic, itertools.count())
@@ -321,8 +329,6 @@ class Producer:
             ]
             frame = compress_entries(entries, self._codec, self._codec_level)
             if frame is not None:
-                frame.producer_id = producer_id
-                frame.producer_seq = producer_seq
                 self._last_frame = frame
                 self.cluster.metrics.histogram(_M_COMPRESSION_RATIO).observe(
                     frame.ratio
@@ -339,6 +345,7 @@ class Producer:
                     producer_seq=producer_seq,
                     client_id=self.client_id,
                     frame=frame,
+                    transactional=self._transactional,
                 )
                 self.acks_received += 1
                 return ack

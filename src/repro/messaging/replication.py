@@ -136,7 +136,7 @@ class ReplicationManager:
             stats.partitions_synced += 1
             return
         try:
-            messages, leader_leo, leader_hw, frames, stored_bytes = (
+            messages, leader_leo, leader_hw, frames, stored_bytes, batches = (
                 leader_broker.replica_fetch(
                     partition, fetch_offset, follower_id, self.max_fetch
                 )
@@ -149,8 +149,9 @@ class ReplicationManager:
             return
         if messages:
             # Frames ride along so compressed batches land on the follower as
-            # the same opaque blobs the leader stores (no re-encode).
-            follower_replica.replicate_batch(messages, frames=frames)
+            # the same opaque blobs the leader stores (no re-encode); batch
+            # entries, so it learns the producer state the records carry.
+            follower_replica.replicate_batch(messages, frames, batches)
             stats.messages_copied += len(messages)
             self.cluster.metrics.counter(_M_WIRE_BYTES).increment(stored_bytes)
             # Report the new position so the leader can advance the HW

@@ -15,10 +15,13 @@ shipped (KIP-98), reduced to its semantics:
   sequences are the coordinator's — groups sends into atomic units:
   ``begin() … commit()/abort()`` writes **control markers** into every
   partition the transaction touched;
-* partitions track open transactions and aborted ranges, exposing the
-  **last stable offset** (LSO): ``read_committed`` consumers never see
-  records of an open or aborted transaction, nor records past the first
-  still-open transaction (preserving order);
+* "transactional" is a field of the produce request, beside the producer
+  id and sequence: partitions fold it, batch by batch, into open
+  transactions and aborted runs, exposing the **last stable offset** (LSO):
+  ``read_committed`` consumers never see records of an open or aborted
+  transaction, nor records past the first still-open transaction
+  (preserving order).  The records themselves carry nothing — their headers
+  are the user's;
 * **offsets can join the transaction** (`send_offsets_to_transaction`), so a
   consume-transform-produce loop commits its input position atomically with
   its output — the full exactly-once processing pattern.
@@ -53,9 +56,8 @@ from repro.messaging.config import ProducerConfig
 from repro.messaging.producer import Producer
 from repro.observability.trace import current_tracer
 
-#: Header keys for transactional records and control markers.
+#: Header keys of a control marker (the only record that carries any).
 HDR_PID = "__pid"
-HDR_TXN = "__txn"
 HDR_CTRL = "__ctrl"
 CTRL_COMMIT = "commit"
 CTRL_ABORT = "abort"
@@ -320,10 +322,11 @@ class TransactionalProducer(Producer):
     sequence table, so a restarted incarnation of the same transactional id
     continues the numbering and broker-side dedup stays correct.  This class
     adds only what a transaction adds: the lifecycle, registering each
-    touched partition, and the ``__pid`` / ``__txn`` stamp on every batch.
+    touched partition, and the ``transactional`` field on every batch.
     """
 
     _retries_metric = _M_SEND_RETRIES
+    _transactional = True
 
     def __init__(
         self,
@@ -392,17 +395,13 @@ class TransactionalProducer(Producer):
     ) -> ProduceAck | None:
         """:meth:`Producer.send` inside the current transaction.
 
-        The partition is registered with the coordinator at staging time —
-        which is also the per-send fencing check — so the commit or abort
-        marker reaches every partition the transaction touched.
+        One coordinator call is the fencing check and the open check; a
+        fenced incarnation or a closed transaction raises here, before
+        anything is staged.
         """
-        if not self.coordinator.is_open(self.transactional_id):
+        if not self.coordinator.state_for(self.transactional_id, self.epoch).open:
             raise TransactionError("send outside a transaction; call begin()")
-        tp = self._choose_partition(topic, key, partition)
-        self.coordinator.add_partition(self.transactional_id, self.epoch, tp)
-        return Producer.send(
-            self, topic, value, key, tp.partition, timestamp, headers
-        )
+        return Producer.send(self, topic, value, key, partition, timestamp, headers)
 
     def flush(self) -> list[ProduceAck]:
         """:meth:`Producer.flush` in deterministic (sorted) partition order,
@@ -422,11 +421,10 @@ class TransactionalProducer(Producer):
         entries: list[tuple[Any, Any, float | None, dict[str, Any]]],
         seq: int | None = None,
     ) -> ProduceAck:
-        # Stamped per batch: after send() validated the user's headers,
-        # before the cluster sizes the entries (re-stamping a parked batch
-        # changes nothing).
-        stamp = {HDR_PID: self.producer_id, HDR_TXN: True}
-        entries = [(k, v, ts, {**h, **stamp}) for (k, v, ts, h) in entries]
+        # Registered once per batch, before the first attempt that could
+        # land: the commit or abort marker reaches every partition the
+        # transaction touched, a parked batch's included.
+        self.coordinator.add_partition(self.transactional_id, self.epoch, tp)
         return Producer._send_batch(self, tp, entries, seq)
 
     def send_offsets_to_transaction(

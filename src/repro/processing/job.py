@@ -212,6 +212,10 @@ class _ExactlyOnceOutput(_AtLeastOnceOutput):
             transactional_id(runner.config.name, task_id),
             linger_messages=_STAGE_ONLY,
         )
+        # Whether this incarnation's transaction is open.  Only this object
+        # begins and commits it, so it knows without asking the coordinator
+        # per record (``producer.send`` asks once, and fences).
+        self._open = False
 
     def send(
         self, topic, value, key=None, partition=None, timestamp=None, headers=None
@@ -220,8 +224,9 @@ class _ExactlyOnceOutput(_AtLeastOnceOutput):
         transaction at the first write after a commit; it stays open until
         the next checkpoint boundary."""
         producer = self.producer
-        if not producer.in_transaction:
+        if not self._open:
             producer.begin()
+            self._open = True
         return producer.send(topic, value, key, partition, timestamp, headers)
 
     def flush(self) -> float:
@@ -230,14 +235,15 @@ class _ExactlyOnceOutput(_AtLeastOnceOutput):
     def commit_open(
         self, positions: dict[TopicPartition, int], metadata: dict[str, Any]
     ) -> bool:
-        producer = self.producer
-        if not producer.in_transaction:
+        if not self._open:
             return False
         # Offsets are staged with the coordinator and apply only at the
         # commit, which flushes first: a failed flush leaves the
         # transaction open, the batch parked and the offsets uncommitted.
+        producer = self.producer
         self.checkpoints.commit_transactional(producer, positions, metadata)
         producer.commit()
+        self._open = False
         return True
 
 

@@ -14,7 +14,7 @@ broker adds request/network overheads on top).
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 from typing import Any, Sequence
@@ -92,6 +92,27 @@ class ReadResult:
     stored_bytes: int = 0
 
 
+#: One producer-batch index entry: ``(base, last, producer_id, producer_seq,
+#: kind)`` (see :attr:`PartitionLog._batches`).
+BatchEntry = tuple[int, int, int | None, int | None, str]
+
+_MAX_OFFSET = 1 << 62
+
+
+def _overlap(runs: list[tuple], lo: int, hi: int) -> slice:
+    """Where ``runs`` — sorted, disjoint tuples starting ``(base, last,
+    ...)`` — intersects offsets ``[lo, hi]``."""
+    start = bisect_right(runs, (lo, _MAX_OFFSET))
+    if start and runs[start - 1][1] >= lo:
+        start -= 1
+    return slice(start, bisect_right(runs, (hi, _MAX_OFFSET)))
+
+
+def runs_overlapping(runs: list[tuple], lo: int, hi: int) -> list[tuple]:
+    """The runs of ``runs`` (see :func:`_overlap`) intersecting ``[lo, hi]``."""
+    return runs[_overlap(runs, lo, hi)]
+
+
 class PartitionLog:
     """Segmented append-only log with sparse per-segment indexes."""
 
@@ -122,13 +143,18 @@ class PartitionLog:
         self._bases: list[int] = [0]
         self._next_offset = 0
         self._log_start_offset = 0
-        # Compressed-batch registry: base offset -> (last offset, frame).
-        # The frame is the physical unit the records arrived in; fetch paths
-        # consult it to hand consumers the still-compressed blob instead of
-        # re-materialized records.  Entries are invalidated whenever the
-        # covered offsets are truncated, dropped, or compacted.
-        self._frames: dict[int, tuple[int, BatchFrame]] = {}
-        self._frame_bases: list[int] = []
+        # Compressed-batch registry: ``(base, last, frame)`` runs in offset
+        # order.  The frame is the physical unit the records arrived in;
+        # fetch paths consult it to hand consumers the still-compressed blob
+        # instead of re-materialized records.  Entries are invalidated
+        # whenever the covered offsets are truncated, dropped, or compacted.
+        self._frames: list[tuple[int, int, BatchFrame]] = []
+        # Producer-batch index: one ``(base, last, producer_id, producer_seq,
+        # kind)`` entry per appended run that carried producer state (an
+        # idempotent or transactional batch, a control marker), disjoint and
+        # in offset order.  The log keeps, ships and clips it; what a kind
+        # means is the partition replica's business.
+        self._batches: list[BatchEntry] = []
 
     # -- identity helpers -------------------------------------------------------
 
@@ -432,10 +458,8 @@ class PartitionLog:
     # -- compressed-batch registry -------------------------------------------------
 
     def register_frame(self, base: int, last: int, frame: BatchFrame) -> None:
-        """Record that offsets ``[base, last]`` arrived as one frame."""
-        if base not in self._frames:
-            insort(self._frame_bases, base)
-        self._frames[base] = (last, frame)
+        """Record that the tail offsets ``[base, last]`` arrived as one frame."""
+        self._frames.append((base, last, frame))
 
     def frames_between(
         self, lo: int, hi: int
@@ -446,16 +470,13 @@ class PartitionLog:
         truncated or straddles the requested range cannot safely stand in
         for its records.
         """
-        if not self._frame_bases:
+        if not self._frames:
             return []
-        start = bisect_left(self._frame_bases, lo)
-        end = bisect_right(self._frame_bases, hi)
-        out = []
-        for base in self._frame_bases[start:end]:
-            last, frame = self._frames[base]
-            if last <= hi:
-                out.append((base, last, frame))
-        return out
+        return [
+            run
+            for run in runs_overlapping(self._frames, lo, hi)
+            if lo <= run[0] and run[1] <= hi
+        ]
 
     def frames_spanned_by(
         self, messages: list[StoredMessage]
@@ -467,17 +488,68 @@ class PartitionLog:
 
     def _drop_frames_overlapping(self, lo: int, hi: int) -> None:
         """Invalidate every frame overlapping offsets ``[lo, hi]``."""
-        if not self._frame_bases:
-            return
-        end = bisect_right(self._frame_bases, hi)
-        keep_head = []
-        for base in self._frame_bases[:end]:
-            last, _frame = self._frames[base]
-            if last < lo:
-                keep_head.append(base)
-            else:
-                del self._frames[base]
-        self._frame_bases = keep_head + self._frame_bases[end:]
+        if self._frames:
+            del self._frames[_overlap(self._frames, lo, hi)]
+
+    # -- producer-batch index ---------------------------------------------------------
+
+    def note_batch(
+        self,
+        base: int,
+        last: int,
+        producer_id: int | None,
+        producer_seq: int | None,
+        kind: str,
+    ) -> BatchEntry:
+        """Record that the tail offsets ``[base, last]`` are one producer's
+        run; returns the entry now at the tail of the index.
+
+        That is a new entry, or — when the run continues the tail entry's
+        ``(producer_id, producer_seq)``: a replica copy that cut the batch —
+        the tail entry grown to ``last``.
+        """
+        batches = self._batches
+        if (
+            producer_seq is not None
+            and batches
+            and batches[-1][2:4] == (producer_id, producer_seq)
+        ):
+            base = batches.pop()[0]
+        entry = (base, last, producer_id, producer_seq, kind)
+        batches.append(entry)
+        return entry
+
+    def batches(self) -> list[BatchEntry]:
+        """Every producer-batch entry held, in offset order."""
+        return list(self._batches)
+
+    def batches_between(self, lo: int, hi: int) -> list[BatchEntry]:
+        """Entries overlapping offsets ``[lo, hi]``, whole: whoever lands a
+        part of the range clips them to it."""
+        if not self._batches:
+            return []
+        return runs_overlapping(self._batches, lo, hi)
+
+    def batches_spanned_by(
+        self, offset: int, messages: list[StoredMessage]
+    ) -> list[BatchEntry]:
+        """:meth:`batches_between` a replica fetch's ``offset`` and the last
+        record it read — from the offset, not the first record, so an entry
+        whose records compaction has since removed still ships."""
+        if not messages:
+            return []
+        return self.batches_between(offset, messages[-1].offset)
+
+    def trim_batches(self, offset: int, keep) -> None:
+        """Retention: each entry wholly below ``offset`` becomes
+        ``keep(entry)``, or goes when that is ``None``."""
+        batches = self._batches
+        # Entries are disjoint and sorted: the first to reach ``offset`` is
+        # where an overlap with it would start.
+        below = slice(_overlap(batches, offset, offset).start)
+        batches[below] = [
+            kept for entry in batches[below] if (kept := keep(entry)) is not None
+        ]
 
     def _segment_index_for(self, offset: int) -> int:
         idx = bisect_right(self._bases, offset) - 1
@@ -521,7 +593,13 @@ class PartitionLog:
             raise ConfigError(
                 f"cannot truncate below log start {self._log_start_offset}"
             )
-        self._drop_frames_overlapping(offset, 1 << 62)
+        self._drop_frames_overlapping(offset, _MAX_OFFSET)
+        # Entries go with their records; one that straddles the cut is
+        # clipped to what survives.
+        batches = self._batches
+        del batches[bisect_left(batches, (offset,)):]
+        if batches and batches[-1][1] >= offset:
+            batches[-1] = (batches[-1][0], offset - 1, *batches[-1][2:])
         removed = 0
         while self._segments and self._segments[-1].base_offset >= offset:
             victim = self._segments.pop()

@@ -123,12 +123,11 @@ def observable_content(seed, n, guarantee, max_messages):
     drain(runner, max_messages)
     changelog = changelog_topic_name("batching", "counts")
     return {
-        # ``__seq`` numbers the idempotent *batch* a record travelled in —
-        # the one header a batch boundary is meant to show in.
+        # Headers whole: a batch boundary shows in no record (it shows in
+        # the log's batch index — see the last test of the class below).
         "derived": [
             [
-                (r.offset, r.key, r.value, r.timestamp,
-                 sorted(h for h in r.headers.items() if h[0] != "__seq"))
+                (r.offset, r.key, r.value, r.timestamp, sorted(r.headers.items()))
                 for r in records
             ]
             for records in read(cluster, runner, "out")
@@ -158,6 +157,26 @@ class TestPassSizeIsInvisibleInContent:
             assert (
                 observable_content(seed, n, guarantee, max_messages) == reference
             ), f"pass size {max_messages} changed what the job wrote"
+
+
+    def test_the_batch_index_is_where_the_pass_size_shows(self):
+        """Exactly-once writes carry producer state; it travels once per
+        batch — one index entry per pass and partition — not on the records."""
+        for max_messages, one_per_record in ((1, True), (200, False)):
+            cluster, runner = build(7, 30, EXACTLY_ONCE, checkpoint_interval=10_000)
+            drain(runner, max_messages)
+            for partition, records in enumerate(read(cluster, runner, "out")):
+                assert all(dict(r.headers) == {"source": "in"} for r in records)
+                log = cluster.broker(0).replica(TopicPartition("out", partition)).log
+                *runs, marker = log.batches()
+                assert marker[4] == "commit" and marker[0] == len(records)
+                assert {kind for *_entry, kind in runs} == {"transactional"}
+                assert [seq for _b, _l, _pid, seq, _k in runs] == sorted(
+                    {seq for _b, _l, _pid, seq, _k in runs}
+                )
+                sizes = [last - base + 1 for base, last, *_rest in runs]
+                assert sum(sizes) == len(records)
+                assert sizes == ([1] * len(records) if one_per_record else [len(records)])
 
 
 class CheckpointCrash(Exception):

@@ -192,7 +192,7 @@ def reference_sync_follower(self, partition, leader_id, follower_id, stats):
 
     fetch_offset = follower_replica.log_end_offset
     try:
-        messages, leader_leo, leader_hw, frames, stored_bytes = (
+        messages, leader_leo, leader_hw, frames, stored_bytes, batches = (
             leader_broker.replica_fetch(
                 partition, fetch_offset, follower_id, self.max_fetch
             )
@@ -204,7 +204,7 @@ def reference_sync_follower(self, partition, leader_id, follower_id, stats):
     ):
         return
     if messages:
-        follower_replica.replicate_batch(messages, frames=frames)
+        follower_replica.replicate_batch(messages, frames, batches)
         stats.messages_copied += len(messages)
         self.cluster.metrics.counter(WIRE_BYTES).increment(stored_bytes)
         leader_hw = leader_replica.record_follower_position(

@@ -7,9 +7,11 @@ hold the leader's record objects.  Nothing downstream recomputes, so these
 properties do: every stored size on every replica, every delivered
 ``ConsumerRecord.size`` and the cluster's ``bytes_on_wire`` must equal what
 an independent re-walk of the stored fields gives — for plain, idempotent,
-transactional and compressed producers alike.  The leader's ``__pid`` /
-``__seq`` stamp is the trap: it grows a record by the keys it *adds*, and a
-transactional record already carries ``__pid``.
+transactional and compressed producers alike.  Producer state is the trap:
+it is batch metadata, so it shows in no record's size or headers — a stored
+record holds the very dict the producer was handed, a consumer sees what was
+sent — and on the wire as one batch header per stamped uncompressed batch
+(a frame's wire bytes already contain theirs).
 """
 
 from collections.abc import Mapping
@@ -17,6 +19,7 @@ from collections.abc import Mapping
 from hypothesis import given, settings, strategies as st
 
 from repro.common.clock import SimClock
+from repro.common.compression import BATCH_FRAME_HEADER_BYTES
 from repro.common.records import (
     RECORD_FRAMING_BYTES,
     TRACE_HEADER,
@@ -89,8 +92,9 @@ entries = st.lists(
 MODES = ("plain", "idempotent", "transactional", "zlib", "zlib-idempotent")
 
 
-def produce(cluster: MessagingCluster, mode: str, linger: int, batch) -> None:
-    """Send ``batch`` through the producer ``mode`` names and flush it."""
+def produce(cluster: MessagingCluster, mode: str, linger: int, batch) -> list:
+    """Send ``batch`` through the producer ``mode`` names and flush it;
+    returns the header dict each send was handed (``None`` for none)."""
     if mode == "transactional":
         producer = TransactionalProducer(cluster, "sizes", linger_messages=linger)
         producer.begin()
@@ -103,16 +107,19 @@ def produce(cluster: MessagingCluster, mode: str, linger: int, batch) -> None:
                 compression="zlib:6" if mode.startswith("zlib") else "none",
             ),
         )
+    handed = []
     for key, value, headers, ctx in batch:
         if ctx is not None:
             headers = {**headers, TRACE_HEADER: ctx}
+        handed.append(headers or None)
         producer.send(
-            "t", value, key=key, partition=0, timestamp=1.0, headers=headers or None
+            "t", value, key=key, partition=0, timestamp=1.0, headers=handed[-1]
         )
     if mode == "transactional":
         producer.commit()  # flushes, then writes the control marker
     else:
         producer.flush()
+    return handed
 
 
 class TestCarriedSizeEqualsRecomputedSize:
@@ -125,24 +132,26 @@ class TestCarriedSizeEqualsRecomputedSize:
 
         # What the wire charge was before sizes travelled: each produce call
         # pays its frame's wire bytes, or the payload of the entries as sent
-        # (before the leader's stamp), once — and once more per follower
-        # when acks=all replicates synchronously.
+        # plus one batch header when the request carries a producer id, once
+        # — and once more per follower when acks=all replicates
+        # synchronously.
         expected_wire = 0
         real_produce = cluster.produce
 
         def recording_produce(topic, partition, sent, acks="leader", **kwargs):
             nonlocal expected_wire
             frame = kwargs.get("frame")
-            ingress = (
-                frame.wire_bytes
-                if frame is not None
-                else sum(payload_size(k, v, h) for k, v, _ts, h in sent)
-            )
+            if frame is not None:
+                ingress = frame.wire_bytes
+            else:
+                ingress = sum(payload_size(k, v, h) for k, v, _ts, h in sent)
+                if kwargs.get("producer_id") is not None:
+                    ingress += BATCH_FRAME_HEADER_BYTES
             expected_wire += ingress * (3 if acks == ACKS_ALL else 1)
             return real_produce(topic, partition, sent, acks=acks, **kwargs)
 
         cluster.produce = recording_produce
-        produce(cluster, mode, linger, batch)
+        handed = produce(cluster, mode, linger, batch)
         del cluster.produce
         synchronous = wire.value
         cluster.run_until_replicated()
@@ -171,12 +180,16 @@ class TestCarriedSizeEqualsRecomputedSize:
                 assert message.stored_size == shares.get(message.offset, logical)
         if mode.startswith("zlib"):
             assert len(shares) == len(stored)
+        # Never a copy: the log holds the dict the producer was handed.
+        for message, headers in zip(stored, handed):
+            assert message.headers is headers or (not headers and message.headers == {})
 
         fetched = cluster.fetch(
             "t", 0, 0, max_messages=1000, isolation="read_committed"
         ).records
         assert len(fetched) == len(batch)
-        for record in fetched:
+        for record, headers in zip(fetched, handed):
+            assert record.headers == (headers or {})  # what was sent, no more
             assert record.size == stored[record.offset].size - RECORD_FRAMING_BYTES
             assert record.size == payload_size(
                 record.key, record.value, dict(record.headers)

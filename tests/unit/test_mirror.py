@@ -199,6 +199,49 @@ class TestTransactionalIsolation:
         assert mirror.run_until_synced() == 1
         assert [r.value for r in drain(east, "events", 0)] == ["pending"]
 
+    def test_target_stream_is_what_was_sent_with_nothing_to_strip(self):
+        """Source-side producer state is batch metadata, so none of it can
+        ride a mirrored record: the target holds the committed stream with
+        the headers the producers were handed, and no transaction of its
+        own to wait for."""
+        from repro.messaging.config import ProducerConfig
+        from repro.messaging.transactions import TransactionalProducer
+
+        west, east = two_colos()
+        idempotent = Producer(west, ProducerConfig(idempotent=True))
+        txn = TransactionalProducer(west, "tx")
+        sent = []
+
+        def send(producer, value, headers, keep=True):
+            producer.send(
+                "events", value, key=f"k-{value}", partition=0,
+                timestamp=float(len(sent)), headers=headers,
+            )
+            if keep:
+                sent.append((f"k-{value}", value, float(len(sent)), headers or {}))
+
+        send(idempotent, "plain", {"origin": "west"})
+        txn.begin()
+        send(txn, "committed-1", {"origin": "west", "n": 1})
+        send(txn, "committed-2", None)
+        txn.commit()
+        txn.begin()
+        send(txn, "doomed", {"origin": "west"}, keep=False)
+        txn.abort()
+        send(idempotent, "tail", None)
+        west.tick(0.0)
+        MirrorMaker(west, east).run_until_synced()
+
+        mirrored = drain(east, "events", 0)
+        assert [
+            (r.key, r.value, r.timestamp, dict(r.headers)) for r in mirrored
+        ] == sent
+        replica = east.broker(east.leader_of("events", 0)).replica(
+            TopicPartition("events", 0)
+        )
+        assert replica.log.batches() == []
+        assert replica.last_stable_offset == replica.high_watermark == len(sent)
+
     def test_invalid_isolation_rejected(self):
         west, east = two_colos()
         with pytest.raises(ConfigError):

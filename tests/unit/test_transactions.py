@@ -1,5 +1,7 @@
 """Unit tests for exactly-once transactions (§4.3's "ongoing effort")."""
 
+from contextlib import nullcontext
+
 import pytest
 
 from repro.chaos.failpoints import raising, registry
@@ -11,15 +13,16 @@ from repro.common.errors import (
     ProducerFencedError,
     TransactionError,
 )
-from repro.common.records import TopicPartition
+from repro.common.records import TRACE_HEADER, TopicPartition
 from repro.messaging.cluster import MessagingCluster
-from repro.messaging.config import ConsumerConfig
+from repro.messaging.config import ConsumerConfig, ProducerConfig
 from repro.messaging.consumer import Consumer
 from repro.messaging.producer import Producer
 from repro.messaging.transactions import (
     TransactionalProducer,
     get_transaction_coordinator,
 )
+from repro.observability.trace import Tracer, tracing
 
 
 @pytest.fixture(autouse=True)
@@ -49,15 +52,28 @@ def uncommitted_values(cluster, partition=0):
     return [r.value for r in result.records]
 
 
+def leader_batches(cluster, partition=0):
+    """The batch index of the partition's leader log."""
+    leader = cluster.broker(cluster.leader_of("t", partition))
+    return leader.replica(TopicPartition("t", partition)).log.batches()
+
+
 class TestLifecycle:
     def test_empty_transactional_id_rejected(self):
         with pytest.raises(ConfigError):
             TransactionalProducer(make_cluster(), "")
 
     def test_send_outside_transaction_rejected(self):
-        producer = TransactionalProducer(make_cluster(), "tx")
+        producer = TransactionalProducer(make_cluster(), "tx", linger_messages=8)
         with pytest.raises(TransactionError):
             producer.send("t", "v")
+        assert producer.pending() == 0  # raised at the call: nothing staged
+        producer.begin()
+        producer.send("t", "v")
+        producer.commit()
+        with pytest.raises(TransactionError):
+            producer.send("t", "after-commit")
+        assert producer.pending() == 0
 
     def test_double_begin_rejected(self):
         producer = TransactionalProducer(make_cluster(), "tx")
@@ -159,6 +175,26 @@ class TestFencing:
         new.commit()
         assert committed_values(cluster) == ["from-new"]
 
+    def test_fenced_send_raises_at_the_call_before_staging(self):
+        """The fencing check is ``send``'s, not the flush's: a zombie with a
+        long linger must not even stage a record — whether or not its
+        successor has a transaction open."""
+        cluster = make_cluster()
+        old = TransactionalProducer(cluster, "etl-7", linger_messages=8)
+        old.begin()
+        old.send("t", "staged-before-fencing")
+        new = TransactionalProducer(cluster, "etl-7")
+        for successor_open in (False, True):
+            if successor_open:
+                new.begin()
+            with pytest.raises(ProducerFencedError):
+                old.send("t", "zombie-write")
+            assert old.pending() == 1
+        with pytest.raises(ProducerFencedError):
+            old.flush()
+        new.commit()
+        assert uncommitted_values(cluster) == []
+
     def test_fencing_aborts_in_flight_transaction(self):
         cluster = make_cluster()
         old = TransactionalProducer(cluster, "etl-7")
@@ -213,6 +249,41 @@ class TestConsumerIntegration:
         assert values == ["a", "b"]
         # Position skipped past the marker without delivering it.
         assert consumer.position(TP) == cluster.end_offset(TP)
+
+    @pytest.mark.parametrize("traced", [False, True])
+    @pytest.mark.parametrize(
+        "kind", ["idempotent", "idempotent-zlib", "transactional"]
+    )
+    def test_consumers_see_the_headers_that_were_sent(self, kind, traced):
+        """Producer state is batch metadata: whatever the producer — and
+        whether its batch reaches the consumer as records or as a frame — a
+        delivered record's headers are the user's, plus ``__trace`` under a
+        tracer, and nothing else."""
+        cluster = make_cluster()
+        if kind == "transactional":
+            producer = TransactionalProducer(cluster, "tx", linger_messages=4)
+            producer.begin()
+        else:
+            producer = Producer(cluster, ProducerConfig(
+                idempotent=True, linger_messages=4,
+                compression="zlib:6" if kind.endswith("zlib") else "none",
+            ))
+        sent = [{"user": i, "tag": "x" * i} if i % 2 else None for i in range(8)]
+        with tracing(Tracer(seed=1)) if traced else nullcontext():
+            for i, headers in enumerate(sent):
+                producer.send("t", i, key=f"k{i}", headers=headers)
+            producer.commit() if kind == "transactional" else producer.flush()
+            cluster.run_until_replicated()
+            consumer = Consumer(
+                cluster, ConsumerConfig(isolation_level="read_committed")
+            )
+            consumer.assign([TP])
+            records = consumer.poll(max_messages=100)
+        assert [r.value for r in records] == list(range(8))
+        for record, headers in zip(records, sent):
+            delivered = dict(record.headers)
+            assert (delivered.pop(TRACE_HEADER, None) is not None) == traced
+            assert delivered == (headers or {})
 
     def test_invalid_isolation_level_rejected(self):
         with pytest.raises(ConfigError):
@@ -367,10 +438,22 @@ class TestIdempotentSequences:
         producer.commit()
         p0 = uncommitted_values(cluster, 0)
         assert p0 == ["a", "b"]
-        records = cluster.fetch("t", 0, 0, max_messages=100).records
-        assert [r.headers["__seq"] for r in records] == [0, 1]
-        records = cluster.fetch("t", 1, 0, max_messages=100).records
-        assert [r.headers["__seq"] for r in records] == [0]
+        # One index entry per batch, carrying the request's producer fields;
+        # the commit marker closes each partition's run.
+        pid = producer.producer_id
+        assert leader_batches(cluster, 0) == [
+            (0, 0, pid, 0, "transactional"),
+            (1, 1, pid, 1, "transactional"),
+            (2, 2, pid, None, "commit"),
+        ]
+        assert leader_batches(cluster, 1) == [
+            (0, 0, pid, 0, "transactional"),
+            (1, 1, pid, None, "commit"),
+        ]
+        # ... and nothing of it on the records.
+        for partition in (0, 1):
+            records = cluster.fetch("t", partition, 0, max_messages=100).records
+            assert [r.headers for r in records] == [{}] * len(records)
 
     def test_sequences_continue_across_incarnations(self):
         """A restarted incarnation shares the producer id, so its sequences
@@ -445,9 +528,12 @@ class TestFailedFlush:
         with registry().scoped("cluster.produce", partition_0_is_down):
             with pytest.raises(MessagingError):
                 producer.commit()
-        # The failed batch is parked, not lost, and nothing was decided.
+        # The failed batch is parked, not lost, and nothing was decided; its
+        # partition was registered before the attempt that may have landed.
         assert producer.in_transaction
         assert producer.pending() == 3
+        state = get_transaction_coordinator(cluster).state_for("tx", producer.epoch)
+        assert state.in_flight == {TP, TopicPartition("t", 1)}
         return cluster, producer
 
     def test_retried_commit_delivers_the_parked_batch(self):
@@ -490,14 +576,19 @@ class TestPartitionRange:
         assert successor.epoch == producer.epoch + 1
 
     def test_send_registers_the_partition_object_it_buffers_under(self):
+        """Registration is per batch, when it ships: a partition nothing was
+        sent to owes no marker; one that was attempted is registered before
+        the attempt, under the object the batch was buffered under."""
         cluster = make_cluster(partitions=2)
         producer = TransactionalProducer(cluster, "tx", linger_messages=8)
         producer.begin()
         producer.send("t", "a", key="k")
         producer.send("t", "b", key="k")
         state = get_transaction_coordinator(cluster).state_for("tx", producer.epoch)
-        (registered,) = state.in_flight
         (buffered,) = producer._buffers
+        assert not state.in_flight
+        producer.flush()
+        (registered,) = state.in_flight
         assert registered is buffered
         producer.commit()
         (sequenced,) = state.sequences
