@@ -12,7 +12,16 @@ plus a second co-location center fed by a WAN mirror) and check that the
 *shape* holds: the bytes-out-to-bytes-in amplification is ~5x (3x
 replication + ~2x derived/consumed data), and the cross-colo mirror keeps
 lag at zero.
+
+Machines are the one thing a simulation cannot scale down honestly, but
+*density* is: the same deployment is built a second time beside an idle feed
+tier that brings each of the 6 brokers to the paper's ~2 000 replicas, and
+the table reports what a tick of the settled cluster costs at both densities
+— as a count of Python calls, so the committed table regenerates byte for
+byte.
 """
+
+import cProfile
 
 import pytest
 
@@ -30,6 +39,11 @@ from reporting import attach, format_table, publish
 BROKERS = 6
 EVENTS_PER_SOURCE = 800
 
+#: The idle feed tier: the paper's 25k topics / 200k partitions on 300
+#: machines is 500 topics of 8 partitions on 6.
+IDLE_FEEDS = 500
+IDLE_FEED_PARTITIONS = 8
+
 #: Paper's deployment numbers (the 1:1 reference).
 PAPER = {
     "ingest_tb_daily": 50,
@@ -39,10 +53,15 @@ PAPER = {
     "topics": 25_000,
     "partitions": 200_000,
 }
+PAPER_REPLICAS_PER_BROKER = PAPER["partitions"] * 3 // PAPER["machines_messaging"]
 
 
-def build_deployment() -> tuple[Liquid, dict]:
+def build_deployment(idle_feeds: int = 0) -> tuple[Liquid, dict]:
     liquid = Liquid(num_brokers=BROKERS, host_cores=16)
+    for i in range(idle_feeds):
+        liquid.create_feed(
+            f"idle-{i:03d}", partitions=IDLE_FEED_PARTITIONS, replication_factor=3
+        )
     source_feeds = {
         "rum-events": 4,
         "rest-spans": 4,
@@ -122,9 +141,31 @@ def build_deployment() -> tuple[Liquid, dict]:
     }
 
 
+def idle_tick_calls(liquid: Liquid) -> int:
+    """Calls (Python and builtin, cProfile's count) one tick of the settled
+    deployment makes: nothing to replicate, no maintenance sweep due."""
+    cluster = liquid.cluster
+    cluster.tick(cluster.maintenance_interval)  # the sweep is behind us
+    for _ in range(10):
+        if not cluster.replication.pending():
+            break
+        cluster.tick()
+    profiler = cProfile.Profile()
+    profiler.enable()
+    cluster.tick()
+    profiler.disable()
+    return sum(entry.callcount for entry in profiler.getstats())
+
+
 def run_experiment() -> dict:
     liquid, io = build_deployment()
     stats = liquid.stats()
+    dense, dense_io = build_deployment(IDLE_FEEDS)
+    dense_stats = dense.stats()
+    dense_per_broker = dense_stats["replicas"] // dense_stats["brokers"]
+    tick_calls = idle_tick_calls(liquid)
+    dense_tick_calls = idle_tick_calls(dense)
+    still_pending = dense.cluster.replication.pending()
     stored = stats["stored_bytes"]  # all replicas, all feeds
     amplification = stored / io["ingest_bytes"]
     partitions_per_broker = stats["replicas"] / stats["brokers"]
@@ -140,7 +181,14 @@ def run_experiment() -> dict:
         ["bytes stored incl. replication", stored, "250 TB/day out"],
         ["output/input amplification", f"{amplification:.1f}x", "~5x"],
         ["replicas per broker", f"{partitions_per_broker:.0f}",
-         f"{PAPER['partitions'] * 3 // PAPER['machines_messaging']}"],
+         PAPER_REPLICAS_PER_BROKER],
+        ["replicas per broker, with the idle feed tier", dense_per_broker,
+         PAPER_REPLICAS_PER_BROKER],
+        [f"calls per idle tick at {partitions_per_broker:.0f} replicas/broker",
+         tick_calls, "-"],
+        [f"calls per idle tick at {dense_per_broker} replicas/broker",
+         dense_tick_calls, "-"],
+        ["partitions replication still watches", still_pending, "-"],
         ["co-location centers", 2, 5],
         ["records mirrored cross-colo", io["mirrored_records"], "-"],
         ["mirror lag after sync", io["mirror_lag"], "0"],
@@ -152,6 +200,10 @@ def run_experiment() -> dict:
         notes=[
             "paper: 50 TB in / 250 TB out daily including replication = "
             "5x amplification; 25k topics / 200k partitions on 300 machines",
+            f"idle feed tier: {IDLE_FEEDS} feeds x {IDLE_FEED_PARTITIONS} "
+            "partitions, rf=3, beside the same four workloads; calls are "
+            "cProfile's count (Python + builtin) for one tick of the settled "
+            "cluster, no maintenance sweep due",
         ],
     )
     publish("e10_deployment", table)
@@ -160,18 +212,29 @@ def run_experiment() -> dict:
         "stats": stats,
         "mirrored_records": io["mirrored_records"],
         "mirror_lag": io["mirror_lag"],
+        "tick_calls": tick_calls,
+        "dense": {
+            "stats": dense_stats,
+            "amplification": dense_stats["stored_bytes"] / dense_io["ingest_bytes"],
+            "tick_calls": dense_tick_calls,
+            "offline_partitions": dense.cluster.controller.offline_partitions(),
+            "still_pending": still_pending,
+        },
     }
 
 
+@pytest.fixture(scope="module")
+def metrics() -> dict:
+    return run_experiment()
+
+
 class TestE10Shape:
-    def test_amplification_matches_paper_ratio(self):
-        metrics = run_experiment()
+    def test_amplification_matches_paper_ratio(self, metrics):
         # Paper: 250/50 = 5x out/in (incl. replication). With rf=3 plus one
         # derived tier we expect amplification in the 3.5-8x band.
         assert 3.5 < metrics["amplification"] < 8.0
 
-    def test_every_use_case_produced_derived_data(self):
-        metrics = run_experiment()
+    def test_every_use_case_produced_derived_data(self, metrics):
         assert metrics["stats"]["derived_feeds"] >= 5
         assert metrics["stats"]["jobs"] == 4
         assert metrics["stats"]["source_feeds"] == 4
@@ -180,10 +243,21 @@ class TestE10Shape:
         liquid, _io = build_deployment()
         assert liquid.cluster.controller.offline_partitions() == []
 
-    def test_cross_colo_mirror_caught_up(self):
-        metrics = run_experiment()
+    def test_cross_colo_mirror_caught_up(self, metrics):
         assert metrics["mirrored_records"] > 0
         assert metrics["mirror_lag"] == 0
+
+    def test_same_deployment_at_the_papers_density(self, metrics):
+        dense = metrics["dense"]
+        per_broker = dense["stats"]["replicas"] // dense["stats"]["brokers"]
+        assert per_broker >= PAPER_REPLICAS_PER_BROKER
+        # The idle tier stores nothing and gets in nobody's way.
+        assert dense["amplification"] == metrics["amplification"]
+        assert dense["offline_partitions"] == []
+        assert dense["still_pending"] == 0
+
+    def test_an_idle_tick_costs_the_same_at_both_densities(self, metrics):
+        assert metrics["dense"]["tick_calls"] == metrics["tick_calls"]
 
 
 @pytest.mark.benchmark(group="e10")

@@ -262,6 +262,7 @@ class MessagingCluster:
         epoch: int,
         isr: list[int],
     ) -> None:
+        self.replication.mark(partition)
         for broker in self._brokers.values():
             if not broker.hosts(partition) or not broker.online:
                 continue
@@ -272,6 +273,7 @@ class MessagingCluster:
                 replica.become_follower(epoch)
 
     def _apply_isr(self, partition: TopicPartition, isr: list[int]) -> None:
+        self.replication.mark(partition)
         leader = self.controller.leader_for(partition)
         if leader is None:
             return
@@ -372,6 +374,9 @@ class MessagingCluster:
                 f"{tp}: ISR {state.isr} below min_insync_replicas="
                 f"{config.min_insync_replicas}"
             )
+        # The leader's log is about to run ahead of its followers: replication
+        # looks at this partition again.  Once per batch, never per record.
+        self.replication.mark(tp)
         result, broker_latency = leader_broker.produce(
             tp, entries, state.epoch, producer_id, producer_seq, frame, sizes,
             transactional,
@@ -556,6 +561,7 @@ class MessagingCluster:
         if not broker.online:
             return
         broker.shutdown()
+        self._mark_hosted(broker)
         self.controller.broker_failed(broker_id)
 
     def restart_broker(self, broker_id: int) -> None:
@@ -564,7 +570,15 @@ class MessagingCluster:
         if broker.online:
             return
         broker.startup()
+        self._mark_hosted(broker)
         self.controller.broker_recovered(broker_id)
+
+    def _mark_hosted(self, broker: Broker) -> None:
+        """A broker went down or came back: every partition it hosts gained
+        or lost an online follower (or its leader), so replication looks at
+        each of them again."""
+        for replica in broker.replicas():
+            self.replication.mark(replica.partition)
 
     def tick(self, dt: float = 0.1, replication_passes: int = 1) -> ReplicationStats:
         """Advance simulated time and run background work.
@@ -614,6 +628,7 @@ class MessagingCluster:
             "partitions": partition_count,
             "replicas": replica_count,
             "stored_bytes": stored_bytes,
+            "replication_pending": self.replication.pending(),
             "messages_in": self.metrics.counter(_M_MESSAGES_IN).value,
             "messages_out": self.metrics.counter(_M_MESSAGES_OUT).value,
         }

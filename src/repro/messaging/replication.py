@@ -6,10 +6,14 @@ a given partition may not have incorporated all data from the lead broker
 when it fails."
 
 The :class:`ReplicationManager` is driven from the cluster tick: each pass,
-every follower replica reconciles a divergent tail (truncation after leader
-changes) and, unless it is already caught up, fetches from its leader; the
-controller's ISR is shrunk or re-expanded based on observed lag — the
-"configurable minimum up-to-date threshold" the paper describes.
+every follower replica of a *pending* partition reconciles a divergent tail
+(truncation after leader changes) and, unless it is already caught up,
+fetches from its leader; the controller's ISR is shrunk or re-expanded based
+on observed lag — the "configurable minimum up-to-date threshold" the paper
+describes.  A partition is pending from the moment the cluster marks it (a
+leader append, a leadership or ISR change, a broker crash or restart) until a
+pass in which every online follower of it had nothing to do; a settled
+partition costs a pass nothing.
 """
 
 from __future__ import annotations
@@ -63,27 +67,63 @@ class ReplicationManager:
         self.cluster = cluster
         self.max_lag_messages = max_lag_messages
         self.max_fetch = max_fetch
+        # Partitions some follower may have work on.  Every other partition
+        # is settled: each online follower of it is caught up and the leader
+        # knows it, which stays true until one of the cluster's mark sites
+        # says otherwise.
+        self._pending: set[TopicPartition] = set()
+        # Visit order is creation order; a partition's first mark is its
+        # creation (the controller announces its first leader).
+        self._order: dict[TopicPartition, int] = {}
+        # Online follower pairs each settled partition stands for, and their
+        # sum: what a pass adds to ``partitions_synced`` without a visit.
+        self._settled: dict[TopicPartition, int] = {}
+        self._settled_pairs = 0
+
+    def mark(self, partition: TopicPartition) -> None:
+        """Something about ``partition`` changed: visit it from the next
+        pass on, until all of its online followers are idle again."""
+        if partition not in self._pending:
+            self._pending.add(partition)
+            self._order.setdefault(partition, len(self._order))
+            self._settled_pairs -= self._settled.pop(partition, 0)
+
+    def pending(self) -> int:
+        """Partitions the next pass will visit."""
+        return len(self._pending)
 
     def poll(self) -> ReplicationStats:
-        """Run one replication pass over all partitions."""
-        stats = ReplicationStats()
-        controller = self.cluster.controller
-        for partition in controller.partitions():
+        """Run one replication pass over the pending partitions."""
+        stats = ReplicationStats(partitions_synced=self._settled_pairs)
+        pending = self._pending
+        if not pending:
+            return stats
+        cluster = self.cluster
+        controller = cluster.controller
+        for partition in sorted(pending, key=self._order.__getitem__):
             state = controller.partition_state(partition)
             if state.leader is None:
                 continue
-            leader_broker = self.cluster.broker(state.leader)
-            if not leader_broker.online:
+            if not cluster.broker(state.leader).online:
                 continue
+            pairs = 0
+            settled = True
             for follower_id in state.replicas:
                 if follower_id == state.leader:
                     continue
-                follower_broker = self.cluster.broker(follower_id)
-                if not follower_broker.online:
+                if not cluster.broker(follower_id).online:
                     continue
-                self._sync_follower(
+                pairs += 1
+                if not self._sync_follower(
                     partition, state.leader, follower_id, stats
-                )
+                ):
+                    settled = False
+            if settled:
+                # Every online follower took the short cut, which changes
+                # nothing: what made them idle is still true after the pass.
+                pending.remove(partition)
+                self._settled[partition] = pairs
+                self._settled_pairs += pairs
         return stats
 
     def _sync_follower(
@@ -92,16 +132,33 @@ class ReplicationManager:
         leader_id: int,
         follower_id: int,
         stats: ReplicationStats,
-    ) -> None:
-        # Armed with `skipping`, this stalls the follower: no fetch, no ISR
-        # maintenance — the lag just accumulates until the stall is lifted.
-        if failpoint("replication.sync", partition=partition, follower=follower_id) is SKIP:
-            return
+    ) -> bool:
+        """Bring one follower up to date; True if it had nothing to do."""
         controller = self.cluster.controller
         leader_broker = self.cluster.broker(leader_id)
         follower_broker = self.cluster.broker(follower_id)
         leader_replica = leader_broker.replica(partition)
         follower_replica = follower_broker.replica(partition)
+
+        fetch_offset = follower_replica.log_end_offset
+        if (
+            follower_replica.leader_epoch == leader_replica.leader_epoch
+            and fetch_offset == leader_replica.log_end_offset
+            and leader_replica._follower_leo.get(follower_id) == fetch_offset
+            and follower_replica.high_watermark >= leader_replica.high_watermark
+            and follower_id in controller.isr_for(partition)
+        ):
+            # Caught up, and the leader knows it: the fetch would return
+            # nothing, record the position the leader already holds, and
+            # leave both high watermarks and the ISR as they are.  With the
+            # first two conditions reconciliation below is a no-op too, and
+            # a follower with nothing to fetch has nothing to stall.
+            stats.partitions_synced += 1
+            return True
+        # Armed with `skipping`, this stalls the follower: no fetch, no ISR
+        # maintenance — the lag just accumulates until the stall is lifted.
+        if failpoint("replication.sync", partition=partition, follower=follower_id) is SKIP:
+            return False
 
         # Epoch reconciliation: a follower that lived through a leadership
         # change (e.g. a deposed leader) may hold an un-replicated tail the
@@ -117,24 +174,12 @@ class ReplicationManager:
             if removed:
                 stats.truncations.append((partition, follower_id, removed))
             follower_replica.become_follower(leader_replica.leader_epoch)
-        elif follower_replica.log_end_offset > leader_replica.log_end_offset:
+        elif fetch_offset > leader_replica.log_end_offset:
             removed = follower_replica.truncate_to(leader_replica.log_end_offset)
             if removed:
                 stats.truncations.append((partition, follower_id, removed))
 
         fetch_offset = follower_replica.log_end_offset
-        if (
-            follower_replica.leader_epoch == leader_replica.leader_epoch
-            and fetch_offset == leader_replica.log_end_offset
-            and leader_replica._follower_leo.get(follower_id) == fetch_offset
-            and follower_replica.high_watermark >= leader_replica.high_watermark
-            and follower_id in controller.isr_for(partition)
-        ):
-            # Caught up, and the leader knows it: the fetch would return
-            # nothing, record the position the leader already holds, and
-            # leave both high watermarks and the ISR as they are.
-            stats.partitions_synced += 1
-            return
         try:
             messages, leader_leo, leader_hw, frames, stored_bytes, batches = (
                 leader_broker.replica_fetch(
@@ -146,7 +191,7 @@ class ReplicationManager:
             NotLeaderForPartitionError,
             OffsetOutOfRangeError,
         ):
-            return
+            return False
         if messages:
             # Frames ride along so compressed batches land on the follower as
             # the same opaque blobs the leader stores (no re-encode); batch
@@ -173,3 +218,4 @@ class ReplicationManager:
             new_isr = controller.expand_isr(partition, follower_id)
             leader_replica.set_isr(new_isr)
             stats.isr_expansions.append((partition, follower_id))
+        return False

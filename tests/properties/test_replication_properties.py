@@ -5,12 +5,13 @@ survives any N-1 failures of the ISR; delivery is at-least-once; and
 per-partition order is total.  These properties are checked under randomized
 produce / kill / restart / tick schedules.
 
-The replication loop skips the fetch for a follower it can show is caught
-up; :class:`TestIdleFollowerShortCut` holds that against the loop that always
-fetches, kept below as the reference.
+The replication loop visits only the partitions the cluster marked, and
+skips the fetch for a follower it can show is caught up.  The loop it
+replaced — every partition x every follower, every pass — is kept below as
+the reference: :class:`TestPendingSet` holds the pending set against it, and
+:class:`TestIdleFollowerShortCut` holds both short cuts against the same scan
+with the fetch always made.
 """
-
-from types import MethodType
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -27,6 +28,7 @@ from repro.common.records import TopicPartition
 from repro.messaging.cluster import ACKS_ALL, ACKS_LEADER, MessagingCluster
 from repro.messaging.config import ProducerConfig
 from repro.messaging.producer import Producer
+from repro.messaging.replication import ReplicationStats
 
 TP = TopicPartition("t", 0)
 
@@ -160,22 +162,70 @@ class TestDurability:
             assert leader.high_watermark <= replica.log_end_offset
 
 
-# -- the idle-follower short cut against the loop that always fetches ---------
+# -- the pending set and the idle short cut against the loop that scans it all --
 
 WIRE_BYTES = "messaging.cluster.bytes_on_wire"
 
+#: Examples per property: small in tier-1, as deep as the profile asks under
+#: ``--hypothesis-profile=deep`` (CI's ``determinism`` job).
+EXAMPLES = settings.default.max_examples if settings.default.max_examples > 100 else 60
 
-def reference_sync_follower(self, partition, leader_id, follower_id, stats):
-    """``ReplicationManager._sync_follower`` as it was before the short cut:
-    every online follower fetches from its leader on every pass, caught up or
-    not.  Shares nothing with the method it stands in for."""
-    if failpoint("replication.sync", partition=partition, follower=follower_id) is SKIP:
+
+def caught_up(cluster, partition, leader_id, follower_id) -> bool:
+    """The five conditions under which a follower has nothing to do."""
+    leader = cluster.broker(leader_id).replica(partition)
+    follower = cluster.broker(follower_id).replica(partition)
+    return (
+        follower.leader_epoch == leader.leader_epoch
+        and follower.log_end_offset == leader.log_end_offset
+        and leader._follower_leo.get(follower_id) == follower.log_end_offset
+        and follower.high_watermark >= leader.high_watermark
+        and follower_id in cluster.controller.isr_for(partition)
+    )
+
+
+def reference_poll(self, always_fetch):
+    """``ReplicationManager.poll`` as it was before the pending set: every
+    partition of the controller x every online follower, on every pass."""
+    stats = ReplicationStats()
+    controller = self.cluster.controller
+    for partition in controller.partitions():
+        state = controller.partition_state(partition)
+        if state.leader is None:
+            continue
+        if not self.cluster.broker(state.leader).online:
+            continue
+        for follower_id in state.replicas:
+            if follower_id == state.leader:
+                continue
+            if not self.cluster.broker(follower_id).online:
+                continue
+            reference_sync_follower(
+                self, partition, state.leader, follower_id, stats, always_fetch
+            )
+    return stats
+
+
+def reference_sync_follower(
+    self, partition, leader_id, follower_id, stats, always_fetch
+):
+    """``ReplicationManager._sync_follower`` as the full scan ran it: a
+    follower with nothing to fetch has nothing to stall, and (unless
+    ``always_fetch``, the loop from before the short cut) is counted without
+    a fetch.  Returns nothing: the scan settles no one."""
+    idle = caught_up(self.cluster, partition, leader_id, follower_id)
+    if idle and not always_fetch:
+        stats.partitions_synced += 1
+        return
+    if not idle and (
+        failpoint("replication.sync", partition=partition, follower=follower_id)
+        is SKIP
+    ):
         return
     controller = self.cluster.controller
     leader_broker = self.cluster.broker(leader_id)
-    follower_broker = self.cluster.broker(follower_id)
     leader_replica = leader_broker.replica(partition)
-    follower_replica = follower_broker.replica(partition)
+    follower_replica = self.cluster.broker(follower_id).replica(partition)
 
     if follower_replica.leader_epoch < leader_replica.leader_epoch:
         safe_point = min(
@@ -225,17 +275,22 @@ def reference_sync_follower(self, partition, leader_id, follower_id, stats):
         stats.isr_expansions.append((partition, follower_id))
 
 
-PARTITIONS = (TopicPartition("t", 0), TopicPartition("t", 1))
+#: Three two-partition topics (plus the offsets topic, plus whatever a
+#: schedule creates mid-run): most partitions are idle in any one step.
+TOPICS = ("t", "u", "v")
 
 brokers = st.integers(min_value=0, max_value=2)
 produces = st.tuples(
     st.just("produce"),
+    st.integers(0, len(TOPICS) - 1),
     st.integers(0, 1),  # partition
     st.integers(1, 6),  # records, flushed as one batch
     st.sampled_from([ACKS_LEADER, ACKS_ALL]),
     st.booleans(),  # compressed
+    st.booleans(),  # idempotent
 )
-#: produce / tick / crash / restart / stall one follower's
+#: produce / tick / crash / restart / create a topic mid-run / have the
+#: controller drop a follower from an ISR / stall one follower's
 #: ``replication.sync`` (None lifts the stall).  Weighted towards traffic.
 chaos_steps = st.lists(
     st.one_of(
@@ -244,60 +299,96 @@ chaos_steps = st.lists(
         st.tuples(st.just("kill"), brokers),
         st.tuples(st.just("restart"), brokers),
         st.tuples(st.just("stall"), st.one_of(st.none(), brokers)),
+        st.just(("create",)),
+        st.tuples(st.just("shrink"), st.integers(0, len(TOPICS) - 1), st.integers(0, 1)),
     ),
     min_size=8,
     max_size=60,
 )
 
+
+def produce(partition, count, acks, compressed, topic=0, idempotent=False):
+    return ("produce", topic, partition, count, acks, compressed, idempotent)
+
+
 #: Schedules that are sure to reach what random ones reach rarely.  Broker
 #: ``p`` leads partition ``p`` at the start; catch-up moves 3 records a pass.
 LAGGARD_SHRUNK_THEN_READMITTED = (
     [("stall", 1)]
-    + [("produce", 0, 6, ACKS_LEADER, False), ("produce", 0, 6, ACKS_LEADER, True)]
+    + [produce(0, 6, ACKS_LEADER, False), produce(0, 6, ACKS_LEADER, True)]
     + [("tick",), ("tick",), ("stall", None)]
     + [("tick",)] * 3
-    + [("produce", 0, 2, ACKS_ALL, False)]
+    + [produce(0, 2, ACKS_ALL, False)]
 )
 DEPOSED_LEADER_TRUNCATES = [
-    ("produce", 0, 4, ACKS_LEADER, True),
+    produce(0, 4, ACKS_LEADER, True),
     ("kill", 0),
-    ("produce", 0, 2, ACKS_ALL, False),
+    produce(0, 2, ACKS_ALL, False),
     ("tick",),
     ("restart", 0),
 ]
 LAST_ISR_MEMBER_DIES = [
     ("kill", 1),
     ("kill", 2),
-    ("produce", 0, 3, ACKS_LEADER, False),
+    produce(0, 3, ACKS_LEADER, False),
     ("restart", 1),
     ("kill", 0),  # unclean: broker 1 leads with nothing; clean: offline
-    ("produce", 0, 2, ACKS_LEADER, False),
+    produce(0, 2, ACKS_LEADER, False),
     ("tick",),
     ("restart", 0),
     ("tick",),
-    ("produce", 0, 1, ACKS_ALL, True),
+    produce(0, 1, ACKS_ALL, True),
 ]
+#: Six partitions fall more than ``replication_max_lag`` behind in one pass
+#: and are re-admitted in another, one of them created mid-run: the shrink
+#: and expansion lists come out in visit order, which must be creation order.
+EVERY_PARTITION_SHRINKS_IN_ONE_PASS = (
+    [("tick",), ("tick",), ("create",)]
+    + [
+        produce(partition, 6, ACKS_LEADER, False, topic, idempotent=bool(partition))
+        for topic in (2, 0, 1)
+        for partition in (1, 0)
+    ]
+    + [("tick",)] * 4
+)
+#: A stall armed on a settled cluster touches nobody; the produce that gives
+#: the stalled follower work brings the stall with it, and a restart puts
+#: every partition the broker hosts back in front of the loop.
+STALL_ARMED_ON_A_SETTLED_CLUSTER = (
+    [("tick",), ("tick",), ("stall", 2), ("tick",), ("tick",)]
+    + [produce(0, 4, ACKS_LEADER, False), ("tick",), ("tick",), ("kill", 1)]
+    + [produce(1, 2, ACKS_ALL, True, topic=1), ("tick",), ("restart", 1)]
+    + [("tick",), ("stall", None), ("tick",), ("tick",), ("tick",)]
+)
+#: The controller drops an in-sync follower of a settled partition with no
+#: traffic anywhere: only the ISR listener can bring the pass back to it.
+CONTROLLER_SHRINKS_A_SETTLED_ISR = [("tick",), ("tick",), ("shrink", 1, 0), ("tick",)]
 
 
 class Driven:
-    """One rf=3 cluster plus the four producers a schedule sends through."""
+    """One rf=3 cluster plus the eight producers a schedule sends through.
 
-    def __init__(self, unclean: bool, reference: bool) -> None:
+    ``reference`` swaps the replication pass for the full scan: ``"scan"`` as
+    it ran before the pending set, ``"always-fetch"`` as it ran before the
+    idle short cut as well.
+    """
+
+    def __init__(self, unclean: bool, reference: str | None) -> None:
         self.cluster = MessagingCluster(
             num_brokers=3,
             clock=SimClock(),
             replication_max_lag=2,
             allow_unclean_election=unclean,
         )
-        self.cluster.create_topic("t", num_partitions=2, replication_factor=3)
+        for topic in TOPICS:
+            self.cluster.create_topic(topic, num_partitions=2, replication_factor=3)
         replication = self.cluster.replication
         replication.max_fetch = 3  # a backlog takes passes: lag, shrink, expand
-        if reference:
-            replication._sync_follower = MethodType(
-                reference_sync_follower, replication
-            )
+        if reference is not None:
+            always_fetch = reference == "always-fetch"
+            replication.poll = lambda: reference_poll(replication, always_fetch)
         self.producers = {
-            (acks, compressed): Producer(
+            (acks, compressed, idempotent): Producer(
                 self.cluster,
                 ProducerConfig(
                     acks=acks,
@@ -305,12 +396,19 @@ class Driven:
                     max_retries=1,
                     retry_jitter_seed=11,
                     compression="zlib:6" if compressed else "none",
+                    idempotent=idempotent,
                 ),
             )
             for acks in (ACKS_LEADER, ACKS_ALL)
             for compressed in (False, True)
+            for idempotent in (False, True)
         }
+        # Producer ids come from a process-wide counter; same-seed clusters
+        # need the same ones in their batch indexes.
+        for producer_id, producer in enumerate(self.producers.values(), 1):
+            producer.producer_id = producer_id
         self.sent = 0
+        self.created = 0
 
     def step(self, step, stalled):
         """Run one schedule step; returns what it visibly produced."""
@@ -321,14 +419,14 @@ class Driven:
         cluster = self.cluster
         with registry().scoped("replication.sync", stall):
             if step[0] == "produce":
-                _, partition, count, acks, compressed = step
-                producer = self.producers[acks, compressed]
+                _, topic, partition, count, acks, compressed, idempotent = step
+                producer = self.producers[acks, compressed, idempotent]
                 try:
                     for _ in range(count):
                         self.sent += 1
                         producer.send(
-                            "t", {"n": self.sent}, key=f"k{self.sent % 5}",
-                            partition=partition,
+                            TOPICS[topic], {"n": self.sent},
+                            key=f"k{self.sent % 5}", partition=partition,
                         )
                     return producer.flush()  # ProduceAcks compare by value
                 except MessagingError as exc:
@@ -340,17 +438,30 @@ class Driven:
                 cluster.kill_broker(step[1])
             elif step[0] == "restart" and step[1] not in live:
                 cluster.restart_broker(step[1])
+            elif step[0] == "shrink":
+                tp = TopicPartition(TOPICS[step[1]], step[2])
+                state = cluster.controller.partition_state(tp)
+                followers = [b for b in state.isr if b != state.leader]
+                if followers:
+                    cluster.controller.shrink_isr(tp, followers[0])
+            elif step[0] == "create":
+                self.created += 1
+                cluster.create_topic(
+                    f"w{self.created}",
+                    num_partitions=2,
+                    replication_factor=min(3, len(live)),
+                )
         return None
 
     def snapshot(self):
         """Everything replication decides, per partition and per replica."""
         cluster = self.cluster
         out = [cluster.clock.now(), cluster.metrics.counter(WIRE_BYTES).value]
-        for tp in PARTITIONS:
+        for tp in cluster.controller.partitions():
             state = cluster.controller.partition_state(tp)
-            out.append((state.leader, state.epoch, list(state.isr)))
-            for broker in cluster.brokers():
-                replica = broker.replica(tp)
+            out.append((tp, state.leader, state.epoch, list(state.isr)))
+            for broker_id in state.replicas:
+                replica = cluster.broker(broker_id).replica(tp)
                 log = replica.log
                 out.append((
                     replica.role,
@@ -366,28 +477,87 @@ class Driven:
                     ],
                     [(base, last, frame.wire_bytes)
                      for base, last, frame in log.frames_between(0, 1 << 62)],
+                    list(log.batches()),
                 ))
         return out
+
+    def check_settled(self):
+        """What the pending set claims, checked directly: a partition the
+        next pass will not visit has a live leader and only caught-up online
+        followers, and stands for exactly that many pairs."""
+        cluster = self.cluster
+        replication = cluster.replication
+        pairs = 0
+        for tp in cluster.controller.partitions():
+            if tp in replication._pending:
+                assert tp not in replication._settled, tp
+                continue
+            state = cluster.controller.partition_state(tp)
+            assert state.leader is not None, tp
+            assert cluster.broker(state.leader).online, tp
+            followers = [
+                b for b in state.replicas
+                if b != state.leader and cluster.broker(b).online
+            ]
+            for follower_id in followers:
+                assert caught_up(cluster, tp, state.leader, follower_id), (
+                    tp, follower_id,
+                )
+            assert replication._settled[tp] == len(followers), tp
+            pairs += len(followers)
+        assert replication._settled_pairs == pairs
+
+
+def drive_against(reference, schedule, unclean):
+    """Run ``schedule`` on the cluster under test and on ``reference``'s, same
+    seed, and hold them equal — acks or errors, pass statistics, every
+    replica — after every step."""
+    registry().disarm_all()
+    under_test = Driven(unclean, reference=None)
+    scanned = Driven(unclean, reference=reference)
+    stalled = None
+    # Settle at the end: recover every broker, lift the stall, drain.
+    settle = [("restart", b) for b in range(3)] + [("stall", None)]
+    settle += [("tick",)] * 6
+    for step in list(schedule) + settle:
+        if step[0] == "stall":
+            stalled = step[1]
+            continue
+        assert under_test.step(step, stalled) == scanned.step(step, stalled), step
+        assert under_test.snapshot() == scanned.snapshot(), step
+        under_test.check_settled()
+
+
+FIXED = [
+    (LAGGARD_SHRUNK_THEN_READMITTED, False),
+    (DEPOSED_LEADER_TRUNCATES, False),
+    (LAST_ISR_MEMBER_DIES, True),
+    (LAST_ISR_MEMBER_DIES, False),
+    (EVERY_PARTITION_SHRINKS_IN_ONE_PASS, False),
+    (STALL_ARMED_ON_A_SETTLED_CLUSTER, False),
+    (CONTROLLER_SHRINKS_A_SETTLED_ISR, False),
+]
+
+
+def with_fixed_schedules(test):
+    for schedule, unclean in FIXED:
+        test = example(schedule, unclean)(test)
+    return test
+
+
+class TestPendingSet:
+    @given(chaos_steps, st.booleans())
+    @with_fixed_schedules
+    @settings(max_examples=EXAMPLES, deadline=None)
+    def test_same_cluster_as_the_loop_that_scans_every_partition(
+        self, schedule, unclean
+    ):
+        drive_against("scan", schedule, unclean)
 
 
 class TestIdleFollowerShortCut:
     @given(chaos_steps, st.booleans())
-    @example(LAGGARD_SHRUNK_THEN_READMITTED, False)
-    @example(DEPOSED_LEADER_TRUNCATES, False)
-    @example(LAST_ISR_MEMBER_DIES, True)
-    @example(LAST_ISR_MEMBER_DIES, False)
-    @settings(max_examples=150, deadline=None)
+    @with_fixed_schedules
+    @settings(max_examples=EXAMPLES, deadline=None)
     def test_same_cluster_as_the_loop_that_always_fetches(self, schedule, unclean):
-        registry().disarm_all()
-        short_cut = Driven(unclean, reference=False)
-        always_fetch = Driven(unclean, reference=True)
-        stalled = None
-        # Settle at the end: recover every broker, lift the stall, drain.
-        settle = [("restart", b) for b in range(3)] + [("stall", None)]
-        settle += [("tick",)] * 6
-        for step in schedule + settle:
-            if step[0] == "stall":
-                stalled = step[1]
-                continue
-            assert short_cut.step(step, stalled) == always_fetch.step(step, stalled), step
-            assert short_cut.snapshot() == always_fetch.snapshot(), step
+        drive_against("always-fetch", schedule, unclean)

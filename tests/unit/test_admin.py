@@ -24,6 +24,10 @@ class TestDescribe:
         assert info["brokers"] == 3
         assert info["controller"] == 0
         assert info["offline_partitions"] == 0
+        # Fresh partitions are pending until a pass has looked at them once.
+        assert info["replication_pending"] == 3
+        cluster.tick()
+        assert admin.describe_cluster()["replication_pending"] == 0
 
     def test_describe_topic_partitions(self):
         cluster, admin = make_env()

@@ -67,7 +67,9 @@ class TestCopying:
 class TestIdleFollower:
     """A caught-up follower costs a comparison, not a fetch: same epoch, same
     end offset, the leader has that offset on record, nothing to learn about
-    the high watermark, already in the ISR.  Each condition carries weight."""
+    the high watermark, already in the ISR.  Each condition carries weight.
+    A partition whose online followers all pass it is settled and costs a
+    pass nothing until the cluster marks it again."""
 
     @staticmethod
     def settled():
@@ -89,7 +91,8 @@ class TestIdleFollower:
         registry().reset_counters()
         with registry().scoped("log.read"):
             stats = cluster.replication.poll()
-        # Two followers each for "t" and the offsets topic: all still polled.
+        # Two followers each for "t" and the offsets topic: visited or
+        # settled, every online in-sync pair is still counted.
         assert stats.partitions_synced == 4
         return registry().fires("log.read")
 
@@ -97,25 +100,48 @@ class TestIdleFollower:
         cluster, _leader, _follower = self.settled()
         assert self.fetches_in_one_pass(cluster) == 0
 
-    def test_stall_is_still_evaluated_first(self):
-        cluster, _leader, _follower = self.settled()
+    def test_nothing_to_fetch_means_nothing_to_stall(self):
+        """The five conditions come before the ``replication.sync`` hook: an
+        armed stall reaches a pair only once a mark has given it work."""
+        cluster, leader, follower = self.settled()
+        registry().reset_counters()
         with registry().scoped("replication.sync", skipping):
-            assert cluster.replication.poll().partitions_synced == 0
+            # Settled + armed stall: nobody is visited, the count stands.
+            assert cluster.replication.poll().partitions_synced == 4
+            assert registry().fires("replication.sync") == 0
+            # Lagging + armed stall: the lag accumulates and the partition
+            # stays pending, one hit per follower per pass.
+            cluster.produce("t", 0, entries(3), acks=ACKS_LEADER)
+            for _ in range(3):
+                stats = cluster.replication.poll()
+                assert (stats.messages_copied, stats.partitions_synced) == (0, 2)
+            assert registry().fires("replication.sync") == 6
+            assert (leader.log_end_offset, follower.log_end_offset) == (8, 5)
+            assert cluster.replication.pending() == 1
+        # One pass after the lift repairs it.
+        assert cluster.replication.poll().messages_copied == 6
+        assert follower.log_end_offset == leader.log_end_offset == 8
 
     @pytest.mark.parametrize(
-        "unsettle",
+        "unsettle, marks_itself",
         [
-            lambda c, leader, f: f.become_follower(leader.leader_epoch + 1),
-            lambda c, leader, f: f.truncate_to(4),
-            lambda c, leader, f: leader._follower_leo.update({f.broker_id: 4}),
-            lambda c, leader, f: setattr(f, "high_watermark", 4),
-            lambda c, leader, f: c.controller.shrink_isr(TP, f.broker_id),
+            (lambda c, leader, f: f.become_follower(leader.leader_epoch + 1), False),
+            (lambda c, leader, f: f.truncate_to(4), False),
+            (lambda c, leader, f: leader._follower_leo.update({f.broker_id: 4}), False),
+            (lambda c, leader, f: setattr(f, "high_watermark", 4), False),
+            (lambda c, leader, f: c.controller.shrink_isr(TP, f.broker_id), True),
         ],
         ids=["epoch", "end-offset", "recorded-position", "high-watermark", "isr"],
     )
-    def test_any_one_condition_missing_means_a_fetch(self, unsettle):
+    def test_any_one_condition_missing_means_a_fetch(self, unsettle, marks_itself):
         cluster, leader, follower = self.settled()
+        assert cluster.replication.pending() == 0
         unsettle(cluster, leader, follower)
+        # State forced by assignment goes around the cluster-level site that
+        # would have marked the partition (an election, a leader append, a
+        # restart); the controller's ISR change arrives through its listener.
+        assert cluster.replication.pending() == marks_itself
+        cluster.replication.mark(TP)
         assert self.fetches_in_one_pass(cluster) == 1  # the other one idles
         # ... and the fetch did its job: position, HW and ISR are whole again.
         assert follower.log_end_offset == leader.log_end_offset == 5
