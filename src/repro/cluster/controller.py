@@ -43,6 +43,15 @@ class PartitionState:
         return self.leader is not None
 
 
+class _Partitions(dict[TopicPartition, PartitionState]):
+    """The controller's partition table: a miss is a :class:`NoNodeError`,
+    so every accessor is one lookup (fetches, produce batches and standby
+    lag checks each read one)."""
+
+    def __missing__(self, partition: TopicPartition) -> PartitionState:
+        raise NoNodeError(f"unknown partition {partition}")
+
+
 class ClusterController:
     """Tracks broker liveness and assigns partition leadership.
 
@@ -58,7 +67,7 @@ class ClusterController:
     ) -> None:
         self.coordinator = coordinator
         self.allow_unclean_election = allow_unclean_election
-        self._partitions: dict[TopicPartition, PartitionState] = {}
+        self._partitions = _Partitions()
         self._live_brokers: set[int] = set()
         self._sessions: dict[int, Session] = {}
         self._leadership_listeners: list[LeadershipListener] = []
@@ -198,7 +207,7 @@ class ClusterController:
 
     def shrink_isr(self, partition: TopicPartition, broker_id: int) -> list[int]:
         """Remove a lagging follower from the ISR; returns the new ISR."""
-        state = self._state(partition)
+        state = self._partitions[partition]
         if broker_id == state.leader:
             raise ConfigError("cannot shrink the leader out of its own ISR")
         if broker_id in state.isr:
@@ -208,7 +217,7 @@ class ClusterController:
 
     def expand_isr(self, partition: TopicPartition, broker_id: int) -> list[int]:
         """Re-admit a caught-up follower to the ISR; returns the new ISR."""
-        state = self._state(partition)
+        state = self._partitions[partition]
         if broker_id not in state.replicas:
             raise ConfigError(f"broker {broker_id} is not a replica of {partition}")
         if broker_id not in self._live_brokers:
@@ -220,23 +229,17 @@ class ClusterController:
 
     # -- queries -----------------------------------------------------------------------
 
-    def _state(self, partition: TopicPartition) -> PartitionState:
-        state = self._partitions.get(partition)
-        if state is None:
-            raise NoNodeError(f"unknown partition {partition}")
-        return state
-
     def partition_state(self, partition: TopicPartition) -> PartitionState:
-        return self._state(partition)
+        return self._partitions[partition]
 
     def leader_for(self, partition: TopicPartition) -> int | None:
-        return self._state(partition).leader
+        return self._partitions[partition].leader
 
     def isr_for(self, partition: TopicPartition) -> list[int]:
-        return list(self._state(partition).isr)
+        return list(self._partitions[partition].isr)
 
     def epoch_for(self, partition: TopicPartition) -> int:
-        return self._state(partition).epoch
+        return self._partitions[partition].epoch
 
     def live_brokers(self) -> set[int]:
         return set(self._live_brokers)

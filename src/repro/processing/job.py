@@ -350,7 +350,7 @@ class JobRunner:
         #: warm replica.  Standbys live on *other* containers, so a
         #: container crash() leaves them intact — that is what makes
         #: promotion cheaper than a cold changelog restore.
-        self._standbys: dict[int, list[dict[str, StandbyReplica]]] = {}
+        self._standbys: dict[int, tuple[dict[str, StandbyReplica], ...]] = {}
         self._standby_seq: dict[int, int] = {}
         #: task_id -> {store: changelog end offset at the last checkpoint} —
         #: the snapshot bound state servers serve at (see repro.serving).
@@ -483,10 +483,10 @@ class JobRunner:
         if self.config.num_standby_replicas <= 0 or not self._changelogged_stores():
             return
         for task_id in range(self.num_tasks):
-            self._standbys[task_id] = [
+            self._standbys[task_id] = tuple(
                 self._new_standby_set(task_id)
                 for _ in range(self.config.num_standby_replicas)
-            ]
+            )
 
     def _catch_up_standbys(self, task_id: int) -> None:
         """Warm the task's standbys at a checkpoint boundary.
@@ -558,9 +558,13 @@ class JobRunner:
         """Simulated time the task's snapshot bound was last advanced."""
         return self._snapshot_times.get(task_id)
 
-    def standby_replicas(self, task_id: int) -> list[dict[str, StandbyReplica]]:
-        """The task's live standby sets (possibly empty), freshest first."""
-        return list(self._standbys.get(task_id, ()))
+    def standby_replicas(self, task_id: int) -> tuple[dict[str, StandbyReplica], ...]:
+        """The task's live standby sets (possibly empty), freshest first.
+
+        An immutable tuple, replaced on promotion, so the serving read path
+        looks it up per query without copying it.
+        """
+        return self._standbys.get(task_id, ())
 
     def promote_standby(
         self, task_id: int
@@ -577,13 +581,14 @@ class JobRunner:
         sets = self._standbys.get(task_id)
         if not sets:
             return None
-        replicas = sets.pop(0)
+        replicas, rest = sets[0], sets[1:]
+        self._standbys[task_id] = rest
         try:
             promoted = {
                 name: replica.promote() for name, replica in replicas.items()
             }
         finally:
-            sets.append(self._new_standby_set(task_id))
+            self._standbys[task_id] = (*rest, self._new_standby_set(task_id))
         self.metrics.counter(self._m_promotions).increment(1)
         return promoted
 

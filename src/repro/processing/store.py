@@ -19,6 +19,7 @@ Two implementations share the :class:`KeyValueStore` interface:
 from __future__ import annotations
 
 from bisect import bisect_left
+from operator import itemgetter
 from typing import Any, Iterator, Protocol, runtime_checkable
 
 from repro.common.costmodel import DEFAULT_COST_MODEL, CostModel
@@ -27,26 +28,6 @@ from repro.common.records import estimate_size
 
 #: Sentinel distinguishing "key absent" from "key stored with value None".
 _MISSING = object()
-
-
-def _range_filter(
-    items: Iterator[tuple[Any, Any]], start: Any, end: Any
-) -> Iterator[tuple[Any, Any]]:
-    """Filter an already-sort-key-ordered item stream to [start, end).
-
-    Bounds are compared in the stores' native order — the ``repr`` of the
-    key — so range semantics are identical for every store implementation
-    (and for arbitrary hashable keys).  ``None`` means unbounded.
-    """
-    start_key = None if start is None else repr(start)
-    end_key = None if end is None else repr(end)
-    for key, value in items:
-        sort_key = repr(key)
-        if start_key is not None and sort_key < start_key:
-            continue
-        if end_key is not None and sort_key >= end_key:
-            break
-        yield key, value
 
 
 @runtime_checkable
@@ -93,13 +74,27 @@ class InMemoryStore:
         return key in self._data
 
     def items(self) -> Iterator[tuple[Any, Any]]:
-        return iter(sorted(self._data.items(), key=lambda kv: repr(kv[0])))
+        return self.range_items()
 
     def range_items(
         self, start: Any = None, end: Any = None
     ) -> Iterator[tuple[Any, Any]]:
-        """Live pairs with ``start <= repr(key) < end`` in key-repr order."""
-        return _range_filter(self.items(), start, end)
+        """Live pairs with ``start <= repr(key) < end`` in key-repr order.
+
+        Bounds are compared in the stores' native order — the ``repr`` of
+        the key — so range semantics are identical for every store
+        implementation (and for arbitrary hashable keys).  ``None`` means
+        unbounded.
+        """
+        lo = None if start is None else repr(start)
+        hi = None if end is None else repr(end)
+        inside = []
+        for key, value in self._data.items():
+            sort_key = repr(key)
+            if (lo is None or sort_key >= lo) and (hi is None or sort_key < hi):
+                inside.append((sort_key, key, value))
+        inside.sort(key=itemgetter(0))
+        return iter([(key, value) for _sort_key, key, value in inside])
 
     def __len__(self) -> int:
         return len(self._data)
@@ -114,18 +109,31 @@ class InMemoryStore:
 
 
 class _SortedRun:
-    """An immutable sorted run: (sort_key, key, value) triples."""
+    """An immutable sorted run: (sort_key, key, value) triples.
 
-    __slots__ = ("entries",)
+    ``keys`` is the sort-key column of ``entries``, kept beside it so a
+    probe is one C bisect over plain strings.
+    """
+
+    __slots__ = ("entries", "keys")
 
     def __init__(self, entries: list[tuple[str, Any, Any]]) -> None:
         self.entries = entries  # sorted by sort_key
+        self.keys = [entry[0] for entry in entries]
 
     def get(self, sort_key: str) -> Any:
-        idx = bisect_left(self.entries, sort_key, key=lambda e: e[0])
-        if idx < len(self.entries) and self.entries[idx][0] == sort_key:
+        keys = self.keys
+        idx = bisect_left(keys, sort_key)
+        if idx < len(keys) and keys[idx] == sort_key:
             return self.entries[idx][2]
         return _MISSING
+
+    def between(self, lo: str | None, hi: str | None) -> list[tuple[str, Any, Any]]:
+        """The entries with ``lo <= sort_key < hi``; ``None`` is unbounded."""
+        keys = self.keys
+        first = 0 if lo is None else bisect_left(keys, lo)
+        stop = len(keys) if hi is None else bisect_left(keys, hi)
+        return self.entries[first:stop]
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -162,14 +170,10 @@ class LsmStore:
         self.flushes = 0
         self.compactions = 0
 
-    @staticmethod
-    def _sort_key(key: Any) -> str:
-        return repr(key)
-
     # -- point ops ---------------------------------------------------------------
 
     def get(self, key: Any) -> Any:
-        sort_key = self._sort_key(key)
+        sort_key = repr(key)
         cost = self.cost_model.store_memtable_get
         entry = self._memtable.get(sort_key)
         if entry is not None:
@@ -193,17 +197,19 @@ class LsmStore:
                 "LsmStore cannot store None (reserved for tombstones); "
                 "use delete() instead"
             )
-        self._memtable[self._sort_key(key)] = (key, value)
+        self._memtable[repr(key)] = (key, value)
         self.last_op_cost = self.cost_model.store_put
-        self._maybe_flush()
+        if len(self._memtable) >= self.memtable_max_entries:
+            self.flush_memtable()
 
     def delete(self, key: Any) -> None:
-        self._memtable[self._sort_key(key)] = (key, _MISSING)
+        self._memtable[repr(key)] = (key, _MISSING)
         self.last_op_cost = self.cost_model.store_put
-        self._maybe_flush()
+        if len(self._memtable) >= self.memtable_max_entries:
+            self.flush_memtable()
 
     def __contains__(self, key: Any) -> bool:
-        sort_key = self._sort_key(key)
+        sort_key = repr(key)
         entry = self._memtable.get(sort_key)
         if entry is not None:
             return entry[1] is not _MISSING
@@ -214,10 +220,6 @@ class LsmStore:
         return False
 
     # -- flush / compaction ----------------------------------------------------------
-
-    def _maybe_flush(self) -> None:
-        if len(self._memtable) >= self.memtable_max_entries:
-            self.flush_memtable()
 
     def flush_memtable(self) -> None:
         """Freeze the memtable into a new sorted run."""
@@ -251,22 +253,29 @@ class LsmStore:
 
     def items(self) -> Iterator[tuple[Any, Any]]:
         """All live (key, value) pairs in key-repr order."""
-        merged: dict[str, tuple[Any, Any]] = {}
-        for run in reversed(self._runs):
-            for sort_key, key, value in run.entries:
-                merged[sort_key] = (key, value)
-        for sort_key, (key, value) in self._memtable.items():
-            merged[sort_key] = (key, None if value is _MISSING else value)
-        for sort_key in sorted(merged):
-            key, value = merged[sort_key]
-            if value is not None:
-                yield key, value
+        return self.range_items()
 
     def range_items(
         self, start: Any = None, end: Any = None
     ) -> Iterator[tuple[Any, Any]]:
-        """Live pairs with ``start <= repr(key) < end`` in key-repr order."""
-        return _range_filter(self.items(), start, end)
+        """Live pairs with ``start <= repr(key) < end`` in key-repr order.
+
+        Reads each run's slice of the range plus the memtable, never the
+        rest of the store; the snapshot is taken at the first ``next``.
+        """
+        lo = None if start is None else repr(start)
+        hi = None if end is None else repr(end)
+        merged: dict[str, tuple[Any, Any]] = {}
+        for run in reversed(self._runs):  # oldest first; newer overwrites
+            for sort_key, key, value in run.between(lo, hi):
+                merged[sort_key] = (key, value)
+        for sort_key, (key, value) in self._memtable.items():
+            if (lo is None or sort_key >= lo) and (hi is None or sort_key < hi):
+                merged[sort_key] = (key, None if value is _MISSING else value)
+        for sort_key in sorted(merged):
+            key, value = merged[sort_key]
+            if value is not None:
+                yield key, value
 
     def scan_cost(self) -> float:
         """Simulated cost of one scan pass: memtable plus every run probe."""
@@ -276,7 +285,13 @@ class LsmStore:
         )
 
     def __len__(self) -> int:
-        return sum(1 for _ in self.items())
+        live: dict[str, bool] = {}
+        for run in reversed(self._runs):  # oldest first; newer overwrites
+            for sort_key, _key, value in run.entries:
+                live[sort_key] = value is not None
+        for sort_key, (_key, value) in self._memtable.items():
+            live[sort_key] = value is not _MISSING
+        return sum(live.values())
 
     def approximate_size_bytes(self) -> int:
         total = 0

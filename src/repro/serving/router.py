@@ -107,7 +107,8 @@ class StateQueryRouter:
         read load off the processing container at the cost of the staleness
         the response reports.
         """
-        server = self.servers[self.task_for_key(key)]
+        # task_for_key, inlined: a point query pays no hop for its shard pick.
+        server = self.servers[partition_for_key(key, self.runner.num_tasks)]
         return self._account(
             "get", server.get(store, key, consistency, allow_stale)
         )
@@ -120,34 +121,16 @@ class StateQueryRouter:
         consistency: str = CONSISTENCY_BOUNDED,
         allow_stale: bool = False,
     ) -> QueryResult:
-        """Scatter-gather range scan over every shard, merged in key order.
-
-        The shards answer in parallel, so the reported latency is the
-        slowest shard's; the staleness bound is the worst across shards.
-        """
+        """Scatter-gather range scan over every shard, merged in key order."""
         shards = [
             server.range(store, start, end, consistency, allow_stale)
             for server in self.servers
         ]
-        pairs = tuple(
-            sorted(
-                (pair for shard in shards for pair in shard.value),
-                key=lambda kv: repr(kv[0]),
-            )
+        pairs = [pair for shard in shards for pair in shard.value]
+        pairs.sort(key=lambda kv: repr(kv[0]))
+        return self._account(
+            "range", _merged(shards, (start, end), tuple(pairs), bool(pairs))
         )
-        merged = QueryResult(
-            key=(start, end),
-            value=pairs,
-            found=bool(pairs),
-            store=store,
-            task_id=-1,  # all shards
-            served_by=_worst_served_by(shards),
-            consistency=consistency,
-            staleness_records=max(s.staleness_records for s in shards),
-            staleness_seconds=max(s.staleness_seconds for s in shards),
-            latency=max(s.latency for s in shards),
-        )
-        return self._account("range", merged)
 
     def approximate_count(
         self,
@@ -160,26 +143,34 @@ class StateQueryRouter:
             server.approximate_count(store, consistency, allow_stale)
             for server in self.servers
         ]
-        total = sum(s.value for s in shards)
-        merged = QueryResult(
-            key=None,
-            value=total,
-            found=total > 0,
-            store=store,
-            task_id=-1,
-            served_by=_worst_served_by(shards),
-            consistency=consistency,
-            staleness_records=max(s.staleness_records for s in shards),
-            staleness_seconds=max(s.staleness_seconds for s in shards),
-            latency=max(s.latency for s in shards),
+        total = sum([s.value for s in shards])
+        return self._account(
+            "approximate_count", _merged(shards, None, total, total > 0)
         )
-        return self._account("approximate_count", merged)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"StateQueryRouter({self.runner.config.name!r}, "
             f"shards={len(self.servers)})"
         )
+
+
+def _merged(
+    shards: list[QueryResult], key: Any, value: Any, found: bool
+) -> QueryResult:
+    """One answer for a scatter-gather over every shard.
+
+    The shards answer in parallel, so the reported latency is the slowest
+    shard's; the staleness bound is the worst across shards.
+    """
+    first = shards[0]
+    return QueryResult(
+        key, value, found, first.store, -1,  # task -1: all shards
+        _worst_served_by(shards), first.consistency,
+        max([s.staleness_records for s in shards]),
+        max([s.staleness_seconds for s in shards]),
+        max([s.latency for s in shards]),
+    )
 
 
 def _worst_served_by(shards: list[QueryResult]) -> str:

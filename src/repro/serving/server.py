@@ -15,15 +15,14 @@ one task, in one of two consistency modes:
   Answers are exactly the durable, committed state a post-crash recovery
   would rebuild — nothing the server returns can later be rolled back.
 
-Every response is a frozen :class:`QueryResult` carrying the answer, who
+Every response is an immutable :class:`QueryResult` carrying the answer, who
 served it, the consistency mode, the staleness bound, and the simulated
 latency (store probe cost + one network hop for the response payload).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.common.errors import ServingError
 from repro.common.records import estimate_size
@@ -43,14 +42,13 @@ SERVED_BY_STANDBY = "standby"
 SERVED_BY_SNAPSHOT = "snapshot"
 
 
-@dataclass(frozen=True)
-class QueryResult:
+class QueryResult(NamedTuple):
     """One serving response: answer + provenance + staleness + cost.
 
     The same shape answers all three query kinds: ``get`` sets ``key`` and a
     scalar ``value``; ``range`` sets ``key=(start, end)`` and ``value`` to
     the tuple of ``(key, value)`` pairs; ``approximate_count`` sets
-    ``value`` to the count.
+    ``value`` to the count.  A tuple, so a response is one construction.
     """
 
     key: Any
@@ -90,28 +88,12 @@ class StateServer:
 
     # -- store selection ---------------------------------------------------------
 
-    def _store_config(self, store: str):
-        config = self._store_configs.get(store)
-        if config is None:
-            raise ServingError(
-                f"job {self.runner.config.name!r} has no store {store!r}; "
-                f"known: {sorted(self._store_configs)}"
-            )
-        return config
-
-    def _live_store(self, store: str):
-        # Re-resolved per query: migrate/recover replace the task instance,
-        # and queries must always hit the current incarnation.  Reads go to
-        # the raw store, not the KeyValueState wrapper, so serving traffic
-        # does not inflate the task's own get counters.
-        return self.runner.task(self.task_id).stores[store].store
-
     def _snapshot_store(self, store: str) -> tuple[Any, int, float]:
         """The snapshot follower's store, advanced to the checkpoint bound.
 
         Returns ``(store, staleness_records, staleness_seconds)``.
         """
-        config = self._store_config(store)
+        config = self._store_configs[store]  # _select validated the name
         if not config.changelog:
             raise ServingError(
                 f"store {store!r} keeps no changelog; snapshot reads need one"
@@ -178,7 +160,11 @@ class StateServer:
                 f"consistency must be one of {CONSISTENCY_MODES}, "
                 f"got {consistency!r}"
             )
-        self._store_config(store)  # validate the name in every mode
+        if store not in self._store_configs:  # validated in every mode
+            raise ServingError(
+                f"job {self.runner.config.name!r} has no store {store!r}; "
+                f"known: {sorted(self._store_configs)}"
+            )
         if consistency == CONSISTENCY_SNAPSHOT:
             target, lag, seconds = self._snapshot_store(store)
             return target, SERVED_BY_SNAPSHOT, lag, seconds
@@ -187,23 +173,17 @@ class StateServer:
             if picked is not None:
                 target, lag, seconds = picked
                 return target, SERVED_BY_STANDBY, lag, seconds
-        return self._live_store(store), SERVED_BY_PRIMARY, 0, 0.0
-
-    # -- cost accounting ---------------------------------------------------------
-
-    def _probe_cost(self, target: Any) -> float:
-        """Point-probe cost; call right after ``target.get``."""
-        if isinstance(target, LsmStore):
-            return target.last_op_cost
-        return self.cost_model.store_memtable_get
+        # Re-resolved per query: migrate/recover replace the task instance,
+        # and queries must always hit the current incarnation.  Reads go to
+        # the raw store, not the KeyValueState wrapper, so serving traffic
+        # does not inflate the task's own get counters.
+        live = self.runner.task(self.task_id).stores[store].store
+        return live, SERVED_BY_PRIMARY, 0, 0.0
 
     def _scan_cost(self, target: Any) -> float:
         if isinstance(target, LsmStore):
             return target.scan_cost()
         return self.cost_model.store_memtable_get
-
-    def _response_cost(self, payload: Any) -> float:
-        return self.cost_model.network_oneway(estimate_size(payload))
 
     # -- queries -----------------------------------------------------------------
 
@@ -219,18 +199,17 @@ class StateServer:
             store, consistency, allow_stale
         )
         value = target.get(key)
-        latency = self._probe_cost(target) + self._response_cost(value)
+        cost_model = self.cost_model
+        # The point-probe cost is the LSM's charge for the get just made.
+        probe = (
+            target.last_op_cost
+            if isinstance(target, LsmStore)
+            else cost_model.store_memtable_get
+        )
+        latency = probe + cost_model.network_oneway(estimate_size(value))
         return QueryResult(
-            key=key,
-            value=value,
-            found=value is not None,
-            store=store,
-            task_id=self.task_id,
-            served_by=served_by,
-            consistency=consistency,
-            staleness_records=lag,
-            staleness_seconds=seconds,
-            latency=latency,
+            key, value, value is not None, store, self.task_id,
+            served_by, consistency, lag, seconds, latency,
         )
 
     def range(
@@ -246,18 +225,12 @@ class StateServer:
             store, consistency, allow_stale
         )
         pairs = tuple(target.range_items(start, end))
-        latency = self._scan_cost(target) + self._response_cost(list(pairs))
+        latency = self._scan_cost(target) + self.cost_model.network_oneway(
+            estimate_size(pairs)
+        )
         return QueryResult(
-            key=(start, end),
-            value=pairs,
-            found=bool(pairs),
-            store=store,
-            task_id=self.task_id,
-            served_by=served_by,
-            consistency=consistency,
-            staleness_records=lag,
-            staleness_seconds=seconds,
-            latency=latency,
+            (start, end), pairs, bool(pairs), store, self.task_id,
+            served_by, consistency, lag, seconds, latency,
         )
 
     def approximate_count(
@@ -275,18 +248,12 @@ class StateServer:
             store, consistency, allow_stale
         )
         count = len(target)
-        latency = self._scan_cost(target) + self._response_cost(count)
+        latency = self._scan_cost(target) + self.cost_model.network_oneway(
+            estimate_size(count)
+        )
         return QueryResult(
-            key=None,
-            value=count,
-            found=count > 0,
-            store=store,
-            task_id=self.task_id,
-            served_by=served_by,
-            consistency=consistency,
-            staleness_records=lag,
-            staleness_seconds=seconds,
-            latency=latency,
+            None, count, count > 0, store, self.task_id,
+            served_by, consistency, lag, seconds, latency,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -17,6 +17,7 @@ from repro.chaos.failpoints import registry
 from repro.common.clock import SimClock
 from repro.common.errors import MessagingError, ServingError
 from repro.common.partitioning import partition_for_key
+from repro.common.records import estimate_size
 from repro.messaging.cluster import MessagingCluster
 from repro.messaging.producer import Producer
 from repro.messaging.topic import LogConfig, RetentionConfig, TopicConfig
@@ -25,6 +26,7 @@ from repro.processing.state import changelog_topic_name
 from repro.serving import (
     CONSISTENCY_BOUNDED,
     CONSISTENCY_SNAPSHOT,
+    QueryResult,
     StandbyReplica,
     StateQueryRouter,
     StateServer,
@@ -124,13 +126,74 @@ class TestRouting:
     def test_query_result_is_frozen(self):
         _cluster, runner, _producer = make_job()
         result = StateQueryRouter(runner).get("counts", "k1")
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        # What a frozen dataclass raises is an AttributeError too, so a
+        # caller written to catch either keeps working.
+        assert issubclass(dataclasses.FrozenInstanceError, AttributeError)
+        with pytest.raises(AttributeError):
             result.value = 99
+        with pytest.raises(AttributeError):
+            result.extra = 1
+        with pytest.raises(TypeError):
+            result[1] = 99
+
+    def test_query_result_keeps_its_ten_fields_in_order(self):
+        assert QueryResult._fields == (
+            "key", "value", "found", "store", "task_id", "served_by",
+            "consistency", "staleness_records", "staleness_seconds", "latency",
+        )
+
+    def test_query_result_builds_by_keyword_and_compares_by_value(self):
+        fields = dict(
+            key="k", value=3, found=True, store="counts", task_id=0,
+            served_by="primary", consistency=CONSISTENCY_BOUNDED,
+            staleness_records=0, staleness_seconds=0.0, latency=0.25,
+        )
+        by_keyword = QueryResult(**fields)
+        positional = QueryResult(*fields.values())
+        assert by_keyword == positional
+        assert hash(by_keyword) == hash(positional)
+        assert by_keyword != by_keyword._replace(value=4)
+        slower = by_keyword._replace(latency=0.5)
+        assert (slower.latency, by_keyword.latency) == (0.5, 0.25)
+        assert slower._replace(latency=0.25) == by_keyword
+
+    def test_served_results_equal_a_keyword_built_twin(self):
+        _cluster, runner, _producer = make_job()
+        router = StateQueryRouter(runner)
+        for result in (
+            router.get("counts", "k1"),
+            router.range("counts", "k1", "k3"),
+            router.approximate_count("counts"),
+            router.server(0).get("counts", "k1"),
+        ):
+            assert type(result) is QueryResult
+            assert QueryResult(**result._asdict()) == result
+
+    def test_query_result_is_still_exported(self):
+        import repro.api
+        import repro.serving
+
+        assert repro.api.QueryResult is QueryResult
+        assert repro.serving.QueryResult is QueryResult
+        assert "QueryResult" in repro.api.__all__
+        assert len(repro.api.__all__) == 81
 
     def test_latency_accounts_probe_and_response(self):
         _cluster, runner, _producer = make_job()
         result = StateQueryRouter(runner).get("counts", "k1")
         assert result.latency > 0.0
+
+    def test_range_latency_is_the_scan_plus_the_pairs_on_the_wire(self):
+        _cluster, runner, _producer = make_job(store_type="lsm")
+        result = StateQueryRouter(runner).server(0).range("counts")
+        store = runner.task(0).stores["counts"].store
+        # The answer is sized as the tuple it is; a list of the same pairs
+        # weighs the same, so no copy is made to size it.
+        assert estimate_size(result.value) == estimate_size(list(result.value))
+        assert result.latency == store.scan_cost() + runner.cluster.cost_model.network_oneway(
+            estimate_size(list(result.value))
+        )
+        assert result.latency == 0.000250552  # pinned to the last digit
 
 
 class TestScatterGather:
