@@ -102,7 +102,7 @@ def evaluate_cluster_health(
     # Runtime imports: tools.admin pulls in messaging; this module stays
     # import-light so ``repro.observability`` never drags messaging eagerly.
     from repro.elasticity.backpressure import VALVE_CLOSED, VALVE_THROTTLED
-    from repro.observability.slo import _runner_standby_lag
+    from repro.processing.recovery import worst_standby_lag
     from repro.tools.admin import AdminClient
 
     admin = AdminClient(cluster)
@@ -193,12 +193,7 @@ def evaluate_cluster_health(
             detail=f"{throttled} backpressure valves throttled",
         ))
 
-    staleness = 0
-    for server in servers:
-        for lag in server.standby_staleness().values():
-            staleness = max(staleness, lag)
-    for runner in runners:
-        staleness = max(staleness, _runner_standby_lag(runner))
+    staleness = worst_standby_lag(runners, servers)
     if staleness > max_standby_staleness:
         reasons.append(HealthReason(
             code="standby_staleness",

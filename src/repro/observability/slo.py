@@ -371,6 +371,10 @@ class ClusterSloSampler:
                 monitor.register(slo)
 
     def sample(self, now: float | None = None) -> None:
+        # Runtime import, like tools.admin below: processing pulls in
+        # messaging, and this module stays import-light.
+        from repro.processing.recovery import worst_standby_lag
+
         if now is None:
             now = self.cluster.clock.now()
         monitor = self.monitor
@@ -383,7 +387,9 @@ class ClusterSloSampler:
             SLO_ISR_AVAILABILITY, self._in_sync_fraction(), timestamp=now
         )
         monitor.observe(
-            SLO_STANDBY_STALENESS, float(self._max_standby_lag()), timestamp=now
+            SLO_STANDBY_STALENESS,
+            float(worst_standby_lag(self.runners, self.servers)),
+            timestamp=now,
         )
 
     # -- signal collection -------------------------------------------------------
@@ -410,25 +416,6 @@ class ClusterSloSampler:
             return 1.0
         behind = len(admin.under_replicated_partitions())
         return (total - behind) / total
-
-    def _max_standby_lag(self) -> int:
-        worst = 0
-        for server in self.servers:
-            for lag in server.standby_staleness().values():
-                worst = max(worst, lag)
-        for runner in self.runners:
-            worst = max(worst, _runner_standby_lag(runner))
-        return worst
-
-
-def _runner_standby_lag(runner) -> int:
-    """Worst changelog lag across a runner's standby replica sets."""
-    worst = 0
-    for task_id in range(runner.num_tasks):
-        for replica_set in runner.standby_replicas(task_id):
-            for replica in replica_set.values():
-                worst = max(worst, replica.lag())
-    return worst
 
 
 def attach_standard_slos(

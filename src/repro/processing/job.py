@@ -37,9 +37,9 @@ from repro.observability.trace import TraceContext, Tracer, current_tracer
 from repro.messaging.topic import TopicConfig
 from repro.storage.log import LogConfig
 from repro.processing.checkpoint import CHANGELOG_OFFSETS_KEY, CheckpointManager
+from repro.processing.recovery import RecoveryReport, Standbys, restore_job_state
 from repro.processing.state import KeyValueState, changelog_topic_name
-from repro.processing.store import STORE_TYPES, KeyValueStore, make_store
-from repro.serving.replica import CatchUpStats, StandbyReplica
+from repro.processing.store import STORE_TYPES, make_store
 from repro.processing.task import Emit, MessageCollector, StreamTask, TaskContext
 
 
@@ -346,20 +346,15 @@ class JobRunner:
         self._ensure_changelog_topics()
         self._tasks: list[_TaskInstance] = []
         self._build_tasks()
-        #: task_id -> ordered standby sets, each mapping store name to a
-        #: warm replica.  Standbys live on *other* containers, so a
-        #: container crash() leaves them intact — that is what makes
-        #: promotion cheaper than a cold changelog restore.
-        self._standbys: dict[int, tuple[dict[str, StandbyReplica], ...]] = {}
-        self._standby_seq: dict[int, int] = {}
+        for instance in self._tasks:
+            self._start_task(instance)
+        #: Warm store copies on other containers (``num_standby_replicas``):
+        #: caught up at checkpoints, promoted by recovery and migration.
+        self.standbys = Standbys(self)
         #: task_id -> {store: changelog end offset at the last checkpoint} —
         #: the snapshot bound state servers serve at (see repro.serving).
         self._snapshot_offsets: dict[int, dict[str, int]] = {}
         self._snapshot_times: dict[int, float] = {}
-        self._m_promotions = metric_name(
-            "serving", "standby", metric_segment(config.name), "promotions"
-        )
-        self._build_standbys()
         self._seed_snapshots()
         self.running = True
         self.records_processed = 0
@@ -392,6 +387,9 @@ class JobRunner:
                 )
 
     def _build_tasks(self) -> None:
+        """A fresh incarnation of every task, positioned at the last
+        checkpoint and not yet started: ``init()`` runs once the stores
+        hold whatever a restore puts back."""
         self._tasks = []
         for task_id in range(self.num_tasks):
             partitions = [
@@ -403,7 +401,6 @@ class JobRunner:
             self._tasks.append(instance)
             instance.output = self._output_path(self, task_id)
             self._seed_positions(instance)
-            self._start_task(instance)
 
     def _new_task(
         self, task_id: int, partitions: list[TopicPartition]
@@ -457,56 +454,7 @@ class JobRunner:
             else:
                 instance.positions[tp] = self.cluster.beginning_offset(tp)
 
-    # -- standby replicas / snapshots (serving + fast failover) ------------------------
-
-    def _changelogged_stores(self) -> list[StoreConfig]:
-        return [sc for sc in self.config.stores if sc.changelog]
-
-    def _new_standby_set(self, task_id: int) -> dict[str, StandbyReplica]:
-        replica_id = self._standby_seq.get(task_id, 0)
-        self._standby_seq[task_id] = replica_id + 1
-        return {
-            sc.name: StandbyReplica(
-                self.cluster,
-                self.config.name,
-                sc.name,
-                task_id,
-                store_type=sc.store_type,
-                store_options=dict(sc.store_options),
-                isolation=self.isolation,
-                replica_id=replica_id,
-            )
-            for sc in self._changelogged_stores()
-        }
-
-    def _build_standbys(self) -> None:
-        if self.config.num_standby_replicas <= 0 or not self._changelogged_stores():
-            return
-        for task_id in range(self.num_tasks):
-            self._standbys[task_id] = tuple(
-                self._new_standby_set(task_id)
-                for _ in range(self.config.num_standby_replicas)
-            )
-
-    def _catch_up_standbys(self, task_id: int) -> None:
-        """Warm the task's standbys at a checkpoint boundary.
-
-        This is the only place standbys advance during normal processing:
-        the checkpoint is a deterministic point in the run, so a job drains
-        byte-identically whether it keeps 0 or N standbys, and the standby
-        lag is bounded by the checkpoint interval.  Catch-up latency is
-        *not* charged to the job's poll result — standbys burn other
-        containers' cycles.
-        """
-        for replicas in self._standbys.get(task_id, ()):
-            for replica in replicas.values():
-                try:
-                    replica.catch_up()
-                except MessagingError:
-                    # Changelog leader offline (or chaos in the fetch path):
-                    # the standby stays stale and pays a larger catch-up
-                    # tail at promotion.  Never fail a checkpoint for it.
-                    continue
+    # -- snapshots (serving) ------------------------------------------------------------
 
     def _changelog_end_offsets(self, task_id: int) -> dict[str, int] | None:
         """Current end offset of each of the task's changelog partitions, by
@@ -518,7 +466,8 @@ class JobRunner:
                         changelog_topic_name(self.config.name, sc.name), task_id
                     )
                 )
-                for sc in self._changelogged_stores()
+                for sc in self.config.stores
+                if sc.changelog
             }
         except MessagingError:
             return None
@@ -557,40 +506,6 @@ class JobRunner:
     def snapshot_time(self, task_id: int) -> float | None:
         """Simulated time the task's snapshot bound was last advanced."""
         return self._snapshot_times.get(task_id)
-
-    def standby_replicas(self, task_id: int) -> tuple[dict[str, StandbyReplica], ...]:
-        """The task's live standby sets (possibly empty), freshest first.
-
-        An immutable tuple, replaced on promotion, so the serving read path
-        looks it up per query without copying it.
-        """
-        return self._standbys.get(task_id, ())
-
-    def promote_standby(
-        self, task_id: int
-    ) -> dict[str, tuple[KeyValueStore, CatchUpStats]] | None:
-        """Consume the task's first standby set: final catch-up tail, then
-        hand each store to the caller (recovery swaps them into the rebuilt
-        task).  Returns ``None`` when the task keeps no standbys.
-
-        Promotion consumes the set win or lose — a fresh cold standby is
-        seeded in its place and warms at the next checkpoint boundaries —
-        so a failed promotion (chaos failpoint, dead changelog leader)
-        falls back to a cold restore rather than retrying a broken replica.
-        """
-        sets = self._standbys.get(task_id)
-        if not sets:
-            return None
-        replicas, rest = sets[0], sets[1:]
-        self._standbys[task_id] = rest
-        try:
-            promoted = {
-                name: replica.promote() for name, replica in replicas.items()
-            }
-        finally:
-            self._standbys[task_id] = (*rest, self._new_standby_set(task_id))
-        self.metrics.counter(self._m_promotions).increment(1)
-        return promoted
 
     # -- processing loop --------------------------------------------------------------
 
@@ -798,7 +713,7 @@ class JobRunner:
         instance.output.commit(instance.positions, metadata)
         instance.records_since_checkpoint = 0
         self._record_snapshot(instance.task_id)
-        self._catch_up_standbys(instance.task_id)
+        self.standbys.catch_up(instance.task_id)
 
     def checkpoint(self) -> None:
         """Force a checkpoint of every task's positions."""
@@ -866,21 +781,25 @@ class JobRunner:
         self.producer.drop_pending()
         self._changelog_producer.drop_pending()
 
-    def recover(self) -> "RecoveryReport":
+    def recover(self) -> RecoveryReport:
         """Restart after a crash: rebuild stores from changelogs, then resume
-        from the last checkpoint.  Returns timing/volume of the restore."""
-        from repro.processing.recovery import restore_job_state  # local: avoid cycle
+        from the last checkpoint.  Returns timing/volume of the restore.
 
+        Each new incarnation's output is set up before the restore (under
+        exactly-once its fenced producer aborts the crashed transaction the
+        ``read_committed`` restore must not see); its ``init()`` runs after.
+        """
         self._build_tasks()
-        report = restore_job_state(self)
+        report = restore_job_state(self, self._tasks)
         self.running = True
         for instance in self._tasks:
             self._record_snapshot(instance.task_id)
+            self._start_task(instance)
         if self.auto_advance_clock:
             self.clock.advance(report.simulated_seconds)
         return report
 
-    def migrate_task(self, task_id: int) -> "RecoveryReport":
+    def migrate_task(self, task_id: int) -> RecoveryReport:
         """Restart one task as if it landed on a fresh container.
 
         The elastic controller calls this at a checkpoint boundary when a
@@ -893,8 +812,6 @@ class JobRunner:
         where it left off — no replay, no skipped records).  The caller is
         responsible for charging ``report.simulated_seconds`` to the clock.
         """
-        from repro.processing.recovery import restore_task_state  # local: avoid cycle
-
         old = self._tasks[task_id]
         # Commit-or-abort before the task moves: the new container must not
         # inherit an open transaction.  Everything staged so far is fully
@@ -908,7 +825,7 @@ class JobRunner:
         instance = self._new_task(task_id, old.partitions)
         self._tasks[task_id] = instance
         try:
-            report = restore_task_state(self, task_id)
+            report = restore_job_state(self, [instance])
             self._seed_positions(instance)
         except Exception:
             # Mid-restore failure (e.g. changelog leader offline): the old
@@ -927,7 +844,3 @@ class JobRunner:
             f"JobRunner({self.config.name!r}, tasks={len(self._tasks)}, "
             f"processed={self.records_processed})"
         )
-
-
-# Re-exported here because recovery reports are part of the job API surface.
-from repro.processing.recovery import RecoveryReport  # noqa: E402  (cycle-free tail import)

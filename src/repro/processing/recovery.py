@@ -5,14 +5,16 @@ is proportional to the changelog's *retained* size, which is why compaction
 matters: a compacted changelog replays one record per live key instead of
 one per historical update (E4 measures the difference).
 
-Two restore paths feed the same :class:`RecoveryReport`:
+Two restore paths feed the same :class:`RecoveryReport`, and both run the
+one replay loop, :func:`~repro.processing.state.replay_changelog`:
 
 * **cold restore** — replay the store's compacted changelog from its
   earliest offset (``source="changelog"``);
 * **standby promotion** — adopt a warm replica's store and replay only the
   changelog *tail* published since it last caught up
   (``source="standby"``; see :mod:`repro.serving.replica`).  Jobs opt in
-  with ``JobConfig.num_standby_replicas``; promotion failures (chaos
+  with ``JobConfig.num_standby_replicas``; :class:`Standbys` owns a job's
+  standby sets from construction to promotion.  Promotion failures (chaos
   failpoints, changelog leader offline) fall back to the cold path, so
   recovery never gets *worse* for having standbys.
 """
@@ -20,11 +22,13 @@ Two restore paths feed the same :class:`RecoveryReport`:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Iterable
 
 from repro.common.errors import MessagingError
+from repro.common.metrics import metric_name, metric_segment
 from repro.common.records import TopicPartition
-from repro.processing.state import changelog_topic_name
+from repro.processing.state import changelog_topic_name, replay_changelog
+from repro.serving.replica import StandbyReplica
 
 #: How a store's bytes got back into memory.
 SOURCE_CHANGELOG = "changelog"
@@ -92,111 +96,157 @@ def restore_state(
     writes are transactional, so entries of an aborted (crashed) transaction
     must not resurrect into the rebuilt store.
     """
-    report = RecoveryReport()
-    topic = changelog_topic_name(job_name, store_name)
-    tp = TopicPartition(topic, task_id)
     # Let follower replication advance the high watermark so every published
     # changelog record is visible to the restore read.
     cluster.tick(0.0)
-    offset = cluster.beginning_offset(tp)
-    end = cluster.end_offset(tp)
     state.clear()
-    records = 0
-    seconds = 0.0
-    while offset < end:
-        result = cluster.fetch(topic, task_id, offset, batch, isolation=isolation)
-        seconds += result.latency
-        for record in result.records:
-            state.restore_entry(record.key, record.value)
-            records += 1
-        if result.next_offset <= offset:
-            break
-        offset = result.next_offset
-    report.add(
-        RestoredStore(store_name, task_id, records, seconds, SOURCE_CHANGELOG)
-    )
-    return report
-
-
-def _promote_standbys(runner, task_id: int) -> RecoveryReport | None:
-    """Try the warm path: adopt promoted standby stores for one task.
-
-    Returns ``None`` when the runner keeps no standbys for the task or the
-    promotion failed (consumed standby; the caller cold-restores instead).
-    """
-    promote = getattr(runner, "promote_standby", None)
-    if promote is None:
-        return None
-    try:
-        promoted = promote(task_id)
-    except MessagingError:
-        # Chaos or a dead changelog leader mid-promotion: the standby set
-        # was consumed, fall back to a cold replay of the full changelog.
-        promoted = None
-    if promoted is None:
-        return None
+    tp = TopicPartition(changelog_topic_name(job_name, store_name), task_id)
+    _, stats = replay_changelog(cluster, tp, state.store, None, isolation, batch)
     report = RecoveryReport()
-    instance = runner.task(task_id)
-    for store_name, (store, stats) in promoted.items():
-        # The new incarnation adopts the replica's store object outright;
-        # the KeyValueState wrapper (and its changelog write-through
-        # closure) already points at the right partition.
-        instance.stores[store_name].store = store
-        report.add(
-            RestoredStore(
-                store_name,
-                task_id,
-                stats.records_applied,
-                stats.simulated_seconds,
-                SOURCE_STANDBY,
-                records_skipped=stats.records_skipped,
-            )
-        )
+    report.add(RestoredStore(
+        store_name, task_id, stats.records_applied, stats.simulated_seconds
+    ))
     return report
 
 
-def restore_task_state(runner, task_id: int) -> RecoveryReport:
-    """Rebuild every changelogged store of one task of a job.
+class Standbys:
+    """A job's warm standby replicas, from construction to promotion.
 
-    This is the unit of work for both whole-job recovery and the elastic
-    controller's container migration: a task landing on a new container
-    replays exactly its own changelog partitions, nothing more.  When the
-    runner keeps standby replicas, promotion replaces the full replay with
-    a catch-up tail.
+    Each task keeps ``num_standby_replicas`` ordered *sets*, each mapping a
+    changelogged store to a :class:`StandbyReplica`.  Standbys live on
+    *other* containers, so a container ``crash()`` leaves them intact — that
+    is what makes promotion cheaper than a cold changelog restore.
     """
-    promoted = _promote_standbys(runner, task_id)
-    if promoted is not None:
-        return promoted
-    total = RecoveryReport()
-    instance = runner.task(task_id)
-    for store_config in runner.config.stores:
-        if not store_config.changelog:
-            continue
-        total.merge(
-            restore_state(
-                runner.cluster,
-                runner.config.name,
-                store_config.name,
-                task_id,
-                instance.stores[store_config.name],
-                isolation=getattr(runner, "isolation", "read_uncommitted"),
-            )
+
+    def __init__(self, runner) -> None:
+        config = runner.config
+        self._cluster = runner.cluster
+        self._job_name = config.name
+        self._isolation = runner.isolation
+        self._stores = [sc for sc in config.stores if sc.changelog]
+        self._m_promotions = metric_name(
+            "serving", "standby", metric_segment(config.name), "promotions"
         )
-    return total
+        self._seq: dict[int, int] = {}
+        self._sets: dict[int, tuple[dict[str, StandbyReplica], ...]] = {}
+        if config.num_standby_replicas > 0 and self._stores:
+            for task_id in range(runner.num_tasks):
+                self._sets[task_id] = tuple(
+                    self._new_set(task_id)
+                    for _ in range(config.num_standby_replicas)
+                )
+
+    def of(self, task_id: int) -> tuple[dict[str, StandbyReplica], ...]:
+        """The task's live standby sets (possibly empty), freshest first.
+
+        An immutable tuple, replaced on promotion, so the serving read path
+        looks it up per query without copying it.
+        """
+        return self._sets.get(task_id, ())
+
+    def _new_set(self, task_id: int) -> dict[str, StandbyReplica]:
+        replica_id = self._seq.get(task_id, 0)
+        self._seq[task_id] = replica_id + 1
+        return {
+            sc.name: StandbyReplica(
+                self._cluster, self._job_name, sc.name, task_id,
+                store_type=sc.store_type, store_options=dict(sc.store_options),
+                isolation=self._isolation, replica_id=replica_id,
+            )
+            for sc in self._stores
+        }
+
+    def catch_up(self, task_id: int) -> None:
+        """Warm the task's standbys at a checkpoint boundary.
+
+        This is the only place standbys advance during normal processing:
+        the checkpoint is a deterministic point in the run, so a job drains
+        byte-identically whether it keeps 0 or N standbys, and the standby
+        lag is bounded by the checkpoint interval.  Catch-up latency is
+        *not* charged to the job's poll result — standbys burn other
+        containers' cycles.
+        """
+        for replicas in self._sets.get(task_id, ()):
+            for replica in replicas.values():
+                try:
+                    replica.catch_up()
+                except MessagingError:
+                    # Changelog leader offline (or chaos in the fetch path):
+                    # the standby stays stale and pays a larger catch-up
+                    # tail at promotion.  Never fail a checkpoint for it.
+                    continue
+
+    def promote(self, instance) -> RecoveryReport | None:
+        """Adopt the task's first standby set into ``instance``, the task's
+        fresh incarnation: a final catch-up tail per store, then the
+        replica's store replaces the empty one.
+
+        Returns ``None`` when the task keeps no standbys or the promotion
+        failed.  Promotion consumes the set win or lose — a fresh cold
+        standby is seeded in its place and warms at the next checkpoint
+        boundaries — so a failed promotion (chaos failpoint, dead changelog
+        leader) falls back to a cold restore rather than retrying a broken
+        replica.
+        """
+        task_id = instance.task_id
+        sets = self._sets.get(task_id)
+        if not sets:
+            return None
+        replicas, rest = sets[0], sets[1:]
+        try:
+            promoted = {
+                name: replica.promote() for name, replica in replicas.items()
+            }
+        except MessagingError:
+            return None
+        finally:
+            self._sets[task_id] = (*rest, self._new_set(task_id))
+        self._cluster.metrics.counter(self._m_promotions).increment(1)
+        report = RecoveryReport()
+        for store_name, (store, stats) in promoted.items():
+            # The new incarnation adopts the replica's store object outright;
+            # the KeyValueState wrapper (and its changelog write-through
+            # closure) already points at the right partition.
+            instance.stores[store_name].store = store
+            report.add(RestoredStore(
+                store_name, task_id, stats.records_applied,
+                stats.simulated_seconds, SOURCE_STANDBY, stats.records_skipped,
+            ))
+        return report
 
 
-def restore_job_state(runner) -> RecoveryReport:
-    """Rebuild every changelogged store of every task of a job.
+def worst_standby_lag(runners: Iterable = (), servers: Iterable = ()) -> int:
+    """Worst changelog lag of any standby replica the ``runners`` keep or
+    the ``servers`` fail over to (0 when there are none): the staleness
+    SLO's signal and the health rollup's ``standby_staleness``."""
+    worst = 0
+    for server in servers:
+        for lag in server.standby_staleness().values():
+            worst = max(worst, lag)
+    for runner in runners:
+        for sets in runner.standbys._sets.values():
+            for replicas in sets:
+                for replica in replicas.values():
+                    worst = max(worst, replica.lag())
+    return worst
 
-    Tasks with standbys promote first (each pays only its catch-up tail);
-    the rest cold-restore store-major (all tasks of store A, then store B)
-    so the page cache sees the same access sequence as always — the
-    restore's simulated cost must not depend on how the report is assembled.
+
+def restore_job_state(runner, tasks: Iterable) -> RecoveryReport:
+    """Rebuild every changelogged store of ``tasks``, fresh incarnations of
+    a job's tasks: all of them after a crash (``recover()``), one when the
+    elastic controller moves it (``migrate_task``) — a task landing on a
+    new container replays exactly its own changelog partitions.
+
+    Tasks with standbys promote first, in task order, each paying only its
+    catch-up tail; the rest cold-restore store-major (all tasks of store A,
+    then store B) so the page cache sees the same access sequence as always
+    — the restore's simulated cost must not depend on how the report is
+    assembled.
     """
     total = RecoveryReport()
-    cold: list[Any] = []
-    for instance in runner.tasks():
-        promoted = _promote_standbys(runner, instance.task_id)
+    cold = []
+    for instance in tasks:
+        promoted = runner.standbys.promote(instance)
         if promoted is None:
             cold.append(instance)
         else:
@@ -212,7 +262,7 @@ def restore_job_state(runner) -> RecoveryReport:
                     store_config.name,
                     instance.task_id,
                     instance.stores[store_config.name],
-                    isolation=getattr(runner, "isolation", "read_uncommitted"),
+                    isolation=runner.isolation,
                 )
             )
     return total

@@ -9,19 +9,103 @@ and write-through-publishes every mutation to a *compacted* changelog topic
 in the messaging layer.  Because the changelog is keyed by the state key,
 compaction (§4.1) bounds its size by the number of live keys, which is what
 makes recovery fast (E4).
+
+:func:`replay_changelog` is the way back, the one loop that fetches a
+changelog into a store: the cold restore and the standby tail both run it.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Iterator
 
-from repro.common.errors import StateStoreError
+from repro.common.errors import OffsetOutOfRangeError, StateStoreError
+from repro.common.records import TopicPartition
 from repro.processing.store import KeyValueStore
 
 
 def changelog_topic_name(job_name: str, store_name: str) -> str:
     """Canonical changelog topic for a job's store (Samza convention)."""
     return f"__changelog-{job_name}-{store_name}"
+
+
+@dataclass
+class CatchUpStats:
+    """What one pass of :func:`replay_changelog` applied and what it
+    (simulatedly) cost."""
+
+    records_applied: int = 0
+    simulated_seconds: float = 0.0
+    #: Offsets jumped over because retention deleted them before the reader
+    #: could read them (only ever non-zero on a reseat).
+    records_skipped: int = 0
+    #: Whether the pass had to clear the store and rewind to the beginning.
+    reseated: bool = False
+
+
+def replay_changelog(
+    cluster,
+    tp: TopicPartition,
+    store: KeyValueStore,
+    position: int | None,
+    isolation: str,
+    batch: int,
+    limit_offset: int | None = None,
+    max_records: int | None = None,
+) -> tuple[int, CatchUpStats]:
+    """Apply changelog partition ``tp`` to ``store`` from ``position`` (the
+    earliest offset when ``None``) up to its end, or ``limit_offset``;
+    returns where the next pass starts, and the pass's stats.
+
+    A tombstone deletes, any other record puts, straight into the store (no
+    re-publication).  When retention deleted the range about to be read the
+    loop *reseats*: clears the store and replays from the surviving head,
+    which on a compacted changelog holds the newest value per live key.
+    Never ticks the cluster or advances the clock; the caller charges the
+    summed fetch latency, or not.  A pass that raises returns no position,
+    so the caller's stays put and its next pass re-applies from there.
+    """
+    applied = skipped = 0
+    seconds = 0.0
+    reseated = False
+    if position is None:
+        position = cluster.beginning_offset(tp)
+    end = cluster.end_offset(tp)
+    if limit_offset is not None:
+        end = min(end, limit_offset)
+    while position < end:
+        budget = batch
+        if max_records is not None:
+            budget = min(budget, max_records - applied)
+            if budget <= 0:
+                break
+        try:
+            result = cluster.fetch(
+                tp.topic, tp.partition, position, budget, isolation=isolation
+            )
+        except OffsetOutOfRangeError:
+            head = cluster.beginning_offset(tp)
+            skipped += max(0, head - position)
+            reseated = True
+            store.clear()
+            position = head
+            end = cluster.end_offset(tp)
+            if limit_offset is not None:
+                end = min(end, limit_offset)
+            continue
+        seconds += result.latency
+        for record in result.records:
+            if record.offset >= end:
+                break
+            if record.value is None:
+                store.delete(record.key)
+            else:
+                store.put(record.key, record.value)
+            applied += 1
+        if result.next_offset <= position:
+            break  # no progress (e.g. everything above the LSO)
+        position = min(result.next_offset, end)
+    return position, CatchUpStats(applied, seconds, skipped, reseated)
 
 
 class KeyValueState:
@@ -87,15 +171,6 @@ class KeyValueState:
 
     def approximate_size_bytes(self) -> int:
         return self.store.approximate_size_bytes()
-
-    # -- recovery -----------------------------------------------------------------------
-
-    def restore_entry(self, key: Any, value: Any) -> None:
-        """Apply one changelog record during recovery (no re-publication)."""
-        if value is None:
-            self.store.delete(key)
-        else:
-            self.store.put(key, value)
 
     def clear(self) -> None:
         self.store.clear()

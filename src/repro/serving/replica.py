@@ -9,11 +9,14 @@ changelog records published since the standby last caught up.
 
 A :class:`StandbyReplica` is exactly that machinery: a local
 :class:`~repro.processing.store.KeyValueStore` plus a position in one
-changelog partition, advanced by :meth:`catch_up`.  The same class backs
-three consumers of the idea:
+changelog partition, advanced by :meth:`catch_up` — a restore that never
+stops: the same :func:`~repro.processing.state.replay_changelog` loop the
+cold restore runs once, resumed from where the last pass left off.  The
+same class backs three consumers of the idea:
 
-* **failover standbys** owned by the job runner (``num_standby_replicas``),
-  kept warm at checkpoint boundaries and promoted on recovery/migration;
+* **failover standbys** (``num_standby_replicas``) owned by
+  :class:`~repro.processing.recovery.Standbys`, kept warm at checkpoint
+  boundaries and promoted on recovery/migration;
 * **snapshot followers** inside a :class:`~repro.serving.server.StateServer`,
   capped at the last checkpoint's changelog offset for
   snapshot-at-checkpoint reads;
@@ -26,43 +29,26 @@ apply entries whose checkpoint committed — a promoted standby can never
 resurrect state from an aborted transaction.
 
 A retention storm can delete changelog segments a slow standby still needs
-(the same hazard the MirrorMaker fix in PR 8 handled): :meth:`catch_up`
-then *reseats* — clears the store, rewinds to ``beginning_offset`` and
-replays from there — rather than crashing.  On a compacted changelog the
-surviving head carries the latest value per live key, so the reseated
-replay converges to the correct state.
+(the same hazard MirrorMaker handles): :meth:`catch_up` then *reseats* —
+clears the store, rewinds to ``beginning_offset`` and replays from there —
+rather than crashing.  On a compacted changelog the surviving head carries
+the latest value per live key, so the reseated replay converges to the
+correct state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
 from repro.chaos.failpoints import failpoint
-from repro.common.errors import OffsetOutOfRangeError
 from repro.common.metrics import metric_name, metric_segment
 from repro.common.records import TopicPartition
-from repro.processing.state import changelog_topic_name
+from repro.processing.state import (
+    CatchUpStats,
+    changelog_topic_name,
+    replay_changelog,
+)
 from repro.processing.store import KeyValueStore, make_store
-
-
-@dataclass
-class CatchUpStats:
-    """What one catch-up pass applied and what it (simulatedly) cost."""
-
-    records_applied: int = 0
-    simulated_seconds: float = 0.0
-    #: Offsets jumped over because retention deleted them before the replica
-    #: could read them (only ever non-zero on a reseat).
-    records_skipped: int = 0
-    #: Whether the pass had to clear the store and rewind to the beginning.
-    reseated: bool = False
-
-    def merge(self, other: "CatchUpStats") -> None:
-        self.records_applied += other.records_applied
-        self.simulated_seconds += other.simulated_seconds
-        self.records_skipped += other.records_skipped
-        self.reseated = self.reseated or other.reseated
 
 
 class StandbyReplica:
@@ -139,54 +125,13 @@ class StandbyReplica:
             position=self.position,
             replica=self.replica_id,
         )
-        stats = CatchUpStats()
-        if self.position is None:
-            self.position = self.cluster.beginning_offset(self.tp)
-        end = self.cluster.end_offset(self.tp)
-        if limit_offset is not None:
-            end = min(end, limit_offset)
-        while self.position < end:
-            if max_records is not None and stats.records_applied >= max_records:
-                break
-            budget = self.batch
-            if max_records is not None:
-                budget = min(budget, max_records - stats.records_applied)
-            try:
-                result = self.cluster.fetch(
-                    self.tp.topic,
-                    self.tp.partition,
-                    self.position,
-                    budget,
-                    isolation=self.isolation,
-                )
-            except OffsetOutOfRangeError:
-                # Retention deleted the range we were about to read.  Reseat
-                # at the surviving head: clear and replay — the compacted
-                # head holds the newest value per live key, so the rebuilt
-                # store converges on the correct state.
-                reseated = self.cluster.beginning_offset(self.tp)
-                stats.records_skipped += max(0, reseated - self.position)
-                stats.reseated = True
-                self.reseats += 1
-                self._c_reseats.increment(1)
-                self.store.clear()
-                self.position = reseated
-                end = self.cluster.end_offset(self.tp)
-                if limit_offset is not None:
-                    end = min(end, limit_offset)
-                continue
-            stats.simulated_seconds += result.latency
-            for record in result.records:
-                if record.offset >= end:
-                    break
-                if record.value is None:
-                    self.store.delete(record.key)
-                else:
-                    self.store.put(record.key, record.value)
-                stats.records_applied += 1
-            if result.next_offset <= self.position:
-                break  # no progress (e.g. everything above the LSO)
-            self.position = min(result.next_offset, end)
+        self.position, stats = replay_changelog(
+            self.cluster, self.tp, self.store, self.position,
+            self.isolation, self.batch, limit_offset, max_records,
+        )
+        if stats.reseated:
+            self.reseats += 1
+            self._c_reseats.increment(1)
         self.records_applied += stats.records_applied
         if stats.records_applied:
             self._c_applied.increment(stats.records_applied)

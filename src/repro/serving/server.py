@@ -133,14 +133,14 @@ class StateServer:
         stale-tolerant read would be right now.
         """
         worst: dict[str, int] = {}
-        for replicas in self.runner.standby_replicas(self.task_id):
+        for replicas in self.runner.standbys.of(self.task_id):
             for store, replica in replicas.items():
                 worst[store] = max(worst.get(store, 0), replica.lag())
         return worst
 
     def _standby_store(self, store: str) -> tuple[Any, int, float] | None:
         """A warm standby's store for stale-tolerant reads, or ``None``."""
-        sets = self.runner.standby_replicas(self.task_id)
+        sets = self.runner.standbys.of(self.task_id)
         if not sets:
             return None
         replicas = sets[self._stale_cursor % len(sets)]

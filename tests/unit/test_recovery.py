@@ -1,6 +1,11 @@
 """Unit tests for changelog-based state recovery (§3.2, E4 mechanics)."""
 
+from unittest import mock
+
+import pytest
+
 from repro.common.clock import SimClock
+from repro.common.records import TopicPartition
 from repro.messaging.cluster import MessagingCluster
 from repro.messaging.producer import Producer
 from repro.processing.job import JobConfig, JobRunner, StoreConfig
@@ -14,6 +19,7 @@ from repro.processing.recovery import (
 )
 from repro.processing.state import KeyValueState, changelog_topic_name
 from repro.processing.store import InMemoryStore
+from repro.serving.replica import StandbyReplica
 
 
 class UpsertTask:
@@ -105,6 +111,89 @@ class TestRestoreState:
         assert dict(fresh.items()) == original
 
 
+    def test_restore_republishes_nothing(self):
+        """Replayed entries go straight into the store: neither restore_state
+        nor recover() appends one record to the changelog it reads."""
+        _clock, cluster, runner = make_env()
+        runner.checkpoint()
+        tp = TopicPartition(changelog_topic_name("j", "table"), 0)
+        end = cluster.end_offset(tp)
+        published = []
+        fresh = KeyValueState(
+            "table", InMemoryStore(),
+            changelog_append=lambda key, value: published.append(key),
+        )
+        restore_state(cluster, "j", "table", 0, fresh)
+        runner.crash()
+        runner.recover()
+        runner.run_until_idle()
+        runner.checkpoint()
+        cluster.tick(0.0)
+        assert published == []
+        assert cluster.end_offset(tp) == end
+
+    def test_cold_restore_touches_no_standby(self):
+        """A 0-standby job's recovery is the cold path only: no
+        StandbyReplica is built or caught up, no serving.standby.* metric."""
+        _clock, cluster, runner = make_env()
+        runner.crash()
+        with mock.patch.object(
+            StandbyReplica, "__init__", side_effect=AssertionError
+        ), mock.patch.object(
+            StandbyReplica, "catch_up", side_effect=AssertionError
+        ):
+            report = runner.recover()
+        assert [e.source for e in report.entries] == [SOURCE_CHANGELOG]
+        assert report.records_replayed == 60
+        assert not [
+            name for name in cluster.metrics.names()
+            if name.startswith("serving.standby.")
+        ]
+
+
+class TestInitRunsAfterRestore:
+    """A task's init() sees its restored state, on both restore paths and
+    whether the state comes back cold or from a promoted standby."""
+
+    @pytest.mark.parametrize("standbys", [0, 1])
+    @pytest.mark.parametrize("path", ["recover", "migrate_task"])
+    def test_init_sees_the_restored_store(self, path, standbys):
+        seen = []
+
+        class InitProbe(UpsertTask):
+            def init(self, context):
+                super().init(context)
+                seen.append(len(self.store))
+
+        clock = SimClock()
+        cluster = MessagingCluster(num_brokers=1, clock=clock)
+        cluster.create_topic("in", num_partitions=1, replication_factor=1)
+        producer = Producer(cluster)
+        for i in range(10):
+            producer.send("in", i, key=f"k{i}")
+        runner = JobRunner(
+            JobConfig(
+                name="init", inputs=["in"], task_factory=InitProbe,
+                stores=[StoreConfig("table")], num_standby_replicas=standbys,
+                window_interval=1.0,
+            ),
+            cluster,
+        )
+        runner.run_until_idle()
+        runner.checkpoint()
+        before = clock.now()
+        if path == "recover":
+            runner.crash()
+            report = runner.recover()
+            # Started before the clock is charged for the restore.
+            assert runner.task(0).last_window_at == before
+            assert clock.now() == before + report.simulated_seconds
+        else:
+            runner.migrate_task(0)
+        assert seen == [0, 10]
+        assert len(runner.task(0).stores["table"]) == 10
+
+
 class TestRestoreJobState:
     def test_all_tasks_and_stores_restored(self):
         clock = SimClock()
@@ -165,7 +254,7 @@ class TestRecoveryReportEntries:
         )
         runner.run_until_idle()
         runner.checkpoint()
-        report = restore_job_state(runner)
+        report = restore_job_state(runner, runner.tasks())
         assert {(e.store, e.task_id) for e in report.entries} == {
             ("table", 0), ("table", 1),
         }

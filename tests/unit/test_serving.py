@@ -397,7 +397,7 @@ class TestStandbyReplica:
         )
         topic = changelog_topic_name("j", "s")
         for i in range(20):
-            producer.send(topic, i, key=f"k{i % 4}")
+            producer.send(topic, i, key=f"gone{i % 4}")
         replica = StandbyReplica(cluster, "j", "s", 0)
         replica.catch_up(max_records=3)  # seated near offset 0, then stalls
         clock.advance(60.0)
@@ -418,6 +418,7 @@ class TestStandbyReplica:
         fresh = StandbyReplica(cluster, "j", "s", 0, replica_id=1)
         fresh.catch_up()
         assert dict(replica.store.items()) == dict(fresh.store.items())
+        assert not [key for key, _ in replica.store.items() if key.startswith("gone")]
 
 
 class TestPromotion:
@@ -488,7 +489,7 @@ class TestPromotion:
         runner.recover()
         runner.checkpoint()
         for task_id in range(runner.num_tasks):
-            sets = runner.standby_replicas(task_id)
+            sets = runner.standbys.of(task_id)
             assert len(sets) == 2
         # The replacement standby is warm again and can serve reads.
         result = StateQueryRouter(runner).get("counts", "k1", allow_stale=True)

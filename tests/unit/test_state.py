@@ -63,31 +63,6 @@ class TestHelpers:
         assert len(state) == 2
 
 
-class TestRestore:
-    def test_restore_entry_does_not_republish(self):
-        state, log = logged_state()
-        state.restore_entry("k", 5)
-        assert state.get("k") == 5
-        assert log == []
-
-    def test_restore_tombstone_deletes(self):
-        state, _log = logged_state()
-        state.restore_entry("k", 5)
-        state.restore_entry("k", None)
-        assert state.get("k") is None
-
-    def test_replaying_changelog_rebuilds_state(self):
-        state, log = logged_state()
-        state.put("a", 1)
-        state.put("b", 2)
-        state.put("a", 3)
-        state.delete("b")
-        rebuilt = KeyValueState("counts", InMemoryStore())
-        for key, value in log:
-            rebuilt.restore_entry(key, value)
-        assert dict(rebuilt.items()) == dict(state.items()) == {"a": 3}
-
-
 class TestNaming:
     def test_changelog_topic_name(self):
         assert changelog_topic_name("job", "store") == "__changelog-job-store"
