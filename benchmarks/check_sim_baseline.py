@@ -36,8 +36,8 @@ EXACT = ("sim_s_per_krec", "sim_wire_bytes_per_record")
 CALL_CEILINGS = {
     "nearline_ingest": 62.47,  # 61.852783
     "compressed_ingest": 44.06,  # 43.625475
-    "stateful_job": 147.78,  # 146.31325
-    "exactly_once_serving": 220.38,  # 218.1979375
+    "stateful_job": 128.71,  # 127.4295833
+    "exactly_once_serving": 193.36,  # 191.43675
     "offline_rewind": 1.4028,  # 1.3890028
 }
 #: Exact values a PR moved on purpose after ``baseline.json`` was measured:

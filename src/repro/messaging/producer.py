@@ -66,6 +66,20 @@ _producer_ids = itertools.count(1)
 _M_COMPRESSION_RATIO = metric_name("messaging", "producer", "compression_ratio")
 
 
+def check_headers(headers: dict[str, Any]) -> None:
+    """Refuse user headers in the system's reserved ``__`` namespace; a
+    :class:`TraceContext` under ``__trace`` (a record continuing a trace)
+    is the one system header a sender may pass on."""
+    for name, held in headers.items():
+        if name.startswith(RESERVED_HEADER_PREFIX) and not (
+            name == TRACE_HEADER and isinstance(held, TraceContext)
+        ):
+            raise ReservedHeaderError(
+                f"header {name!r} is in the system's reserved "
+                f"{RESERVED_HEADER_PREFIX!r} namespace"
+            )
+
+
 class Producer:
     """Publishes records to topics with partitioning, batching and retries."""
 
@@ -189,14 +203,7 @@ class Producer:
         them first would reorder the partition and break broker-side dedup.
         """
         if headers:
-            for name, held in headers.items():
-                if name.startswith(RESERVED_HEADER_PREFIX) and not (
-                    name == TRACE_HEADER and isinstance(held, TraceContext)
-                ):
-                    raise ReservedHeaderError(
-                        f"header {name!r} is in the system's reserved "
-                        f"{RESERVED_HEADER_PREFIX!r} namespace"
-                    )
+            check_headers(headers)
         if self.value_serde is not None:
             value = self.value_serde.serialize(value)
         if self.key_serde is not None and key is not None:
@@ -260,6 +267,26 @@ class Producer:
             span.attrs["buffered"] = True
             tracer.close(span)
         return None
+
+    def _stage_run(
+        self,
+        tp: TopicPartition,
+        entries: list[tuple[Any, Any, float | None, dict[str, Any]]],
+    ) -> None:
+        """Buffer a run of already-validated entries for ``tp``, as that many
+        buffered :meth:`send` calls would: behind anything buffered or parked
+        for the partition, sent by the next :meth:`flush`.  The producer
+        takes ``entries`` over.
+
+        The job runner's pass-end hand-over: a task stages its writes per
+        partition (header and partition checks, tracing) and its producers
+        never linger to a size, so nothing here sends.
+        """
+        buffer = self._buffers.get(tp)
+        if buffer is None:
+            self._buffers[tp] = entries
+        else:
+            buffer.extend(entries)
 
     def flush(self) -> list[ProduceAck]:
         """Send every parked and buffered batch; returns their acks.

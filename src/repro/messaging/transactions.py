@@ -399,9 +399,22 @@ class TransactionalProducer(Producer):
         fenced incarnation or a closed transaction raises here, before
         anything is staged.
         """
+        self._check_open()
+        return Producer.send(self, topic, value, key, partition, timestamp, headers)
+
+    def _stage_run(
+        self,
+        tp: TopicPartition,
+        entries: list[tuple[Any, Any, float | None, dict[str, Any]]],
+    ) -> None:
+        """:meth:`Producer._stage_run` inside the current transaction, with
+        ``send``'s fencing and open check."""
+        self._check_open()
+        Producer._stage_run(self, tp, entries)
+
+    def _check_open(self) -> None:
         if not self.coordinator.state_for(self.transactional_id, self.epoch).open:
             raise TransactionError("send outside a transaction; call begin()")
-        return Producer.send(self, topic, value, key, partition, timestamp, headers)
 
     def flush(self) -> list[ProduceAck]:
         """:meth:`Producer.flush` in deterministic (sorted) partition order,

@@ -5,7 +5,10 @@ partition, and emits to output topics through the messaging layer.  This
 module is the reproduction of Samza's container/task runtime:
 
 * **parallelism** — task *i* owns partition *i* of every input topic;
-* **state** — per-task stores write through to compacted changelog topics;
+* **state** — per-task stores are logged to compacted changelog topics;
+* **output** — a pass's emits and changelog entries stage in the task and
+  reach the producers once per partition at pass end
+  (:mod:`repro.processing.output`);
 * **checkpoints** — input positions are committed to the offset manager with
   the job's software version as an annotation;
 * **recovery** — :meth:`JobRunner.crash` / :meth:`JobRunner.recover` lose and
@@ -19,7 +22,6 @@ end-to-end latencies across multi-job dataflows are meaningful (E2).
 
 from __future__ import annotations
 
-import sys
 import zlib
 
 from dataclasses import dataclass, field
@@ -32,32 +34,24 @@ from repro.common.records import TRACE_HEADER, ConsumerRecord, TopicPartition
 from repro.messaging.cluster import ACKS_LEADER, MessagingCluster
 from repro.messaging.config import ProducerConfig
 from repro.messaging.producer import Producer
-from repro.messaging.transactions import TransactionalProducer
-from repro.observability.trace import TraceContext, Tracer, current_tracer
+from repro.observability.trace import Tracer, current_tracer
 from repro.messaging.topic import TopicConfig
 from repro.storage.log import LogConfig
 from repro.processing.checkpoint import CHANGELOG_OFFSETS_KEY, CheckpointManager
+from repro.processing.output import (  # the guarantees and task ids re-exported
+    AT_LEAST_ONCE,
+    EXACTLY_ONCE,
+    OUTPUT_PATHS,
+    PROCESSING_GUARANTEES,
+    STAGE_ONLY,
+    AtLeastOnceOutput,
+    RunCollector,
+    transactional_id,
+)
 from repro.processing.recovery import RecoveryReport, Standbys, restore_job_state
 from repro.processing.state import KeyValueState, changelog_topic_name
 from repro.processing.store import STORE_TYPES, make_store
-from repro.processing.task import Emit, MessageCollector, StreamTask, TaskContext
-
-
-#: Processing guarantees a job may declare (§4.3's "ongoing effort").
-AT_LEAST_ONCE = "at_least_once"
-EXACTLY_ONCE = "exactly_once"
-PROCESSING_GUARANTEES = (AT_LEAST_ONCE, EXACTLY_ONCE)
-
-
-#: Linger of every producer a job owns: a send only stages, and the pass-end
-#: flush decides the batch (one request per touched partition per pass).
-_STAGE_ONLY = sys.maxsize
-
-
-def transactional_id(job_name: str, task_id: int) -> str:
-    """Stable transactional id of one task: restarts of the same task slot
-    re-initialize the same id, which is what fences its zombies."""
-    return f"{job_name}-{task_id}"
+from repro.processing.task import StreamTask, TaskContext
 
 
 @dataclass(frozen=True)
@@ -131,130 +125,10 @@ class PollResult:
     latency: float = 0.0
 
 
-class _AtLeastOnceOutput:
-    """Where one task's writes go and how its checkpoint commits.
-
-    Under either guarantee a write only *stages* while a pass runs;
-    :meth:`flush` ships everything staged at pass end, one request per
-    touched partition, and always before the checkpoint that covers it.
-
-    At-least-once: emits go through the job's output producer, state updates
-    through the ``acks=all`` changelog producer, and a checkpoint is a plain
-    offset commit.  Nothing ties the three together, so a crash between a
-    flush and the next checkpoint replays (duplicates).  The two producers
-    are shared by the runner's tasks: a batch parked on one output partition
-    fails every task's pass-end flush — and so every checkpoint — until it
-    drains.  Conservative, never lossy.
-    """
-
-    #: Isolation of every read in the job — inputs and changelog restores.
-    isolation = "read_uncommitted"
-    #: Whether a drained run must end with a checkpoint for its writes to
-    #: become visible downstream.
-    commit_on_idle = False
-
-    def __init__(self, runner: "JobRunner", task_id: int) -> None:
-        # Anything with ``Producer.send``'s signature.  Held as objects, not
-        # bound ``send`` methods, so instrumentation that wraps
-        # ``Producer.send`` on the class after the job is built (the
-        # benchmark's span recorder) still sees these writes.
-        self.emits: Any = runner.producer
-        self.changelog: Any = runner._changelog_producer
-        self.checkpoints = runner.checkpoints
-
-    def flush(self) -> float:
-        """Ship every staged (and any parked) write; returns the summed ack
-        latency.  Raises, leaving the undelivered batches parked for the
-        next flush, when a partition cannot take its batch."""
-        acks = self.emits.flush() + self.changelog.flush()
-        return sum(ack.latency for ack in acks)
-
-    def commit_open(
-        self, positions: dict[TopicPartition, int], metadata: dict[str, Any]
-    ) -> bool:
-        """Commit writes still held back, with ``positions``; returns
-        whether there were any (never, here: a flushed write is out)."""
-        self.flush()
-        return False
-
-    def commit(
-        self, positions: dict[TopicPartition, int], metadata: dict[str, Any]
-    ) -> None:
-        """Checkpoint ``positions``: together with the held-back writes
-        when there are any, else as a plain offset commit."""
-        if not self.commit_open(positions, metadata):
-            self.checkpoints.commit(dict(positions), metadata)
-
-
-class _ExactlyOnceOutput(_AtLeastOnceOutput):
-    """Exactly-once: every write joins the task's transaction.
-
-    Emits and changelog entries are staged through one fenced
-    :class:`TransactionalProducer`, invisible to ``read_committed`` readers
-    until the checkpoint — which *is* the transaction commit — makes
-    outputs, state and input offsets visible atomically (or not at all).
-    """
-
-    # Neither open nor aborted transactions (our own or an upstream
-    # job's) are ever observed.
-    isolation = "read_committed"
-    commit_on_idle = True
-
-    def __init__(self, runner: "JobRunner", task_id: int) -> None:
-        self.emits = self.changelog = self
-        self.checkpoints = runner.checkpoints
-        # Re-initializing the stable id bumps the epoch: zombies of the
-        # previous incarnation are fenced, an undecided crashed transaction
-        # aborts, a decided one rolls forward — all *before* the changelog
-        # restore reads read_committed.
-        self.producer = TransactionalProducer(
-            runner.cluster,
-            transactional_id(runner.config.name, task_id),
-            linger_messages=_STAGE_ONLY,
-        )
-        # Whether this incarnation's transaction is open.  Only this object
-        # begins and commits it, so it knows without asking the coordinator
-        # per record (``producer.send`` asks once, and fences).
-        self._open = False
-
-    def send(
-        self, topic, value, key=None, partition=None, timestamp=None, headers=None
-    ):
-        """Stage one record (``Producer.send``'s signature), beginning a
-        transaction at the first write after a commit; it stays open until
-        the next checkpoint boundary."""
-        producer = self.producer
-        if not self._open:
-            producer.begin()
-            self._open = True
-        return producer.send(topic, value, key, partition, timestamp, headers)
-
-    def flush(self) -> float:
-        return sum(ack.latency for ack in self.producer.flush())
-
-    def commit_open(
-        self, positions: dict[TopicPartition, int], metadata: dict[str, Any]
-    ) -> bool:
-        if not self._open:
-            return False
-        # Offsets are staged with the coordinator and apply only at the
-        # commit, which flushes first: a failed flush leaves the
-        # transaction open, the batch parked and the offsets uncommitted.
-        producer = self.producer
-        self.checkpoints.commit_transactional(producer, positions, metadata)
-        producer.commit()
-        self._open = False
-        return True
-
-
-_OUTPUT_PATHS = {
-    AT_LEAST_ONCE: _AtLeastOnceOutput,
-    EXACTLY_ONCE: _ExactlyOnceOutput,
-}
-
-
 class _TaskInstance:
-    """Runtime state of one task: user logic + positions + stores."""
+    """Runtime state of one task: user logic + positions + stores, and the
+    pass's staged writes — emits in :attr:`collector`, changelog entries in
+    :attr:`staged` (shared by the stores)."""
 
     def __init__(
         self,
@@ -262,15 +136,19 @@ class _TaskInstance:
         task: StreamTask,
         partitions: list[TopicPartition],
         stores: dict[str, KeyValueState],
+        staged: dict[TopicPartition, list],
         context: TaskContext,
+        cluster: MessagingCluster,
     ) -> None:
         self.task_id = task_id
         self.task = task
         self.partitions = partitions
         self.stores = stores
+        self.staged = staged
         self.context = context
+        self.collector = RunCollector(self, cluster)
         #: Set once per incarnation, after any predecessor's restore reads.
-        self.output: _AtLeastOnceOutput | None = None
+        self.output: AtLeastOnceOutput | None = None
         self.positions: dict[TopicPartition, int] = {}
         self.records_since_checkpoint = 0
         self.last_window_at = 0.0
@@ -298,10 +176,10 @@ class JobRunner:
             "processing", "job", metric_segment(config.name), "processed"
         )
         # Freshness stamp: a hoisted gauge (safe now that registry.reset()
-        # zeroes in place) tracking the age of the last record processed —
-        # the end-to-end signal the SLO monitor samples on its cadence.
-        # The age histogram beside it is held the same way, for the same
-        # reason: one lookup per runner, not one per record.
+        # zeroes in place) holding the age of the last record processed, set
+        # once per task pass — the end-to-end signal the SLO monitor samples
+        # on its cadence.  The age histogram beside it is held the same way,
+        # for the same reason: one lookup per runner, not one per record.
         self._g_freshness = self.metrics.gauge(metric_name(
             "processing", "job", metric_segment(config.name), "freshness"
         ))
@@ -312,7 +190,7 @@ class JobRunner:
         # producer id: a job's send latencies must replay identically no
         # matter how many producers other code created first.
         jitter = zlib.crc32(config.name.encode())
-        self._output_path = _OUTPUT_PATHS[config.processing_guarantee]
+        self._output_path = OUTPUT_PATHS[config.processing_guarantee]
         self.isolation = self._output_path.isolation
         # A plain attribute on purpose: callers read its counters
         # (``runner.producer.retries``, ``.pending()``).
@@ -320,7 +198,7 @@ class JobRunner:
             cluster,
             ProducerConfig(
                 acks=config.acks,
-                linger_messages=_STAGE_ONLY,
+                linger_messages=STAGE_ONLY,
                 retry_jitter_seed=jitter,
             ),
         )
@@ -332,7 +210,7 @@ class JobRunner:
             cluster,
             ProducerConfig(
                 acks="all",
-                linger_messages=_STAGE_ONLY,
+                linger_messages=STAGE_ONLY,
                 retry_jitter_seed=jitter + 1,
             ),
         )
@@ -344,6 +222,8 @@ class JobRunner:
         )
         self.num_tasks = self._discover_parallelism()
         self._ensure_changelog_topics()
+        self.records_processed = 0
+        self.records_emitted = 0
         self._tasks: list[_TaskInstance] = []
         self._build_tasks()
         for instance in self._tasks:
@@ -357,8 +237,6 @@ class JobRunner:
         self._snapshot_times: dict[int, float] = {}
         self._seed_snapshots()
         self.running = True
-        self.records_processed = 0
-        self.records_emitted = 0
 
     # -- setup ---------------------------------------------------------------------
 
@@ -406,7 +284,8 @@ class JobRunner:
         self, task_id: int, partitions: list[TopicPartition]
     ) -> _TaskInstance:
         """A fresh incarnation of one task: empty stores, new user object."""
-        stores = self._build_stores(task_id)
+        staged: dict[TopicPartition, list] = {}
+        stores = self._build_stores(task_id, staged)
         context = TaskContext(
             self.config.name,
             task_id,
@@ -415,33 +294,38 @@ class JobRunner:
             processing_guarantee=self.config.processing_guarantee,
         )
         task = self.config.task_factory()
-        return _TaskInstance(task_id, task, partitions, stores, context)
+        return _TaskInstance(
+            task_id, task, partitions, stores, staged, context, self.cluster
+        )
 
     def _start_task(self, instance: _TaskInstance) -> None:
         instance.last_window_at = self.clock.now()
         init = getattr(instance.task, "init", None)
         if callable(init):
+            # What init() writes is staged and handed over like a pass's, so
+            # between passes a task holds no staged run.
+            instance.collector.start_pass(current_tracer())
             init(instance.context)
+            self._hand_over(instance)
 
-    def _build_stores(self, task_id: int) -> dict[str, KeyValueState]:
+    def _build_stores(
+        self, task_id: int, staged: dict[TopicPartition, list]
+    ) -> dict[str, KeyValueState]:
+        """The task's stores; each changelogged one stages its mutations in
+        ``staged`` for its own changelog partition, ``task_id``."""
         stores: dict[str, KeyValueState] = {}
         for store_config in self.config.stores:
-            append = None
+            changelog = None
             if store_config.changelog:
-                topic = changelog_topic_name(self.config.name, store_config.name)
-
-                def append(key: Any, value: Any, _topic=topic, _p=task_id) -> None:
-                    # Through the task table, so the write lands on the
-                    # output path of whichever incarnation owns the slot.
-                    # Staged: its ack arrives with the pass-end flush.
-                    self._tasks[_p].output.changelog.send(
-                        _topic, value, key=key, partition=_p
-                    )
-
+                changelog = TopicPartition(
+                    changelog_topic_name(self.config.name, store_config.name),
+                    task_id,
+                )
             stores[store_config.name] = KeyValueState(
                 store_config.name,
                 make_store(store_config.store_type, **store_config.store_options),
-                changelog_append=append,
+                changelog,
+                staged,
             )
         return stores
 
@@ -573,69 +457,50 @@ class JobRunner:
         budget: int,
         result: PollResult,
     ) -> None:
-        collector = MessageCollector()
         tracer = current_tracer()
-        for tp in instance.partitions:
-            if budget <= 0:
-                break
-            fetched = self.cluster.fetch(
-                tp.topic, tp.partition, instance.positions[tp], budget,
-                isolation=self.isolation,
-            )
-            result.latency += fetched.latency
-            for record in fetched.records:
-                ctx = self._process_record(
-                    instance, record, collector, result, tracer
+        instance.collector.start_pass(tracer)
+        fresh = None
+        try:
+            for tp in instance.partitions:
+                if budget <= 0:
+                    break
+                fetched = self.cluster.fetch(
+                    tp.topic, tp.partition, instance.positions[tp], budget,
+                    isolation=self.isolation,
                 )
-                # Drain per record (not per pass) so each emit can be
-                # attributed to the input record that caused it — derived-feed
-                # records continue the input's trace under its process span.
-                self._send_emits(instance, collector.drain(), ctx, result)
-            if fetched.records:
-                budget -= len(fetched.records)
-            instance.positions[tp] = max(
-                instance.positions[tp], fetched.next_offset
-            )
-        self._maybe_window(instance, result)
+                result.latency += fetched.latency
+                for record in fetched.records:
+                    age = self._process_record(instance, record, result, tracer)
+                    if age >= 0:
+                        fresh = age
+                if fetched.records:
+                    budget -= len(fetched.records)
+                instance.positions[tp] = max(
+                    instance.positions[tp], fetched.next_offset
+                )
+            self._maybe_window(instance, tracer)
+        except Exception:
+            self._abandon_pass(instance)
+            raise
+        if fresh is not None:
+            self._g_freshness.set(fresh)
         # The pass is the batch: everything it staged — emits and changelog —
         # leaves the task here, before any checkpoint that would cover it.
+        result.records_emitted += self._hand_over(instance)
         result.latency += instance.output.flush()
         if instance.records_since_checkpoint >= self.config.checkpoint_interval:
             self._checkpoint_task(instance)
-
-    def _send_emits(
-        self,
-        instance: _TaskInstance,
-        emits: list[Emit],
-        ctx: TraceContext | None,
-        result: PollResult,
-    ) -> None:
-        send = instance.output.emits.send
-        for emit in emits:
-            headers = emit.headers
-            if ctx is not None:
-                headers = {**(headers or {}), TRACE_HEADER: ctx}
-            send(
-                emit.topic,
-                emit.value,
-                key=emit.key,
-                partition=emit.partition,
-                timestamp=emit.timestamp,
-                headers=headers,
-            )
-        result.records_emitted += len(emits)
-        self.records_emitted += len(emits)
 
     def _process_record(
         self,
         instance: _TaskInstance,
         record: ConsumerRecord,
-        collector: MessageCollector,
         result: PollResult,
-        tracer: Tracer | None = None,
-    ) -> TraceContext | None:
-        """Run the task on one record; returns the trace context its emits
-        should carry (child of the ``job.process`` span), or ``None``."""
+        tracer: Tracer | None,
+    ) -> float:
+        """Run the task on one record; returns the record's age.  Under a
+        tracer the record's ``job.process`` span parents the
+        ``produce.send`` spans of its emits."""
         span = None
         if tracer is not None and record.headers:
             parent = record.headers.get(TRACE_HEADER)
@@ -651,7 +516,7 @@ class JobRunner:
                     offset=record.offset,
                 )
         try:
-            instance.task.process(record, collector)
+            instance.task.process(record, instance.collector)
         except Exception as exc:
             if span is not None:
                 span.attrs["error"] = type(exc).__name__
@@ -667,15 +532,17 @@ class JobRunner:
         age = self.clock.now() - record.timestamp
         if age >= 0:
             self._h_record_age.observe(age)
-            self._g_freshness.set(age)
-        if span is not None:
-            # CPU cost is charged to the pass latency, not the clock yet;
-            # the span still records it so stage breakdowns see task time.
-            tracer.close(span, end=span.start + self.cpu_cost)
-            return span.context()
-        return None
+        if tracer is not None:
+            ctx = None
+            if span is not None:
+                # CPU cost is charged to the pass latency, not the clock yet;
+                # the span still records it so stage breakdowns see task time.
+                tracer.close(span, end=span.start + self.cpu_cost)
+                ctx = span.context()
+            instance.collector.stage_held(ctx)
+        return age
 
-    def _maybe_window(self, instance: _TaskInstance, result: PollResult) -> None:
+    def _maybe_window(self, instance: _TaskInstance, tracer: Tracer | None) -> None:
         if self.config.window_interval is None:
             return
         window = getattr(instance.task, "window", None)
@@ -684,10 +551,36 @@ class JobRunner:
         now = self.clock.now()
         if now - instance.last_window_at >= self.config.window_interval:
             instance.last_window_at = now
-            collector = MessageCollector()
-            window(collector)
-            # Window emits aggregate many inputs; they start fresh traces.
-            self._send_emits(instance, collector.drain(), None, result)
+            window(instance.collector)
+            if tracer is not None:
+                # Window emits aggregate many inputs; they start fresh traces.
+                instance.collector.stage_held(None)
+
+    def _hand_over(self, instance: _TaskInstance) -> int:
+        """Give the task's staged runs to its producers; returns how many
+        emits they held."""
+        runs = instance.collector.runs
+        emitted = sum(len(run) for run in runs.values())
+        instance.output.hand_over(runs, instance.staged)
+        self.records_emitted += emitted
+        return emitted
+
+    def _abandon_pass(self, instance: _TaskInstance) -> None:
+        """A pass raised before its hand-over.  At-least-once hands over what
+        the task staged; exactly-once drops it, aborts the task's open
+        transaction and rebuilds the task from its last checkpoint, so the
+        next pass redoes that work in a fresh transaction."""
+        output = instance.output
+        try:
+            if output.discard(instance.collector.runs, instance.staged):
+                self._rebuild_task(instance, output)
+                return
+        except Exception:
+            # The abort or the restore failed too: the task cannot resume
+            # where its transaction began, so the job is down until recover().
+            self.crash()
+            raise
+        self._hand_over(instance)
 
     def _checkpoint_task(self, instance: _TaskInstance) -> None:
         # Armed raising, this is a crash *before* the checkpoint decided
@@ -772,9 +665,10 @@ class JobRunner:
 
         Standby replicas survive — they live on other containers, which is
         the whole reason :meth:`recover` can promote one instead of
-        replaying the full changelog.  Writes still staged or parked in a
-        producer are client memory and die too (each task's transactional
-        producer goes with its task); the replay re-creates them.
+        replaying the full changelog.  Writes still staged in a task or
+        parked in a producer are client memory and die too (each task's
+        transactional producer goes with its task); the replay re-creates
+        them.
         """
         self.running = False
         self._tasks = []
@@ -822,19 +716,30 @@ class JobRunner:
             {"software_version": self.config.version, "task_id": task_id},
         ):
             old.records_since_checkpoint = 0
+        # Fresh incarnation on the new container: under exactly-once the
+        # epoch bump fences any zombie writes from the task's previous home.
+        return self._rebuild_task(old, None)
+
+    def _rebuild_task(
+        self, old: _TaskInstance, output: AtLeastOnceOutput | None
+    ) -> RecoveryReport:
+        """Replace ``old`` with a fresh incarnation at the task's last
+        checkpoint: stores restored (promoting a standby when the job keeps
+        them), positions reseeded, then ``output`` — a new one when ``None``
+        — and ``init()``.  A restore that raises (e.g. changelog leader
+        offline) leaves ``old`` in place and propagates."""
+        task_id = old.task_id
         instance = self._new_task(task_id, old.partitions)
         self._tasks[task_id] = instance
         try:
             report = restore_job_state(self, [instance])
             self._seed_positions(instance)
         except Exception:
-            # Mid-restore failure (e.g. changelog leader offline): the old
-            # container keeps the task; the controller may retry later.
             self._tasks[task_id] = old
             raise
-        # Fresh incarnation on the new container: under exactly-once the
-        # epoch bump fences any zombie writes from the task's previous home.
-        instance.output = self._output_path(self, task_id)
+        instance.output = (
+            output if output is not None else self._output_path(self, task_id)
+        )
         self._record_snapshot(task_id)
         self._start_task(instance)
         return report

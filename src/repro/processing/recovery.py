@@ -205,8 +205,8 @@ class Standbys:
         report = RecoveryReport()
         for store_name, (store, stats) in promoted.items():
             # The new incarnation adopts the replica's store object outright;
-            # the KeyValueState wrapper (and its changelog write-through
-            # closure) already points at the right partition.
+            # the KeyValueState wrapper already stages for the right
+            # changelog partition.
             instance.stores[store_name].store = store
             report.add(RestoredStore(
                 store_name, task_id, stats.records_applied,

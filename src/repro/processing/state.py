@@ -5,8 +5,9 @@ changelog, which is a derived feed stored by the messaging layer.  After
 failure, state is reconstructed from the changelog."
 
 :class:`KeyValueState` wraps a local :class:`~repro.processing.store.KeyValueStore`
-and write-through-publishes every mutation to a *compacted* changelog topic
-in the messaging layer.  Because the changelog is keyed by the state key,
+and stages every mutation for a *compacted* changelog topic in the
+messaging layer; the job runner publishes a pass's mutations as one run
+per changelog partition.  Because the changelog is keyed by the state key,
 compaction (§4.1) bounds its size by the number of live keys, which is what
 makes recovery fast (E4).
 
@@ -17,7 +18,7 @@ changelog into a store: the cold restore and the standby tail both run it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 from repro.common.errors import OffsetOutOfRangeError, StateStoreError
 from repro.common.records import TopicPartition
@@ -111,26 +112,36 @@ def replay_changelog(
 class KeyValueState:
     """A named state store owned by one task, optionally changelogged.
 
-    ``changelog_append`` is injected by the job runner: it publishes
-    ``(key, value)`` to the task's changelog partition.  When ``None`` the
-    state is transient (lost on failure) — the ablation mode used to show
-    why changelogs matter.
+    A changelogged state (``changelog`` is its partition) stages every
+    mutation in ``staged[changelog]``: a run of producer entries ``(key,
+    value, None, headers)``, value ``None`` for a tombstone, which the job
+    runner hands to its changelog producer at pass end.  The runner gives
+    a task's stores one shared ``staged`` dict, so a pass's runs keep the
+    order the task first wrote them in.  Without a changelog the state is
+    transient (lost on failure) — the ablation mode used to show why
+    changelogs matter.
     """
 
     def __init__(
         self,
         name: str,
         store: KeyValueStore,
-        changelog_append=None,
+        changelog: TopicPartition | None = None,
+        staged: dict[TopicPartition, list] | None = None,
     ) -> None:
         self.name = name
         self.store = store
-        self._changelog_append = changelog_append
+        self.changelog = changelog
+        self.staged: dict[TopicPartition, list] = {} if staged is None else staged
+        #: Set by the job runner for a pass run under a tracer: records a
+        #: changelog write's ``produce.send`` span and returns the headers
+        #: that carry it.
+        self.trace: Callable[[TopicPartition], dict[str, Any]] | None = None
         self.puts = 0
         self.gets = 0
         self.deletes = 0
 
-    # -- mutation (write-through to changelog) -------------------------------------
+    # -- mutation (staged for the changelog) -----------------------------------------
 
     def put(self, key: Any, value: Any) -> None:
         if value is None:
@@ -139,14 +150,23 @@ class KeyValueState:
             )
         self.store.put(key, value)
         self.puts += 1
-        if self._changelog_append is not None:
-            self._changelog_append(key, value)
+        if self.changelog is not None:
+            self._stage(key, value)
 
     def delete(self, key: Any) -> None:
         self.store.delete(key)
         self.deletes += 1
-        if self._changelog_append is not None:
-            self._changelog_append(key, None)  # tombstone
+        if self.changelog is not None:
+            self._stage(key, None)  # tombstone
+
+    def _stage(self, key: Any, value: Any) -> None:
+        tp = self.changelog
+        entry = (key, value, None, {} if self.trace is None else self.trace(tp))
+        staged = self.staged
+        if tp in staged:
+            staged[tp].append(entry)
+        else:
+            staged[tp] = [entry]
 
     def get(self, key: Any) -> Any:
         self.gets += 1
@@ -176,5 +196,5 @@ class KeyValueState:
         self.store.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        logged = "changelogged" if self._changelog_append else "transient"
+        logged = "changelogged" if self.changelog is not None else "transient"
         return f"KeyValueState({self.name!r}, {len(self.store)} keys, {logged})"

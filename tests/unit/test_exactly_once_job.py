@@ -3,13 +3,14 @@ loop wired through the job runner (§3.2 + §4.3)."""
 
 import pytest
 
-from repro.chaos.failpoints import registry
+from repro.chaos.failpoints import raising, registry
 from repro.common.clock import SimClock
 from repro.common.errors import (
     BrokerUnavailableError,
     JobConfigError,
     MessagingError,
     ProducerFencedError,
+    TaskFailedError,
 )
 from repro.common.records import TopicPartition
 from repro.messaging.cluster import ACKS_LEADER, MessagingCluster
@@ -270,6 +271,19 @@ class TestCrashRecovery:
         with pytest.raises(ProducerFencedError):
             zombie.begin()
 
+    def test_a_fenced_zombie_fails_at_hand_over_and_writes_nothing(self):
+        """Writes reach the transactional producer once per pass, at the
+        hand-over, which is where the fencing check sits: a zombie runs its
+        pass, then is refused before one record is staged."""
+        _clock, cluster, _producer = make_env(partitions=1, n=10)
+        zombie = JobRunner(eo_config(), cluster)
+        JobRunner(eo_config(), cluster)  # same task ids: the zombie is fenced
+        with pytest.raises(ProducerFencedError):
+            zombie.poll_once()
+        assert zombie.records_processed == 10
+        assert zombie.task(0).output.producer.pending() == 0
+        assert cluster.end_offset(TopicPartition("out", 0)) == 0
+
     def test_inputs_read_committed_under_exactly_once(self):
         """An upstream job's uncommitted outputs must not be processed."""
         from repro.messaging.transactions import TransactionalProducer
@@ -309,6 +323,84 @@ class TestFailedCheckpoint:
             (0, offset) for offset in range(10)
         ]
         assert runner.checkpoints.fetch(TopicPartition("in", 0)).offset == 10
+
+
+class TestFailedPass:
+    """Regression: a pass that raised left what it had staged in the task's
+    open transaction, and the caller's next pass processed the same records
+    into it again — ``read_committed`` saw outputs ``[0..4, 0..9]`` and the
+    store counted 16 for 10 inputs.  A failed pass now aborts the
+    transaction and rebuilds the task from its last checkpoint."""
+
+    @staticmethod
+    def fails_once_at_offset_5():
+        failed = []
+
+        class CountThenFailOnce:
+            def init(self, context):
+                self.counts = context.store("counts")
+
+            def process(self, record, collector):
+                self.counts.put("total", self.counts.get_or_default("total", 0) + 1)
+                if record.offset == 5 and not failed:
+                    failed.append(record.offset)
+                    raise RuntimeError("boom")
+                collector.send("out", {"offset": record.offset}, partition=0)
+
+        return CountThenFailOnce
+
+    @pytest.mark.parametrize("first_pass", [None, 3])
+    def test_the_caller_keeps_polling_and_nothing_commits_twice(self, first_pass):
+        _clock, cluster, _producer = make_env(partitions=1, n=10)
+        runner = JobRunner(
+            eo_config(
+                task_factory=self.fails_once_at_offset_5(),
+                stores=[StoreConfig("counts")],
+                checkpoint_interval=100,
+            ),
+            cluster,
+        )
+        if first_pass is not None:
+            # An earlier pass's writes are flushed into the open transaction.
+            runner.poll_once(max_messages=first_pass)
+        with pytest.raises(TaskFailedError):
+            runner.poll_once()
+        runner.run_until_idle()
+        assert committed_outputs(cluster, partitions=1) == [
+            (0, offset) for offset in range(10)
+        ]
+        assert runner.task(0).stores["counts"].get("total") == 10
+        assert runner.checkpoints.fetch(TopicPartition("in", 0)).offset == 10
+        runner.crash()
+        runner.recover()
+        assert runner.task(0).stores["counts"].get("total") == 10
+
+
+    def test_a_failed_abort_takes_the_job_down_until_recover(self):
+        _clock, cluster, _producer = make_env(partitions=1, n=10)
+        runner = JobRunner(
+            eo_config(
+                task_factory=self.fails_once_at_offset_5(),
+                stores=[StoreConfig("counts")],
+                checkpoint_interval=100,
+            ),
+            cluster,
+        )
+        runner.poll_once(max_messages=3)  # the transaction holds a flushed batch
+        with registry().scoped(
+            "cluster.produce", raising(lambda: BrokerUnavailableError("down"))
+        ):
+            with pytest.raises(BrokerUnavailableError) as failed:
+                runner.poll_once()  # the task raises, then its abort marker fails
+        assert isinstance(failed.value.__context__, TaskFailedError)
+        with pytest.raises(JobConfigError):
+            runner.poll_once()
+        runner.recover()
+        runner.run_until_idle()
+        assert committed_outputs(cluster, partitions=1) == [
+            (0, offset) for offset in range(10)
+        ]
+        assert runner.task(0).stores["counts"].get("total") == 10
 
 
 class TestMigration:

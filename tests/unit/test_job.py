@@ -8,6 +8,7 @@ from repro.common.errors import (
     BrokerUnavailableError,
     JobConfigError,
     MessagingError,
+    ProducerFlushError,
     TaskFailedError,
 )
 from repro.common.records import TopicPartition
@@ -148,6 +149,35 @@ class TestProcessing:
         )
         with pytest.raises(TaskFailedError, match="boom"):
             runner.poll_once()
+
+    def test_a_failed_pass_keeps_its_changelog_writes(self):
+        """At-least-once: what a task staged before it raised is handed over
+        like any pass's writes, so the changelog keeps matching the store
+        (the replay then counts the replayed records twice, by design)."""
+        _clock, cluster, _producer = make_env(partitions=1, n=10)
+
+        class CountThenFailAt5(CountTask):
+            def process(self, record, collector):
+                super().process(record, collector)
+                if record.offset == 5:
+                    raise RuntimeError("boom")
+
+        runner = JobRunner(
+            JobConfig(
+                name="j", inputs=["in"], task_factory=CountThenFailAt5,
+                stores=[StoreConfig("counts")],
+            ),
+            cluster,
+        )
+        with pytest.raises(TaskFailedError):
+            runner.poll_once()
+        assert runner._changelog_producer.pending() == 6
+        runner.checkpoint()  # ships them; positions stay where the pass began
+        state = dict(runner.task(0).stores["counts"].items())
+        assert sum(state.values()) == 6
+        runner.crash()
+        runner.recover()
+        assert dict(runner.task(0).stores["counts"].items()) == state
 
     def test_auto_advance_moves_clock(self):
         clock, cluster, _producer = make_env()
@@ -407,6 +437,31 @@ class TestFailedOutputFlush:
         runner.checkpoint()
         assert self._output_offsets(cluster) == list(range(10))
         assert runner.checkpoints.fetch(self.IN).offset == 10
+
+
+    def test_a_failed_output_flush_still_ships_the_changelog(self):
+        """Regression: the output flush raised before the changelog flush
+        ran, so the pass's state updates stayed unsent while its outputs
+        parked.  Both producers flush; one error carries both outcomes."""
+        _clock, cluster, _producer = make_env(partitions=1, n=10)
+        runner = JobRunner(
+            JobConfig(
+                name="j", inputs=["in"], task_factory=CountAndTagTask,
+                stores=[StoreConfig("counts")], checkpoint_interval=10,
+            ),
+            cluster,
+        )
+        changelog = TopicPartition(changelog_topic_name("j", "counts"), 0)
+        with registry().scoped("cluster.produce", self._out_is_down):
+            with pytest.raises(ProducerFlushError) as failed:
+                runner.poll_once()
+        assert cluster.end_offset(changelog) == 10
+        assert [ack.partition for ack in failed.value.acks] == [changelog]
+        assert [tp for tp, _exc in failed.value.failures] == [
+            TopicPartition("out", 0)
+        ]
+        assert runner.producer.pending() == 10
+        assert runner.checkpoints.fetch(self.IN) is None
 
 
 class TestWindowing:

@@ -118,18 +118,14 @@ class TestRestoreState:
         runner.checkpoint()
         tp = TopicPartition(changelog_topic_name("j", "table"), 0)
         end = cluster.end_offset(tp)
-        published = []
-        fresh = KeyValueState(
-            "table", InMemoryStore(),
-            changelog_append=lambda key, value: published.append(key),
-        )
+        fresh = KeyValueState("table", InMemoryStore(), changelog=tp)
         restore_state(cluster, "j", "table", 0, fresh)
         runner.crash()
         runner.recover()
         runner.run_until_idle()
         runner.checkpoint()
         cluster.tick(0.0)
-        assert published == []
+        assert fresh.staged == {}
         assert cluster.end_offset(tp) == end
 
     def test_cold_restore_touches_no_standby(self):

@@ -3,43 +3,50 @@
 import pytest
 
 from repro.common.errors import StateStoreError
+from repro.common.records import TopicPartition
 from repro.processing.state import KeyValueState, changelog_topic_name
 from repro.processing.store import InMemoryStore
 
+CHANGELOG = TopicPartition(changelog_topic_name("job", "counts"), 0)
 
-def logged_state() -> tuple[KeyValueState, list]:
-    log: list = []
-    state = KeyValueState(
-        "counts", InMemoryStore(), changelog_append=lambda k, v: log.append((k, v))
-    )
-    return state, log
+
+def logged_state() -> KeyValueState:
+    return KeyValueState("counts", InMemoryStore(), changelog=CHANGELOG)
+
+
+def staged(state: KeyValueState) -> list:
+    """The state's staged changelog run, as ``(key, value)`` pairs (value
+    ``None`` for a tombstone)."""
+    run = state.staged.get(CHANGELOG, [])
+    return [(key, value) for key, value, _timestamp, _headers in run]
 
 
 class TestWriteThrough:
     def test_put_publishes_to_changelog(self):
-        state, log = logged_state()
+        state = logged_state()
         state.put("k", 1)
-        assert log == [("k", 1)]
+        assert staged(state) == [("k", 1)]
 
     def test_delete_publishes_tombstone(self):
-        state, log = logged_state()
+        state = logged_state()
         state.put("k", 1)
         state.delete("k")
-        assert log == [("k", 1), ("k", None)]
+        assert staged(state) == [("k", 1), ("k", None)]
         assert state.get("k") is None
 
     def test_none_put_rejected(self):
-        state, _log = logged_state()
+        state = logged_state()
         with pytest.raises(StateStoreError):
             state.put("k", None)
 
     def test_transient_state_skips_changelog(self):
-        state = KeyValueState("s", InMemoryStore(), changelog_append=None)
-        state.put("k", 1)  # no error, nothing published
+        state = KeyValueState("s", InMemoryStore(), changelog=None)
+        state.put("k", 1)  # no error, nothing staged
         assert state.get("k") == 1
+        assert state.staged == {}
 
     def test_counters(self):
-        state, _log = logged_state()
+        state = logged_state()
         state.put("a", 1)
         state.get("a")
         state.get("b")
@@ -49,13 +56,13 @@ class TestWriteThrough:
 
 class TestHelpers:
     def test_get_or_default(self):
-        state, _log = logged_state()
+        state = logged_state()
         assert state.get_or_default("missing", 7) == 7
         state.put("k", 3)
         assert state.get_or_default("k", 7) == 3
 
     def test_contains_items_len(self):
-        state, _log = logged_state()
+        state = logged_state()
         state.put("a", 1)
         state.put("b", 2)
         assert "a" in state
