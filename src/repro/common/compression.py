@@ -23,11 +23,11 @@ A :class:`BatchFrame` carries two byte counts:
 Per-record trace contexts ride on the frame object rather than inside the
 payload, the way Kafka keeps batch-level metadata in the (uncompressed)
 batch header; a batch's producer id and sequence are the produce request's
-and live in the log's batch index, beside the frame registry.  The reserved
-``__trace`` header is therefore *excluded* from the canonical serialization,
-preserving the observe-don't-mutate invariant: installing a tracer never
-changes a frame's compressed bytes, so traced and untraced runs stay
-byte-identical even with compression armed.
+and live in the log's batch index, on the entry that carries the frame.
+The reserved ``__trace`` header is therefore *excluded* from the canonical
+serialization, preserving the observe-don't-mutate invariant: installing a
+tracer never changes a frame's compressed bytes, so traced and untraced runs
+stay byte-identical even with compression armed.
 """
 
 from __future__ import annotations

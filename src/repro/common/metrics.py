@@ -422,13 +422,3 @@ class MetricsRegistry:
         """
         for metric in self._metrics.values():
             metric.reset()
-
-    def clear(self) -> None:
-        """Deprecated alias for :meth:`reset`.
-
-        The old behavior (``dict.clear()``) orphaned every hoisted
-        instrument: components kept counting into objects the registry no
-        longer knew about.  Kept as an alias so old call sites get the safe
-        semantics instead of the divergence.
-        """
-        self.reset()

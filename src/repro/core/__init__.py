@@ -1,12 +1,12 @@
 """Liquid core: the paper's data integration stack behind one facade."""
 
+from repro.common.errors import AuthorizationError
 from repro.core.access import (
     OP_CREATE,
     OP_READ,
     OP_WRITE,
     AccessController,
     AclEntry,
-    AuthorizationError,
     SecureConsumer,
     SecureProducer,
 )

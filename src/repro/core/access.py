@@ -24,10 +24,7 @@ OP_WRITE = "write"
 OP_CREATE = "create"
 OPERATIONS = (OP_READ, OP_WRITE, OP_CREATE)
 
-# Backwards-compatible re-export: AuthorizationError moved to the common
-# error hierarchy so every library error lives under one module.
-__all__ = ["AuthorizationError", "AclEntry", "AccessController",
-           "SecureProducer", "SecureConsumer",
+__all__ = ["AclEntry", "AccessController", "SecureProducer", "SecureConsumer",
            "OP_READ", "OP_WRITE", "OP_CREATE", "OPERATIONS"]
 
 

@@ -192,35 +192,24 @@ class Broker:
         offset: int,
         follower_id: int,
         max_messages: int = 1000,
-    ) -> tuple[
-        list[StoredMessage],
-        int,
-        int,
-        list[tuple[int, int, BatchFrame]],
-        int,
-        list[BatchEntry],
-    ]:
+    ) -> tuple[list[StoredMessage], int, int, int, list[BatchEntry]]:
         """Follower fetch from this (leader) broker.
 
-        Returns ``(messages, leader_leo, leader_hw, frames, stored_bytes,
-        batches)`` (``stored_bytes`` being the run's physical size).  As in
-        Kafka, the fetch *offset itself* tells the leader how far the
-        follower has got: the leader records it and may advance the high
-        watermark.  ``frames`` are the compressed-batch registry entries
-        covering the returned run, shipped alongside so the follower stores
-        the same opaque blobs; ``batches`` are the batch-index entries
-        overlapping it (from ``offset`` on), so the follower learns the
-        producer state the run carries.
+        Returns ``(messages, leader_leo, leader_hw, stored_bytes, entries)``
+        (``stored_bytes`` being the run's physical size).  As in Kafka, the
+        fetch *offset itself* tells the leader how far the follower has got:
+        the leader records it and may advance the high watermark.
+        ``entries`` are the batch-index entries overlapping the run (from
+        ``offset`` on), so the follower learns the producer state the run
+        carries and stores the same opaque frames.
         """
         self._check_online()
         replica = self.replica(partition)
         hw = replica.record_follower_position(follower_id, offset)
         result = replica.fetch(offset, max_messages, committed_only=False)
-        frames = replica.log.frames_spanned_by(result.messages)
-        batches = replica.log.batches_spanned_by(offset, result.messages)
         return (
-            result.messages, replica.log_end_offset, hw, frames,
-            result.stored_bytes, batches,
+            result.messages, replica.log_end_offset, hw, result.stored_bytes,
+            replica.log.batches_spanned_by(offset, result.messages),
         )
 
     # -- maintenance (driven by the cluster tick) -------------------------------------------

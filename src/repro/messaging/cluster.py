@@ -72,7 +72,7 @@ _M_PRODUCE_LATENCY = {
 }
 #: Physical bytes moved over the simulated network: produce ingress,
 #: synchronous + background replication hops, and fetch egress.  Compressed
-#: batches move their wire bytes, so this is the tentpole's target metric.
+#: batches move their wire bytes.
 _M_WIRE_BYTES = metric_name("messaging", "cluster", "bytes_on_wire")
 
 
@@ -410,7 +410,8 @@ class MessagingCluster:
         :class:`NotEnoughReplicasError` (the leader append stands — the
         producer retries and the idempotent path dedupes).
         """
-        leader_replica = self._brokers[state.leader].replica(tp)
+        leader_broker = self._brokers[state.leader]
+        leader_replica = leader_broker.replica(tp)
         slowest = 0.0
         for follower_id in list(state.isr):
             if follower_id == state.leader:
@@ -422,20 +423,10 @@ class MessagingCluster:
                 self.controller.shrink_isr(tp, follower_id)
                 continue
             follower_replica = follower_broker.replica(tp)
-            fetch_from = follower_replica.log_end_offset
-            pending = leader_replica.fetch(
-                fetch_from,
-                max_messages=1 << 30,
-                committed_only=False,
+            messages, _leo, _hw, _bytes, entries = leader_broker.replica_fetch(
+                tp, follower_replica.log_end_offset, follower_id, 1 << 30
             )
-            # Ship the leader's compressed frames with the records so the
-            # follower stores the identical opaque blobs (no re-encode), and
-            # its batch-index entries so it holds the same producer state.
-            append_latency = follower_replica.replicate_batch(
-                pending.messages,
-                leader_replica.log.frames_spanned_by(pending.messages),
-                leader_replica.log.batches_spanned_by(fetch_from, pending.messages),
-            )
+            append_latency = follower_replica.replicate_batch(messages, entries)
             leader_replica.record_follower_position(
                 follower_id, follower_replica.log_end_offset
             )
@@ -492,8 +483,10 @@ class MessagingCluster:
         result, latency = broker.fetch(
             tp, offset, max_messages, max_bytes, isolation=isolation
         )
-        frames = broker.replica(tp).log.frames_spanned_by(result.messages)
-        batches = build_fetch_batches(topic, partition, result.messages, frames)
+        batches = build_fetch_batches(
+            topic, partition, result.messages,
+            broker.replica(tp).log.batches_spanned_by(offset, result.messages),
+        )
         # The wire carries what the log stores: compressed runs ship as their
         # frames, so egress shrinks by the same ratio as the disk did.
         out_bytes = result.stored_bytes

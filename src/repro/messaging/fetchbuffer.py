@@ -32,6 +32,7 @@ from repro.common.records import (
     StoredMessage,
 )
 from repro.common.serde import Serde
+from repro.storage.log import BatchEntry
 
 _offset_of = attrgetter("offset")
 
@@ -140,21 +141,24 @@ def build_fetch_batches(
     topic: str,
     partition: int,
     messages: list[StoredMessage],
-    frames: list[tuple[int, int, BatchFrame]],
+    entries: list[BatchEntry],
 ) -> list[FetchBatch]:
     """Group a fetch response's records into frame-backed and plain batches.
 
-    A frame stands in for its records only when the response contains the
-    frame's *entire* offset range contiguously — partial visibility (high
-    watermark cut, compaction, skipped markers) falls back to the log's
-    records, so correctness never depends on frame coverage.  No record is
-    built here, and a frameless response is one batch over ``messages``
-    itself.
+    ``entries`` are the log's batch-index entries around the response, in
+    offset order.  An entry's frame stands in for its records only when the
+    response contains the entry's *entire* offset range contiguously —
+    partial visibility (high watermark cut, compaction, skipped markers)
+    falls back to the log's records, so correctness never depends on frame
+    coverage.  No record is built here, and a frameless response is one
+    batch over ``messages`` itself.
     """
     batches: list[FetchBatch] = []
     n = len(messages)
     done = 0  # messages[:done] are batched
-    for base, last, frame in frames:
+    for base, last, _pid, _seq, _kind, frame in entries:
+        if frame is None:
+            continue
         i = bisect_left(messages, base, done, key=_offset_of)
         end = i + frame.count
         # Offsets strictly increase, so matching endpoints over exactly

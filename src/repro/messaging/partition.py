@@ -19,13 +19,13 @@ appending duplicates.
 
 Producer state is batch metadata, as in a Kafka batch header: a run appended
 under a producer id adds one ``(base, last, producer_id, producer_seq,
-kind)`` entry to the log's batch index, which replication ships, truncation
-clips and retention trims with the records.  Everything a replica knows
-about producers — the dedup window, open transactions, what a fetch hides —
-is a fold over that index (:meth:`PartitionReplica._apply_entry`), so it
-survives failover and shrinks with the log.  A record's headers are the
-user's; only a control marker, one record in a batch of its own, carries
-``__ctrl`` / ``__pid``.
+kind, frame)`` entry to the log's batch index, which replication ships,
+truncation clips and retention trims with the records.  Everything a
+replica knows about producers — the dedup window, open transactions, what
+a fetch hides — is a fold over that index
+(:meth:`PartitionReplica._apply_entry`), so it survives failover and
+shrinks with the log.  A record's headers are the user's; only a control
+marker, one record in a batch of its own, carries ``__ctrl`` / ``__pid``.
 """
 
 from __future__ import annotations
@@ -47,7 +47,13 @@ from repro.common.records import (
     TopicPartition,
 )
 from repro.observability.trace import current_tracer
-from repro.storage.log import BatchEntry, PartitionLog, ReadResult, runs_overlapping
+from repro.storage.log import (
+    BatchEntry,
+    PartitionLog,
+    ReadResult,
+    clip,
+    runs_overlapping,
+)
 from repro.storage.tiered.tier import ColdTier
 
 ROLE_LEADER = "leader"
@@ -99,9 +105,10 @@ class PartitionReplica:
         self._follower_leo: dict[int, int] = {}
         self._isr: list[int] = []
         # Producer state, all of it a fold of the log's batch index:
-        # each producer's last DEDUP_WINDOW_BATCHES sequenced entries (the
-        # dedup cache; the last one holds the last sequence) ...
-        self._windows: dict[int, list[BatchEntry]] = {}
+        # each producer's last DEDUP_WINDOW_BATCHES sequenced entries, as
+        # ``(base, last, pid, seq, kind)`` (the dedup cache; the last one
+        # holds the last sequence) ...
+        self._windows: dict[int, list[tuple[int, int, int, int, str]]] = {}
         # ... open transactions, pid -> first offset ...
         self._open_txns: dict[int, int] = {}
         # ... and what a fetch hides, as sorted disjoint (base, last) runs:
@@ -191,17 +198,15 @@ class PartitionReplica:
         log = self.log
         start_offset = log.log_end_offset
         try:
-            batch = log.append_batch(entries, frame, sizes)
+            batch = log.append_batch(
+                entries, frame, sizes, producer_id, producer_seq, kind
+            )
         finally:
             # In a ``finally`` because a record over the size limit ends the
-            # batch with its prefix appended: that prefix is the run.
+            # batch with its prefix appended: that prefix is the run, and the
+            # log gave it its entry.
             if kind is not None and log.log_end_offset > start_offset:
-                self._apply_entry(
-                    log.note_batch(
-                        start_offset, log.log_end_offset - 1,
-                        producer_id, producer_seq, kind,
-                    )
-                )
+                self._apply_entry(log.batches_between(start_offset, start_offset)[0])
         result = ProduceResult(batch.base_offset, batch.last_offset, batch.latency)
         tracer = current_tracer()
         if tracer is not None:
@@ -226,17 +231,23 @@ class PartitionReplica:
         Called once per entry as it joins the index — on the leader's append
         and a follower's copy alike — and, after the index lost entries
         (:meth:`truncate_to`, :meth:`trim_producer_state`), for every entry
-        left.  An entry a continued copy grew arrives again, grown.
+        left.  An entry a continued copy grew arrives again, grown.  A
+        frame-only entry (no ``kind``) carries no producer state.
         """
-        base, last, producer_id, producer_seq, kind = entry
+        base, last, producer_id, producer_seq, kind, _frame = entry
+        if kind is None:
+            return
         if producer_seq is not None:
+            # The window keeps the producer state, not the frame: compaction
+            # and retention clear frames without a refold.
+            state = entry[:5]
             window = self._windows.get(producer_id)
             if window is None:
-                self._windows[producer_id] = [entry]
+                self._windows[producer_id] = [state]
             elif window[-1][3] == producer_seq:
-                window[-1] = entry
+                window[-1] = state
             else:
-                window.append(entry)
+                window.append(state)
                 if len(window) > DEDUP_WINDOW_BATCHES:
                     del window[0]
             if kind == KIND_TRANSACTIONAL:
@@ -363,22 +374,21 @@ class PartitionReplica:
     def replicate_batch(
         self,
         messages: list[StoredMessage],
-        frames: list[tuple[int, int, BatchFrame]] | None = None,
-        batches: list[BatchEntry] | None = None,
+        entries: list[BatchEntry] | None = None,
     ) -> float:
         """Follower-side append of records fetched from the leader.
 
         The whole fetched batch lands through one
         :meth:`~repro.storage.log.PartitionLog.append_stored_batch` call —
-        one roll/index/page-cache pass instead of one per record.  ``frames``
-        carries the leader's compressed-batch registry entries for the copied
-        range: the follower shares the immutable frame objects, so compressed
-        batches cross the replication hop without being re-encoded.
-        ``batches`` carries the leader's batch-index entries overlapping the
+        one roll/index/page-cache pass instead of one per record.
+        ``entries`` carries the leader's batch-index entries overlapping the
         range, counted from this log's end: each is clipped to what was
         copied (a fetch may stop inside a batch; the next copy grows the
-        entry) and folded into the producer state, so this replica can keep
-        deduplicating and filtering if it becomes leader.
+        entry), noted, and folded into the producer state, so this replica
+        can keep deduplicating and filtering if it becomes leader.  An entry
+        copied whole keeps its frame — the same immutable object, so a
+        compressed batch crosses the hop without being re-encoded — and a
+        cut one loses it.
         """
         if self.role == ROLE_LEADER:
             raise ConfigError(f"{self.partition}: leader cannot replicate from itself")
@@ -386,16 +396,15 @@ class PartitionReplica:
             return 0.0
         # The leader's records themselves, not copies: a StoredMessage is
         # immutable once appended, like the frames shipped beside it.
-        lo = self.log.log_end_offset if batches else 0
-        latency = self.log.append_stored_batch(messages, frames=frames).latency
-        if batches:
+        log = self.log
+        lo = log.log_end_offset if entries else 0
+        latency = log.append_stored_batch(messages).latency
+        if entries:
             hi = messages[-1].offset
-            for base, last, producer_id, producer_seq, kind in batches:
-                self._apply_entry(
-                    self.log.note_batch(
-                        max(base, lo), min(last, hi), producer_id, producer_seq, kind
-                    )
-                )
+            for entry in entries:
+                entry = clip(entry, lo, hi)
+                if entry is not None:
+                    self._apply_entry(log.note_batch(*entry))
         tracer = current_tracer()
         if tracer is not None:
             now = self.log.clock.now()
@@ -475,12 +484,12 @@ class PartitionReplica:
         an idempotent one — it must not reopen the transaction on a refold.
         """
         def keep(entry: BatchEntry) -> BatchEntry | None:
-            base, last, producer_id, producer_seq, kind = entry
+            base, last, producer_id, producer_seq, kind, frame = entry
             first = self._open_txns.get(producer_id)
             if kind == KIND_TRANSACTIONAL and first is not None and base >= first:
                 return entry
-            if entry in self._windows.get(producer_id, ()):
-                return (base, last, producer_id, producer_seq, KIND_IDEMPOTENT)
+            if entry[:5] in self._windows.get(producer_id, ()):
+                return (base, last, producer_id, producer_seq, KIND_IDEMPOTENT, frame)
             return None
 
         self.log.trim_batches(self.earliest_offset, keep)

@@ -232,41 +232,34 @@ class Producer:
         entry = (key, value, timestamp, headers if headers is not None else {})
         parked = tp in self._failed_batches
         if self.linger_messages == 1 and not parked:
-            if span is None:
-                return self._send_batch(tp, [entry])
-            try:
-                ack = self._send_batch(tp, [entry])
-                self._annotate_compression(span)
-            except MessagingError as exc:
-                span.attrs["error"] = type(exc).__name__
-                raise
-            finally:
-                tracer.close(span, end=self.cluster.clock.now())
-            return ack
-        buffer = self._buffers.get(tp)
-        if buffer is None:
-            buffer = self._buffers[tp] = []
-        buffer.append(entry)
-        if len(buffer) >= self.linger_messages and not parked:
+            batch = [entry]
+        else:
+            batch = self._buffers.get(tp)
+            if batch is None:
+                batch = self._buffers[tp] = []
+            batch.append(entry)
+            if len(batch) < self.linger_messages or parked:
+                if span is not None:
+                    # Buffered: the send span covers only hand-off to the
+                    # batch buffer; broker-side spans appear when the batch
+                    # flushes.
+                    span.attrs["buffered"] = True
+                    tracer.close(span)
+                return None
             del self._buffers[tp]
-            if span is None:
-                return self._send_batch(tp, buffer)
-            span.attrs["batched"] = len(buffer)
-            try:
-                ack = self._send_batch(tp, buffer)
-                self._annotate_compression(span)
-            except MessagingError as exc:
-                span.attrs["error"] = type(exc).__name__
-                raise
-            finally:
-                tracer.close(span, end=self.cluster.clock.now())
-            return ack
-        if span is not None:
-            # Buffered: the send span covers only hand-off to the batch
-            # buffer; broker-side spans appear when the batch flushes.
-            span.attrs["buffered"] = True
-            tracer.close(span)
-        return None
+            if span is not None:
+                span.attrs["batched"] = len(batch)
+        if span is None:
+            return self._send_batch(tp, batch)
+        try:
+            ack = self._send_batch(tp, batch)
+            self._annotate_compression(span)
+        except MessagingError as exc:
+            span.attrs["error"] = type(exc).__name__
+            raise
+        finally:
+            tracer.close(span, end=self.cluster.clock.now())
+        return ack
 
     def _stage_run(
         self,

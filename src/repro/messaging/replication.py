@@ -181,7 +181,7 @@ class ReplicationManager:
 
         fetch_offset = follower_replica.log_end_offset
         try:
-            messages, leader_leo, leader_hw, frames, stored_bytes, batches = (
+            messages, leader_leo, leader_hw, stored_bytes, entries = (
                 leader_broker.replica_fetch(
                     partition, fetch_offset, follower_id, self.max_fetch
                 )
@@ -193,10 +193,10 @@ class ReplicationManager:
         ):
             return False
         if messages:
-            # Frames ride along so compressed batches land on the follower as
-            # the same opaque blobs the leader stores (no re-encode); batch
-            # entries, so it learns the producer state the records carry.
-            follower_replica.replicate_batch(messages, frames, batches)
+            # Batch-index entries ride along: the follower learns the
+            # producer state the records carry, and compressed batches land
+            # as the same opaque frames the leader stores (no re-encode).
+            follower_replica.replicate_batch(messages, entries)
             stats.messages_copied += len(messages)
             self.cluster.metrics.counter(_M_WIRE_BYTES).increment(stored_bytes)
             # Report the new position so the leader can advance the HW

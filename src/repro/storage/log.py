@@ -92,11 +92,23 @@ class ReadResult:
     stored_bytes: int = 0
 
 
-#: One producer-batch index entry: ``(base, last, producer_id, producer_seq,
-#: kind)`` (see :attr:`PartitionLog._batches`).
-BatchEntry = tuple[int, int, int | None, int | None, str]
+#: One batch-index entry: ``(base, last, producer_id, producer_seq, kind,
+#: frame)`` (see :attr:`PartitionLog._batches`).
+BatchEntry = tuple[int, int, int | None, int | None, str | None, BatchFrame | None]
 
 _MAX_OFFSET = 1 << 62
+
+
+def clip(entry: BatchEntry, lo: int, hi: int) -> BatchEntry | None:
+    """``entry`` cut to offsets ``[lo, hi]``: itself when it lies within,
+    else cut and without its frame (a frame stands in for its whole run
+    only), or ``None`` when that leaves it no producer state either."""
+    base, last, producer_id, producer_seq, kind, _frame = entry
+    if lo <= base and last <= hi:
+        return entry
+    if kind is None:
+        return None
+    return (max(base, lo), min(last, hi), producer_id, producer_seq, kind, None)
 
 
 def _overlap(runs: list[tuple], lo: int, hi: int) -> slice:
@@ -143,17 +155,16 @@ class PartitionLog:
         self._bases: list[int] = [0]
         self._next_offset = 0
         self._log_start_offset = 0
-        # Compressed-batch registry: ``(base, last, frame)`` runs in offset
-        # order.  The frame is the physical unit the records arrived in;
-        # fetch paths consult it to hand consumers the still-compressed blob
-        # instead of re-materialized records.  Entries are invalidated
-        # whenever the covered offsets are truncated, dropped, or compacted.
-        self._frames: list[tuple[int, int, BatchFrame]] = []
-        # Producer-batch index: one ``(base, last, producer_id, producer_seq,
-        # kind)`` entry per appended run that carried producer state (an
-        # idempotent or transactional batch, a control marker), disjoint and
-        # in offset order.  The log keeps, ships and clips it; what a kind
-        # means is the partition replica's business.
+        # Batch index: one ``(base, last, producer_id, producer_seq, kind,
+        # frame)`` entry per appended run that carried producer state (an
+        # idempotent or transactional batch, a control marker: ``kind`` is
+        # set) or arrived as a compressed frame the log kept, disjoint and in
+        # offset order.  The frame is the physical unit the records arrived
+        # in: fetch paths hand it to consumers, still compressed, in place of
+        # re-materialized records.  The log keeps, ships and clips entries
+        # and drops a frame once its records are cut, compacted or retained
+        # away (:func:`clip`, :meth:`_clear_frames`); what a kind means is
+        # the partition replica's business.
         self._batches: list[BatchEntry] = []
 
     # -- identity helpers -------------------------------------------------------
@@ -185,6 +196,9 @@ class PartitionLog:
         entries: list[tuple[Any, Any, float | None, dict[str, Any] | None]],
         frame: BatchFrame | None = None,
         sizes: Sequence[int] | None = None,
+        producer_id: int | None = None,
+        producer_seq: int | None = None,
+        kind: str | None = None,
     ) -> BatchAppendResult:
         """Append a batch of ``(key, value, timestamp, headers)`` at the tail.
 
@@ -197,8 +211,11 @@ class PartitionLog:
 
         With ``frame`` set the batch arrived as one compressed blob: each
         record's physical footprint becomes its share of the frame's wire
-        bytes, and the frame is registered so fetches can serve the blob
-        without re-materializing records.
+        bytes, and the frame rides on the run's batch-index entry so fetches
+        can serve the blob without re-materializing records.  A batch cut
+        short is stored uncompressed.  ``producer_id``, ``producer_seq`` and
+        ``kind`` are the run's producer state; the run appended — a cut one
+        too — gets an entry when ``kind`` is set or the frame was kept.
 
         ``sizes`` is the produce path's payload-size column (one
         ``estimate_size`` total per entry, framing excluded — the shape of
@@ -245,9 +262,10 @@ class PartitionLog:
         else:
             frame = None  # partial batch: store records uncompressed
         latency = self._append_run(messages, now)
-        if frame is not None and messages:
-            self.register_frame(
-                messages[0].offset, messages[-1].offset, frame
+        if messages and (kind is not None or frame is not None):
+            self.note_batch(
+                messages[0].offset, messages[-1].offset,
+                producer_id, producer_seq, kind, frame,
             )
         if error is not None:
             raise error
@@ -260,9 +278,7 @@ class PartitionLog:
         )
 
     def append_stored_batch(
-        self,
-        messages: list[StoredMessage],
-        frames: list[tuple[int, int, BatchFrame]] | None = None,
+        self, messages: list[StoredMessage]
     ) -> BatchAppendResult:
         """Append pre-built records, preserving their offsets: a follower
         copying a fetched batch.
@@ -270,12 +286,9 @@ class PartitionLog:
         Offsets must continue the leader's sequence (strictly increasing,
         starting at or beyond the local end offset; gaps from compaction are
         allowed).  An out-of-order record ends the batch: the records before
-        it are appended, then :class:`ConfigError` is raised.
-
-        ``frames`` carries the leader's ``(base, last, frame)`` registry
-        entries covering the batch: the follower re-registers the *same*
-        frame objects, so the leader-to-follower hop never re-encodes a
-        compressed batch (the opaque-unit property).
+        it are appended, then :class:`ConfigError` is raised.  The batch
+        index entries the copy carries are noted by the caller
+        (:meth:`note_batch`).
         """
         failpoint("log.append", log=self.name, count=len(messages))
         now = self.clock.now()
@@ -293,11 +306,6 @@ class PartitionLog:
             expected = message.offset + 1
         run = messages[:valid] if valid < len(messages) else messages
         latency = self._append_run(run, now)
-        if frames and run:
-            lo, hi = run[0].offset, run[-1].offset
-            for base, last, frame in frames:
-                if lo <= base and last <= hi:  # fully appended coverage only
-                    self.register_frame(base, last, frame)
         if error is not None:
             raise error
         if not run:
@@ -455,43 +463,7 @@ class PartitionLog:
             collected, latency, self._next_offset, next_offset, stored_bytes
         )
 
-    # -- compressed-batch registry -------------------------------------------------
-
-    def register_frame(self, base: int, last: int, frame: BatchFrame) -> None:
-        """Record that the tail offsets ``[base, last]`` arrived as one frame."""
-        self._frames.append((base, last, frame))
-
-    def frames_between(
-        self, lo: int, hi: int
-    ) -> list[tuple[int, int, BatchFrame]]:
-        """Frames whose full ``[base, last]`` range lies within ``[lo, hi]``.
-
-        Only fully-covered frames are returned: a frame that was partially
-        truncated or straddles the requested range cannot safely stand in
-        for its records.
-        """
-        if not self._frames:
-            return []
-        return [
-            run
-            for run in runs_overlapping(self._frames, lo, hi)
-            if lo <= run[0] and run[1] <= hi
-        ]
-
-    def frames_spanned_by(
-        self, messages: list[StoredMessage]
-    ) -> list[tuple[int, int, BatchFrame]]:
-        """:meth:`frames_between` the first and last offset of a read run."""
-        if not messages:
-            return []
-        return self.frames_between(messages[0].offset, messages[-1].offset)
-
-    def _drop_frames_overlapping(self, lo: int, hi: int) -> None:
-        """Invalidate every frame overlapping offsets ``[lo, hi]``."""
-        if self._frames:
-            del self._frames[_overlap(self._frames, lo, hi)]
-
-    # -- producer-batch index ---------------------------------------------------------
+    # -- batch index ------------------------------------------------------------------
 
     def note_batch(
         self,
@@ -499,10 +471,11 @@ class PartitionLog:
         last: int,
         producer_id: int | None,
         producer_seq: int | None,
-        kind: str,
+        kind: str | None,
+        frame: BatchFrame | None = None,
     ) -> BatchEntry:
-        """Record that the tail offsets ``[base, last]`` are one producer's
-        run; returns the entry now at the tail of the index.
+        """Record that the tail offsets ``[base, last]`` are one run; returns
+        the entry now at the tail of the index.
 
         That is a new entry, or — when the run continues the tail entry's
         ``(producer_id, producer_seq)``: a replica copy that cut the batch —
@@ -515,17 +488,18 @@ class PartitionLog:
             and batches[-1][2:4] == (producer_id, producer_seq)
         ):
             base = batches.pop()[0]
-        entry = (base, last, producer_id, producer_seq, kind)
+        entry = (base, last, producer_id, producer_seq, kind, frame)
         batches.append(entry)
         return entry
 
     def batches(self) -> list[BatchEntry]:
-        """Every producer-batch entry held, in offset order."""
+        """Every batch-index entry held, in offset order."""
         return list(self._batches)
 
     def batches_between(self, lo: int, hi: int) -> list[BatchEntry]:
         """Entries overlapping offsets ``[lo, hi]``, whole: whoever lands a
-        part of the range clips them to it."""
+        part of the range clips them to it (:func:`clip`), and a frame is
+        served only for a run the response holds whole."""
         if not self._batches:
             return []
         return runs_overlapping(self._batches, lo, hi)
@@ -533,12 +507,22 @@ class PartitionLog:
     def batches_spanned_by(
         self, offset: int, messages: list[StoredMessage]
     ) -> list[BatchEntry]:
-        """:meth:`batches_between` a replica fetch's ``offset`` and the last
-        record it read — from the offset, not the first record, so an entry
-        whose records compaction has since removed still ships."""
+        """:meth:`batches_between` a fetch's ``offset`` and the last record
+        it read — from the offset, not the first record, so an entry whose
+        records compaction has since removed still ships."""
         if not messages:
             return []
         return self.batches_between(offset, messages[-1].offset)
+
+    def _clear_frames(self, lo: int, hi: int) -> None:
+        """Compaction or retention rewrote offsets ``[lo, hi]``: the entries
+        overlapping them lose their frames, which can no longer stand in for
+        their records, and an entry left with no producer state goes."""
+        batches = self._batches
+        span = _overlap(batches, lo, hi)
+        batches[span] = [
+            (*entry[:5], None) for entry in batches[span] if entry[4] is not None
+        ]
 
     def trim_batches(self, offset: int, keep) -> None:
         """Retention: each entry wholly below ``offset`` becomes
@@ -593,13 +577,14 @@ class PartitionLog:
             raise ConfigError(
                 f"cannot truncate below log start {self._log_start_offset}"
             )
-        self._drop_frames_overlapping(offset, _MAX_OFFSET)
         # Entries go with their records; one that straddles the cut is
         # clipped to what survives.
         batches = self._batches
         del batches[bisect_left(batches, (offset,)):]
         if batches and batches[-1][1] >= offset:
-            batches[-1] = (batches[-1][0], offset - 1, *batches[-1][2:])
+            clipped = clip(batches.pop(), 0, offset - 1)
+            if clipped is not None:
+                batches.append(clipped)
         removed = 0
         while self._segments and self._segments[-1].base_offset >= offset:
             victim = self._segments.pop()
@@ -655,7 +640,8 @@ class PartitionLog:
             raise ConfigError("segment does not belong to this log")
         freed = segment.size_bytes
         last = segment.last_offset
-        self._drop_frames_overlapping(
+        # Archived or gone, the records are no longer the frame's to serve.
+        self._clear_frames(
             segment.base_offset, last if last is not None else segment.base_offset
         )
         self._segments.remove(segment)
@@ -683,9 +669,8 @@ class PartitionLog:
         reclaimed and rebuilds its index and cache pages."""
         last = segment.last_offset
         if last is not None:
-            # Compaction may delete records out of a frame's range; the frame
-            # can no longer stand in for its records.
-            self._drop_frames_overlapping(segment.base_offset, last)
+            # Compaction may delete records out of a frame's range.
+            self._clear_frames(segment.base_offset, last)
         reclaimed = segment.replace_messages(survivors)
         self._rebuild_index(segment)
         self.page_cache.forget_file(self._file_id(segment))

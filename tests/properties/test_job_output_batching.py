@@ -191,9 +191,9 @@ class TestPassSizeIsInvisibleInContent:
                 log = cluster.broker(0).replica(TopicPartition("out", partition)).log
                 *runs, marker = log.batches()
                 assert marker[4] == "commit" and marker[0] == len(records)
-                assert {kind for *_entry, kind in runs} == {"transactional"}
-                assert [seq for _b, _l, _pid, seq, _k in runs] == sorted(
-                    {seq for _b, _l, _pid, seq, _k in runs}
+                assert {kind for *_entry, kind, _f in runs} == {"transactional"}
+                assert [seq for _b, _l, _pid, seq, _k, _f in runs] == sorted(
+                    {seq for _b, _l, _pid, seq, _k, _f in runs}
                 )
                 sizes = [last - base + 1 for base, last, *_rest in runs]
                 assert sum(sizes) == len(records)

@@ -339,8 +339,8 @@ def shadowed_replica_class():
                     twins[id(message)] = (message, twin)
             return result
 
-        def replicate_batch(self, messages, frames=None, batches=None) -> float:
-            latency = super().replicate_batch(messages, frames, batches)
+        def replicate_batch(self, messages, entries=None) -> float:
+            latency = super().replicate_batch(messages, entries)
             self.ref.replicate([twins[id(m)][1] for m in messages])
             return latency
 
@@ -643,11 +643,11 @@ class TestBatchMetadataEqualsThePerRecordRule:
         """The two intended divergences and the split copy do occur."""
         split = run(SPLIT_COPY)
         follower = next(r for r in split.replicas if r.role != ROLE_LEADER)
-        assert follower.log.batches()[0] == (0, 3, 7, 0, "idempotent")
+        assert follower.log.batches()[0] == (0, 3, 7, 0, "idempotent", None)
 
         crowned = run(UNCLEAN_ELECTION_CROWNS_A_CUT)
         leader = crowned.replicas[crowned.cluster.leader_of("t", 0)]
-        assert (2, 3, 1000, 0, "transactional") in leader.log.batches()
+        assert (2, 3, 1000, 0, "transactional", None) in leader.log.batches()
 
         for schedule in (DEPOSED_LEADER_TRUNCATES, DEPOSED_LEADER_LOSES_WHOLE_BATCHES):
             truncated = run(schedule)

@@ -242,7 +242,7 @@ def reference_sync_follower(
 
     fetch_offset = follower_replica.log_end_offset
     try:
-        messages, leader_leo, leader_hw, frames, stored_bytes, batches = (
+        messages, leader_leo, leader_hw, stored_bytes, entries = (
             leader_broker.replica_fetch(
                 partition, fetch_offset, follower_id, self.max_fetch
             )
@@ -254,7 +254,7 @@ def reference_sync_follower(
     ):
         return
     if messages:
-        follower_replica.replicate_batch(messages, frames, batches)
+        follower_replica.replicate_batch(messages, entries)
         stats.messages_copied += len(messages)
         self.cluster.metrics.counter(WIRE_BYTES).increment(stored_bytes)
         leader_hw = leader_replica.record_follower_position(
@@ -476,8 +476,9 @@ class Driven:
                         for m in log.all_messages()
                     ],
                     [(base, last, frame.wire_bytes)
-                     for base, last, frame in log.frames_between(0, 1 << 62)],
-                    list(log.batches()),
+                     for base, last, *_entry, frame in log.batches()
+                     if frame is not None],
+                    [entry[:5] for entry in log.batches()],
                 ))
         return out
 

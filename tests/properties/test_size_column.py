@@ -163,7 +163,8 @@ class TestCarriedSizeEqualsRecomputedSize:
         assert len(stored) == len(batch) + (mode == "transactional")
         shares = {
             base + i: share
-            for base, _last, frame in leader_log.frames_between(0, len(stored))
+            for base, *_entry, frame in leader_log.batches_between(0, len(stored))
+            if frame is not None
             for i, share in enumerate(frame.stored_sizes())
         }
         for broker in cluster.brokers():

@@ -124,8 +124,8 @@ class TestTieredEquivalence:
                 ]
                 frame = compress_entries(entries, "zlib", 6)
                 tiered_log.append_batch(entries, frame=frame)
-                # The reference gets its own (identical) frame object: frame
-                # registries are per-log, byte accounting must still agree.
+                # The reference gets its own (identical) frame object: batch
+                # indexes are per-log, byte accounting must still agree.
                 reference.append_batch(
                     entries, frame=compress_entries(entries, "zlib", 6)
                 )

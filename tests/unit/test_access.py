@@ -2,14 +2,13 @@
 
 import pytest
 
-from repro.common.errors import ConfigError
+from repro.common.errors import AuthorizationError, ConfigError
 from repro.core.access import (
     OP_CREATE,
     OP_READ,
     OP_WRITE,
     AccessController,
     AclEntry,
-    AuthorizationError,
 )
 from repro.core.etl import MapTask
 from repro.core.liquid import Liquid

@@ -80,13 +80,14 @@ class TestRequestPaths:
     def test_replica_fetch_reports_position(self):
         _clock, broker = leader_broker()
         broker.produce(TP, entries(3))
-        messages, leo, hw, frames, stored_bytes, batches = broker.replica_fetch(
+        messages, leo, hw, stored_bytes, batches = broker.replica_fetch(
             TP, 0, follower_id=1
         )
         assert len(messages) == 3
         assert leo == 3
         assert stored_bytes == sum(m.stored_size for m in messages)
-        assert frames == []  # uncompressed produce registers no frames
+        frames = [frame for *_entry, frame in batches if frame is not None]
+        assert frames == []  # uncompressed produce keeps no frames
         assert batches == []  # ... and one without a producer id no entry
 
     def test_replica_fetch_ships_the_batch_entries_it_cuts(self):
@@ -98,7 +99,9 @@ class TestRequestPaths:
             TP, 1, follower_id=1, max_messages=3
         )
         assert [m.offset for m in messages] == [1, 2, 3]
-        assert batches == [(0, 2, 7, 0, "idempotent"), (3, 5, 7, 1, "transactional")]
+        assert batches == [
+            (0, 2, 7, 0, "idempotent", None), (3, 5, 7, 1, "transactional", None)
+        ]
 
     def test_metrics_recorded(self):
         _clock, broker = leader_broker()

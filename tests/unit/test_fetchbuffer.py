@@ -29,7 +29,8 @@ TP = TopicPartition("t", 0)
 
 
 def stored_run(count=12, linger=4, compression="zlib:6", **producer_options):
-    """Produce ``count`` records; returns the leader log's records + frames."""
+    """Produce ``count`` records; returns the leader log's records + batch
+    index."""
     cluster = MessagingCluster(num_brokers=1, clock=SimClock())
     cluster.create_topic("t", num_partitions=1, replication_factor=1)
     producer = Producer(
@@ -46,7 +47,7 @@ def stored_run(count=12, linger=4, compression="zlib:6", **producer_options):
     producer.flush()
     log = cluster.broker(cluster.leader_of("t", 0)).replica(TP).log
     messages = log.all_messages()
-    return messages, log.frames_between(0, messages[-1].offset)
+    return messages, log.batches_between(0, messages[-1].offset)
 
 
 def materialise(batches):
@@ -73,7 +74,7 @@ class TestLazyDrain:
         assert [b.count for b in batches] == [4, 4, 4]
         assert all(b.messages is None and not b.inflated for b in batches)
         cost = DEFAULT_COST_MODEL
-        charge = [cost.decompress(frame.payload_bytes) for _b, _l, frame in frames]
+        charge = [cost.decompress(frame.payload_bytes) for *_entry, frame in frames]
         buffer = FetchBuffer(batches, 12, latency=0.0, issued_at=0.0)
 
         records, latency = buffer.take(5, cost)

@@ -143,15 +143,6 @@ class TestRegistry:
         assert registry.get("hot.path.counter").value == 3.0
         assert registry.snapshot()["hot.path.counter"] == 3.0
 
-    def test_clear_is_a_reset_alias(self):
-        registry = MetricsRegistry()
-        hoisted = registry.counter("c")
-        hoisted.increment(7)
-        registry.clear()
-        assert len(registry) == 1
-        assert hoisted.value == 0.0
-        assert registry.counter("c") is hoisted
-
     def test_histogram_reset_rearms_delta_tracking(self):
         histogram = MetricsRegistry().histogram("h")
         histogram.observe(1.0)

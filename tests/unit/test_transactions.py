@@ -442,13 +442,13 @@ class TestIdempotentSequences:
         # the commit marker closes each partition's run.
         pid = producer.producer_id
         assert leader_batches(cluster, 0) == [
-            (0, 0, pid, 0, "transactional"),
-            (1, 1, pid, 1, "transactional"),
-            (2, 2, pid, None, "commit"),
+            (0, 0, pid, 0, "transactional", None),
+            (1, 1, pid, 1, "transactional", None),
+            (2, 2, pid, None, "commit", None),
         ]
         assert leader_batches(cluster, 1) == [
-            (0, 0, pid, 0, "transactional"),
-            (1, 1, pid, None, "commit"),
+            (0, 0, pid, 0, "transactional", None),
+            (1, 1, pid, None, "commit", None),
         ]
         # ... and nothing of it on the records.
         for partition in (0, 1):
