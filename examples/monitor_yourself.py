@@ -20,12 +20,12 @@ Run:  python examples/monitor_yourself.py
 
 from repro import JobConfig, Liquid, StoreConfig
 from repro.common.records import TopicPartition
+from repro.observability.health import evaluate_cluster_health
 from repro.observability.slo import ALERT_FIRING, ALERT_RESOLVED
 from repro.observability.telemetry import (
     TELEMETRY_ALERTS_FEED,
     TELEMETRY_METRICS_FEED,
 )
-from repro.tools.admin import AdminClient
 
 EXPORT_INTERVAL = 5.0
 
@@ -90,7 +90,6 @@ def main() -> None:
         ),
         outputs=["p99-rollups"],
     )
-    admin = AdminClient(liquid.cluster)
     exporter = liquid.telemetry
     slos = exporter.slo_monitor
 
@@ -116,14 +115,18 @@ def main() -> None:
     assert age in rollups, "the workload's latency histogram must be rolled up"
     print(f"  worst {age} p99 = {rollups[age]:.3f}s")
 
-    report = admin.cluster_health_report(runners=liquid.dataflow.runners())
+    report = evaluate_cluster_health(
+        liquid.cluster, runners=liquid.dataflow.runners()
+    )
     print(f"health before the incident: {report.status}")
     assert report.status == "healthy"
 
     # -- incident: a broker dies; ISR availability burns; alert fires --
     liquid.cluster.kill_broker(1)
     liquid.tick(6 * EXPORT_INTERVAL)
-    report = admin.cluster_health_report(runners=liquid.dataflow.runners())
+    report = evaluate_cluster_health(
+        liquid.cluster, runners=liquid.dataflow.runners()
+    )
     print(f"health during the incident: {report.status} "
           f"({', '.join(report.reason_codes())})")
     assert report.status != "healthy"
@@ -133,7 +136,9 @@ def main() -> None:
     liquid.cluster.restart_broker(1)
     liquid.cluster.run_until_replicated()
     liquid.tick(400.0)  # long-window burn drains below the clear threshold
-    report = admin.cluster_health_report(runners=liquid.dataflow.runners())
+    report = evaluate_cluster_health(
+        liquid.cluster, runners=liquid.dataflow.runners()
+    )
     print(f"health after recovery:      {report.status}")
     assert report.status == "healthy"
     assert not slos.is_firing("isr_availability")

@@ -166,15 +166,17 @@ def main() -> None:
     print(f"{len(aggregates)} aggregate updates feed the metrics visualizations")
 
     # The engineer terminal (Figure 1): inspect the stack itself.
+    from repro.observability.health import evaluate_cluster_health, format_health
     from repro.tools import AdminClient
 
-    admin = AdminClient(liquid.cluster)
+    report = evaluate_cluster_health(liquid.cluster)
     print("--- engineer terminal ---")
-    print(admin.format_health())
-    lags = admin.all_group_lags()
-    visible = {g: lag for g, lag in lags.items() if not g.startswith("job-")}
+    print(format_health(report))
+    lags = AdminClient(liquid.cluster).consumer_lag_report()
+    visible = {g.group: g.total_lag for g in lags.groups
+               if not g.group.startswith("job-")}
     print(f"consumer group lags: {visible}")
-    assert admin.health_check(max_group_lag=10**9).healthy
+    assert report.healthy
 
     print("operational_analysis OK")
 

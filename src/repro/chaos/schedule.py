@@ -123,6 +123,10 @@ class ChaosSchedule:
 
     def install(self) -> list[ChaosEvent]:
         """Draw the fault plan from the seed and schedule it on the clock."""
+        # Runtime import: storage imports the failpoints beside this module,
+        # so messaging (which imports storage) cannot load at import time.
+        from repro.messaging.topic import is_system_topic
+
         if self._installed:
             raise ConfigError("chaos schedule already installed")
         self._installed = True
@@ -130,7 +134,7 @@ class ChaosSchedule:
         cfg = self.config
         topics = self._topics
         if topics is None:
-            topics = [t for t in self.cluster.topics() if not t.startswith("__")]
+            topics = [t for t in self.cluster.topics() if not is_system_topic(t)]
         broker_ids = sorted(b.broker_id for b in self.cluster.brokers())
         partitions = [
             (topic, tp.partition)

@@ -250,6 +250,12 @@ class ClusterController:
     def offline_partitions(self) -> list[TopicPartition]:
         return [tp for tp, st in self._partitions.items() if not st.online]
 
+    def under_replicated_partitions(self) -> list[TopicPartition]:
+        return [
+            tp for tp, st in self._partitions.items()
+            if len(st.isr) < len(st.replicas)
+        ]
+
     # -- listeners ----------------------------------------------------------------------
 
     def on_leadership_change(self, listener: LeadershipListener) -> None:

@@ -29,6 +29,7 @@ from repro.common.errors import (
 from repro.common.records import TopicPartition
 from repro.messaging.cluster import ACKS_LEADER, MessagingCluster
 from repro.messaging.config import ISOLATION_LEVELS
+from repro.messaging.topic import is_system_topic
 
 #: Default cross-datacenter round-trip time (continental WAN).
 DEFAULT_WAN_RTT = 30e-3
@@ -87,7 +88,7 @@ class MirrorMaker:
         """Topics this mirror copies (explicit list or all non-internal)."""
         if self._topics is not None:
             return list(self._topics)
-        return [t for t in self.source.topics() if not t.startswith("__")]
+        return [t for t in self.source.topics() if not is_system_topic(t)]
 
     def _ensure_target_topic(self, topic: str) -> None:
         if topic in self.target.topics():

@@ -27,13 +27,15 @@ CLEANUP_COMPACT = "compact"
 
 #: Topics in this namespace are owned by the system itself — consumer
 #: offsets, telemetry feeds — and are excluded from user-facing defaults
-#: (lag-based health rules skip ``__``-prefixed groups, ``Liquid.create_feed``
-#: refuses the namespace).
+#: (the lag health rule and SLO skip ``__``-prefixed groups, mirrors and
+#: chaos schedules skip the topics, ``Liquid.create_feed`` refuses the
+#: namespace).
 SYSTEM_TOPIC_PREFIX = "__"
 
 
 def is_system_topic(name: str) -> bool:
-    """True for system-owned topics (``__liquid_offsets``, ``__telemetry.*``)."""
+    """True for system-owned names: topics (``__liquid_offsets``,
+    ``__telemetry.*``) and consumer groups (``__mirror-*``)."""
     return name.startswith(SYSTEM_TOPIC_PREFIX)
 
 

@@ -14,6 +14,7 @@ from repro.observability.health import (
     ClusterHealthReport,
     HealthReason,
     evaluate_cluster_health,
+    format_health,
 )
 from repro.observability.slo import (
     ALERT_FIRING,
@@ -72,6 +73,7 @@ __all__ = [
     "ClusterHealthReport",
     "HealthReason",
     "evaluate_cluster_health",
+    "format_health",
     "HEALTHY",
     "DEGRADED",
     "UNHEALTHY",

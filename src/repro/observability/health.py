@@ -1,11 +1,12 @@
 """Cluster-wide health rollup: one status, machine-readable reasons.
 
-`AdminClient.health_check` answers "is messaging healthy?" with raw lists;
-this module aggregates *everything* an operator pages on — broker liveness,
-ISR state, consumer lag, backpressure valves, open transactions, standby
-staleness — into a single ``healthy`` / ``degraded`` / ``unhealthy`` verdict
-with typed reasons, so dashboards and the telemetry dogfood job can act on
-codes instead of parsing prose.
+This module is the stack's one health verdict.  It aggregates everything an
+operator pages on — broker liveness, ISR state, consumer lag, backpressure
+valves, open transactions, standby staleness — into a single ``healthy`` /
+``degraded`` / ``unhealthy`` status with typed reasons, so dashboards and
+the telemetry dogfood job can act on codes instead of parsing prose
+(``dataclasses.asdict`` gives the plain-dict shape).  Lag comes from
+:meth:`AdminClient.consumer_lag_report`, the one lag computation.
 
 Severity model: conditions that lose data or block progress (offline
 partitions, no live broker) are *unhealthy*; conditions that merely erode
@@ -16,7 +17,7 @@ stale standbys) are *degraded*.  The worst reason wins.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Iterable
 
 #: Overall statuses, ordered best to worst.
 HEALTHY = "healthy"
@@ -34,14 +35,6 @@ class HealthReason:
     severity: str      # DEGRADED | UNHEALTHY
     value: float       # the measurement that tripped the rule
     detail: str        # human-readable elaboration
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "code": self.code,
-            "severity": self.severity,
-            "value": self.value,
-            "detail": self.detail,
-        }
 
 
 @dataclass(frozen=True)
@@ -69,22 +62,23 @@ class ClusterHealthReport:
     def reason_codes(self) -> list[str]:
         return [reason.code for reason in self.reasons]
 
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "status": self.status,
-            "reasons": [reason.as_dict() for reason in self.reasons],
-            "checked_at": self.checked_at,
-            "live_brokers": self.live_brokers,
-            "total_brokers": self.total_brokers,
-            "offline_partitions": self.offline_partitions,
-            "under_replicated": self.under_replicated,
-            "max_group_lag": self.max_group_lag,
-            "open_transactions": self.open_transactions,
-            "lso_lag": self.lso_lag,
-            "closed_valves": self.closed_valves,
-            "throttled_valves": self.throttled_valves,
-            "max_standby_staleness": self.max_standby_staleness,
-        }
+
+def user_group_lags(cluster) -> dict[str, int]:
+    """Total lag per consumer group, system (``__``) groups left out.
+
+    The one lag filter behind the ``consumer_lag`` health rule and the
+    consumer-lag SLO; system groups (mirrors) have their own alerts.
+    """
+    # Runtime imports: tools.admin pulls in messaging; this module stays
+    # import-light so ``repro.observability`` never drags messaging eagerly.
+    from repro.messaging.topic import is_system_topic
+    from repro.tools.admin import AdminClient
+
+    return {
+        entry.group: entry.total_lag
+        for entry in AdminClient(cluster).consumer_lag_report().groups
+        if not is_system_topic(entry.group)
+    }
 
 
 def evaluate_cluster_health(
@@ -99,13 +93,10 @@ def evaluate_cluster_health(
     now: float | None = None,
 ) -> ClusterHealthReport:
     """Evaluate every health rule against live cluster state."""
-    # Runtime imports: tools.admin pulls in messaging; this module stays
-    # import-light so ``repro.observability`` never drags messaging eagerly.
     from repro.elasticity.backpressure import VALVE_CLOSED, VALVE_THROTTLED
     from repro.processing.recovery import worst_standby_lag
     from repro.tools.admin import AdminClient
 
-    admin = AdminClient(cluster)
     if now is None:
         now = cluster.clock.now()
     reasons: list[HealthReason] = []
@@ -114,7 +105,7 @@ def evaluate_cluster_health(
     live = len(controller.live_brokers())
     total = len(cluster.brokers())
     offline = len(controller.offline_partitions())
-    under_replicated = len(admin.under_replicated_partitions())
+    under_replicated = len(controller.under_replicated_partitions())
 
     if live == 0:
         reasons.append(HealthReason(
@@ -146,9 +137,7 @@ def evaluate_cluster_health(
         ))
 
     worst_lag = 0
-    for group, lag in admin.all_group_lags().items():
-        if group.startswith("__"):
-            continue  # system groups have their own alerts
+    for group, lag in user_group_lags(cluster).items():
         worst_lag = max(worst_lag, lag)
         if lag > max_group_lag:
             reasons.append(HealthReason(
@@ -158,7 +147,7 @@ def evaluate_cluster_health(
                 detail=f"group {group!r} lag {lag} > {max_group_lag}",
             ))
 
-    transactions = admin.transaction_report()
+    transactions = AdminClient(cluster).transaction_report()
     open_count = len(transactions.open_transactions)
     lso_total = sum(transactions.lso_lag.values())
     if lso_total > max_lso_lag:
@@ -225,3 +214,15 @@ def evaluate_cluster_health(
         throttled_valves=throttled,
         max_standby_staleness=staleness,
     )
+
+
+def format_health(report: ClusterHealthReport) -> str:
+    """The engineer terminal's five-line summary of a health report."""
+    lines = [
+        f"Brokers: {report.live_brokers}/{report.total_brokers} live",
+        f"Offline partitions: {report.offline_partitions}",
+        f"Under-replicated partitions: {report.under_replicated}",
+        f"Lagging consumer groups: {report.reason_codes().count('consumer_lag')}",
+        f"Status: {report.status.upper()}",
+    ]
+    return "\n".join(lines)

@@ -23,6 +23,7 @@ from typing import Iterable
 
 from repro.common.clock import SimClock
 from repro.common.errors import ConfigError
+from repro.observability.health import user_group_lags
 
 #: Alert states.
 ALERT_FIRING = "firing"
@@ -93,17 +94,6 @@ class Alert:
     timestamp: float
     reason: str
 
-    def as_dict(self) -> dict:
-        return {
-            "slo": self.slo,
-            "signal": self.signal,
-            "state": self.state,
-            "burn_short": self.burn_short,
-            "burn_long": self.burn_long,
-            "timestamp": self.timestamp,
-            "reason": self.reason,
-        }
-
 
 @dataclass(frozen=True)
 class SloStatus:
@@ -114,15 +104,6 @@ class SloStatus:
     burn_short: float
     burn_long: float
     samples: int
-
-    def as_dict(self) -> dict:
-        return {
-            "slo": self.slo,
-            "firing": self.firing,
-            "burn_short": self.burn_short,
-            "burn_long": self.burn_long,
-            "samples": self.samples,
-        }
 
 
 class _Window:
@@ -371,8 +352,8 @@ class ClusterSloSampler:
                 monitor.register(slo)
 
     def sample(self, now: float | None = None) -> None:
-        # Runtime import, like tools.admin below: processing pulls in
-        # messaging, and this module stays import-light.
+        # Runtime import: processing pulls in messaging, and this module
+        # stays import-light.
         from repro.processing.recovery import worst_standby_lag
 
         if now is None:
@@ -395,26 +376,14 @@ class ClusterSloSampler:
     # -- signal collection -------------------------------------------------------
 
     def _total_lag(self) -> int:
-        # Runtime import: tools.admin imports messaging; keep this module
-        # import-light so observability never drags messaging in eagerly.
-        from repro.tools.admin import AdminClient
-
-        lags = AdminClient(self.cluster).all_group_lags()
-        return sum(
-            lag for group, lag in lags.items() if not group.startswith("__")
-        )
+        return sum(user_group_lags(self.cluster).values())
 
     def _in_sync_fraction(self) -> float:
-        from repro.tools.admin import AdminClient
-
-        admin = AdminClient(self.cluster)
-        total = sum(
-            self.cluster.topic_config(topic).num_partitions
-            for topic in self.cluster.topics()
-        )
+        controller = self.cluster.controller
+        total = len(controller.partitions())
         if total == 0:
             return 1.0
-        behind = len(admin.under_replicated_partitions())
+        behind = len(controller.under_replicated_partitions())
         return (total - behind) / total
 
 

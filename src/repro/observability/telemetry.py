@@ -35,6 +35,7 @@ by ``tests/properties/test_telemetry_transparency.py``).
 
 from __future__ import annotations
 
+import dataclasses
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Any, Iterator
 
@@ -218,7 +219,7 @@ class TelemetryExporter:
                 for alert in alerts:
                     self._producer.send(
                         TELEMETRY_ALERTS_FEED,
-                        alert.as_dict(),
+                        dataclasses.asdict(alert),
                         key=alert.slo,
                         timestamp=now,
                     )

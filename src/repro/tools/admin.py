@@ -7,17 +7,17 @@ different teams understand the current infrastructure status."
 
 :class:`AdminClient` is that surface for this reproduction: structured
 descriptions of brokers, topics, partitions (leader/ISR/offsets), consumer
-groups (positions + lag), feeds (lineage), and a health check that flags the
-conditions an on-call engineer cares about — offline partitions,
-under-replicated partitions, and lagging consumers.
+groups (positions + lag), open transactions and traced stage latencies.
+The health verdict built from these views is the observability layer's
+``evaluate_cluster_health``, which imports this module (never the other
+way round).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any
 
-from repro.common.errors import TopicNotFoundError
 from repro.common.metrics import metric_name
 from repro.common.records import TopicPartition
 from repro.messaging.cluster import MessagingCluster
@@ -29,7 +29,6 @@ _M_WIRE_BYTES = metric_name("messaging", "cluster", "bytes_on_wire")
 _M_PREFETCH_HITS = metric_name("messaging", "consumer", "prefetch_hits")
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.observability.health import ClusterHealthReport
     from repro.observability.trace import Tracer
 
 
@@ -66,42 +65,6 @@ class PartitionInfo:
         return self.tiered["cold_hit_ratio"] if self.tiered else None
 
 
-@dataclass
-class GroupLag:
-    """One consumer group's position on one partition."""
-
-    group: str
-    partition: TopicPartition
-    committed_offset: int | None
-    end_offset: int
-
-    @property
-    def lag(self) -> int:
-        if self.committed_offset is None:
-            return self.end_offset
-        return max(0, self.end_offset - self.committed_offset)
-
-
-@dataclass
-class HealthReport:
-    """What an on-call engineer needs to know right now."""
-
-    live_brokers: int
-    total_brokers: int
-    offline_partitions: list[TopicPartition] = field(default_factory=list)
-    under_replicated: list[TopicPartition] = field(default_factory=list)
-    lagging_groups: list[GroupLag] = field(default_factory=list)
-
-    @property
-    def healthy(self) -> bool:
-        return (
-            self.live_brokers == self.total_brokers
-            and not self.offline_partitions
-            and not self.under_replicated
-            and not self.lagging_groups
-        )
-
-
 # ---------------------------------------------------------------------------
 # Typed admin reports
 #
@@ -115,7 +78,7 @@ class PartitionLag:
 
     topic: str
     partition: int
-    committed_offset: int | None
+    committed_offset: int
     end_offset: int
     lag: int
 
@@ -269,71 +232,45 @@ class AdminClient:
         return infos
 
     def under_replicated_partitions(self) -> list[TopicPartition]:
-        out = []
-        for topic in self.cluster.topics():
-            for info in self.describe_topic(topic):
-                if info.under_replicated:
-                    out.append(info.partition)
-        return out
+        return self.cluster.controller.under_replicated_partitions()
 
     # -- consumer groups -----------------------------------------------------------------
-
-    def consumer_lag(self, group: str) -> list[GroupLag]:
-        """Lag of every partition the group has ever committed."""
-        out = []
-        for tp, commit in self.cluster.offset_manager.fetch_group(group).items():
-            try:
-                end = self.cluster.end_offset(tp)
-            except TopicNotFoundError:
-                continue
-            out.append(
-                GroupLag(
-                    group=group,
-                    partition=tp,
-                    committed_offset=commit.offset,
-                    end_offset=end,
-                )
-            )
-        return sorted(out, key=lambda lag: str(lag.partition))
-
-    def all_group_lags(self) -> dict[str, int]:
-        """Total lag per known group."""
-        return {
-            group: sum(entry.lag for entry in self.consumer_lag(group))
-            for group in sorted(self.cluster.offset_manager.groups())
-        }
 
     def consumer_lag_report(self, alpha: float = 0.3) -> ConsumerLagReport:
         """Per-group lag standings with smoothed consumption rates.
 
-        For every known group: per-partition committed offset, end offset,
-        and lag, plus an EWMA consumption rate (records per simulated
-        second, smoothing factor ``alpha``) derived from the offset
-        manager's commit history — the operator view of the signal the
-        elasticity layer's autoscaler acts on, and the numbers behind an
-        ``all_group_lags`` summary when an on-call engineer needs to know
-        *which* partition is behind and whether the group is gaining.
-        Returns a typed :class:`ConsumerLagReport`.
+        For every known group: per-partition committed offset, end offset
+        (the high watermark) and lag, plus an EWMA consumption rate
+        (records per simulated second, smoothing factor ``alpha``) derived
+        from the offset manager's commit history — the operator view of the
+        signal the elasticity layer's autoscaler acts on.  A partition with
+        no leader has no high watermark to measure against and is left out;
+        the health rollup reports it as offline.  Returns a typed
+        :class:`ConsumerLagReport`.
         """
         from repro.elasticity.lagmonitor import Ewma
 
-        manager = self.cluster.offset_manager
+        cluster = self.cluster
+        manager = cluster.offset_manager
         groups: list[GroupLagReport] = []
         for group in sorted(manager.groups()):
             partitions: list[PartitionLag] = []
             rate_ewma = Ewma(alpha)
-            for entry in self.consumer_lag(group):
-                for elapsed, advanced in manager.consumption_deltas(
-                    group, entry.partition
-                ):
+            commits = manager.fetch_group(group)
+            for tp in sorted(commits, key=str):
+                if cluster.controller.leader_for(tp) is None:
+                    continue
+                committed = commits[tp].offset
+                end = cluster.end_offset(tp)
+                for elapsed, advanced in manager.consumption_deltas(group, tp):
                     rate_ewma.update(advanced / elapsed)
                 partitions.append(
                     PartitionLag(
-                        topic=entry.partition.topic,
-                        partition=entry.partition.partition,
-                        committed_offset=entry.committed_offset,
-                        end_offset=entry.end_offset,
-                        lag=entry.lag,
+                        topic=tp.topic,
+                        partition=tp.partition,
+                        committed_offset=committed,
+                        end_offset=end,
+                        lag=max(0, end - committed),
                     )
                 )
             groups.append(
@@ -344,54 +281,6 @@ class AdminClient:
                 )
             )
         return ConsumerLagReport(groups=tuple(groups))
-
-    # -- health -------------------------------------------------------------------------------
-
-    def health_check(self, max_group_lag: int = 1000) -> HealthReport:
-        controller = self.cluster.controller
-        report = HealthReport(
-            live_brokers=len(controller.live_brokers()),
-            total_brokers=len(self.cluster.brokers()),
-            offline_partitions=controller.offline_partitions(),
-            under_replicated=self.under_replicated_partitions(),
-        )
-        for group in self.cluster.offset_manager.groups():
-            if group.startswith("__"):
-                continue  # internal groups (mirrors) have their own alerts
-            for entry in self.consumer_lag(group):
-                if entry.lag > max_group_lag:
-                    report.lagging_groups.append(entry)
-        return report
-
-    def cluster_health_report(
-        self,
-        runners: Iterable = (),
-        valves: Iterable = (),
-        servers: Iterable = (),
-        **thresholds: Any,
-    ) -> "ClusterHealthReport":
-        """The full health rollup: one status, machine-readable reasons.
-
-        Extends :meth:`health_check` beyond messaging: pass the
-        deployment's job ``runners`` (standby staleness), backpressure
-        ``valves``, and state ``servers`` and the verdict covers broker
-        liveness, ISR state, consumer lag, open transactions, valve state,
-        and standby staleness in one typed
-        :class:`~repro.observability.health.ClusterHealthReport`
-        (``healthy`` / ``degraded`` / ``unhealthy``; ``.as_dict()`` for
-        serialization).  Threshold knobs (``max_group_lag``,
-        ``max_standby_staleness``, ``max_lso_lag``) pass through to
-        :func:`~repro.observability.health.evaluate_cluster_health`.
-        """
-        from repro.observability.health import evaluate_cluster_health
-
-        return evaluate_cluster_health(
-            self.cluster,
-            runners=runners,
-            valves=valves,
-            servers=servers,
-            **thresholds,
-        )
 
     # -- transactions -------------------------------------------------------------------------------
 
@@ -503,16 +392,4 @@ class AdminClient:
                     f"{info.tiered['archived_end_offset']}) "
                     f"cold_hit_ratio={ratio_str}"
                 )
-        return "\n".join(lines)
-
-    def format_health(self, report: HealthReport | None = None) -> str:
-        if report is None:
-            report = self.health_check()
-        lines = [
-            f"Brokers: {report.live_brokers}/{report.total_brokers} live",
-            f"Offline partitions: {len(report.offline_partitions)}",
-            f"Under-replicated partitions: {len(report.under_replicated)}",
-            f"Lagging consumer groups: {len(report.lagging_groups)}",
-            f"Status: {'HEALTHY' if report.healthy else 'DEGRADED'}",
-        ]
         return "\n".join(lines)

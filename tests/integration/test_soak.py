@@ -23,7 +23,7 @@ from repro.messaging.cluster import ACKS_ALL, MessagingCluster
 from repro.messaging.config import ProducerConfig
 from repro.messaging.producer import Producer
 from repro.processing.job import JobConfig, JobRunner, StoreConfig
-from repro.tools.admin import AdminClient
+from repro.observability.health import evaluate_cluster_health
 
 
 class CountTask:
@@ -132,7 +132,7 @@ def run_scenario(seed: int, steps: int = 120) -> None:
                 )
 
     # Invariant 3: the cluster reports healthy after settling.
-    report = AdminClient(cluster).health_check(max_group_lag=10**9)
+    report = evaluate_cluster_health(cluster, max_group_lag=10**9)
     assert report.healthy, f"seed={seed}: {report}"
 
 

@@ -8,6 +8,7 @@ from repro.common.records import TopicPartition
 from repro.messaging.cluster import ACKS_ALL, MessagingCluster
 from repro.messaging.config import ProducerConfig
 from repro.messaging.producer import Producer
+from repro.observability.health import evaluate_cluster_health, format_health
 from repro.tools.admin import AdminClient, PartitionLag
 
 
@@ -70,7 +71,7 @@ class TestConsumerLag:
             producer.send("t", i, partition=0)
         tp = TopicPartition("t", 0)
         cluster.offset_manager.commit("dashboard", tp, 5)
-        lags = admin.consumer_lag("dashboard")
+        lags = admin.consumer_lag_report().group("dashboard").partitions
         assert len(lags) == 1
         assert lags[0].lag == 15
 
@@ -82,22 +83,42 @@ class TestConsumerLag:
         tp = TopicPartition("t", 0)
         cluster.offset_manager.commit("fast", tp, 10)
         cluster.offset_manager.commit("slow", tp, 2)
-        lags = admin.all_group_lags()
+        lags = {g.group: g.total_lag for g in admin.consumer_lag_report().groups}
         assert lags["fast"] == 0
         assert lags["slow"] == 8
 
+    def test_offline_partition_left_out(self):
+        cluster = MessagingCluster(num_brokers=1, clock=SimClock())
+        cluster.create_topic("solo", replication_factor=1)
+        cluster.offset_manager.commit("g", TopicPartition("solo", 0), 0)
+        cluster.kill_broker(0)
+        report = AdminClient(cluster).consumer_lag_report()
+        assert report.group("g").partitions == ()
+
 
 class TestHealth:
+    """The engineer terminal reads the one health verdict, the rollup."""
+
     def test_healthy_cluster(self):
-        _cluster, admin = make_env()
-        report = admin.health_check()
+        cluster, _admin = make_env()
+        report = evaluate_cluster_health(cluster)
         assert report.healthy
-        assert "HEALTHY" in admin.format_health(report)
+        assert "HEALTHY" in format_health(report)
+
+    def test_format_health_five_lines(self):
+        cluster, _admin = make_env()
+        assert format_health(evaluate_cluster_health(cluster)) == (
+            "Brokers: 3/3 live\n"
+            "Offline partitions: 0\n"
+            "Under-replicated partitions: 0\n"
+            "Lagging consumer groups: 0\n"
+            "Status: HEALTHY"
+        )
 
     def test_broker_loss_degrades(self):
-        cluster, admin = make_env()
+        cluster, _admin = make_env()
         cluster.kill_broker(2)
-        report = admin.health_check()
+        report = evaluate_cluster_health(cluster)
         assert not report.healthy
         assert report.live_brokers == 2
         assert report.under_replicated
@@ -105,28 +126,33 @@ class TestHealth:
     def test_offline_partition_flagged(self):
         cluster = MessagingCluster(num_brokers=1, clock=SimClock())
         cluster.create_topic("solo", replication_factor=1)
-        admin = AdminClient(cluster)
         cluster.kill_broker(0)
-        report = admin.health_check()
-        assert TopicPartition("solo", 0) in report.offline_partitions
-        assert "DEGRADED" in admin.format_health(report)
+        offline = cluster.controller.offline_partitions()
+        assert TopicPartition("solo", 0) in offline
+        report = evaluate_cluster_health(cluster)
+        assert report.offline_partitions == len(offline)
+        assert "UNHEALTHY" in format_health(report)
 
     def test_lagging_group_flagged(self):
-        cluster, admin = make_env()
+        cluster, _admin = make_env()
         producer = Producer(cluster, ProducerConfig(acks=ACKS_ALL))
         for i in range(50):
             producer.send("t", i, partition=0)
         tp = TopicPartition("t", 0)
         cluster.offset_manager.commit("sleepy", tp, 0)
-        report = admin.health_check(max_group_lag=10)
-        assert any(l.group == "sleepy" for l in report.lagging_groups)
+        report = evaluate_cluster_health(cluster, max_group_lag=10)
+        assert any(
+            r.code == "consumer_lag" and "'sleepy'" in r.detail
+            for r in report.reasons
+        )
+        assert "Lagging consumer groups: 1" in format_health(report)
 
     def test_recovery_restores_health(self):
-        cluster, admin = make_env()
+        cluster, _admin = make_env()
         cluster.kill_broker(2)
         cluster.restart_broker(2)
         cluster.run_until_replicated()
-        assert admin.health_check().healthy
+        assert evaluate_cluster_health(cluster).healthy
 
 
 class TestConsumerLagReport:

@@ -1,6 +1,6 @@
 """Cluster health rollup: one status, machine-readable reasons."""
 
-import pytest
+import dataclasses
 
 from repro.common.records import TopicPartition
 from repro.messaging.cluster import MessagingCluster
@@ -11,7 +11,6 @@ from repro.observability.health import (
     UNHEALTHY,
     evaluate_cluster_health,
 )
-from repro.tools.admin import AdminClient
 
 
 def make_cluster(brokers=3, replication=3):
@@ -33,15 +32,16 @@ class TestHealthyCluster:
 
     def test_as_dict_round_trip(self):
         report = evaluate_cluster_health(make_cluster())
-        payload = report.as_dict()
+        payload = dataclasses.asdict(report)
         assert payload["status"] == HEALTHY
-        assert payload["reasons"] == []
+        assert payload["reasons"] == ()
         assert payload["live_brokers"] == 3
-
-    def test_admin_facade(self):
-        cluster = make_cluster()
-        report = AdminClient(cluster).cluster_health_report()
-        assert report.status == HEALTHY
+        assert list(payload) == [
+            "status", "reasons", "checked_at", "live_brokers",
+            "total_brokers", "offline_partitions", "under_replicated",
+            "max_group_lag", "open_transactions", "lso_lag",
+            "closed_valves", "throttled_valves", "max_standby_staleness",
+        ]
 
 
 class TestDegradation:
@@ -61,6 +61,21 @@ class TestDegradation:
         assert report.status == UNHEALTHY
         assert "no_live_brokers" in report.reason_codes()
         assert "offline_partitions" in report.reason_codes()
+
+    def test_offline_partition_with_committed_group(self):
+        # Regression: a group committed on a partition that then lost its
+        # only replica used to crash the lag rule (no leader, no high
+        # watermark).  The partition is reported offline instead.
+        cluster = MessagingCluster(num_brokers=1)
+        cluster.create_topic("solo", replication_factor=1)
+        cluster.offset_manager.commit("readers", TopicPartition("solo", 0), 0)
+        cluster.kill_broker(0)
+        report = evaluate_cluster_health(cluster)
+        assert report.status == UNHEALTHY
+        assert report.offline_partitions >= 1
+        assert "offline_partitions" in report.reason_codes()
+        assert "consumer_lag" not in report.reason_codes()
+        assert report.max_group_lag == 0
 
     def test_worst_reason_wins(self):
         cluster = make_cluster(brokers=3, replication=1)

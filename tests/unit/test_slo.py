@@ -6,6 +6,8 @@ not wedge a firing alert, and the hysteresis band must prevent flapping
 when a signal hovers at the boundary.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.common.clock import SimClock
@@ -146,7 +148,7 @@ class TestAlertEdges:
             monitor.observe("latency", 9.0)
             clock.advance(1.0)
         alert = monitor.evaluate()[0]
-        payload = alert.as_dict()
+        payload = dataclasses.asdict(alert)
         assert payload["slo"] == "latency"
         assert payload["signal"] == "p99_seconds"
         assert payload["state"] == ALERT_FIRING
@@ -241,6 +243,42 @@ class TestStandardSlos:
         assert status["consumer_lag"].samples == 1
         # Healthy idle cluster: nothing burns.
         assert monitor.evaluate() == []
+
+    def test_sampler_survives_an_offline_partition(self):
+        # Regression: a committed group on a leaderless partition used to
+        # crash the lag signal, and with it the telemetry cycle.
+        from repro.common.records import TopicPartition
+        from repro.messaging.cluster import MessagingCluster
+
+        cluster = MessagingCluster(num_brokers=1)
+        cluster.create_topic("solo", num_partitions=1, replication_factor=1)
+        cluster.offset_manager.commit("readers", TopicPartition("solo", 0), 0)
+        cluster.kill_broker(0)
+        monitor = SloMonitor(cluster.clock)
+        ClusterSloSampler(monitor, cluster).sample()
+        status = {s.slo: s for s in monitor.status()}
+        assert status["consumer_lag"].samples == 1
+        assert status["isr_availability"].samples == 1
+
+    def test_in_sync_fraction_matches_the_partition_view(self):
+        # Controller state gives the same fraction as describing every
+        # partition of every topic.
+        from repro.messaging.cluster import MessagingCluster
+        from repro.tools.admin import AdminClient
+
+        cluster = MessagingCluster(num_brokers=3)
+        cluster.create_topic("t", num_partitions=4, replication_factor=2)
+        sampler = ClusterSloSampler(SloMonitor(cluster.clock), cluster)
+        assert sampler._in_sync_fraction() == 1.0
+        cluster.kill_broker(0)
+        infos = [
+            info
+            for topic in cluster.topics()
+            for info in AdminClient(cluster).describe_topic(topic)
+        ]
+        behind = sum(info.under_replicated for info in infos)
+        assert behind > 0
+        assert sampler._in_sync_fraction() == (len(infos) - behind) / len(infos)
 
     def test_sampler_sees_runner_freshness_and_standbys(self):
         from repro.messaging.cluster import MessagingCluster

@@ -13,6 +13,7 @@ from repro.common.metrics import metric_name
 from repro.core.liquid import Liquid
 from repro.messaging.cluster import MessagingCluster
 from repro.messaging.producer import Producer
+from repro.observability.slo import Slo, SloMonitor
 from repro.observability.telemetry import (
     TELEMETRY_ALERTS_FEED,
     TELEMETRY_FEEDS,
@@ -202,6 +203,32 @@ class TestSpanExport:
             }
         finally:
             uninstall_tracer()
+
+
+class TestAlertExport:
+    def test_alert_record_keeps_its_wire_shape(self):
+        """An ``__telemetry.alerts`` record is the alert's fields, key for
+        key and in declaration order."""
+        cluster = MessagingCluster(num_brokers=1)
+        monitor = SloMonitor(cluster.clock)
+        monitor.register(Slo(
+            name="latency", signal="p99_seconds", objective=1.0,
+            error_budget=0.5, burn_threshold=1.6, clear_threshold=0.8,
+        ))
+        monitor.observe("latency", 9.0)
+        exporter = TelemetryExporter(cluster, slo_monitor=monitor)
+        assert exporter.publish_once()["alerts"] == 1
+        [record] = drain(cluster, TELEMETRY_ALERTS_FEED)
+        assert record.key == "latency"
+        assert list(record.value.items()) == [
+            ("slo", "latency"),
+            ("signal", "p99_seconds"),
+            ("state", "firing"),
+            ("burn_short", 2.0),
+            ("burn_long", 2.0),
+            ("timestamp", 0.0),
+            ("reason", "burn 2.00x/2.00x >= 1.60x in both windows"),
+        ]
 
 
 class TestCadence:
