@@ -107,6 +107,12 @@ def _sanitize(
     Returns ``(clean_entries, trace_contexts)`` where ``trace_contexts[i]``
     is the i-th record's ``__trace`` header value (or None).  The contexts
     ride in the frame header — accounting-invisible, like the header itself.
+
+    Every record's headers go into the canonical form as a dict of their
+    own.  Pickle memoizes an object it has seen, so a headers object shared
+    between records (a reused dict, the shared empty mapping) would
+    otherwise make the frame's bytes depend on object identity — and
+    stripping ``__trace`` copies, so a traced run would ship other bytes.
     """
     clean = []
     contexts = []
@@ -117,6 +123,8 @@ def _sanitize(
         if ctx is not None:
             headers = {k: v for k, v in headers.items() if k != TRACE_HEADER}
             dirty = True
+        elif headers is not None:
+            headers = dict(headers)
         clean.append((key, value, timestamp, headers))
     return clean, tuple(contexts) if dirty else ()
 

@@ -6,11 +6,16 @@ to a topic partition, identified by a per-partition monotonically increasing
 
 * :class:`ProducerRecord` — what a client hands to a producer (no offset yet;
   partition may be left for the partitioner to choose).
-* :class:`StoredMessage` — what the log physically keeps (key, value,
-  timestamp, headers; the offset is implied by log position and stamped on
-  the way out).
 * :class:`ConsumerRecord` — what a consumer receives (full provenance:
-  topic, partition, offset).
+  topic, partition, offset), immutable.
+* :class:`StoredMessage` — what the log physically keeps: a
+  ``ConsumerRecord`` built once, at append, that also knows its physical
+  footprint.  Every replica, the cold tier and every plain (frameless,
+  serde-less) fetch hand out that same object; only frame inflation and
+  serde consumers build a separate ``ConsumerRecord``.
+
+A record sent without headers carries :data:`EMPTY_HEADERS`, one shared
+read-only mapping, instead of an empty dict of its own.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from __future__ import annotations
 import sys
 from collections.abc import Mapping as _AbcMapping
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Mapping, NamedTuple
 
 
@@ -38,6 +44,30 @@ TRACE_HEADER = "__trace"
 #: :class:`~repro.common.errors.ReservedHeaderError`; the one exception is
 #: ``__trace`` holding a ``TraceContext``, which continues an existing trace.
 RESERVED_HEADER_PREFIX = "__"
+
+
+class _EmptyHeaders(dict):
+    """The type of :data:`EMPTY_HEADERS`: an empty ``dict`` that refuses
+    mutation, hashes, and pickles and copies as the one shared instance."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args: Any, **kwargs: Any) -> None:
+        raise TypeError("a record's empty headers are shared and read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __hash__(self) -> int:
+        return 0
+
+    def __reduce__(self) -> str:
+        return "EMPTY_HEADERS"
+
+
+#: The headers of every record sent without any: equal to ``{}``, shared by
+#: all of them, so a headerless record allocates no dict it would keep.
+EMPTY_HEADERS: Mapping[str, Any] = _EmptyHeaders()
 
 
 def estimate_size(value: Any) -> int:
@@ -138,75 +168,21 @@ class ProducerRecord:
         )
 
 
-@dataclass(init=False, slots=True)
-class StoredMessage:
-    """A message at rest inside a log segment.
-
-    Offsets are positional: ``segment.base_offset + index``.  Storing them
-    implicitly keeps compaction simple (surviving messages keep their
-    original offsets via an explicit field set at append time).
-
-    Immutable once appended: the leader's log builds the record (with the
-    ``size`` the produce path already computed) and assigns ``stored_size``
-    before the record enters a segment; from then on followers, fetches and
-    the cold tier hold the *same object*, the way they share a
-    :class:`~repro.common.compression.BatchFrame`.  Truncation, compaction
-    and retention change which records a log lists, never a record.
-    """
-
-    key: Any
-    value: Any
-    timestamp: float
-    offset: int
-    headers: dict[str, Any]
-    size: int
-    stored_size: int
-
-    def __init__(
-        self, key, value, timestamp, offset, headers=None, size=0, stored_size=0
-    ) -> None:
-        self.key = key
-        self.value = value
-        self.timestamp = timestamp
-        self.offset = offset
-        self.headers = {} if headers is None else headers
-        self.size = size
-        # ``size`` is the record's *logical* payload (what a consumer is
-        # billed for); ``stored_size`` is its *physical* footprint — its
-        # share of the (possibly compressed) batch frame it arrived in.
-        # Segments, the page cache, replication and the cold tier all move
-        # physical bytes, so they charge stored_size; uncompressed records
-        # occupy exactly their logical size.
-        self.stored_size = stored_size or size
-        if size == 0:
-            self.__post_init__()
-
-    def __post_init__(self) -> None:
-        # The only place a size that was not supplied gets computed (direct
-        # ``PartitionLog.append*`` / ``StoredMessage(...)`` callers).
-        self.size = (
-            estimate_size(self.key)
-            + estimate_size(self.value)
-            + estimate_size(self.headers)
-            + RECORD_FRAMING_BYTES
-        )
-        if self.stored_size == 0:
-            self.stored_size = self.size
-
-
-@dataclass(init=False, slots=True, unsafe_hash=True)
+@dataclass(init=False, slots=True, eq=False)
 class ConsumerRecord:
     """A message as delivered to a consumer, with full provenance.
 
-    ``size`` (payload bytes, excluding log framing) is computed once at
-    construction — fetch paths that already know the stored size pass it in
-    so quota/WAN accounting never re-walks keys, values and headers.
+    ``size`` is the payload size — key, value and headers, log framing
+    excluded — on every record, stored or built.  It is computed once at
+    construction; fetch paths that already know it pass it in so
+    quota/WAN accounting never re-walks keys, values and headers.
 
     Immutable, yet built by plain slot stores: ``__init__`` ends by
     re-classing the instance to a slot-less subclass whose ``__setattr__``
-    raises.  One exists per delivered record, so construction cost and the
-    96-byte footprint are the read path's per-record budget (a frozen
-    dataclass pays ``object.__setattr__`` per field, a tuple is larger).
+    raises (a frozen dataclass pays ``object.__setattr__`` per field, a
+    tuple is larger).  Equality and hash are over the eight fields, across
+    subclasses: a :class:`StoredMessage` equals the ``ConsumerRecord`` built
+    from the same record.
     """
 
     topic: str
@@ -227,11 +203,23 @@ class ConsumerRecord:
         self.key = key
         self.value = value
         self.timestamp = timestamp
-        self.headers = headers = {} if headers is None else headers
+        self.headers = headers = EMPTY_HEADERS if headers is None else headers
         self.size = size or (
             estimate_size(key) + estimate_size(value) + estimate_size(dict(headers))
         )
         self.__class__ = _FrozenConsumerRecord
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ConsumerRecord):
+            return NotImplemented
+        return _record_fields(self) == _record_fields(other)
+
+    def __hash__(self) -> int:
+        return hash(_record_fields(self))
+
+
+#: The eight ``ConsumerRecord`` fields of a record, as a tuple.
+_record_fields = attrgetter(*ConsumerRecord.__slots__)
 
 
 class _FrozenConsumerRecord(ConsumerRecord):
@@ -240,13 +228,90 @@ class _FrozenConsumerRecord(ConsumerRecord):
     __slots__ = ()
 
     def __setattr__(self, name: str, value: Any = None) -> None:
-        raise AttributeError(f"ConsumerRecord is immutable ({name!r})")
+        raise AttributeError(
+            f"{type(self).__bases__[0].__name__} is immutable ({name!r})"
+        )
 
     __delattr__ = __setattr__
 
     def __reduce__(self) -> tuple:  # copy/pickle rebuild through __init__
-        return ConsumerRecord, tuple(
-            getattr(self, name) for name in ConsumerRecord.__slots__
+        return ConsumerRecord, _record_fields(self)
+
+
+@dataclass(init=False, slots=True, eq=False)
+class StoredMessage(ConsumerRecord):
+    """A message at rest inside a log segment — and, once appended, the very
+    record a plain fetch delivers.
+
+    Offsets are positional: ``segment.base_offset + index``.  Storing them
+    implicitly keeps compaction simple (surviving messages keep their
+    original offsets via an explicit field set at append time).
+
+    Built once, by the leader's log at append, with its ``topic`` and
+    ``partition``, the ``size`` the produce path already computed and its
+    ``stored_size``; immutable from then on.  Followers, the cold tier and
+    every frameless, serde-less fetch hold the *same object*, the way they
+    share a :class:`~repro.common.compression.BatchFrame`.  Truncation,
+    compaction and retention change which records a log lists, never a
+    record.
+
+    ``size`` is the logical payload (what a consumer is billed for);
+    ``stored_size`` is the physical footprint — the payload plus
+    :data:`RECORD_FRAMING_BYTES` by default, or the record's share of the
+    compressed batch frame it arrived in.  Segments, the page cache,
+    replication and the cold tier all move physical bytes, so they charge
+    ``stored_size``.  It takes no part in equality.
+    """
+
+    stored_size: int
+
+    def __init__(
+        self,
+        key,
+        value,
+        timestamp,
+        offset,
+        headers=None,
+        size=None,
+        stored_size=None,
+        topic=None,
+        partition=None,
+    ) -> None:
+        self.topic = topic
+        self.partition = partition
+        self.offset = offset
+        self.key = key
+        self.value = value
+        self.timestamp = timestamp
+        self.headers = EMPTY_HEADERS if headers is None else headers
+        if size is None:
+            self.__post_init__()
+        else:
+            self.size = size
+        self.stored_size = (
+            self.size + RECORD_FRAMING_BYTES if stored_size is None else stored_size
+        )
+        self.__class__ = _FrozenStoredMessage
+
+    def __post_init__(self) -> None:
+        # The only place a size that was not supplied gets computed (direct
+        # ``StoredMessage(...)`` callers; the log sizes its own appends).
+        self.size = (
+            estimate_size(self.key)
+            + estimate_size(self.value)
+            + estimate_size(self.headers)
+        )
+
+
+class _FrozenStoredMessage(StoredMessage, _FrozenConsumerRecord):
+    """What every constructed :class:`StoredMessage` becomes."""
+
+    __slots__ = ()
+
+    def __reduce__(self) -> tuple:
+        return StoredMessage, (
+            self.key, self.value, self.timestamp, self.offset, self.headers,
+            self.size, self.stored_size, self.topic, self.partition,
         )
 
 

@@ -87,6 +87,7 @@ class Broker:
             clock=self.clock,
             cost_model=self.cost_model,
             page_cache=self.page_cache,
+            partition=partition,
         )
         replica = PartitionReplica(partition, self.broker_id, log)
         if config.tiered is not None:

@@ -35,6 +35,7 @@ from repro.common.errors import (
 )
 from repro.common.metrics import MetricsRegistry, metric_name
 from repro.common.records import (
+    EMPTY_HEADERS,
     ConsumerRecord,
     TopicPartition,
     estimate_size,
@@ -181,7 +182,9 @@ class MessagingCluster:
 
     def _append_offsets_record(self, key: Any, value: Any) -> None:
         partition = TopicPartition(OFFSETS_TOPIC, 0)
-        self._produce_to(partition, [(key, value, self.clock.now(), {})], ACKS_LEADER)
+        self._produce_to(
+            partition, [(key, value, self.clock.now(), EMPTY_HEADERS)], ACKS_LEADER
+        )
 
     def recover_offset_manager(self) -> int:
         """Rebuild the offset manager from the internal compacted topic."""
@@ -309,13 +312,8 @@ class MessagingCluster:
         # Armed by chaos schedules to drop the request before it reaches the
         # leader — the client sees a transient error, nothing is appended.
         failpoint("cluster.produce", partition=tp, acks=acks)
-        if frame is None:
-            # A framed batch was stamped by its producer before compressing.
-            now = self.clock.now()
-            entries = [
-                (k, v, ts if ts is not None else now, h or {})
-                for (k, v, ts, h) in entries
-            ]
+        # A missing timestamp is stamped by the leader's log, from this clock
+        # at this instant (a framed batch was stamped by its producer).
         return self._produce_to(
             tp, entries, acks, producer_id, producer_seq, frame, client_id,
             transactional,
@@ -324,7 +322,7 @@ class MessagingCluster:
     def _produce_to(
         self,
         tp: TopicPartition,
-        entries: list[tuple[Any, Any, float, dict[str, Any]]],
+        entries: list[tuple[Any, Any, float | None, dict[str, Any] | None]],
         acks: str,
         producer_id: int | None = None,
         producer_seq: int | None = None,

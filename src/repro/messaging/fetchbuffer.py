@@ -1,16 +1,19 @@
-"""Zero-copy fetch buffers: one materialisation, at the poll boundary.
+"""Zero-copy fetch buffers: a plain fetch delivers the log's own records.
 
 A fetch response is not a flat record list but a sequence of *batches* —
 some plain (a run of the log's own :class:`~repro.common.records.StoredMessage`
 objects, the list the log read returned), some still the compressed
-:class:`~repro.common.compression.BatchFrame` the producer shipped.  Neither
-holds a :class:`~repro.common.records.ConsumerRecord`: :meth:`FetchBatch.inflate`
-builds exactly the records a drain delivers, once each, with the consumer's
-serdes applied in that same construction.  A framed batch stays compressed
-until the consumer drains into it (the payload is decoded through a
-memoryview, no intermediate copy of the blob) and is charged the simulated
-inflate CPU on that first touch only.  A poll that stops mid-response
-therefore neither inflates nor materialises what lies past its cursor.
+:class:`~repro.common.compression.BatchFrame` the producer shipped.  A
+``StoredMessage`` *is* a :class:`~repro.common.records.ConsumerRecord`, built
+once at append, so draining a plain batch for a consumer without serdes
+hands out those very objects in a fresh list and builds nothing.  Records
+are built only where there is something to build: :meth:`FetchBatch.inflate`
+builds exactly the records a drain delivers out of a frame, or through the
+consumer's serdes, once each.  A framed batch stays compressed until the
+consumer drains into it (the payload is decoded through a memoryview, no
+intermediate copy of the blob) and is charged the simulated inflate CPU on
+that first touch only.  A poll that stops mid-response therefore neither
+inflates nor builds what lies past its cursor.
 
 :class:`FetchBuffer` holds one response's batches plus the bookkeeping a
 prefetching consumer needs: the fetch latency still owed, the simulated
@@ -26,7 +29,7 @@ from operator import attrgetter
 from repro.common.compression import BatchFrame
 from repro.common.costmodel import CostModel
 from repro.common.records import (
-    RECORD_FRAMING_BYTES,
+    EMPTY_HEADERS,
     TRACE_HEADER,
     ConsumerRecord,
     StoredMessage,
@@ -71,12 +74,16 @@ class FetchBatch:
         key_serde: Serde | None = None,
         value_serde: Serde | None = None,
     ) -> tuple[list[ConsumerRecord], float]:
-        """Materialise records ``[start:stop]`` of the batch, deserialized.
+        """Records ``[start:stop]`` of the batch, deserialized, in a list of
+        their own.
 
-        Nothing is memoized: the caller's cursor guarantees each record is
-        asked for once.  The returned latency is the simulated inflate CPU
-        for a framed batch on its first touch, ``0.0`` afterwards and for
-        plain batches.  ``size`` stays the stored wire size — recomputing it
+        A plain batch without serdes builds nothing: its records are the
+        log's own :class:`~repro.common.records.StoredMessage` objects.
+        Frames and serdes build one ``ConsumerRecord`` per record asked
+        for; nothing is memoized, as the caller's cursor asks for each
+        record once.  The returned latency is the simulated inflate CPU for
+        a framed batch on its first touch, ``0.0`` afterwards and for plain
+        batches.  ``size`` stays the stored payload size — recomputing it
         from deserialized objects would skew quota/WAN accounting away from
         the bytes actually transferred.
         """
@@ -87,11 +94,9 @@ class FetchBatch:
             stop = self.count
         frame = self.frame
         if frame is None:
-            run = self.messages
-            if stop - start < self.count:
-                run = run[start:stop]
-            # Logical size minus log framing == the payload size the record
-            # would recompute from its key, value and headers.
+            run = self.messages[start:stop]
+            if key_of is None and value_of is None:
+                return run, 0.0
             return [
                 ConsumerRecord(
                     topic,
@@ -101,7 +106,7 @@ class FetchBatch:
                     m.value if value_of is None else value_of(m.value),
                     m.timestamp,
                     m.headers,
-                    m.size - RECORD_FRAMING_BYTES,
+                    m.size,
                 )
                 for m in run
             ], 0.0
@@ -110,7 +115,9 @@ class FetchBatch:
             latency = cost_model.decompress(frame.payload_bytes)
             self.inflated = True
         entries = frame.entries()[start:stop]
-        headers = [entry[3] for entry in entries]
+        # A headerless record shares the read-only empty mapping, framed or
+        # not, so a frame-served record equals (and hashes like) the log's.
+        headers = [entry[3] or EMPTY_HEADERS for entry in entries]
         # Trace contexts ride uncompressed on the frame; re-attach them so
         # frame-served records are indistinguishable from eagerly stored ones.
         if frame.trace_contexts:
@@ -225,8 +232,8 @@ class FetchBuffer:
     ) -> tuple[list[ConsumerRecord], float]:
         """Drain up to ``limit`` records; returns them + inflate latency.
 
-        This is where consumer records come into being: only the drained
-        slice of each batch is materialised.
+        Only the drained slice of each batch is delivered, so only that
+        slice is inflated or deserialized (see :meth:`FetchBatch.inflate`).
         """
         out: list[ConsumerRecord] = []
         latency = 0.0

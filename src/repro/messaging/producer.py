@@ -38,6 +38,7 @@ from repro.common.errors import (
 from repro.common.metrics import metric_name
 from repro.common.partitioning import partition_for_key
 from repro.common.records import (
+    EMPTY_HEADERS,
     RESERVED_HEADER_PREFIX,
     TRACE_HEADER,
     TopicPartition,
@@ -229,7 +230,9 @@ class Producer:
         tp = self._choose_partition(topic, key, partition)
         if span is not None:
             span.attrs["partition"] = tp.partition
-        entry = (key, value, timestamp, headers if headers is not None else {})
+        entry = (
+            key, value, timestamp, headers if headers is not None else EMPTY_HEADERS
+        )
         parked = tp in self._failed_batches
         if self.linger_messages == 1 and not parked:
             batch = [entry]
@@ -338,7 +341,7 @@ class Producer:
         if self._codec != "none":
             # Stamp timestamps *before* compressing so the frame and the
             # broker's stored records agree even when retries advance the
-            # clock (cluster-side stamping then becomes a no-op).  The
+            # clock (the log's stamping then becomes a no-op).  The
             # stamped entries also replace the originals everywhere below —
             # parked batches keep them, so a flush-retry recompresses to the
             # same bytes.

@@ -22,7 +22,7 @@ from typing import Any
 
 from repro.common.errors import ProducerFlushError
 from repro.common.partitioning import partition_for_key
-from repro.common.records import TRACE_HEADER, TopicPartition
+from repro.common.records import EMPTY_HEADERS, TRACE_HEADER, TopicPartition
 from repro.messaging.producer import check_headers
 from repro.messaging.transactions import TransactionalProducer
 from repro.observability.trace import TraceContext, Tracer
@@ -233,7 +233,7 @@ class RunCollector(MessageCollector):
         if headers:
             check_headers(headers)
         else:
-            headers = {}
+            headers = EMPTY_HEADERS
         if partition is None and key is not None:
             # Every producer a job owns hashes keys (the default partitioner).
             partitions = self._partitions.get(topic)
@@ -283,7 +283,7 @@ class RunCollector(MessageCollector):
             "produce.send", parent, start=self._cluster.clock.now(), topic=tp.topic
         )
         if span is None:
-            return {} if headers is None else headers
+            return EMPTY_HEADERS if headers is None else headers
         headers = dict(headers) if headers else {}
         headers[TRACE_HEADER] = span.context()
         span.attrs["partition"] = tp.partition

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
 from repro.common.errors import OffsetOutOfRangeError, StateStoreError
-from repro.common.records import TopicPartition
+from repro.common.records import EMPTY_HEADERS, TopicPartition
 from repro.processing.store import KeyValueStore
 
 
@@ -161,7 +161,9 @@ class KeyValueState:
 
     def _stage(self, key: Any, value: Any) -> None:
         tp = self.changelog
-        entry = (key, value, None, {} if self.trace is None else self.trace(tp))
+        entry = (
+            key, value, None, EMPTY_HEADERS if self.trace is None else self.trace(tp)
+        )
         staged = self.staged
         if tp in staged:
             staged[tp].append(entry)

@@ -16,11 +16,12 @@ collector, which is how the job runner keeps jobs decoupled through the log
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Protocol, runtime_checkable
+from dataclasses import dataclass
+from typing import Any, Mapping, Protocol, runtime_checkable
 
 from repro.common.clock import Clock
 from repro.common.errors import JobConfigError
+from repro.common.records import EMPTY_HEADERS
 from repro.processing.state import KeyValueState
 
 
@@ -33,7 +34,7 @@ class Emit:
     key: Any = None
     partition: int | None = None
     timestamp: float | None = None
-    headers: dict[str, Any] = field(default_factory=dict)
+    headers: Mapping[str, Any] = EMPTY_HEADERS
 
 
 class MessageCollector:
@@ -52,7 +53,7 @@ class MessageCollector:
         headers: dict[str, Any] | None = None,
     ) -> None:
         self._emits.append(
-            Emit(topic, value, key, partition, timestamp, headers or {})
+            Emit(topic, value, key, partition, timestamp, headers or EMPTY_HEADERS)
         )
 
     def drain(self) -> list[Emit]:

@@ -27,6 +27,7 @@ from typing import Any
 
 from repro.common.clock import Clock
 from repro.common.errors import ConfigError
+from repro.common.records import RECORD_FRAMING_BYTES
 from repro.storage.log import PartitionLog
 
 
@@ -124,9 +125,10 @@ class LogCompactor:
         superseded = 0
         for segment in log.sealed_segments():
             for message in segment.messages():
-                total += message.size
+                size = message.size + RECORD_FRAMING_BYTES
+                total += size
                 if latest_offset_per_key.get(message.key) != message.offset:
-                    superseded += message.size
+                    superseded += size
         if total == 0:
             return 0.0
         return superseded / total

@@ -23,7 +23,12 @@ from repro.common.clock import Clock, SimClock
 from repro.common.compression import BatchFrame
 from repro.common.costmodel import DEFAULT_COST_MODEL, CostModel
 from repro.common.errors import ConfigError, OffsetOutOfRangeError
-from repro.common.records import RECORD_FRAMING_BYTES, StoredMessage
+from repro.common.records import (
+    RECORD_FRAMING_BYTES,
+    StoredMessage,
+    TopicPartition,
+    estimate_size,
+)
 from repro.chaos.failpoints import failpoint
 from repro.storage.index import SparseOffsetIndex
 from repro.storage.pagecache import PageCache
@@ -135,8 +140,13 @@ class PartitionLog:
         clock: Clock | None = None,
         cost_model: CostModel = DEFAULT_COST_MODEL,
         page_cache: PageCache | None = None,
+        partition: TopicPartition | None = None,
     ) -> None:
         self.name = name
+        #: The partition this log is a replica of, as told by the broker
+        #: hosting it: the provenance every appended record carries.  A log
+        #: of no partition stamps ``None`` for both.
+        self.partition = partition
         self.config = config if config is not None else LogConfig()
         self.clock = clock if clock is not None else SimClock()
         self.cost_model = cost_model
@@ -220,14 +230,42 @@ class PartitionLog:
         ``sizes`` is the produce path's payload-size column (one
         ``estimate_size`` total per entry, framing excluded — the shape of
         ``BatchFrame.sizes``): each record is built with it rather than
-        walked again.  Without it the record sizes itself.
+        walked again.  Without it the log walks each entry once.  Either
+        way a record's size limit and stored size, a frame share aside, are
+        its payload plus :data:`RECORD_FRAMING_BYTES`, all settled before the
+        record is built: the record is final from construction.
         """
         failpoint("log.append", log=self.name, count=len(entries))
-        if sizes is not None and len(sizes) != len(entries):
+        if sizes is None:
+            sizes = [
+                estimate_size(key) + estimate_size(value) + estimate_size(headers)
+                for key, value, _ts, headers in entries
+            ]
+        elif len(sizes) != len(entries):
             raise ConfigError(
                 f"{len(sizes)} sizes for {len(entries)} entries"
             )
+        error: ConfigError | None = None
+        max_bytes = self.config.max_message_bytes
+        # A record is charged its framing wherever the log counts bytes.
+        if max(sizes, default=0) + RECORD_FRAMING_BYTES > max_bytes:
+            # The batch ends before its first oversized record.
+            cut = next(
+                i for i, size in enumerate(sizes)
+                if size + RECORD_FRAMING_BYTES > max_bytes
+            )
+            error = ConfigError(
+                f"message of {sizes[cut] + RECORD_FRAMING_BYTES}B exceeds "
+                f"max_message_bytes={max_bytes}"
+            )
+            entries = entries[:cut]
+        if frame is not None and error is None and len(entries) == frame.count:
+            stored_sizes = frame.stored_sizes()
+        else:
+            frame = None  # partial batch: store records uncompressed
+            stored_sizes = repeat(None)  # each record's size plus framing
         now = self.clock.now()
+        topic, partition = self.partition or (None, None)
         messages = [
             StoredMessage(
                 key,
@@ -235,32 +273,15 @@ class PartitionLog:
                 timestamp if timestamp is not None else now,
                 offset,
                 headers,
-                0 if size is None else size + RECORD_FRAMING_BYTES,
+                size,
+                stored,
+                topic,
+                partition,
             )
-            for offset, ((key, value, timestamp, headers), size) in enumerate(
-                zip(entries, sizes if sizes is not None else repeat(None)),
-                self._next_offset,
+            for offset, ((key, value, timestamp, headers), size, stored) in enumerate(
+                zip(entries, sizes, stored_sizes), self._next_offset
             )
         ]
-        error: ConfigError | None = None
-        max_bytes = self.config.max_message_bytes
-        if max([m.size for m in messages], default=0) > max_bytes:
-            # The batch ends before its first oversized record.
-            cut = next(i for i, m in enumerate(messages) if m.size > max_bytes)
-            error = ConfigError(
-                f"message of {messages[cut].size}B exceeds max_message_bytes="
-                f"{max_bytes}"
-            )
-            del messages[cut:]
-        if (
-            frame is not None
-            and error is None
-            and len(messages) == frame.count
-        ):
-            for message, stored in zip(messages, frame.stored_sizes()):
-                message.stored_size = stored
-        else:
-            frame = None  # partial batch: store records uncompressed
         latency = self._append_run(messages, now)
         if messages and (kind is not None or frame is not None):
             self.note_batch(

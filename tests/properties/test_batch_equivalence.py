@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 from repro.common.clock import SimClock
 from repro.common.costmodel import DEFAULT_COST_MODEL
 from repro.common.errors import ConfigError
-from repro.common.records import StoredMessage, estimate_size
+from repro.common.records import RECORD_FRAMING_BYTES, StoredMessage, estimate_size
 from repro.storage.log import LogConfig, PartitionLog
 
 keys = st.one_of(st.none(), st.text(alphabet="abcde", min_size=1, max_size=3))
@@ -115,9 +115,11 @@ class ReferenceLog:
                 key, value, timestamp if timestamp is not None else 0.0,
                 self.leo, hdr if hdr is not None else {},
             )
-            if record.size > self.config.max_message_bytes:
+            # The limit charges the record's framing; its size does not.
+            framed = record.size + RECORD_FRAMING_BYTES
+            if framed > self.config.max_message_bytes:
                 raise ConfigError(
-                    f"message of {record.size}B exceeds max_message_bytes="
+                    f"message of {framed}B exceeds max_message_bytes="
                     f"{self.config.max_message_bytes}"
                 )
             latency = self.land(record, latency)

@@ -3,11 +3,14 @@
 The produce path sizes each record once (``MessagingCluster._produce_to``,
 or the producer when it builds a ``BatchFrame``) and that column becomes the
 wire charge, the quota charge and ``StoredMessage.size``; followers then
-hold the leader's record objects.  Nothing downstream recomputes, so these
-properties do: every stored size on every replica, every delivered
-``ConsumerRecord.size`` and the cluster's ``bytes_on_wire`` must equal what
-an independent re-walk of the stored fields gives — for plain, idempotent,
-transactional and compressed producers alike.  Producer state is the trap:
+hold the leader's record objects.  ``size`` means one thing on every record,
+stored or delivered: the payload, log framing excluded (the log charges
+``RECORD_FRAMING_BYTES`` on top, in ``stored_size`` unless a frame share
+replaces it).  Nothing downstream recomputes, so these properties do: every
+stored size on every replica, every delivered record's ``size`` and the
+cluster's ``bytes_on_wire`` must equal what an independent re-walk of the
+stored fields gives — for plain, idempotent, transactional and compressed
+producers alike.  Producer state is the trap:
 it is batch metadata, so it shows in no record's size or headers — a stored
 record holds the very dict the producer was handed, a consumer sees what was
 sent — and on the wire as one batch header per stamped uncompressed batch
@@ -173,12 +176,11 @@ class TestCarriedSizeEqualsRecomputedSize:
                 m.offset for m in stored
             ]
             for message in replica_log.all_messages():
-                logical = (
-                    payload_size(message.key, message.value, message.headers)
-                    + RECORD_FRAMING_BYTES
+                payload = payload_size(message.key, message.value, message.headers)
+                assert message.size == payload
+                assert message.stored_size == shares.get(
+                    message.offset, payload + RECORD_FRAMING_BYTES
                 )
-                assert message.size == logical
-                assert message.stored_size == shares.get(message.offset, logical)
         if mode.startswith("zlib"):
             assert len(shares) == len(stored)
         # Never a copy: the log holds the dict the producer was handed.
@@ -191,7 +193,7 @@ class TestCarriedSizeEqualsRecomputedSize:
         assert len(fetched) == len(batch)
         for record, headers in zip(fetched, handed):
             assert record.headers == (headers or {})  # what was sent, no more
-            assert record.size == stored[record.offset].size - RECORD_FRAMING_BYTES
+            assert record.size == stored[record.offset].size
             assert record.size == payload_size(
                 record.key, record.value, dict(record.headers)
             )
@@ -229,7 +231,10 @@ class TestInlinedColumn:
             for k, v, _ts, h in batch
         ]
         stored = cluster.broker(0).replica(TP).log.all_messages()
-        assert [m.size - RECORD_FRAMING_BYTES for m in stored] == column
+        assert [m.size for m in stored] == column
+        assert [m.stored_size for m in stored] == [
+            size + RECORD_FRAMING_BYTES for size in column
+        ]
         assert cluster.metrics.counter(WIRE_BYTES).value == sum(column)
 
 

@@ -25,8 +25,12 @@ class _EnrichTask:
         )
 
 
-def _run(records, linger, traced, sample_rate, compression="none"):
-    """One produce -> job -> consume pass; returns the observable outcome."""
+def _run(records, linger, traced, sample_rate, compression="none", headers="none"):
+    """One produce -> job -> consume pass; returns the observable outcome.
+
+    ``headers`` is what each send carries: ``"none"``, a ``"fresh"`` dict
+    per record, or one dict ``"reused"`` by every send.
+    """
     liquid = Liquid(num_brokers=3)
     liquid.create_feed("source", partitions=2)
     liquid.submit_job(
@@ -42,8 +46,10 @@ def _run(records, linger, traced, sample_rate, compression="none"):
     )
 
     def workload():
+        shared = {"origin": "edge"}
         for key, value in records:
-            producer.send("source", value, key=key)
+            sent = {"none": None, "fresh": dict(shared), "reused": shared}[headers]
+            producer.send("source", value, key=key, headers=sent)
         producer.flush()
         liquid.cluster.run_until_replicated()
         liquid.process_available()
@@ -111,22 +117,26 @@ def test_traced_run_is_byte_identical_to_untraced(records, linger, sample_rate):
     records=record_lists,
     linger=st.sampled_from([1, 3]),
     sample_rate=st.sampled_from([1, 2, 5]),
+    headers=st.sampled_from(["none", "fresh", "reused"]),
 )
 def test_traced_run_is_byte_identical_with_compression(
-    records, linger, sample_rate
+    records, linger, sample_rate, headers
 ):
     """Tracing transparency survives the compressed wire format.
 
     Trace contexts ride *outside* the compressed frame payload, so arming
     both tracing and compression must still leave clock, metrics, and
-    delivered records identical to the untraced compressed run.
+    delivered records identical to the untraced compressed run — whatever
+    headers the sends carry, one dict reused by every send included (a
+    frame's bytes must not depend on which records share a headers object).
     """
     baseline = _run(
-        records, linger, traced=False, sample_rate=1, compression="zlib:6"
+        records, linger, traced=False, sample_rate=1, compression="zlib:6",
+        headers=headers,
     )
     traced = _run(
         records, linger, traced=True, sample_rate=sample_rate,
-        compression="zlib:6",
+        compression="zlib:6", headers=headers,
     )
     assert traced == baseline
 

@@ -1,19 +1,25 @@
-"""Unit tests for the lazy fetch buffer: one materialisation, at the poll
-boundary.
+"""Unit tests for the lazy fetch buffer: a plain fetch delivers the log's
+own records.
 
 A fetch response holds the log's ``StoredMessage`` runs and the producer's
-``BatchFrame`` objects; ``ConsumerRecord`` instances come into being only in
-``FetchBuffer.take`` / ``FetchBatch.inflate``, once per delivered record.
+``BatchFrame`` objects.  A ``StoredMessage`` is a ``ConsumerRecord``, so a
+plain batch drained without serdes hands out the log's objects and builds
+nothing; ``ConsumerRecord`` instances come into being only in
+``FetchBatch.inflate`` for frames and serdes, once per delivered record.
 """
+
+import gc
+import sys
 
 import pytest
 
 from repro.common.clock import SimClock
 from repro.common.costmodel import DEFAULT_COST_MODEL
 from repro.common.records import (
-    RECORD_FRAMING_BYTES,
+    EMPTY_HEADERS,
     TRACE_HEADER,
     ConsumerRecord,
+    StoredMessage,
     TopicPartition,
 )
 from repro.common.serde import JsonSerde, StringSerde
@@ -89,16 +95,21 @@ class TestLazyDrain:
         assert built == list(range(12))  # each delivered record built once
         assert buffer.take(100, cost) == ([], 0.0)
 
-    def test_partial_take_materialises_only_what_it_delivers(self, built):
+    def test_plain_take_builds_nothing(self, built):
         messages, _frames = stored_run(compression="none")
         (batch,) = build_fetch_batches("t", 0, messages, [])
         assert batch.messages is messages  # the log's run itself, no copy
         buffer = FetchBuffer([batch], 12, latency=0.0, issued_at=0.0)
         records, latency = buffer.take(5, DEFAULT_COST_MODEL)
         assert (len(records), latency) == (5, 0.0)
-        assert built == [0, 1, 2, 3, 4]
-        buffer.take(3, DEFAULT_COST_MODEL)
-        assert built == list(range(8))
+        assert all(r is m for r, m in zip(records, messages[:5]))
+        rest, _latency = buffer.take(100, DEFAULT_COST_MODEL)
+        assert all(r is m for r, m in zip(rest, messages[5:]))
+        assert len(rest) == 7 and built == []
+        # The records are shared, the lists are not.
+        (whole,) = build_fetch_batches("t", 0, messages, [])
+        delivered, _latency = whole.inflate(DEFAULT_COST_MODEL)
+        assert delivered == messages and delivered is not messages
 
     def test_consumer_poll_stops_mid_response(self):
         cluster = MessagingCluster(num_brokers=1, clock=SimClock())
@@ -155,14 +166,34 @@ class TestFramedEqualsPlain:
         from_frames = materialise(framed)
         from_log = materialise(plain)
         assert from_frames == from_log
+        assert all(r is m for r, m in zip(from_log, messages))
         for record, message in zip(from_frames, messages):
-            assert record.size == message.size - RECORD_FRAMING_BYTES
+            assert type(record) is not type(message)
+            assert record.size == message.size
             # Framed or plain, idempotent or not: the headers that were sent.
             sent = {"h": record.offset}
             if record.offset % 3 == 0:
                 sent[TRACE_HEADER] = TraceContext(f"trace-{record.offset}", record.offset)
             assert record.headers == sent
         assert from_frames[3].headers[TRACE_HEADER] == TraceContext("trace-3", 3)
+
+    def test_headerless_frame_record_equals_and_hashes_like_the_logs(self):
+        cluster = MessagingCluster(num_brokers=1, clock=SimClock())
+        cluster.create_topic("t", num_partitions=1, replication_factor=1)
+        producer = Producer(
+            cluster, ProducerConfig(linger_messages=4, compression="zlib:6")
+        )
+        for i in range(8):
+            producer.send("t", ("n", i), key=f"k{i}")
+        log = cluster.broker(0).replica(TP).log
+        messages = log.all_messages()
+        framed = materialise(build_fetch_batches("t", 0, messages, log.batches()))
+        assert len(framed) == 8
+        for record, message in zip(framed, messages):
+            assert type(record) is not type(message)
+            assert record.headers is message.headers is EMPTY_HEADERS
+            assert record == message and hash(record) == hash(message)
+        assert set(framed) == set(messages)
 
     def test_frame_with_partial_visibility_falls_back_to_the_log(self):
         messages, frames = stored_run()
@@ -200,3 +231,74 @@ class TestSerdesAppliedInTheOneConstruction:
         assert all(isinstance(r.value, bytes) for r in raw)
         assert [r.size for r in typed] == [r.size for r in raw]
         assert all(r.size > 0 for r in typed)
+
+
+def rewound_consumer(count, partitions=1, replication_factor=1):
+    """A cluster holding ``count`` plain records on topic ``t``, replicated,
+    and a serde-less consumer assigned every partition at offset 0."""
+    cluster = MessagingCluster(num_brokers=replication_factor, clock=SimClock())
+    cluster.create_topic(
+        "t", num_partitions=partitions, replication_factor=replication_factor
+    )
+    producer = Producer(cluster, ProducerConfig(linger_messages=200))
+    for i in range(count):
+        producer.send("t", i, key=f"k{i % 50}")
+    producer.flush()
+    cluster.run_until_replicated()
+    consumer = Consumer(cluster, ConsumerConfig(max_poll_messages=500))
+    consumer.assign([TopicPartition("t", p) for p in range(partitions)])
+    return cluster, consumer
+
+
+class TestZeroCopyDelivery:
+    def test_plain_poll_returns_the_leader_logs_records(self):
+        cluster, consumer = rewound_consumer(60, partitions=2, replication_factor=3)
+        delivered = []
+        while batch := consumer.poll():
+            delivered.extend(batch)
+        assert len(delivered) == 60
+        for p in range(2):
+            tp = TopicPartition("t", p)
+            leader = cluster.broker(cluster.leader_of("t", p)).replica(tp).log
+            mine = [r for r in delivered if r.partition == p]
+            assert [r.offset for r in mine] == [m.offset for m in leader.all_messages()]
+            assert all(r is m for r, m in zip(mine, leader.all_messages()))
+            # Every replica holds those same objects.
+            for broker in cluster.brokers():
+                held = broker.replica(tp).log.all_messages()
+                assert all(r is m for r, m in zip(mine, held))
+        assert all(isinstance(r, StoredMessage) for r in delivered)
+        assert all(isinstance(r, ConsumerRecord) for r in delivered)
+
+    def test_a_delivered_record_and_its_empty_headers_refuse_mutation(self):
+        _cluster, consumer = rewound_consumer(3)
+        record = consumer.poll()[0]
+        assert isinstance(record, StoredMessage)
+        for name in ("value", "offset", "headers", "size", "stored_size"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+        assert record.headers is EMPTY_HEADERS
+        with pytest.raises(TypeError):
+            record.headers["h"] = 1
+        assert record.headers == {}
+
+    def test_a_held_rewind_allocates_per_poll_not_per_record(self):
+        _cluster, consumer = rewound_consumer(10_000)
+        tp = TopicPartition("t", 0)
+
+        def rewind():
+            consumer.seek(tp, 0)
+            held = []
+            while len(held) < 20 and (records := consumer.poll()):
+                held.append(records)
+            return held
+
+        rewind()  # warm: lazy state, metrics instruments, page cache
+        gc.collect()
+        before = sys.getallocatedblocks()
+        held = rewind()
+        grown = sys.getallocatedblocks() - before
+        assert sum(len(records) for records in held) == 10_000
+        # 20 polls of 500: the parent built a record per delivery (>= 10 000
+        # blocks); delivering the log's own records costs a few per poll.
+        assert grown < 1_000

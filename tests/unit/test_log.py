@@ -4,7 +4,7 @@ import pytest
 
 from repro.common.clock import SimClock
 from repro.common.errors import ConfigError, OffsetOutOfRangeError
-from repro.common.records import StoredMessage
+from repro.common.records import RECORD_FRAMING_BYTES, StoredMessage
 from repro.storage.log import LogConfig, PartitionLog
 
 
@@ -110,7 +110,7 @@ class TestRead:
         log = self._filled()
         one = log.read(0, max_messages=100, max_bytes=1).messages
         assert len(one) == 1  # always at least one (anti-wedge rule)
-        size2 = sum(m.size for m in log.read(0, max_messages=2).messages)
+        size2 = sum(m.stored_size for m in log.read(0, max_messages=2).messages)
         batch = log.read(0, max_messages=100, max_bytes=size2).messages
         assert len(batch) == 2
 
@@ -229,4 +229,8 @@ class TestSegmentManagement:
         for i in range(4):
             log.append("k", i)
         assert log.message_count == 4
-        assert log.size_bytes == sum(m.size for m in log.all_messages())
+        assert log.size_bytes == sum(m.stored_size for m in log.all_messages())
+        # A record's size is its payload; the log charges it with framing.
+        assert all(
+            m.stored_size == m.size + RECORD_FRAMING_BYTES for m in log.all_messages()
+        )

@@ -7,6 +7,8 @@ import sys
 import pytest
 
 from repro.common.records import (
+    EMPTY_HEADERS,
+    RECORD_FRAMING_BYTES,
     ConsumerRecord,
     ProducerRecord,
     StoredMessage,
@@ -63,13 +65,79 @@ class TestProducerRecord:
 
 
 class TestStoredMessage:
-    def test_size_includes_framing(self):
+    def test_size_excludes_framing(self):
         message = StoredMessage(key="kk", value="vvvv", timestamp=0.0, offset=0)
-        assert message.size == 2 + 4 + 24
+        assert message.size == 2 + 4
+        assert message.stored_size == 2 + 4 + RECORD_FRAMING_BYTES
 
     def test_explicit_size_preserved(self):
         message = StoredMessage(key=None, value="x", timestamp=0.0, offset=0, size=77)
         assert message.size == 77
+        assert message.stored_size == 77 + RECORD_FRAMING_BYTES
+        empty = StoredMessage(None, "", 0.0, 0, size=0, stored_size=5)
+        assert (empty.size, empty.stored_size) == (0, 5)
+
+    def test_meets_the_consumer_record_contract(self):
+        stored = StoredMessage("k", "v", 1.0, 5, {"h": 1}, 9, 40, "t", 0)
+        assert isinstance(stored, ConsumerRecord)
+        assert (
+            stored.topic, stored.partition, stored.offset, stored.key,
+            stored.value, stored.timestamp, stored.headers, stored.size,
+        ) == ("t", 0, 5, "k", "v", 1.0, {"h": 1}, 9)
+        for name in ConsumerRecord.__slots__ + ("stored_size", "extra"):
+            with pytest.raises(AttributeError, match="StoredMessage is immutable"):
+                setattr(stored, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(stored, name)
+
+    def test_equals_and_hashes_like_its_consumer_record(self):
+        stored = StoredMessage("k", "v", 1.0, 5, None, 2, 40, "t", 0)
+        built = ConsumerRecord("t", 0, 5, "k", "v", 1.0, None, 2)
+        assert stored == built and built == stored
+        assert hash(stored) == hash(built)
+        # The physical footprint is not part of the record.
+        assert stored == StoredMessage("k", "v", 1.0, 5, None, 2, 7, "t", 0)
+        assert stored != StoredMessage("k", "v", 1.0, 5, None, 2, 40, "t", 1)
+
+    def test_headerless_record_survives_pickle_and_copy(self):
+        stored = StoredMessage("k", {"v": [1]}, 1.0, 5, None, 3, 40, "t", 0)
+        assert stored.headers is EMPTY_HEADERS
+        for clone in (
+            copy.copy(stored), copy.deepcopy(stored), pickle.loads(pickle.dumps(stored)),
+        ):
+            assert type(clone) is type(stored) and clone is not stored
+            assert clone == stored and clone.stored_size == 40
+            assert clone.headers is EMPTY_HEADERS
+            with pytest.raises(AttributeError):
+                clone.offset = 6
+
+
+class TestEmptyHeaders:
+    def test_equals_an_empty_dict_and_refuses_mutation(self):
+        assert EMPTY_HEADERS == {} and not EMPTY_HEADERS
+        assert dict(EMPTY_HEADERS) == {} and {**EMPTY_HEADERS, "a": 1} == {"a": 1}
+        for mutate in (
+            lambda h: h.__setitem__("a", 1),
+            lambda h: h.__delitem__("a"),
+            lambda h: h.update(a=1),
+            lambda h: h.setdefault("a", 1),
+            lambda h: h.pop("a", None),
+            lambda h: h.popitem(),
+            lambda h: h.clear(),
+            lambda h: h.__ior__({"a": 1}),
+        ):
+            with pytest.raises(TypeError):
+                mutate(EMPTY_HEADERS)
+        assert EMPTY_HEADERS == {}
+
+    def test_is_the_default_and_stays_one_object(self):
+        assert ConsumerRecord("t", 0, 5, "k", "v", 1.0).headers is EMPTY_HEADERS
+        assert StoredMessage("k", "v", 1.0, 5).headers is EMPTY_HEADERS
+        for clone in (
+            copy.copy(EMPTY_HEADERS), copy.deepcopy(EMPTY_HEADERS),
+            pickle.loads(pickle.dumps(EMPTY_HEADERS)),
+        ):
+            assert clone is EMPTY_HEADERS
 
 
 class TestConsumerRecord:

@@ -24,13 +24,13 @@ class TestAppend:
         p0 = segment.append(msg(0), now=0.0)
         p1 = segment.append(msg(1), now=0.0)
         assert p0 == 0
-        assert p1 == msg(0).size
+        assert p1 == msg(0).stored_size
 
     def test_size_accumulates(self):
         segment = LogSegment(0, created_at=0.0)
         segment.append(msg(0), now=0.0)
         segment.append(msg(1), now=0.0)
-        assert segment.size_bytes == msg(0).size + msg(1).size
+        assert segment.size_bytes == msg(0).stored_size + msg(1).stored_size
 
     def test_sealed_rejects_append(self):
         segment = LogSegment(0, created_at=0.0)
@@ -77,7 +77,7 @@ class TestBulkAppend:
         for segment in (bulk, trusted):
             segment.append(msg(2), now=0.0)  # runs land after existing data
         start = bulk.append_bulk(run, now=3.0)
-        assert start == msg(2).size
+        assert start == msg(2).stored_size
         cum = list(accumulate((m.stored_size for m in run), initial=start))
         positions, end = cum[:-1], cum[-1]
         trusted._extend_trusted(
@@ -136,7 +136,7 @@ class TestRead:
         segment = LogSegment(0, created_at=0.0)
         segment.append(msg(0), now=0.0)
         segment.append(msg(1), now=0.0)
-        assert segment.position_of(1) == msg(0).size
+        assert segment.position_of(1) == msg(0).stored_size
         assert segment.position_of(99) == segment.size_bytes
 
 
@@ -165,7 +165,9 @@ class TestRewrite:
 
     def test_replace_reclaims_bytes(self):
         segment = self._sealed_segment()
-        removed_bytes = sum(m.size for m in segment.messages() if m.offset < 2)
+        removed_bytes = sum(
+            m.stored_size for m in segment.messages() if m.offset < 2
+        )
         survivors = [m for m in segment.messages() if m.offset >= 2]
         reclaimed = segment.replace_messages(survivors)
         assert reclaimed == removed_bytes
