@@ -13,7 +13,7 @@ archiver ships it to the object store as-is; only the consumer inflates it
 A :class:`BatchFrame` carries two byte counts:
 
 * ``payload_bytes`` — the logical (uncompressed) payload size, computed with
-  the same :func:`~repro.common.records.estimate_size` accounting as the
+  the same :func:`~repro.common.records.payload_size` accounting as the
   uncompressed path, so the ``none`` codec is byte-identical to a build
   without compression at all;
 * ``wire_bytes`` — what the frame costs on the wire and on disk: the real
@@ -37,7 +37,7 @@ import zlib
 from typing import Any
 
 from repro.common.errors import ConfigError
-from repro.common.records import TRACE_HEADER, estimate_size
+from repro.common.records import TRACE_HEADER, payload_size
 
 #: Supported codec names.
 CODEC_NONE = "none"
@@ -234,8 +234,7 @@ def compress_entries(
     except Exception:
         return None  # unpicklable payload: fall back to uncompressed
     sizes = tuple(
-        estimate_size(key) + estimate_size(value) + estimate_size(headers)
-        for key, value, _ts, headers in clean
+        payload_size(key, value, headers) for key, value, _ts, headers in clean
     )
     payload = encode_payload(raw, codec, level)
     return BatchFrame(

@@ -16,7 +16,7 @@ collector, which is how the job runner keeps jobs decoupled through the log
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Mapping, Protocol, runtime_checkable
 
 from repro.common.clock import Clock
@@ -34,7 +34,9 @@ class Emit:
     key: Any = None
     partition: int | None = None
     timestamp: float | None = None
-    headers: Mapping[str, Any] = EMPTY_HEADERS
+    # A factory, not a default: EMPTY_HEADERS is a dict, and dataclasses
+    # before Python 3.11 refuse any dict default.
+    headers: Mapping[str, Any] = field(default_factory=lambda: EMPTY_HEADERS)
 
 
 class MessageCollector:

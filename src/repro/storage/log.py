@@ -27,7 +27,7 @@ from repro.common.records import (
     RECORD_FRAMING_BYTES,
     StoredMessage,
     TopicPartition,
-    estimate_size,
+    payload_size,
 )
 from repro.chaos.failpoints import failpoint
 from repro.storage.index import SparseOffsetIndex
@@ -228,7 +228,7 @@ class PartitionLog:
         too — gets an entry when ``kind`` is set or the frame was kept.
 
         ``sizes`` is the produce path's payload-size column (one
-        ``estimate_size`` total per entry, framing excluded — the shape of
+        ``payload_size`` per entry, framing excluded — the shape of
         ``BatchFrame.sizes``): each record is built with it rather than
         walked again.  Without it the log walks each entry once.  Either
         way a record's size limit and stored size, a frame share aside, are
@@ -238,7 +238,7 @@ class PartitionLog:
         failpoint("log.append", log=self.name, count=len(entries))
         if sizes is None:
             sizes = [
-                estimate_size(key) + estimate_size(value) + estimate_size(headers)
+                payload_size(key, value, headers)
                 for key, value, _ts, headers in entries
             ]
         elif len(sizes) != len(entries):

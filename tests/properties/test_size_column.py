@@ -29,6 +29,7 @@ from repro.common.records import (
     TopicPartition,
     _estimate_size_slow,
     estimate_size,
+    payload_size,
 )
 from repro.messaging.cluster import ACKS_ALL, MessagingCluster
 from repro.messaging.config import ProducerConfig
@@ -230,6 +231,7 @@ class TestInlinedColumn:
             estimate_size(k) + estimate_size(v) + estimate_size(h)
             for k, v, _ts, h in batch
         ]
+        assert [payload_size(k, v, h) for k, v, _ts, h in batch] == column
         stored = cluster.broker(0).replica(TP).log.all_messages()
         assert [m.size for m in stored] == column
         assert [m.stored_size for m in stored] == [
