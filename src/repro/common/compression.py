@@ -37,7 +37,7 @@ import zlib
 from typing import Any
 
 from repro.common.errors import ConfigError
-from repro.common.records import TRACE_HEADER, payload_size
+from repro.common.records import TRACE_HEADER, estimate_size
 
 #: Supported codec names.
 CODEC_NONE = "none"
@@ -97,6 +97,27 @@ def decode_payload(payload: bytes | memoryview, codec: str) -> bytes:
     if codec == CODEC_ZLIB:
         return zlib.decompress(payload)
     raise ConfigError(f"unknown compression codec {codec!r}")
+
+
+def payload_sizes(
+    entries: list[tuple[Any, Any, float | None, Any]],
+) -> list[int]:
+    """The payload-size column of a batch: one
+    :func:`~repro.common.records.payload_size` per ``(key, value, timestamp,
+    headers)`` entry.
+
+    The produce path's one walk over a batch (the cluster's column for a
+    frameless batch, a frame's ``sizes``, the log's fallback).  The cheap
+    terms are spelled in place — an exact-``str`` ASCII key is its ``len``,
+    a ``bytes`` value is its ``len``, empty headers are 0 — so a record
+    costs at most one :func:`estimate_size` call, its value's.
+    """
+    return [
+        (len(k) if type(k) is str and k.isascii() else estimate_size(k))
+        + (len(v) if type(v) is bytes else estimate_size(v))
+        + (estimate_size(h) if h else 0)
+        for k, v, _ts, h in entries
+    ]
 
 
 def _sanitize(
@@ -233,9 +254,7 @@ def compress_entries(
         raw = pickle.dumps(clean, protocol=pickle.HIGHEST_PROTOCOL)
     except Exception:
         return None  # unpicklable payload: fall back to uncompressed
-    sizes = tuple(
-        payload_size(key, value, headers) for key, value, _ts, headers in clean
-    )
+    sizes = tuple(payload_sizes(clean))
     payload = encode_payload(raw, codec, level)
     return BatchFrame(
         codec=codec,

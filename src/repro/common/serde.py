@@ -5,11 +5,30 @@ The messaging layer itself is schema-agnostic (the paper stresses Liquid
 A :class:`Serde` pairs a ``serialize`` and ``deserialize`` function; the
 producer/consumer clients apply them at the boundary, so everything inside
 the brokers deals with opaque values.
+
+:class:`JsonSerde` is the codec every JSON produce and every JSON consumer
+pays for, so where ``_json``'s C accelerators exist it calls them directly
+instead of through ``json``'s Python wrappers: one C encoder
+(``json.encoder.c_make_encoder``) bound once with ``json.dumps``' settings
+for ``sort_keys=True, separators=(",", ":")``, and one C scanner
+(``json.scanner.c_make_scanner``) scanning from offset 0.  The encoder's
+circular-reference marks are shared by every call, and a failed encode
+leaves its marks behind, so any failure clears them (sharing them assumes
+one encode at a time, as in this single-threaded simulation).  A scan's
+result is used only when it consumed the whole text; anything else —
+leading or trailing whitespace, no value at offset 0, a malformed value —
+is decoded again by ``JSONDecoder.decode``, so values and error messages
+are ``json``'s own.  Where the accelerators are absent,
+``JSONEncoder.encode`` / ``JSONDecoder.decode`` is the only path.  Either
+way the bytes are ``json.dumps``' and the values ``json.loads``'
+(``tests/properties/test_json_serde_equivalence.py``).
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import c_make_encoder, encode_basestring_ascii
+from json.scanner import c_make_scanner
 from typing import Any, Generic, Protocol, TypeVar
 
 from repro.common.errors import SerdeError
@@ -71,28 +90,84 @@ class IntSerde:
 
 # ``json.dumps`` with non-default settings builds a JSONEncoder per call; the
 # codecs are stateless, so one of each serves every JsonSerde.
-_JSON_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-_JSON_DECODE = json.JSONDecoder().decode
+_JSON_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_JSON_DECODER = json.JSONDecoder()
+_JSON_ENCODE = _JSON_ENCODER.encode
+_JSON_DECODE = _JSON_DECODER.decode
+
+if c_make_encoder is not None and c_make_scanner is not None:
+    # What ``_JSON_ENCODE`` runs underneath, bound once with its settings:
+    # ``JSONEncoder.encode`` builds a new C encoder on every call, and
+    # ``JSONDecoder.decode`` wraps its one C scan in two regex matches.
+    _C_MARKERS: dict = {}
+    _C_ENCODE = c_make_encoder(
+        _C_MARKERS,
+        _JSON_ENCODER.default,
+        encode_basestring_ascii,
+        _JSON_ENCODER.indent,
+        _JSON_ENCODER.key_separator,
+        _JSON_ENCODER.item_separator,
+        _JSON_ENCODER.sort_keys,
+        _JSON_ENCODER.skipkeys,
+        _JSON_ENCODER.allow_nan,
+    )
+    _C_SCAN = c_make_scanner(_JSON_DECODER)
+else:
+    _C_MARKERS = _C_ENCODE = _C_SCAN = None
 
 
 class JsonSerde:
     """JSON serde for dict/list/scalar payloads.
 
     Uses sorted keys so serialization is deterministic — log compaction and
-    changelog tests compare byte-for-byte.
+    changelog tests compare byte-for-byte: ``serialize(v)`` is
+    ``json.dumps(v, sort_keys=True, separators=(",", ":"))`` in UTF-8, and
+    ``deserialize`` is ``json.loads``, failures included (as
+    :class:`SerdeError`).  See the module docstring for the C fast path.
     """
 
-    def serialize(self, value: Any) -> bytes:
-        try:
-            return _JSON_ENCODE(value).encode("utf-8")
-        except (TypeError, ValueError) as exc:
-            raise SerdeError(f"value is not JSON-serializable: {exc}") from exc
+    if _C_ENCODE is not None:
 
-    def deserialize(self, data: bytes) -> Any:
-        try:
-            return _JSON_DECODE(data.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise SerdeError(f"invalid JSON payload: {exc}") from exc
+        def serialize(self, value: Any) -> bytes:
+            try:
+                try:
+                    return "".join(_C_ENCODE(value, 0)).encode("utf-8")
+                except BaseException:
+                    _C_MARKERS.clear()  # the failed walk's marks
+                    raise
+            except (TypeError, ValueError) as exc:
+                raise SerdeError(f"value is not JSON-serializable: {exc}") from exc
+
+        def deserialize(self, data: bytes) -> Any:
+            try:
+                text = data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise SerdeError(f"invalid JSON payload: {exc}") from exc
+            try:
+                value, end = _C_SCAN(text, 0)
+            except (StopIteration, ValueError):
+                pass  # no value at 0, or a bad one: decode says which
+            else:
+                if end == len(text):
+                    return value
+            try:
+                return _JSON_DECODE(text)
+            except json.JSONDecodeError as exc:
+                raise SerdeError(f"invalid JSON payload: {exc}") from exc
+
+    else:
+
+        def serialize(self, value: Any) -> bytes:
+            try:
+                return _JSON_ENCODE(value).encode("utf-8")
+            except (TypeError, ValueError) as exc:
+                raise SerdeError(f"value is not JSON-serializable: {exc}") from exc
+
+        def deserialize(self, data: bytes) -> Any:
+            try:
+                return _JSON_DECODE(data.decode("utf-8"))
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                raise SerdeError(f"invalid JSON payload: {exc}") from exc
 
 
 class NoopSerde:

@@ -24,7 +24,11 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.common.clock import SimClock
-from repro.common.compression import BATCH_FRAME_HEADER_BYTES, BatchFrame
+from repro.common.compression import (
+    BATCH_FRAME_HEADER_BYTES,
+    BatchFrame,
+    payload_sizes,
+)
 from repro.common.costmodel import DEFAULT_COST_MODEL, CostModel
 from repro.common.errors import (
     BrokerUnavailableError,
@@ -38,7 +42,6 @@ from repro.common.records import (
     EMPTY_HEADERS,
     ConsumerRecord,
     TopicPartition,
-    estimate_size,
 )
 from repro.chaos.failpoints import failpoint
 from repro.cluster.controller import ClusterController
@@ -347,15 +350,7 @@ class MessagingCluster:
             batch_bytes = frame.wire_bytes
             latency = self.cost_model.compress(frame.payload_bytes)
         else:
-            # payload_size(k, v, h) inlined, with the two cheap cases in
-            # place: an ASCII str key is its length, empty headers are
-            # nothing.  One call per record, the value's.
-            sizes = [
-                (len(k) if type(k) is str and k.isascii() else estimate_size(k))
-                + estimate_size(v)
-                + (estimate_size(h) if h else 0)
-                for (k, v, _ts, h) in entries
-            ]
+            sizes = payload_sizes(entries)
             batch_bytes = sum(sizes)
             if producer_id is not None:
                 # Producer state travels once per batch, in the batch header

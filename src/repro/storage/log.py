@@ -20,15 +20,10 @@ from itertools import accumulate, repeat
 from typing import Any, Sequence
 
 from repro.common.clock import Clock, SimClock
-from repro.common.compression import BatchFrame
+from repro.common.compression import BatchFrame, payload_sizes
 from repro.common.costmodel import DEFAULT_COST_MODEL, CostModel
 from repro.common.errors import ConfigError, OffsetOutOfRangeError
-from repro.common.records import (
-    RECORD_FRAMING_BYTES,
-    StoredMessage,
-    TopicPartition,
-    payload_size,
-)
+from repro.common.records import RECORD_FRAMING_BYTES, StoredMessage, TopicPartition
 from repro.chaos.failpoints import failpoint
 from repro.storage.index import SparseOffsetIndex
 from repro.storage.pagecache import PageCache
@@ -237,10 +232,7 @@ class PartitionLog:
         """
         failpoint("log.append", log=self.name, count=len(entries))
         if sizes is None:
-            sizes = [
-                payload_size(key, value, headers)
-                for key, value, _ts, headers in entries
-            ]
+            sizes = payload_sizes(entries)
         elif len(sizes) != len(entries):
             raise ConfigError(
                 f"{len(sizes)} sizes for {len(entries)} entries"

@@ -24,6 +24,15 @@ class TestEstimateSize:
     def test_bytes_exact(self):
         assert estimate_size(b"abcd") == 4
 
+    def test_bytes_likes_are_their_byte_length(self):
+        # What key_to_bytes and BytesSerde accept as bytes is sized as
+        # bytes, not by its object overhead.
+        assert estimate_size(bytearray(b"abc")) == 3
+        assert estimate_size(memoryview(b"abc")) == 3
+        assert estimate_size(memoryview(b"abcdef")[1:3]) == 2
+        assert estimate_size(memoryview(bytes(8)).cast("d")) == 8
+        assert estimate_size({"k": bytearray(b"xy"), "m": memoryview(b"z")}) == 9
+
     def test_str_utf8(self):
         assert estimate_size("abc") == 3
         assert estimate_size("é") == 2
