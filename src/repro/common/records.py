@@ -69,18 +69,6 @@ class _EmptyHeaders(dict):
 #: all of them, so a headerless record allocates no dict it would keep.
 EMPTY_HEADERS: Mapping[str, Any] = _EmptyHeaders()
 
-#: What :func:`estimate_size` charges a ``dict``'s exact-``str`` key (its
-#: UTF-8 length + 2), by key.  Records of one feed share a schema, so the
-#: same few field names are walked millions of times; each is measured once,
-#: on first sight.  Bounded, first come: at most :data:`_KEY_CHARGE_LIMIT`
-#: keys of at most :data:`_KEY_CHARGE_MAX_BYTES` bytes each; past the bound a
-#: key is measured every time, as it would be without the cache.
-#: ``__trace`` never enters: a key missing here is tested against it before
-#: it is measured.
-_KEY_CHARGES: dict[str, int] = {}
-_KEY_CHARGE_LIMIT = 4096
-_KEY_CHARGE_MAX_BYTES = 64
-
 
 def estimate_size(value: Any) -> int:
     """Approximate serialized size in bytes of a message component.
@@ -93,9 +81,8 @@ def estimate_size(value: Any) -> int:
     concrete types take exact-``type`` fast paths and a ``dict`` sizes its
     ``str``/``int``/``float`` leaves inside its own loop (no call per leaf;
     an ASCII string's UTF-8 length is its ``len``, so nothing is encoded).
-    A ``dict``'s exact-``str`` keys are charged from :data:`_KEY_CHARGES`,
-    so a field name seen before costs one lookup.  Subclasses and exotic
-    containers fall through to the isinstance chain with identical results.
+    Subclasses and exotic containers fall through to the isinstance chain
+    with identical results.
     """
     if value is None:
         return 0
@@ -104,25 +91,11 @@ def estimate_size(value: Any) -> int:
         return len(value) if value.isascii() else len(value.encode("utf-8"))
     if tp is dict:
         total = 0
-        charges = _KEY_CHARGES
         for k, v in value.items():
+            if k == TRACE_HEADER:
+                continue  # accounting-invisible (see TRACE_HEADER)
             if type(k) is str:
-                if k in charges:
-                    total += charges[k]  # never TRACE_HEADER
-                elif k == TRACE_HEADER:
-                    continue  # accounting-invisible (see TRACE_HEADER)
-                else:
-                    charge = (
-                        len(k) if k.isascii() else len(k.encode("utf-8"))
-                    ) + 2
-                    if (
-                        charge <= _KEY_CHARGE_MAX_BYTES + 2
-                        and len(charges) < _KEY_CHARGE_LIMIT
-                    ):
-                        charges[k] = charge
-                    total += charge
-            elif k == TRACE_HEADER:
-                continue
+                total += (len(k) if k.isascii() else len(k.encode("utf-8"))) + 2
             else:
                 total += estimate_size(k) + 2
             tp = type(v)

@@ -7,20 +7,20 @@ producer/consumer clients apply them at the boundary, so everything inside
 the brokers deals with opaque values.
 
 :class:`JsonSerde` is the codec every JSON produce and every JSON consumer
-pays for, so where ``_json``'s C accelerators exist it calls them directly
-instead of through ``json``'s Python wrappers: one C encoder
-(``json.encoder.c_make_encoder``) bound once with ``json.dumps``' settings
-for ``sort_keys=True, separators=(",", ":")``, and one C scanner
-(``json.scanner.c_make_scanner``) scanning from offset 0.  The encoder's
-circular-reference marks are shared by every call, and a failed encode
-leaves its marks behind, so any failure clears them (sharing them assumes
-one encode at a time, as in this single-threaded simulation).  A scan's
-result is used only when it consumed the whole text; anything else —
-leading or trailing whitespace, no value at offset 0, a malformed value —
-is decoded again by ``JSONDecoder.decode``, so values and error messages
-are ``json``'s own.  Where the accelerators are absent,
-``JSONEncoder.encode`` / ``JSONDecoder.decode`` is the only path.  Either
-way the bytes are ``json.dumps``' and the values ``json.loads``'
+pays for, so it calls what ``json``'s Python wrappers call, without the
+wrappers.  To encode, one C encoder (``json.encoder.c_make_encoder``) bound
+once with ``json.dumps``' settings for ``sort_keys=True, separators=(",",
+":")``; where ``_json`` has no C encoder, ``JSONEncoder.encode`` takes its
+place.  The encoder's circular-reference marks are shared by every call,
+and a failed encode leaves its marks behind, so any failure clears them
+(sharing them assumes one encode at a time, as in this single-threaded
+simulation).  To decode, one scan from offset 0 by the decoder's own
+``scan_once`` — the C scanner where ``_json`` has one, ``json``'s Python
+scanner otherwise.  A scan's result is used only when it consumed the
+whole text; anything else — leading or trailing whitespace, no value at
+offset 0, a malformed value — is decoded again by ``JSONDecoder.decode``,
+so values and error messages are ``json``'s own.  Either way the bytes
+are ``json.dumps``' and the values ``json.loads``'
 (``tests/properties/test_json_serde_equivalence.py``).
 """
 
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import json
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from json.scanner import c_make_scanner
 from typing import Any, Generic, Protocol, TypeVar
 
 from repro.common.errors import SerdeError
@@ -95,13 +94,17 @@ _JSON_DECODER = json.JSONDecoder()
 _JSON_ENCODE = _JSON_ENCODER.encode
 _JSON_DECODE = _JSON_DECODER.decode
 
-if c_make_encoder is not None and c_make_scanner is not None:
-    # What ``_JSON_ENCODE`` runs underneath, bound once with its settings:
-    # ``JSONEncoder.encode`` builds a new C encoder on every call, and
-    # ``JSONDecoder.decode`` wraps its one C scan in two regex matches.
-    _C_MARKERS: dict = {}
-    _C_ENCODE = c_make_encoder(
-        _C_MARKERS,
+# What ``_JSON_DECODE`` runs underneath, without its two regex matches: the
+# decoder's own scanner, ``_json``'s C one where that exists.
+_JSON_SCAN = _JSON_DECODER.scan_once
+
+# What ``_JSON_ENCODE`` runs underneath, bound once with its settings
+# (``JSONEncoder.encode`` builds a new C encoder on every call); without the
+# C encoder, ``_JSON_ENCODE`` itself, as one chunk.
+_ENCODE_MARKERS: dict = {}
+if c_make_encoder is not None:
+    _ENCODE_CHUNKS = c_make_encoder(
+        _ENCODE_MARKERS,
         _JSON_ENCODER.default,
         encode_basestring_ascii,
         _JSON_ENCODER.indent,
@@ -111,9 +114,9 @@ if c_make_encoder is not None and c_make_scanner is not None:
         _JSON_ENCODER.skipkeys,
         _JSON_ENCODER.allow_nan,
     )
-    _C_SCAN = c_make_scanner(_JSON_DECODER)
 else:
-    _C_MARKERS = _C_ENCODE = _C_SCAN = None
+    def _ENCODE_CHUNKS(value: Any, _level: int) -> tuple[str]:
+        return (_JSON_ENCODE(value),)
 
 
 class JsonSerde:
@@ -126,48 +129,32 @@ class JsonSerde:
     :class:`SerdeError`).  See the module docstring for the C fast path.
     """
 
-    if _C_ENCODE is not None:
+    def serialize(self, value: Any) -> bytes:
+        try:
+            try:
+                return "".join(_ENCODE_CHUNKS(value, 0)).encode("utf-8")
+            except BaseException:
+                _ENCODE_MARKERS.clear()  # the failed walk's marks
+                raise
+        except (TypeError, ValueError) as exc:
+            raise SerdeError(f"value is not JSON-serializable: {exc}") from exc
 
-        def serialize(self, value: Any) -> bytes:
-            try:
-                try:
-                    return "".join(_C_ENCODE(value, 0)).encode("utf-8")
-                except BaseException:
-                    _C_MARKERS.clear()  # the failed walk's marks
-                    raise
-            except (TypeError, ValueError) as exc:
-                raise SerdeError(f"value is not JSON-serializable: {exc}") from exc
-
-        def deserialize(self, data: bytes) -> Any:
-            try:
-                text = data.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise SerdeError(f"invalid JSON payload: {exc}") from exc
-            try:
-                value, end = _C_SCAN(text, 0)
-            except (StopIteration, ValueError):
-                pass  # no value at 0, or a bad one: decode says which
-            else:
-                if end == len(text):
-                    return value
-            try:
-                return _JSON_DECODE(text)
-            except json.JSONDecodeError as exc:
-                raise SerdeError(f"invalid JSON payload: {exc}") from exc
-
-    else:
-
-        def serialize(self, value: Any) -> bytes:
-            try:
-                return _JSON_ENCODE(value).encode("utf-8")
-            except (TypeError, ValueError) as exc:
-                raise SerdeError(f"value is not JSON-serializable: {exc}") from exc
-
-        def deserialize(self, data: bytes) -> Any:
-            try:
-                return _JSON_DECODE(data.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                raise SerdeError(f"invalid JSON payload: {exc}") from exc
+    def deserialize(self, data: bytes) -> Any:
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise SerdeError(f"invalid JSON payload: {exc}") from exc
+        try:
+            value, end = _JSON_SCAN(text, 0)
+        except (StopIteration, ValueError):
+            pass  # no value at 0, or a bad one: decode says which
+        else:
+            if end == len(text):
+                return value
+        try:
+            return _JSON_DECODE(text)
+        except json.JSONDecodeError as exc:
+            raise SerdeError(f"invalid JSON payload: {exc}") from exc
 
 
 class NoopSerde:

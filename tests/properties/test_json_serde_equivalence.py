@@ -1,12 +1,11 @@
 """``JsonSerde`` is ``json.dumps`` / ``json.loads``, byte for byte and error
 for error.
 
-Where ``_json``'s C accelerators exist, ``JsonSerde`` calls a C encoder and a
-C scanner it bound once (``json.encoder.c_make_encoder``,
-``json.scanner.c_make_scanner`` — neither is a documented API, which is why
-CI runs this file on the oldest supported Python as well).  Without them it
-runs ``JSONEncoder.encode`` / ``JSONDecoder.decode``.  Both builds are held
-to the reference here:
+Where ``_json``'s C accelerators exist, ``JsonSerde`` calls a C encoder it
+bound once (``json.encoder.c_make_encoder``, not a documented API, which is
+why CI runs this file on the oldest supported Python as well) and its
+decoder's C ``scan_once``.  Without them it runs ``JSONEncoder.encode`` and
+``json``'s Python scanner.  Both builds are held to the reference here:
 
 * ``serialize(v) == json.dumps(v, sort_keys=True, separators=(",", ":"))``
   in UTF-8 for every value — nested dicts, lists and tuples, non-``str``
@@ -42,7 +41,9 @@ def _serde_module_without_c():
     )
     module = importlib.util.module_from_spec(spec)
     with mock.patch.object(json.encoder, "c_make_encoder", None), \
-            mock.patch.object(json.scanner, "c_make_scanner", None):
+            mock.patch.object(
+                json.scanner, "make_scanner", json.scanner.py_make_scanner
+            ):
         spec.loader.exec_module(module)
     return module
 
@@ -149,9 +150,13 @@ malformed = st.one_of(
 
 
 def test_the_c_build_runs_where_the_accelerators_exist():
-    if json.encoder.c_make_encoder is not None and json.scanner.c_make_scanner:
-        assert serde._C_ENCODE is not None and serde._C_SCAN is not None
-    assert WITHOUT_C._C_ENCODE is None and WITHOUT_C._C_SCAN is None
+    c_encoder, c_scanner = json.encoder.c_make_encoder, json.scanner.c_make_scanner
+    if c_encoder is not None:
+        assert isinstance(serde._ENCODE_CHUNKS, c_encoder)
+    if c_scanner is not None:
+        assert isinstance(serde._JSON_SCAN, c_scanner)
+    assert not isinstance(WITHOUT_C._ENCODE_CHUNKS, c_encoder or ())
+    assert not isinstance(WITHOUT_C._JSON_SCAN, c_scanner or ())
 
 
 @build
