@@ -96,24 +96,12 @@ class ProducerFlushError(MessagingError):
         self.failures = failures
 
 
-class MessageTooLargeError(MessagingError):
-    """A produced message exceeds the broker's maximum message size."""
-
-
 class StaleEpochError(MessagingError):
     """A replication request carried an outdated leader epoch."""
 
 
-class RebalanceInProgressError(MessagingError):
-    """Consumer-group operation attempted while the group is rebalancing."""
-
-
 class UnknownMemberError(MessagingError):
     """A consumer addressed the group coordinator with an expired member id."""
-
-
-class CommitFailedError(MessagingError):
-    """An offset commit was rejected (stale generation or unknown member)."""
 
 
 class ProducerFencedError(MessagingError):
@@ -144,10 +132,6 @@ class NoNodeError(CoordinationError):
     """The referenced znode path does not exist."""
 
 
-class NotControllerError(CoordinationError):
-    """A controller-only operation was invoked on a non-controller."""
-
-
 # ---------------------------------------------------------------------------
 # Processing layer
 # ---------------------------------------------------------------------------
@@ -166,10 +150,6 @@ class TaskFailedError(ProcessingError):
 
 class StateStoreError(ProcessingError):
     """A state store operation failed."""
-
-
-class CheckpointError(ProcessingError):
-    """Reading or writing a task checkpoint failed."""
 
 
 class QuotaExceededError(ProcessingError):
@@ -223,10 +203,6 @@ class TieredStorageError(LiquidError):
 
 class ObjectNotFoundError(TieredStorageError):
     """The requested object key does not exist in the cold store."""
-
-
-class ObjectExistsError(TieredStorageError):
-    """Attempted to overwrite an existing (immutable) cold-store object."""
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,11 @@ job does is countable and timeable.  The registry is also how benchmarks
 collect simulated latencies: components record observations, the harness
 reads percentiles.
 
-Kept intentionally simple: histograms store plain lists by default because
-runs are bounded and determinism matters more than constant memory.  Long
-soaks can opt into a deterministic bounded reservoir (``max_samples`` with
-keep-every-k decimation); the default path is byte-for-byte unchanged.
+Kept intentionally simple: a histogram is one list of its observations in
+arrival order, because runs are bounded and determinism matters more than
+constant memory.  Nothing keeps a second copy for windows: a reader marks a
+histogram by its ``count`` and summarises ``snapshot(since=mark)``, the way
+it marks a counter by its ``value``.
 """
 
 from __future__ import annotations
@@ -137,98 +138,34 @@ class Gauge:
 class Histogram:
     """Records observations and answers percentile queries.
 
-    Percentiles use linear interpolation between closest ranks, matching
-    ``numpy.percentile``'s default, so report numbers are stable across
-    implementations.
-
-    By default every observation is retained (deterministic, exact).  For
-    long soaks, ``max_samples`` bounds memory with keep-every-k decimation:
-    once the retained list would exceed the bound, every second retained
-    sample is dropped and only every ``k``-th future observation is kept
-    (``k`` doubles on each decimation).  Count/total/min/max stay exact in
-    bounded mode; percentiles are computed over the retained thinning.
+    A histogram is its observations in arrival order, every one kept
+    (deterministic, exact).  Percentiles use linear interpolation between
+    closest ranks, matching ``numpy.percentile``'s default, so report
+    numbers are stable across implementations.  A reader that wants only
+    what arrived since some earlier point remembers :attr:`count` then and
+    asks for ``snapshot(since=count)`` — that is how the telemetry exporter
+    cuts its windows.
     """
 
-    __slots__ = (
-        "name",
-        "max_samples",
-        "_values",
-        "_sorted",
-        "_count",
-        "_total",
-        "_min",
-        "_max",
-        "_keep_every",
-        "_delta",
-    )
+    __slots__ = ("name", "_values")
 
-    def __init__(self, name: str, max_samples: int | None = None) -> None:
-        if max_samples is not None and max_samples < 2:
-            raise ConfigError(
-                f"histogram {name!r}: max_samples must be >= 2, got {max_samples}"
-            )
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.max_samples = max_samples
         self._values: list[float] = []
-        self._sorted = True
-        # Exact aggregates, maintained only in bounded mode; the default
-        # (unbounded) hot path computes them from ``_values`` as before.
-        self._count = 0
-        self._total = 0.0
-        self._min = math.inf
-        self._max = -math.inf
-        self._keep_every = 1
-        # Observations since the last delta_snapshot(); None until the first
-        # call arms delta tracking, so untelemetered runs pay one branch.
-        self._delta: list[float] | None = None
 
     def observe(self, value: float) -> None:
-        if self._delta is not None:
-            self._delta.append(value)
-        if self.max_samples is None:
-            if self._values and value < self._values[-1]:
-                self._sorted = False
-            self._values.append(value)
-            return
-        self._observe_bounded(value)
-
-    def _observe_bounded(self, value: float) -> None:
-        self._count += 1
-        self._total += value
-        if value < self._min:
-            self._min = value
-        if value > self._max:
-            self._max = value
-        if (self._count - 1) % self._keep_every:
-            return
-        if self._values and value < self._values[-1]:
-            self._sorted = False
         self._values.append(value)
-        if len(self._values) > self.max_samples:
-            # Keep every second retained sample (a deterministic uniform
-            # thinning whether the list is in arrival or sorted order).
-            self._values = self._values[::2]
-            self._keep_every *= 2
 
     def observe_many(self, values: Iterable[float]) -> None:
-        for value in values:
-            self.observe(value)
+        self._values.extend(values)
 
     @property
     def count(self) -> int:
-        if self.max_samples is None:
-            return len(self._values)
-        return self._count
+        return len(self._values)
 
     @property
     def total(self) -> float:
-        # While undecimated the reservoir still holds every observation, so
-        # the exactly-rounded fsum keeps bounded mode byte-identical to
-        # unbounded; only after the first decimation does the running
-        # accumulator (naive adds) take over.
-        if self.max_samples is None or self._keep_every == 1:
-            return math.fsum(self._values)
-        return self._total
+        return math.fsum(self._values)
 
     @property
     def mean(self) -> float:
@@ -239,15 +176,11 @@ class Histogram:
 
     @property
     def min(self) -> float:
-        if self.max_samples is None:
-            return min(self._values) if self._values else 0.0
-        return self._min if self._count else 0.0
+        return min(self._values) if self._values else 0.0
 
     @property
     def max(self) -> float:
-        if self.max_samples is None:
-            return max(self._values) if self._values else 0.0
-        return self._max if self._count else 0.0
+        return max(self._values) if self._values else 0.0
 
     def percentile(self, pct: float) -> float:
         """Return the ``pct``-th percentile (0-100) of observations."""
@@ -255,77 +188,31 @@ class Histogram:
             raise ValueError(f"percentile must be in [0, 100], got {pct}")
         if not self._values:
             return 0.0
-        if not self._sorted:
-            self._values.sort()
-            self._sorted = True
-        values = self._values
-        if len(values) == 1:
-            return values[0]
-        rank = (pct / 100) * (len(values) - 1)
-        low = int(math.floor(rank))
-        high = int(math.ceil(rank))
-        if low == high:
-            return values[low]
-        frac = rank - low
-        blend = values[low] * (1 - frac) + values[high] * frac
-        # Rounding can land one ulp outside the two samples it blends.
-        return min(max(blend, values[low]), values[high])
+        return _ranked(sorted(self._values), pct)
 
-    def snapshot(self) -> dict[str, float]:
-        """Summary dict (count/mean/min/p50/p95/p99/max) for reports."""
-        return {
-            "count": float(self.count),
-            "mean": self.mean,
-            "min": self.min,
-            "p50": self.percentile(50),
-            "p95": self.percentile(95),
-            "p99": self.percentile(99),
-            "max": self.max,
-        }
+    def snapshot(self, since: int = 0) -> dict[str, float]:
+        """Summary dict (count/mean/min/p50/p95/p99/max) for reports.
 
-    def delta_snapshot(self) -> dict[str, float]:
-        """Summary of the observations made since the previous call.
-
-        The first call arms delta tracking and covers the histogram's whole
-        history; every later call summarizes only the window since the call
-        before it.  The telemetry exporter publishes these windows so each
-        export cycle carries fresh percentiles, not an ever-flattening
-        lifetime aggregate.
+        ``since`` skips the first ``since`` observations, so the summary
+        covers only what arrived after a reader noted :attr:`count`.
         """
-        pending = self._delta
-        self._delta = []
-        if pending is None:
-            return self.snapshot()
-        if not pending:
+        window = self._values[since:]
+        if not window:
             return dict(_EMPTY_SUMMARY)
-        return _summarize(pending)
-
-    def discard_delta(self) -> None:
-        """Drop the pending delta window without summarizing it.
-
-        Arms delta tracking if it was off (so history up to this point is
-        excluded from the next window, exactly like ``delta_snapshot``).
-        O(1); the telemetry exporter uses this to absorb observations its
-        own sends generated — summarizing a window just to throw it away
-        would put registry-walk cost on every export cycle.
-        """
-        self._delta = []
+        window.sort()
+        return {
+            "count": float(len(window)),
+            "mean": math.fsum(window) / len(window),
+            "min": window[0],
+            "p50": _ranked(window, 50),
+            "p95": _ranked(window, 95),
+            "p99": _ranked(window, 99),
+            "max": window[-1],
+        }
 
     def reset(self) -> None:
         """Drop all observations in place (the instrument object survives)."""
         self._values.clear()
-        self._sorted = True
-        self._count = 0
-        self._total = 0.0
-        self._min = math.inf
-        self._max = -math.inf
-        self._keep_every = 1
-        if self._delta is not None:
-            self._delta = []
-
-    def values(self) -> list[float]:
-        """Copy of raw observations (benchmarks fit curves on these)."""
-        return list(self._values)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Histogram({self.name}, n={self.count}, mean={self.mean:.6g})"
@@ -338,11 +225,19 @@ _EMPTY_SUMMARY = {
 }
 
 
-def _summarize(values: list[float]) -> dict[str, float]:
-    """Snapshot-shaped summary of a plain list of observations."""
-    scratch = Histogram("delta")
-    scratch.observe_many(values)
-    return scratch.snapshot()
+def _ranked(ordered: list[float], pct: float) -> float:
+    """The ``pct``-th percentile of a non-empty ascending list."""
+    if len(ordered) == 1:
+        return ordered[0]
+    rank = (pct / 100) * (len(ordered) - 1)
+    low = int(math.floor(rank))
+    high = int(math.ceil(rank))
+    if low == high:
+        return ordered[low]
+    frac = rank - low
+    blend = ordered[low] * (1 - frac) + ordered[high] * frac
+    # Rounding can land one ulp outside the two samples it blends.
+    return min(max(blend, ordered[low]), ordered[high])
 
 
 class MetricsRegistry:
@@ -354,6 +249,7 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._metrics: dict[str, Counter | Gauge | Histogram] = {}
+        self._resets = 0
 
     def counter(self, name: str) -> Counter:
         return self._get_or_create(name, Counter)
@@ -361,10 +257,12 @@ class MetricsRegistry:
     def gauge(self, name: str) -> Gauge:
         return self._get_or_create(name, Gauge)
 
-    def histogram(self, name: str, max_samples: int | None = None) -> Histogram:
+    def histogram(self, name: str) -> Histogram:
+        # The lookup stays inline (not through _get_or_create): histograms
+        # are fetched on hot paths, where the extra call shows.
         existing = self._metrics.get(name)
         if existing is None:
-            created = Histogram(name, max_samples=max_samples)
+            created = Histogram(name)
             self._metrics[name] = created
             return created
         if not isinstance(existing, Histogram):
@@ -372,8 +270,6 @@ class MetricsRegistry:
                 f"metric {name!r} already registered as "
                 f"{type(existing).__name__}, requested Histogram"
             )
-        # max_samples only applies at creation; later callers get the
-        # instrument as configured by whoever registered it first.
         return existing
 
     def _get_or_create(self, name: str, cls: type) -> "Counter | Gauge | Histogram":
@@ -412,6 +308,13 @@ class MetricsRegistry:
                 out[name] = metric.value
         return out
 
+    @property
+    def resets(self) -> int:
+        """How many times :meth:`reset` has run.  A reader that keeps marks
+        against instrument values (the telemetry exporter) drops them when
+        this moves, since every value went back to zero."""
+        return self._resets
+
     def reset(self) -> None:
         """Zero every instrument in place.
 
@@ -422,3 +325,4 @@ class MetricsRegistry:
         """
         for metric in self._metrics.values():
             metric.reset()
+        self._resets += 1

@@ -7,9 +7,10 @@ production pattern.  This module closes that loop for the simulator: a
 :class:`TelemetryExporter` runs on a deterministic sim-clock cadence and
 publishes, through an **ordinary producer** into **reserved system feeds**,
 
-- per-instrument *deltas* of the metrics registry (counter/gauge high-water
-  marks, :meth:`Histogram.delta_snapshot` windows) into
-  ``__telemetry.metrics``;
+- per-instrument *deltas* of the metrics registry into
+  ``__telemetry.metrics``: the exporter marks each instrument where the last
+  cycle left it — a counter or gauge by its ``value``, a histogram by its
+  ``count`` — and a histogram's window is ``snapshot(since=mark)``;
 - spans drained from the installed tracer into ``__telemetry.spans``;
 - edge-triggered SLO alerts from an attached :class:`SloMonitor` into
   ``__telemetry.alerts``.
@@ -21,11 +22,12 @@ job": anything that can consume a feed can consume the telemetry.
 counters, wire bytes, broker latencies).  Two guards keep the exporter from
 amplifying itself: instruments in the ``observability.telemetry.*``
 namespace are never exported, and after each cycle's sends the exporter
-*absorbs* every delta its own traffic just generated (re-marks counters and
-gauges, discards histogram windows) — sound because the simulator is
-single-threaded, so nothing else can move a metric between the snapshot and
-the absorb.  The tracer is uninstalled around the sends so telemetry
-produces never create spans.
+*absorbs* every delta its own traffic just generated by re-marking every
+instrument the same way — sound because the simulator is single-threaded,
+so nothing else can move a metric between the snapshot and the absorb.  The
+tracer is uninstalled around the sends so telemetry produces never create
+spans.  A ``MetricsRegistry.reset()`` zeroes every instrument, so when the
+registry's ``resets`` count moves the exporter drops all its marks.
 
 **Transparency.**  The exporter fires from sim-clock timers during
 ``cluster.tick`` and its produces never advance the clock, so a job's
@@ -131,8 +133,10 @@ class TelemetryExporter:
         # as one batch per feed, so a cycle costs O(instruments), not
         # O(records), appends.
         self._producer = Producer(cluster, ProducerConfig(linger_messages=500))
-        #: Counter/gauge high-water marks: name -> last exported value.
+        #: High-water marks: name -> a counter's or gauge's last exported
+        #: value, or a histogram's count.  Valid for one registry reset epoch.
         self._marks: dict[str, float] = {}
+        self._resets = cluster.metrics.resets
         self._timer: TimerHandle | None = None
         self.running = False
         self.cycles = 0
@@ -247,6 +251,11 @@ class TelemetryExporter:
     def _collect_metric_deltas(self, now: float) -> list[dict[str, Any]]:
         records: list[dict[str, Any]] = []
         marks = self._marks
+        if self._resets != self.cluster.metrics.resets:
+            # Every instrument went back to zero: a mark now would make the
+            # next delta negative (or hide a histogram's new observations).
+            self._resets = self.cluster.metrics.resets
+            marks.clear()
         for name in self.cluster.metrics.names():
             if name.startswith(_SELF_NAMESPACE):
                 continue  # feedback-loop guard, part 1
@@ -274,9 +283,11 @@ class TelemetryExporter:
                     "timestamp": now,
                 })
             elif isinstance(metric, Histogram):
-                window = metric.delta_snapshot()
-                if window["count"] == 0:
+                mark = marks.get(name, 0)
+                if metric.count <= mark:
                     continue
+                window = metric.snapshot(since=mark)
+                marks[name] = metric.count
                 records.append({
                     "metric": name,
                     "kind": "histogram",
@@ -302,10 +313,10 @@ class TelemetryExporter:
         marks = self._marks
         for name in self.cluster.metrics.names():
             metric = self.cluster.metrics.get(name)
-            if isinstance(metric, (Counter, Gauge)):
+            if isinstance(metric, Histogram):
+                marks[name] = metric.count
+            else:
                 marks[name] = metric.value
-            elif isinstance(metric, Histogram):
-                metric.discard_delta()
 
     @contextmanager
     def _tracing_suppressed(self) -> Iterator[None]:

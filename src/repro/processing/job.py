@@ -178,8 +178,9 @@ class JobRunner:
         # Freshness stamp: a hoisted gauge (safe now that registry.reset()
         # zeroes in place) holding the age of the last record processed, set
         # once per task pass — the end-to-end signal the SLO monitor samples
-        # on its cadence.  The age histogram beside it is held the same way,
-        # for the same reason: one lookup per runner, not one per record.
+        # on its cadence.  The age histogram beside it is held the same way
+        # and fed the same way: one lookup per runner, one bulk observe per
+        # task pass.
         self._g_freshness = self.metrics.gauge(metric_name(
             "processing", "job", metric_segment(config.name), "freshness"
         ))
@@ -459,7 +460,7 @@ class JobRunner:
     ) -> None:
         tracer = current_tracer()
         instance.collector.start_pass(tracer)
-        fresh = None
+        ages: list[float] = []
         try:
             for tp in instance.partitions:
                 if budget <= 0:
@@ -472,7 +473,7 @@ class JobRunner:
                 for record in fetched.records:
                     age = self._process_record(instance, record, result, tracer)
                     if age >= 0:
-                        fresh = age
+                        ages.append(age)
                 if fetched.records:
                     budget -= len(fetched.records)
                 instance.positions[tp] = max(
@@ -480,10 +481,12 @@ class JobRunner:
                 )
             self._maybe_window(instance, tracer)
         except Exception:
+            self._h_record_age.observe_many(ages)
             self._abandon_pass(instance)
             raise
-        if fresh is not None:
-            self._g_freshness.set(fresh)
+        if ages:
+            self._h_record_age.observe_many(ages)
+            self._g_freshness.set(ages[-1])
         # The pass is the batch: everything it staged — emits and changelog —
         # leaves the task here, before any checkpoint that would cover it.
         result.records_emitted += self._hand_over(instance)
@@ -530,8 +533,6 @@ class JobRunner:
         instance.records_since_checkpoint += 1
         self.records_processed += 1
         age = self.clock.now() - record.timestamp
-        if age >= 0:
-            self._h_record_age.observe(age)
         if tracer is not None:
             ctx = None
             if span is not None:

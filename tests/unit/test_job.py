@@ -179,6 +179,34 @@ class TestProcessing:
         runner.recover()
         assert dict(runner.task(0).stores["counts"].items()) == state
 
+    def test_a_failed_pass_still_observes_the_ages_it_saw(self):
+        """Ages are observed once per pass; a pass whose task raises on its
+        third record still leaves the first two in ``record_age``, in
+        arrival order."""
+        clock = SimClock()
+        cluster = MessagingCluster(num_brokers=1, clock=clock)
+        cluster.create_topic("in", num_partitions=1, replication_factor=1)
+        producer = Producer(cluster)
+        for i in range(5):
+            producer.send("in", i, key=f"k{i}", timestamp=float(i))
+        clock.advance(10.0)
+
+        class FailOnThird:
+            def process(self, record, collector):
+                if record.offset == 2:
+                    raise RuntimeError("boom")
+
+        runner = JobRunner(
+            JobConfig(name="aged", inputs=["in"], task_factory=FailOnThird),
+            cluster,
+        )
+        with pytest.raises(TaskFailedError):
+            runner.poll_once()
+        ages = cluster.metrics.histogram("processing.job.aged.record_age")
+        assert ages.count == 2
+        assert ages.snapshot(since=0)["max"] == 10.0  # offset 0 first
+        assert ages.snapshot(since=1)["max"] == 9.0   # then offset 1
+
     def test_auto_advance_moves_clock(self):
         clock, cluster, _producer = make_env()
         runner = JobRunner(

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.common.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.common.metrics import Counter, Gauge, Histogram, MetricsRegistry, metric_name
+from repro.messaging.cluster import MessagingCluster
+from repro.observability.telemetry import TELEMETRY_METRICS_FEED, TelemetryExporter
 
 
 class TestCounter:
@@ -73,7 +75,7 @@ class TestHistogram:
         for value in [9.0, 1.0, 5.0, 3.0, 7.0]:
             hist.observe(value)
         assert hist.percentile(50) == 5.0
-        hist.observe(0.5)  # after a percentile query re-sorted the data
+        hist.observe(0.5)  # after a percentile query
         assert hist.min == 0.5
 
     def test_snapshot_keys(self):
@@ -82,12 +84,16 @@ class TestHistogram:
         snap = hist.snapshot()
         assert set(snap) == {"count", "mean", "min", "p50", "p95", "p99", "max"}
 
-    def test_values_returns_copy(self):
+    def test_reads_keep_arrival_order(self):
+        """A percentile or snapshot read sorts a copy, so ``since`` still
+        counts observations in the order they arrived."""
         hist = Histogram("h")
-        hist.observe(1.0)
-        values = hist.values()
-        values.append(99.0)
-        assert hist.count == 1
+        hist.observe_many([9.0, 1.0, 5.0])
+        assert hist.percentile(50) == 5.0
+        assert hist.snapshot()["max"] == 9.0
+        hist.observe_many([7.0, 3.0])
+        tail = hist.snapshot(since=3)
+        assert (tail["count"], tail["min"], tail["max"]) == (2.0, 3.0, 7.0)
 
 
 class TestRegistry:
@@ -143,11 +149,31 @@ class TestRegistry:
         assert registry.get("hot.path.counter").value == 3.0
         assert registry.snapshot()["hot.path.counter"] == 3.0
 
+    def test_reset_is_counted(self):
+        registry = MetricsRegistry()
+        assert registry.resets == 0
+        registry.reset()
+        registry.reset()
+        assert registry.resets == 2
+
     def test_histogram_reset_rearms_delta_tracking(self):
-        histogram = MetricsRegistry().histogram("h")
+        """After ``registry.reset()`` the exporter's next histogram window
+        is exactly what arrived since the reset, though the histogram's
+        count is back where the exporter last marked it."""
+        cluster = MessagingCluster(num_brokers=1)
+        exporter = TelemetryExporter(cluster)
+        name = metric_name("core", "demo", "latency")
+        histogram = cluster.metrics.histogram(name)
         histogram.observe(1.0)
-        histogram.delta_snapshot()  # arm
+        exporter.publish_once()
         histogram.observe(2.0)
-        histogram.reset()
+        cluster.metrics.reset()
         histogram.observe(5.0)
-        assert histogram.delta_snapshot()["count"] == 1
+        exporter.publish_once()
+        fetched = cluster.fetch(TELEMETRY_METRICS_FEED, 0, 0, 10_000)
+        windows = [
+            (r.value["count"], r.value["max"])
+            for r in fetched.records
+            if r.value["metric"] == name
+        ]
+        assert windows == [(1.0, 1.0), (1.0, 5.0)]

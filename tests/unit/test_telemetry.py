@@ -90,6 +90,24 @@ class TestMetricDeltas:
         ]
         assert deltas == [(5.0, 5.0), (2.0, 7.0)]
 
+    def test_counter_delta_after_a_registry_reset_counts_from_zero(self):
+        """Regression: the exporter kept its mark across
+        ``registry.reset()``, so 10 -> reset -> 3 exported ``delta: -7.0``."""
+        cluster = MessagingCluster(num_brokers=1)
+        exporter = TelemetryExporter(cluster)
+        counter = cluster.metrics.counter(metric_name("core", "demo", "events"))
+        counter.increment(10)
+        exporter.publish_once()
+        cluster.metrics.reset()
+        counter.increment(3)
+        exporter.publish_once()
+        deltas = [
+            (r["delta"], r["value"])
+            for r in metric_values(cluster)
+            if r["metric"] == "core.demo.events"
+        ]
+        assert deltas == [(10.0, 10.0), (3.0, 3.0)]
+
     def test_unchanged_instruments_are_not_re_exported(self):
         cluster = MessagingCluster(num_brokers=1)
         exporter = TelemetryExporter(cluster)
