@@ -45,6 +45,11 @@ TRACE_HEADER = "__trace"
 #: ``__trace`` holding a ``TraceContext``, which continues an existing trace.
 RESERVED_HEADER_PREFIX = "__"
 
+#: The error handler every size takes a string's UTF-8 length with: a lone
+#: surrogate, which strict UTF-8 refuses, is charged its 3 encoded bytes, so
+#: sizing never raises on a string (and a valid string's length is unchanged).
+SURROGATES = "surrogatepass"
+
 
 class _EmptyHeaders(dict):
     """The type of :data:`EMPTY_HEADERS`: an empty ``dict`` that refuses
@@ -77,30 +82,38 @@ def estimate_size(value: Any) -> int:
     be stable and cheap, not exact.  Strings and bytes-likes use their true
     length; containers recurse; other scalars use fixed costs.
 
-    This is the one walk a record gets on the produce path, so the common
-    concrete types take exact-``type`` fast paths and a ``dict`` sizes its
+    It is the per-value rule.  The produce path's batch column reaches its
+    numbers without calling it for a batch of same-shaped dicts
+    (:func:`~repro.common.compression.payload_sizes`) and calls it for
+    everything else, so the common concrete types take exact-``type`` fast
+    paths and a ``dict`` sizes its
     ``str``/``int``/``float`` leaves inside its own loop (no call per leaf;
-    an ASCII string's UTF-8 length is its ``len``, so nothing is encoded).
-    Subclasses and exotic containers fall through to the isinstance chain
+    an ASCII string's UTF-8 length is its ``len``, so nothing is encoded;
+    any other string is encoded with :data:`SURROGATES`, so the rule is
+    total).  Subclasses and exotic containers fall through to the isinstance chain
     with identical results.
     """
     if value is None:
         return 0
     tp = type(value)
     if tp is str:
-        return len(value) if value.isascii() else len(value.encode("utf-8"))
+        return (
+            len(value) if value.isascii() else len(value.encode("utf-8", SURROGATES))
+        )
     if tp is dict:
         total = 0
         for k, v in value.items():
             if k == TRACE_HEADER:
                 continue  # accounting-invisible (see TRACE_HEADER)
             if type(k) is str:
-                total += (len(k) if k.isascii() else len(k.encode("utf-8"))) + 2
+                total += 2 + (
+                    len(k) if k.isascii() else len(k.encode("utf-8", SURROGATES))
+                )
             else:
                 total += estimate_size(k) + 2
             tp = type(v)
             if tp is str:
-                total += len(v) if v.isascii() else len(v.encode("utf-8"))
+                total += len(v) if v.isascii() else len(v.encode("utf-8", SURROGATES))
             elif tp is int or tp is float:
                 total += 8
             else:
@@ -126,7 +139,7 @@ def _estimate_size_slow(value: Any) -> int:
     if isinstance(value, memoryview):
         return value.nbytes
     if isinstance(value, str):
-        return len(value.encode("utf-8"))
+        return len(value.encode("utf-8", SURROGATES))
     if isinstance(value, bool):
         return 1
     if isinstance(value, int):
@@ -150,8 +163,10 @@ def payload_size(key: Any, value: Any, headers: Mapping[str, Any] | None) -> int
 
     The one spelling of the formula every record's ``size`` follows.  The
     produce path sizes whole batches with
-    :func:`~repro.common.compression.payload_sizes`, which inlines it for
-    speed (``TestInlinedColumn`` holds the two to the same numbers).
+    :func:`~repro.common.compression.payload_sizes`, which reaches the same
+    numbers by columns for a batch of same-shaped dicts and with the cheap
+    terms in place for any other (``TestInlinedColumn`` and
+    ``TestShapeColumn`` hold the two equal).
     """
     return (
         estimate_size(key)

@@ -17,11 +17,12 @@ sent — and on the wire as one batch header per stamped uncompressed batch
 (a frame's wire bytes already contain theirs).
 """
 
+import sys
 from collections.abc import Mapping
 
 from hypothesis import given, settings, strategies as st
 
-from repro.common import records
+from repro.common import compression, records
 from repro.common.clock import SimClock
 from repro.common.compression import (
     BATCH_FRAME_HEADER_BYTES,
@@ -29,6 +30,7 @@ from repro.common.compression import (
     payload_sizes,
 )
 from repro.common.records import (
+    EMPTY_HEADERS,
     RECORD_FRAMING_BYTES,
     TRACE_HEADER,
     TopicPartition,
@@ -55,7 +57,7 @@ def reference_size(value) -> int:
     if isinstance(value, memoryview):
         return value.nbytes
     if isinstance(value, str):
-        return len(value.encode("utf-8"))
+        return len(value.encode("utf-8", "surrogatepass"))
     if isinstance(value, bool):
         return 1
     if isinstance(value, (int, float)):
@@ -74,7 +76,7 @@ def payload_size(key, value, headers) -> int:
     return reference_size(key) + reference_size(value) + reference_size(headers)
 
 
-text = st.text(alphabet="abZ09 -_é☃𝄞", max_size=8)
+text = st.text(alphabet="abZ09 -_é☃𝄞\udcff", max_size=8)
 scalars = st.one_of(
     st.none(), st.booleans(), st.integers(-10, 10**12), st.floats(allow_nan=False),
     text, st.binary(max_size=6),
@@ -225,9 +227,11 @@ class Blob(bytes):
 
 class TestInlinedColumn:
     """``compression.payload_sizes`` is the one column: the cluster's for a
-    frameless batch and a frame's ``sizes``.  It sizes an ASCII ``str`` key,
-    a ``bytes`` value and empty headers in place and walks the rest; the
-    column is still ``payload_size`` per entry, for both callers."""
+    frameless batch and a frame's ``sizes``.  Per entry it sizes an ASCII
+    ``str`` key, a ``bytes`` value and empty headers in place and walks the
+    rest; a batch of same-shaped dicts it sizes by columns
+    (``TestShapeColumn``).  Either way the column is ``payload_size`` per
+    entry, for both callers."""
 
     def batch(self):
         keys = [None, "", "ascii-key", "né☃", Name("sub"), Name("sübé"),
@@ -330,3 +334,160 @@ class TestEstimateSizeFastPaths:
         assert estimate_size(traced) == estimate_size(bare) == reference_size(bare)
         assert _estimate_size_slow(traced) == estimate_size(bare)
         assert estimate_size({"outer": traced}) == estimate_size({"outer": bare})
+
+
+class Table(dict):
+    """A ``dict`` subclass: the shape path leaves it to the walk."""
+
+
+class Alias:
+    """Not a ``str``, yet it hashes and compares equal to one."""
+
+    def __init__(self, text):
+        self.text = text
+
+    def __eq__(self, other):
+        return self.text == other
+
+    def __hash__(self):
+        return hash(self.text)
+
+
+EXAMPLES = settings.default.max_examples if settings.default.max_examples > 100 else 200
+#: What a slot of a drawn shape holds: a leaf kind or a nested shape.
+LEAVES = {
+    "str": text,
+    "int": st.integers(-(2**70), 2**70),
+    "float": st.floats(allow_nan=False),
+    "bool": st.booleans(),
+    "none": st.none(),
+    "bytes": st.binary(max_size=6),
+    "list": st.lists(scalars, max_size=3),
+}
+leaf_kinds = st.sampled_from(sorted(LEAVES))
+field_names = text.filter(lambda name: name != TRACE_HEADER)
+shapes = st.recursive(
+    st.dictionaries(field_names, leaf_kinds, max_size=5),
+    lambda inner: st.dictionaries(
+        field_names, st.one_of(leaf_kinds, inner), max_size=5
+    ),
+    max_leaves=10,
+)
+headers_column = st.one_of(
+    st.none(), st.just(EMPTY_HEADERS), user_headers,
+    st.builds(
+        lambda held, ctx: {**held, TRACE_HEADER: ctx},
+        user_headers, st.builds(TraceContext, text, st.integers(0, 99)),
+    ),
+)
+PERTURBATIONS = (
+    "swap", "non_ascii", "missing", "extra", "trace", "rename", "subclass", "nested"
+)
+
+
+def instances(shape):
+    return st.fixed_dictionaries({
+        name: instances(kind) if isinstance(kind, dict) else LEAVES[kind]
+        for name, kind in shape.items()
+    })
+
+
+def swapped(value):
+    """A value of a type the slot holding ``value`` may not take."""
+    if type(value) is str:
+        return st.one_of(
+            st.integers(-9, 9), st.binary(max_size=4), st.none(), st.builds(Name, text)
+        )
+    if type(value) in (int, float):
+        return st.one_of(st.booleans(), st.floats(-2, 2), st.integers(-9, 9), text)
+    if type(value) is dict:
+        return st.lists(scalars, max_size=2)
+    return text
+
+
+def perturb(draw, record):
+    """``record`` with one change that may break its batch's shape."""
+    how = draw(st.sampled_from(PERTURBATIONS))
+    if how == "subclass":
+        return Table(record)
+    if how == "trace":
+        return {**record, TRACE_HEADER: draw(st.one_of(trace_contexts, scalars))}
+    if how == "extra" or not record:
+        extra = draw(dict_keys.filter(lambda key: key not in record))
+        return {**record, extra: draw(scalars)}
+    name = draw(st.sampled_from(list(record)))
+    if how == "missing":
+        return {k: v for k, v in record.items() if k != name}
+    if how == "rename":
+        return {Name(k) if k == name else k: v for k, v in record.items()}
+    if how == "nested" and type(record[name]) is dict:
+        return {**record, name: perturb(draw, record[name])}
+    if how == "non_ascii":
+        return {**record, name: draw(st.text("é☃𝄞\udcff", min_size=1, max_size=4))}
+    return {**record, name: draw(swapped(record[name]))}
+
+
+@st.composite
+def shaped_batches(draw):
+    """Values of one drawn shape, at most one of them perturbed, beside key
+    and header columns of every type."""
+    shape = draw(shapes)
+    values = draw(st.lists(instances(shape), min_size=1, max_size=12))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(values) - 1))
+        values[at] = perturb(draw, values[at])
+    return [(draw(keys), value, 1.0, draw(headers_column)) for value in values]
+
+
+class TestShapeColumn:
+    """A batch of same-shaped dicts is sized by columns
+    (``compression._shape_sizes``).  Whatever one record does to the shape
+    (a swapped type, a missing, extra, renamed or ``__trace`` key, non-ASCII
+    text, a changed nested shape, a ``dict`` subclass) the column is the
+    reference rule per entry, and the cluster stores and charges it."""
+
+    @given(shaped_batches())
+    @settings(max_examples=EXAMPLES, deadline=None)
+    def test_column_is_the_reference_per_entry(self, batch):
+        column = [payload_size(k, v, h) for k, v, _ts, h in batch]
+        assert payload_sizes(batch) == column
+        assert compress_entries(batch, "zlib", 6).sizes == tuple(column)
+        cluster = MessagingCluster(num_brokers=1, clock=SimClock())
+        cluster.create_topic("t", num_partitions=1, replication_factor=1)
+        cluster.produce("t", 0, batch)
+        stored = cluster.broker(0).replica(TP).log.all_messages()
+        assert [m.size for m in stored] == column
+        assert cluster.metrics.counter(WIRE_BYTES).value == sum(column)
+
+    def test_a_same_shaped_batch_walks_nothing(self, monkeypatch):
+        walked = []
+
+        def counting(value):
+            walked.append(value)
+            return estimate_size(value)
+
+        monkeypatch.setattr(compression, "estimate_size", counting)
+        batch = [
+            (f"k{i}", {"seq": i, "page": f"/p/{i}", "at": i / 2,
+                       "props": {"pos": i % 3, "ch": "wéb\udcff"}}, 1.0, EMPTY_HEADERS)
+            for i in range(20)
+        ]
+        column = [payload_size(k, v, h) for k, v, _ts, h in batch]
+        assert payload_sizes(batch) == column
+        assert walked == []
+        batch[7][1]["props"]["pos"] = True  # a bool is not a number
+        column = [payload_size(k, v, h) for k, v, _ts, h in batch]
+        assert payload_sizes(batch) == column
+        assert len(walked) == 20  # only the nested column is walked
+
+    def test_an_equal_key_object_is_charged_as_the_key_it_matches(self):
+        """The one input a shape cannot see (``_shape_sizes`` names it): a
+        key that is not a ``str`` but hashes and compares equal to one of
+        the first record's keys is charged as that key; the walk charges
+        the object itself."""
+        alias = Alias("seq")
+        batch = [(None, {"seq": 1}, 1.0, None), (None, {alias: 1}, 1.0, None)]
+        assert payload_sizes(batch) == [3 + 2 + 8, 3 + 2 + 8]
+        assert records.payload_size(None, {alias: 1}, None) == (
+            sys.getsizeof(alias) + 2 + 8
+        )

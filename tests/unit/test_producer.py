@@ -156,6 +156,22 @@ class TestBatching:
         with pytest.raises(ConfigError):
             Producer(make_cluster(), ProducerConfig(linger_messages=0))
 
+    @pytest.mark.parametrize("compression", ["none", "zlib:6"])
+    def test_a_lone_surrogate_does_not_lose_its_batch(self, compression):
+        cluster = make_cluster(partitions=1)
+        producer = Producer(
+            cluster, ProducerConfig(linger_messages=10, compression=compression)
+        )
+        sent = [{"ok": 1}, {"bad": "\udcff"}, {"ok": 2}]
+        for value in sent:
+            producer.send("t", value, partition=0)
+        producer.flush()
+        assert producer.pending() == 0
+        tp = TopicPartition("t", 0)
+        log = cluster.broker(cluster.leader_of("t", 0)).replica(tp).log
+        assert [m.value for m in log.all_messages()] == sent
+        assert [m.size for m in log.all_messages()] == [12, 8, 12]
+
 
 class TestRetries:
     def test_retry_succeeds_after_failover(self):

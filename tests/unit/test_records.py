@@ -37,6 +37,14 @@ class TestEstimateSize:
         assert estimate_size("abc") == 3
         assert estimate_size("é") == 2
 
+    def test_lone_surrogate_is_its_surrogatepass_length(self):
+        class Text(str):
+            pass
+
+        assert estimate_size("\udcff") == 3
+        assert estimate_size(Text("a\udcff")) == 4
+        assert estimate_size({"\ud800": ["\udcff"]}) == 3 + 2 + 3 + 1
+
     def test_scalars_fixed(self):
         assert estimate_size(42) == 8
         assert estimate_size(3.14) == 8
