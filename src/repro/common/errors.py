@@ -83,17 +83,34 @@ class ProducerFlushError(MessagingError):
     Carries the partial result: ``acks`` for the batches that made it, and
     ``failures`` as ``(partition, error)`` pairs for those that did not.
     Failed batches stay buffered inside the producer (in order), so a later
-    ``flush()`` retries them — nothing is silently dropped.
+    ``flush()`` retries them — nothing is silently dropped.  The one
+    exception is a record too large to ever land: it is dropped, and its
+    :class:`RecordTooLargeError` in ``failures`` names it.
     """
 
     def __init__(self, acks: list, failures: list) -> None:
         partitions = ", ".join(str(tp) for tp, _exc in failures)
         super().__init__(
             f"flush failed for {len(failures)} partition(s) [{partitions}]; "
-            f"{len(acks)} batch(es) acked; failed batches remain buffered"
+            f"{len(acks)} batch(es) acked"
         )
         self.acks = acks
         self.failures = failures
+
+
+class RecordTooLargeError(MessagingError):
+    """A produce carried records over the topic's ``max_message_bytes``.
+
+    The leader refuses the whole batch before appending anything;
+    ``indices`` are the offending records' positions in the batch.  The
+    producer drops exactly those and ships the rest, whose ack (if it
+    landed) rides on the error as ``ack``.
+    """
+
+    def __init__(self, message: str, indices: tuple[int, ...]) -> None:
+        super().__init__(message)
+        self.indices = indices
+        self.ack = None
 
 
 class StaleEpochError(MessagingError):

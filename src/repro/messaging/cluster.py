@@ -34,12 +34,14 @@ from repro.common.errors import (
     BrokerUnavailableError,
     ConfigError,
     NotEnoughReplicasError,
+    RecordTooLargeError,
     TopicAlreadyExistsError,
     TopicNotFoundError,
 )
 from repro.common.metrics import MetricsRegistry, metric_name
 from repro.common.records import (
     EMPTY_HEADERS,
+    RECORD_FRAMING_BYTES,
     ConsumerRecord,
     TopicPartition,
 )
@@ -357,6 +359,17 @@ class MessagingCluster:
                 # a framed batch already pays for inside its wire bytes.
                 batch_bytes += BATCH_FRAME_HEADER_BYTES
             latency = 0.0
+        # A record over the topic's limit refuses the whole batch before
+        # anything lands: one max over the size column, framing charged as
+        # the log charges it.
+        limit = config.log.max_message_bytes - RECORD_FRAMING_BYTES
+        if max(sizes, default=0) > limit:
+            too_large = tuple(i for i, size in enumerate(sizes) if size > limit)
+            raise RecordTooLargeError(
+                f"{tp}: record(s) {list(too_large)} exceed max_message_bytes="
+                f"{config.log.max_message_bytes}",
+                too_large,
+            )
         if acks == ACKS_NONE:
             latency += self.cost_model.network_oneway(batch_bytes)
         else:

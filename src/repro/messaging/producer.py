@@ -32,6 +32,7 @@ from repro.common.errors import (
     NotEnoughReplicasError,
     NotLeaderForPartitionError,
     ProducerFlushError,
+    RecordTooLargeError,
     ReservedHeaderError,
     StaleEpochError,
 )
@@ -199,9 +200,12 @@ class Producer:
 
         A batch that exhausts its retries is *not* dropped: it is re-buffered
         (with its idempotent sequence, if any) and the error re-raised, so a
-        later :meth:`flush` retries it.  While a partition has a re-buffered
-        batch parked, newly buffered records for it are held back — sending
-        them first would reorder the partition and break broker-side dedup.
+        later :meth:`flush` retries it.  A record over the topic's
+        ``max_message_bytes`` is dropped, the rest of its batch sent, and
+        :class:`~repro.common.errors.RecordTooLargeError` raised.  While a
+        partition has a re-buffered batch parked, newly buffered records for
+        it are held back — sending them first would reorder the partition
+        and break broker-side dedup.
         """
         if headers:
             check_headers(headers)
@@ -292,7 +296,11 @@ class Producer:
         independently: one dead partition does not block the rest.  If any
         batch still cannot be delivered it stays buffered and
         :class:`~repro.common.errors.ProducerFlushError` is raised carrying
-        the partial acks and the per-partition errors.
+        the partial acks and the per-partition errors.  A record over the
+        topic's size limit is not retried: it is dropped, the rest of its
+        batch is delivered (its ack among the acks), and the
+        :class:`~repro.common.errors.RecordTooLargeError` naming it is a
+        failure.
         """
         acks: list[ProduceAck] = []
         failures: list[tuple[TopicPartition, MessagingError]] = []
@@ -301,6 +309,8 @@ class Producer:
             for i, (seq, entries) in enumerate(parked):
                 try:
                     acks.append(self._send_batch(tp, entries, seq=seq))
+                except RecordTooLargeError as exc:
+                    self._refused(tp, exc, acks, failures)
                 except MessagingError as exc:
                     # _send_batch re-parked the failed batch; keep the rest
                     # queued behind it, in order, and move on.
@@ -313,11 +323,26 @@ class Producer:
             entries = self._buffers.pop(tp)
             try:
                 acks.append(self._send_batch(tp, entries))
+            except RecordTooLargeError as exc:
+                self._refused(tp, exc, acks, failures)
             except MessagingError as exc:
                 failures.append((tp, exc))
         if failures:
             raise ProducerFlushError(acks, failures)
         return acks
+
+    @staticmethod
+    def _refused(
+        tp: TopicPartition,
+        exc: RecordTooLargeError,
+        acks: list[ProduceAck],
+        failures: list[tuple[TopicPartition, MessagingError]],
+    ) -> None:
+        """Book a batch that lost its oversized records: the rest's ack, if
+        it landed, and the refusal as the partition's failure."""
+        if exc.ack is not None:
+            acks.append(exc.ack)
+        failures.append((tp, exc))
 
     def _send_batch(
         self,
@@ -350,12 +375,8 @@ class Producer:
                 (k, v, ts if ts is not None else now, h)
                 for (k, v, ts, h) in entries
             ]
-            frame = compress_entries(entries, self._codec, self._codec_level)
-            if frame is not None:
-                self._last_frame = frame
-                self.cluster.metrics.histogram(_M_COMPRESSION_RATIO).observe(
-                    frame.ratio
-                )
+            frame = self._frame(entries)
+        refused: RecordTooLargeError | None = None
         attempts = 0
         while True:
             try:
@@ -370,8 +391,17 @@ class Producer:
                     frame=frame,
                     transactional=self._transactional,
                 )
-                self.acks_received += 1
-                return ack
+            except RecordTooLargeError as exc:
+                # Refused whole, so nothing landed: the rest goes out under
+                # the same sequence, re-framed without the dropped records.
+                refused = exc
+                dropped = set(exc.indices)
+                entries = [e for i, e in enumerate(entries) if i not in dropped]
+                if not entries:
+                    raise
+                if self._codec != "none":
+                    frame = self._frame(entries)
+                continue
             except _RETRIABLE as exc:
                 attempts += 1
                 self.retries += 1
@@ -390,6 +420,26 @@ class Producer:
                 # Capped-exponential backoff with deterministic jitter gives
                 # failovers and ISR recovery simulated time to complete.
                 self.cluster.tick(self._backoff(attempts))
+                continue
+            self.acks_received += 1
+            if refused is not None:
+                refused.ack = ack
+                raise refused
+            return ack
+
+    def _frame(
+        self, entries: list[tuple[Any, Any, float | None, dict[str, Any]]]
+    ) -> BatchFrame | None:
+        """The batch compressed under the producer's codec, or None when it
+        does not compress."""
+        frame = self._last_frame = compress_entries(
+            entries, self._codec, self._codec_level
+        )
+        if frame is not None:
+            self.cluster.metrics.histogram(_M_COMPRESSION_RATIO).observe(
+                frame.ratio
+            )
+        return frame
 
     def _annotate_compression(self, span) -> None:
         """Attach codec + achieved ratio of the last framed batch to a span."""

@@ -1,7 +1,6 @@
 """Storage engine: segmented append-only logs with simulated page cache."""
 
 from repro.storage.compaction import CompactionConfig, CompactionResult, LogCompactor
-from repro.storage.index import SparseOffsetIndex
 from repro.storage.log import AppendResult, LogConfig, PartitionLog, ReadResult
 from repro.storage.pagecache import PageCache
 from repro.storage.retention import (
@@ -22,7 +21,6 @@ from repro.storage.tiered import (
 
 __all__ = [
     "LogSegment",
-    "SparseOffsetIndex",
     "PageCache",
     "PartitionLog",
     "LogConfig",

@@ -27,27 +27,18 @@ from typing import Any
 
 from repro.common.clock import Clock
 from repro.common.errors import ConfigError
-from repro.common.records import RECORD_FRAMING_BYTES
 from repro.storage.log import PartitionLog
 
 
 @dataclass(frozen=True)
 class CompactionConfig:
-    """Compaction knobs.
-
-    ``min_dirty_ratio`` mimics Kafka's cleaner threshold: compaction only
-    runs when at least that fraction of sealed bytes is superseded, so the
-    cleaner does not burn I/O rewriting already-clean segments.
-    """
+    """Compaction knobs."""
 
     tombstone_retention_seconds: float = 60.0
-    min_dirty_ratio: float = 0.0
 
     def __post_init__(self) -> None:
         if self.tombstone_retention_seconds < 0:
             raise ConfigError("tombstone_retention_seconds must be >= 0")
-        if not 0.0 <= self.min_dirty_ratio <= 1.0:
-            raise ConfigError("min_dirty_ratio must be in [0, 1]")
 
 
 @dataclass
@@ -79,11 +70,6 @@ class LogCompactor:
             return result
 
         latest_offset_per_key = self._build_offset_map(log)
-        if self.config.min_dirty_ratio > 0:
-            dirty = self._dirty_ratio(log, latest_offset_per_key)
-            if dirty < self.config.min_dirty_ratio:
-                return result
-
         result.ran = True
         horizon = now - self.config.tombstone_retention_seconds
         for segment in sealed:
@@ -116,19 +102,3 @@ class LogCompactor:
             for message in segment.messages():
                 latest[message.key] = message.offset
         return latest
-
-    def _dirty_ratio(
-        self, log: PartitionLog, latest_offset_per_key: dict[Any, int]
-    ) -> float:
-        """Fraction of sealed bytes occupied by superseded records."""
-        total = 0
-        superseded = 0
-        for segment in log.sealed_segments():
-            for message in segment.messages():
-                size = message.size + RECORD_FRAMING_BYTES
-                total += size
-                if latest_offset_per_key.get(message.key) != message.offset:
-                    superseded += size
-        if total == 0:
-            return 0.0
-        return superseded / total

@@ -1,10 +1,11 @@
-"""The partition log: a segmented, indexed, append-only commit log.
+"""The partition log: a segmented, append-only commit log.
 
 This is the storage engine behind every topic partition in the messaging
-layer (§3.1 "distributed commit log") and the substrate of E1: because
-appends always go to the tail and fetches locate their position through the
-sparse index, the cost of both is independent of how much history the log
-holds.
+layer (§3.1 "distributed commit log") and the substrate of E1: appends
+always go to the tail, and a fetch finds its segment by bisecting the
+segments' base offsets, then its first record by bisecting that segment's
+dense offset array (§4.1's index), so the cost of both is independent of
+how much history the log holds.
 
 One :class:`PartitionLog` corresponds to one replica of one partition on one
 broker.  Latency for each operation is computed from the shared
@@ -17,6 +18,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, repeat
+from operator import attrgetter
 from typing import Any, Sequence
 
 from repro.common.clock import Clock, SimClock
@@ -25,7 +27,6 @@ from repro.common.costmodel import DEFAULT_COST_MODEL, CostModel
 from repro.common.errors import ConfigError, OffsetOutOfRangeError
 from repro.common.records import RECORD_FRAMING_BYTES, StoredMessage, TopicPartition
 from repro.chaos.failpoints import failpoint
-from repro.storage.index import SparseOffsetIndex
 from repro.storage.pagecache import PageCache
 from repro.storage.segment import LogSegment
 
@@ -36,7 +37,6 @@ class LogConfig:
 
     segment_max_bytes: int = 1024 * 1024
     segment_max_messages: int = 10_000
-    index_interval_bytes: int = 4096
     max_message_bytes: int = 1024 * 1024
 
     def __post_init__(self) -> None:
@@ -98,6 +98,8 @@ BatchEntry = tuple[int, int, int | None, int | None, str | None, BatchFrame | No
 
 _MAX_OFFSET = 1 << 62
 
+_base_offset_of = attrgetter("base_offset")
+
 
 def clip(entry: BatchEntry, lo: int, hi: int) -> BatchEntry | None:
     """``entry`` cut to offsets ``[lo, hi]``: itself when it lies within,
@@ -126,7 +128,7 @@ def runs_overlapping(runs: list[tuple], lo: int, hi: int) -> list[tuple]:
 
 
 class PartitionLog:
-    """Segmented append-only log with sparse per-segment indexes."""
+    """Segmented append-only log; each segment indexes its own offsets."""
 
     def __init__(
         self,
@@ -150,14 +152,7 @@ class PartitionLog:
             if page_cache is not None
             else PageCache(clock=self.clock, cost_model=cost_model)
         )
-        self._segments: list[LogSegment] = [LogSegment(0, self.clock.now())]
-        self._indexes: dict[int, SparseOffsetIndex] = {
-            0: SparseOffsetIndex(self.config.index_interval_bytes)
-        }
-        # Cached base offsets of self._segments, kept in sync by every
-        # mutation (roll/truncate/drop/merge) so reads bisect without
-        # rebuilding an O(#segments) list per call.
-        self._bases: list[int] = [0]
+        self._segments: list[LogSegment] = [LogSegment(0)]
         self._next_offset = 0
         self._log_start_offset = 0
         # Batch index: one ``(base, last, producer_id, producer_seq, kind,
@@ -210,8 +205,8 @@ class PartitionLog:
         Entries take consecutive offsets from the log end offset; a missing
         timestamp is the clock's ``now``.  A record larger than
         ``max_message_bytes`` ends the batch: the records before it are
-        appended, then :class:`ConfigError` is raised.  Roll points, index
-        entries and latency follow :meth:`_append_run`, so the log that
+        appended, then :class:`ConfigError` is raised.  Roll points,
+        positions and latency follow :meth:`_append_run`, so the log that
         results does not depend on how entries were cut into batches.
 
         With ``frame`` set the batch arrived as one compressed blob: each
@@ -274,7 +269,7 @@ class PartitionLog:
                 zip(entries, sizes, stored_sizes), self._next_offset
             )
         ]
-        latency = self._append_run(messages, now)
+        latency = self._append_run(messages)
         if messages and (kind is not None or frame is not None):
             self.note_batch(
                 messages[0].offset, messages[-1].offset,
@@ -304,7 +299,6 @@ class PartitionLog:
         (:meth:`note_batch`).
         """
         failpoint("log.append", log=self.name, count=len(messages))
-        now = self.clock.now()
         valid = len(messages)
         error: ConfigError | None = None
         expected = self._next_offset
@@ -318,7 +312,7 @@ class PartitionLog:
                 break
             expected = message.offset + 1
         run = messages[:valid] if valid < len(messages) else messages
-        latency = self._append_run(run, now)
+        latency = self._append_run(run)
         if error is not None:
             raise error
         if not run:
@@ -329,7 +323,7 @@ class PartitionLog:
             run[0].offset, run[-1].offset, latency, len(run)
         )
 
-    def _append_run(self, messages: list[StoredMessage], now: float) -> float:
+    def _append_run(self, messages: list[StoredMessage]) -> float:
         """Land pre-built, offset-ordered records in the log.
 
         The rule, per record of ``stored_size`` s: when the active segment is
@@ -339,7 +333,7 @@ class PartitionLog:
         record); the record's position is the segment's size before it; the
         log end offset becomes its offset + 1.  The rule is applied to whole
         segment-contiguous chunks — one bisect for the roll point, one
-        segment/index extend and one page-cache charge per chunk — and the
+        segment extend and one page-cache charge per chunk — and the
         returned latency is folded per record, left to right.
         """
         if not messages:
@@ -381,12 +375,8 @@ class PartitionLog:
                 else:
                     # Active segment is full: seal it and roll.
                     active.seal()
-                    active = LogSegment(vnext, now)
+                    active = LogSegment(vnext)
                     self._segments.append(active)
-                    self._bases.append(vnext)
-                    self._indexes[vnext] = SparseOffsetIndex(
-                        config.index_interval_bytes
-                    )
                     continue
             end = i + k
             chunk = messages[i:end]
@@ -394,12 +384,7 @@ class PartitionLog:
             start = active.size_bytes
             base = start - cum[i]
             chunk_positions = [base + c for c in cum[i:end]]
-            active._extend_trusted(
-                chunk, chunk_offsets, chunk_positions, base + cum[end], now
-            )
-            self._indexes[active.base_offset].extend_run(
-                chunk_offsets, chunk_positions, base + cum[end]
-            )
+            active.extend(chunk, chunk_offsets, chunk_positions, base + cum[end])
             latency = self.page_cache.write_batch(
                 self._file_id(active), start, sizes[i:end], latency
             )
@@ -439,9 +424,9 @@ class PartitionLog:
         segments = self._segments
         while seg_idx < len(segments) and len(collected) < max_messages:
             segment = segments[seg_idx]
-            # Index probe: one RAM-resident binary-search per segment touched.
+            # The segment's offset bisect: one RAM-resident probe per
+            # segment touched.
             latency += self.cost_model.request_overhead / 10
-            self._indexes[segment.base_offset].lookup(cursor)
             view = segment.read_from(cursor, max_messages - len(collected))
             budget_hit = False
             if view.messages:
@@ -549,7 +534,7 @@ class PartitionLog:
         ]
 
     def _segment_index_for(self, offset: int) -> int:
-        idx = bisect_right(self._bases, offset) - 1
+        idx = bisect_right(self._segments, offset, key=_base_offset_of) - 1
         if idx < 0:
             idx = 0
         # Compaction/retention may leave the target segment empty or the
@@ -602,40 +587,20 @@ class PartitionLog:
         while self._segments and self._segments[-1].base_offset >= offset:
             victim = self._segments.pop()
             removed += victim.message_count
-            self._indexes.pop(victim.base_offset, None)
             self.page_cache.forget_file(self._file_id(victim))
-            if not self._segments:
-                break
         if not self._segments:
-            self._segments = [LogSegment(offset, self.clock.now())]
-            self._indexes[offset] = SparseOffsetIndex(
-                self.config.index_interval_bytes
-            )
-            self._bases = [offset]
+            self._segments = [LogSegment(offset)]
         else:
             tail = self._segments[-1]
             survivors = [m for m in tail.messages() if m.offset < offset]
             removed += tail.message_count - len(survivors)
-            was_sealed = tail.sealed
-            if not was_sealed:
-                tail.sealed = True  # replace_messages requires sealed
+            # Only a sealed segment is rewritten; the cut tail is the
+            # active segment again.
+            tail.seal()
             tail.replace_messages(survivors)
-            tail.sealed = was_sealed
-            self._rebuild_index(tail)
-            if tail.sealed:
-                # Truncated into a sealed segment: it becomes active again.
-                tail.sealed = False
-            self._bases = [s.base_offset for s in self._segments]
+            tail.sealed = False
         self._next_offset = min(self._next_offset, offset)
         return removed
-
-    def _rebuild_index(self, segment: LogSegment) -> None:
-        entries = []
-        position = 0
-        for message in segment.messages():
-            entries.append((message.offset, position, message.stored_size))
-            position += message.stored_size
-        self._indexes[segment.base_offset].rebuild(entries)
 
     # -- retention / compaction hooks ----------------------------------------------
 
@@ -658,7 +623,6 @@ class PartitionLog:
             segment.base_offset, last if last is not None else segment.base_offset
         )
         self._segments.remove(segment)
-        self._indexes.pop(segment.base_offset, None)
         self.page_cache.forget_file(self._file_id(segment))
         if self._segments:
             first = self._segments[0]
@@ -667,25 +631,20 @@ class PartitionLog:
                 start if start is not None else first.base_offset
             )
         else:
-            self._segments = [LogSegment(self._next_offset, self.clock.now())]
-            self._indexes[self._next_offset] = SparseOffsetIndex(
-                self.config.index_interval_bytes
-            )
+            self._segments = [LogSegment(self._next_offset)]
             self._log_start_offset = self._next_offset
-        self._bases = [s.base_offset for s in self._segments]
         return freed
 
     def rewrite_segment(
         self, segment: LogSegment, survivors: list[StoredMessage]
     ) -> int:
         """Compaction hook: replace a sealed segment's records; returns bytes
-        reclaimed and rebuilds its index and cache pages."""
+        reclaimed and drops the segment's cached pages."""
         last = segment.last_offset
         if last is not None:
             # Compaction may delete records out of a frame's range.
             self._clear_frames(segment.base_offset, last)
         reclaimed = segment.replace_messages(survivors)
-        self._rebuild_index(segment)
         self.page_cache.forget_file(self._file_id(segment))
         # log_start_offset is NOT advanced by compaction (Kafka semantics):
         # reads below the first surviving offset skip forward to it.
@@ -714,18 +673,13 @@ class PartitionLog:
             if len(group) == 1:
                 new_segments.append(group[0])
             else:
-                merged = LogSegment(group[0].base_offset, self.clock.now())
+                merged = LogSegment(group[0].base_offset)
+                merged.seal()
                 bulk: list[StoredMessage] = []
                 for old in group:
                     bulk.extend(old.messages())
-                    self._indexes.pop(old.base_offset, None)
                     self.page_cache.forget_file(self._file_id(old))
-                merged.append_bulk(bulk, self.clock.now())
-                merged.seal()
-                self._indexes[merged.base_offset] = SparseOffsetIndex(
-                    self.config.index_interval_bytes
-                )
-                self._rebuild_index(merged)
+                merged.replace_messages(bulk)
                 eliminated += len(group) - 1
                 new_segments.append(merged)
             group = []
@@ -749,7 +703,6 @@ class PartitionLog:
             group_msgs += segment.message_count
         flush_group()
         self._segments = new_segments
-        self._bases = [s.base_offset for s in new_segments]
         return eliminated
 
     # -- introspection ----------------------------------------------------------------

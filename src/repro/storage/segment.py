@@ -7,17 +7,19 @@ rewrite preserving offsets).
 
 Offsets inside a segment are not necessarily contiguous: compaction removes
 superseded records but survivors keep their original offsets, exactly as in
-Kafka.  Reads therefore locate records by binary search on offset; the
-segment keeps parallel ``offsets`` and ``positions`` arrays alongside the
-records so lookups never rebuild a key list and byte accounting is prefix-sum
-arithmetic rather than per-record summation.
+Kafka.  A segment is its records plus two parallel arrays, each record's
+``offset`` and its start byte ``position``.  The offset array, bisected, is
+§4.1's "index used to select the chunks of the log at which requested
+offsets are stored": dense, so a fetch lands on its first record without a
+scan, and byte accounting is prefix-sum arithmetic over the positions.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import accumulate
 from operator import attrgetter
-from typing import Any, Iterator
+from typing import Iterator
 
 from repro.common.errors import ConfigError
 from repro.common.records import StoredMessage
@@ -35,20 +37,18 @@ class SegmentView:
     byte-budget accounting never re-sums record sizes.
     """
 
-    __slots__ = ("messages", "start_index", "start_position", "_end_positions")
+    __slots__ = ("messages", "start_position", "_end_positions")
 
     def __init__(
         self,
         messages: list[StoredMessage],
-        start_index: int,
         start_position: int,
         end_positions: list[int],
     ) -> None:
         self.messages = messages
-        self.start_index = start_index
         self.start_position = start_position
-        # end_positions[i] is the byte position one past record
-        # start_index + i; a plain slice of the segment's cumulative array.
+        # end_positions[i] is the byte position one past the view's record
+        # i; a plain slice of the segment's cumulative array.
         self._end_positions = end_positions
 
     def prefix_bytes(self, count: int) -> int:
@@ -68,106 +68,38 @@ class SegmentView:
         limit = self.start_position + byte_budget
         return bisect_left(self._end_positions, limit + 1)
 
-    def __len__(self) -> int:
-        return len(self.messages)
-
-    def __iter__(self) -> Iterator[StoredMessage]:
-        return iter(self.messages)
-
-    def __getitem__(self, index):
-        return self.messages[index]
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, SegmentView):
-            return self.messages == other.messages
-        if isinstance(other, list):
-            return self.messages == other
-        return NotImplemented
-
 
 class LogSegment:
-    """One segment file of a partition log.
+    """One segment file of a partition log: its records and their offsets
+    and byte positions."""
 
-    Tracks byte positions of each record so the simulated page cache can
-    translate offset ranges into page ranges.
-    """
-
-    def __init__(self, base_offset: int, created_at: float) -> None:
+    def __init__(self, base_offset: int) -> None:
         if base_offset < 0:
             raise ConfigError(f"base_offset must be >= 0, got {base_offset}")
         self.base_offset = base_offset
-        self.created_at = created_at
         self.sealed = False
         self._messages: list[StoredMessage] = []
         self._offsets: list[int] = []  # offset of each record (bisect key)
         self._positions: list[int] = []  # start byte of each record
         self._size_bytes = 0
-        self.last_append_at = created_at
 
     # -- append path ----------------------------------------------------------
 
-    def append(self, message: StoredMessage, now: float) -> int:
-        """Append one record; returns its start byte position in the segment."""
-        return self.append_bulk([message], now)
-
-    def append_bulk(self, messages: list[StoredMessage], now: float) -> int:
-        """Append an offset-ordered run of records in one pass.
-
-        Returns the start byte position of the first record.  Every offset
-        must exceed the one before it (and the segment's last); each
-        record's position is the segment's size before it.  Positions and
-        sizes are *physical* bytes: a record's share of its (possibly
-        compressed) batch frame, equal to the logical size when
-        uncompressed.
-        """
-        if not messages:
-            return self._size_bytes
-        if self.sealed:
-            raise ConfigError(
-                f"segment@{self.base_offset} is sealed; appends go to the "
-                "active segment"
-            )
-        first = messages[0].offset
-        if self._offsets and first <= self._offsets[-1]:
-            raise ConfigError(
-                f"offset {first} not greater than last {self._offsets[-1]}"
-            )
-        start = self._size_bytes
-        position = start
-        offsets = []
-        positions = []
-        previous = first - 1
-        for message in messages:
-            if message.offset <= previous:
-                raise ConfigError(
-                    f"offset {message.offset} not greater than last {previous}"
-                )
-            previous = message.offset
-            offsets.append(message.offset)
-            positions.append(position)
-            position += message.stored_size
-        self._messages.extend(messages)
-        self._offsets.extend(offsets)
-        self._positions.extend(positions)
-        self._size_bytes = position
-        self.last_append_at = now
-        return start
-
-    def _extend_trusted(
+    def extend(
         self,
         messages: list[StoredMessage],
         offsets: list[int],
         positions: list[int],
         size_bytes: int,
-        now: float,
     ) -> None:
-        """Extend with a pre-validated run (:meth:`append_bulk` without the
-        per-record checks).
+        """Land a run of records at the tail of the active segment.
 
         The caller — :meth:`PartitionLog._append_run` — has already
         established that offsets strictly increase and follow the current
         tail, and supplies the parallel arrays plus the resulting segment
-        size so nothing is recomputed per record.
+        size so nothing is recomputed per record.  Positions and sizes are
+        *physical* bytes: a record's share of its (possibly compressed)
+        batch frame, equal to the logical size when uncompressed.
         """
         if self.sealed:
             raise ConfigError(
@@ -178,7 +110,6 @@ class LogSegment:
         self._offsets.extend(offsets)
         self._positions.extend(positions)
         self._size_bytes = size_bytes
-        self.last_append_at = now
 
     def seal(self) -> None:
         """Mark the segment read-only; sealed segments are retention/compaction
@@ -199,20 +130,13 @@ class LogSegment:
         end = idx + max_messages
         batch = self._messages[idx:end]
         if not batch:
-            return SegmentView([], idx, self._size_bytes, [])
+            return SegmentView([], self._size_bytes, [])
         end = idx + len(batch)
         end_positions = self._positions[idx + 1 : end]
         end_positions.append(
             self._positions[end] if end < len(self._positions) else self._size_bytes
         )
-        return SegmentView(batch, idx, self._positions[idx], end_positions)
-
-    def position_of(self, offset: int) -> int:
-        """Start byte of the first record with offset >= ``offset``."""
-        idx = bisect_left(self._offsets, offset)
-        if idx >= len(self._positions):
-            return self._size_bytes
-        return self._positions[idx]
+        return SegmentView(batch, self._positions[idx], end_positions)
 
     def offset_for_timestamp(self, timestamp: float) -> int | None:
         """Smallest offset whose record timestamp >= ``timestamp``."""
@@ -235,14 +159,11 @@ class LogSegment:
         if offsets != sorted(offsets):
             raise ConfigError("survivors must be offset-ordered")
         old_size = self._size_bytes
+        positions = list(accumulate((m.stored_size for m in survivors), initial=0))
         self._messages = list(survivors)
         self._offsets = offsets
-        self._positions = []
-        position = 0
-        for message in self._messages:
-            self._positions.append(position)
-            position += message.stored_size
-        self._size_bytes = position
+        self._size_bytes = positions.pop()
+        self._positions = positions
         return old_size - self._size_bytes
 
     # -- introspection ----------------------------------------------------------
@@ -273,9 +194,6 @@ class LogSegment:
 
     def messages(self) -> Iterator[StoredMessage]:
         return iter(self._messages)
-
-    def keys(self) -> set[Any]:
-        return {m.key for m in self._messages}
 
     def __len__(self) -> int:
         return len(self._messages)

@@ -1,14 +1,14 @@
 """The batch append path must land records exactly as the per-record rule says.
 
 ``PartitionLog`` has one implementation of "land records in a log"
-(``_append_run`` → ``_extend_trusted`` / ``extend_run`` / ``write_batch``),
+(``_append_run`` → ``LogSegment.extend`` / ``PageCache.write_batch``),
 and it works on whole segment-contiguous chunks.  The rule it implements is
 per record (DESIGN.md §8), so the reference here is that rule written out
 the slow way, one record at a time, sharing no code with ``repro.storage``.
 The properties drive the log and the reference side by side over random
 workloads — byte- and message-triggered segment rolls, offset gaps,
 oversized and out-of-order records — and require exact equality: offsets,
-segment layout and roll points, index contents, simulated latency to the
+segment layout and roll points, record positions, simulated latency to the
 last ulp, and the commit-prefix-then-raise error behaviour.
 """
 
@@ -40,7 +40,6 @@ configs = st.builds(
     LogConfig,
     segment_max_bytes=st.integers(min_value=30, max_value=400),
     segment_max_messages=st.integers(min_value=1, max_value=15),
-    index_interval_bytes=st.sampled_from([1, 64, 4096]),
 )
 
 
@@ -65,11 +64,9 @@ class ReferenceLog:
     For a record of ``stored_size`` s: a non-empty active segment that would
     exceed ``segment_max_bytes`` with it, or already holds
     ``segment_max_messages``, is sealed and a new one starts at the log end
-    offset; the record's position is the segment's bytes before it; it gets
-    an index entry when ``index_interval_bytes`` accumulated since the last
-    one (counting from ``interval``, so a segment's first record always
-    does); it costs ``s / ram_bandwidth``, folded left to right; the log end
-    offset becomes its offset + 1.
+    offset; the record's position is the segment's bytes before it; it
+    costs ``s / ram_bandwidth``, folded left to right; the log end offset
+    becomes its offset + 1.
     """
 
     def __init__(self, config: LogConfig) -> None:
@@ -80,8 +77,7 @@ class ReferenceLog:
     def _segment(self, base: int) -> SimpleNamespace:
         return SimpleNamespace(
             base=base, sealed=False, records=[], offsets=[], positions=[],
-            bytes=0, index_offsets=[], index_positions=[],
-            since_entry=self.config.index_interval_bytes,
+            bytes=0,
         )
 
     def land(self, record: StoredMessage, latency: float) -> float:
@@ -94,11 +90,6 @@ class ReferenceLog:
             segment.sealed = True
             segment = self._segment(self.leo)
             self.segments.append(segment)
-        if segment.since_entry >= config.index_interval_bytes:
-            segment.index_offsets.append(record.offset)
-            segment.index_positions.append(segment.bytes)
-            segment.since_entry = 0
-        segment.since_entry += s
         segment.records.append(record)
         segment.offsets.append(record.offset)
         segment.positions.append(segment.bytes)
@@ -139,35 +130,27 @@ class ReferenceLog:
         return latency
 
     def layout(self) -> dict:
-        bases = [s.base for s in self.segments]  # one index per segment
         return {
             "leo": self.leo,
             "start": 0,
-            "bases": bases,
-            "indexed": bases,
             "segments": [vars(s) for s in self.segments],
         }
 
 
 def layout(log: PartitionLog) -> dict:
     """Everything an append decides about a log, in :meth:`ReferenceLog.layout`
-    shape: records, segment layout and seal flags, indexes, end offset."""
-    segments = []
-    for s in log.segments():
-        index = log._indexes[s.base_offset]
-        segments.append({
+    shape: records, segment layout and seal flags, positions, end offset."""
+    segments = [
+        {
             "base": s.base_offset, "sealed": s.sealed,
             "records": list(s.messages()), "offsets": s._offsets,
             "positions": s._positions, "bytes": s.size_bytes,
-            "index_offsets": index._offsets,
-            "index_positions": index._positions,
-            "since_entry": index._bytes_since_entry,
-        })
+        }
+        for s in log.segments()
+    ]
     return {
         "leo": log.log_end_offset,
         "start": log.log_start_offset,
-        "bases": log._bases,
-        "indexed": sorted(log._indexes),
         "segments": segments,
     }
 

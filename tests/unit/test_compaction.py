@@ -22,8 +22,6 @@ class TestConfig:
     def test_invalid_values_rejected(self):
         with pytest.raises(ConfigError):
             CompactionConfig(tombstone_retention_seconds=-1)
-        with pytest.raises(ConfigError):
-            CompactionConfig(min_dirty_ratio=1.5)
 
 
 class TestCompaction:
@@ -121,26 +119,3 @@ class TestTombstones:
         result = compactor.compact(log)
         assert result.tombstones_dropped == 1
         assert "k" not in {m.key for m in log.all_messages()}
-
-
-class TestDirtyRatio:
-    def test_clean_log_skipped_below_threshold(self):
-        clock = SimClock()
-        log = PartitionLog("t-0", LogConfig(segment_max_messages=3), clock=clock)
-        for i in range(9):
-            log.append(f"unique-{i}", i)  # nothing superseded
-        compactor = LogCompactor(
-            CompactionConfig(min_dirty_ratio=0.5), clock=clock
-        )
-        result = compactor.compact(log)
-        assert not result.ran
-
-    def test_dirty_log_compacted_above_threshold(self):
-        clock = SimClock()
-        log = keyed_log(clock)  # heavily superseded
-        compactor = LogCompactor(
-            CompactionConfig(min_dirty_ratio=0.5), clock=clock
-        )
-        result = compactor.compact(log)
-        assert result.ran
-        assert result.messages_removed > 0

@@ -1,108 +1,68 @@
-"""Unit tests for the sparse offset index."""
+"""Unit tests for the offset index (§4.1).
 
-import random
+The index is each segment's dense offset array beside the records' byte
+positions: every record is an entry, and a fetch bisects it to the byte
+position its first record starts at.
+"""
 
 import pytest
 
+from repro.common.clock import SimClock
 from repro.common.errors import ConfigError
-from repro.storage.index import SparseOffsetIndex
+from repro.common.records import StoredMessage
+from repro.storage.log import LogConfig, PartitionLog
+
+
+def record(offset: int, value: str = "v") -> StoredMessage:
+    return StoredMessage(key="k", value=value, timestamp=0.0, offset=offset)
+
+
+def log_of(*records: StoredMessage, per_segment: int = 10) -> PartitionLog:
+    log = PartitionLog(
+        "p-0", LogConfig(segment_max_messages=per_segment), clock=SimClock()
+    )
+    log.append_stored_batch(list(records))
+    return log
 
 
 class TestMaybeAdd:
     def test_first_record_always_indexed(self):
-        index = SparseOffsetIndex(interval_bytes=1000)
-        assert index.maybe_add(0, 0, 100) is True
-
-    def test_entries_respect_interval(self):
-        index = SparseOffsetIndex(interval_bytes=250)
-        added = [index.maybe_add(i, i * 100, 100) for i in range(10)]
-        # First always; then one every ceil(250/100)=3 records.
-        assert added[0] is True
-        assert sum(added) == pytest.approx(1 + 3)
+        # Dense: the first record, and every one after it, is an entry.
+        log = log_of(*(record(i, "v" * i) for i in range(7)), per_segment=3)
+        for segment in log.segments():
+            offsets = [m.offset for m in segment.messages()]
+            assert segment._offsets == offsets
+            assert segment._offsets[0] == segment.base_offset
 
     def test_offsets_must_increase(self):
-        index = SparseOffsetIndex()
-        index.maybe_add(5, 0, 10)
+        log = log_of(record(5))
         with pytest.raises(ConfigError):
-            index.maybe_add(5, 10, 10)
-
-    def test_nonpositive_interval_rejected(self):
-        with pytest.raises(ConfigError):
-            SparseOffsetIndex(interval_bytes=0)
+            log.append_stored_batch([record(5)])
+        assert log.active_segment()._offsets == [5]
 
 
 class TestLookup:
-    def _filled(self) -> SparseOffsetIndex:
-        index = SparseOffsetIndex(interval_bytes=200)
-        position = 0
-        for offset in range(0, 20, 2):
-            index.maybe_add(offset, position, 100)
-            position += 100
-        return index
-
     def test_exact_hit(self):
-        index = self._filled()
-        assert index.lookup(0) == 0
-
-    def test_between_entries_returns_floor(self):
-        index = self._filled()
-        floor_for_1 = index.lookup(1)
-        assert floor_for_1 == index.lookup(0)
+        records = [record(i, "v" * (i + 1)) for i in range(0, 20, 2)]
+        segment = log_of(*records).active_segment()
+        position = 0
+        for r in records:
+            assert segment.read_from(r.offset, 1).start_position == position
+            position += r.stored_size
 
     def test_before_first_entry_returns_zero(self):
-        index = SparseOffsetIndex(interval_bytes=10)
-        index.maybe_add(100, 5000, 10)
-        assert index.lookup(50) == 0
-
-    def test_past_last_entry_returns_last(self):
-        index = self._filled()
-        assert index.lookup(10_000) == index.lookup(18)
+        # A follower's first segment starts at the leader's first offset.
+        segment = log_of(record(100)).active_segment()
+        assert segment.read_from(50, 1).start_position == 0
 
 
 class TestRebuild:
     def test_rebuild_replaces_entries(self):
-        index = SparseOffsetIndex(interval_bytes=100)
-        index.maybe_add(0, 0, 100)
-        index.maybe_add(1, 100, 100)
-        index.rebuild([(10, 0, 100), (11, 100, 100)])
-        assert index.lookup(10) == 0
-        assert index.lookup(11) == 100
-
-    def test_size_bytes(self):
-        index = SparseOffsetIndex(interval_bytes=1)
-        index.maybe_add(0, 0, 10)
-        index.maybe_add(1, 10, 10)
-        assert index.size_bytes() == 32
-        assert index.entry_count == 2
-
-
-class TestExtendRun:
-    @pytest.mark.parametrize("interval", [1, 64, 4096])
-    def test_matches_maybe_add_loop_over_carried_state(self, interval):
-        rng = random.Random(interval)
-        for _trial in range(50):
-            looped = SparseOffsetIndex(interval)
-            bulk = SparseOffsetIndex(interval)
-            offset = position = 0
-            # Several runs into the same index: _bytes_since_entry carries.
-            for _run in range(rng.randint(1, 6)):
-                offsets, positions = [], []
-                for _ in range(rng.randint(0, 40)):
-                    offset += rng.randint(1, 3)  # gaps, as after compaction
-                    size = rng.choice([1, 17, 63, 64, 65, 300, 5000])
-                    looped.maybe_add(offset, position, size)
-                    offsets.append(offset)
-                    positions.append(position)
-                    position += size
-                before = bulk.entry_count
-                added = bulk.extend_run(offsets, positions, position)
-                assert added == bulk.entry_count - before
-                assert bulk._offsets == looped._offsets
-                assert bulk._positions == looped._positions
-                assert bulk._bytes_since_entry == looped._bytes_since_entry
-
-    def test_run_must_follow_the_last_entry(self):
-        index = SparseOffsetIndex(interval_bytes=1)
-        index.extend_run([3, 4], [0, 10], 20)
-        with pytest.raises(ConfigError):
-            index.extend_run([4], [20], 30)
+        log = log_of(*(record(i, "v" * (i + 1)) for i in range(4)), per_segment=2)
+        sealed = log.sealed_segments()[0]
+        survivor = list(sealed.messages())[1]
+        log.rewrite_segment(sealed, [survivor])
+        assert sealed._offsets == [1]
+        assert sealed._positions == [0]
+        assert sealed.read_from(0, 1).start_position == 0
+        assert log.read(0).messages[0] == survivor

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.common.clock import SimClock
+from repro.common.costmodel import DEFAULT_COST_MODEL
 from repro.common.errors import ConfigError, OffsetOutOfRangeError
 from repro.common.records import RECORD_FRAMING_BYTES, StoredMessage
 from repro.storage.log import LogConfig, PartitionLog
@@ -123,6 +124,23 @@ class TestRead:
         small = log.read(0, max_messages=1).latency
         large = log.read(0, max_messages=20).latency
         assert large > small
+
+    @pytest.mark.parametrize("start, k", [(7, 1), (4, 2), (1, 3), (0, 3)])
+    def test_read_charges_one_probe_per_segment_plus_its_pages(self, start, k):
+        # Three segments of three small records, each on one page that the
+        # append left resident: a read touching k segments costs k offset
+        # probes and k hot page reads, folded in the order the log reads.
+        _clock, log = make_log(segment_max_messages=3)
+        for i in range(9):
+            log.append("k", i)
+        model = DEFAULT_COST_MODEL
+        expected = 0.0
+        for _ in range(k):
+            expected += model.request_overhead / 10
+            expected += model.ram_read(model.page_size)
+        result = log.read(start, max_messages=9)
+        assert [m.offset for m in result.messages] == list(range(start, 9))
+        assert result.latency == expected
 
 
 class TestTimestampLookup:

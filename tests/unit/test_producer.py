@@ -9,6 +9,7 @@ from repro.common.errors import (
     ConfigError,
     MessagingError,
     ProducerFlushError,
+    RecordTooLargeError,
     ReservedHeaderError,
     TopicNotFoundError,
 )
@@ -171,6 +172,43 @@ class TestBatching:
         log = cluster.broker(cluster.leader_of("t", 0)).replica(tp).log
         assert [m.value for m in log.all_messages()] == sent
         assert [m.size for m in log.all_messages()] == [12, 8, 12]
+
+    @pytest.mark.parametrize("idempotent", [False, True])
+    @pytest.mark.parametrize("compression", ["none", "zlib:6"])
+    def test_an_oversized_record_does_not_lose_its_batch(
+        self, compression, idempotent
+    ):
+        cluster = make_cluster(partitions=1)
+        producer = Producer(
+            cluster,
+            ProducerConfig(
+                linger_messages=10, compression=compression, idempotent=idempotent
+            ),
+        )
+        for value in ({"ok": 1}, "x" * (2 << 20), {"ok": 2}):
+            producer.send("t", value, partition=0)
+        with pytest.raises(ProducerFlushError) as info:
+            producer.flush()
+        ((tp, refused),) = info.value.failures
+        assert isinstance(refused, RecordTooLargeError)
+        assert refused.indices == (1,)
+        # The rest landed once, as one batch, and nothing is left to retry.
+        assert info.value.acks == [refused.ack]
+        assert (refused.ack.base_offset, refused.ack.last_offset) == (0, 1)
+        assert producer.pending() == 0
+        log = cluster.broker(cluster.leader_of("t", 0)).replica(tp).log
+        assert [m.value for m in log.all_messages()] == [{"ok": 1}, {"ok": 2}]
+        frames = [entry[5] for entry in log.batches() if entry[5] is not None]
+        assert [f.count for f in frames] == ([2] if compression != "none" else [])
+        # A lone oversized send is refused whole; the partition moves on.
+        with pytest.raises(RecordTooLargeError):
+            Producer(cluster, ProducerConfig(idempotent=idempotent)).send(
+                "t", "x" * (2 << 20), partition=0
+            )
+        producer.send("t", {"ok": 3}, partition=0)
+        producer.flush()
+        assert [m.value for m in log.all_messages()][-1] == {"ok": 3}
+        assert log.log_end_offset == 3
 
 
 class TestRetries:
