@@ -7,6 +7,7 @@ it hosts.  Exact counts throughout: nothing here reads a wall clock.
 """
 
 import cProfile
+import gc
 
 import pytest
 
@@ -35,11 +36,23 @@ def settle(cluster) -> None:
 
 
 def python_calls(fn) -> int:
-    """Calls ``fn()`` makes, Python and builtin, as cProfile counts them."""
+    """Calls ``fn()`` makes, Python and builtin, as cProfile counts them.
+
+    Garbage is collected first and the collector held off while ``fn`` runs:
+    a collection inside the window would count the finalizers of whatever
+    earlier tests left behind as calls of ``fn``.
+    """
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
     profiler = cProfile.Profile()
-    profiler.enable()
-    fn()
-    profiler.disable()
+    try:
+        profiler.enable()
+        fn()
+        profiler.disable()
+    finally:
+        if was_enabled:
+            gc.enable()
     return sum(entry.callcount for entry in profiler.getstats())
 
 

@@ -9,6 +9,7 @@ wall clock.
 """
 
 import cProfile
+import gc
 
 import pytest
 
@@ -38,11 +39,23 @@ def flushed_store(keys: int) -> LsmStore:
 
 
 def python_calls(fn) -> int:
-    """Calls ``fn()`` makes, Python and builtin, as cProfile counts them."""
+    """Calls ``fn()`` makes, Python and builtin, as cProfile counts them.
+
+    Garbage is collected first and the collector held off while ``fn`` runs:
+    a collection inside the window would count the finalizers of whatever
+    earlier tests left behind as calls of ``fn``.
+    """
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
     profiler = cProfile.Profile()
-    profiler.enable()
-    fn()
-    profiler.disable()
+    try:
+        profiler.enable()
+        fn()
+        profiler.disable()
+    finally:
+        if was_enabled:
+            gc.enable()
     return sum(entry.callcount for entry in profiler.getstats())
 
 
