@@ -250,7 +250,10 @@ class Broker:
             config = self._topic_configs[partition.topic]
             if not config.compacted:
                 continue
-            result = self._compactor.compact(replica.log)
+            unstable, aborted = replica.compaction_bounds()
+            result = self._compactor.compact(
+                replica.log, unstable=unstable, aborted=aborted
+            )
             removed += result.messages_removed
         if removed:
             self.metrics.counter(_M_COMPACTION_REMOVED).increment(removed)

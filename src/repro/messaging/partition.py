@@ -420,6 +420,16 @@ class PartitionReplica:
                     )
         return latency
 
+    def compaction_bounds(self) -> tuple[int | None, list[tuple[int, int]]]:
+        """What compaction must leave alone: the first offset of the earliest
+        open transaction (``None`` when none is open), and the ``(base,
+        last)`` runs of aborted transactional batches."""
+        markers = set(self._markers)
+        return (
+            min(self._open_txns.values(), default=None),
+            [run for run in self._hidden if run not in markers],
+        )
+
     @property
     def last_stable_offset(self) -> int:
         """First offset of the earliest open transaction, capped by the HW.

@@ -312,8 +312,8 @@ class JobRunner:
     def _build_stores(
         self, task_id: int, staged: dict[TopicPartition, list]
     ) -> dict[str, KeyValueState]:
-        """The task's stores; each changelogged one stages its mutations in
-        ``staged`` for its own changelog partition, ``task_id``."""
+        """The task's stores; each changelogged one stages its pass's writes
+        in ``staged`` for its own changelog partition, ``task_id``."""
         stores: dict[str, KeyValueState] = {}
         for store_config in self.config.stores:
             changelog = None
@@ -558,8 +558,11 @@ class JobRunner:
                 instance.collector.stage_held(None)
 
     def _hand_over(self, instance: _TaskInstance) -> int:
-        """Give the task's staged runs to its producers; returns how many
-        emits they held."""
+        """Land the pass's state writes in the stores and stage them for the
+        changelog, then give the task's staged runs to its producers;
+        returns how many emits they held."""
+        for state in instance.stores.values():
+            state.hand_over()
         runs = instance.collector.runs
         emitted = sum(len(run) for run in runs.values())
         instance.output.hand_over(runs, instance.staged)

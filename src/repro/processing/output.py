@@ -3,12 +3,13 @@ committed under the job's processing guarantee (§3.2, §4.3).
 
 In the paper a Samza task emits through its container's producer, and the
 container is the unit of batching.  Here the unit is the poll pass: while
-it runs, a task's emits and state mutations only *stage*, as runs of
-producer entries per partition — emits in the task's :class:`RunCollector`,
-changelog entries in the dict its stores share (see
-:class:`~repro.processing.state.KeyValueState`).  At pass end the runner
-hands each run to a producer once (``Producer._stage_run``) and flushes: one
-request per touched partition, before any checkpoint that covers it.
+it runs, a task's emits only *stage*, as runs of producer entries per
+partition in the task's :class:`RunCollector`, and its state writes collect
+per key in its stores.  At pass end each store stages its writes as one
+changelog run in the dict the stores share (see
+:class:`~repro.processing.state.KeyValueState`), and the runner hands each
+run to a producer once (``Producer._stage_run``) and flushes: one request
+per touched partition, before any checkpoint that covers it.
 
 The guarantee decides the rest — which producers, how a checkpoint commits,
 what a pass that raised leaves behind: :class:`AtLeastOnceOutput` and

@@ -5,11 +5,12 @@ changelog, which is a derived feed stored by the messaging layer.  After
 failure, state is reconstructed from the changelog."
 
 :class:`KeyValueState` wraps a local :class:`~repro.processing.store.KeyValueStore`
-and stages every mutation for a *compacted* changelog topic in the
-messaging layer; the job runner publishes a pass's mutations as one run
-per changelog partition.  Because the changelog is keyed by the state key,
-compaction (§4.1) bounds its size by the number of live keys, which is what
-makes recovery fast (E4).
+behind a write-behind pass cache (Samza's ``CachedStore``): a pass's writes
+collect in one dict, last value per key, and at the pass's hand-over land in
+the store as one ``put_many`` and in a *compacted* changelog topic as one
+run.  Because the changelog is keyed by the state key, compaction (§4.1)
+bounds its size by the number of live keys, which is what makes recovery
+fast (E4); the pass cache ships only what compaction would keep of the pass.
 
 :func:`replay_changelog` is the way back, the one loop that fetches a
 changelog into a store: the cold restore and the standby tail both run it.
@@ -58,13 +59,14 @@ def replay_changelog(
     earliest offset when ``None``) up to its end, or ``limit_offset``;
     returns where the next pass starts, and the pass's stats.
 
-    A tombstone deletes, any other record puts, straight into the store (no
-    re-publication).  When retention deleted the range about to be read the
-    loop *reseats*: clears the store and replays from the surviving head,
-    which on a compacted changelog holds the newest value per live key.
-    Never ticks the cluster or advances the clock; the caller charges the
-    summed fetch latency, or not.  A pass that raises returns no position,
-    so the caller's stays put and its next pass re-applies from there.
+    Each fetched batch goes straight into the store as one ``put_many`` (no
+    re-publication): a tombstone deletes, any other record puts.  When
+    retention deleted the range about to be read the loop *reseats*: clears
+    the store and replays from the surviving head, which on a compacted
+    changelog holds the newest value per live key.  Never ticks the cluster
+    or advances the clock; the caller charges the summed fetch latency, or
+    not.  A pass that raises returns no position, so the caller's stays put
+    and its next pass re-applies from there.
     """
     applied = skipped = 0
     seconds = 0.0
@@ -95,14 +97,13 @@ def replay_changelog(
                 end = min(end, limit_offset)
             continue
         seconds += result.latency
-        for record in result.records:
-            if record.offset >= end:
-                break
-            if record.value is None:
-                store.delete(record.key)
-            else:
-                store.put(record.key, record.value)
-            applied += 1
+        records = result.records
+        if records and records[-1].offset >= end:
+            records = [record for record in records if record.offset < end]
+        # The batch lands as one write run: last value per key, a tombstone
+        # (value None) deleting.
+        store.put_many({record.key: record.value for record in records})
+        applied += len(records)
         if result.next_offset <= position:
             break  # no progress (e.g. everything above the LSO)
         position = min(result.next_offset, end)
@@ -112,14 +113,20 @@ def replay_changelog(
 class KeyValueState:
     """A named state store owned by one task, optionally changelogged.
 
-    A changelogged state (``changelog`` is its partition) stages every
-    mutation in ``staged[changelog]``: a run of producer entries ``(key,
-    value, None, headers)``, value ``None`` for a tombstone, which the job
-    runner hands to its changelog producer at pass end.  The runner gives
-    a task's stores one shared ``staged`` dict, so a pass's runs keep the
-    order the task first wrote them in.  Without a changelog the state is
-    transient (lost on failure) — the ablation mode used to show why
-    changelogs matter.
+    Writes are behind: ``put`` and ``delete`` only record the key's last
+    value (``None`` for a tombstone) in the pass's pending dict, which
+    ``get`` and ``in`` read first.  A scan, ``len`` or size applies it to
+    the store first.  :meth:`hand_over` ends the pass (the runner calls it
+    at pass end, after ``init()`` and for an at-least-once pass that
+    raised): the pass's writes land in the store as one ``put_many`` and,
+    for a changelogged state (``changelog`` is its partition), in
+    ``staged[changelog]`` as one run of producer entries ``(key, value,
+    None, headers)`` — one per key written, in first-write order — which
+    the runner hands to its changelog producer.  An exactly-once pass that
+    raised is dropped with the whole task incarnation, which is rebuilt from
+    its last checkpoint; :meth:`clear` drops them too.  Without a changelog
+    the state is transient (lost on failure) — the ablation mode used to
+    show why changelogs matter.
     """
 
     def __init__(
@@ -137,41 +144,67 @@ class KeyValueState:
         #: changelog write's ``produce.send`` span and returns the headers
         #: that carry it.
         self.trace: Callable[[TopicPartition], dict[str, Any]] | None = None
+        #: Writes not yet in the store, and every write of the pass; the
+        #: same dict until a scan applies the first to the store.
+        self._pending: dict[Any, Any] = {}
+        self._written = self._pending
         self.puts = 0
         self.gets = 0
         self.deletes = 0
 
-    # -- mutation (staged for the changelog) -----------------------------------------
+    # -- writes (behind, until the pass's hand-over) ---------------------------------
 
     def put(self, key: Any, value: Any) -> None:
         if value is None:
             raise StateStoreError(
                 f"state {self.name!r}: None values are reserved for deletes"
             )
-        self.store.put(key, value)
+        self._pending[key] = value
         self.puts += 1
-        if self.changelog is not None:
-            self._stage(key, value)
 
     def delete(self, key: Any) -> None:
-        self.store.delete(key)
+        self._pending[key] = None  # tombstone
         self.deletes += 1
-        if self.changelog is not None:
-            self._stage(key, None)  # tombstone
 
-    def _stage(self, key: Any, value: Any) -> None:
+    def _apply(self) -> None:
+        """Write the pending writes through to the store."""
+        pending = self._pending
+        if pending:
+            self.store.put_many(pending)
+            if self._written is not pending:
+                self._written |= pending
+            self._pending = {}
+
+    def hand_over(self) -> dict[Any, Any]:
+        """End the pass: its writes go to the store and, changelogged, to
+        ``staged`` as one run.  Returns them, ``{key: value or None}``."""
+        self._apply()
+        written = self._written
+        if not written:
+            return written
+        self._pending = self._written = {}
         tp = self.changelog
-        entry = (
-            key, value, None, EMPTY_HEADERS if self.trace is None else self.trace(tp)
-        )
+        if tp is None:
+            return written
+        trace = self.trace
+        if trace is None:
+            run = [(key, value, None, EMPTY_HEADERS) for key, value in written.items()]
+        else:
+            run = [(key, value, None, trace(tp)) for key, value in written.items()]
         staged = self.staged
         if tp in staged:
-            staged[tp].append(entry)
+            staged[tp] += run
         else:
-            staged[tp] = [entry]
+            staged[tp] = run
+        return written
+
+    # -- reads -------------------------------------------------------------------------
 
     def get(self, key: Any) -> Any:
         self.gets += 1
+        pending = self._pending
+        if key in pending:
+            return pending[key]
         return self.store.get(key)
 
     def get_or_default(self, key: Any, default: Any) -> Any:
@@ -179,22 +212,32 @@ class KeyValueState:
         return value if value is not None else default
 
     def __contains__(self, key: Any) -> bool:
+        pending = self._pending
+        if key in pending:
+            return pending[key] is not None
         return key in self.store
 
     def items(self) -> Iterator[tuple[Any, Any]]:
+        self._apply()
         return self.store.items()
 
     def range(self, start: Any = None, end: Any = None) -> Iterator[tuple[Any, Any]]:
-        """Live pairs with ``start <= repr(key) < end`` in key-repr order."""
+        """Live pairs with ``start <= key < end`` in the store order
+        (:func:`~repro.processing.store.order_key`)."""
+        self._apply()
         return self.store.range_items(start, end)
 
     def __len__(self) -> int:
+        self._apply()
         return len(self.store)
 
     def approximate_size_bytes(self) -> int:
+        self._apply()
         return self.store.approximate_size_bytes()
 
     def clear(self) -> None:
+        """Empty the local store, dropping the pass's writes with it."""
+        self._pending = self._written = {}
         self.store.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -14,20 +14,94 @@ Two implementations share the :class:`KeyValueStore` interface:
 * :class:`InMemoryStore` — plain dict; zero-cost, for tests and small state;
 * :class:`LsmStore` — memtable + sorted runs with simulated probe costs from
   the cost model, including run compaction.
+
+Both are keyed by the key itself, so a point operation is a dict operation,
+and both order keys by one definition, :func:`order_key`, which runs only
+where order matters: when a run is built and when a range is cut.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from operator import itemgetter
+from operator import countOf, itemgetter
 from typing import Any, Iterator, Protocol, runtime_checkable
 
 from repro.common.costmodel import DEFAULT_COST_MODEL, CostModel
 from repro.common.errors import ConfigError, StateStoreError
 from repro.common.records import estimate_size
 
-#: Sentinel distinguishing "key absent" from "key stored with value None".
-_MISSING = object()
+#: Ranks of the key types in the store order, lowest first.
+_NUMBER, _STR, _BYTES, _OTHER = range(4)
+_JUST_STR = frozenset((str,))
+#: Types of a bound that cuts a run of ``str`` keys as it is.
+_PLAIN_BOUND = (str, type(None))
+
+
+def order_key(key: Any) -> tuple[int, Any]:
+    """A key's place in the store order.
+
+    Numbers (``int``, ``float``, ``bool``) order numerically, ``str`` by code
+    point, ``bytes`` bytewise, and across types numbers < ``str`` <
+    ``bytes`` < everything else, which orders by ``repr``.
+    """
+    if isinstance(key, str):
+        return _STR, key
+    if isinstance(key, (int, float)):
+        return _NUMBER, key
+    if isinstance(key, bytes):
+        return _BYTES, key
+    return _OTHER, repr(key)
+
+
+def _all_str(keys) -> bool:
+    """Whether every key is a plain ``str``, so keys sort as they are."""
+    return set(map(type, keys)) <= _JUST_STR
+
+
+def in_order(keys) -> list:
+    """``keys`` sorted in the store order."""
+    if _all_str(keys):
+        return sorted(keys)
+    return sorted(keys, key=order_key)
+
+
+def _item_order(item: tuple[Any, Any]) -> tuple[int, Any]:
+    return order_key(item[0])
+
+
+def sort_items(items: list[tuple[Any, Any]]) -> None:
+    """Sort ``(key, value)`` pairs in place, in the store order of their
+    keys (merging shards' range answers)."""
+    if _all_str(map(itemgetter(0), items)):
+        items.sort(key=itemgetter(0))
+    else:
+        items.sort(key=_item_order)
+
+
+def _between(entries: dict, start: Any, end: Any) -> dict:
+    """The entries whose keys lie in ``[start, end)`` in the store order;
+    ``None`` is unbounded."""
+    if start is None and end is None:
+        return entries
+    if type(start) in _PLAIN_BOUND and type(end) in _PLAIN_BOUND:
+        # str bounds compare with str keys directly; any other key raises.
+        items = entries.items()
+        try:
+            if start is None:
+                return {key: value for key, value in items if key < end}
+            if end is None:
+                return {key: value for key, value in items if start <= key}
+            return {key: value for key, value in items if start <= key < end}
+        except TypeError:
+            pass
+    lo = None if start is None else order_key(start)
+    hi = None if end is None else order_key(end)
+    inside = {}
+    for key, value in entries.items():
+        rank = order_key(key)
+        if (lo is None or lo <= rank) and (hi is None or rank < hi):
+            inside[key] = value
+    return inside
 
 
 @runtime_checkable
@@ -37,6 +111,8 @@ class KeyValueStore(Protocol):
     def get(self, key: Any) -> Any: ...
 
     def put(self, key: Any, value: Any) -> None: ...
+
+    def put_many(self, writes: dict[Any, Any]) -> None: ...
 
     def delete(self, key: Any) -> None: ...
 
@@ -67,6 +143,15 @@ class InMemoryStore:
     def put(self, key: Any, value: Any) -> None:
         self._data[key] = value
 
+    def put_many(self, writes: dict[Any, Any]) -> None:
+        """Apply a run of writes at once; value ``None`` deletes."""
+        data = self._data
+        data |= writes
+        if None in writes.values():
+            for key, value in writes.items():
+                if value is None:
+                    del data[key]
+
     def delete(self, key: Any) -> None:
         self._data.pop(key, None)
 
@@ -79,22 +164,11 @@ class InMemoryStore:
     def range_items(
         self, start: Any = None, end: Any = None
     ) -> Iterator[tuple[Any, Any]]:
-        """Live pairs with ``start <= repr(key) < end`` in key-repr order.
-
-        Bounds are compared in the stores' native order — the ``repr`` of
-        the key — so range semantics are identical for every store
-        implementation (and for arbitrary hashable keys).  ``None`` means
-        unbounded.
-        """
-        lo = None if start is None else repr(start)
-        hi = None if end is None else repr(end)
-        inside = []
-        for key, value in self._data.items():
-            sort_key = repr(key)
-            if (lo is None or sort_key >= lo) and (hi is None or sort_key < hi):
-                inside.append((sort_key, key, value))
-        inside.sort(key=itemgetter(0))
-        return iter([(key, value) for _sort_key, key, value in inside])
+        """Pairs with ``start <= key < end`` in the store order
+        (:func:`order_key`); ``None`` means unbounded.  The snapshot is taken
+        at the call."""
+        inside = _between(self._data, start, end)
+        return iter([(key, inside[key]) for key in in_order(inside)])
 
     def __len__(self) -> int:
         return len(self._data)
@@ -109,43 +183,42 @@ class InMemoryStore:
 
 
 class _SortedRun:
-    """An immutable sorted run: (sort_key, key, value) triples.
+    """An immutable sorted run.
 
-    ``keys`` is the sort-key column of ``entries``, kept beside it so a
-    probe is one C bisect over plain strings.
+    ``data`` maps each key to its value (``None`` for a tombstone), in key
+    order, so a probe is one dict lookup.  ``keys`` is its ordered key
+    column, which range cuts bisect: directly when every key is a ``str``
+    (``column is keys``), else through ``column``, the keys' order keys.
     """
 
-    __slots__ = ("entries", "keys")
+    __slots__ = ("data", "keys", "column")
 
-    def __init__(self, entries: list[tuple[str, Any, Any]]) -> None:
-        self.entries = entries  # sorted by sort_key
-        self.keys = [entry[0] for entry in entries]
+    def __init__(self, entries: dict[Any, Any]) -> None:
+        if _all_str(entries):
+            self.keys = self.column = sorted(entries)
+        else:
+            self.keys = sorted(entries, key=order_key)
+            self.column = list(map(order_key, self.keys))
+        self.data = {key: entries[key] for key in self.keys}
 
-    def get(self, sort_key: str) -> Any:
+    def cut(self, bound: Any, rank: tuple[int, Any]) -> int:
+        """Index of the first key not below ``bound``, whose order key is
+        ``rank``."""
         keys = self.keys
-        idx = bisect_left(keys, sort_key)
-        if idx < len(keys) and keys[idx] == sort_key:
-            return self.entries[idx][2]
-        return _MISSING
-
-    def between(self, lo: str | None, hi: str | None) -> list[tuple[str, Any, Any]]:
-        """The entries with ``lo <= sort_key < hi``; ``None`` is unbounded."""
-        keys = self.keys
-        first = 0 if lo is None else bisect_left(keys, lo)
-        stop = len(keys) if hi is None else bisect_left(keys, hi)
-        return self.entries[first:stop]
-
-    def __len__(self) -> int:
-        return len(self.entries)
+        if self.column is not keys:
+            return bisect_left(self.column, rank)
+        if rank[0] == _STR:
+            return bisect_left(keys, bound)
+        return 0 if rank[0] < _STR else len(keys)
 
 
 class LsmStore:
     """Log-structured merge store with simulated probe costs.
 
-    Keys are ordered by ``repr`` so arbitrary hashable keys work; tombstones
-    (deleted keys) are retained in runs until a full compaction merges them
-    away — the same mechanics that make log compaction (E4) effective on the
-    store's changelog.
+    Keyed by the key itself, in the store order of :func:`order_key`;
+    tombstones (deleted keys, value ``None``) are retained in the memtable
+    and runs until a full compaction merges them away — the same mechanics
+    that make log compaction (E4) effective on the store's changelog.
 
     ``last_op_cost`` exposes the simulated cost of the most recent operation
     so the task runner can charge it to the job's CPU/IO budget.
@@ -164,7 +237,7 @@ class LsmStore:
         self.memtable_max_entries = memtable_max_entries
         self.max_runs = max_runs
         self.cost_model = cost_model
-        self._memtable: dict[str, tuple[Any, Any]] = {}  # sort_key -> (key, value)
+        self._memtable: dict[Any, Any] = {}  # key -> value, None a tombstone
         self._runs: list[_SortedRun] = []  # newest first
         self.last_op_cost = 0.0
         self.flushes = 0
@@ -173,21 +246,18 @@ class LsmStore:
     # -- point ops ---------------------------------------------------------------
 
     def get(self, key: Any) -> Any:
-        sort_key = repr(key)
         cost = self.cost_model.store_memtable_get
-        entry = self._memtable.get(sort_key)
-        if entry is not None:
+        memtable = self._memtable
+        if key in memtable:
             self.last_op_cost = cost
-            value = entry[1]
-            return None if value is _MISSING else value
+            return memtable[key]
         for run in self._runs:
             cost += self.cost_model.store_run_get
-            value = run.get(sort_key)
-            if value is not _MISSING:
+            data = run.data
+            if key in data:
                 self.last_op_cost = cost
-                # A tombstone is stored as None, which is also the "absent"
-                # return convention, so it can be returned directly.
-                return value
+                # A tombstone is None, which is also the "absent" return.
+                return data[key]
         self.last_op_cost = cost
         return None
 
@@ -197,26 +267,35 @@ class LsmStore:
                 "LsmStore cannot store None (reserved for tombstones); "
                 "use delete() instead"
             )
-        self._memtable[repr(key)] = (key, value)
+        self._memtable[key] = value
+        self.last_op_cost = self.cost_model.store_put
+        if len(self._memtable) >= self.memtable_max_entries:
+            self.flush_memtable()
+
+    def put_many(self, writes: dict[Any, Any]) -> None:
+        """Apply a run of writes, value ``None`` a tombstone: one dict update
+        and one flush check, so the memtable may overrun
+        ``memtable_max_entries`` by the run's distinct keys before it
+        flushes."""
+        self._memtable |= writes
         self.last_op_cost = self.cost_model.store_put
         if len(self._memtable) >= self.memtable_max_entries:
             self.flush_memtable()
 
     def delete(self, key: Any) -> None:
-        self._memtable[repr(key)] = (key, _MISSING)
+        self._memtable[key] = None
         self.last_op_cost = self.cost_model.store_put
         if len(self._memtable) >= self.memtable_max_entries:
             self.flush_memtable()
 
     def __contains__(self, key: Any) -> bool:
-        sort_key = repr(key)
-        entry = self._memtable.get(sort_key)
-        if entry is not None:
-            return entry[1] is not _MISSING
+        memtable = self._memtable
+        if key in memtable:
+            return memtable[key] is not None
         for run in self._runs:
-            value = run.get(sort_key)
-            if value is not _MISSING:
-                return value is not None
+            data = run.data
+            if key in data:
+                return data[key] is not None
         return False
 
     # -- flush / compaction ----------------------------------------------------------
@@ -225,11 +304,7 @@ class LsmStore:
         """Freeze the memtable into a new sorted run."""
         if not self._memtable:
             return
-        entries = sorted(
-            (sort_key, key, None if value is _MISSING else value)
-            for sort_key, (key, value) in self._memtable.items()
-        )
-        self._runs.insert(0, _SortedRun(entries))
+        self._runs.insert(0, _SortedRun(self._memtable))
         self._memtable = {}
         self.flushes += 1
         if len(self._runs) > self.max_runs:
@@ -237,43 +312,47 @@ class LsmStore:
 
     def compact(self) -> None:
         """Merge all runs into one, dropping tombstones and shadowed values."""
-        merged: dict[str, tuple[Any, Any]] = {}
+        merged: dict[Any, Any] = {}
         for run in reversed(self._runs):  # oldest first; newer overwrites
-            for sort_key, key, value in run.entries:
-                merged[sort_key] = (key, value)
-        survivors = sorted(
-            (sort_key, key, value)
-            for sort_key, (key, value) in merged.items()
-            if value is not None
-        )
+            merged |= run.data
+        survivors = {key: value for key, value in merged.items() if value is not None}
         self._runs = [_SortedRun(survivors)] if survivors else []
         self.compactions += 1
 
     # -- scans ------------------------------------------------------------------------
 
     def items(self) -> Iterator[tuple[Any, Any]]:
-        """All live (key, value) pairs in key-repr order."""
+        """All live (key, value) pairs in the store order."""
         return self.range_items()
 
     def range_items(
         self, start: Any = None, end: Any = None
     ) -> Iterator[tuple[Any, Any]]:
-        """Live pairs with ``start <= repr(key) < end`` in key-repr order.
+        """Live pairs with ``start <= key < end`` in the store order
+        (:func:`order_key`); ``None`` means unbounded.
 
         Reads each run's slice of the range plus the memtable, never the
         rest of the store; the snapshot is taken at the first ``next``.
         """
-        lo = None if start is None else repr(start)
-        hi = None if end is None else repr(end)
-        merged: dict[str, tuple[Any, Any]] = {}
+        # str bounds cut a run of str keys directly; anything else goes
+        # through the order keys, computed once per scan.
+        plain = type(start) in _PLAIN_BOUND and type(end) in _PLAIN_BOUND
+        lo = None if start is None else order_key(start)
+        hi = None if end is None else order_key(end)
+        merged: dict[Any, Any] = {}
         for run in reversed(self._runs):  # oldest first; newer overwrites
-            for sort_key, key, value in run.between(lo, hi):
-                merged[sort_key] = (key, value)
-        for sort_key, (key, value) in self._memtable.items():
-            if (lo is None or sort_key >= lo) and (hi is None or sort_key < hi):
-                merged[sort_key] = (key, None if value is _MISSING else value)
-        for sort_key in sorted(merged):
-            key, value = merged[sort_key]
+            keys, data = run.keys, run.data
+            if plain and run.column is keys:
+                first = 0 if start is None else bisect_left(keys, start)
+                stop = None if end is None else bisect_left(keys, end)
+            else:
+                first = 0 if start is None else run.cut(start, lo)
+                stop = None if end is None else run.cut(end, hi)
+            for key in keys[first:stop]:
+                merged[key] = data[key]
+        merged |= _between(self._memtable, start, end)
+        for key in in_order(merged):
+            value = merged[key]
             if value is not None:
                 yield key, value
 
@@ -285,20 +364,20 @@ class LsmStore:
         )
 
     def __len__(self) -> int:
-        live: dict[str, bool] = {}
+        live: dict[Any, Any] = {}
         for run in reversed(self._runs):  # oldest first; newer overwrites
-            for sort_key, _key, value in run.entries:
-                live[sort_key] = value is not None
-        for sort_key, (_key, value) in self._memtable.items():
-            live[sort_key] = value is not _MISSING
-        return sum(live.values())
+            live |= run.data
+        live |= self._memtable
+        return len(live) - countOf(live.values(), None)
 
     def approximate_size_bytes(self) -> int:
+        """Every entry the store holds, a tombstone charged as a ``None``
+        value wherever it sits."""
         total = 0
-        for sort_key, (key, value) in self._memtable.items():
+        for key, value in self._memtable.items():
             total += estimate_size(key) + estimate_size(value) + 16
         for run in self._runs:
-            for _sort_key, key, value in run.entries:
+            for key, value in run.data.items():
                 total += estimate_size(key) + estimate_size(value) + 16
         return total
 

@@ -24,6 +24,7 @@ from repro.common.errors import ServingError
 from repro.common.metrics import metric_name, metric_segment
 from repro.common.partitioning import partition_for_key
 from repro.observability.trace import current_tracer
+from repro.processing.store import sort_items
 from repro.serving.server import (
     CONSISTENCY_BOUNDED,
     QueryResult,
@@ -121,13 +122,14 @@ class StateQueryRouter:
         consistency: str = CONSISTENCY_BOUNDED,
         allow_stale: bool = False,
     ) -> QueryResult:
-        """Scatter-gather range scan over every shard, merged in key order."""
+        """Scatter-gather range scan over every shard, merged in the store
+        order (:func:`~repro.processing.store.order_key`)."""
         shards = [
             server.range(store, start, end, consistency, allow_stale)
             for server in self.servers
         ]
         pairs = [pair for shard in shards for pair in shard.value]
-        pairs.sort(key=lambda kv: repr(kv[0]))
+        sort_items(pairs)
         return self._account(
             "range", _merged(shards, (start, end), tuple(pairs), bool(pairs))
         )

@@ -220,7 +220,7 @@ class StateServer:
         consistency: str = CONSISTENCY_BOUNDED,
         allow_stale: bool = False,
     ) -> QueryResult:
-        """All pairs with ``start <= repr(key) < end``, in key-repr order."""
+        """All pairs with ``start <= key < end``, in the store order."""
         target, served_by, lag, seconds = self._select(
             store, consistency, allow_stale
         )

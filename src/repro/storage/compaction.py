@@ -17,13 +17,18 @@ Semantics reproduced from Kafka:
   still in the dirty region supersedes older sealed copies);
 * surviving records keep their original offsets;
 * a ``None`` value is a *tombstone*: it supersedes earlier values and is
-  itself dropped once older than ``tombstone_retention_seconds``.
+  itself dropped once older than ``tombstone_retention_seconds``;
+* the cleaner stops at the first unstable offset (the first record of the
+  earliest open transaction): from there on no record supersedes another or
+  is removed, and a record of an aborted transaction supersedes nothing —
+  so a committed value survives every write a ``read_committed`` reader
+  cannot see.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Sequence
 
 from repro.common.clock import Clock
 from repro.common.errors import ConfigError
@@ -60,8 +65,19 @@ class LogCompactor:
         self.config = config if config is not None else CompactionConfig()
         self._clock = clock
 
-    def compact(self, log: PartitionLog, now: float | None = None) -> CompactionResult:
-        """Run one compaction pass over the log's sealed segments."""
+    def compact(
+        self,
+        log: PartitionLog,
+        now: float | None = None,
+        unstable: int | None = None,
+        aborted: Sequence[tuple[int, int]] = (),
+    ) -> CompactionResult:
+        """Run one compaction pass over the log's sealed segments.
+
+        ``unstable`` is the first offset of the earliest open transaction
+        (``None``: none is open) and ``aborted`` the sorted ``(first, last)``
+        offset runs of aborted transactional batches.
+        """
         if now is None:
             now = self._clock.now() if self._clock is not None else 0.0
         result = CompactionResult()
@@ -69,14 +85,18 @@ class LogCompactor:
         if not sealed:
             return result
 
-        latest_offset_per_key = self._build_offset_map(log)
+        latest_offset_per_key = self._build_offset_map(log, unstable, aborted)
         result.ran = True
         horizon = now - self.config.tombstone_retention_seconds
+        limit = log.log_end_offset if unstable is None else unstable
         for segment in sealed:
             survivors = []
             removed = 0
             tombstones = 0
             for message in segment.messages():
+                if message.offset >= limit:
+                    survivors.append(message)
+                    continue
                 if message.offset != latest_offset_per_key.get(message.key):
                     removed += 1
                     continue
@@ -95,10 +115,29 @@ class LogCompactor:
             result.segments_merged = log.merge_sealed_segments()
         return result
 
-    def _build_offset_map(self, log: PartitionLog) -> dict[Any, int]:
-        """Highest offset per key across the whole log (sealed + active)."""
+    def _build_offset_map(
+        self,
+        log: PartitionLog,
+        unstable: int | None,
+        aborted: Sequence[tuple[int, int]],
+    ) -> dict[Any, int]:
+        """Highest offset per key across the whole log (sealed + active),
+        below ``unstable`` and outside the ``aborted`` runs."""
         latest: dict[Any, int] = {}
+        if unstable is None and not aborted:
+            for segment in log.segments():
+                for message in segment.messages():
+                    latest[message.key] = message.offset
+            return latest
+        runs = iter(aborted)
+        run = next(runs, None)
         for segment in log.segments():
             for message in segment.messages():
-                latest[message.key] = message.offset
+                offset = message.offset
+                if unstable is not None and offset >= unstable:
+                    return latest
+                while run is not None and run[1] < offset:
+                    run = next(runs, None)
+                if run is None or offset < run[0]:
+                    latest[message.key] = offset
         return latest

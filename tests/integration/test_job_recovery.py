@@ -118,7 +118,12 @@ class TestCrashRecovery:
         _clock, cluster, producer = make_env(partitions=1)
         for i in range(400):
             producer.send("nums", float(i), key=f"k{i % 4}")  # 100 updates/key
-        runner = JobRunner(job_config(changelog_segment_messages=50), cluster)
+        # Four records a pass: every pass writes every key once, so the
+        # changelog holds all 100 updates per key.
+        runner = JobRunner(
+            job_config(changelog_segment_messages=50), cluster,
+            max_fetch_per_partition=4,
+        )
         runner.run_until_idle()
         runner.checkpoint()
         before = all_state(runner)

@@ -4,8 +4,8 @@ A task's emits and changelog entries only stage while a poll pass runs and
 leave it in one flush at pass end, so the pass size decides the batch size —
 and nothing else.  ``poll_once(max_messages=1)`` is the per-record reference
 (one request per write, what the job layer did before it batched): every
-other pass size must produce the same derived feed, the same changelog and
-the same store, under both processing guarantees.
+other pass size must produce the same derived feed, the same compacted
+changelog and the same store, under both processing guarantees.
 
 The second part pins the crash window the flush opens: a crash after the
 pass-end flush but before the checkpoint's commit replays the pass.
@@ -153,9 +153,11 @@ def observable_content(seed, n, guarantee, max_messages):
             ]
             for records in read(cluster, runner, "out")
         ],
-        # No timestamps: the broker stamps changelog entries at flush time.
+        # What compaction keeps of the changelog, its last value per key: a
+        # pass ships its net effect, so the records themselves depend on
+        # the pass size.
         "changelog": [
-            [(r.offset, r.key, r.value) for r in records]
+            {r.key: r.value for r in records}
             for records in read(cluster, runner, changelog)
         ],
         "state": [
@@ -173,7 +175,6 @@ class TestPassSizeIsInvisibleInContent:
     ):
         reference = observable_content(seed, n, guarantee, max_messages=1)
         assert sum(len(p) for p in reference["derived"]) == n
-        assert sum(len(p) for p in reference["changelog"]) == n
         for max_messages in PASS_SIZES[1:]:
             assert (
                 observable_content(seed, n, guarantee, max_messages) == reference
@@ -258,22 +259,19 @@ class TestCrashBetweenFlushAndCommit:
 
 
 class ReferenceState(KeyValueState):
-    """``KeyValueState`` as it was: every mutation calls the injected
-    ``changelog_append`` at once."""
+    """``KeyValueState`` whose hand-over calls the injected
+    ``changelog_append`` once per entry of the pass's net writes."""
 
     def __init__(self, name, store, changelog_append):
         super().__init__(name, store)
         self._changelog_append = changelog_append
 
-    def put(self, key, value):
-        super().put(key, value)
+    def hand_over(self):
+        written = super().hand_over()
         if self._changelog_append is not None:
-            self._changelog_append(key, value)
-
-    def delete(self, key):
-        super().delete(key)
-        if self._changelog_append is not None:
-            self._changelog_append(key, None)  # tombstone
+            for key, value in written.items():
+                self._changelog_append(key, value)  # value None: tombstone
+        return written
 
 
 class ReferenceAtLeastOnce(AtLeastOnceOutput):
@@ -312,7 +310,9 @@ class ReferenceJobRunner(JobRunner):
     """The runner with the per-record staging that run staging replaced,
     copied as it was: a fresh ``MessageCollector`` per pass drained after every record
     into ``Producer.send`` (``_send_emits``), each store's changelog closure
-    through the task table, the exactly-once ``send`` wrapper.
+    through the task table, the exactly-once ``send`` wrapper.  Only the
+    changelog's *content* follows the write-behind rule: each store sends
+    its pass's net writes, one ``Producer.send`` per key, at pass end.
 
     What the two share is everything after the producers' buffers: the
     pass-end flush (so the fixed at-least-once flush, which ships the
@@ -365,6 +365,8 @@ class ReferenceJobRunner(JobRunner):
                 instance.positions[tp], fetched.next_offset
             )
         self._reference_maybe_window(instance, result)
+        for state in instance.stores.values():
+            state.hand_over()
         result.latency += instance.output.flush()
         if instance.records_since_checkpoint >= self.config.checkpoint_interval:
             self._checkpoint_task(instance)

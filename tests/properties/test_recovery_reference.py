@@ -10,7 +10,9 @@ and ``recovery._promote_standbys`` / ``restore_task_state`` /
 as :class:`ReferenceRecovery` — including ``JobRunner.recover`` /
 ``migrate_task`` as they called them (``init()`` before the restore: no task
 here reads state in ``init``) and the old ``StandbyReplica.catch_up``, which
-the reference side runs in place of the shared loop.
+the reference side runs in place of the shared loop.  Both apply each
+fetched batch as one ``put_many`` (value ``None`` a tombstone), the rule
+every store write follows since a pass's writes became one dict.
 
 Two clusters are built from the same parameters and driven through the same
 random schedule — puts, deletes (tombstones), changelog compaction, clock
@@ -64,14 +66,6 @@ STORES = ("a", "b")
 WIRE = metric_name("messaging", "cluster", "bytes_on_wire")
 
 
-def _restore_entry(state, key: Any, value: Any) -> None:
-    """``KeyValueState.restore_entry`` as it was."""
-    if value is None:
-        state.store.delete(key)
-    else:
-        state.store.put(key, value)
-
-
 class ReferenceRecovery:
     """The recovery code the shared loop and :class:`Standbys` replaced."""
 
@@ -97,9 +91,11 @@ class ReferenceRecovery:
         while offset < end:
             result = cluster.fetch(topic, task_id, offset, batch, isolation=isolation)
             seconds += result.latency
+            writes = {}
             for record in result.records:
-                _restore_entry(state, record.key, record.value)
+                writes[record.key] = record.value
                 records += 1
+            state.store.put_many(writes)
             if result.next_offset <= offset:
                 break
             offset = result.next_offset
@@ -282,14 +278,13 @@ class ReferenceRecovery:
                     end = min(end, limit_offset)
                 continue
             stats.simulated_seconds += result.latency
+            writes = {}
             for record in result.records:
                 if record.offset >= end:
                     break
-                if record.value is None:
-                    self.store.delete(record.key)
-                else:
-                    self.store.put(record.key, record.value)
+                writes[record.key] = record.value
                 stats.records_applied += 1
+            self.store.put_many(writes)
             if result.next_offset <= self.position:
                 break
             self.position = min(result.next_offset, end)

@@ -1,14 +1,14 @@
 """Property-based tests: LsmStore behaves exactly like a dict, and reads
-exactly like the store it replaced.
+exactly like a store that merges everything.
 
-The read path probes each sorted run with one C bisect and a range scan
-merges only each run's slice of the range.  The store it replaced merged
-every run into a dict, sorted all of it and filtered by ``repr`` — that
-code lives on here as :class:`ReferenceLsm`, the model the new one must
-equal after every step of a random schedule (``TestReadsMatchReference``).
+The read path probes each sorted run with one dict lookup and a range scan
+merges only each run's slice of the range, cut by bisecting its key column.
+:class:`ReferenceLsm` merges every run into a dict, orders all of it by the
+contract — :func:`model_order`, the store order spelled type group by type
+group — and filters: the model the store must equal after every step of a
+random schedule over mixed int / float / str / bytes / tuple keys
+(``TestReadsMatchReference``).
 """
-
-from bisect import bisect_left
 
 from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
@@ -117,129 +117,112 @@ TestLsmStateMachine.settings = settings(
 )
 
 
-# -- the store the read path replaced, kept as the reference model -----------------
-
-_MISSING = object()
+# -- the merge-everything reference ---------------------------------------------------
 
 
-def _range_filter(items, start, end):
-    start_key = None if start is None else repr(start)
-    end_key = None if end is None else repr(end)
-    for key, value in items:
-        sort_key = repr(key)
-        if start_key is not None and sort_key < start_key:
-            continue
-        if end_key is not None and sort_key >= end_key:
-            break
-        yield key, value
+def model_order(keys):
+    """The contract, type group by type group: numbers numerically, then
+    ``str`` by code point, then ``bytes`` bytewise, then everything else by
+    ``repr``."""
+    numbers, strs, raw, rest = [], [], [], []
+    for key in keys:
+        if isinstance(key, str):
+            strs.append(key)
+        elif isinstance(key, (int, float)):
+            numbers.append(key)
+        elif isinstance(key, bytes):
+            raw.append(key)
+        else:
+            rest.append(key)
+    return sorted(numbers) + sorted(strs) + sorted(raw) + sorted(rest, key=repr)
 
 
-class _ReferenceRun:
-    def __init__(self, entries):
-        self.entries = entries  # (sort_key, key, value), sorted by sort_key
+def model_range(model, start, end):
+    """``model``'s pairs with ``start <= key < end`` in the contract order;
+    a bound's place is where the contract sorts it among the keys."""
+    ordered = model_order(model)
 
-    def get(self, sort_key):
-        idx = bisect_left(self.entries, sort_key, key=lambda e: e[0])
-        if idx < len(self.entries) and self.entries[idx][0] == sort_key:
-            return self.entries[idx][2]
-        return _MISSING
+    def below(bound):
+        return model_order(set(model) | {bound}).index(bound)
+
+    first = 0 if start is None else below(start)
+    stop = len(ordered) if end is None else below(end)
+    return [(key, model[key]) for key in ordered[first:stop]]
 
 
 class ReferenceLsm:
-    """``LsmStore`` as of the parent commit: every scan merges everything."""
+    """``LsmStore``'s write and flush rules, with reads that merge every run
+    and the memtable into one dict, then order and filter it."""
 
     def __init__(self, memtable_max_entries, max_runs):
         self.memtable_max_entries = memtable_max_entries
         self.max_runs = max_runs
         self.cost_model = DEFAULT_COST_MODEL
-        self._memtable = {}
-        self._runs = []  # newest first
+        self._memtable = {}  # key -> value, None a tombstone
+        self._runs = []  # dicts, newest first
         self.last_op_cost = 0.0
         self.flushes = 0
         self.compactions = 0
 
     def get(self, key):
-        sort_key = repr(key)
         cost = self.cost_model.store_memtable_get
-        entry = self._memtable.get(sort_key)
-        if entry is not None:
+        if key in self._memtable:
             self.last_op_cost = cost
-            value = entry[1]
-            return None if value is _MISSING else value
+            return self._memtable[key]
         for run in self._runs:
             cost += self.cost_model.store_run_get
-            value = run.get(sort_key)
-            if value is not _MISSING:
+            if key in run:
                 self.last_op_cost = cost
-                return value
+                return run[key]
         self.last_op_cost = cost
         return None
 
     def put(self, key, value):
-        self._memtable[repr(key)] = (key, value)
-        self.last_op_cost = self.cost_model.store_put
-        self._maybe_flush()
+        self.put_many({key: value})
 
     def delete(self, key):
-        self._memtable[repr(key)] = (key, _MISSING)
+        self.put_many({key: None})
+
+    def put_many(self, writes):
+        self._memtable.update(writes)
         self.last_op_cost = self.cost_model.store_put
-        self._maybe_flush()
-
-    def __contains__(self, key):
-        sort_key = repr(key)
-        entry = self._memtable.get(sort_key)
-        if entry is not None:
-            return entry[1] is not _MISSING
-        for run in self._runs:
-            value = run.get(sort_key)
-            if value is not _MISSING:
-                return value is not None
-        return False
-
-    def _maybe_flush(self):
         if len(self._memtable) >= self.memtable_max_entries:
             self.flush_memtable()
+
+    def __contains__(self, key):
+        return self.get(key) is not None
 
     def flush_memtable(self):
         if not self._memtable:
             return
-        entries = sorted(
-            (sort_key, key, None if value is _MISSING else value)
-            for sort_key, (key, value) in self._memtable.items()
-        )
-        self._runs.insert(0, _ReferenceRun(entries))
+        self._runs.insert(0, self._memtable)
         self._memtable = {}
         self.flushes += 1
         if len(self._runs) > self.max_runs:
             self.compact()
 
-    def compact(self):
+    def _merged(self):
         merged = {}
         for run in reversed(self._runs):
-            for sort_key, key, value in run.entries:
-                merged[sort_key] = (key, value)
-        survivors = sorted(
-            (sort_key, key, value)
-            for sort_key, (key, value) in merged.items()
-            if value is not None
-        )
-        self._runs = [_ReferenceRun(survivors)] if survivors else []
+            merged.update(run)
+        return merged
+
+    def compact(self):
+        merged = {k: v for k, v in self._merged().items() if v is not None}
+        self._runs = [merged] if merged else []
         self.compactions += 1
 
     def items(self):
-        merged = {}
-        for run in reversed(self._runs):
-            for sort_key, key, value in run.entries:
-                merged[sort_key] = (key, value)
-        for sort_key, (key, value) in self._memtable.items():
-            merged[sort_key] = (key, None if value is _MISSING else value)
-        for sort_key in sorted(merged):
-            key, value = merged[sort_key]
-            if value is not None:
-                yield key, value
+        merged = self._merged()
+        merged.update(self._memtable)
+        live = {k: v for k, v in merged.items() if v is not None}
+        yield from model_range(live, None, None)
 
     def range_items(self, start=None, end=None):
-        return _range_filter(self.items(), start, end)
+        merged = self._merged()
+        merged.update(self._memtable)
+        live = {k: v for k, v in merged.items() if v is not None}
+        yield from model_range(live, start, end)
 
     def scan_cost(self):
         return (
@@ -251,13 +234,14 @@ class ReferenceLsm:
         return sum(1 for _ in self.items())
 
 
-# ``repr`` order is the contract, so the keys mix types whose ``repr``s
-# interleave: every str ("'…") sorts before every tuple ("(…") before the
-# negative ints before the rest, -12 before -3 and 10 before 2, bytes
-# ("b'…") last.  A small pool, so puts, deletes and bounds collide.
+# The order is the contract, so the keys mix types whose order the old
+# ``repr`` rule got wrong: -12 before -3 and 2 before 10 numerically, floats
+# among the ints (2.0 is the key 2), str before bytes before tuples.  A
+# small pool, so puts, deletes and bounds collide.
 mixed_keys = st.one_of(
     st.text(alphabet="abé水", max_size=2),
     st.integers(min_value=-12, max_value=12),
+    st.sampled_from([-2.5, 0.5, 2.0, 9.75]),
     st.sampled_from([b"", b"a", b"ab", b"\xff"]),
     st.tuples(st.integers(min_value=-1, max_value=1), st.sampled_from(["a", "é"])),
 )
@@ -267,6 +251,11 @@ schedule = st.lists(
         st.one_of(
             st.tuples(st.just("put"), mixed_keys, values),
             st.tuples(st.just("delete"), mixed_keys, st.none()),
+            st.tuples(
+                st.just("put_many"),
+                st.none(),
+                st.dictionaries(mixed_keys, st.one_of(st.none(), values), max_size=6),
+            ),
             st.tuples(st.just("flush"), st.none(), st.none()),
             st.tuples(st.just("compact"), st.none(), st.none()),
         ),
@@ -278,13 +267,6 @@ schedule = st.lists(
 #: Sized from the profile: 60 in tier-1, the ``deep`` profile's in CI's
 #: ``determinism`` job.
 EXAMPLES = settings.default.max_examples if settings.default.max_examples > 100 else 60
-
-
-def model_range(model, start, end):
-    """The contract, from a plain dict: sort by ``repr``, keep [start, end)."""
-    return list(
-        _range_filter(iter(sorted(model.items(), key=lambda kv: repr(kv[0]))), start, end)
-    )
 
 
 class TestReadsMatchReference:
@@ -308,14 +290,26 @@ class TestReadsMatchReference:
             # the dict store when ``range_items`` is called (so it does not).
             early = lsm.range_items(start, end), ref.range_items(start, end)
             early_mem = mem.range_items(start, end), model_range(model, start, end)
+            written = []
             if op == "put":
                 for store in (lsm, ref, mem):
                     store.put(key, value)
                 model[key] = value
+                written = [key]
             elif op == "delete":
                 for store in (lsm, ref, mem):
                     store.delete(key)
                 model.pop(key, None)
+                written = [key]
+            elif op == "put_many":
+                for store in (lsm, ref, mem):
+                    store.put_many(value)
+                for k, v in value.items():
+                    if v is None:
+                        model.pop(k, None)
+                    else:
+                        model[k] = v
+                written = list(value)
             elif op == "flush":
                 lsm.flush_memtable()
                 ref.flush_memtable()
@@ -327,8 +321,9 @@ class TestReadsMatchReference:
             assert list(early[0]) == list(early[1])
             assert list(early_mem[0]) == early_mem[1]
 
-            if key is not None and key not in seen:
-                seen.append(key)
+            for k in written:
+                if k not in seen:
+                    seen.append(k)
             for probe in seen + [start, end]:
                 assert lsm.get(probe) == ref.get(probe) == mem.get(probe)
                 assert lsm.last_op_cost == ref.last_op_cost
@@ -340,8 +335,9 @@ class TestReadsMatchReference:
             assert list(mem.items()) == everything == model_range(model, None, None)
             # The drawn bounds (either may be None, absent from the store,
             # equal or inverted), then the same pair inverted, the empty
-            # range at the key just written or tombstoned, and that key as
+            # range at a key just written or tombstoned, and that key as
             # each bound.
+            key = written[0] if written else None
             for lo, hi in (
                 (start, end), (end, start), (key, key), (key, end), (start, key)
             ):

@@ -119,3 +119,39 @@ class TestTombstones:
         result = compactor.compact(log)
         assert result.tombstones_dropped == 1
         assert "k" not in {m.key for m in log.all_messages()}
+
+
+class TestTransactionsBoundTheCleaner:
+    """A committed value survives every write a ``read_committed`` reader
+    cannot see (regression: an open or aborted transaction's tombstone made
+    the cleaner drop the committed value it shadowed)."""
+
+    @staticmethod
+    def log_with_a_shadowing_tombstone(clock):
+        log = PartitionLog("t-0", LogConfig(segment_max_messages=2), clock=clock)
+        log.append("k", 0)  # offset 0
+        log.append("k", 1)  # offset 1, committed: seals the first segment
+        log.append("k", None)  # offset 2, the transaction's tombstone
+        return log
+
+    def test_an_open_transaction_shadows_nothing(self):
+        clock = SimClock()
+        log = self.log_with_a_shadowing_tombstone(clock)
+        LogCompactor(clock=clock).compact(log, unstable=2)
+        assert [(m.offset, m.value) for m in log.all_messages()] == [
+            (1, 1), (2, None)
+        ]
+
+    def test_an_aborted_transaction_shadows_nothing(self):
+        clock = SimClock()
+        log = self.log_with_a_shadowing_tombstone(clock)
+        LogCompactor(clock=clock).compact(log, aborted=[(2, 2)])
+        assert [(m.offset, m.value) for m in log.all_messages()] == [
+            (1, 1), (2, None)
+        ]
+
+    def test_without_transactions_the_tombstone_wins(self):
+        clock = SimClock()
+        log = self.log_with_a_shadowing_tombstone(clock)
+        LogCompactor(clock=clock).compact(log)
+        assert [(m.offset, m.value) for m in log.all_messages()] == [(2, None)]

@@ -173,7 +173,7 @@ class TestSnapshotBound:
             ),
             cluster,
         )
-        runner.poll_once()  # 10 store writes, then the checkpoint
+        runner.poll_once()  # 10 store writes to 4 keys, then the checkpoint
         commit = runner.checkpoints.fetch(TopicPartition("in", 0))
         stamp = commit.metadata[CHANGELOG_OFFSETS_KEY]["counts"]
         snapshot = runner.snapshot_offset(0, "counts")
@@ -183,14 +183,14 @@ class TestSnapshotBound:
 
     def test_exactly_once_stamp_precedes_the_commit(self):
         stamp, snapshot = self._stamp_and_snapshot(EXACTLY_ONCE)
-        # Everything the pass staged is flushed before the stamp; only the
-        # commit marker lands in between.
-        assert stamp == 10
-        assert snapshot == 10 + 1
+        # Everything the pass staged (one entry per key) is flushed before
+        # the stamp; only the commit marker lands in between.
+        assert stamp == 4
+        assert snapshot == 4 + 1
 
     def test_at_least_once_stamp_equals_snapshot(self):
         stamp, snapshot = self._stamp_and_snapshot(AT_LEAST_ONCE)
-        assert stamp == snapshot == 10
+        assert stamp == snapshot == 4
 
 
 class TestCrashRecovery:
@@ -204,6 +204,46 @@ class TestCrashRecovery:
         outputs = committed_outputs(cluster)
         assert len(outputs) == 30
         assert len(set(outputs)) == 30  # every input emitted exactly once
+
+    def test_compaction_under_an_open_transaction_keeps_committed_state(self):
+        """Regression: an uncommitted tombstone made compaction drop the
+        committed value it shadowed, so the restore lost the key."""
+
+        class PutThenDelete:
+            def init(self, context):
+                self.table = context.store("table")
+
+            def process(self, record, collector):
+                if record.value is None:
+                    self.table.delete(record.key)
+                else:
+                    self.table.put(record.key, record.value)
+
+        cluster = MessagingCluster(num_brokers=1, clock=SimClock())
+        cluster.create_topic("in", num_partitions=1, replication_factor=1)
+        producer = Producer(cluster)
+        runner = JobRunner(
+            eo_config(
+                task_factory=PutThenDelete,
+                stores=(StoreConfig("table"),),
+                checkpoint_interval=1000,
+                changelog_segment_messages=2,
+            ),
+            cluster,
+        )
+        for value in (1, 2):  # two passes: two committed changelog records
+            producer.send("in", value, key="k", partition=0)
+            producer.flush()
+            runner.poll_once()
+        runner.checkpoint()
+        producer.send("in", None, key="k", partition=0)
+        producer.flush()
+        runner.poll_once()  # the tombstone, in an open transaction
+        for broker in cluster.brokers():
+            broker.run_compaction()
+        runner.crash()
+        runner.recover()
+        assert runner.task(0).stores["table"].get("k") == 2
 
     def test_at_least_once_same_crash_duplicates(self):
         """The contrast case: identical crash schedule, default guarantee —

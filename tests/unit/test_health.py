@@ -157,6 +157,7 @@ class TestDegradation:
                 checkpoint_interval=1000,  # standbys never warm
             ),
             cluster,
+            max_fetch_per_partition=3,  # ten passes: 30 changelog records
         )
         runner.run_until_idle()
         report = evaluate_cluster_health(

@@ -70,6 +70,46 @@ class TestCommonBehaviour:
         assert store.get(("composite", 1)) == "a"
         assert store.get(42) == "b"
 
+    def test_put_many_applies_puts_and_tombstones(self, store):
+        store.put("gone", 1)
+        store.put_many({"a": 1, "gone": None, "b": 2, "never": None})
+        assert list(store.items()) == [("a", 1), ("b", 2)]
+        assert "gone" not in store and "never" not in store
+
+
+class TestKeyOrder:
+    """Keys order by the key, not its ``repr`` (regressions: under ``repr``
+    order each of these came out wrong on both stores)."""
+
+    @pytest.fixture
+    def ints(self, store):
+        for i in range(30):
+            store.put(i, f"v{i}")
+        return store
+
+    def test_an_int_range_is_numeric(self, ints):
+        assert [k for k, _v in ints.range_items(5, 20)] == list(range(5, 20))
+
+    def test_a_narrow_int_range_holds_only_its_keys(self, ints):
+        assert list(ints.range_items(2, 3)) == [(2, "v2")]
+
+    def test_negative_and_multi_digit_ints_scan_in_numeric_order(self, store):
+        for k in (10, -1, 9, 1):
+            store.put(k, k)
+        assert [k for k, _v in store.items()] == [-1, 1, 9, 10]
+
+    def test_types_order_by_rank_numbers_str_bytes_then_repr(self, store):
+        keys = [("t", 1), b"b", "b", 2.5, "a", -3, b"a", 10, ("s", 2)]
+        for k in keys:
+            store.put(k, 1)
+        assert [k for k, _v in store.items()] == [
+            -3, 2.5, 10, "a", "b", b"a", b"b", ("s", 2), ("t", 1)
+        ]
+        assert [k for k, _v in store.range_items(0, "b")] == [2.5, 10, "a"]
+        assert [k for k, _v in store.range_items("b", ("t", 0))] == [
+            "b", b"a", b"b", ("s", 2)
+        ]
+
 
 class TestLsmSpecifics:
     def test_flush_on_memtable_full(self):
@@ -123,6 +163,22 @@ class TestLsmSpecifics:
         store.get("shallow")
         shallow_cost = store.last_op_cost
         assert deep_cost > shallow_cost
+
+    def test_a_tombstone_is_charged_the_same_in_the_memtable_and_in_a_run(self):
+        store = LsmStore(memtable_max_entries=3)
+        store.put("a", 1)
+        store.delete("a")
+        store.put("b", 1)
+        held = store.approximate_size_bytes()
+        assert held == (1 + 0 + 16) + (1 + 8 + 16)  # "a": tombstone, "b": 1
+        store.flush_memtable()
+        assert store.approximate_size_bytes() == held
+
+    def test_put_many_flushes_once_however_many_keys_it_brings(self):
+        store = LsmStore(memtable_max_entries=2)
+        store.put_many({f"k{i}": i for i in range(5)})
+        assert store.flushes == 1 and len(store._runs) == 1
+        assert len(store) == 5 and store.get("k4") == 4
 
     def test_none_value_rejected(self):
         with pytest.raises(StateStoreError):

@@ -1,8 +1,8 @@
 """A query costs what it reads (§3.2: "stateful jobs access state locally
 for efficiency"; §5's front-ends read that state).
 
-The LSM's sorted runs are probed with one C bisect and a range scan merges
-each run's slice of the range, so the Python calls a read makes depend on
+The LSM's sorted runs are probed with one dict lookup and a range scan
+merges each run's slice of the range, cut by two C bisects, so the Python calls a read makes depend on
 what it returns and on how many runs it probes — never on how many keys the
 store holds.  Exact ``cProfile`` counts throughout: nothing here reads a
 wall clock.
@@ -20,13 +20,13 @@ from repro.processing.job import JobConfig, JobRunner, StoreConfig
 from repro.processing.store import LsmStore
 from repro.serving import StateQueryRouter
 
-#: ``between`` + its two bisects; ``_SortedRun.get`` + its bisect + ``len``.
-CALLS_PER_RUN_SCANNED = 3
-CALLS_PER_RUN_PROBED = 3
+#: A scan cuts each run with two bisects; a probe is a dict lookup, no call.
+CALLS_PER_RUN_SCANNED = 2
+CALLS_PER_RUN_PROBED = 0
 
 
 def key(i: int) -> str:
-    return f"k{i:05d}"  # zero-padded: ``repr`` order is numeric order
+    return f"k{i:05d}"  # zero-padded: code-point order is numeric order
 
 
 def flushed_store(keys: int) -> LsmStore:
@@ -98,8 +98,8 @@ def test_a_point_get_costs_a_fixed_number_of_calls_per_run_probed(small, big):
     latest = key(19_999)
     assert big.get(latest) == 19_999
     assert four_runs - python_calls(lambda: big.get(latest)) == CALLS_PER_RUN_PROBED * 3
-    # No call per comparison: one run of 2 000 keys and one of 20 000 cost
-    # the same (a key-function bisect pays ~log2(n) lambda calls).
+    # A probe is a lookup, not a search: one run of 2 000 keys and one of
+    # 20 000 cost the same.
     one_small, one_big = flushed_store(2_000), flushed_store(20_000)
     one_small.compact()
     one_big.compact()
@@ -122,14 +122,31 @@ class CountingTask:
         self.store.put(record.key, (self.store.get(record.key) or 0) + 1)
 
 
-def test_a_routed_range_over_four_shards_is_the_dict_models_in_repr_order():
+def store_ordered(keys) -> list:
+    """The store order, spelled type group by type group: numbers
+    numerically, then ``str`` by code point, then ``bytes``, then anything
+    else by ``repr``."""
+    numbers = sorted(k for k in keys if isinstance(k, (int, float)))
+    strs = sorted(k for k in keys if isinstance(k, str))
+    raw = sorted(k for k in keys if isinstance(k, bytes))
+    rest = sorted(
+        (k for k in keys if not isinstance(k, (int, float, str, bytes))), key=repr
+    )
+    return numbers + strs + raw + rest
+
+
+def test_a_routed_range_over_four_shards_is_the_dict_models_in_store_order():
     cluster = MessagingCluster(num_brokers=1, clock=SimClock())
     cluster.create_topic("in", num_partitions=4, replication_factor=1)
     producer = Producer(cluster)
     model: dict = {}
     for i in range(600):
-        # Mixed key types: str (one non-ASCII), int, negative int, tuple.
-        k = (f"k{i % 90}", f"é{i % 7}", i % 40 - 20, (i % 5, "t"))[i % 4]
+        # Mixed key types: str (one non-ASCII), int, negative int, float,
+        # bytes, tuple.
+        k = (
+            f"k{i % 90}", f"é{i % 7}", i % 40 - 20, i % 9 + 0.5,
+            f"b{i % 6}".encode(), (i % 5, "t"),
+        )[i % 6]
         producer.send("in", {"i": i}, key=k)
         model[k] = model.get(k, 0) + 1
     runner = JobRunner(
@@ -151,28 +168,29 @@ def test_a_routed_range_over_four_shards_is_the_dict_models_in_repr_order():
     router = StateQueryRouter(runner)
     assert len(router.servers) == 4
     assert all(len(s.runner.task(s.task_id).stores["counts"].store) for s in router.servers)
+    ordered = store_ordered(model)
 
-    def in_repr_order(start, end):
-        lo = None if start is None else repr(start)
-        hi = None if end is None else repr(end)
-        return tuple(
-            sorted(
-                (
-                    kv
-                    for kv in model.items()
-                    if (lo is None or repr(kv[0]) >= lo)
-                    and (hi is None or repr(kv[0]) < hi)
-                ),
-                key=lambda kv: repr(kv[0]),
-            )
-        )
+    def below(bound):
+        """How many of the model's keys order before ``bound``."""
+        return store_ordered(set(model) | {bound}).index(bound)
+
+    def in_store_order(start, end):
+        first = 0 if start is None else below(start)
+        stop = len(ordered) if end is None else below(end)
+        return tuple((k, model[k]) for k in ordered[first:stop])
 
     for start, end in [
         (None, None), ("k2", "k5"), ("k85", None), (None, -3), (-5, 12),
-        ((0, "t"), (3, "t")), ("é", "k"), ("k5", "k2"), ("zz", None), (7, 7),
+        ((0, "t"), (3, "t")), ("é0", "k10"), ("k5", "k2"), (b"b1", None),
+        (7, 7), (-20, 3.5), (8.5, "é3"),
     ]:
         result = router.range("counts", start, end)
-        assert result.value == in_repr_order(start, end)
+        assert result.value == in_store_order(start, end), (start, end)
         assert result.found == bool(result.value)
         assert result.task_id == -1
+    # Numbers merge numerically across shards, where ``repr`` put "10"
+    # before "4" and "-2" before "-4".
+    keys = [k for k, _v in router.range("counts", -5, 12).value]
+    assert keys == sorted(keys)
+    assert keys[:3] == [-4, -2, 0] and keys.index(4) < keys.index(10)
     assert router.approximate_count("counts").value == len(model)
