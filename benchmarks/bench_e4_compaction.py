@@ -9,6 +9,8 @@ before/after compaction and the simulated time to rebuild the task state
 from it.
 """
 
+import functools
+
 import pytest
 
 from repro.common.clock import SimClock
@@ -23,7 +25,8 @@ from reporting import attach, format_table, publish
 KEYS = 200
 #: Updates per key.  The job ships each pass's net writes, so its changelog
 #: already holds one record per key a pass touched; compaction's recovery
-#: win shows once the changelog holds many passes per key (the 200 row).
+#: time win shows once the changelog holds many passes per key (between the
+#: 50 and the 200 row).
 UPDATE_RATIOS = [2, 10, 50, 200]
 
 
@@ -98,6 +101,7 @@ def run_one_ratio(ratio: int) -> dict:
     }
 
 
+@functools.cache  # both shape tests read the same sweep
 def run_experiment() -> list[dict]:
     results = [run_one_ratio(ratio) for ratio in UPDATE_RATIOS]
     rows = [
@@ -130,15 +134,21 @@ def run_experiment() -> list[dict]:
 
 class TestE4Shape:
     def test_compaction_bounds_changelog_by_live_keys(self):
-        results = run_experiment()
-        heaviest = results[-1]  # 200 updates/key
-        # Compacted changelog is close to the live-key count, not the
-        # update count (active segment may retain a few duplicates).
-        assert heaviest["after_msgs"] < 2.5 * heaviest["live_keys"]
-        assert heaviest["after_msgs"] < heaviest["before_msgs"] / 10
-        # Recovery replays proportionally fewer records and is faster.
-        assert heaviest["replayed_after"] < heaviest["replayed_before"] / 10
-        assert heaviest["recovery_after_s"] < heaviest["recovery_before_s"]
+        results = {r["ratio"]: r for r in run_experiment()}
+        for ratio in (50, 200):
+            row = results[ratio]
+            # Compacted changelog is close to the live-key count, not the
+            # update count (active segment may retain a few duplicates).
+            assert row["after_msgs"] < 2.5 * row["live_keys"]
+            assert row["after_msgs"] < row["before_msgs"] / 10
+            # Recovery replays proportionally fewer records.
+            assert row["replayed_after"] < row["replayed_before"] / 10
+        # Compaction drops the rewritten segments' cached pages, so the
+        # compacted replay reads cold while the uncompacted one reads warm.
+        # At 50 updates/key the changelog is still small enough for the warm
+        # replay to win; by 200 the compacted replay is faster.
+        assert results[50]["recovery_after_s"] > results[50]["recovery_before_s"]
+        assert results[200]["recovery_after_s"] < results[200]["recovery_before_s"]
 
     def test_reduction_grows_with_update_ratio(self):
         results = run_experiment()

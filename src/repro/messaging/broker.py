@@ -250,9 +250,8 @@ class Broker:
             config = self._topic_configs[partition.topic]
             if not config.compacted:
                 continue
-            unstable, aborted = replica.compaction_bounds()
             result = self._compactor.compact(
-                replica.log, unstable=unstable, aborted=aborted
+                replica.log, bounds=replica.compaction_bounds
             )
             removed += result.messages_removed
         if removed:

@@ -187,8 +187,8 @@ class _SortedRun:
 
     ``data`` maps each key to its value (``None`` for a tombstone), in key
     order, so a probe is one dict lookup.  ``keys`` is its ordered key
-    column, which range cuts bisect: directly when every key is a ``str``
-    (``column is keys``), else through ``column``, the keys' order keys.
+    column.  ``column`` is what a range cut bisects: ``keys`` itself when
+    every key is a ``str``, else the keys' order keys.
     """
 
     __slots__ = ("data", "keys", "column")
@@ -200,16 +200,6 @@ class _SortedRun:
             self.keys = sorted(entries, key=order_key)
             self.column = list(map(order_key, self.keys))
         self.data = {key: entries[key] for key in self.keys}
-
-    def cut(self, bound: Any, rank: tuple[int, Any]) -> int:
-        """Index of the first key not below ``bound``, whose order key is
-        ``rank``."""
-        keys = self.keys
-        if self.column is not keys:
-            return bisect_left(self.column, rank)
-        if rank[0] == _STR:
-            return bisect_left(keys, bound)
-        return 0 if rank[0] < _STR else len(keys)
 
 
 class LsmStore:
@@ -334,20 +324,27 @@ class LsmStore:
         Reads each run's slice of the range plus the memtable, never the
         rest of the store; the snapshot is taken at the first ``next``.
         """
-        # str bounds cut a run of str keys directly; anything else goes
-        # through the order keys, computed once per scan.
-        plain = type(start) in _PLAIN_BOUND and type(end) in _PLAIN_BOUND
+        # A run of str keys is cut by a str bound as it is; a bound of
+        # another type lies before or after all of it.  Any other run is cut
+        # by the bounds' order keys.  Both are computed once per scan.
         lo = None if start is None else order_key(start)
         hi = None if end is None else order_key(end)
+        str_lo = start if lo is not None and lo[0] == _STR else None
+        str_hi = end if hi is not None and hi[0] == _STR else None
+        str_empty = (lo is not None and lo[0] > _STR) or (
+            hi is not None and hi[0] < _STR
+        )
         merged: dict[Any, Any] = {}
         for run in reversed(self._runs):  # oldest first; newer overwrites
-            keys, data = run.keys, run.data
-            if plain and run.column is keys:
-                first = 0 if start is None else bisect_left(keys, start)
-                stop = None if end is None else bisect_left(keys, end)
+            keys, column, data = run.keys, run.column, run.data
+            if column is not keys:
+                first = 0 if lo is None else bisect_left(column, lo)
+                stop = None if hi is None else bisect_left(column, hi)
+            elif str_empty:
+                continue
             else:
-                first = 0 if start is None else run.cut(start, lo)
-                stop = None if end is None else run.cut(end, hi)
+                first = 0 if str_lo is None else bisect_left(keys, str_lo)
+                stop = None if str_hi is None else bisect_left(keys, str_hi)
             for key in keys[first:stop]:
                 merged[key] = data[key]
         merged |= _between(self._memtable, start, end)

@@ -28,11 +28,16 @@ Semantics reproduced from Kafka:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.common.clock import Clock
 from repro.common.errors import ConfigError
 from repro.storage.log import PartitionLog
+
+#: What a compaction pass must leave alone: the first unstable offset
+#: (``None`` when no transaction is open) and the aborted ``(first, last)``
+#: offset runs.
+Bounds = tuple[int | None, Sequence[tuple[int, int]]]
 
 
 @dataclass(frozen=True)
@@ -69,14 +74,15 @@ class LogCompactor:
         self,
         log: PartitionLog,
         now: float | None = None,
-        unstable: int | None = None,
-        aborted: Sequence[tuple[int, int]] = (),
+        bounds: Callable[[], Bounds] | None = None,
     ) -> CompactionResult:
         """Run one compaction pass over the log's sealed segments.
 
-        ``unstable`` is the first offset of the earliest open transaction
-        (``None``: none is open) and ``aborted`` the sorted ``(first, last)``
-        offset runs of aborted transactional batches.
+        ``bounds``, asked only when there is a sealed segment to clean,
+        returns what the cleaner must leave alone: the first offset of the
+        earliest open transaction (``None``: none is open) and the sorted
+        ``(first, last)`` offset runs of aborted transactional batches.
+        Without it the log holds no transactions.
         """
         if now is None:
             now = self._clock.now() if self._clock is not None else 0.0
@@ -85,10 +91,11 @@ class LogCompactor:
         if not sealed:
             return result
 
-        latest_offset_per_key = self._build_offset_map(log, unstable, aborted)
+        unstable, aborted = (None, ()) if bounds is None else bounds()
+        limit = log.log_end_offset if unstable is None else unstable
+        latest_offset_per_key = self._build_offset_map(log, limit, aborted)
         result.ran = True
         horizon = now - self.config.tombstone_retention_seconds
-        limit = log.log_end_offset if unstable is None else unstable
         for segment in sealed:
             survivors = []
             removed = 0
@@ -118,23 +125,18 @@ class LogCompactor:
     def _build_offset_map(
         self,
         log: PartitionLog,
-        unstable: int | None,
+        limit: int,
         aborted: Sequence[tuple[int, int]],
     ) -> dict[Any, int]:
         """Highest offset per key across the whole log (sealed + active),
-        below ``unstable`` and outside the ``aborted`` runs."""
+        below ``limit`` and outside the ``aborted`` runs."""
         latest: dict[Any, int] = {}
-        if unstable is None and not aborted:
-            for segment in log.segments():
-                for message in segment.messages():
-                    latest[message.key] = message.offset
-            return latest
         runs = iter(aborted)
         run = next(runs, None)
         for segment in log.segments():
             for message in segment.messages():
                 offset = message.offset
-                if unstable is not None and offset >= unstable:
+                if offset >= limit:
                     return latest
                 while run is not None and run[1] < offset:
                     run = next(runs, None)

@@ -137,7 +137,7 @@ class TestTransactionsBoundTheCleaner:
     def test_an_open_transaction_shadows_nothing(self):
         clock = SimClock()
         log = self.log_with_a_shadowing_tombstone(clock)
-        LogCompactor(clock=clock).compact(log, unstable=2)
+        LogCompactor(clock=clock).compact(log, bounds=lambda: (2, []))
         assert [(m.offset, m.value) for m in log.all_messages()] == [
             (1, 1), (2, None)
         ]
@@ -145,7 +145,7 @@ class TestTransactionsBoundTheCleaner:
     def test_an_aborted_transaction_shadows_nothing(self):
         clock = SimClock()
         log = self.log_with_a_shadowing_tombstone(clock)
-        LogCompactor(clock=clock).compact(log, aborted=[(2, 2)])
+        LogCompactor(clock=clock).compact(log, bounds=lambda: (None, [(2, 2)]))
         assert [(m.offset, m.value) for m in log.all_messages()] == [
             (1, 1), (2, None)
         ]
