@@ -218,7 +218,9 @@ class Standbys:
 def worst_standby_lag(runners: Iterable = (), servers: Iterable = ()) -> int:
     """Worst changelog lag of any standby replica the ``runners`` keep or
     the ``servers`` fail over to (0 when there are none): the staleness
-    SLO's signal and the health rollup's ``standby_staleness``."""
+    SLO's signal and the health rollup's ``standby_staleness``.  A standby
+    whose changelog partition has no leader has no known lag and is
+    skipped; the rollup reports that partition offline."""
     worst = 0
     for server in servers:
         for lag in server.standby_staleness().values():
@@ -227,7 +229,9 @@ def worst_standby_lag(runners: Iterable = (), servers: Iterable = ()) -> int:
         for sets in runner.standbys._sets.values():
             for replicas in sets:
                 for replica in replicas.values():
-                    worst = max(worst, replica.lag())
+                    lag = replica.lag()
+                    if lag is not None:
+                        worst = max(worst, lag)
     return worst
 
 

@@ -87,6 +87,13 @@ class StandbyReplica:
         self.reseats = 0
         #: Simulated time of the last completed catch-up (staleness bound).
         self.caught_up_at = cluster.clock.now()
+        #: The controller's live record of the changelog partition (never
+        #: replaced, only updated), and the leader's copy of it as of the
+        #: leader id beside it: :meth:`lag` reads the high watermark
+        #: straight off that copy, re-resolving it only when leadership moves.
+        self._partition = cluster.controller.partition_state(self.tp)
+        self._leader_id: int | None = None
+        self._leader_copy = None
         segment = metric_segment(job_name)
         metrics = cluster.metrics
         self._c_applied = metrics.counter(
@@ -98,12 +105,26 @@ class StandbyReplica:
 
     # -- introspection ------------------------------------------------------------
 
-    def lag(self) -> int:
-        """Changelog records published but not yet applied here."""
-        end = self.cluster.end_offset(self.tp)
+    def lag(self) -> int | None:
+        """Changelog records published but not yet applied here, or ``None``
+        while the changelog partition has no leader: the lag is unknown then,
+        and the controller already reports the partition offline.
+
+        The end is ``cluster.end_offset(self.tp)``, read without its leader
+        lookup: a broker's replica of a partition lives as long as the
+        broker, so the copy found for a leader id stays that leader's.
+        """
+        leader = self._partition.leader
+        if leader is None:
+            return None
+        if leader != self._leader_id:
+            self._leader_copy = self.cluster.broker(leader).replica(self.tp)
+            self._leader_id = leader
+        copy = self._leader_copy
         if self.position is None:
-            return end - self.cluster.beginning_offset(self.tp)
-        return max(0, end - self.position)
+            return copy.high_watermark - copy.earliest_offset
+        lag = copy.high_watermark - self.position
+        return lag if lag > 0 else 0
 
     # -- the tail loop ------------------------------------------------------------
 

@@ -23,12 +23,13 @@ from typing import Any
 from repro.common.errors import ServingError
 from repro.common.metrics import metric_name, metric_segment
 from repro.common.partitioning import partition_for_key
-from repro.observability.trace import current_tracer
+from repro.observability.trace import Tracer, current_tracer
 from repro.processing.store import sort_items
 from repro.serving.server import (
     CONSISTENCY_BOUNDED,
     QueryResult,
     StateServer,
+    _new_result,
 )
 
 
@@ -75,22 +76,26 @@ class StateQueryRouter:
         self._h_latency.observe(result.latency)
         tracer = current_tracer()
         if tracer is not None:
-            start = self.clock.now()
-            span = tracer.open_span(
-                "state.query",
-                None,
-                start=start,
-                job=self.runner.config.name,
-                kind=kind,
-                store=result.store,
-                task=result.task_id,
-                served_by=result.served_by,
-                consistency=result.consistency,
-                staleness_records=result.staleness_records,
-            )
-            if span is not None:
-                tracer.close(span, end=start + result.latency)
+            self._span(tracer, kind, result)
         return result
+
+    def _span(self, tracer: Tracer, kind: str, result: QueryResult) -> None:
+        """The query's ``state.query`` span."""
+        start = self.clock.now()
+        span = tracer.open_span(
+            "state.query",
+            None,
+            start=start,
+            job=self.runner.config.name,
+            kind=kind,
+            store=result.store,
+            task=result.task_id,
+            served_by=result.served_by,
+            consistency=result.consistency,
+            staleness_records=result.staleness_records,
+        )
+        if span is not None:
+            tracer.close(span, end=start + result.latency)
 
     # -- queries ------------------------------------------------------------------
 
@@ -108,11 +113,19 @@ class StateQueryRouter:
         read load off the processing container at the cost of the staleness
         the response reports.
         """
-        # task_for_key, inlined: a point query pays no hop for its shard pick.
-        server = self.servers[partition_for_key(key, self.runner.num_tasks)]
-        return self._account(
-            "get", server.get(store, key, consistency, allow_stale)
+        # task_for_key and _account, inlined: a point query pays no hop for
+        # its shard pick or its bookkeeping.
+        result = self.servers[partition_for_key(key, self.runner.num_tasks)].get(
+            store, key, consistency, allow_stale
         )
+        self._c_queries.increment(1)
+        if result.served_by != "primary":
+            self._c_stale.increment(1)
+        self._h_latency.observe(result.latency)
+        tracer = current_tracer()
+        if tracer is not None:
+            self._span(tracer, "get", result)
+        return result
 
     def range(
         self,
@@ -166,13 +179,13 @@ def _merged(
     shard's; the staleness bound is the worst across shards.
     """
     first = shards[0]
-    return QueryResult(
+    return _new_result(QueryResult, (
         key, value, found, first.store, -1,  # task -1: all shards
         _worst_served_by(shards), first.consistency,
         max([s.staleness_records for s in shards]),
         max([s.staleness_seconds for s in shards]),
         max([s.latency for s in shards]),
-    )
+    ))
 
 
 def _worst_served_by(shards: list[QueryResult]) -> str:

@@ -67,6 +67,11 @@ class QueryResult(NamedTuple):
     latency: float
 
 
+#: Builds a :class:`QueryResult` from its field tuple in one C call, where
+#: the class's generated ``__new__`` adds a Python frame per response.
+_new_result = tuple.__new__
+
+
 class StateServer:
     """Answers queries over one task's stores (one shard of the job)."""
 
@@ -130,31 +135,28 @@ class StateServer:
 
         Empty when the task keeps no standbys.  The SLO monitor and the
         cluster health rollup read this to judge how stale a failover or a
-        stale-tolerant read would be right now.
+        stale-tolerant read would be right now.  A standby whose changelog
+        partition has no leader is skipped: its lag is unknown, and the
+        rollup already reports the partition offline.
         """
         worst: dict[str, int] = {}
         for replicas in self.runner.standbys.of(self.task_id):
             for store, replica in replicas.items():
-                worst[store] = max(worst.get(store, 0), replica.lag())
+                lag = replica.lag()
+                if lag is not None:
+                    worst[store] = max(worst.get(store, 0), lag)
         return worst
-
-    def _standby_store(self, store: str) -> tuple[Any, int, float] | None:
-        """A warm standby's store for stale-tolerant reads, or ``None``."""
-        sets = self.runner.standbys.of(self.task_id)
-        if not sets:
-            return None
-        replicas = sets[self._stale_cursor % len(sets)]
-        self._stale_cursor += 1
-        replica = replicas.get(store)
-        if replica is None:
-            return None
-        staleness_seconds = max(0.0, self.clock.now() - replica.caught_up_at)
-        return replica.store, replica.lag(), staleness_seconds
 
     def _select(
         self, store: str, consistency: str, allow_stale: bool
     ) -> tuple[Any, str, int, float]:
-        """Pick the store copy a query reads: (store, served_by, staleness)."""
+        """Pick the store copy a query reads: ``(store, served_by,
+        staleness_records, staleness_seconds)``.
+
+        A stale-tolerant read takes the next standby set round-robin; with
+        no standby for the store, or none whose changelog has a leader (its
+        lag is then unknown), it reads the primary like any bounded read.
+        """
         if consistency not in CONSISTENCY_MODES:
             raise ServingError(
                 f"consistency must be one of {CONSISTENCY_MODES}, "
@@ -169,19 +171,33 @@ class StateServer:
             target, lag, seconds = self._snapshot_store(store)
             return target, SERVED_BY_SNAPSHOT, lag, seconds
         if allow_stale:
-            picked = self._standby_store(store)
-            if picked is not None:
-                target, lag, seconds = picked
-                return target, SERVED_BY_STANDBY, lag, seconds
-        # Re-resolved per query: migrate/recover replace the task instance,
-        # and queries must always hit the current incarnation.  Reads go to
-        # the raw store, not the KeyValueState wrapper, so serving traffic
-        # does not inflate the task's own get counters.
-        live = self.runner.task(self.task_id).stores[store].store
-        return live, SERVED_BY_PRIMARY, 0, 0.0
+            # Standbys.of's lookup, made here without its two calls.
+            table = self.runner.standbys._sets
+            sets = table[self.task_id] if self.task_id in table else ()
+            if sets:
+                replicas = sets[self._stale_cursor % len(sets)]
+                self._stale_cursor += 1
+                if store in replicas:
+                    replica = replicas[store]
+                    lag = replica.lag()
+                    if lag is not None:
+                        seconds = self.clock.now() - replica.caught_up_at
+                        return (
+                            replica.store, SERVED_BY_STANDBY, lag,
+                            seconds if seconds > 0.0 else 0.0,
+                        )
+        # Re-resolved per query from the runner's task table: migrate and
+        # recover replace the task instance, and queries must always hit the
+        # current incarnation.  Reads go to the raw store, not the
+        # KeyValueState wrapper, so serving traffic does not inflate the
+        # task's own get counters.
+        return (
+            self.runner._tasks[self.task_id].stores[store].store,
+            SERVED_BY_PRIMARY, 0, 0.0,
+        )
 
     def _scan_cost(self, target: Any) -> float:
-        if isinstance(target, LsmStore):
+        if type(target) is LsmStore:
             return target.scan_cost()
         return self.cost_model.store_memtable_get
 
@@ -203,14 +219,14 @@ class StateServer:
         # The point-probe cost is the LSM's charge for the get just made.
         probe = (
             target.last_op_cost
-            if isinstance(target, LsmStore)
+            if type(target) is LsmStore
             else cost_model.store_memtable_get
         )
-        latency = probe + cost_model.network_oneway(estimate_size(value))
-        return QueryResult(
-            key, value, value is not None, store, self.task_id,
-            served_by, consistency, lag, seconds, latency,
-        )
+        return _new_result(QueryResult, (
+            key, value, value is not None, store, self.task_id, served_by,
+            consistency, lag, seconds,
+            probe + cost_model.network_oneway(estimate_size(value)),
+        ))
 
     def range(
         self,
@@ -228,10 +244,10 @@ class StateServer:
         latency = self._scan_cost(target) + self.cost_model.network_oneway(
             estimate_size(pairs)
         )
-        return QueryResult(
+        return _new_result(QueryResult, (
             (start, end), pairs, bool(pairs), store, self.task_id,
             served_by, consistency, lag, seconds, latency,
-        )
+        ))
 
     def approximate_count(
         self,
@@ -251,10 +267,10 @@ class StateServer:
         latency = self._scan_cost(target) + self.cost_model.network_oneway(
             estimate_size(count)
         )
-        return QueryResult(
+        return _new_result(QueryResult, (
             None, count, count > 0, store, self.task_id,
             served_by, consistency, lag, seconds, latency,
-        )
+        ))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

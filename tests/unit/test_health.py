@@ -167,6 +167,47 @@ class TestDegradation:
         assert "standby_staleness" in report.reason_codes()
         assert report.status == DEGRADED
 
+    def test_offline_changelog_is_reported_offline_not_raised(self):
+        from repro.common.clock import SimClock
+        from repro.processing.job import JobConfig, JobRunner, StoreConfig
+        from repro.processing.state import changelog_topic_name
+
+        class _Counting:
+            def init(self, context):
+                self.store = context.store("counts")
+
+            def process(self, record, collector):
+                self.store.put(record.key, (self.store.get(record.key) or 0) + 1)
+
+        cluster = MessagingCluster(num_brokers=3, clock=SimClock())
+        cluster.create_topic("in", num_partitions=3, replication_factor=3)
+        producer = Producer(cluster)
+        for i in range(30):
+            producer.send("in", {"i": i}, key=f"k{i % 6}")
+        runner = JobRunner(
+            JobConfig(
+                name="job",
+                inputs=["in"],
+                task_factory=_Counting,
+                stores=[StoreConfig("counts")],
+                changelog_replication=1,
+                num_standby_replicas=1,
+            ),
+            cluster,
+        )
+        runner.run_until_idle()
+        runner.checkpoint()
+        changelog = TopicPartition(changelog_topic_name("job", "counts"), 0)
+        cluster.kill_broker(cluster.controller.leader_for(changelog))
+        without = evaluate_cluster_health(cluster)
+        # The standby's lag used to raise BrokerUnavailableError here.
+        report = evaluate_cluster_health(cluster, runners=[runner])
+        assert report.status == UNHEALTHY
+        assert "offline_partitions" in report.reason_codes()
+        assert report.offline_partitions == without.offline_partitions == 1
+        assert report.reason_codes() == without.reason_codes()
+        assert report.max_standby_staleness == 0
+
 
 class TestTransactions:
     def test_open_transaction_lso_lag_degrades(self):

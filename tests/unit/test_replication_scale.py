@@ -6,15 +6,13 @@ cluster's tick makes the same handful of Python calls however many partitions
 it hosts.  Exact counts throughout: nothing here reads a wall clock.
 """
 
-import cProfile
-import gc
-
 import pytest
 
 from repro.common.clock import SimClock
 from repro.common.records import TopicPartition
 from repro.messaging.cluster import ACKS_LEADER, MessagingCluster
 from repro.messaging.replication import ReplicationStats
+from tests.profiling import python_calls
 
 BROKERS = 6
 FOLLOWERS = 2  # rf=3
@@ -33,27 +31,6 @@ def settle(cluster) -> None:
     for _ in range(4):
         cluster.tick()
     assert cluster.replication.pending() == 0
-
-
-def python_calls(fn) -> int:
-    """Calls ``fn()`` makes, Python and builtin, as cProfile counts them.
-
-    Garbage is collected first and the collector held off while ``fn`` runs:
-    a collection inside the window would count the finalizers of whatever
-    earlier tests left behind as calls of ``fn``.
-    """
-    gc.collect()
-    was_enabled = gc.isenabled()
-    gc.disable()
-    profiler = cProfile.Profile()
-    try:
-        profiler.enable()
-        fn()
-        profiler.disable()
-    finally:
-        if was_enabled:
-            gc.enable()
-    return sum(entry.callcount for entry in profiler.getstats())
 
 
 def visits_in_one_pass(cluster) -> tuple[list[TopicPartition], ReplicationStats]:

@@ -17,11 +17,13 @@ from repro.chaos.failpoints import registry
 from repro.common.clock import SimClock
 from repro.common.errors import MessagingError, ServingError
 from repro.common.partitioning import partition_for_key
-from repro.common.records import estimate_size
+from repro.common.records import TopicPartition, estimate_size
 from repro.messaging.cluster import MessagingCluster
+from repro.messaging.config import ProducerConfig
 from repro.messaging.producer import Producer
 from repro.messaging.topic import LogConfig, RetentionConfig, TopicConfig
 from repro.processing.job import JobConfig, JobRunner, StoreConfig
+from repro.processing.recovery import worst_standby_lag
 from repro.processing.state import changelog_topic_name
 from repro.serving import (
     CONSISTENCY_BOUNDED,
@@ -273,6 +275,58 @@ class TestStaleReads:
         assert metrics.counter("serving.router.served.stale_served").value == 1
 
 
+def changelog_outage(key="k1"):
+    """A job whose changelog partition for ``key`` has lost its only copy:
+    3 brokers, input rf=3, changelog rf=1, one standby per task, and the
+    broker leading that changelog partition killed."""
+    cluster = MessagingCluster(num_brokers=3, clock=SimClock())
+    cluster.create_topic("in", num_partitions=3, replication_factor=3)
+    producer = Producer(cluster)
+    for i in range(30):
+        producer.send("in", {"i": i}, key=f"k{i % 6}")
+    runner = JobRunner(
+        JobConfig(
+            name="served",
+            inputs=["in"],
+            task_factory=CountingTask,
+            stores=[StoreConfig("counts")],
+            changelog_replication=1,
+            num_standby_replicas=1,
+        ),
+        cluster,
+    )
+    runner.run_until_idle()
+    runner.checkpoint()
+    task_id = partition_for_key(key, runner.num_tasks)
+    tp = TopicPartition(changelog_topic_name("served", "counts"), task_id)
+    cluster.kill_broker(cluster.controller.leader_for(tp))
+    assert cluster.controller.leader_for(tp) is None
+    return cluster, runner, task_id
+
+
+class TestChangelogOutage:
+    def test_stale_read_falls_back_to_the_primary(self):
+        _cluster, runner, _task_id = changelog_outage("k1")
+        router = StateQueryRouter(runner)
+        fresh = router.get("counts", "k1")
+        assert fresh.served_by == "primary"
+        # This read used to raise BrokerUnavailableError.
+        assert router.get("counts", "k1", allow_stale=True) == fresh
+        assert fresh.value == direct_read(runner, "k1")
+
+    def test_standby_staleness_skips_the_standby_with_no_leader(self):
+        cluster, runner, task_id = changelog_outage("k1")
+        router = StateQueryRouter(runner)
+        assert router.server(task_id).standby_staleness() == {}
+        for task in range(runner.num_tasks):
+            tp = TopicPartition(changelog_topic_name("served", "counts"), task)
+            online = cluster.controller.leader_for(tp) is not None
+            assert router.server(task).standby_staleness() == (
+                {"counts": 0} if online else {}
+            )
+        assert worst_standby_lag([runner], router.servers) == 0
+
+
 class TestSnapshotReads:
     def test_snapshot_equals_live_at_checkpoint(self):
         _cluster, runner, _producer = make_job()
@@ -384,6 +438,25 @@ class TestStandbyReplica:
         before = clock.now()
         StandbyReplica(cluster, "j", "s", 0).catch_up()
         assert clock.now() == before
+
+    def test_lag_follows_the_changelog_leader_when_it_moves(self):
+        clock = SimClock()
+        cluster = MessagingCluster(num_brokers=2, clock=clock)
+        topic = changelog_topic_name("j", "s")
+        cluster.create_topic(topic, num_partitions=1, replication_factor=2)
+        producer = Producer(cluster, ProducerConfig(acks="all"))
+        for i in range(5):
+            producer.send(topic, i, key=f"k{i}")
+        replica = StandbyReplica(cluster, "j", "s", 0)
+        replica.catch_up()
+        assert replica.lag() == 0
+        tp = TopicPartition(topic, 0)
+        old_leader = cluster.controller.leader_for(tp)
+        cluster.kill_broker(old_leader)
+        assert cluster.controller.leader_for(tp) not in (None, old_leader)
+        for i in range(7):
+            producer.send(topic, i, key=f"k{i}")
+        assert replica.lag() == cluster.end_offset(tp) - replica.position == 7
 
     def test_reseat_after_retention_storm(self):
         """Regression: a slow standby must survive the changelog shrinking.

@@ -8,9 +8,6 @@ store holds.  Exact ``cProfile`` counts throughout: nothing here reads a
 wall clock.
 """
 
-import cProfile
-import gc
-
 import pytest
 
 from repro.common.clock import SimClock
@@ -19,6 +16,7 @@ from repro.messaging.producer import Producer
 from repro.processing.job import JobConfig, JobRunner, StoreConfig
 from repro.processing.store import LsmStore
 from repro.serving import StateQueryRouter
+from tests.profiling import python_calls
 
 #: A scan cuts each run with two bisects; a probe is a dict lookup, no call.
 CALLS_PER_RUN_SCANNED = 2
@@ -36,27 +34,6 @@ def flushed_store(keys: int) -> LsmStore:
     store.flush_memtable()
     assert not store._memtable
     return store
-
-
-def python_calls(fn) -> int:
-    """Calls ``fn()`` makes, Python and builtin, as cProfile counts them.
-
-    Garbage is collected first and the collector held off while ``fn`` runs:
-    a collection inside the window would count the finalizers of whatever
-    earlier tests left behind as calls of ``fn``.
-    """
-    gc.collect()
-    was_enabled = gc.isenabled()
-    gc.disable()
-    profiler = cProfile.Profile()
-    try:
-        profiler.enable()
-        fn()
-        profiler.disable()
-    finally:
-        if was_enabled:
-            gc.enable()
-    return sum(entry.callcount for entry in profiler.getstats())
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +97,54 @@ class CountingTask:
 
     def process(self, record, collector):
         self.store.put(record.key, (self.store.get(record.key) or 0) + 1)
+
+
+#: Calls of one routed point get of a ``str`` key, the probe's own two
+#: (the lambda and ``Profiler.disable``) included.  A primary read over an
+#: LSM store: ``StateQueryRouter.get``, ``partition_for_key`` (``str.encode``,
+#: ``zlib.crc32``), ``StateServer.get``, ``_select``, ``LsmStore.get``,
+#: ``estimate_size``, ``network_oneway``, ``tuple.__new__`` (the
+#: ``QueryResult``), the queries counter, the latency histogram (its
+#: ``list.append``) and the tracer check.  A stale read adds the standby
+#: set's ``len``, ``StandbyReplica.lag``, ``clock.now`` and the stale-served
+#: counter; the memory store's get adds its ``dict.get``.  (With the old
+#: per-query hop chain: 20 / 34 over LSM, 21 / 35 over memory.)
+POINT_GET_CALLS = {
+    ("lsm", False): 16,
+    ("lsm", True): 20,
+    ("memory", False): 17,
+    ("memory", True): 21,
+}
+
+
+@pytest.mark.parametrize("store_type", ["lsm", "memory"])
+def test_a_routed_point_get_costs_a_fixed_handful_of_calls(store_type):
+    cluster = MessagingCluster(num_brokers=1, clock=SimClock())
+    cluster.create_topic("in", num_partitions=4, replication_factor=1)
+    producer = Producer(cluster)
+    for i in range(400):
+        producer.send("in", i, key=key(i % 100))
+    runner = JobRunner(
+        JobConfig(
+            name="pinned",
+            inputs=["in"],
+            task_factory=CountingTask,
+            stores=[StoreConfig("counts", store_type=store_type)],
+            num_standby_replicas=1,
+        ),
+        cluster,
+    )
+    runner.run_until_idle()
+    runner.checkpoint()
+    router = StateQueryRouter(runner)
+    k = key(42)
+    for allow_stale in (False, True):
+        result = router.get("counts", k, allow_stale=allow_stale)
+        assert result.value == 4
+        assert result.served_by == ("standby" if allow_stale else "primary")
+        assert python_calls(
+            lambda: router.get("counts", k, allow_stale=allow_stale)
+        ) == POINT_GET_CALLS[store_type, allow_stale]
 
 
 def store_ordered(keys) -> list:
