@@ -111,7 +111,7 @@ def run_failover_run(idempotent: bool) -> dict:
         if broker_id not in cluster.controller.live_brokers():
             cluster.restart_broker(broker_id)
     cluster.run_until_replicated()
-    records, _ = cluster.fetch("t", 0, 0, max_messages=10_000)
+    records = cluster.fetch("t", 0, 0, max_messages=10_000).records
     values = [r.value["i"] for r in records]
     lost = [i for i in acked if i not in set(values)]
     duplicates = len(values) - len(set(values))

@@ -111,10 +111,11 @@ class KappaArchitecture:
         latency = 0.0
         position = start
         while position < end:
-            records, fetch_latency = self.stream.fetch("events", 0, position, 500)
+            fetched = self.stream.fetch("events", 0, position, 500)
+            records = fetched.records
             if not records:
                 break
-            latency += fetch_latency
+            latency += fetched.latency
             for record in records:
                 self._update(view, record.value)
                 latency += self.cost_model.cpu_per_message

@@ -77,7 +77,6 @@ class LambdaArchitecture:
         self.batch_view: dict[Any, Any] = {}
         self.realtime_view: dict[Any, Any] = {}
         self._speed_position = 0
-        self._batch_covers_until = 0  # stream offset covered by the batch view
         self._batch_view_built_at = 0.0
         # The duplicated logic.
         self._stream_update: StreamUpdate | None = None
@@ -144,11 +143,11 @@ class LambdaArchitecture:
         tp = TopicPartition("events", 0)
         end = self.stream.end_offset(tp)
         while self._speed_position < end:
-            records, latency = self.stream.fetch(
-                "events", 0, self._speed_position, 500
-            )
+            fetched = self.stream.fetch("events", 0, self._speed_position, 500)
+            records = fetched.records
             if not records:
                 break
+            latency = fetched.latency
             for record in records:
                 self._stream_update(self.realtime_view, record.value)
                 latency += self.cost_model.cpu_per_message
@@ -185,8 +184,6 @@ class LambdaArchitecture:
         self.batch_compute_seconds += result.total_seconds
         output = self.dfs.read_file("/views/batch/part-00000")
         self.batch_view = dict(output.records)
-        # The batch view now covers everything ingested before the job ran.
-        self._batch_covers_until = self._speed_position
         self.realtime_view = {}
         self._batch_view_built_at = self.clock.now()
         return result.total_seconds

@@ -97,10 +97,9 @@ class ProduceAck:
 class FetchResult:
     """Result of a consumer fetch.
 
-    Iterable as ``(records, latency)`` for call sites that predate
-    ``next_offset`` (which is where a sequential reader should continue —
-    it can exceed the last delivered record when markers or aborted
-    transactional records were skipped).
+    ``next_offset`` is where a sequential reader should continue: it can
+    exceed the last delivered record when markers or aborted transactional
+    records were skipped.
 
     ``batches`` is populated by lazy fetches (``fetch(..., lazy=True)``):
     the response grouped into :class:`~repro.messaging.fetchbuffer.FetchBatch`
@@ -112,10 +111,6 @@ class FetchResult:
     latency: float
     next_offset: int
     batches: list[FetchBatch] | None = None
-
-    def __iter__(self):
-        yield self.records
-        yield self.latency
 
 
 class MessagingCluster:
@@ -169,8 +164,6 @@ class MessagingCluster:
         self.maintenance_interval = maintenance_interval
         self._last_maintenance = self.clock.now()
         self._create_offsets_topic(num_brokers)
-        # Group coordinator is attached lazily to avoid an import cycle.
-        self._group_coordinator = None
 
     # -- internal topic ----------------------------------------------------------
 

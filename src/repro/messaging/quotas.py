@@ -92,9 +92,6 @@ class QuotaManager:
     def remove_quota(self, client_id: str) -> None:
         self._quotas.pop(client_id, None)
 
-    def quota_for(self, client_id: str) -> ClientQuota | None:
-        return self._quotas.get(client_id)
-
     # -- accounting ------------------------------------------------------------------
 
     def record_produce(self, client_id: str | None, nbytes: int) -> float:

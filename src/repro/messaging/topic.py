@@ -50,7 +50,6 @@ class TopicConfig:
     retention: RetentionConfig = field(default_factory=RetentionConfig)
     log: LogConfig = field(default_factory=LogConfig)
     min_insync_replicas: int = 1
-    flush_timeout: float = 5.0
     tiered: TieredConfig | None = None
 
     def __post_init__(self) -> None:
@@ -71,8 +70,6 @@ class TopicConfig:
             raise ConfigError(
                 "min_insync_replicas must be in [1, replication_factor]"
             )
-        if self.flush_timeout < 0:
-            raise ConfigError("flush_timeout must be >= 0")
         if self.tiered is not None and self.compacted:
             raise ConfigError(
                 "tiered storage applies to delete-policy topics; compacted "

@@ -10,7 +10,6 @@ benchmark is reproducible.
 from __future__ import annotations
 
 import random
-from typing import Iterator, Sequence
 
 from repro.common.errors import ConfigError
 
@@ -69,10 +68,3 @@ class EventClock:
     def next_timestamp(self) -> float:
         self.now += self._rng.expovariate(self.rate)
         return self.now
-
-
-def pick_cycle(values: Sequence[str], seed: int = 13) -> Iterator[str]:
-    """Infinite deterministic pseudo-random cycle over ``values``."""
-    rng = random.Random(seed)
-    while True:
-        yield rng.choice(list(values))

@@ -1,4 +1,9 @@
-"""Integration: every shipped example must run green end to end."""
+"""Integration: every shipped example runs green and prints its recorded output.
+
+Each example's stdout is committed under ``examples/expected/``.  After a
+change that alters an example's output on purpose, regenerate it with
+``PYTHONPATH=src python examples/<name>.py > examples/expected/<name>.txt``.
+"""
 
 import pathlib
 import subprocess
@@ -7,6 +12,7 @@ import sys
 import pytest
 
 EXAMPLES_DIR = pathlib.Path(__file__).resolve().parents[2] / "examples"
+EXPECTED_DIR = EXAMPLES_DIR / "expected"
 
 EXAMPLES = sorted(p.name for p in EXAMPLES_DIR.glob("*.py"))
 
@@ -27,4 +33,5 @@ def test_example_runs_clean(example):
     assert result.returncode == 0, (
         f"{example} failed:\nstdout:\n{result.stdout}\nstderr:\n{result.stderr}"
     )
-    assert "OK" in result.stdout
+    expected = (EXPECTED_DIR / example).with_suffix(".txt").read_text()
+    assert result.stdout == expected

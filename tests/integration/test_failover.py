@@ -30,7 +30,7 @@ class TestLeaderFailover:
         for i in range(50):
             producer.send("t", {"i": i})
         cluster.kill_broker(cluster.leader_of("t", 0))
-        records, _ = cluster.fetch("t", 0, 0, max_messages=1000)
+        records = cluster.fetch("t", 0, 0, max_messages=1000).records
         assert [r.value["i"] for r in records] == list(range(50))
 
     def test_writes_continue_through_n_minus_1_failures(self):
@@ -43,7 +43,7 @@ class TestLeaderFailover:
                 produced += 1
             if round_no < 2:
                 cluster.kill_broker(cluster.leader_of("t", 0))
-        records, _ = cluster.fetch("t", 0, 0, max_messages=1000)
+        records = cluster.fetch("t", 0, 0, max_messages=1000).records
         assert len(records) == produced  # nothing acked was lost
 
     def test_all_brokers_down_is_unavailable(self):
@@ -66,7 +66,7 @@ class TestLeaderFailover:
         # The old leader's replica is offline; fetches go to the new leader.
         new_leader = cluster.leader_of("t", 0)
         assert new_leader != old_leader
-        records, _ = cluster.fetch("t", 0, 0)
+        records = cluster.fetch("t", 0, 0).records
         assert len(records) == 10
 
 
@@ -97,7 +97,7 @@ class TestRecoveryAndCatchup:
         for broker_id in range(3):
             cluster.restart_broker(broker_id)
         cluster.run_until_replicated()
-        records, _ = cluster.fetch("t", 0, 0, max_messages=100)
+        records = cluster.fetch("t", 0, 0, max_messages=100).records
         assert [r.value for r in records] == list(range(20))
 
     def test_divergent_follower_truncates_and_converges(self):
@@ -147,7 +147,7 @@ class TestScriptedFaults:
             sent += 1
         assert len(injector.events()) >= 1
         cluster.run_until_replicated()
-        records, _ = cluster.fetch("t", 0, 0, max_messages=1000)
+        records = cluster.fetch("t", 0, 0, max_messages=1000).records
         assert len(records) == sent
 
 

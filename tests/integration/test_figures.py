@@ -157,5 +157,5 @@ class TestFigure3:
         tp1 = TopicPartition("t", 1)
         assert cluster.end_offset(tp0) == 3
         assert cluster.end_offset(tp1) == 3
-        records, _ = cluster.fetch("t", 0, 0)
+        records = cluster.fetch("t", 0, 0).records
         assert [r.offset for r in records] == [0, 1, 2]

@@ -108,7 +108,7 @@ class TestDurability:
     @settings(max_examples=40, deadline=None)
     def test_acked_messages_never_lost(self, schedule):
         cluster, acked = run_schedule(schedule)
-        records, _ = cluster.fetch("t", 0, 0, max_messages=100000)
+        records = cluster.fetch("t", 0, 0, max_messages=100000).records
         delivered = [r.value for r in records]
         for payload in acked:
             assert payload in delivered, (
@@ -119,7 +119,7 @@ class TestDurability:
     @settings(max_examples=40, deadline=None)
     def test_per_partition_order_is_produce_order(self, schedule):
         cluster, acked = run_schedule(schedule)
-        records, _ = cluster.fetch("t", 0, 0, max_messages=100000)
+        records = cluster.fetch("t", 0, 0, max_messages=100000).records
         delivered = [r.value for r in records]
         # At-least-once: drop duplicates, keep first occurrence.
         seen = set()

@@ -76,10 +76,10 @@ class TestProduceFetch:
         ack = cluster.produce("t", 0, entries(3))
         assert ack.base_offset == 0
         assert ack.last_offset == 2
-        records, latency = cluster.fetch("t", 0, 0)
-        assert [r.value["i"] for r in records] == [0, 1, 2]
-        assert records[0].topic == "t"
-        assert latency > 0
+        result = cluster.fetch("t", 0, 0)
+        assert [r.value["i"] for r in result.records] == [0, 1, 2]
+        assert result.records[0].topic == "t"
+        assert result.latency > 0
 
     def test_unknown_acks_rejected(self):
         cluster = make_cluster()
@@ -100,17 +100,17 @@ class TestProduceFetch:
         cluster = make_cluster()
         cluster.create_topic("t", replication_factor=3)
         cluster.produce("t", 0, entries(3), acks=ACKS_ALL)
-        records, _ = cluster.fetch("t", 0, 0)
+        records = cluster.fetch("t", 0, 0).records
         assert len(records) == 3  # visible without any tick
 
     def test_acks_leader_needs_replication_tick(self):
         cluster = make_cluster()
         cluster.create_topic("t", replication_factor=3)
         cluster.produce("t", 0, entries(3), acks=ACKS_LEADER)
-        records, _ = cluster.fetch("t", 0, 0)
+        records = cluster.fetch("t", 0, 0).records
         assert records == []  # HW not advanced yet
         cluster.tick(0.0)
-        records, _ = cluster.fetch("t", 0, 0)
+        records = cluster.fetch("t", 0, 0).records
         assert len(records) == 3
 
     def test_min_insync_enforced(self):
@@ -220,7 +220,7 @@ class TestFailover:
         new_leader = cluster.leader_of("t", 0)
         assert new_leader is not None and new_leader != old_leader
         # Committed data survives the failover.
-        records, _ = cluster.fetch("t", 0, 0)
+        records = cluster.fetch("t", 0, 0).records
         assert len(records) == 5
 
     def test_kill_is_idempotent(self):

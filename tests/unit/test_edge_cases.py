@@ -75,13 +75,14 @@ class TestClusterEdges:
         passes = cluster.run_until_replicated()
         assert passes <= 2
 
-    def test_fetch_result_tuple_unpacking_compat(self):
+    def test_fetch_result_fields(self):
         cluster = MessagingCluster(num_brokers=1, clock=SimClock())
         cluster.create_topic("t", replication_factor=1)
         Producer(cluster).send("t", 1)
-        records, latency = cluster.fetch("t", 0, 0)
-        assert [r.value for r in records] == [1]
-        assert latency > 0
+        result = cluster.fetch("t", 0, 0)
+        assert [r.value for r in result.records] == [1]
+        assert result.latency > 0
+        assert result.next_offset == 1
 
     def test_cold_cache_after_broker_restart_pays_disk(self):
         """Paper 4.1: RAM is lost with the machine; the log is not."""

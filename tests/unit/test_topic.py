@@ -28,7 +28,6 @@ class TestValidation:
             {"name": "t", "cleanup_policy": "vacuum"},
             {"name": "t", "min_insync_replicas": 0},
             {"name": "t", "min_insync_replicas": 2},  # > replication_factor
-            {"name": "t", "flush_timeout": -1.0},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
