@@ -15,7 +15,8 @@ folds this table and :data:`CALL_CEILINGS` into it and deletes both.
 
 The same run's ``py_calls_per_record`` (a ``cProfile`` call count — it
 repeats exactly on one Python version) must stay at or under the
-workload's entry in :data:`CALL_CEILINGS`.
+workload's entry in :data:`CALL_CEILINGS`.  Its ``peak_rss_mb`` is printed
+beside the count and not gated: resident memory varies by runner.
 
     python3 benchmarks/check_sim_baseline.py nearline_ingest compressed_ingest \
         offline_rewind stateful_job exactly_once_serving
@@ -35,7 +36,7 @@ EXACT = ("sim_s_per_krec", "sim_wire_bytes_per_record")
 #: lowers a count lowers its ceiling in the same PR.
 CALL_CEILINGS = {
     "nearline_ingest": 16.53,  # 16.3577333
-    "compressed_ingest": 28.74,  # 28.449425
+    "compressed_ingest": 28.73,  # 28.441425
     "stateful_job": 52.79,  # 52.26925
     "exactly_once_serving": 94.23,  # 93.2970625
     "offline_rewind": 0.3826,  # 0.3788039
@@ -81,6 +82,7 @@ def main(targets: list[str]) -> int:
         verdict = "ok" if calls <= ceiling else "OVER"
         moved += verdict != "ok"
         print(f"{workload:22s} {'py_calls_per_record':26s} {calls!r} ceiling {ceiling!r} {verdict}")
+        print(f"{workload:22s} {'peak_rss_mb':26s} {got['peak_rss_mb']['value']!r} (reported, not gated)")
     return 1 if moved else 0
 
 

@@ -70,16 +70,24 @@ class SimulatedDFS:
 
     # -- write path ---------------------------------------------------------------------
 
-    def write_file(self, path: str, records: list[Any]) -> DfsOpResult:
+    def write_file(
+        self, path: str, records: list[Any], size_bytes: int | None = None
+    ) -> DfsOpResult:
         """Create an immutable file from ``records``.
 
+        The file is ``size_bytes`` long when the caller knows its bytes (an
+        archived log segment: its records' stored sizes); otherwise each
+        record is sized with :func:`estimate_size` plus 16 bytes of framing.
         Cost: namenode create + per-block (seek + sequential write) on the
         primary, plus the pipeline transfer to ``replication - 1`` replicas.
         """
         self._validate_path(path)
         if path in self._files:
             raise FileExistsInDfsError(path)
-        size = sum(estimate_size(r) + 16 for r in records)
+        if size_bytes is not None:
+            size = size_bytes
+        else:
+            size = sum(estimate_size(r) + 16 for r in records)
         num_blocks = max(1, math.ceil(size / self.cost_model.dfs_block_size))
         latency = self.cost_model.dfs_open_overhead
         latency += num_blocks * self.cost_model.disk_seek_time

@@ -9,6 +9,10 @@ a single frame, and from then on the frame travels as an **opaque blob**.
 Brokers append and replicate it without re-encoding records; the tiered
 archiver ships it to the object store as-is; only the consumer inflates it
 — lazily, per batch, behind a memoryview so untouched batches stay cold.
+The frame keeps nothing it decodes: the decoded batch belongs to the fetch
+response that asked for it (:class:`~repro.messaging.fetchbuffer.FetchBatch`)
+and goes when that response does, so the heap holds each record once — in
+the log's compressed frame — however many consumers have read it.
 
 A :class:`BatchFrame` carries two byte counts:
 
@@ -266,9 +270,9 @@ class BatchFrame:
 
     ``payload`` is the zlib-compressed canonical serialization of the
     batch's ``(key, value, timestamp, headers)`` entries (headers minus the
-    reserved ``__trace`` key).  :meth:`entries` inflates it lazily through a
-    memoryview and memoizes the result, so a frame that is never read is
-    never decompressed.
+    reserved ``__trace`` key).  :meth:`entries` inflates it through a
+    memoryview on every call and keeps nothing, so a frame that is never
+    read is never decompressed and one that was read holds no decoded copy.
     """
 
     __slots__ = (
@@ -280,7 +284,6 @@ class BatchFrame:
         "wire_bytes",
         "sizes",
         "trace_contexts",
-        "_entries",
     )
 
     def __init__(
@@ -301,24 +304,17 @@ class BatchFrame:
         self.wire_bytes = len(payload) + BATCH_FRAME_HEADER_BYTES
         self.sizes = sizes
         self.trace_contexts = trace_contexts
-        self._entries: list | None = None
 
     # -- payload access ------------------------------------------------------
 
     def entries(self) -> list[tuple[Any, Any, float | None, dict[str, Any]]]:
-        """Inflate the payload (once) and return the canonical entries.
+        """Inflate the payload and return the canonical entries, a fresh
+        list on every call that the frame does not keep.
 
         The decompressor is handed a :class:`memoryview` over the payload so
         no intermediate copy of the compressed blob is made.
         """
-        if self._entries is None:
-            raw = decode_payload(memoryview(self.payload), self.codec)
-            self._entries = pickle.loads(raw)
-        return self._entries
-
-    @property
-    def inflated(self) -> bool:
-        return self._entries is not None
+        return pickle.loads(decode_payload(memoryview(self.payload), self.codec))
 
     @property
     def ratio(self) -> float:

@@ -104,13 +104,16 @@ class RecordTooLargeError(MessagingError):
     The leader refuses the whole batch before appending anything;
     ``indices`` are the offending records' positions in the batch.  The
     producer drops exactly those and ships the rest, whose ack (if it
-    landed) rides on the error as ``ack``.
+    landed) rides on the error as ``ack``.  If the rest exhausted its
+    retries instead, it is parked like any failed batch and the failure
+    that parked it rides as ``rest_error``.
     """
 
     def __init__(self, message: str, indices: tuple[int, ...]) -> None:
         super().__init__(message)
         self.indices = indices
         self.ack = None
+        self.rest_error: MessagingError | None = None
 
 
 class StaleEpochError(MessagingError):

@@ -15,6 +15,12 @@ intermediate copy of the blob) and is charged the simulated inflate CPU on
 that first touch only.  A poll that stops mid-response therefore neither
 inflates nor builds what lies past its cursor.
 
+The decoded batch lives on the :class:`FetchBatch`, not on the frame: a
+response drained over several polls decodes each frame once, and the
+decoded entries go when the response does.  The log's frame stays the one
+copy of its records on the heap; two consumers reading it decode it once
+each.
+
 :class:`FetchBuffer` holds one response's batches plus the bookkeeping a
 prefetching consumer needs: the fetch latency still owed, the simulated
 issue time (so latency that overlapped application processing is not
@@ -45,7 +51,13 @@ class FetchBatch:
     standing in for one."""
 
     __slots__ = (
-        "topic", "partition", "messages", "frame", "base_offset", "count", "inflated"
+        "topic",
+        "partition",
+        "messages",
+        "frame",
+        "base_offset",
+        "count",
+        "decoded",
     )
 
     def __init__(
@@ -62,9 +74,16 @@ class FetchBatch:
         self.frame = frame
         self.base_offset = base_offset
         self.count = len(messages) if frame is None else frame.count
-        #: Whether the simulated inflate CPU has been charged (nothing to
-        #: charge for a plain batch).
-        self.inflated = frame is None
+        #: The frame's decoded entries, from the first drain into it for as
+        #: long as this response is held; ``None`` before and for a plain
+        #: batch.
+        self.decoded: list | None = None
+
+    @property
+    def inflated(self) -> bool:
+        """Whether the simulated inflate CPU has been charged: on the
+        frame's first drain (nothing to charge for a plain batch)."""
+        return self.frame is None or self.decoded is not None
 
     def inflate(
         self,
@@ -80,12 +99,14 @@ class FetchBatch:
         A plain batch without serdes builds nothing: its records are the
         log's own :class:`~repro.common.records.StoredMessage` objects.
         Frames and serdes build one ``ConsumerRecord`` per record asked
-        for; nothing is memoized, as the caller's cursor asks for each
-        record once.  The returned latency is the simulated inflate CPU for
-        a framed batch on its first touch, ``0.0`` afterwards and for plain
-        batches.  ``size`` stays the stored payload size — recomputing it
-        from deserialized objects would skew quota/WAN accounting away from
-        the bytes actually transferred.
+        for; no record is memoized, as the caller's cursor asks for each
+        record once, but a frame is decoded on its first touch only and its
+        entries kept in :attr:`decoded`.  The returned latency is the
+        simulated inflate CPU for a framed batch on that first touch,
+        ``0.0`` afterwards and for plain batches.  ``size`` stays the
+        stored payload size — recomputing it from deserialized objects
+        would skew quota/WAN accounting away from the bytes actually
+        transferred.
         """
         topic, partition = self.topic, self.partition
         key_of = key_serde.deserialize if key_serde is not None else None
@@ -111,10 +132,11 @@ class FetchBatch:
                 for m in run
             ], 0.0
         latency = 0.0
-        if not self.inflated:
+        decoded = self.decoded
+        if decoded is None:
             latency = cost_model.decompress(frame.payload_bytes)
-            self.inflated = True
-        entries = frame.entries()[start:stop]
+            decoded = self.decoded = frame.entries()
+        entries = decoded[start:stop]
         # A headerless record shares the read-only empty mapping, framed or
         # not, so a frame-served record equals (and hashes like) the log's.
         headers = [entry[3] or EMPTY_HEADERS for entry in entries]

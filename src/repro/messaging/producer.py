@@ -202,7 +202,8 @@ class Producer:
         (with its idempotent sequence, if any) and the error re-raised, so a
         later :meth:`flush` retries it.  A record over the topic's
         ``max_message_bytes`` is dropped, the rest of its batch sent, and
-        :class:`~repro.common.errors.RecordTooLargeError` raised.  While a
+        :class:`~repro.common.errors.RecordTooLargeError` raised (carrying
+        the rest's failure as ``rest_error`` if the rest was parked).  While a
         partition has a re-buffered batch parked, newly buffered records for
         it are held back — sending them first would reorder the partition
         and break broker-side dedup.
@@ -300,7 +301,8 @@ class Producer:
         topic's size limit is not retried: it is dropped, the rest of its
         batch is delivered (its ack among the acks), and the
         :class:`~repro.common.errors.RecordTooLargeError` naming it is a
-        failure.
+        failure.  If the rest then fails too, the partition reports both,
+        the refusal first.
         """
         acks: list[ProduceAck] = []
         failures: list[tuple[TopicPartition, MessagingError]] = []
@@ -309,40 +311,46 @@ class Producer:
             for i, (seq, entries) in enumerate(parked):
                 try:
                     acks.append(self._send_batch(tp, entries, seq=seq))
-                except RecordTooLargeError as exc:
-                    self._refused(tp, exc, acks, failures)
                 except MessagingError as exc:
-                    # _send_batch re-parked the failed batch; keep the rest
-                    # queued behind it, in order, and move on.
-                    self._failed_batches[tp].extend(parked[i + 1:])
-                    failures.append((tp, exc))
-                    break
+                    if self._book_failure(tp, exc, acks, failures):
+                        # _send_batch re-parked the failed batch; keep the
+                        # rest queued behind it, in order, and move on.
+                        self._failed_batches[tp].extend(parked[i + 1:])
+                        break
         for tp in list(self._buffers):
             if tp in self._failed_batches:
                 continue  # blocked behind a parked batch; order first
             entries = self._buffers.pop(tp)
             try:
                 acks.append(self._send_batch(tp, entries))
-            except RecordTooLargeError as exc:
-                self._refused(tp, exc, acks, failures)
             except MessagingError as exc:
-                failures.append((tp, exc))
+                self._book_failure(tp, exc, acks, failures)
         if failures:
             raise ProducerFlushError(acks, failures)
         return acks
 
     @staticmethod
-    def _refused(
+    def _book_failure(
         tp: TopicPartition,
-        exc: RecordTooLargeError,
+        exc: MessagingError,
         acks: list[ProduceAck],
         failures: list[tuple[TopicPartition, MessagingError]],
-    ) -> None:
-        """Book a batch that lost its oversized records: the rest's ack, if
-        it landed, and the refusal as the partition's failure."""
+    ) -> bool:
+        """Book a batch that failed in :meth:`flush`; ``True`` unless it
+        was a refusal whose rest landed or that left no rest.
+
+        A batch that lost oversized records books the refusal first, then
+        the rest's ack if it landed, or the failure that parked it.
+        """
+        failures.append((tp, exc))
+        if not isinstance(exc, RecordTooLargeError):
+            return True
+        if exc.rest_error is not None:
+            failures.append((tp, exc.rest_error))
+            return True
         if exc.ack is not None:
             acks.append(exc.ack)
-        failures.append((tp, exc))
+        return False
 
     def _send_batch(
         self,
@@ -411,10 +419,17 @@ class Producer:
                     self._failed_batches.setdefault(tp, []).append(
                         (producer_seq, list(entries))
                     )
-                    raise MessagingError(
+                    failure = MessagingError(
                         f"produce to {tp} failed after {attempts} attempts; "
                         f"{len(entries)} record(s) re-buffered for retry"
-                    ) from exc
+                    )
+                    failure.__cause__ = exc
+                    if refused is not None:
+                        # The dropped records stay dropped and the rest is
+                        # parked: the refusal carries both.
+                        refused.rest_error = failure
+                        raise refused
+                    raise failure
                 # Metadata refresh is implicit: the controller is the
                 # authoritative source consulted on the next attempt.
                 # Capped-exponential backoff with deterministic jitter gives

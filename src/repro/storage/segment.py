@@ -7,19 +7,24 @@ rewrite preserving offsets).
 
 Offsets inside a segment are not necessarily contiguous: compaction removes
 superseded records but survivors keep their original offsets, exactly as in
-Kafka.  A segment is its records plus two parallel arrays, each record's
-``offset`` and its start byte ``position``.  The offset array, bisected, is
-§4.1's "index used to select the chunks of the log at which requested
-offsets are stored": dense, so a fetch lands on its first record without a
-scan, and byte accounting is prefix-sum arithmetic over the positions.
+Kafka.  A segment is its records plus two columns parallel to them: each
+record's ``offset`` and its start byte ``position``.  The offset column,
+bisected, is §4.1's "index used to select the chunks of the log at which
+requested offsets are stored": dense, so a fetch lands on its first record
+without a scan, and byte accounting is prefix-sum arithmetic over the
+positions.  The offsets are a list that shares each record's own
+``offset`` object; the positions are an ``array('q')`` of machine words,
+because no record carries its position and a list would hold a fresh
+``int`` per record on every replica.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from itertools import accumulate
 from operator import attrgetter
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from repro.common.errors import ConfigError
 from repro.common.records import StoredMessage
@@ -43,12 +48,12 @@ class SegmentView:
         self,
         messages: list[StoredMessage],
         start_position: int,
-        end_positions: list[int],
+        end_positions: Sequence[int],
     ) -> None:
         self.messages = messages
         self.start_position = start_position
         # end_positions[i] is the byte position one past the view's record
-        # i; a plain slice of the segment's cumulative array.
+        # i; a slice of the segment's positions array.
         self._end_positions = end_positions
 
     def prefix_bytes(self, count: int) -> int:
@@ -80,7 +85,7 @@ class LogSegment:
         self.sealed = False
         self._messages: list[StoredMessage] = []
         self._offsets: list[int] = []  # offset of each record (bisect key)
-        self._positions: list[int] = []  # start byte of each record
+        self._positions = array("q")  # start byte of each record
         self._size_bytes = 0
 
     # -- append path ----------------------------------------------------------
@@ -108,7 +113,9 @@ class LogSegment:
             )
         self._messages.extend(messages)
         self._offsets.extend(offsets)
-        self._positions.extend(positions)
+        # fromlist converts in one pass; extend would grow the array per
+        # item.
+        self._positions.fromlist(positions)
         self._size_bytes = size_bytes
 
     def seal(self) -> None:
@@ -159,7 +166,11 @@ class LogSegment:
         if offsets != sorted(offsets):
             raise ConfigError("survivors must be offset-ordered")
         old_size = self._size_bytes
-        positions = list(accumulate((m.stored_size for m in survivors), initial=0))
+        # From a list, which array converts in one pass (an iterator it
+        # grows per item).
+        positions = array(
+            "q", list(accumulate((m.stored_size for m in survivors), initial=0))
+        )
         self._messages = list(survivors)
         self._offsets = offsets
         self._size_bytes = positions.pop()

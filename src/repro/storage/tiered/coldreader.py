@@ -20,6 +20,7 @@ touch of archived history pays the cold fetch, the rest of the scan streams.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from itertools import accumulate
@@ -59,11 +60,12 @@ class _HydratedSegment:
         self.records = records
         self.offsets = [r.offset for r in records]
         # positions[i] = byte offset of record i; final element = total size,
-        # so served byte ranges are prefix-sum arithmetic as in LogSegment.
-        # Physical (stored) sizes: compressed archives hydrate and serve at
-        # their compressed footprint, matching entry.size_bytes.
-        self.positions = list(
-            accumulate((r.stored_size for r in records), initial=0)
+        # so served byte ranges are prefix-sum arithmetic as in LogSegment,
+        # and machine words as there.  Physical (stored) sizes: compressed
+        # archives hydrate and serve at their compressed footprint, matching
+        # entry.size_bytes.
+        self.positions = array(
+            "q", list(accumulate((r.stored_size for r in records), initial=0))
         )
         self.size_bytes = size_bytes
 

@@ -157,7 +157,7 @@ class DfsObjectStore:
             return ObjectPutResult(
                 key, self.dfs.file_size(path), 0.0, created=False
             )
-        dfs_result = self.dfs.write_file(path, records)
+        dfs_result = self.dfs.write_file(path, records, size_bytes)
         latency = self.cost_model.cold_put(size_bytes) + dfs_result.latency
         return ObjectPutResult(key, size_bytes, latency, created=True)
 

@@ -144,7 +144,7 @@ def layout(log: PartitionLog) -> dict:
         {
             "base": s.base_offset, "sealed": s.sealed,
             "records": list(s.messages()), "offsets": s._offsets,
-            "positions": s._positions, "bytes": s.size_bytes,
+            "positions": list(s._positions), "bytes": s.size_bytes,
         }
         for s in log.segments()
     ]

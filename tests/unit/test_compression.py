@@ -64,9 +64,7 @@ class TestBatchFrame:
         batch = entries(10)
         frame = compress_entries(batch, "zlib", 6)
         assert frame is not None
-        assert not frame.inflated
         assert decompress_entries(frame) == batch
-        assert frame.inflated
 
     def test_payload_bytes_match_uncompressed_accounting(self):
         batch = entries(7)

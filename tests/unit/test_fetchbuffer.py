@@ -14,6 +14,7 @@ import sys
 import pytest
 
 from repro.common.clock import SimClock
+from repro.common.compression import BatchFrame
 from repro.common.costmodel import DEFAULT_COST_MODEL
 from repro.common.records import (
     EMPTY_HEADERS,
@@ -87,7 +88,7 @@ class TestLazyDrain:
         assert [r.offset for r in records] == built == [0, 1, 2, 3, 4]
         assert latency == charge[0] + charge[1]
         assert [b.inflated for b in batches] == [True, True, False]
-        assert not batches[2].frame.inflated  # payload never decoded
+        assert batches[2].decoded is None  # payload never decoded
 
         records, latency = buffer.take(100, cost)
         assert [r.offset for r in records] == list(range(5, 12))
@@ -131,9 +132,89 @@ class TestLazyDrain:
         assert len(consumer.poll(5)) == 5
         assert consumer._buffers[TP] is buffer
         assert [b.inflated for b in buffer.batches] == [True, True, False]
-        assert not buffer.batches[2].frame.inflated
+        assert buffer.batches[2].decoded is None
         assert consumer.position(TP) == 6
         assert [r.offset for r in consumer.poll(100)] == list(range(6, 12))
+
+
+@pytest.fixture
+def decoded(monkeypatch):
+    """Every ``BatchFrame`` whose payload is decoded, once per decode."""
+    frames = []
+    entries = BatchFrame.entries
+
+    def counting(frame):
+        frames.append(frame)
+        return entries(frame)
+
+    monkeypatch.setattr(BatchFrame, "entries", counting)
+    return frames
+
+
+def reachable_from(root):
+    """Every object reachable from ``root`` by ``gc.get_referents``, short
+    of classes (which reach the whole program)."""
+    seen, todo = {}, [root]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen[id(obj)] = obj
+        todo.extend(gc.get_referents(obj))
+    return list(seen.values())
+
+
+class TestDecodedBatchLivesOnTheResponse:
+    def test_a_response_drained_over_three_polls_decodes_each_frame_once(
+        self, decoded
+    ):
+        cluster = MessagingCluster(num_brokers=1, clock=SimClock())
+        cluster.create_topic("t", num_partitions=1, replication_factor=1)
+        producer = Producer(
+            cluster, ProducerConfig(linger_messages=4, compression="zlib:6")
+        )
+        for i in range(12):
+            producer.send("t", {"n": i})
+        consumer = Consumer(cluster, ConsumerConfig(prefetch=True))
+        consumer.assign([TP])
+        # The one-record response cuts frame 0, so it is served plain; the
+        # response fetched ahead is frame 0's tail, then frames 1 and 2.
+        assert len(consumer.poll(1)) == 1
+        assert decoded == []
+        buffer = consumer._buffers[TP]
+        frames = [b.frame for b in buffer.batches if b.frame is not None]
+        assert len(frames) == 2
+        offsets = []
+        for limit in (5, 3, 100):
+            offsets.extend(r.offset for r in consumer.poll(limit))
+            if limit != 100:
+                assert consumer._buffers[TP] is buffer
+        assert offsets == list(range(1, 12))
+        # Frame 1 is drained by two polls and frame 2 by two: one decode each.
+        assert decoded == frames
+
+    def test_two_consumers_decode_a_frame_each_and_the_frame_keeps_neither(
+        self, decoded
+    ):
+        cluster = MessagingCluster(num_brokers=1, clock=SimClock())
+        cluster.create_topic("t", num_partitions=1, replication_factor=1)
+        producer = Producer(
+            cluster, ProducerConfig(linger_messages=4, compression="zlib:6")
+        )
+        values = [{"n": i, "pad": "x" * 40} for i in range(4)]
+        for i, value in enumerate(values):
+            producer.send("t", value, key=f"k{i}")
+        ((*_entry, frame),) = cluster.broker(0).replica(TP).log.batches()
+        for _ in range(2):
+            consumer = Consumer(cluster, ConsumerConfig())
+            consumer.assign([TP])
+            assert [r.value for r in consumer.poll()] == values
+        assert decoded == [frame, frame]
+        # The frame reaches its payload, size column and scalars; no decoded
+        # entry, list of entries or value dict.
+        reachable = reachable_from(frame)
+        assert frame.payload in reachable and frame.sizes in reachable
+        assert not [o for o in reachable if type(o) in (list, dict)]
 
 
 class TestPosition:

@@ -63,6 +63,6 @@ class TestRebuild:
         survivor = list(sealed.messages())[1]
         log.rewrite_segment(sealed, [survivor])
         assert sealed._offsets == [1]
-        assert sealed._positions == [0]
+        assert list(sealed._positions) == [0]
         assert sealed.read_from(0, 1).start_position == 0
         assert log.read(0).messages[0] == survivor

@@ -211,6 +211,51 @@ class TestBatching:
         assert log.log_end_offset == 3
 
 
+    @pytest.mark.parametrize("idempotent", [False, True])
+    @pytest.mark.parametrize("compression", ["none", "zlib:6"])
+    def test_a_refusal_is_reported_when_the_rest_then_fails(
+        self, compression, idempotent
+    ):
+        cluster = make_cluster(partitions=1)
+        producer = Producer(
+            cluster,
+            ProducerConfig(
+                linger_messages=10,
+                compression=compression,
+                idempotent=idempotent,
+                max_retries=1,
+            ),
+        )
+        for value in ({"ok": 1}, "x" * (2 << 20), {"ok": 2}):
+            producer.send("t", value, partition=0)
+        requests = []
+
+        def down_after_the_refusal(**_ctx):
+            requests.append(1)
+            if len(requests) > 1:
+                raise BrokerUnavailableError("down")
+
+        with registry().scoped("cluster.produce", down_after_the_refusal):
+            with pytest.raises(ProducerFlushError) as info:
+                producer.flush()
+        # The refusal first, then the failure that parked the rest.
+        (tp, refused), (same, parked) = info.value.failures
+        assert tp == same == TopicPartition("t", 0)
+        assert isinstance(refused, RecordTooLargeError)
+        assert refused.indices == (1,)
+        assert refused.rest_error is parked
+        assert type(parked) is MessagingError and "re-buffered" in str(parked)
+        assert info.value.acks == [] and refused.ack is None
+        # The refused record stays dropped; the rest is parked and lands once.
+        assert producer.pending() == 2
+        log = cluster.broker(cluster.leader_of("t", 0)).replica(tp).log
+        assert log.all_messages() == []
+        (ack,) = producer.flush()
+        assert (ack.base_offset, ack.last_offset) == (0, 1)
+        assert [m.value for m in log.all_messages()] == [{"ok": 1}, {"ok": 2}]
+        assert producer.pending() == 0
+
+
 class TestRetries:
     def test_retry_succeeds_after_failover(self):
         cluster = make_cluster(partitions=1)

@@ -31,7 +31,7 @@ class TestAppend:
     def test_append_returns_byte_positions(self):
         segment = LogSegment(0)
         append(segment, msg(0), msg(1))
-        assert segment._positions == [0, msg(0).stored_size]
+        assert list(segment._positions) == [0, msg(0).stored_size]
 
     def test_size_accumulates(self):
         segment = LogSegment(0)
@@ -132,7 +132,7 @@ class TestRewrite:
         segment = self._sealed_segment()
         survivors = list(segment.messages())[2:]
         segment.replace_messages(survivors)
-        assert segment._positions == [0, survivors[0].stored_size]
+        assert list(segment._positions) == [0, survivors[0].stored_size]
         assert segment.read_from(2, 1).start_position == 0
 
     def test_replace_requires_sealed(self):
