@@ -11,8 +11,14 @@ archiver ships it to the object store as-is; only the consumer inflates it
 — lazily, per batch, behind a memoryview so untouched batches stay cold.
 The frame keeps nothing it decodes: the decoded batch belongs to the fetch
 response that asked for it (:class:`~repro.messaging.fetchbuffer.FetchBatch`)
-and goes when that response does, so the heap holds each record once — in
-the log's compressed frame — however many consumers have read it.
+and goes when that response does.  The log keeps nothing decoded either: a
+batch it kept whole is held as its frame on every replica, with no record
+object and no decoded value beside it
+(:class:`~repro.storage.segment.StoredFrame`), and a reader that needs the
+records — a fetch that cuts the frame, compaction, truncation — builds them
+from the frame for that read.  So the heap holds each record once, in the
+log's compressed frame, however many replicas hold it and consumers have
+read it.
 
 A :class:`BatchFrame` carries two byte counts:
 
@@ -43,7 +49,12 @@ from operator import add, itemgetter
 from typing import Any
 
 from repro.common.errors import ConfigError
-from repro.common.records import SURROGATES, TRACE_HEADER, estimate_size
+from repro.common.records import (
+    EMPTY_HEADERS,
+    SURROGATES,
+    TRACE_HEADER,
+    estimate_size,
+)
 
 #: Supported codec names.
 CODEC_NONE = "none"
@@ -316,6 +327,20 @@ class BatchFrame:
         """
         return pickle.loads(decode_payload(memoryview(self.payload), self.codec))
 
+    def headers(self, entries: list, start: int = 0) -> list:
+        """The headers records ``start...`` of the batch were sent with, for
+        their decoded ``entries``: the reserved ``__trace`` context put back
+        from the frame, and a headerless record's the shared read-only
+        :data:`~repro.common.records.EMPTY_HEADERS`, so a record built from a
+        frame equals (and hashes like) the one built from the batch."""
+        headers = [entry[3] or EMPTY_HEADERS for entry in entries]
+        if self.trace_contexts:
+            contexts = self.trace_contexts[start : start + len(entries)]
+            for i, ctx in enumerate(contexts):
+                if ctx is not None:
+                    headers[i] = {**headers[i], TRACE_HEADER: ctx}
+        return headers
+
     @property
     def ratio(self) -> float:
         """Logical payload bytes per wire byte (>1 means compression won)."""
@@ -328,13 +353,14 @@ class BatchFrame:
 
         The frame is the physical unit, but the log's byte accounting is
         per-record; every record receives an equal share (at least one byte)
-        with the remainder on the first record, so the shares are
-        deterministic and sum to at least ``wire_bytes``.
+        with the remainder spread one byte each over the first records, so
+        the shares are deterministic and sum to at least ``wire_bytes``.
         """
-        base = max(self.wire_bytes, self.count)
-        per = base // self.count
-        rem = base - per * self.count
-        return [per + 1 if i < rem else per for i in range(self.count)]
+        count = self.count
+        base = self.wire_bytes if self.wire_bytes > count else count
+        per = base // count
+        rem = base - per * count
+        return [per + 1] * rem + [per] * (count - rem)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

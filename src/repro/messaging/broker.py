@@ -29,6 +29,7 @@ from repro.storage.compaction import CompactionConfig, LogCompactor
 from repro.storage.log import BatchEntry, PartitionLog, ReadResult
 from repro.storage.pagecache import PageCache
 from repro.storage.retention import RetentionEnforcer
+from repro.storage.segment import FramedRun
 from repro.storage.tiered import ColdTier, ObjectStore
 from repro.messaging.partition import PartitionReplica, ProduceResult
 from repro.messaging.topic import TopicConfig
@@ -193,11 +194,15 @@ class Broker:
         offset: int,
         follower_id: int,
         max_messages: int = 1000,
-    ) -> tuple[list[StoredMessage], int, int, int, list[BatchEntry]]:
+    ) -> tuple[
+        list[StoredMessage] | FramedRun, int, int, int, list[BatchEntry]
+    ]:
         """Follower fetch from this (leader) broker.
 
         Returns ``(messages, leader_leo, leader_hw, stored_bytes, entries)``
-        (``stored_bytes`` being the run's physical size).  As in Kafka, the
+        (``messages`` being the log's read as held — a
+        :class:`~repro.storage.segment.FramedRun` where it holds a frame —
+        and ``stored_bytes`` the run's physical size).  As in Kafka, the
         fetch *offset itself* tells the leader how far the follower has got:
         the leader records it and may advance the high watermark.
         ``entries`` are the batch-index entries overlapping the run (from

@@ -3,7 +3,13 @@
 A fetch response is not a flat record list but a sequence of *batches* —
 some plain (a run of the log's own :class:`~repro.common.records.StoredMessage`
 objects, the list the log read returned), some still the compressed
-:class:`~repro.common.compression.BatchFrame` the producer shipped.  A
+:class:`~repro.common.compression.BatchFrame` the producer shipped.  Which
+frames stand in for their records is read off the response's offsets and
+the log's batch index (:func:`build_fetch_batches`), never off record
+objects: a log holds a kept frame as itself, so a read that reaches one
+returns a :class:`~repro.storage.segment.FramedRun` with no record in it,
+and only a stretch that no whole frame covers — a frame the response cuts —
+is built into records, on the broker, once for that response.  A
 ``StoredMessage`` *is* a :class:`~repro.common.records.ConsumerRecord`, built
 once at append, so draining a plain batch for a consumer without serdes
 hands out those very objects in a fresh list and builds nothing.  Records
@@ -19,7 +25,7 @@ The decoded batch lives on the :class:`FetchBatch`, not on the frame: a
 response drained over several polls decodes each frame once, and the
 decoded entries go when the response does.  The log's frame stays the one
 copy of its records on the heap; two consumers reading it decode it once
-each.
+each, and a response that cuts it decodes it once on the broker.
 
 :class:`FetchBuffer` holds one response's batches plus the bookkeeping a
 prefetching consumer needs: the fetch latency still owed, the simulated
@@ -30,20 +36,13 @@ re-charged), and the position a partially-drained poll should commit.
 from __future__ import annotations
 
 from bisect import bisect_left
-from operator import attrgetter
 
 from repro.common.compression import BatchFrame
 from repro.common.costmodel import CostModel
-from repro.common.records import (
-    EMPTY_HEADERS,
-    TRACE_HEADER,
-    ConsumerRecord,
-    StoredMessage,
-)
+from repro.common.records import ConsumerRecord, StoredMessage
 from repro.common.serde import Serde
 from repro.storage.log import BatchEntry
-
-_offset_of = attrgetter("offset")
+from repro.storage.segment import FramedRun
 
 
 class FetchBatch:
@@ -137,15 +136,6 @@ class FetchBatch:
             latency = cost_model.decompress(frame.payload_bytes)
             decoded = self.decoded = frame.entries()
         entries = decoded[start:stop]
-        # A headerless record shares the read-only empty mapping, framed or
-        # not, so a frame-served record equals (and hashes like) the log's.
-        headers = [entry[3] or EMPTY_HEADERS for entry in entries]
-        # Trace contexts ride uncompressed on the frame; re-attach them so
-        # frame-served records are indistinguishable from eagerly stored ones.
-        if frame.trace_contexts:
-            for i, ctx in enumerate(frame.trace_contexts[start:stop]):
-                if ctx is not None:
-                    headers[i] = {**headers[i], TRACE_HEADER: ctx}
         return [
             ConsumerRecord(
                 topic,
@@ -160,7 +150,7 @@ class FetchBatch:
             for offset, (key, value, timestamp, _), held, size in zip(
                 range(self.base_offset + start, self.base_offset + stop),
                 entries,
-                headers,
+                frame.headers(entries, start),
                 frame.sizes[start:stop],
             )
         ], latency
@@ -169,38 +159,56 @@ class FetchBatch:
 def build_fetch_batches(
     topic: str,
     partition: int,
-    messages: list[StoredMessage],
+    messages: list[StoredMessage] | FramedRun,
     entries: list[BatchEntry],
 ) -> list[FetchBatch]:
     """Group a fetch response's records into frame-backed and plain batches.
 
-    ``entries`` are the log's batch-index entries around the response, in
-    offset order.  An entry's frame stands in for its records only when the
-    response contains the entry's *entire* offset range contiguously —
-    partial visibility (high watermark cut, compaction, skipped markers)
-    falls back to the log's records, so correctness never depends on frame
-    coverage.  No record is built here, and a frameless response is one
-    batch over ``messages`` itself.
+    ``messages`` is the response's run: the log's records, or the
+    :class:`~repro.storage.segment.FramedRun` a read that reached a framed
+    run returns.  ``entries`` are the log's batch-index entries around the
+    response, in offset order.  An entry's frame stands in for its records
+    only when the response holds the entry's *entire* offset range
+    contiguously, which the response's offsets show — partial visibility
+    (high watermark cut, compaction, skipped markers) falls back to records,
+    so correctness never depends on frame coverage.  A plain batch is the
+    log's own records; a stretch of a framed run that no frame stands for
+    is built from its frame here, once.  A frameless response is one batch
+    over ``messages`` itself.
     """
     batches: list[FetchBatch] = []
     n = len(messages)
     done = 0  # messages[:done] are batched
+    offsets = None
     for base, last, _pid, _seq, _kind, frame in entries:
         if frame is None:
             continue
-        i = bisect_left(messages, base, done, key=_offset_of)
+        if offsets is None:
+            offsets = (
+                messages.offsets
+                if type(messages) is FramedRun
+                else [m.offset for m in messages]
+            )
+        i = bisect_left(offsets, base, done)
         end = i + frame.count
         # Offsets strictly increase, so matching endpoints over exactly
         # ``count`` records proves the whole frame range is present.
-        if end <= n and messages[i].offset == base and messages[end - 1].offset == last:
+        if end <= n and offsets[i] == base and offsets[end - 1] == last:
             if i > done:
-                batches.append(FetchBatch(topic, partition, messages[done:i]))
+                plain = (
+                    messages[done:i]
+                    if type(messages) is list
+                    else messages.records(done, i)
+                )
+                batches.append(FetchBatch(topic, partition, plain))
             batches.append(FetchBatch(topic, partition, frame=frame, base_offset=base))
             done = end
     if done < n:
-        batches.append(
-            FetchBatch(topic, partition, messages[done:] if done else messages)
-        )
+        if type(messages) is list:
+            rest = messages[done:] if done else messages
+        else:
+            rest = messages.records(done)
+        batches.append(FetchBatch(topic, partition, rest))
     return batches
 
 

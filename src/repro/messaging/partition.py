@@ -54,6 +54,7 @@ from repro.storage.log import (
     clip,
     runs_overlapping,
 )
+from repro.storage.segment import FramedRun, join_runs
 from repro.storage.tiered.tier import ColdTier
 
 ROLE_LEADER = "leader"
@@ -80,6 +81,38 @@ class ProduceResult:
     last_offset: int
     latency: float
     duplicate: bool = False
+
+
+def _hide_framed(
+    result: ReadResult, bound: int, hidden: list[tuple[int, int]]
+) -> None:
+    """Cut a read's :class:`~repro.storage.segment.FramedRun` to what a
+    client may see: the offsets below ``bound`` outside the ``hidden`` runs.
+    The cut works on the run's offsets and builds no record."""
+    run = result.messages
+    offsets = run.offsets
+    end = bisect_left(offsets, bound)
+    runs = (
+        runs_overlapping(hidden, offsets[0], offsets[end - 1])
+        if hidden and end
+        else ()
+    )
+    if not runs and end == len(offsets):
+        return
+    visible: list[StoredMessage] | FramedRun = []
+    kept = 0  # run[:kept] is dealt with
+    for base, last in runs:
+        cut = bisect_left(offsets, base, kept, end)
+        visible = join_runs(visible, run[kept:cut])
+        kept = bisect_right(offsets, last, cut, end)
+    visible = join_runs(visible, run[kept:end])
+    if len(visible) != len(run):
+        result.messages = visible
+        result.stored_bytes = sum(
+            visible.stored_sizes()
+            if type(visible) is FramedRun
+            else [m.stored_size for m in visible]
+        )
 
 
 class PartitionReplica:
@@ -329,7 +362,10 @@ class PartitionReplica:
             bound = min(bound, self.last_stable_offset)
             hidden = self._hidden
         messages = result.messages
-        if messages and (hidden or messages[-1].offset >= bound):
+        if type(messages) is FramedRun:
+            if hidden or messages.offsets[-1] >= bound:
+                _hide_framed(result, bound, hidden)
+        elif messages and (hidden or messages[-1].offset >= bound):
             # The run against the bound and the hidden runs, by bisection:
             # when it ends below the bound and none intersects it, the
             # log's own list goes out untouched.
@@ -373,10 +409,11 @@ class PartitionReplica:
 
     def replicate_batch(
         self,
-        messages: list[StoredMessage],
+        messages: list[StoredMessage] | FramedRun,
         entries: list[BatchEntry] | None = None,
     ) -> float:
-        """Follower-side append of records fetched from the leader.
+        """Follower-side append of records fetched from the leader: the
+        leader's read, records or a :class:`~repro.storage.segment.FramedRun`.
 
         The whole fetched batch lands through one
         :meth:`~repro.storage.log.PartitionLog.append_stored_batch` call —
@@ -387,20 +424,24 @@ class PartitionReplica:
         entry), noted, and folded into the producer state, so this replica
         can keep deduplicating and filtering if it becomes leader.  An entry
         copied whole keeps its frame — the same immutable object, so a
-        compressed batch crosses the hop without being re-encoded — and a
-        cut one loses it.
+        compressed batch crosses the hop without being re-encoded, and the
+        log holds it as that frame too — and a cut one loses it, its copied
+        records held as records.
         """
         if self.role == ROLE_LEADER:
             raise ConfigError(f"{self.partition}: leader cannot replicate from itself")
-        if not messages:
+        # A FramedRun holds at least one frame slice, so only a list of
+        # records can be empty.
+        if type(messages) is not FramedRun and not messages:
             return 0.0
-        # The leader's records themselves, not copies: a StoredMessage is
-        # immutable once appended, like the frames shipped beside it.
+        # The leader's records and frames themselves, not copies: a
+        # StoredMessage is immutable once appended, like a frame.
         log = self.log
         lo = log.log_end_offset if entries else 0
-        latency = log.append_stored_batch(messages).latency
+        appended = log.append_stored_batch(messages)
+        latency = appended.latency
         if entries:
-            hi = messages[-1].offset
+            hi = appended.last_offset
             for entry in entries:
                 entry = clip(entry, lo, hi)
                 if entry is not None:

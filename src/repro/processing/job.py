@@ -324,7 +324,11 @@ class JobRunner:
                 )
             stores[store_config.name] = KeyValueState(
                 store_config.name,
-                make_store(store_config.store_type, **store_config.store_options),
+                make_store(
+                    store_config.store_type,
+                    self.cluster.cost_model,
+                    **store_config.store_options,
+                ),
                 changelog,
                 staged,
             )

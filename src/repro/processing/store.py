@@ -395,11 +395,19 @@ STORE_TYPES = {
 }
 
 
-def make_store(store_type: str, **kwargs: Any) -> KeyValueStore:
-    """Construct a store by type name (``"memory"`` or ``"lsm"``)."""
+def make_store(
+    store_type: str, cost_model: CostModel = DEFAULT_COST_MODEL, **kwargs: Any
+) -> KeyValueStore:
+    """Construct a store by type name (``"memory"`` or ``"lsm"``).
+
+    ``cost_model`` is the simulated world's: a store type that charges
+    simulated time (``"lsm"``) charges it, whatever ``kwargs`` say.
+    """
     factory = STORE_TYPES.get(store_type)
     if factory is None:
         raise ConfigError(
             f"unknown store type {store_type!r}; known: {sorted(STORE_TYPES)}"
         )
+    if factory is LsmStore:
+        kwargs["cost_model"] = cost_model
     return factory(**kwargs)

@@ -78,7 +78,7 @@ class StandbyReplica:
             changelog_topic_name(job_name, store_name), task_id
         )
         self.store: KeyValueStore = make_store(
-            store_type, **(store_options or {})
+            store_type, cluster.cost_model, **(store_options or {})
         )
         #: Next changelog offset to apply.  ``None`` until the first
         #: catch-up seats the replica at the partition's earliest offset.

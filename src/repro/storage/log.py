@@ -7,6 +7,16 @@ segments' base offsets, then its first record by bisecting that segment's
 dense offset array (§4.1's index), so the cost of both is independent of
 how much history the log holds.
 
+A record is held as the :class:`~repro.common.records.StoredMessage` built
+at append, or, when it arrived in a compressed batch the log kept whole, as
+that batch's frame (see :mod:`repro.storage.segment`).  A read that reaches
+a framed run returns it as held, a
+:class:`~repro.storage.segment.FramedRun`, and a follower copying it stores
+the same frame; records are built from a frame only for a reader that asks
+for them — a fetch that cuts the frame, compaction, truncation, the tiered
+archiver, :meth:`PartitionLog.all_messages` — once per read.  A log that
+holds no frame reads, appends and copies as if frames did not exist.
+
 One :class:`PartitionLog` corresponds to one replica of one partition on one
 broker.  Latency for each operation is computed from the shared
 :class:`~repro.storage.pagecache.PageCache` and returned to the caller (the
@@ -15,9 +25,10 @@ broker adds request/network overheads on top).
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, repeat
+from itertools import accumulate
 from operator import attrgetter
 from typing import Any, Sequence
 
@@ -28,7 +39,7 @@ from repro.common.errors import ConfigError, OffsetOutOfRangeError
 from repro.common.records import RECORD_FRAMING_BYTES, StoredMessage, TopicPartition
 from repro.chaos.failpoints import failpoint
 from repro.storage.pagecache import PageCache
-from repro.storage.segment import LogSegment
+from repro.storage.segment import FramedRun, LogSegment, StoredFrame, run_of
 
 
 @dataclass(frozen=True)
@@ -83,9 +94,13 @@ class ReadResult:
     ``stored_bytes`` is the physical size of ``messages`` — read off the
     segments' cumulative positions, so the wire, quota and byte-budget
     charges above never re-sum ``stored_size`` per record.
+
+    A read that reached a run the log holds as its frame returns
+    ``messages`` as a :class:`~repro.storage.segment.FramedRun`: the run as
+    held, whose records are built only when a reader asks for them.
     """
 
-    messages: list[StoredMessage]
+    messages: list[StoredMessage] | FramedRun
     latency: float
     log_end_offset: int
     next_offset: int = 0
@@ -209,11 +224,12 @@ class PartitionLog:
         positions and latency follow :meth:`_append_run`, so the log that
         results does not depend on how entries were cut into batches.
 
-        With ``frame`` set the batch arrived as one compressed blob: each
-        record's physical footprint becomes its share of the frame's wire
-        bytes, and the frame rides on the run's batch-index entry so fetches
-        can serve the blob without re-materializing records.  A batch cut
-        short is stored uncompressed.  ``producer_id``, ``producer_seq`` and
+        With ``frame`` set the batch arrived as one compressed blob, and the
+        log keeps it as that frame (a :class:`~repro.storage.segment.StoredFrame`):
+        no record is built, each record's physical footprint is its share of
+        the frame's wire bytes, and the frame rides on the run's batch-index
+        entry so fetches can serve the blob as it is.  A batch cut short is
+        stored as records.  ``producer_id``, ``producer_seq`` and
         ``kind`` are the run's producer state; the run appended — a cut one
         too — gets an entry when ``kind`` is set or the frame was kept.
 
@@ -246,12 +262,13 @@ class PartitionLog:
                 f"max_message_bytes={max_bytes}"
             )
             entries = entries[:cut]
-        if frame is not None and error is None and len(entries) == frame.count:
-            stored_sizes = frame.stored_sizes()
-        else:
-            frame = None  # partial batch: store records uncompressed
-            stored_sizes = repeat(None)  # each record's size plus framing
         now = self.clock.now()
+        if frame is not None and error is None and len(entries) == frame.count:
+            return self._append_frame(
+                frame, entries, now, producer_id, producer_seq, kind
+            )
+        # A partial batch is stored uncompressed: each record's stored size
+        # is its size plus framing.
         topic, partition = self.partition or (None, None)
         messages = [
             StoredMessage(
@@ -261,19 +278,19 @@ class PartitionLog:
                 offset,
                 headers,
                 size,
-                stored,
+                None,
                 topic,
                 partition,
             )
-            for offset, ((key, value, timestamp, headers), size, stored) in enumerate(
-                zip(entries, sizes, stored_sizes), self._next_offset
+            for offset, ((key, value, timestamp, headers), size) in enumerate(
+                zip(entries, sizes), self._next_offset
             )
         ]
         latency = self._append_run(messages)
-        if messages and (kind is not None or frame is not None):
+        if messages and kind is not None:
             self.note_batch(
                 messages[0].offset, messages[-1].offset,
-                producer_id, producer_seq, kind, frame,
+                producer_id, producer_seq, kind,
             )
         if error is not None:
             raise error
@@ -285,19 +302,61 @@ class PartitionLog:
             messages[0].offset, messages[-1].offset, latency, len(messages)
         )
 
-    def append_stored_batch(
-        self, messages: list[StoredMessage]
+    def _append_frame(
+        self,
+        frame: BatchFrame,
+        entries: list[tuple[Any, Any, float | None, dict[str, Any] | None]],
+        now: float,
+        producer_id: int | None,
+        producer_seq: int | None,
+        kind: str | None,
     ) -> BatchAppendResult:
-        """Append pre-built records, preserving their offsets: a follower
-        copying a fetched batch.
+        """Keep a whole compressed batch as its frame: no record is built,
+        and the run's entry carries the frame."""
+        base = self._next_offset
+        last_timestamp = entries[-1][2]
+        run = FramedRun.of_frame(
+            StoredFrame(
+                frame,
+                base,
+                now,
+                now if last_timestamp is None else last_timestamp,
+                self.partition,
+            )
+        )
+        latency = self._append_run(run)
+        last = base + frame.count - 1
+        self.note_batch(base, last, producer_id, producer_seq, kind, frame)
+        return BatchAppendResult(base, last, latency, frame.count)
+
+    def append_stored_batch(
+        self, messages: list[StoredMessage] | FramedRun
+    ) -> BatchAppendResult:
+        """Append a fetched run, preserving its offsets: a follower copying
+        the leader.
 
         Offsets must continue the leader's sequence (strictly increasing,
         starting at or beyond the local end offset; gaps from compaction are
         allowed).  An out-of-order record ends the batch: the records before
-        it are appended, then :class:`ConfigError` is raised.  The batch
-        index entries the copy carries are noted by the caller
-        (:meth:`note_batch`).
+        it are appended, then :class:`ConfigError` is raised.  A
+        :class:`~repro.storage.segment.FramedRun` lands as the copy holds it
+        (:meth:`~repro.storage.segment.FramedRun.copied`): a whole frame as
+        the same frame, a cut one as its records.  The batch index entries
+        the copy carries are noted by the caller (:meth:`note_batch`).
         """
+        if type(messages) is FramedRun:
+            failpoint("log.append", log=self.name, count=messages.count)
+            offsets = messages.offsets
+            # A read's offsets strictly increase: only the first can be late.
+            if offsets[0] < self._next_offset:
+                raise ConfigError(
+                    f"replica append out of order: {offsets[0]} < "
+                    f"{self._next_offset}"
+                )
+            latency = self._append_run(messages.copied())
+            return BatchAppendResult(
+                offsets[0], offsets[-1], latency, messages.count
+            )
         failpoint("log.append", log=self.name, count=len(messages))
         valid = len(messages)
         error: ConfigError | None = None
@@ -323,8 +382,10 @@ class PartitionLog:
             run[0].offset, run[-1].offset, latency, len(run)
         )
 
-    def _append_run(self, messages: list[StoredMessage]) -> float:
-        """Land pre-built, offset-ordered records in the log.
+    def _append_run(self, messages: list[StoredMessage] | FramedRun) -> float:
+        """Land an offset-ordered run in the log: pre-built records, or a
+        :class:`~repro.storage.segment.FramedRun` whose frames land as
+        frames.
 
         The rule, per record of ``stored_size`` s: when the active segment is
         non-empty and ``size_bytes + s > segment_max_bytes`` or
@@ -336,20 +397,26 @@ class PartitionLog:
         segment extend and one page-cache charge per chunk — and the
         returned latency is folded per record, left to right.
         """
-        if not messages:
-            return 0.0
+        framed = type(messages) is FramedRun
+        if framed:
+            sizes = messages.stored_sizes()
+            offsets = messages.offsets
+            n = messages.count
+        else:
+            if not messages:
+                return 0.0
+            sizes = [m.stored_size for m in messages]
+            offsets = [m.offset for m in messages]
+            n = len(messages)
         config = self.config
         segment_max_bytes = config.segment_max_bytes
         segment_max_messages = config.segment_max_messages
-        sizes = [m.stored_size for m in messages]
-        offsets = [m.offset for m in messages]
         # cum[j] = bytes of the first j records; strictly increasing (every
         # record carries at least its framing bytes), so chunk-fit decisions
         # are a bisect rather than a per-record scan.
         cum = list(accumulate(sizes, initial=0))
         latency = 0.0
         i = 0
-        n = len(messages)
         vnext = self._next_offset
         while i < n:
             active = self._segments[-1]
@@ -379,12 +446,19 @@ class PartitionLog:
                     self._segments.append(active)
                     continue
             end = i + k
-            chunk = messages[i:end]
             chunk_offsets = offsets[i:end]
             start = active.size_bytes
             base = start - cum[i]
             chunk_positions = [base + c for c in cum[i:end]]
-            active.extend(chunk, chunk_offsets, chunk_positions, base + cum[end])
+            if framed:
+                active.extend_framed(
+                    messages if k == n else messages.between(i, end),
+                    chunk_offsets, chunk_positions, base + cum[end],
+                )
+            else:
+                active.extend(
+                    messages[i:end], chunk_offsets, chunk_positions, base + cum[end]
+                )
             latency = self.page_cache.write_batch(
                 self._file_id(active), start, sizes[i:end], latency
             )
@@ -424,6 +498,11 @@ class PartitionLog:
         segments = self._segments
         while seg_idx < len(segments) and len(collected) < max_messages:
             segment = segments[seg_idx]
+            if segment.framed:
+                return self._read_framed(
+                    offset, max_messages, seg_idx, cursor, collected, latency,
+                    stored_bytes, byte_budget,
+                )
             # The segment's offset bisect: one RAM-resident probe per
             # segment touched.
             latency += self.cost_model.request_overhead / 10
@@ -459,6 +538,51 @@ class PartitionLog:
         next_offset = collected[-1].offset + 1 if collected else offset
         return ReadResult(
             collected, latency, self._next_offset, next_offset, stored_bytes
+        )
+
+    def _read_framed(
+        self,
+        offset: int,
+        max_messages: int,
+        seg_idx: int,
+        cursor: int,
+        collected: list[StoredMessage],
+        latency: float,
+        stored_bytes: int,
+        byte_budget: int,
+    ) -> ReadResult:
+        """:meth:`read` on from the first segment that holds a framed run:
+        the same walk and the same charges, with each segment's records
+        added to the run as held (:meth:`LogSegment.read_into`), so no record
+        is built.  The result's ``messages`` is a
+        :class:`~repro.storage.segment.FramedRun` when a framed run was
+        read."""
+        pieces = [collected] if collected else []
+        offsets = array("q", [m.offset for m in collected])
+        count = len(collected)
+        next_offset = collected[-1].offset + 1 if collected else offset
+        segments = self._segments
+        while seg_idx < len(segments) and count < max_messages:
+            segment = segments[seg_idx]
+            latency += self.cost_model.request_overhead / 10
+            taken, found, start, nbytes = segment.read_into(
+                pieces, offsets, cursor, max_messages - count, byte_budget,
+                not count,
+            )
+            if taken:
+                latency += self.page_cache.read(self._file_id(segment), start, nbytes)
+                count += taken
+                stored_bytes += nbytes
+                byte_budget -= nbytes
+                next_offset = cursor = offsets[-1] + 1
+            if taken < found:
+                break  # the byte budget is spent
+            seg_idx += 1
+            if seg_idx < len(segments):
+                cursor = max(cursor, segments[seg_idx].base_offset)
+        return ReadResult(
+            run_of(pieces, offsets, count), latency, self._next_offset,
+            next_offset, stored_bytes,
         )
 
     # -- batch index ------------------------------------------------------------------
@@ -503,11 +627,13 @@ class PartitionLog:
         return runs_overlapping(self._batches, lo, hi)
 
     def batches_spanned_by(
-        self, offset: int, messages: list[StoredMessage]
+        self, offset: int, messages: list[StoredMessage] | FramedRun
     ) -> list[BatchEntry]:
         """:meth:`batches_between` a fetch's ``offset`` and the last record
         it read — from the offset, not the first record, so an entry whose
         records compaction has since removed still ships."""
+        if type(messages) is FramedRun:
+            return self.batches_between(offset, messages.offsets[-1])
         if not messages:
             return []
         return self.batches_between(offset, messages[-1].offset)

@@ -7,36 +7,291 @@ rewrite preserving offsets).
 
 Offsets inside a segment are not necessarily contiguous: compaction removes
 superseded records but survivors keep their original offsets, exactly as in
-Kafka.  A segment is its records plus two columns parallel to them: each
-record's ``offset`` and its start byte ``position``.  The offset column,
-bisected, is §4.1's "index used to select the chunks of the log at which
-requested offsets are stored": dense, so a fetch lands on its first record
-without a scan, and byte accounting is prefix-sum arithmetic over the
-positions.  The offsets are a list that shares each record's own
-``offset`` object; the positions are an ``array('q')`` of machine words,
-because no record carries its position and a list would hold a fresh
-``int`` per record on every replica.
+Kafka.  A segment is its records plus two columns parallel to them, both
+``array('q')`` machine words: each record's ``offset`` and its start byte
+``position``.  The offset column, bisected, is §4.1's "index used to select
+the chunks of the log at which requested offsets are stored": dense, so a
+fetch lands on its first record without a scan, and byte accounting is
+prefix-sum arithmetic over the positions.
+
+A record is held one of two ways.  One that arrived on its own, or in a
+batch the log did not keep whole, is a
+:class:`~repro.common.records.StoredMessage`, built once at append and shared
+by every replica.  One that arrived in a compressed batch the log kept is
+held as that batch's frame (:class:`StoredFrame`): the segment notes, once
+per framed run, which of its records the frame covers, and keeps nothing
+else per record but the two columns, so no record object and no decoded
+value.  A segment that holds no framed run reads, appends and rewrites as if
+frames did not exist.  A read that reaches a framed run returns a
+:class:`FramedRun`, the read's record lists and frame slices with their
+offsets; records are built from a frame only for a reader that asks for
+them, once per read.  Rewrites (compaction, truncation) take records, so a
+rewritten range is held as records from then on.
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from itertools import accumulate
-from operator import attrgetter
-from typing import Iterator, Sequence
+from operator import attrgetter, itemgetter
+from typing import Iterator, Union
 
+from repro.common.compression import BatchFrame
 from repro.common.errors import ConfigError
-from repro.common.records import StoredMessage
+from repro.common.records import StoredMessage, TopicPartition
 
 _timestamp_of = attrgetter("timestamp")
+_first_of = itemgetter(0)
+
+
+class StoredFrame:
+    """A compressed batch at rest: the frame the producer shipped, plus what
+    building its records takes besides.
+
+    Built once, by the leader's log at append; every replica that copies the
+    batch whole holds the same object, as it holds the same frame.  Record
+    ``i`` of the batch has offset ``base_offset + i``.
+    """
+
+    __slots__ = ("frame", "base_offset", "stamp", "last_timestamp", "partition")
+
+    def __init__(
+        self,
+        frame: BatchFrame,
+        base_offset: int,
+        stamp: float,
+        last_timestamp: float,
+        partition: TopicPartition | None,
+    ) -> None:
+        self.frame = frame
+        self.base_offset = base_offset
+        #: The timestamp of an entry sent without one: the leader's clock at
+        #: append, as the log stamps an unframed record.
+        self.stamp = stamp
+        #: The last record's timestamp, so a segment that ends with the batch
+        #: knows its own without a decode.
+        self.last_timestamp = last_timestamp
+        #: The partition the batch was appended to, as the log was told it.
+        self.partition = partition
+
+    def records(self, start: int, stop: int) -> list[StoredMessage]:
+        """Records ``[start, stop)`` of the batch, from one decode of the
+        frame: each equal to the one the log builds from the batch's entries,
+        ``stored_size`` (its share of the frame) included."""
+        frame = self.frame
+        entries = frame.entries()[start:stop]
+        stamp = self.stamp
+        topic, partition = self.partition or (None, None)
+        return [
+            StoredMessage(
+                key,
+                value,
+                stamp if timestamp is None else timestamp,
+                offset,
+                headers,
+                size,
+                stored,
+                topic,
+                partition,
+            )
+            for offset, (key, value, timestamp, _), headers, size, stored in zip(
+                range(self.base_offset + start, self.base_offset + stop),
+                entries,
+                frame.headers(entries, start),
+                frame.sizes[start:stop],
+                frame.stored_sizes()[start:stop],
+            )
+        ]
+
+
+#: One stretch of a run: a list of records held as objects, or a frame
+#: slice ``(stored, start, stop)``, records ``[start, stop)`` of the
+#: :class:`StoredFrame` ``stored``.  A slice is a plain tuple, so cutting a
+#: run builds no object per stretch beyond the tuple itself.
+Piece = Union[list, tuple]
+
+
+def _add_piece(pieces: list[Piece], piece: Piece) -> None:
+    """Append ``piece`` to ``pieces``, joining it to the last one when both
+    are record lists or both slices of one frame that meet."""
+    if pieces:
+        tail = pieces[-1]
+        if type(tail) is list:
+            if type(piece) is list:
+                pieces[-1] = tail + piece
+                return
+        elif type(piece) is tuple and piece[0] is tail[0] and piece[1] == tail[2]:
+            pieces[-1] = (tail[0], tail[1], piece[2])
+            return
+    pieces.append(piece)
+
+
+def run_of(
+    pieces: list[Piece], offsets: array, count: int
+) -> list[StoredMessage] | FramedRun:
+    """The run ``pieces`` hold: a :class:`FramedRun` when a frame slice is
+    among them, else the records themselves (one list, not copied when it is
+    the only piece)."""
+    for piece in pieces:
+        if type(piece) is tuple:
+            return FramedRun(pieces, offsets, count)
+    if len(pieces) == 1:
+        return pieces[0]
+    records: list[StoredMessage] = []
+    for piece in pieces:
+        records += piece
+    return records
+
+
+def join_runs(
+    head: list[StoredMessage] | FramedRun, tail: list[StoredMessage] | FramedRun
+) -> list[StoredMessage] | FramedRun:
+    """``head`` then ``tail`` as one run; a frame the two cut between them
+    is one slice again."""
+    pieces: list[Piece] = []
+    offsets = array("q")
+    for run in (head, tail):
+        if type(run) is list:
+            if run:
+                _add_piece(pieces, run)
+                offsets += array("q", [m.offset for m in run])
+        else:
+            for piece in run.pieces:
+                _add_piece(pieces, piece)
+            offsets += run.offsets
+    return run_of(pieces, offsets, len(offsets))
+
+
+class FramedRun(Sequence):
+    """An offset-ordered run of a log's records, at least one stretch of it
+    held as its frame: what a read that reached a framed run returns.
+
+    ``pieces`` are the stretches (:data:`Piece`), ``offsets`` every record's
+    offset (an ``array('q')``) and ``count`` their number.  Length, offsets,
+    slicing (which returns a run again) and :meth:`stored_sizes` build no
+    record.  Indexing, iterating or comparing builds the records, once, and
+    keeps them on this run, which lives as long as the read that returned
+    it; :meth:`records` builds a range of them.
+    """
+
+    __slots__ = ("pieces", "offsets", "count", "_records")
+
+    def __init__(self, pieces: list[Piece], offsets: array, count: int) -> None:
+        self.pieces = pieces
+        self.offsets = offsets
+        self.count = count
+        self._records: list[StoredMessage] | None = None
+
+    @classmethod
+    def of_frame(cls, stored: StoredFrame) -> FramedRun:
+        """The whole batch ``stored`` as a run."""
+        count = stored.frame.count
+        base = stored.base_offset
+        return cls(
+            [(stored, 0, count)], array("q", range(base, base + count)), count
+        )
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __getitem__(self, index):
+        if type(index) is slice:
+            start, stop, step = index.indices(self.count)
+            if step != 1:
+                raise ValueError("a run slices with step 1 only")
+            return self.between(start, stop)
+        return self.records()[index]
+
+    def __iter__(self) -> Iterator[StoredMessage]:
+        return iter(self.records())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (list, FramedRun)):
+            return self.records() == list(other)
+        return NotImplemented
+
+    def records(self, start: int = 0, stop: int | None = None) -> list[StoredMessage]:
+        """Records ``[start, stop)`` of the run, built from the frames for
+        framed stretches; the whole run's are built once and kept."""
+        if stop is None or stop > self.count:
+            stop = self.count
+        if self._records is not None:
+            return self._records[start:stop]
+        out: list[StoredMessage] = []
+        for piece, lo, hi in self._cut(start, stop):
+            if type(piece) is list:
+                out += piece[lo:hi]
+            else:
+                out += piece[0].records(piece[1] + lo, piece[1] + hi)
+        if start == 0 and stop == self.count:
+            self._records = out
+        return out
+
+    def between(self, start: int, stop: int) -> list[StoredMessage] | FramedRun:
+        """Records ``[start, stop)`` as a run, as held."""
+        pieces: list[Piece] = []
+        for piece, lo, hi in self._cut(start, stop):
+            if type(piece) is list:
+                pieces.append(piece if hi - lo == len(piece) else piece[lo:hi])
+            else:
+                pieces.append((piece[0], piece[1] + lo, piece[1] + hi))
+        return run_of(pieces, self.offsets[start:stop], stop - start)
+
+    def _cut(self, start: int, stop: int) -> list[tuple[Piece, int, int]]:
+        """``(piece, lo, hi)`` for each piece holding records of
+        ``[start, stop)``: its records ``[lo, hi)``."""
+        out = []
+        at = 0  # index of the piece's first record
+        for piece in self.pieces:
+            if at >= stop:
+                break
+            count = len(piece) if type(piece) is list else piece[2] - piece[1]
+            lo = start - at if start > at else 0
+            hi = stop - at if stop - at < count else count
+            if lo < hi:
+                out.append((piece, lo, hi))
+            at += count
+        return out
+
+    def stored_sizes(self) -> list[int]:
+        """Each record's ``stored_size``, read off the frames for framed
+        stretches."""
+        out: list[int] = []
+        for piece in self.pieces:
+            if type(piece) is list:
+                out += [m.stored_size for m in piece]
+            else:
+                out += piece[0].frame.stored_sizes()[piece[1] : piece[2]]
+        return out
+
+    def copied(self) -> list[StoredMessage] | FramedRun:
+        """The run as a replica copy stores it: a frame the run holds only a
+        cut of is held as those records (a frame stands for its whole batch
+        only), a whole one stays its frame."""
+        pieces: list[Piece] | None = None  # set at the first cut frame
+        for i, piece in enumerate(self.pieces):
+            if type(piece) is tuple and (piece[1] or piece[2] != piece[0].frame.count):
+                if pieces is None:
+                    pieces = self.pieces[:i]
+                piece = piece[0].records(piece[1], piece[2])
+            if pieces is not None:
+                _add_piece(pieces, piece)
+        if pieces is None:
+            return self
+        return run_of(pieces, self.offsets, self.count)
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return f"FramedRun(n={self.count}, pieces={len(self.pieces)})"
 
 
 class SegmentView:
     """A zero-copy read view over a contiguous run of segment records.
 
     Produced by :meth:`LogSegment.read_from`.  ``messages`` is the record
-    slice; ``start_position`` is the first record's byte position in the
+    slice (a :class:`FramedRun` where it reaches a framed run);
+    ``start_position`` is the first record's byte position in the
     segment; :meth:`prefix_bytes` returns the byte size of the first ``k``
     records in O(1) using the segment's positions (prefix-sum) array, so
     byte-budget accounting never re-sums record sizes.
@@ -46,7 +301,7 @@ class SegmentView:
 
     def __init__(
         self,
-        messages: list[StoredMessage],
+        messages: list[StoredMessage] | FramedRun,
         start_position: int,
         end_positions: Sequence[int],
     ) -> None:
@@ -74,19 +329,44 @@ class SegmentView:
         return bisect_left(self._end_positions, limit + 1)
 
 
+def _sealed(segment: LogSegment) -> ConfigError:
+    return ConfigError(
+        f"segment@{segment.base_offset} is sealed; appends go to the active "
+        "segment"
+    )
+
+
 class LogSegment:
     """One segment file of a partition log: its records and their offsets
     and byte positions."""
+
+    __slots__ = (
+        "base_offset",
+        "sealed",
+        "_messages",
+        "_offsets",
+        "_positions",
+        "framed",
+        "_size_bytes",
+        "_last_timestamp",
+    )
 
     def __init__(self, base_offset: int) -> None:
         if base_offset < 0:
             raise ConfigError(f"base_offset must be >= 0, got {base_offset}")
         self.base_offset = base_offset
         self.sealed = False
-        self._messages: list[StoredMessage] = []
-        self._offsets: list[int] = []  # offset of each record (bisect key)
+        self._messages: list[StoredMessage] = []  # the records held as objects
+        self._offsets = array("q")  # offset of each record (bisect key)
         self._positions = array("q")  # start byte of each record
+        #: One ``(first, stop, plain, stored, lo)`` per framed run: records
+        #: ``[first, stop)`` of the segment are records ``lo...`` of the
+        #: StoredFrame ``stored``, and ``plain`` records held as objects come
+        #: before them.  The shared empty tuple for a segment that holds no
+        #: frame.
+        self.framed: list[tuple[int, int, int, StoredFrame, int]] | tuple = ()
         self._size_bytes = 0
+        self._last_timestamp: float | None = None
 
     # -- append path ----------------------------------------------------------
 
@@ -107,16 +387,54 @@ class LogSegment:
         batch frame, equal to the logical size when uncompressed.
         """
         if self.sealed:
-            raise ConfigError(
-                f"segment@{self.base_offset} is sealed; appends go to the "
-                "active segment"
-            )
+            raise _sealed(self)
         self._messages.extend(messages)
-        self._offsets.extend(offsets)
         # fromlist converts in one pass; extend would grow the array per
         # item.
+        self._offsets.fromlist(offsets)
         self._positions.fromlist(positions)
         self._size_bytes = size_bytes
+        self._last_timestamp = messages[-1].timestamp
+
+    def extend_framed(
+        self,
+        run: list[StoredMessage] | FramedRun,
+        offsets: array,
+        positions: list[int],
+        size_bytes: int,
+    ) -> None:
+        """:meth:`extend` for a run that may hold frames: each frame slice is
+        noted as a framed run, and nothing is kept per record but its offset
+        and position."""
+        if self.sealed:
+            raise _sealed(self)
+        pieces = [run] if type(run) is list else run.pieces
+        index = len(self._offsets)
+        framed = self.framed
+        if not framed:
+            framed = self.framed = []
+        for piece in pieces:
+            if type(piece) is list:
+                self._messages += piece
+                index += len(piece)
+                continue
+            stored, lo, hi = piece
+            framed.append((index, index + hi - lo, len(self._messages), stored, lo))
+            index += hi - lo
+        self._offsets += offsets
+        self._positions.fromlist(positions)
+        self._size_bytes = size_bytes
+        tail = pieces[-1]
+        if type(tail) is list:
+            self._last_timestamp = tail[-1].timestamp
+        else:
+            stored, _lo, hi = tail
+            self._last_timestamp = (
+                stored.last_timestamp
+                if hi == stored.frame.count
+                # A segment roll cut the batch: one decode, once per roll.
+                else stored.records(hi - 1, hi)[0].timestamp
+            )
 
     def seal(self) -> None:
         """Mark the segment read-only; sealed segments are retention/compaction
@@ -135,7 +453,10 @@ class LogSegment:
         """
         idx = bisect_left(self._offsets, offset)
         end = idx + max_messages
-        batch = self._messages[idx:end]
+        if self.framed:
+            batch = self.run(idx, end)
+        else:
+            batch = self._messages[idx:end]
         if not batch:
             return SegmentView([], self._size_bytes, [])
         end = idx + len(batch)
@@ -145,12 +466,101 @@ class LogSegment:
         )
         return SegmentView(batch, self._positions[idx], end_positions)
 
+    def run(self, start: int, stop: int) -> list[StoredMessage] | FramedRun:
+        """Records ``[start, stop)`` as held: a :class:`FramedRun` where a
+        framed run is among them."""
+        if stop > len(self._offsets):
+            stop = len(self._offsets)
+        pieces: list[Piece] = []
+        if start < stop:
+            self.collect(pieces, start, stop)
+        return run_of(pieces, self._offsets[start:stop], stop - start)
+
+    def read_into(
+        self,
+        pieces: list[Piece],
+        offsets: array,
+        offset: int,
+        max_messages: int,
+        byte_budget: int,
+        at_least_one: bool,
+    ) -> tuple[int, int, int, int]:
+        """:meth:`read_from` for a run held as pieces: add the records with
+        offset >= ``offset`` — at most ``max_messages``, and those whose
+        bytes fit ``byte_budget`` (at least one when ``at_least_one``) — to
+        ``pieces`` as held and their offsets to ``offsets``.
+
+        Returns ``(taken, found, start, nbytes)``: the records added, the
+        ones ``max_messages`` allowed, the first one's byte position and the
+        bytes added — what the view's :meth:`~SegmentView.prefix_within` and
+        :meth:`~SegmentView.prefix_bytes` give.
+        """
+        held = self._offsets
+        idx = bisect_left(held, offset)
+        end = idx + max_messages
+        if end > len(held):
+            end = len(held)
+        if idx >= end:
+            return 0, 0, self._size_bytes, 0
+        positions = self._positions
+        start = positions[idx]
+        ends = positions[idx + 1 : end]
+        ends.append(positions[end] if end < len(held) else self._size_bytes)
+        taken = bisect_left(ends, start + byte_budget + 1)
+        if taken == 0 and at_least_one:
+            taken = 1
+        if not taken:
+            return 0, end - idx, start, 0
+        self.collect(pieces, idx, idx + taken)
+        offsets += held[idx : idx + taken]
+        return taken, end - idx, start, ends[taken - 1] - start
+
+    def collect(self, pieces: list[Piece], start: int, stop: int) -> None:
+        """Add records ``[start, stop)`` (a non-empty range), as held, to the
+        run ``pieces``."""
+        framed = self.framed
+        if not framed:
+            _add_piece(pieces, self._messages[start:stop])
+            return
+        # The framed runs that start at or before ``start``; the last of them
+        # may hold it.
+        k = bisect_right(framed, start, key=_first_of)
+        if k and framed[k - 1][1] > start:
+            k -= 1
+        n = len(framed)
+        # Only the first piece can continue the run's last one (a frame or
+        # records the previous segment ended with); within the segment,
+        # framed runs and the records between them alternate.
+        i = start
+        while i < stop:
+            if k < n and framed[k][0] <= i:
+                first, end, _plain, stored, lo = framed[k]
+                j = end if end < stop else stop
+                piece = (stored, lo + i - first, lo + j - first)
+                k += 1
+            else:
+                j = framed[k][0] if k < n and framed[k][0] < stop else stop
+                # Only records held as objects lie between the framed run
+                # before ``i`` (if any) and ``j``.
+                if k:
+                    _first, end, plain, _stored, _lo = framed[k - 1]
+                    at = plain + i - end
+                else:
+                    at = i
+                piece = self._messages[at : at + j - i]
+            if i == start:
+                _add_piece(pieces, piece)
+            else:
+                pieces.append(piece)
+            i = j
+
     def offset_for_timestamp(self, timestamp: float) -> int | None:
         """Smallest offset whose record timestamp >= ``timestamp``."""
-        idx = bisect_left(self._messages, timestamp, key=_timestamp_of)
-        if idx >= len(self._messages):
+        messages = self._messages if not self.framed else list(self.run(0, len(self)))
+        idx = bisect_left(messages, timestamp, key=_timestamp_of)
+        if idx >= len(messages):
             return None
-        return self._messages[idx].offset
+        return messages[idx].offset
 
     # -- compaction support -----------------------------------------------------
 
@@ -158,7 +568,8 @@ class LogSegment:
         """Rewrite the segment with the given (offset-ordered) survivors.
 
         Returns the number of bytes reclaimed.  Only sealed segments may be
-        rewritten; the active segment is never compacted (§4.1).
+        rewritten; the active segment is never compacted (§4.1).  The
+        segment holds the survivors as records, framed or not before.
         """
         if not self.sealed:
             raise ConfigError("cannot compact the active segment")
@@ -172,9 +583,11 @@ class LogSegment:
             "q", list(accumulate((m.stored_size for m in survivors), initial=0))
         )
         self._messages = list(survivors)
-        self._offsets = offsets
+        self._offsets = array("q", offsets)
+        self.framed = ()
         self._size_bytes = positions.pop()
         self._positions = positions
+        self._last_timestamp = survivors[-1].timestamp if survivors else None
         return old_size - self._size_bytes
 
     # -- introspection ----------------------------------------------------------
@@ -185,11 +598,11 @@ class LogSegment:
 
     @property
     def message_count(self) -> int:
-        return len(self._messages)
+        return len(self._offsets)
 
     @property
     def is_empty(self) -> bool:
-        return not self._messages
+        return not self._offsets
 
     @property
     def first_offset(self) -> int | None:
@@ -201,13 +614,16 @@ class LogSegment:
 
     @property
     def last_timestamp(self) -> float | None:
-        return self._messages[-1].timestamp if self._messages else None
+        return self._last_timestamp
 
     def messages(self) -> Iterator[StoredMessage]:
+        """The records, built from the frames for a segment holding any."""
+        if self.framed:
+            return iter(self.run(0, len(self._offsets)))
         return iter(self._messages)
 
     def __len__(self) -> int:
-        return len(self._messages)
+        return len(self._offsets)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "sealed" if self.sealed else "active"

@@ -15,6 +15,7 @@ from repro.common.clock import Clock
 from repro.common.errors import OffsetOutOfRangeError
 from repro.common.metrics import MetricsRegistry, metric_name
 from repro.storage.log import PartitionLog, ReadResult
+from repro.storage.segment import join_runs
 from repro.storage.tiered.archiver import SegmentArchiver
 from repro.storage.tiered.coldreader import ColdReader
 from repro.storage.tiered.config import TieredConfig
@@ -114,7 +115,10 @@ class ColdTier:
             and result.next_offset < self.log.log_end_offset
         ):
             hot = self.log.read(result.next_offset, remaining, byte_budget)
-            result.messages += hot.messages
+            if type(hot.messages) is list:
+                result.messages += hot.messages
+            else:
+                result.messages = join_runs(result.messages, hot.messages)
             result.latency += hot.latency
             result.next_offset = hot.next_offset
             result.stored_bytes += hot.stored_bytes

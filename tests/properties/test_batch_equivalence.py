@@ -143,7 +143,7 @@ def layout(log: PartitionLog) -> dict:
     segments = [
         {
             "base": s.base_offset, "sealed": s.sealed,
-            "records": list(s.messages()), "offsets": s._offsets,
+            "records": list(s.messages()), "offsets": list(s._offsets),
             "positions": list(s._positions), "bytes": s.size_bytes,
         }
         for s in log.segments()

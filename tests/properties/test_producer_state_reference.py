@@ -270,9 +270,11 @@ class ReferenceReplica:
 def shadowed_replica_class():
     """A ``PartitionReplica`` subclass, fresh per cluster, whose every
     instance carries a :class:`ReferenceReplica` and hands it each call."""
-    # id(real record) -> (the record, its stamped reference twin): replicas
-    # share StoredMessage objects, so a copy finds its twin by identity.
-    twins: dict[int, tuple] = {}
+    # (partition, offset) -> (the record the leader appended, its stamped
+    # reference twin): a copy finds its twin by where the leader put it,
+    # and must equal what the leader appended (records held as a frame are
+    # built per read, so identity does not carry them).
+    twins: dict[tuple, tuple] = {}
 
     class ShadowedReplica(PartitionReplica):
         def __init__(self, partition, broker_id, log) -> None:
@@ -336,12 +338,17 @@ def shadowed_replica_class():
                 landed = self.log.read(result.base_offset, len(entries)).messages
                 for message, twin in zip(landed, self.ref.records[-len(entries):]):
                     assert message.offset == twin.offset
-                    twins[id(message)] = (message, twin)
+                    twins[self.partition, message.offset] = (message, twin)
             return result
 
         def replicate_batch(self, messages, entries=None) -> float:
             latency = super().replicate_batch(messages, entries)
-            self.ref.replicate([twins[id(m)][1] for m in messages])
+            copied = []
+            for m in messages:
+                appended, twin = twins[self.partition, m.offset]
+                assert m == appended and m.stored_size == appended.stored_size
+                copied.append(twin)
+            self.ref.replicate(copied)
             return latency
 
         def truncate_to(self, offset) -> int:

@@ -19,16 +19,22 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.clock import SimClock
 from repro.common.compression import compress_entries
+from repro.common.costmodel import DEFAULT_COST_MODEL
 from repro.common.errors import OffsetOutOfRangeError
-from repro.common.records import TopicPartition
+from repro.common.records import StoredMessage, TopicPartition
+from repro.messaging.fetchbuffer import build_fetch_batches
 from repro.messaging.partition import PartitionReplica
 from repro.storage.compaction import LogCompactor
-from repro.storage.log import LogConfig, PartitionLog
+from repro.storage.log import BatchAppendResult, LogConfig, PartitionLog
 from repro.storage.retention import RetentionConfig, RetentionEnforcer
 from repro.storage.tiered import ColdTier, InMemoryObjectStore, TieredConfig
 
 TP = TopicPartition("t", 0)
 ISOLATIONS = ("read_uncommitted", "read_committed")
+
+#: Examples per property: small in tier-1, as deep as the profile asks under
+#: ``--hypothesis-profile=deep`` (CI's ``determinism`` job).
+EXAMPLES = settings.default.max_examples if settings.default.max_examples > 100 else 60
 
 pids = st.integers(0, 1)
 appends = st.tuples(st.sampled_from(["plain", "idempotent", "zlib"]), st.integers(1, 6))
@@ -173,6 +179,7 @@ class TestFetchEqualsThePerRecordFilter:
         self, history, final_ack, few, budget
     ):
         replica, _archived, model = build(history, final_ack)
+        framed = any(step[0] == "zlib" for step in history)
         for offset in range(replica.earliest_offset, replica.log_end_offset + 1):
             for max_messages, max_bytes in ((1000, None), (few, budget)):
                 for isolation in ISOLATIONS:
@@ -188,7 +195,14 @@ class TestFetchEqualsThePerRecordFilter:
                         continue
                     visible, next_offset = want
                     assert len(got.messages) == len(visible)
-                    assert all(a is b for a, b in zip(got.messages, visible))
+                    # The log's own records; a run held as its frame is
+                    # built per read, equal to the records it stands for.
+                    assert got.messages == visible
+                    assert [m.stored_size for m in got.messages] == [
+                        m.stored_size for m in visible
+                    ]
+                    if not framed:
+                        assert all(a is b for a, b in zip(got.messages, visible))
                     assert got.next_offset == next_offset
                     assert got.stored_bytes == stored(visible)
 
@@ -276,3 +290,241 @@ class TestStoredBytesIsAColumn:
                     want = want + reference_prefix(hot, max_messages - len(want), left)
                 assert stitched.messages == want
                 assert stitched.stored_bytes == stored(want)
+
+
+# -- a kept frame reads as the records it stands for ----------------------------------
+
+
+class RecordsLog(PartitionLog):
+    """The log as it held a kept frame before frames were held as
+    themselves: one ``StoredMessage`` per record, built at append and sized
+    by its share of the frame, beside the entry that carries the frame."""
+
+    def _append_frame(self, frame, entries, now, producer_id, producer_seq, kind):
+        topic, partition = self.partition or (None, None)
+        base = self._next_offset
+        messages = [
+            StoredMessage(
+                key, value, now if ts is None else ts, base + i, headers, size,
+                share, topic, partition,
+            )
+            for i, ((key, value, ts, headers), size, share) in enumerate(
+                zip(entries, frame.sizes, frame.stored_sizes())
+            )
+        ]
+        latency = self._append_run(messages)
+        last = base + len(messages) - 1
+        self.note_batch(base, last, producer_id, producer_seq, kind, frame)
+        return BatchAppendResult(base, last, latency, len(messages))
+
+
+def replica_set(log_class):
+    """A leader replica with a cold tier and two followers, every log of
+    ``log_class`` on a clock of its own."""
+    clock = SimClock()
+    config = LogConfig(segment_max_messages=4, segment_max_bytes=400)
+    replicas = []
+    for broker_id in range(3):
+        log = log_class(f"t-0@{broker_id}", config, clock=clock, partition=TP)
+        replicas.append(PartitionReplica(TP, broker_id, log))
+    leader = replicas[0]
+    leader.cold_tier = ColdTier(
+        leader.log, InMemoryObjectStore(), namespace="t/0", config=TieredConfig()
+    )
+    leader.become_leader(1, [0, 1, 2])
+    for follower in replicas[1:]:
+        follower.become_follower(1)
+    return clock, replicas
+
+
+framed_steps = st.one_of(
+    st.tuples(st.just("append"), st.booleans(), st.integers(1, 6), st.booleans()),
+    st.tuples(st.just("append"), st.just(True), st.integers(1, 6), st.booleans()),
+    st.tuples(st.just("marker")),
+    st.tuples(st.just("ack"), st.floats(0.0, 1.0)),
+    st.tuples(st.just("replicate"), st.integers(1, 5)),
+    st.tuples(st.just("compact")),
+    st.tuples(st.just("archive")),
+    st.tuples(st.just("truncate"), st.floats(0.0, 1.0)),
+)
+
+
+class Twins:
+    """The same history driven into a replica set of ordinary logs and one
+    of :class:`RecordsLog`\\ s, in lockstep."""
+
+    def __init__(self) -> None:
+        self.sets = [replica_set(PartitionLog), replica_set(RecordsLog)]
+        self.sent = 0  # records appended so far
+        self.seq = 0  # the idempotent producer's next sequence
+
+    def step(self, step) -> None:
+        batch = None
+        if step[0] == "append":
+            _kind, framed, count, idempotent = step
+            now = self.sets[0][0].now()
+            entries = [
+                (
+                    f"k{n % 4}",
+                    {"n": n, "pad": "x" * (n % 7)},
+                    None if n % 5 == 0 else now - n % 3,
+                    {"h": n} if n % 2 else {},
+                )
+                for n in range(self.sent, self.sent + count)
+            ]
+            # One request, so both sets are handed the same frame object.
+            request = {}
+            if framed:
+                request["frame"] = compress_entries(entries, "zlib", 6)
+            if idempotent:
+                request.update(producer_id=7, producer_seq=self.seq)
+            batch = entries, request
+            self.sent += count
+            self.seq += 1
+        for clock, replicas in self.sets:
+            self._apply(step, batch, clock, replicas)
+
+    def _apply(self, step, batch, clock, replicas) -> None:
+        leader, followers = replicas[0], replicas[1:]
+        log = leader.log
+        now = clock.now()
+        kind = step[0]
+        if kind == "append":
+            entries, request = batch
+            leader.append_batch(entries, **request)
+        elif kind == "marker":
+            leader.append_batch([(None, None, now, {"__ctrl": "commit"})])
+        elif kind == "ack":
+            for follower in followers:
+                leader.record_follower_position(
+                    follower.broker_id, int(step[1] * log.log_end_offset)
+                )
+        elif kind == "replicate":
+            for follower in followers:
+                offset = follower.log_end_offset
+                if not leader.earliest_offset <= offset <= log.log_end_offset:
+                    continue  # a real follower would truncate or reset first
+                messages = leader.fetch(offset, step[1], committed_only=False).messages
+                if messages:
+                    follower.replicate_batch(
+                        messages, log.batches_spanned_by(offset, messages)
+                    )
+        elif kind == "compact":
+            for replica in replicas:
+                LogCompactor(clock=clock).compact(replica.log)
+        elif kind == "archive":
+            RetentionEnforcer(
+                RetentionConfig(retention_seconds=0.5),
+                clock,
+                archiver=leader.cold_tier.archiver,
+            ).enforce(log)
+            leader.trim_producer_state()
+        else:
+            for replica in replicas:
+                lo = replica.log.log_start_offset
+                replica.truncate_to(
+                    lo + int(step[1] * (replica.log_end_offset - lo))
+                )
+        clock.advance(1.0)
+
+    def check(self, few: int, budget: int) -> None:
+        (_c, framed), (_r, records) = self.sets
+        for mine, theirs in zip(framed, records):
+            same_run(mine.log.all_messages(), theirs.log.all_messages())
+            assert mine.log.batches() == theirs.log.batches()
+            assert mine.high_watermark == theirs.high_watermark
+        leader, reference = framed[0], records[0]
+        for timestamp in range(-3, int(self.sets[0][0].now()) + 2):
+            assert leader.log.offset_for_timestamp(
+                timestamp
+            ) == reference.log.offset_for_timestamp(timestamp)
+            assert leader.cold_tier.offset_for_timestamp(
+                timestamp
+            ) == reference.cold_tier.offset_for_timestamp(timestamp)
+        start = leader.earliest_offset
+        for offset in range(start, leader.log_end_offset + 1):
+            for max_messages, max_bytes in ((1000, None), (few, budget), (few, None)):
+                if offset >= leader.log.log_start_offset:
+                    same_read(
+                        leader.log.read(offset, max_messages, max_bytes),
+                        reference.log.read(offset, max_messages, max_bytes),
+                    )
+                for isolation in ISOLATIONS:
+                    got = leader.fetch(
+                        offset, max_messages, max_bytes, True, isolation
+                    )
+                    want = reference.fetch(
+                        offset, max_messages, max_bytes, True, isolation
+                    )
+                    same_read(got, want)
+                    # What a consumer is served: the same frames, and the
+                    # same records out of them.
+                    served = [
+                        build_fetch_batches(
+                            "t", 0, read.messages,
+                            replica.log.batches_spanned_by(offset, read.messages),
+                        )
+                        for read, replica in ((got, leader), (want, reference))
+                    ]
+                    assert [b.frame for b in served[0]] == [b.frame for b in served[1]]
+                    delivered = [
+                        [r for b in batches for r in b.inflate(DEFAULT_COST_MODEL)[0]]
+                        for batches in served
+                    ]
+                    assert delivered[0] == delivered[1]
+
+
+def same_run(got, want) -> None:
+    """Equal records, ``stored_size`` included (equality leaves it out)."""
+    assert got == want
+    assert [m.stored_size for m in got] == [m.stored_size for m in want]
+
+
+def same_read(got, want) -> None:
+    same_run(got.messages, want.messages)
+    assert (got.next_offset, got.stored_bytes, got.log_end_offset) == (
+        want.next_offset, want.stored_bytes, want.log_end_offset
+    )
+    assert got.latency == want.latency
+
+
+class TestFramedRunsReadAsRecords:
+    """A log that holds a kept frame as itself reads, serves, copies,
+    truncates, compacts and archives exactly like one that held a record
+    object per framed record (:class:`RecordsLog`): random histories of
+    framed and plain batches, idempotent or not, commit markers, acks that
+    stop mid-frame, rf=3 copies cut mid-frame, compaction, retention onto
+    the cold tier and truncation; after every step, every read at every
+    offset — hot, cold or stitched, whole or budgeted, high-watermark and
+    marker filtered — returns equal records with equal stored sizes, bytes,
+    next offset and simulated latency, a consumer is served the same frames
+    and records, every timestamp lookup lands on the same offset, and every
+    replica lists the same records and the same batch index (the same frame
+    objects)."""
+
+    @given(
+        st.lists(framed_steps, min_size=1, max_size=18),
+        st.integers(1, 7),
+        st.integers(0, 300),
+    )
+    @settings(max_examples=EXAMPLES, deadline=None)
+    def test_every_read_equals_the_records_log(self, steps, few, budget):
+        twins = Twins()
+        for step in steps:
+            twins.step(step)
+            twins.check(few, budget)
+
+    def test_frames_are_held_as_frames(self):
+        """The pinned shape: a framed batch copied whole to both followers
+        leaves no record object in any replica's segments, and a copy cut
+        mid-frame holds the cut as records."""
+        twins = Twins()
+        for step in [("append", True, 6, False), ("replicate", 10),
+                     ("append", True, 6, False), ("replicate", 3)]:
+            twins.step(step)
+        twins.check(2, 100)
+        (_c, framed), _reference = twins.sets
+        leader, follower, _other = framed
+        assert all(not s._messages for s in leader.log.segments())
+        held = [m for s in follower.log.segments() for m in s._messages]
+        assert [m.offset for m in held] == [6, 7, 8]

@@ -177,10 +177,13 @@ class TestDecodedBatchLivesOnTheResponse:
             producer.send("t", {"n": i})
         consumer = Consumer(cluster, ConsumerConfig(prefetch=True))
         consumer.assign([TP])
+        first = cluster.broker(0).replica(TP).log.batches()[0][5]
         # The one-record response cuts frame 0, so it is served plain; the
-        # response fetched ahead is frame 0's tail, then frames 1 and 2.
+        # response fetched ahead is frame 0's tail, then frames 1 and 2.  The
+        # log holds frame 0 as its frame, so each of the two cuts is built
+        # from one decode of it, on the broker.
         assert len(consumer.poll(1)) == 1
-        assert decoded == []
+        assert decoded == [first, first]
         buffer = consumer._buffers[TP]
         frames = [b.frame for b in buffer.batches if b.frame is not None]
         assert len(frames) == 2
@@ -191,7 +194,7 @@ class TestDecodedBatchLivesOnTheResponse:
                 assert consumer._buffers[TP] is buffer
         assert offsets == list(range(1, 12))
         # Frame 1 is drained by two polls and frame 2 by two: one decode each.
-        assert decoded == frames
+        assert decoded == [first, first, *frames]
 
     def test_two_consumers_decode_a_frame_each_and_the_frame_keeps_neither(
         self, decoded

@@ -31,14 +31,14 @@ class TestMaybeAdd:
         log = log_of(*(record(i, "v" * i) for i in range(7)), per_segment=3)
         for segment in log.segments():
             offsets = [m.offset for m in segment.messages()]
-            assert segment._offsets == offsets
+            assert list(segment._offsets) == offsets
             assert segment._offsets[0] == segment.base_offset
 
     def test_offsets_must_increase(self):
         log = log_of(record(5))
         with pytest.raises(ConfigError):
             log.append_stored_batch([record(5)])
-        assert log.active_segment()._offsets == [5]
+        assert list(log.active_segment()._offsets) == [5]
 
 
 class TestLookup:
@@ -62,7 +62,7 @@ class TestRebuild:
         sealed = log.sealed_segments()[0]
         survivor = list(sealed.messages())[1]
         log.rewrite_segment(sealed, [survivor])
-        assert sealed._offsets == [1]
+        assert list(sealed._offsets) == [1]
         assert list(sealed._positions) == [0]
         assert sealed.read_from(0, 1).start_position == 0
         assert log.read(0).messages[0] == survivor

@@ -203,3 +203,72 @@ class TestFactory:
     def test_unknown_type_rejected(self):
         with pytest.raises(ConfigError):
             make_store("rocksdb")
+
+
+class TestStoresChargeTheWorldsCostModel:
+    """A job's stores and its standbys' are built with the cluster's cost
+    model: a ``MessagingCluster(cost_model=m)`` charges ``m`` in every
+    store, not the default model."""
+
+    def test_task_store_and_standby_charge_the_clusters_model(self):
+        from dataclasses import replace
+
+        from repro.common.clock import SimClock
+        from repro.common.costmodel import DEFAULT_COST_MODEL
+        from repro.messaging.cluster import MessagingCluster
+        from repro.messaging.producer import Producer
+        from repro.processing.job import JobConfig, JobRunner, StoreConfig
+
+        class Table:
+            def init(self, context):
+                self.store = context.store("table")
+
+            def process(self, record, collector):
+                self.store.put(record.key, record.value)
+
+        model = replace(DEFAULT_COST_MODEL, store_put=7e-6, store_run_get=90e-6)
+        cluster = MessagingCluster(num_brokers=1, clock=SimClock(), cost_model=model)
+        cluster.create_topic("in", num_partitions=1, replication_factor=1)
+        producer = Producer(cluster)
+        for i in range(10):
+            producer.send("in", i, key=f"k{i}")
+        runner = JobRunner(
+            JobConfig(
+                name="job",
+                inputs=["in"],
+                task_factory=Table,
+                stores=[
+                    StoreConfig(
+                        "table",
+                        store_type="lsm",
+                        store_options={"memtable_max_entries": 4},
+                    )
+                ],
+                num_standby_replicas=1,
+            ),
+            cluster,
+        )
+        runner.run_until_idle()
+        runner.checkpoint()
+
+        store = runner.task(0).stores["table"].store
+        assert store.cost_model is model
+        store.put("k0", -1)
+        assert store.last_op_cost == model.store_put
+
+        ((standby,),) = [tuple(s.values()) for s in runner.standbys.of(0)]
+        assert standby.records_applied == 10  # its catch-up wrote the store
+        assert standby.store.cost_model is model
+        assert standby.store.last_op_cost == model.store_put
+        assert standby.store.get("k1") == 1
+        assert standby.store.last_op_cost > model.store_run_get  # a run probe
+
+    def test_make_store_hands_the_model_to_the_lsm_store_only(self):
+        from dataclasses import replace
+
+        from repro.common.costmodel import DEFAULT_COST_MODEL
+
+        model = replace(DEFAULT_COST_MODEL, store_put=7e-6)
+        assert make_store("lsm", model).cost_model is model
+        assert make_store("lsm").cost_model is DEFAULT_COST_MODEL
+        assert isinstance(make_store("memory", model), InMemoryStore)
