@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-import networkx as nx
-
 from repro.common.errors import (
     FeedAlreadyExistsError,
     FeedNotFoundError,
@@ -171,13 +169,3 @@ class FeedRegistry:
             for f in self._feeds.values()
             if f.lineage is not None and name in f.lineage.inputs
         )
-
-    def graph(self) -> "nx.DiGraph":
-        """Feed-derivation DAG (edges point data-flow-wise: parent→child)."""
-        graph = nx.DiGraph()
-        for feed in self._feeds.values():
-            graph.add_node(feed.name, kind=feed.kind)
-            if feed.lineage is not None:
-                for parent in feed.lineage.inputs:
-                    graph.add_edge(parent, feed.name, job=feed.lineage.produced_by)
-        return graph

@@ -12,9 +12,8 @@ end-to-end latency grows with depth.
 
 from __future__ import annotations
 
+from graphlib import CycleError, TopologicalSorter
 from typing import Iterable
-
-import networkx as nx
 
 from repro.common.errors import JobConfigError
 from repro.messaging.cluster import MessagingCluster
@@ -55,36 +54,40 @@ class Dataflow:
 
     # -- topology ---------------------------------------------------------------------
 
-    def graph(self) -> "nx.DiGraph":
-        """Bipartite job/topic graph of the declared topology."""
-        graph = nx.DiGraph()
+    def graph(self) -> dict[str, list[str]]:
+        """Bipartite job/topic graph of the declared topology: each node's
+        predecessors (a job's input topics, a topic's producing jobs)."""
+        graph: dict[str, list[str]] = {}
         for name, runner in self._runners.items():
             job_node = f"job:{name}"
-            graph.add_node(job_node, kind="job")
-            for topic in runner.config.inputs:
-                graph.add_node(f"topic:{topic}", kind="topic")
-                graph.add_edge(f"topic:{topic}", job_node)
-            for topic in self._outputs[name]:
-                graph.add_node(f"topic:{topic}", kind="topic")
-                graph.add_edge(job_node, f"topic:{topic}")
+            graph[job_node] = [f"topic:{topic}" for topic in runner.config.inputs]
+            for topic in sorted(self._outputs[name]):
+                graph.setdefault(f"topic:{topic}", []).append(job_node)
         return graph
+
+    def _sorter(self) -> TopologicalSorter:
+        """A prepared sorter over :meth:`graph`; a cycle is a
+        :class:`JobConfigError` naming its nodes in data-flow order."""
+        sorter = TopologicalSorter(self.graph())
+        try:
+            sorter.prepare()
+        except CycleError as exc:
+            pretty = " -> ".join(exc.args[1])
+            raise JobConfigError(f"dataflow contains a cycle: {pretty}") from exc
+        return sorter
 
     def validate(self) -> None:
         """Reject cyclic topologies (they never drain under run_until_idle)."""
-        graph = self.graph()
-        try:
-            cycle = nx.find_cycle(graph)
-        except nx.NetworkXNoCycle:
-            return
-        pretty = " -> ".join(edge[0] for edge in cycle)
-        raise JobConfigError(f"dataflow contains a cycle: {pretty}")
+        self._sorter()
 
     def stages(self) -> list[list[str]]:
-        """Jobs grouped by topological depth (generation order)."""
-        graph = self.graph()
-        generations = nx.topological_generations(graph)
+        """Jobs grouped by topological depth: each stage is one ready set of
+        the sort, every node of which is done before the next is taken."""
+        sorter = self._sorter()
         out: list[list[str]] = []
-        for generation in generations:
+        while sorter:
+            generation = sorter.get_ready()
+            sorter.done(*generation)
             jobs = sorted(
                 node[len("job:"):] for node in generation if node.startswith("job:")
             )

@@ -18,9 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator
-
-import networkx as nx
+from typing import Iterator, NamedTuple
 
 from repro.common.errors import ConfigError
 from repro.workloads.generators import EventClock
@@ -129,37 +127,42 @@ class CallGraphEventGenerator:
             )
 
 
-def assemble_call_tree(spans: list[dict]) -> "nx.DiGraph":
-    """Reference assembler: spans of ONE request into a parent→child tree."""
+class CallTree(NamedTuple):
+    """One request's spans as a tree: each span's children and duration."""
+
+    children: dict[str, list[str]]
+    duration_ms: dict[str, float]
+
+
+def assemble_call_tree(spans: list[dict]) -> CallTree:
+    """Reference assembler: spans of ONE request into a parent→child tree.
+
+    A span whose parent is not among ``spans`` (a partial window flush)
+    roots its own subtree."""
     if not spans:
         raise ConfigError("no spans to assemble")
     request_ids = {span["request_id"] for span in spans}
     if len(request_ids) != 1:
         raise ConfigError(f"spans from multiple requests: {sorted(request_ids)}")
-    graph = nx.DiGraph()
+    duration_ms = {span["span_id"]: span["duration_ms"] for span in spans}
+    children: dict[str, list[str]] = {span_id: [] for span_id in duration_ms}
     for span in spans:
-        graph.add_node(
-            span["span_id"],
-            service=span["service"],
-            duration_ms=span["duration_ms"],
-        )
-    for span in spans:
-        if span["parent_id"] is not None:
-            graph.add_edge(span["parent_id"], span["span_id"])
-    return graph
+        if span["parent_id"] in children:
+            children[span["parent_id"]].append(span["span_id"])
+    return CallTree(children, duration_ms)
 
 
-def critical_path_ms(tree: "nx.DiGraph") -> float:
+def critical_path_ms(tree: CallTree) -> float:
     """Longest root-to-leaf duration sum: the request's critical path."""
-    roots = [n for n, d in tree.in_degree() if d == 0]
+    children, duration_ms = tree
+    has_parent = {child for kids in children.values() for child in kids}
+    stack = [(root, 0) for root in children if root not in has_parent]
     best = 0.0
-    for root in roots:
-        for node in tree.nodes:
-            if tree.out_degree(node) == 0:
-                try:
-                    path = nx.shortest_path(tree, root, node)
-                except nx.NetworkXNoPath:
-                    continue
-                total = sum(tree.nodes[p]["duration_ms"] for p in path)
-                best = max(best, total)
+    while stack:
+        node, above = stack.pop()
+        total = above + duration_ms[node]
+        if children[node]:
+            stack.extend((child, total) for child in children[node])
+        else:
+            best = max(best, total)
     return best

@@ -43,6 +43,8 @@ class TestTopology:
         assert flow.stages() == [["first"], ["second"]]
 
     def test_cycle_rejected(self):
+        """Every entry point that sorts the topology refuses a cycle with the
+        same typed error, naming the cycle's nodes in data-flow order."""
         _clock, cluster = make_env()
         flow = Dataflow(cluster)
         flow.add_job(
@@ -53,8 +55,11 @@ class TestTopology:
             JobConfig(name="y", inputs=["b"], task_factory=lambda: Forward("a")),
             outputs=["a"],
         )
-        with pytest.raises(JobConfigError, match="cycle"):
-            flow.validate()
+        cycle = "job:x -> topic:b -> job:y -> topic:a -> job:x"
+        for entry_point in (flow.validate, flow.stages, flow.poll_all):
+            with pytest.raises(JobConfigError) as raised:
+                entry_point()
+            assert str(raised.value) == f"dataflow contains a cycle: {cycle}"
 
     def test_duplicate_job_rejected(self):
         _clock, cluster = make_env()

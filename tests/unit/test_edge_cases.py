@@ -129,8 +129,9 @@ class TestLiquidEdges:
                       task_factory=lambda: MapTask("b")),
             outputs=["b"],
         )
-        graph = liquid.feeds.graph()
-        assert graph.edges[("a", "b")]["job"] == "deriver"
+        lineage = liquid.feeds.get("b").lineage
+        assert lineage.inputs == ("a",)
+        assert lineage.produced_by == "deriver"
 
     def test_stats_after_failures_reflect_live_brokers(self):
         liquid = Liquid(num_brokers=3)

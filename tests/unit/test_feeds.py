@@ -105,6 +105,9 @@ class TestQueries:
 
     def test_graph_structure(self):
         registry = registry_with_chain()
-        graph = registry.graph()
-        assert set(graph.edges()) == {("raw", "clean"), ("clean", "stats")}
-        assert graph.edges[("raw", "clean")]["job"] == "cleaner"
+        edges = {
+            (parent, feed.name): feed.lineage.produced_by
+            for feed in registry.derived()
+            for parent in feed.lineage.inputs
+        }
+        assert edges == {("raw", "clean"): "cleaner", ("clean", "stats"): "aggregator"}

@@ -1,5 +1,6 @@
 """The heap a replicated, consumed record keeps, pinned with ``tracemalloc``,
-and the objects it leaves the cyclic collector, counted with ``gc``.
+and the objects it leaves the cyclic collector, counted with ``gc``; and
+the heap a process pays to import the package at all.
 
 A record is produced, replicated to three brokers and consumed; the
 consumer's records are then dropped.  What stays is the log's: each
@@ -17,10 +18,15 @@ allocations exactly, so the figure repeats on one Python version
 """
 
 import gc
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
 
+import repro
 from repro.common.clock import SimClock
 from repro.common.records import TopicPartition
 from repro.messaging.cluster import MessagingCluster
@@ -34,6 +40,24 @@ from repro.messaging.producer import Producer
 #: 499.1.  Since a log holds a kept frame as itself, with no record object
 #: per framed record, zlib is 80.1 (frameless 484.0).
 BOUNDS = {"none": 504.4, "zlib:6": 84.1}
+
+#: GC-tracked objects a frameless record leaves at rest, as measured x 1.05:
+#: one ``StoredMessage``, the same object on all three replicas (0.995).
+FRAMELESS_OBJECTS = 1.045
+
+#: Heap a fresh interpreter traces while it runs ``import repro.api``, in
+#: MiB, as measured x 1.05: 4.31 on CPython 3.11 (17.41 while the package
+#: imported networkx).  0.40 MiB of it is one allocation, the interpreter's
+#: interned-string table doubling; how many names startup interned decides
+#: whether that falls inside the import, so some runs measure 3.92.
+IMPORT_HEAP_MIB = 4.53
+
+IMPORT_API = """
+import tracemalloc
+tracemalloc.start()
+import repro.api
+print(tracemalloc.get_traced_memory()[0])
+"""
 
 
 def produce_replicate_consume(count: int, compression: str) -> tuple:
@@ -102,3 +126,24 @@ def test_a_framed_record_at_rest_is_no_object():
         retained_objects(3_000, "zlib:6") - retained_objects(1_000, "zlib:6")
     ) / 2_000
     assert per_record <= 0.1
+
+
+def test_a_frameless_record_at_rest_is_one_object():
+    per_record = (
+        retained_objects(3_000, "none") - retained_objects(1_000, "none")
+    ) / 2_000
+    assert per_record <= FRAMELESS_OBJECTS
+
+
+def test_import_heap():
+    """No dependency outside the standard library, and nothing imported that
+    a process serving data does not use."""
+    src = pathlib.Path(repro.__file__).resolve().parents[1]
+    completed = subprocess.run(
+        [sys.executable, "-c", IMPORT_API],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert int(completed.stdout) / 2**20 <= IMPORT_HEAP_MIB

@@ -2,8 +2,6 @@
 
 import pytest
 
-import networkx as nx
-
 from repro.common.errors import ConfigError
 from repro.workloads import (
     CDNS,
@@ -105,10 +103,14 @@ class TestCallGraph:
     def test_spans_form_a_tree(self):
         generator = CallGraphEventGenerator(seed=11)
         for spans in generator.requests(20):
-            tree = assemble_call_tree(spans)
-            assert nx.is_tree(tree) or len(spans) == 1
-            roots = [n for n, d in tree.in_degree() if d == 0]
+            ids = {span["span_id"] for span in spans}
+            roots = [span for span in spans if span["parent_id"] is None]
             assert len(roots) == 1
+            assert all(
+                span["parent_id"] in ids for span in spans if span is not roots[0]
+            )
+            children = assemble_call_tree(spans).children
+            assert sum(map(len, children.values())) == len(spans) - 1
 
     def test_all_spans_share_request_id(self):
         generator = CallGraphEventGenerator(seed=11)
@@ -142,6 +144,19 @@ class TestCallGraph:
         tree = assemble_call_tree(spans)
         root = [s for s in spans if s["parent_id"] is None][0]
         assert critical_path_ms(tree) >= root["duration_ms"]
+
+    def test_orphan_span_roots_its_own_subtree(self):
+        spans = [
+            {"request_id": "r", "span_id": "a", "parent_id": None,
+             "service": "frontend", "duration_ms": 10.0},
+            {"request_id": "r", "span_id": "b", "parent_id": "a",
+             "service": "feed-svc", "duration_ms": 5.0},
+            {"request_id": "r", "span_id": "c", "parent_id": "zz",
+             "service": "ads-svc", "duration_ms": 30.0},
+        ]
+        assert critical_path_ms(assemble_call_tree(spans)) == 30.0
+        spans[2]["duration_ms"] = 12.0
+        assert critical_path_ms(assemble_call_tree(spans)) == 15.0
 
     def test_assemble_rejects_mixed_requests(self):
         generator = CallGraphEventGenerator(seed=11)
