@@ -20,7 +20,6 @@ history-scanning consumer churning the cache.
 import pytest
 
 from repro.common.clock import SimClock
-from repro.common.costmodel import DEFAULT_COST_MODEL
 from repro.storage.log import LogConfig, PartitionLog
 from repro.storage.pagecache import PageCache
 
@@ -102,7 +101,14 @@ def run_access_patterns() -> dict:
         ],
     )
     publish("e6a_anticaching", table)
-    return {"tail": tail, "cold": cold_cost, "warmed": warmed}
+    return {
+        "tail": tail,
+        "cold": cold_cost,
+        "warmed": warmed,
+        # A message's share of one RAM-resident page, in the log's own model.
+        "ram_per_message": log.cost_model.ram_read(log.cost_model.page_size)
+        / BATCH,
+    }
 
 
 def run_eviction_ablation() -> dict:
@@ -155,8 +161,7 @@ class TestE6Shape:
         # scan is far cheaper than the cold batch.
         assert metrics["cold"] > 20 * metrics["tail"]
         assert metrics["cold"] > 3 * metrics["warmed"]
-        ram_per_message = DEFAULT_COST_MODEL.ram_read(64 * 1024) / 100
-        assert metrics["tail"] < 50 * ram_per_message
+        assert metrics["tail"] < 50 * metrics["ram_per_message"]
 
     def test_anticaching_beats_lru_for_tail_readers(self):
         results = run_eviction_ablation()

@@ -13,7 +13,6 @@ segments) are archived before the reads start.
 
 import functools
 
-from repro.common.costmodel import DEFAULT_COST_MODEL
 from repro.common.records import TopicPartition
 from repro.messaging.cluster import MessagingCluster
 from repro.messaging.topic import TopicConfig
@@ -68,6 +67,7 @@ def run_experiment() -> dict:
     tiered, unbounded = build_cluster(tiered=True), build_cluster(tiered=False)
     hot = tiered._leader_replica(TP).log.log_start_offset
     archived = tiered._leader_replica(TP).cold_tier.manifest.segment_count
+    model = tiered.cost_model
     reads = [("hot tail scan", "unbounded", hot, scan(unbounded, hot)),
              ("hot tail scan", "tiered", hot, scan(tiered, hot)),
              ("backfill, first touch", "tiered", 0, scan(tiered, 0)),
@@ -81,15 +81,19 @@ def run_experiment() -> dict:
         notes=[
             f"{MESSAGES} msgs, {PER_SEGMENT}/segment; the tiered topic keeps "
             f"5 s and has archived {archived} segments",
-            f"cold model: {DEFAULT_COST_MODEL.cold_fetch_overhead * 1e3:g} ms "
+            f"cold model: {model.cold_fetch_overhead * 1e3:g} ms "
             f"per object-store fetch, "
-            f"{DEFAULT_COST_MODEL.cold_read_bandwidth / 1e6:g} MB/s hydration",
+            f"{model.cold_read_bandwidth / 1e6:g} MB/s hydration",
             "paper: consumers rewind and re-process history (2.2); "
             "retention bounds the hot log (4.1)",
         ],
     )
     publish("t1_tiered", table)
-    return {"archived": archived, "reads": [result for *_, result in reads]}
+    return {
+        "archived": archived,
+        "reads": [result for *_, result in reads],
+        "cold_fetch_overhead": model.cold_fetch_overhead,
+    }
 
 
 class TestT1Shape:
@@ -104,7 +108,7 @@ class TestT1Shape:
         _, _, first, _, _ = results["reads"]
         assert results["archived"] >= 19
         assert first[1] >= (
-            results["archived"] * DEFAULT_COST_MODEL.cold_fetch_overhead)
+            results["archived"] * results["cold_fetch_overhead"])
 
     def test_hydration_cache_effective(self):
         _, _, first, repeat, _ = run_experiment()["reads"]

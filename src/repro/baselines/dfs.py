@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.common.clock import SimClock
-from repro.common.costmodel import DEFAULT_COST_MODEL, CostModel
 from repro.common.errors import ConfigError, FileExistsInDfsError, FileNotFoundInDfsError
 from repro.common.records import estimate_size
 
@@ -56,13 +55,12 @@ class SimulatedDFS:
     def __init__(
         self,
         clock: SimClock | None = None,
-        cost_model: CostModel = DEFAULT_COST_MODEL,
         replication: int = 3,
     ) -> None:
         if replication <= 0:
             raise ConfigError("replication must be > 0")
         self.clock = clock if clock is not None else SimClock()
-        self.cost_model = cost_model
+        self.cost_model = self.clock.cost_model
         self.replication = replication
         self._files: dict[str, DfsFile] = {}
         self.total_bytes_written = 0

@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
-from repro.common.clock import Clock
-from repro.common.costmodel import DEFAULT_COST_MODEL, CostModel
 from repro.common.errors import ConfigError
 from repro.baselines.dfs import SimulatedDFS
 from repro.baselines.mapreduce import MapReduceEngine, MRJobSpec

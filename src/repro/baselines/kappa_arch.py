@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.common.clock import SimClock
-from repro.common.costmodel import DEFAULT_COST_MODEL, CostModel
 from repro.common.errors import ConfigError
 from repro.common.records import TopicPartition
 from repro.messaging.cluster import MessagingCluster
@@ -50,14 +49,11 @@ class KappaArchitecture:
     def __init__(
         self,
         clock: SimClock | None = None,
-        cost_model: CostModel = DEFAULT_COST_MODEL,
         num_brokers: int = 1,
     ) -> None:
         self.clock = clock if clock is not None else SimClock()
-        self.cost_model = cost_model
-        self.stream = MessagingCluster(
-            num_brokers=num_brokers, clock=self.clock, cost_model=cost_model
-        )
+        self.cost_model = self.clock.cost_model
+        self.stream = MessagingCluster(num_brokers=num_brokers, clock=self.clock)
         # Infinite retention: reprocessability requires the whole history.
         self.stream.create_topic("events", num_partitions=1)
         self._producer = Producer(self.stream)

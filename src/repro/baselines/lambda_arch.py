@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 from repro.common.clock import SimClock
-from repro.common.costmodel import DEFAULT_COST_MODEL, CostModel
 from repro.common.errors import ConfigError
 from repro.common.records import TopicPartition
 from repro.baselines.dfs import SimulatedDFS
@@ -56,18 +55,15 @@ class LambdaArchitecture:
     def __init__(
         self,
         clock: SimClock | None = None,
-        cost_model: CostModel = DEFAULT_COST_MODEL,
         num_brokers: int = 1,
         ingest_batch_size: int = 500,
     ) -> None:
         self.clock = clock if clock is not None else SimClock()
-        self.cost_model = cost_model
+        self.cost_model = self.clock.cost_model
         # Two separate systems — the doubled hardware footprint.
-        self.dfs = SimulatedDFS(self.clock, cost_model)
-        self.mr = MapReduceEngine(self.dfs, self.clock, cost_model)
-        self.stream = MessagingCluster(
-            num_brokers=num_brokers, clock=self.clock, cost_model=cost_model
-        )
+        self.dfs = SimulatedDFS(self.clock)
+        self.mr = MapReduceEngine(self.dfs)
+        self.stream = MessagingCluster(num_brokers=num_brokers, clock=self.clock)
         self.stream.create_topic("events", num_partitions=1)
         self._producer = Producer(self.stream)
         self._ingest_batch_size = ingest_batch_size

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
 from repro.common.clock import SimClock
-from repro.common.costmodel import DEFAULT_COST_MODEL, CostModel
 from repro.common.errors import ConfigError, MapReduceError
 from repro.common.records import estimate_size
 from repro.baselines.dfs import SimulatedDFS
@@ -82,7 +81,6 @@ class MapReduceEngine:
         self,
         dfs: SimulatedDFS,
         clock: SimClock | None = None,
-        cost_model: CostModel = DEFAULT_COST_MODEL,
         map_parallelism: int = 4,
         reduce_parallelism: int = 2,
     ) -> None:
@@ -90,7 +88,7 @@ class MapReduceEngine:
             raise ConfigError("parallelism must be > 0")
         self.dfs = dfs
         self.clock = clock if clock is not None else dfs.clock
-        self.cost_model = cost_model
+        self.cost_model = self.clock.cost_model
         self.map_parallelism = map_parallelism
         self.reduce_parallelism = reduce_parallelism
 

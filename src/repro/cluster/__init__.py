@@ -1,4 +1,4 @@
-"""Coordination substrate: ZooKeeper-like coordinator, controller, faults."""
+"""Coordination substrate: ZooKeeper-like coordinator and controller."""
 
 from repro.cluster.controller import ClusterController, PartitionState
 from repro.cluster.coordinator import (
@@ -9,14 +9,12 @@ from repro.cluster.coordinator import (
     Coordinator,
     Session,
 )
-from repro.cluster.failures import FailureInjector
 
 __all__ = [
     "Coordinator",
     "Session",
     "ClusterController",
     "PartitionState",
-    "FailureInjector",
     "EVENT_CREATED",
     "EVENT_DELETED",
     "EVENT_CHANGED",

@@ -83,9 +83,9 @@ class Coordinator:
     def expire_session(self, session: Session) -> list[str]:
         """Expire a session, deleting its ephemeral znodes.
 
-        Returns deleted paths.  This is how the failure injector simulates a
-        broker crash: the broker's ephemeral registration disappears and
-        watchers (the controller) react.
+        Returns deleted paths.  This is how a broker crash is simulated:
+        the broker's ephemeral registration disappears and watchers (the
+        controller) react.
         """
         if not session.alive:
             return []

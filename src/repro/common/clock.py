@@ -21,6 +21,8 @@ import heapq
 import itertools
 from typing import Any, Callable, Protocol, runtime_checkable
 
+from repro.common.costmodel import DEFAULT_COST_MODEL, CostModel
+
 
 @runtime_checkable
 class Clock(Protocol):
@@ -65,7 +67,9 @@ class SimClock:
     """A manually-advanced clock with an ordered timer queue.
 
     Timers scheduled for the same instant fire in scheduling order, which
-    keeps multi-component simulations deterministic.
+    keeps multi-component simulations deterministic.  ``cost_model`` is the
+    simulated world's hardware, set here once: every component built on this
+    clock charges it.
 
     Example::
 
@@ -74,8 +78,11 @@ class SimClock:
         clock.advance(10.0)   # flush_log fires at t=5.0
     """
 
-    def __init__(self, start: float = 0.0) -> None:
+    def __init__(
+        self, start: float = 0.0, cost_model: CostModel = DEFAULT_COST_MODEL
+    ) -> None:
         self._now = float(start)
+        self.cost_model = cost_model
         self._timers: list[TimerHandle] = []
         self._seq = itertools.count()
 

@@ -15,7 +15,7 @@ and multi-second MR job startup on YARN.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Any
 
 from repro.common.errors import ConfigError
@@ -26,7 +26,8 @@ class CostModel:
     """Latency/bandwidth parameters charged to the simulated clock.
 
     All times are seconds, all bandwidths bytes/second.  Instances are
-    immutable; derive variants with :meth:`scaled` or ``dataclasses.replace``.
+    immutable; derive variants with ``dataclasses.replace``.  A simulated
+    world has one: its :class:`~repro.common.clock.SimClock` carries it.
     """
 
     # Memory hierarchy.
@@ -141,40 +142,6 @@ class CostModel:
         """One object-store round trip plus the archival upload stream."""
         return self.cold_fetch_overhead + nbytes / self.cold_write_bandwidth
 
-    # -- derivation helpers ---------------------------------------------------
-
-    def scaled(self, factor: float) -> "CostModel":
-        """Return a model with every *time* cost multiplied by ``factor``.
-
-        Bandwidths are divided by the factor so that all derived latencies
-        scale uniformly.  Useful for modelling slower/faster hardware tiers
-        in ablation benchmarks.
-        """
-        if factor <= 0:
-            raise ConfigError(f"scale factor must be > 0, got {factor}")
-        return replace(
-            self,
-            ram_bandwidth=self.ram_bandwidth / factor,
-            disk_seq_read_bandwidth=self.disk_seq_read_bandwidth / factor,
-            disk_seq_write_bandwidth=self.disk_seq_write_bandwidth / factor,
-            network_bandwidth=self.network_bandwidth / factor,
-            disk_seek_time=self.disk_seek_time * factor,
-            network_rtt=self.network_rtt * factor,
-            request_overhead=self.request_overhead * factor,
-            cpu_per_message=self.cpu_per_message * factor,
-            compress_bandwidth=self.compress_bandwidth / factor,
-            decompress_bandwidth=self.decompress_bandwidth / factor,
-            mr_job_startup=self.mr_job_startup * factor,
-            mr_task_startup=self.mr_task_startup * factor,
-            dfs_open_overhead=self.dfs_open_overhead * factor,
-            cold_fetch_overhead=self.cold_fetch_overhead * factor,
-            cold_read_bandwidth=self.cold_read_bandwidth / factor,
-            cold_write_bandwidth=self.cold_write_bandwidth / factor,
-            store_memtable_get=self.store_memtable_get * factor,
-            store_run_get=self.store_run_get * factor,
-            store_put=self.store_put * factor,
-        )
-
     def describe(self) -> dict[str, Any]:
         """Dict of parameters for inclusion in experiment reports."""
         return {
@@ -195,5 +162,5 @@ class CostModel:
         }
 
 
-#: Default model used when a component is constructed without one.
+#: The model of a :class:`~repro.common.clock.SimClock` built without one.
 DEFAULT_COST_MODEL = CostModel()

@@ -19,8 +19,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Any, Iterable
 
-from repro.common.clock import Clock, SimClock
-from repro.common.costmodel import DEFAULT_COST_MODEL, CostModel
+from repro.common.clock import SimClock
 from repro.common.errors import ConfigError, FeedNotFoundError
 from repro.common.records import TopicPartition
 from repro.messaging.cluster import MessagingCluster
@@ -55,8 +54,7 @@ class Liquid:
     def __init__(
         self,
         num_brokers: int = 3,
-        clock: Clock | None = None,
-        cost_model: CostModel = DEFAULT_COST_MODEL,
+        clock: SimClock | None = None,
         isolation: bool = True,
         host_cores: int = 8,
         access_control: bool = False,
@@ -64,10 +62,7 @@ class Liquid:
     ) -> None:
         self.clock = clock if clock is not None else SimClock()
         self.cluster = MessagingCluster(
-            num_brokers=num_brokers,
-            clock=self.clock,
-            cost_model=cost_model,
-            **cluster_kwargs,
+            num_brokers=num_brokers, clock=self.clock, **cluster_kwargs
         )
         self.group_coordinator = GroupCoordinator(self.cluster)
         self.feeds = FeedRegistry()

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 from typing import Any, Sequence
 
-from repro.common.clock import Clock
+from repro.common.clock import SimClock
 from repro.common.compression import BatchFrame
-from repro.common.costmodel import CostModel
 from repro.common.errors import (
     BrokerUnavailableError,
     ConfigError,
@@ -52,20 +51,18 @@ class Broker:
     def __init__(
         self,
         broker_id: int,
-        clock: Clock,
-        cost_model: CostModel,
+        clock: SimClock,
         page_cache_bytes: int = 256 * 1024 * 1024,
         metrics: MetricsRegistry | None = None,
         object_store: ObjectStore | None = None,
     ) -> None:
         self.broker_id = broker_id
         self.clock = clock
-        self.cost_model = cost_model
+        self.cost_model = clock.cost_model
         self.object_store = object_store
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.page_cache = PageCache(
             clock=clock,
-            cost_model=cost_model,
             capacity_bytes=page_cache_bytes,
             metrics=self.metrics,
         )
@@ -86,7 +83,6 @@ class Broker:
             name=f"broker-{self.broker_id}/{partition}",
             config=config.log,
             clock=self.clock,
-            cost_model=self.cost_model,
             page_cache=self.page_cache,
             partition=partition,
         )

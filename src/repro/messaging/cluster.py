@@ -29,7 +29,6 @@ from repro.common.compression import (
     BatchFrame,
     payload_sizes,
 )
-from repro.common.costmodel import DEFAULT_COST_MODEL, CostModel
 from repro.common.errors import (
     BrokerUnavailableError,
     ConfigError,
@@ -120,7 +119,6 @@ class MessagingCluster:
         self,
         num_brokers: int = 3,
         clock: SimClock | None = None,
-        cost_model: CostModel = DEFAULT_COST_MODEL,
         page_cache_bytes: int = 256 * 1024 * 1024,
         allow_unclean_election: bool = False,
         replication_max_lag: int = 4,
@@ -131,7 +129,7 @@ class MessagingCluster:
         if num_brokers <= 0:
             raise ConfigError("num_brokers must be > 0")
         self.clock = clock if clock is not None else SimClock()
-        self.cost_model = cost_model
+        self.cost_model = self.clock.cost_model
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         # One cold store shared by every broker (the offline tier is a
         # separate shared system, not broker-local disk).  Created lazily on
@@ -146,7 +144,6 @@ class MessagingCluster:
             broker = Broker(
                 broker_id,
                 self.clock,
-                cost_model,
                 page_cache_bytes=page_cache_bytes,
                 metrics=self.metrics,
                 object_store=self._object_store,
@@ -208,8 +205,7 @@ class MessagingCluster:
             # Runtime import: repro.baselines imports the messaging layer.
             from repro.baselines.dfs import SimulatedDFS
 
-            dfs = SimulatedDFS(clock=self.clock, cost_model=self.cost_model)
-            self._object_store = DfsObjectStore(dfs)
+            self._object_store = DfsObjectStore(SimulatedDFS(self.clock))
             for broker in self._brokers.values():
                 broker.object_store = self._object_store
         return self._object_store

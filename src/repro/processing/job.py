@@ -326,7 +326,7 @@ class JobRunner:
                 store_config.name,
                 make_store(
                     store_config.store_type,
-                    self.cluster.cost_model,
+                    self.cluster.clock,
                     **store_config.store_options,
                 ),
                 changelog,

@@ -26,7 +26,8 @@ from bisect import bisect_left
 from operator import countOf, itemgetter
 from typing import Any, Iterator, Protocol, runtime_checkable
 
-from repro.common.costmodel import DEFAULT_COST_MODEL, CostModel
+from repro.common.clock import SimClock
+from repro.common.costmodel import CostModel
 from repro.common.errors import ConfigError, StateStoreError
 from repro.common.records import estimate_size
 
@@ -211,14 +212,16 @@ class LsmStore:
     that make log compaction (E4) effective on the store's changelog.
 
     ``last_op_cost`` exposes the simulated cost of the most recent operation
-    so the task runner can charge it to the job's CPU/IO budget.
+    so the task runner can charge it to the job's CPU/IO budget.  A store
+    holds no clock, so it is handed the world's model (:func:`make_store`
+    reads it off the clock).
     """
 
     def __init__(
         self,
+        cost_model: CostModel,
         memtable_max_entries: int = 1000,
         max_runs: int = 4,
-        cost_model: CostModel = DEFAULT_COST_MODEL,
     ) -> None:
         if memtable_max_entries <= 0:
             raise ConfigError("memtable_max_entries must be > 0")
@@ -395,13 +398,11 @@ STORE_TYPES = {
 }
 
 
-def make_store(
-    store_type: str, cost_model: CostModel = DEFAULT_COST_MODEL, **kwargs: Any
-) -> KeyValueStore:
+def make_store(store_type: str, clock: SimClock, **kwargs: Any) -> KeyValueStore:
     """Construct a store by type name (``"memory"`` or ``"lsm"``).
 
-    ``cost_model`` is the simulated world's: a store type that charges
-    simulated time (``"lsm"``) charges it, whatever ``kwargs`` say.
+    A store type that charges simulated time (``"lsm"``) charges the model
+    of ``clock``, the simulated world's, whatever ``kwargs`` say.
     """
     factory = STORE_TYPES.get(store_type)
     if factory is None:
@@ -409,5 +410,5 @@ def make_store(
             f"unknown store type {store_type!r}; known: {sorted(STORE_TYPES)}"
         )
     if factory is LsmStore:
-        kwargs["cost_model"] = cost_model
+        kwargs["cost_model"] = clock.cost_model
     return factory(**kwargs)

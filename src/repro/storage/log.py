@@ -32,9 +32,8 @@ from itertools import accumulate
 from operator import attrgetter
 from typing import Any, Sequence
 
-from repro.common.clock import Clock, SimClock
+from repro.common.clock import SimClock
 from repro.common.compression import BatchFrame, payload_sizes
-from repro.common.costmodel import DEFAULT_COST_MODEL, CostModel
 from repro.common.errors import ConfigError, OffsetOutOfRangeError
 from repro.common.records import RECORD_FRAMING_BYTES, StoredMessage, TopicPartition
 from repro.chaos.failpoints import failpoint
@@ -149,8 +148,7 @@ class PartitionLog:
         self,
         name: str,
         config: LogConfig | None = None,
-        clock: Clock | None = None,
-        cost_model: CostModel = DEFAULT_COST_MODEL,
+        clock: SimClock | None = None,
         page_cache: PageCache | None = None,
         partition: TopicPartition | None = None,
     ) -> None:
@@ -161,11 +159,9 @@ class PartitionLog:
         self.partition = partition
         self.config = config if config is not None else LogConfig()
         self.clock = clock if clock is not None else SimClock()
-        self.cost_model = cost_model
+        self.cost_model = self.clock.cost_model
         self.page_cache = (
-            page_cache
-            if page_cache is not None
-            else PageCache(clock=self.clock, cost_model=cost_model)
+            page_cache if page_cache is not None else PageCache(clock=self.clock)
         )
         self._segments: list[LogSegment] = [LogSegment(0)]
         self._next_offset = 0

@@ -26,8 +26,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Literal
 
-from repro.common.clock import Clock, SimClock
-from repro.common.costmodel import DEFAULT_COST_MODEL, CostModel
+from repro.common.clock import SimClock
 from repro.common.errors import ConfigError
 from repro.common.metrics import MetricsRegistry, metric_name
 
@@ -70,8 +69,7 @@ class PageCache:
 
     def __init__(
         self,
-        clock: Clock | None = None,
-        cost_model: CostModel = DEFAULT_COST_MODEL,
+        clock: SimClock | None = None,
         capacity_bytes: int = 256 * 1024 * 1024,
         flush_timeout: float = 5.0,
         prefetch_pages: int = 8,
@@ -87,13 +85,13 @@ class PageCache:
         if eviction not in ("append_order", "lru"):
             raise ConfigError(f"unknown eviction policy {eviction!r}")
         self.clock = clock if clock is not None else SimClock()
-        self.cost_model = cost_model
+        self.cost_model = self.clock.cost_model
         self.capacity_bytes = capacity_bytes
         self.flush_timeout = flush_timeout
         self.prefetch_pages = prefetch_pages
         self.eviction = eviction
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.page_size = cost_model.page_size
+        self.page_size = self.cost_model.page_size
         # Iteration order of this dict is the eviction order.
         self._pages: OrderedDict[tuple[str, int], _Page] = OrderedDict()
         # Per-file end position of the last read, for sequential detection.

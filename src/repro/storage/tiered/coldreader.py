@@ -26,8 +26,7 @@ from collections import OrderedDict
 from itertools import accumulate
 from operator import attrgetter
 
-from repro.common.clock import Clock
-from repro.common.costmodel import DEFAULT_COST_MODEL, CostModel
+from repro.common.clock import SimClock
 from repro.common.errors import OffsetOutOfRangeError
 from repro.common.metrics import MetricsRegistry, metric_name
 from repro.common.records import StoredMessage
@@ -77,8 +76,7 @@ class ColdReader:
         self,
         store: ObjectStore,
         manifest: TierManifest,
-        clock: Clock,
-        cost_model: CostModel = DEFAULT_COST_MODEL,
+        clock: SimClock,
         page_cache: PageCache | None = None,
         hydration_cache_bytes: int = 64 * 1024 * 1024,
         metrics: MetricsRegistry | None = None,
@@ -86,7 +84,7 @@ class ColdReader:
         self.store = store
         self.manifest = manifest
         self.clock = clock
-        self.cost_model = cost_model
+        self.cost_model = clock.cost_model
         self.page_cache = page_cache
         self.hydration_cache_bytes = hydration_cache_bytes
         self.metrics = metrics if metrics is not None else MetricsRegistry()

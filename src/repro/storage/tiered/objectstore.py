@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Protocol
 
-from repro.common.costmodel import DEFAULT_COST_MODEL, CostModel
+from repro.common.costmodel import CostModel
 from repro.common.errors import ObjectNotFoundError
 
 if TYPE_CHECKING:  # pragma: no cover - avoids storage <-> baselines cycle
@@ -77,9 +77,13 @@ class ObjectStore(Protocol):
 
 
 class InMemoryObjectStore:
-    """Dict-backed cold store charging only the cold-tier cost model."""
+    """Dict-backed cold store charging only the cold-tier cost model.
 
-    def __init__(self, cost_model: CostModel = DEFAULT_COST_MODEL) -> None:
+    It holds no clock, so it is handed the world's model:
+    ``InMemoryObjectStore(clock.cost_model)``.
+    """
+
+    def __init__(self, cost_model: CostModel) -> None:
         self.cost_model = cost_model
         self._objects: dict[str, tuple[list[Any], int]] = {}
         self.puts = 0
@@ -138,15 +142,10 @@ class DfsObjectStore:
     baseline uses, and cold reads are visibly more expensive than hot ones.
     """
 
-    def __init__(
-        self,
-        dfs: "SimulatedDFS",
-        root: str = "/cold",
-        cost_model: CostModel | None = None,
-    ) -> None:
+    def __init__(self, dfs: "SimulatedDFS", root: str = "/cold") -> None:
         self.dfs = dfs
         self.root = root.rstrip("/")
-        self.cost_model = cost_model if cost_model is not None else dfs.cost_model
+        self.cost_model = dfs.cost_model
 
     def _path(self, key: str) -> str:
         return f"{self.root}/{key}"

@@ -11,7 +11,7 @@ the hot tier.
 
 from __future__ import annotations
 
-from repro.common.clock import Clock
+from repro.common.clock import SimClock
 from repro.common.errors import OffsetOutOfRangeError
 from repro.common.metrics import MetricsRegistry, metric_name
 from repro.storage.log import PartitionLog, ReadResult
@@ -37,7 +37,7 @@ class ColdTier:
         namespace: str,
         config: TieredConfig | None = None,
         metrics: MetricsRegistry | None = None,
-        clock: Clock | None = None,
+        clock: SimClock | None = None,
     ) -> None:
         self.log = log
         self.config = config if config is not None else TieredConfig()
@@ -51,7 +51,6 @@ class ColdTier:
             store,
             self.manifest,
             clock,
-            cost_model=log.cost_model,
             page_cache=log.page_cache,
             hydration_cache_bytes=self.config.hydration_cache_bytes,
             metrics=self.metrics,

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.cluster.failures import FailureInjector
 from repro.common.clock import SimClock
 from repro.common.errors import MessagingError
 from repro.common.records import TopicPartition
@@ -131,13 +130,25 @@ class TestRecoveryAndCatchup:
 
 
 class TestScriptedFaults:
-    def test_injector_driven_kill_and_recovery(self):
+    def test_scheduled_kill_and_recovery(self):
         clock = SimClock()
         cluster = MessagingCluster(num_brokers=3, clock=clock)
         cluster.create_topic("t", num_partitions=1, replication_factor=3)
-        injector = FailureInjector(clock)
-        injector.kill_leader_at(5.0, cluster, "t", 0)
-        injector.restart_broker_at(10.0, cluster, 0)
+        events = []
+
+        def kill_leader():
+            # Whichever broker leads the partition when the fault fires.
+            leader = cluster.leader_of("t", 0)
+            if leader is not None:
+                events.append((clock.now(), f"kill leader {leader}"))
+                cluster.kill_broker(leader)
+
+        def restart():
+            events.append((clock.now(), "restart broker 0"))
+            cluster.restart_broker(0)
+
+        clock.schedule_at(5.0, kill_leader)
+        clock.schedule_at(10.0, restart)
 
         producer = Producer(cluster, ProducerConfig(acks=ACKS_ALL, max_retries=3))
         sent = 0
@@ -145,7 +156,7 @@ class TestScriptedFaults:
             cluster.tick(1.0)
             producer.send("t", {"step": step})
             sent += 1
-        assert len(injector.events()) >= 1
+        assert len(events) >= 1
         cluster.run_until_replicated()
         records = cluster.fetch("t", 0, 0, max_messages=1000).records
         assert len(records) == sent

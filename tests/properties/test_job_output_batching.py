@@ -338,7 +338,11 @@ class ReferenceJobRunner(JobRunner):
 
             stores[store_config.name] = ReferenceState(
                 store_config.name,
-                make_store(store_config.store_type, **store_config.store_options),
+                make_store(
+                    store_config.store_type,
+                    self.cluster.clock,
+                    **store_config.store_options,
+                ),
                 append,
             )
         return stores

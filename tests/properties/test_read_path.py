@@ -68,7 +68,10 @@ def build(history, final_ack=1.0):
     log = PartitionLog("t-0", LogConfig(segment_max_messages=4), clock=clock)
     replica = PartitionReplica(TP, 0, log)
     replica.cold_tier = ColdTier(
-        log, InMemoryObjectStore(), namespace="t/0", config=TieredConfig()
+        log,
+        InMemoryObjectStore(clock.cost_model),
+        namespace="t/0",
+        config=TieredConfig(),
     )
     replica.become_leader(1, [0, 1])
     archived = []
@@ -329,7 +332,10 @@ def replica_set(log_class):
         replicas.append(PartitionReplica(TP, broker_id, log))
     leader = replicas[0]
     leader.cold_tier = ColdTier(
-        leader.log, InMemoryObjectStore(), namespace="t/0", config=TieredConfig()
+        leader.log,
+        InMemoryObjectStore(clock.cost_model),
+        namespace="t/0",
+        config=TieredConfig(),
     )
     leader.become_leader(1, [0, 1, 2])
     for follower in replicas[1:]:

@@ -32,7 +32,9 @@ class TestAgainstDictModel:
     @given(operations, st.integers(min_value=1, max_value=10))
     @settings(max_examples=60, deadline=None)
     def test_random_ops_match_model(self, ops, memtable_size):
-        store = LsmStore(memtable_max_entries=memtable_size, max_runs=2)
+        store = LsmStore(
+            DEFAULT_COST_MODEL, memtable_max_entries=memtable_size, max_runs=2
+        )
         model: dict = {}
         for op, key, value in ops:
             if op == "put":
@@ -50,7 +52,9 @@ class TestAgainstDictModel:
     @given(operations, st.integers(min_value=1, max_value=5))
     @settings(max_examples=30, deadline=None)
     def test_compaction_preserves_contents(self, ops, memtable_size):
-        store = LsmStore(memtable_max_entries=memtable_size, max_runs=3)
+        store = LsmStore(
+            DEFAULT_COST_MODEL, memtable_max_entries=memtable_size, max_runs=3
+        )
         model: dict = {}
         for op, key, value in ops:
             if op == "put":
@@ -66,7 +70,7 @@ class TestAgainstDictModel:
     @given(operations)
     @settings(max_examples=30, deadline=None)
     def test_contains_matches_model(self, ops):
-        store = LsmStore(memtable_max_entries=3, max_runs=2)
+        store = LsmStore(DEFAULT_COST_MODEL, memtable_max_entries=3, max_runs=2)
         model: dict = {}
         for op, key, value in ops:
             if op == "put":
@@ -84,7 +88,7 @@ class LsmStateMachine(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        self.store = LsmStore(memtable_max_entries=4, max_runs=2)
+        self.store = LsmStore(DEFAULT_COST_MODEL, memtable_max_entries=4, max_runs=2)
         self.model: dict = {}
 
     @rule(key=keys, value=values)
@@ -279,7 +283,11 @@ class TestReadsMatchReference:
     def test_every_read_equals_the_merge_everything_reference(
         self, steps, memtable_size, max_runs
     ):
-        lsm = LsmStore(memtable_max_entries=memtable_size, max_runs=max_runs)
+        lsm = LsmStore(
+            DEFAULT_COST_MODEL,
+            memtable_max_entries=memtable_size,
+            max_runs=max_runs,
+        )
         ref = ReferenceLsm(memtable_size, max_runs)
         mem = InMemoryStore()
         model: dict = {}

@@ -43,7 +43,7 @@ def build_pair(per_segment, cache_bytes):
     )
     tier = ColdTier(
         tiered_log,
-        InMemoryObjectStore(),
+        InMemoryObjectStore(clock.cost_model),
         namespace="t/0",
         config=TieredConfig(hydration_cache_bytes=cache_bytes),
     )

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.common.clock import SimClock
-from repro.common.costmodel import DEFAULT_COST_MODEL
 from repro.common.errors import (
     BrokerUnavailableError,
     ConfigError,
@@ -20,7 +19,7 @@ TP = TopicPartition("t", 0)
 
 def make_broker(**kwargs) -> tuple[SimClock, Broker]:
     clock = SimClock()
-    return clock, Broker(0, clock, DEFAULT_COST_MODEL, **kwargs)
+    return clock, Broker(0, clock, **kwargs)
 
 
 def leader_broker(config: TopicConfig | None = None) -> tuple[SimClock, Broker]:

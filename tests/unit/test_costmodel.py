@@ -75,27 +75,7 @@ class TestValidation:
             CostModel(page_size=0)
 
 
-class TestScaled:
-    def test_scaled_doubles_latency(self):
-        model = DEFAULT_COST_MODEL.scaled(2.0)
-        assert model.disk_seek_time == pytest.approx(
-            2 * DEFAULT_COST_MODEL.disk_seek_time
-        )
-        assert model.ram_read(1000) == pytest.approx(
-            2 * DEFAULT_COST_MODEL.ram_read(1000)
-        )
-        assert model.network_transfer(1000) == pytest.approx(
-            2 * DEFAULT_COST_MODEL.network_transfer(1000)
-        )
-
-    def test_scaled_identity(self):
-        model = DEFAULT_COST_MODEL.scaled(1.0)
-        assert model.ram_read(1234) == DEFAULT_COST_MODEL.ram_read(1234)
-
-    def test_scale_factor_must_be_positive(self):
-        with pytest.raises(ConfigError):
-            DEFAULT_COST_MODEL.scaled(0)
-
+class TestModel:
     def test_frozen(self):
         with pytest.raises(AttributeError):
             DEFAULT_COST_MODEL.ram_bandwidth = 1.0

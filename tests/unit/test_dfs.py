@@ -102,7 +102,7 @@ class TestCosts:
 
     def test_block_count_scales_with_size(self):
         model = CostModel(dfs_block_size=1024)
-        dfs = SimulatedDFS(SimClock(), cost_model=model)
+        dfs = SimulatedDFS(SimClock(cost_model=model))
         dfs.write_file("/big", [{"payload": "x" * 100} for _ in range(100)])
         assert dfs._files["/big"].num_blocks > 1
 

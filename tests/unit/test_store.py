@@ -1,7 +1,11 @@
 """Unit tests for task-local KV stores (InMemory + LSM)."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.common.clock import SimClock
+from repro.common.costmodel import DEFAULT_COST_MODEL
 from repro.common.errors import ConfigError, StateStoreError
 from repro.processing.store import InMemoryStore, LsmStore, make_store
 
@@ -10,7 +14,7 @@ from repro.processing.store import InMemoryStore, LsmStore, make_store
 def store(request):
     if request.param == "memory":
         return InMemoryStore()
-    return LsmStore(memtable_max_entries=4, max_runs=2)
+    return LsmStore(DEFAULT_COST_MODEL, memtable_max_entries=4, max_runs=2)
 
 
 class TestCommonBehaviour:
@@ -113,14 +117,14 @@ class TestKeyOrder:
 
 class TestLsmSpecifics:
     def test_flush_on_memtable_full(self):
-        store = LsmStore(memtable_max_entries=3)
+        store = LsmStore(DEFAULT_COST_MODEL, memtable_max_entries=3)
         for i in range(3):
             store.put(f"k{i}", i)
         assert store.flushes == 1
         assert store.get("k0") == 0  # served from the run
 
     def test_newer_run_shadows_older(self):
-        store = LsmStore(memtable_max_entries=2)
+        store = LsmStore(DEFAULT_COST_MODEL, memtable_max_entries=2)
         store.put("k", "old")
         store.put("pad1", 1)  # flush 1
         store.put("k", "new")
@@ -128,7 +132,7 @@ class TestLsmSpecifics:
         assert store.get("k") == "new"
 
     def test_tombstone_survives_flush(self):
-        store = LsmStore(memtable_max_entries=2)
+        store = LsmStore(DEFAULT_COST_MODEL, memtable_max_entries=2)
         store.put("k", "v")
         store.put("pad", 1)  # flush: k lives in a run
         store.delete("k")
@@ -137,7 +141,7 @@ class TestLsmSpecifics:
         assert "k" not in store
 
     def test_compaction_merges_runs_and_drops_tombstones(self):
-        store = LsmStore(memtable_max_entries=2, max_runs=10)
+        store = LsmStore(DEFAULT_COST_MODEL, memtable_max_entries=2, max_runs=10)
         store.put("a", 1)
         store.put("b", 2)  # flush
         store.delete("a")
@@ -147,13 +151,13 @@ class TestLsmSpecifics:
         assert store.compactions == 1
 
     def test_auto_compaction_bounds_runs(self):
-        store = LsmStore(memtable_max_entries=1, max_runs=2)
+        store = LsmStore(DEFAULT_COST_MODEL, memtable_max_entries=1, max_runs=2)
         for i in range(10):
             store.put(f"k{i}", i)
         assert len(store._runs) <= 3
 
     def test_run_probe_costs_accumulate(self):
-        store = LsmStore(memtable_max_entries=1, max_runs=10)
+        store = LsmStore(DEFAULT_COST_MODEL, memtable_max_entries=1, max_runs=10)
         store.put("deep", 1)
         for i in range(5):
             store.put(f"pad{i}", i)
@@ -165,7 +169,7 @@ class TestLsmSpecifics:
         assert deep_cost > shallow_cost
 
     def test_a_tombstone_is_charged_the_same_in_the_memtable_and_in_a_run(self):
-        store = LsmStore(memtable_max_entries=3)
+        store = LsmStore(DEFAULT_COST_MODEL, memtable_max_entries=3)
         store.put("a", 1)
         store.delete("a")
         store.put("b", 1)
@@ -175,100 +179,43 @@ class TestLsmSpecifics:
         assert store.approximate_size_bytes() == held
 
     def test_put_many_flushes_once_however_many_keys_it_brings(self):
-        store = LsmStore(memtable_max_entries=2)
+        store = LsmStore(DEFAULT_COST_MODEL, memtable_max_entries=2)
         store.put_many({f"k{i}": i for i in range(5)})
         assert store.flushes == 1 and len(store._runs) == 1
         assert len(store) == 5 and store.get("k4") == 4
 
     def test_none_value_rejected(self):
         with pytest.raises(StateStoreError):
-            LsmStore().put("k", None)
+            LsmStore(DEFAULT_COST_MODEL).put("k", None)
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ConfigError):
-            LsmStore(memtable_max_entries=0)
+            LsmStore(DEFAULT_COST_MODEL, memtable_max_entries=0)
         with pytest.raises(ConfigError):
-            LsmStore(max_runs=0)
+            LsmStore(DEFAULT_COST_MODEL, max_runs=0)
 
 
 class TestFactory:
     def test_make_known_types(self):
-        assert isinstance(make_store("memory"), InMemoryStore)
-        assert isinstance(make_store("lsm"), LsmStore)
+        assert isinstance(make_store("memory", SimClock()), InMemoryStore)
+        assert isinstance(make_store("lsm", SimClock()), LsmStore)
 
     def test_kwargs_forwarded(self):
-        store = make_store("lsm", memtable_max_entries=7)
+        store = make_store("lsm", SimClock(), memtable_max_entries=7)
         assert store.memtable_max_entries == 7
 
     def test_unknown_type_rejected(self):
         with pytest.raises(ConfigError):
-            make_store("rocksdb")
+            make_store("rocksdb", SimClock())
 
 
 class TestStoresChargeTheWorldsCostModel:
-    """A job's stores and its standbys' are built with the cluster's cost
-    model: a ``MessagingCluster(cost_model=m)`` charges ``m`` in every
-    store, not the default model."""
-
-    def test_task_store_and_standby_charge_the_clusters_model(self):
-        from dataclasses import replace
-
-        from repro.common.clock import SimClock
-        from repro.common.costmodel import DEFAULT_COST_MODEL
-        from repro.messaging.cluster import MessagingCluster
-        from repro.messaging.producer import Producer
-        from repro.processing.job import JobConfig, JobRunner, StoreConfig
-
-        class Table:
-            def init(self, context):
-                self.store = context.store("table")
-
-            def process(self, record, collector):
-                self.store.put(record.key, record.value)
-
-        model = replace(DEFAULT_COST_MODEL, store_put=7e-6, store_run_get=90e-6)
-        cluster = MessagingCluster(num_brokers=1, clock=SimClock(), cost_model=model)
-        cluster.create_topic("in", num_partitions=1, replication_factor=1)
-        producer = Producer(cluster)
-        for i in range(10):
-            producer.send("in", i, key=f"k{i}")
-        runner = JobRunner(
-            JobConfig(
-                name="job",
-                inputs=["in"],
-                task_factory=Table,
-                stores=[
-                    StoreConfig(
-                        "table",
-                        store_type="lsm",
-                        store_options={"memtable_max_entries": 4},
-                    )
-                ],
-                num_standby_replicas=1,
-            ),
-            cluster,
-        )
-        runner.run_until_idle()
-        runner.checkpoint()
-
-        store = runner.task(0).stores["table"].store
-        assert store.cost_model is model
-        store.put("k0", -1)
-        assert store.last_op_cost == model.store_put
-
-        ((standby,),) = [tuple(s.values()) for s in runner.standbys.of(0)]
-        assert standby.records_applied == 10  # its catch-up wrote the store
-        assert standby.store.cost_model is model
-        assert standby.store.last_op_cost == model.store_put
-        assert standby.store.get("k1") == 1
-        assert standby.store.last_op_cost > model.store_run_get  # a run probe
+    """A store holds no clock: :func:`make_store` hands an LSM store the
+    model of the clock it is given (``test_one_cost_model.py`` follows the
+    model through a whole world)."""
 
     def test_make_store_hands_the_model_to_the_lsm_store_only(self):
-        from dataclasses import replace
-
-        from repro.common.costmodel import DEFAULT_COST_MODEL
-
         model = replace(DEFAULT_COST_MODEL, store_put=7e-6)
-        assert make_store("lsm", model).cost_model is model
-        assert make_store("lsm").cost_model is DEFAULT_COST_MODEL
-        assert isinstance(make_store("memory", model), InMemoryStore)
+        assert make_store("lsm", SimClock(cost_model=model)).cost_model is model
+        assert make_store("lsm", SimClock()).cost_model is DEFAULT_COST_MODEL
+        assert isinstance(make_store("memory", SimClock(cost_model=model)), InMemoryStore)

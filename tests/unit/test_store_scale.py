@@ -11,6 +11,7 @@ wall clock.
 import pytest
 
 from repro.common.clock import SimClock
+from repro.common.costmodel import DEFAULT_COST_MODEL
 from repro.messaging.cluster import MessagingCluster
 from repro.messaging.producer import Producer
 from repro.processing.job import JobConfig, JobRunner, StoreConfig
@@ -28,7 +29,7 @@ def key(i: int) -> str:
 
 
 def flushed_store(keys: int) -> LsmStore:
-    store = LsmStore(memtable_max_entries=1000, max_runs=4)
+    store = LsmStore(DEFAULT_COST_MODEL, memtable_max_entries=1000, max_runs=4)
     for i in range(keys):
         store.put(key(i), i)
     store.flush_memtable()

@@ -63,7 +63,7 @@ def tiered_fixture(clock=None, n=20, per_segment=5, **tier_kwargs):
     """A log whose sealed segments were archived then retention-deleted."""
     clock = clock if clock is not None else SimClock()
     log = filled_log(clock, n=n, per_segment=per_segment)
-    store = InMemoryObjectStore()
+    store = InMemoryObjectStore(clock.cost_model)
     tier = ColdTier(log, store, namespace="t/0", config=TieredConfig(**tier_kwargs))
     enforcer = RetentionEnforcer(
         RetentionConfig(retention_seconds=1.0), clock, archiver=tier.archiver
@@ -163,7 +163,7 @@ class TestObjectStores:
     @pytest.fixture(params=["memory", "dfs"])
     def store(self, request):
         if request.param == "memory":
-            return InMemoryObjectStore()
+            return InMemoryObjectStore(DEFAULT_COST_MODEL)
         dfs = SimulatedDFS(clock=SimClock())
         return DfsObjectStore(dfs)
 
@@ -199,7 +199,7 @@ class TestObjectStores:
         assert not store.exists("t/0/a")
 
     def test_total_stored_bytes(self):
-        store = InMemoryObjectStore()
+        store = InMemoryObjectStore(DEFAULT_COST_MODEL)
         store.put("a", ["x"], 10)
         store.put("b", ["x"], 15)
         assert store.total_stored_bytes() == 25
@@ -209,7 +209,7 @@ class TestArchiver:
     def test_archives_sealed_segments(self):
         clock = SimClock()
         log = filled_log(clock)
-        store = InMemoryObjectStore()
+        store = InMemoryObjectStore(clock.cost_model)
         manifest = TierManifest()
         archiver = SegmentArchiver(store, manifest, "t/0", clock)
         for segment in log.sealed_segments():
@@ -223,7 +223,7 @@ class TestArchiver:
     def test_replica_duplicate_upload_dedupes(self):
         """Two replicas archiving the same segment upload it once."""
         clock = SimClock()
-        store = InMemoryObjectStore()
+        store = InMemoryObjectStore(clock.cost_model)
         logs = [filled_log(SimClock()) for _ in range(2)]
         results = []
         for log in logs:  # same namespace: keys carry no broker id
@@ -240,7 +240,7 @@ class TestArchiver:
         segment = log.sealed_segments()[0]
         segment.replace_messages([])  # fully compacted away
         archiver = SegmentArchiver(
-            InMemoryObjectStore(), TierManifest(), "t/0", clock
+            InMemoryObjectStore(clock.cost_model), TierManifest(), "t/0", clock
         )
         result = archiver.archive(segment)
         assert not result.archived
@@ -269,7 +269,7 @@ class TestRetentionArchiving:
         clock = SimClock()
         log = filled_log(clock, n=10, per_segment=5)
         log.sealed_segments()[0].replace_messages([])
-        store = InMemoryObjectStore()
+        store = InMemoryObjectStore(clock.cost_model)
         tier = ColdTier(log, store, namespace="t/0")
         # Huge window: only the empty husk is expired.
         enforcer = RetentionEnforcer(
@@ -423,7 +423,12 @@ class TestColdTier:
         for i in range(20):
             log.append(f"k{i}", f"v{i}", timestamp=float(i // 3))
         clock.advance(8.0)
-        tier = ColdTier(log, InMemoryObjectStore(), namespace="t/0", config=TieredConfig())
+        tier = ColdTier(
+            log,
+            InMemoryObjectStore(clock.cost_model),
+            namespace="t/0",
+            config=TieredConfig(),
+        )
         RetentionEnforcer(
             RetentionConfig(retention_seconds=3.5), clock, archiver=tier.archiver
         ).enforce(log)
@@ -558,7 +563,7 @@ class TestClusterIntegration:
     def test_tiered_topic_without_store_rejected_at_broker(self):
         from repro.messaging.broker import Broker
 
-        broker = Broker(0, SimClock(), DEFAULT_COST_MODEL)
+        broker = Broker(0, SimClock())
         with pytest.raises(ConfigError):
             broker.host_partition(
                 TopicPartition("t", 0),
@@ -598,11 +603,6 @@ class TestColdCostModel:
         assert model.cold_put(60_000_000) == pytest.approx(
             model.cold_fetch_overhead + 1.0
         )
-
-    def test_cold_params_scale(self):
-        fast = CostModel().scaled(0.5)
-        assert fast.cold_fetch_overhead == pytest.approx(25e-3)
-        assert fast.cold_read_bandwidth == pytest.approx(160e6)
 
     def test_describe_includes_cold_params(self):
         desc = CostModel().describe()
