@@ -22,11 +22,39 @@ offset 0, a malformed value — is decoded again by ``JSONDecoder.decode``,
 so values and error messages are ``json``'s own.  Either way the bytes
 are ``json.dumps``' and the values ``json.loads``'
 (``tests/properties/test_json_serde_equivalence.py``).
+
+A consumer decodes a drained slice of a batch in one call,
+:meth:`Serde.deserialize_many`.  :class:`JsonSerde` joins the slice's texts
+into one array, ``[t0,NaN,t1,NaN,…,tn-1]``, and scans it once, so the
+scanner's key memo hands every record of the slice the same field-name
+strings.  The array's even items are the records' values only if each text
+``ti`` is exactly one item, and four checks prove that:
+
+* the joined bytes hold exactly ``n - 1`` ``NaN`` tokens, so every ``NaN``
+  in the text is a separator (a text holding one, even inside a string,
+  is decoded on its own);
+* the scan consumed the whole text, so the closing ``]`` is the one the
+  join added;
+* ``2n - 1`` items came back, and
+* every odd item is ``json.decoder.NaN`` itself.  By the first check those
+  ``n - 1`` items are the ``n - 1`` separators, so each separator is a
+  top-level item and the commas next to it are top-level commas; by the
+  third, what lies between two of them — one text — was scanned as
+  exactly one item, bare or padded with whitespace, which ``json.loads``
+  strips too.
+
+A text that joins a neighbour (``1,[2`` then ``3]``), splits in two
+(``{},{}``), or opens a string the next one closes fails a check; an empty
+or malformed text, or one that is not UTF-8, fails the scan itself.  Then
+the slice is decoded one text at a time, so values and errors (the first
+bad record's) are ``deserialize``'s.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Callable, Sequence
+from json.decoder import NaN
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any, Generic, Protocol, TypeVar
 
@@ -36,11 +64,30 @@ T = TypeVar("T")
 
 
 class Serde(Protocol[T]):
-    """Symmetric serializer: ``deserialize(serialize(x)) == x``."""
+    """Symmetric serializer: ``deserialize(serialize(x)) == x``.
+
+    ``deserialize_many(datas)`` is part of the contract: it returns
+    ``[None if d is None else deserialize(d) for d in datas]`` and raises
+    what the first bad ``d`` raises.  The fetch side decodes through it
+    alone, one call per drained slice of a batch (its value column, and its
+    key column), so a ``None`` — a tombstone's value, a keyless record's
+    key — is delivered as ``None``.  Every built-in serde implements it; a
+    serde may decode the column faster than one value at a time, as
+    :class:`JsonSerde` does, as long as the result is the same.
+    """
 
     def serialize(self, value: T) -> bytes: ...
 
     def deserialize(self, data: bytes) -> T: ...
+
+    def deserialize_many(self, datas: Sequence[bytes | None]) -> list[T | None]: ...
+
+
+def _each(
+    deserialize: Callable[[Any], Any], datas: Sequence[Any]
+) -> list[Any]:
+    """``deserialize`` over a column, one value at a time, ``None`` kept."""
+    return [None if data is None else deserialize(data) for data in datas]
 
 
 class BytesSerde:
@@ -53,6 +100,9 @@ class BytesSerde:
 
     def deserialize(self, data: bytes) -> bytes:
         return bytes(data)
+
+    def deserialize_many(self, datas: Sequence[bytes | None]) -> list:
+        return _each(bytes, datas)
 
 
 class StringSerde:
@@ -68,6 +118,9 @@ class StringSerde:
             return data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise SerdeError(f"invalid utf-8 payload: {exc}") from exc
+
+    def deserialize_many(self, datas: Sequence[bytes | None]) -> list:
+        return _each(self.deserialize, datas)
 
 
 class IntSerde:
@@ -85,6 +138,9 @@ class IntSerde:
         if len(data) != 8:
             raise SerdeError(f"IntSerde expects 8 bytes, got {len(data)}")
         return int.from_bytes(data, "big", signed=True)
+
+    def deserialize_many(self, datas: Sequence[bytes | None]) -> list:
+        return _each(self.deserialize, datas)
 
 
 # ``json.dumps`` with non-default settings builds a JSONEncoder per call; the
@@ -156,6 +212,32 @@ class JsonSerde:
         except json.JSONDecodeError as exc:
             raise SerdeError(f"invalid JSON payload: {exc}") from exc
 
+    def deserialize_many(self, datas: Sequence[bytes | None]) -> list:
+        """``deserialize`` over a column in one scan when the module
+        docstring's four checks prove the texts aligned, else one text at a
+        time."""
+        n = len(datas)
+        if n > 1:
+            try:
+                joined = b",NaN,".join(datas)
+            except TypeError:
+                pass  # a None (tombstone) among them
+            else:
+                if joined.count(b"NaN") == n - 1:
+                    try:
+                        text = f"[{joined.decode('utf-8')}]"
+                        items, end = _JSON_SCAN(text, 0)
+                    except (StopIteration, ValueError, RecursionError):
+                        pass  # misaligned or malformed: one at a time says
+                    else:
+                        if (
+                            end == len(text)
+                            and len(items) == 2 * n - 1
+                            and items[1::2].count(NaN) == n - 1
+                        ):
+                            return items[::2]
+        return _each(self.deserialize, datas)
+
 
 class NoopSerde:
     """Pass-through serde for in-process pipelines.
@@ -170,6 +252,9 @@ class NoopSerde:
 
     def deserialize(self, data: Any) -> Any:
         return data
+
+    def deserialize_many(self, datas: Sequence[Any]) -> list:
+        return list(datas)
 
 
 #: Serdes by name for config-driven construction.

@@ -15,7 +15,11 @@ once at append, so draining a plain batch for a consumer without serdes
 hands out those very objects in a fresh list and builds nothing.  Records
 are built only where there is something to build: :meth:`FetchBatch.inflate`
 builds exactly the records a drain delivers out of a frame, or through the
-consumer's serdes, once each.  A framed batch stays compressed until the
+consumer's serdes, once each.  A serde decodes a drained slice in one call,
+:meth:`~repro.common.serde.Serde.deserialize_many` over the slice's value
+column (and its key column), whether the batch is plain or framed; for
+:class:`~repro.common.serde.JsonSerde` that is one scan, so the slice's
+records share their field-name strings.  A framed batch stays compressed until the
 consumer drains into it (the payload is decoded through a memoryview, no
 intermediate copy of the blob) and is charged the simulated inflate CPU on
 that first touch only.  A poll that stops mid-response therefore neither
@@ -36,6 +40,7 @@ re-charged), and the position a partially-drained poll should commit.
 from __future__ import annotations
 
 from bisect import bisect_left
+from operator import attrgetter
 
 from repro.common.compression import BatchFrame
 from repro.common.costmodel import CostModel
@@ -43,6 +48,9 @@ from repro.common.records import ConsumerRecord, StoredMessage
 from repro.common.serde import Serde
 from repro.storage.log import BatchEntry
 from repro.storage.segment import FramedRun
+
+#: A stored record's fields in ``ConsumerRecord`` order after its partition.
+_STORED_FIELDS = attrgetter("offset", "key", "value", "timestamp", "headers", "size")
 
 
 class FetchBatch:
@@ -100,58 +108,52 @@ class FetchBatch:
         Frames and serdes build one ``ConsumerRecord`` per record asked
         for; no record is memoized, as the caller's cursor asks for each
         record once, but a frame is decoded on its first touch only and its
-        entries kept in :attr:`decoded`.  The returned latency is the
-        simulated inflate CPU for a framed batch on that first touch,
-        ``0.0`` afterwards and for plain batches.  ``size`` stays the
-        stored payload size — recomputing it from deserialized objects
-        would skew quota/WAN accounting away from the bytes actually
+        entries kept in :attr:`decoded`.  A serde decodes the slice's column
+        in one :meth:`~repro.common.serde.Serde.deserialize_many` call (the
+        values, and the keys when a key serde is set), for plain and framed
+        batches alike; a ``None`` key or value stays ``None``.  The returned
+        latency is the simulated inflate CPU for a framed batch on that
+        first touch, ``0.0`` afterwards and for plain batches.  ``size``
+        stays the stored payload size — recomputing it from deserialized
+        objects would skew quota/WAN accounting away from the bytes actually
         transferred.
         """
-        topic, partition = self.topic, self.partition
-        key_of = key_serde.deserialize if key_serde is not None else None
-        value_of = value_serde.deserialize if value_serde is not None else None
         if stop is None:
             stop = self.count
         frame = self.frame
+        latency = 0.0
         if frame is None:
             run = self.messages[start:stop]
-            if key_of is None and value_of is None:
+            if key_serde is None and value_serde is None:
                 return run, 0.0
-            return [
-                ConsumerRecord(
-                    topic,
-                    partition,
-                    m.offset,
-                    m.key if key_of is None or m.key is None else key_of(m.key),
-                    m.value if value_of is None else value_of(m.value),
-                    m.timestamp,
-                    m.headers,
-                    m.size,
-                )
-                for m in run
-            ], 0.0
-        latency = 0.0
-        decoded = self.decoded
-        if decoded is None:
-            latency = cost_model.decompress(frame.payload_bytes)
-            decoded = self.decoded = frame.entries()
-        entries = decoded[start:stop]
+            if not run:
+                return [], 0.0
+            offsets, keys, values, timestamps, headers, sizes = zip(
+                *map(_STORED_FIELDS, run)
+            )
+        else:
+            decoded = self.decoded
+            if decoded is None:
+                latency = cost_model.decompress(frame.payload_bytes)
+                decoded = self.decoded = frame.entries()
+            entries = decoded[start:stop]
+            if not entries:
+                return [], latency
+            keys, values, timestamps, _ = zip(*entries)
+            offsets = range(self.base_offset + start, self.base_offset + stop)
+            headers = frame.headers(entries, start)
+            sizes = frame.sizes[start:stop]
+        if key_serde is not None:
+            keys = key_serde.deserialize_many(keys)
+        if value_serde is not None:
+            values = value_serde.deserialize_many(values)
+        topic, partition = self.topic, self.partition
         return [
             ConsumerRecord(
-                topic,
-                partition,
-                offset,
-                key if key_of is None or key is None else key_of(key),
-                value if value_of is None else value_of(value),
-                timestamp,
-                held,
-                size,
+                topic, partition, offset, key, value, timestamp, held, size
             )
-            for offset, (key, value, timestamp, _), held, size in zip(
-                range(self.base_offset + start, self.base_offset + stop),
-                entries,
-                frame.headers(entries, start),
-                frame.sizes[start:stop],
+            for offset, key, value, timestamp, held, size in zip(
+                offsets, keys, values, timestamps, headers, sizes
             )
         ], latency
 

@@ -17,7 +17,12 @@ decoder's C ``scan_once``.  Without them it runs ``JSONEncoder.encode`` and
   :class:`SerdeError` with ``json.loads``' message;
 * a failed encode leaves nothing behind: the C encoder's circular-reference
   marks are shared between calls, so a container that failed once, then
-  was repaired, must encode like a fresh one.
+  was repaired, must encode like a fresh one;
+* ``deserialize_many(datas)`` — one scan of the joined texts when they
+  provably align — is ``deserialize`` per text, ``None`` kept, or the
+  first bad text's :class:`SerdeError`, for columns of well-formed,
+  padded and fragmentary texts; the misalignments a bracket count or a
+  first/last-byte check would let through are pinned as examples.
 """
 
 import importlib.util
@@ -27,7 +32,7 @@ import json.scanner
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.common import serde
 from repro.common.errors import SerdeError
@@ -79,6 +84,18 @@ def reference_loads(data):
         return SerdeError(f"invalid JSON payload: {exc}")
 
 
+def reference_many(datas):
+    """What ``deserialize_many`` must return, or the first bad text's
+    :class:`SerdeError`."""
+    out = []
+    for data in datas:
+        value = None if data is None else reference_loads(data)
+        if isinstance(value, SerdeError):
+            return value
+        out.append(value)
+    return out
+
+
 def outcome(fn, arg):
     try:
         return fn(arg)
@@ -92,6 +109,10 @@ def same(got, want) -> bool:
     if isinstance(want, Exception):
         return type(got) is type(want) and str(got) == str(want)
     return type(got) is type(want) and repr(got) == repr(want)
+
+
+#: Enough examples to reach the rarer alignments; the deep profile's more.
+BATCH_EXAMPLES = max(settings.default.max_examples, 300)
 
 
 text = st.one_of(
@@ -222,3 +243,71 @@ class TestDeserialize:
     )
     def test_edges(self, impl, data):
         assert same(outcome(impl.deserialize, data), reference_loads(data))
+
+
+fragments = st.text(
+    alphabet='{}[]",:0123456789.eE-truefalsnNaI \t', max_size=8
+).map(lambda s: s.encode("utf-8"))
+compact = documents.map(lambda d: d.encode("utf-8"))
+columns = st.lists(
+    st.one_of(compact, padded, fragments, st.none()), max_size=6
+)
+
+#: Columns whose join must not be taken as their values.  The first three
+#: are texts that are one value each only in part, so the join scans as an
+#: array of the wrong items although a bracket count, or a check of each
+#: text's first and last bytes, passes them.  Then a string split over two
+#: texts, ``NaN`` tokens, a UTF-8 BOM, an empty text and tombstones.
+MISALIGNED = [
+    [b"1,[2", b"3]"],
+    [b"{},{}", b'{"a":[{}', b"{}]}"],
+    [b"[[2", b"3]]", b"4],[5"],
+    # Each of these passes three of the four checks and fails the one named.
+    [b"1,NaN,2", b"[3", b"4]"],  # NaN tokens: 3, not n - 1
+    [b"1", b"2,3,4"],  # items: 5, not 2n - 1 (odd ones: NaN, 3)
+    [b"1,2", b"[3", b"4],5"],  # odd items: 2 and [3, NaN, 4], not NaN
+    [b"1", b"3],[4"],  # consumed: not the whole text, the scan ends at "3]"
+    [b'"a', b'b"'],
+    [b"[1,NaN", b"2]"],
+    [b"1", b'{"v":"NaN"}'],
+    [b"NaN", b"[NaN,1]"],
+    [b"\xef\xbb\xbf{}", b"{}"],
+    [b"{}", b"\xef\xbb\xbf{}"],
+    [b"1", b"", b"2"],
+    [b"1", None, b"2"],
+    [None, b"{", b"1"],
+]
+
+
+@build
+class TestBatchDecodeEqualsPerRecord:
+    """``deserialize_many`` joins a column into one scan; whatever the
+    texts, it returns what ``json.loads`` per text returns, or raises the
+    first bad text's error.  The pinned misalignments are those no cheaper
+    check than the four of ``repro.common.serde`` would catch."""
+
+    @given(columns)
+    @settings(max_examples=BATCH_EXAMPLES, deadline=None)
+    @example(datas=[b"1,[2", b"3]"])
+    @example(datas=[b"{},{}", b'{"a":[{}', b"{}]}"])
+    @example(datas=[b"[[2", b"3]]", b"4],[5"])
+    def test_equals_json_loads_per_text(self, impl, datas):
+        assert same(outcome(impl.deserialize_many, datas), reference_many(datas))
+
+    @pytest.mark.parametrize("datas", MISALIGNED, ids=range(len(MISALIGNED)))
+    def test_misaligned_columns(self, impl, datas):
+        assert same(outcome(impl.deserialize_many, datas), reference_many(datas))
+
+    @given(st.lists(st.one_of(compact, padded), min_size=2, max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_an_aligned_column_is_one_scan(self, impl, datas):
+        """Well-formed texts with no ``NaN`` token never fall back to
+        ``deserialize``."""
+        assume(b"NaN" not in b"".join(datas))
+        with mock.patch.object(impl, "deserialize", side_effect=AssertionError):
+            got = impl.deserialize_many(datas)
+        assert same(got, reference_many(datas))
+
+    def test_records_share_field_names(self, impl):
+        first, second = impl.deserialize_many([b'{"name":1}', b'{"name":2}'])
+        assert next(iter(first)) is next(iter(second))

@@ -57,6 +57,29 @@ class TestSerdeRoundtrip:
         consumer.assign([TopicPartition("t", 0)])
         assert consumer.poll(10)[0].key is None
 
+    @pytest.mark.parametrize("compression", ["none", "zlib:6"])
+    @pytest.mark.parametrize(
+        "serde, first, decoded",
+        [(JsonSerde(), b'{"a":1}', {"a": 1}), (StringSerde(), b"x", "x")],
+        ids=["json", "string"],
+    )
+    def test_a_tombstone_reaches_a_typed_consumer_as_none(
+        self, compression, serde, first, decoded
+    ):
+        """A ``None`` value (a delete; changelogs and compaction write them)
+        is delivered as ``None``, as a ``None`` key is, not decoded."""
+        cluster = make_cluster()
+        producer = Producer(
+            cluster, ProducerConfig(compression=compression, linger_messages=2)
+        )
+        producer.send("t", first, key="k")
+        producer.send("t", None, key="k")
+        producer.flush()
+        consumer = Consumer(cluster, ConsumerConfig(value_serde=serde))
+        consumer.assign([TopicPartition("t", 0)])
+        records = consumer.poll(10)
+        assert [(r.key, r.value) for r in records] == [("k", decoded), ("k", None)]
+
     def test_serialization_errors_surface_at_send(self):
         cluster = make_cluster()
         producer = Producer(cluster, ProducerConfig(value_serde=JsonSerde()))

@@ -15,6 +15,12 @@ The figure is the heap retained by 3 000 records less that of 1 000, per
 extra record, so a cluster's fixed cost cancels.  ``tracemalloc`` counts
 allocations exactly, so the figure repeats on one Python version
 (CPython 3.11 for the bounds below).
+
+A consumer that keeps what it polls holds the decoded records as well.
+Those drained through :class:`~repro.common.serde.JsonSerde` from one
+batch are decoded in one scan, so their dicts share one string per field
+name instead of holding a fresh copy each; that too shows as bytes per
+record.
 """
 
 import gc
@@ -29,6 +35,7 @@ import pytest
 import repro
 from repro.common.clock import SimClock
 from repro.common.records import TopicPartition
+from repro.common.serde import JsonSerde
 from repro.messaging.cluster import MessagingCluster
 from repro.messaging.config import ConsumerConfig, ProducerConfig
 from repro.messaging.consumer import Consumer
@@ -51,6 +58,11 @@ FRAMELESS_OBJECTS = 1.045
 #: interned-string table doubling; how many names startup interned decides
 #: whether that falls inside the import, so some runs measure 3.92.
 IMPORT_HEAP_MIB = 4.53
+
+#: Heap the records a ``JsonSerde`` consumer drained from zlib frames hold,
+#: per record, as measured x 1.05: 1119.1 (1741.8 while each record's
+#: value was decoded on its own, with eleven field-name strings of its own).
+HELD_JSON_RECORD = 1175.1
 
 IMPORT_API = """
 import tracemalloc
@@ -133,6 +145,73 @@ def test_a_frameless_record_at_rest_is_one_object():
         retained_objects(3_000, "none") - retained_objects(1_000, "none")
     ) / 2_000
     assert per_record <= FRAMELESS_OBJECTS
+
+
+def event(i: int) -> dict:
+    """A page-view event shaped like the benchmark's: eleven field names."""
+    return {
+        "seq": i,
+        "event_type": "page_view" if i % 3 else "click",
+        "member_id": f"member-{i * 7919 % 100_000:06d}",
+        "session_id": f"session-{i * 104_729 % 10**8:08d}",
+        "page_key": f"/feed/updates/{i % 50:02d}",
+        "user_agent": "Mozilla/5.0",
+        "locale": "en_US",
+        "properties": {"position": i % 10, "channel": "web", "treatment": "A"},
+    }
+
+
+def json_consumer(count: int, compression: str) -> Consumer:
+    """A ``JsonSerde`` consumer assigned a topic of ``count`` events."""
+    cluster = MessagingCluster(num_brokers=1, clock=SimClock())
+    cluster.create_topic("t", num_partitions=1, replication_factor=1)
+    producer = Producer(
+        cluster,
+        ProducerConfig(
+            linger_messages=100, compression=compression, value_serde=JsonSerde()
+        ),
+    )
+    for i in range(count):
+        producer.send("t", event(i), key=f"k{i}")
+    producer.flush()
+    consumer = Consumer(
+        cluster, ConsumerConfig(max_poll_messages=500, value_serde=JsonSerde())
+    )
+    consumer.assign([TopicPartition("t", 0)])
+    return consumer
+
+
+def held_json_bytes(count: int) -> int:
+    """Heap still held by ``count`` JSON records drained from zlib frames
+    and kept, traced from the first poll on."""
+    consumer = json_consumer(count, "zlib:6")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        held = []
+        while records := consumer.poll():
+            held.extend(records)
+        assert [r.value for r in held] == [event(i) for i in range(count)]
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        held = None
+        tracemalloc.stop()
+
+
+def test_held_json_records_per_record():
+    per_record = (held_json_bytes(3_000) - held_json_bytes(1_000)) / 2_000
+    assert per_record <= HELD_JSON_RECORD
+
+
+@pytest.mark.parametrize("compression", ["none", "zlib:6"])
+def test_records_drained_from_one_batch_share_field_names(compression):
+    first, second = json_consumer(2, compression).poll()[:2]
+    assert first.value == event(0) and second.value == event(1)
+    for a, b in zip(first.value, second.value):
+        assert a is b
+    for a, b in zip(first.value["properties"], second.value["properties"]):
+        assert a is b
 
 
 def test_import_heap():

@@ -97,3 +97,29 @@ class TestLookup:
     def test_unknown_name_rejected(self):
         with pytest.raises(SerdeError):
             serde_by_name("protobuf")
+
+
+class TestDeserializeMany:
+    @pytest.mark.parametrize(
+        "serde, datas",
+        [
+            (BytesSerde(), [b"a", None, b""]),
+            (StringSerde(), ["héllo".encode(), None, b"x"]),
+            (IntSerde(), [IntSerde().serialize(-5), None, IntSerde().serialize(7)]),
+            (JsonSerde(), [b'{"a":1}', None, b"[2]"]),
+            (JsonSerde(), [b'{"a":1}', b" [2] ", b'"s"']),
+            (NoopSerde(), [{"a": 1}, None, 3]),
+        ],
+        ids=["bytes", "string", "int", "json-tombstone", "json", "noop"],
+    )
+    def test_is_deserialize_per_item_with_none_kept(self, serde, datas):
+        assert serde.deserialize_many(datas) == [
+            None if data is None else serde.deserialize(data) for data in datas
+        ]
+
+    def test_the_first_bad_item_raises(self):
+        with pytest.raises(SerdeError, match="invalid utf-8"):
+            StringSerde().deserialize_many([b"ok", b"\xff", b"\xfe"])
+        with pytest.raises(SerdeError, match="Expecting value: line 1 column 1"):
+            JsonSerde().deserialize_many([b"1", b"", b"{"])
+
