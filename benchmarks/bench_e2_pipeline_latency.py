@@ -27,7 +27,7 @@ BATCH = 500
 def mr_pipeline_latency(depth: int) -> float:
     clock = SimClock()
     dfs = SimulatedDFS(clock)
-    engine = MapReduceEngine(dfs, clock)
+    engine = MapReduceEngine(dfs)
     dfs.write_file("/stage0/part-0", [{"i": i} for i in range(BATCH)])
     specs = []
     for stage in range(depth):

@@ -90,7 +90,7 @@ def hourglass_refresh_cost(history: int) -> float:
     statistics after a DELTA-record update lands as a new DFS part-file."""
     clock = SimClock()
     dfs = SimulatedDFS(clock)
-    engine = MapReduceEngine(dfs, clock)
+    engine = MapReduceEngine(dfs)
     generator = ProfileUpdateGenerator(users=max(100, history // 10), seed=3)
     records = []
     for profile in generator.snapshot():

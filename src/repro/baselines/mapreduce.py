@@ -26,7 +26,6 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
-from repro.common.clock import SimClock
 from repro.common.errors import ConfigError, MapReduceError
 from repro.common.records import estimate_size
 from repro.baselines.dfs import SimulatedDFS
@@ -80,14 +79,13 @@ class MapReduceEngine:
     def __init__(
         self,
         dfs: SimulatedDFS,
-        clock: SimClock | None = None,
         map_parallelism: int = 4,
         reduce_parallelism: int = 2,
     ) -> None:
         if map_parallelism <= 0 or reduce_parallelism <= 0:
             raise ConfigError("parallelism must be > 0")
         self.dfs = dfs
-        self.clock = clock if clock is not None else dfs.clock
+        self.clock = dfs.clock
         self.cost_model = self.clock.cost_model
         self.map_parallelism = map_parallelism
         self.reduce_parallelism = reduce_parallelism

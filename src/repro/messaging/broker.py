@@ -101,7 +101,6 @@ class Broker:
                 namespace=f"{partition.topic}/{partition.partition}",
                 config=config.tiered,
                 metrics=self.metrics,
-                clock=self.clock,
             )
         self._replicas[partition] = replica
         self._topic_configs[partition.topic] = config

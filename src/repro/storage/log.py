@@ -9,13 +9,16 @@ how much history the log holds.
 
 A record is held as the :class:`~repro.common.records.StoredMessage` built
 at append, or, when it arrived in a compressed batch the log kept whole, as
-that batch's frame (see :mod:`repro.storage.segment`).  A read that reaches
-a framed run returns it as held, a
+that batch's frame (see :mod:`repro.storage.segment`).  Every log lands and
+reads a run one way, as held: :meth:`PartitionLog._append_run` hands each
+segment-contiguous chunk to one :meth:`~repro.storage.segment.LogSegment.extend`
+call, and :meth:`PartitionLog.read` gathers each segment's share with one
+:meth:`~repro.storage.segment.LogSegment.read_into` call.  A read comes back
+as the records themselves, or, where it reached a framed run, as a
 :class:`~repro.storage.segment.FramedRun`, and a follower copying it stores
 the same frame; records are built from a frame only for a reader that asks
 for them — a fetch that cuts the frame, compaction, truncation, the tiered
-archiver, :meth:`PartitionLog.all_messages` — once per read.  A log that
-holds no frame reads, appends and copies as if frames did not exist.
+archiver, :meth:`PartitionLog.all_messages` — once per read.
 
 One :class:`PartitionLog` corresponds to one replica of one partition on one
 broker.  Latency for each operation is computed from the shared
@@ -38,7 +41,7 @@ from repro.common.errors import ConfigError, OffsetOutOfRangeError
 from repro.common.records import RECORD_FRAMING_BYTES, StoredMessage, TopicPartition
 from repro.chaos.failpoints import failpoint
 from repro.storage.pagecache import PageCache
-from repro.storage.segment import FramedRun, LogSegment, StoredFrame, run_of
+from repro.storage.segment import FramedRun, LogSegment, Piece, StoredFrame, run_of
 
 
 @dataclass(frozen=True)
@@ -266,6 +269,7 @@ class PartitionLog:
         # A partial batch is stored uncompressed: each record's stored size
         # is its size plus framing.
         topic, partition = self.partition or (None, None)
+        base = self._next_offset
         messages = [
             StoredMessage(
                 key,
@@ -279,10 +283,16 @@ class PartitionLog:
                 partition,
             )
             for offset, ((key, value, timestamp, headers), size) in enumerate(
-                zip(entries, sizes), self._next_offset
+                zip(entries, sizes), base
             )
         ]
-        latency = self._append_run(messages)
+        latency = self._append_run(
+            messages,
+            [m.stored_size for m in messages],
+            # From a list, which array converts in one pass (an iterator
+            # it grows per item).
+            array("q", list(range(base, base + len(messages)))),
+        )
         if messages and kind is not None:
             self.note_batch(
                 messages[0].offset, messages[-1].offset,
@@ -320,7 +330,7 @@ class PartitionLog:
                 self.partition,
             )
         )
-        latency = self._append_run(run)
+        latency = self._append_run(run, frame.stored_sizes(), run.offsets)
         last = base + frame.count - 1
         self.note_batch(base, last, producer_id, producer_seq, kind, frame)
         return BatchAppendResult(base, last, latency, frame.count)
@@ -340,8 +350,8 @@ class PartitionLog:
         the same frame, a cut one as its records.  The batch index entries
         the copy carries are noted by the caller (:meth:`note_batch`).
         """
+        failpoint("log.append", log=self.name, count=len(messages))
         if type(messages) is FramedRun:
-            failpoint("log.append", log=self.name, count=messages.count)
             offsets = messages.offsets
             # A read's offsets strictly increase: only the first can be late.
             if offsets[0] < self._next_offset:
@@ -349,11 +359,12 @@ class PartitionLog:
                     f"replica append out of order: {offsets[0]} < "
                     f"{self._next_offset}"
                 )
-            latency = self._append_run(messages.copied())
+            latency = self._append_run(
+                messages.copied(), messages.stored_sizes(), offsets
+            )
             return BatchAppendResult(
                 offsets[0], offsets[-1], latency, messages.count
             )
-        failpoint("log.append", log=self.name, count=len(messages))
         valid = len(messages)
         error: ConfigError | None = None
         expected = self._next_offset
@@ -367,7 +378,9 @@ class PartitionLog:
                 break
             expected = message.offset + 1
         run = messages[:valid] if valid < len(messages) else messages
-        latency = self._append_run(run)
+        latency = self._append_run(
+            run, [m.stored_size for m in run], array("q", [m.offset for m in run])
+        )
         if error is not None:
             raise error
         if not run:
@@ -378,10 +391,16 @@ class PartitionLog:
             run[0].offset, run[-1].offset, latency, len(run)
         )
 
-    def _append_run(self, messages: list[StoredMessage] | FramedRun) -> float:
-        """Land an offset-ordered run in the log: pre-built records, or a
-        :class:`~repro.storage.segment.FramedRun` whose frames land as
-        frames.
+    def _append_run(
+        self,
+        run: list[StoredMessage] | FramedRun,
+        sizes: list[int],
+        offsets: array,
+    ) -> float:
+        """Land an offset-ordered run in the log, as held: pre-built records,
+        or a :class:`~repro.storage.segment.FramedRun` whose frames land as
+        frames.  ``sizes`` and ``offsets`` are its records' ``stored_size``
+        and offset columns.
 
         The rule, per record of ``stored_size`` s: when the active segment is
         non-empty and ``size_bytes + s > segment_max_bytes`` or
@@ -393,17 +412,7 @@ class PartitionLog:
         segment extend and one page-cache charge per chunk — and the
         returned latency is folded per record, left to right.
         """
-        framed = type(messages) is FramedRun
-        if framed:
-            sizes = messages.stored_sizes()
-            offsets = messages.offsets
-            n = messages.count
-        else:
-            if not messages:
-                return 0.0
-            sizes = [m.stored_size for m in messages]
-            offsets = [m.offset for m in messages]
-            n = len(messages)
+        n = len(offsets)
         config = self.config
         segment_max_bytes = config.segment_max_bytes
         segment_max_messages = config.segment_max_messages
@@ -417,7 +426,7 @@ class PartitionLog:
         while i < n:
             active = self._segments[-1]
             count = active.message_count
-            # Largest k where messages[i:i+k] all fit the active segment:
+            # Largest k where run[i:i+k] all fit the active segment:
             # bytes — first record whose cumulative size would overflow the
             # segment; messages — remaining capacity.
             k = (
@@ -446,15 +455,10 @@ class PartitionLog:
             start = active.size_bytes
             base = start - cum[i]
             chunk_positions = [base + c for c in cum[i:end]]
-            if framed:
-                active.extend_framed(
-                    messages if k == n else messages.between(i, end),
-                    chunk_offsets, chunk_positions, base + cum[end],
-                )
-            else:
-                active.extend(
-                    messages[i:end], chunk_offsets, chunk_positions, base + cum[end]
-                )
+            active.extend(
+                run if k == n else run[i:end],
+                chunk_offsets, chunk_positions, base + cum[end],
+            )
             latency = self.page_cache.write_batch(
                 self._file_id(active), start, sizes[i:end], latency
             )
@@ -485,84 +489,24 @@ class PartitionLog:
         if max_messages <= 0:
             return ReadResult([], 0.0, self._next_offset, next_offset=offset)
 
-        collected: list[StoredMessage] = []
+        pieces: list[Piece] = []
+        offsets = array("q")
+        count = 0
         latency = 0.0
         stored_bytes = 0
+        next_offset = offset
         byte_budget = max_bytes if max_bytes is not None else 1 << 62
         seg_idx = self._segment_index_for(offset)
-        cursor = offset
-        segments = self._segments
-        while seg_idx < len(segments) and len(collected) < max_messages:
-            segment = segments[seg_idx]
-            if segment.framed:
-                return self._read_framed(
-                    offset, max_messages, seg_idx, cursor, collected, latency,
-                    stored_bytes, byte_budget,
-                )
-            # The segment's offset bisect: one RAM-resident probe per
-            # segment touched.
-            latency += self.cost_model.request_overhead / 10
-            view = segment.read_from(cursor, max_messages - len(collected))
-            budget_hit = False
-            if view.messages:
-                keep = view.prefix_within(byte_budget)
-                # Kafka semantics: always deliver at least one record so an
-                # oversized message cannot wedge a consumer.
-                if keep == 0 and not collected:
-                    keep = 1
-                if keep < len(view.messages):
-                    budget_hit = True
-                if keep:
-                    kept = (
-                        view.messages
-                        if keep == len(view.messages)
-                        else view.messages[:keep]
-                    )
-                    nbytes = view.prefix_bytes(keep)
-                    latency += self.page_cache.read(
-                        self._file_id(segment), view.start_position, nbytes
-                    )
-                    collected.extend(kept)
-                    stored_bytes += nbytes
-                    byte_budget -= nbytes
-                    cursor = kept[-1].offset + 1
-            if budget_hit:
-                break
-            seg_idx += 1
-            if seg_idx < len(segments):
-                cursor = max(cursor, segments[seg_idx].base_offset)
-        next_offset = collected[-1].offset + 1 if collected else offset
-        return ReadResult(
-            collected, latency, self._next_offset, next_offset, stored_bytes
-        )
-
-    def _read_framed(
-        self,
-        offset: int,
-        max_messages: int,
-        seg_idx: int,
-        cursor: int,
-        collected: list[StoredMessage],
-        latency: float,
-        stored_bytes: int,
-        byte_budget: int,
-    ) -> ReadResult:
-        """:meth:`read` on from the first segment that holds a framed run:
-        the same walk and the same charges, with each segment's records
-        added to the run as held (:meth:`LogSegment.read_into`), so no record
-        is built.  The result's ``messages`` is a
-        :class:`~repro.storage.segment.FramedRun` when a framed run was
-        read."""
-        pieces = [collected] if collected else []
-        offsets = array("q", [m.offset for m in collected])
-        count = len(collected)
-        next_offset = collected[-1].offset + 1 if collected else offset
         segments = self._segments
         while seg_idx < len(segments) and count < max_messages:
             segment = segments[seg_idx]
+            # The segment's offset bisect: one RAM-resident probe per
+            # segment touched.
             latency += self.cost_model.request_overhead / 10
+            # Kafka semantics: the first record is delivered whatever its
+            # size, so an oversized message cannot wedge a consumer.
             taken, found, start, nbytes = segment.read_into(
-                pieces, offsets, cursor, max_messages - count, byte_budget,
+                pieces, offsets, next_offset, max_messages - count, byte_budget,
                 not count,
             )
             if taken:
@@ -570,12 +514,10 @@ class PartitionLog:
                 count += taken
                 stored_bytes += nbytes
                 byte_budget -= nbytes
-                next_offset = cursor = offsets[-1] + 1
+                next_offset = offsets[-1] + 1
             if taken < found:
                 break  # the byte budget is spent
             seg_idx += 1
-            if seg_idx < len(segments):
-                cursor = max(cursor, segments[seg_idx].base_offset)
         return ReadResult(
             run_of(pieces, offsets, count), latency, self._next_offset,
             next_offset, stored_bytes,

@@ -21,12 +21,16 @@ by every replica.  One that arrived in a compressed batch the log kept is
 held as that batch's frame (:class:`StoredFrame`): the segment notes, once
 per framed run, which of its records the frame covers, and keeps nothing
 else per record but the two columns, so no record object and no decoded
-value.  A segment that holds no framed run reads, appends and rewrites as if
-frames did not exist.  A read that reaches a framed run returns a
-:class:`FramedRun`, the read's record lists and frame slices with their
-offsets; records are built from a frame only for a reader that asks for
-them, once per read.  Rewrites (compaction, truncation) take records, so a
-rewritten range is held as records from then on.
+value.
+
+Every segment is walked one way, whatever it holds.  A run is a list of
+pieces (:data:`Piece`): record lists and frame slices.
+:meth:`LogSegment.extend` lands a run's pieces, :meth:`LogSegment.read_into`
+adds a read's pieces, and :func:`run_of` turns the pieces into the run a
+caller gets: the records themselves when every piece is a record list, else
+a :class:`FramedRun`.  Records are built from a frame only for a reader that
+asks for them, once per read.  Rewrites (compaction, truncation) take
+records, so a rewritten range is held as records from then on.
 """
 
 from __future__ import annotations
@@ -115,14 +119,12 @@ Piece = Union[list, tuple]
 
 def _add_piece(pieces: list[Piece], piece: Piece) -> None:
     """Append ``piece`` to ``pieces``, joining it to the last one when both
-    are record lists or both slices of one frame that meet."""
-    if pieces:
+    are slices of one frame that meet, so a frame a segment roll cut is one
+    slice again.  Record lists are not joined: :func:`run_of` concatenates
+    them once, where joining each to the last would copy the run so far."""
+    if pieces and type(piece) is tuple:
         tail = pieces[-1]
-        if type(tail) is list:
-            if type(piece) is list:
-                pieces[-1] = tail + piece
-                return
-        elif type(piece) is tuple and piece[0] is tail[0] and piece[1] == tail[2]:
+        if type(tail) is tuple and piece[0] is tail[0] and piece[1] == tail[2]:
             pieces[-1] = (tail[0], tail[1], piece[2])
             return
     pieces.append(piece)
@@ -202,7 +204,9 @@ class FramedRun(Sequence):
             if step != 1:
                 raise ValueError("a run slices with step 1 only")
             return self.between(start, stop)
-        return self.records()[index]
+        if self._records is None:
+            self.records()
+        return self._records[index]
 
     def __iter__(self) -> Iterator[StoredMessage]:
         return iter(self.records())
@@ -286,49 +290,6 @@ class FramedRun(Sequence):
         return f"FramedRun(n={self.count}, pieces={len(self.pieces)})"
 
 
-class SegmentView:
-    """A zero-copy read view over a contiguous run of segment records.
-
-    Produced by :meth:`LogSegment.read_from`.  ``messages`` is the record
-    slice (a :class:`FramedRun` where it reaches a framed run);
-    ``start_position`` is the first record's byte position in the
-    segment; :meth:`prefix_bytes` returns the byte size of the first ``k``
-    records in O(1) using the segment's positions (prefix-sum) array, so
-    byte-budget accounting never re-sums record sizes.
-    """
-
-    __slots__ = ("messages", "start_position", "_end_positions")
-
-    def __init__(
-        self,
-        messages: list[StoredMessage] | FramedRun,
-        start_position: int,
-        end_positions: Sequence[int],
-    ) -> None:
-        self.messages = messages
-        self.start_position = start_position
-        # end_positions[i] is the byte position one past the view's record
-        # i; a slice of the segment's positions array.
-        self._end_positions = end_positions
-
-    def prefix_bytes(self, count: int) -> int:
-        """Total bytes of the first ``count`` records of the view."""
-        if count <= 0:
-            return 0
-        return self._end_positions[count - 1] - self.start_position
-
-    def prefix_within(self, byte_budget: int) -> int:
-        """Largest record count whose total size fits in ``byte_budget``.
-
-        O(log n) bisect over the cumulative positions instead of a
-        per-record remaining-budget loop.
-        """
-        if not self.messages:
-            return 0
-        limit = self.start_position + byte_budget
-        return bisect_left(self._end_positions, limit + 1)
-
-
 def _sealed(segment: LogSegment) -> ConfigError:
     return ConfigError(
         f"segment@{segment.base_offset} is sealed; appends go to the active "
@@ -372,63 +333,47 @@ class LogSegment:
 
     def extend(
         self,
-        messages: list[StoredMessage],
-        offsets: list[int],
+        run: list[StoredMessage] | FramedRun,
+        offsets: array,
         positions: list[int],
         size_bytes: int,
     ) -> None:
-        """Land a run of records at the tail of the active segment.
+        """Land a non-empty run at the tail of the active segment, as held:
+        records as records, and each frame slice noted as a framed run, with
+        nothing kept per record of it but its offset and position.
 
         The caller — :meth:`PartitionLog._append_run` — has already
         established that offsets strictly increase and follow the current
-        tail, and supplies the parallel arrays plus the resulting segment
+        tail, and supplies the parallel columns plus the resulting segment
         size so nothing is recomputed per record.  Positions and sizes are
         *physical* bytes: a record's share of its (possibly compressed)
         batch frame, equal to the logical size when uncompressed.
         """
         if self.sealed:
             raise _sealed(self)
-        self._messages.extend(messages)
-        # fromlist converts in one pass; extend would grow the array per
-        # item.
-        self._offsets.fromlist(offsets)
-        self._positions.fromlist(positions)
-        self._size_bytes = size_bytes
-        self._last_timestamp = messages[-1].timestamp
-
-    def extend_framed(
-        self,
-        run: list[StoredMessage] | FramedRun,
-        offsets: array,
-        positions: list[int],
-        size_bytes: int,
-    ) -> None:
-        """:meth:`extend` for a run that may hold frames: each frame slice is
-        noted as a framed run, and nothing is kept per record but its offset
-        and position."""
-        if self.sealed:
-            raise _sealed(self)
-        pieces = [run] if type(run) is list else run.pieces
         index = len(self._offsets)
-        framed = self.framed
-        if not framed:
-            framed = self.framed = []
-        for piece in pieces:
+        for piece in [run] if type(run) is list else run.pieces:
             if type(piece) is list:
                 self._messages += piece
                 index += len(piece)
                 continue
             stored, lo, hi = piece
-            framed.append((index, index + hi - lo, len(self._messages), stored, lo))
+            if not self.framed:
+                self.framed = []
+            self.framed.append(
+                (index, index + hi - lo, len(self._messages), stored, lo)
+            )
             index += hi - lo
         self._offsets += offsets
+        # fromlist converts in one pass; extend would grow the array per
+        # item.
         self._positions.fromlist(positions)
         self._size_bytes = size_bytes
-        tail = pieces[-1]
-        if type(tail) is list:
-            self._last_timestamp = tail[-1].timestamp
+        # ``piece`` is the run's last.
+        if type(piece) is list:
+            self._last_timestamp = piece[-1].timestamp
         else:
-            stored, _lo, hi = tail
+            stored, _lo, hi = piece
             self._last_timestamp = (
                 stored.last_timestamp
                 if hi == stored.frame.count
@@ -443,38 +388,16 @@ class LogSegment:
 
     # -- read path ------------------------------------------------------------
 
-    def read_from(self, offset: int, max_messages: int) -> SegmentView:
-        """View of records with offset >= ``offset``, at most ``max_messages``.
-
-        If ``offset`` was compacted away, reading resumes at the next
-        surviving record (Kafka fetch semantics).  The view carries the byte
-        position of its first record and a cumulative-size slice so callers
-        do no per-record size arithmetic.
-        """
-        idx = bisect_left(self._offsets, offset)
-        end = idx + max_messages
-        if self.framed:
-            batch = self.run(idx, end)
-        else:
-            batch = self._messages[idx:end]
-        if not batch:
-            return SegmentView([], self._size_bytes, [])
-        end = idx + len(batch)
-        end_positions = self._positions[idx + 1 : end]
-        end_positions.append(
-            self._positions[end] if end < len(self._positions) else self._size_bytes
-        )
-        return SegmentView(batch, self._positions[idx], end_positions)
-
-    def run(self, start: int, stop: int) -> list[StoredMessage] | FramedRun:
-        """Records ``[start, stop)`` as held: a :class:`FramedRun` where a
-        framed run is among them."""
-        if stop > len(self._offsets):
-            stop = len(self._offsets)
+    def run(self) -> list[StoredMessage] | FramedRun:
+        """The segment's records as held, for a reader that keeps none of
+        them: a :class:`FramedRun` where a framed run is among them, else the
+        segment's own record list, not copied (a timestamp lookup bisects
+        it)."""
+        if not self.framed:
+            return self._messages
         pieces: list[Piece] = []
-        if start < stop:
-            self.collect(pieces, start, stop)
-        return run_of(pieces, self._offsets[start:stop], stop - start)
+        self.collect(pieces, 0, len(self._offsets))
+        return run_of(pieces, self._offsets[:], len(self._offsets))
 
     def read_into(
         self,
@@ -485,15 +408,18 @@ class LogSegment:
         byte_budget: int,
         at_least_one: bool,
     ) -> tuple[int, int, int, int]:
-        """:meth:`read_from` for a run held as pieces: add the records with
-        offset >= ``offset`` — at most ``max_messages``, and those whose
-        bytes fit ``byte_budget`` (at least one when ``at_least_one``) — to
-        ``pieces`` as held and their offsets to ``offsets``.
+        """Add the records with offset >= ``offset`` — at most
+        ``max_messages``, and those whose bytes fit ``byte_budget`` (at least
+        one when ``at_least_one``) — to the run ``pieces`` as held, and their
+        offsets to ``offsets``.
+
+        If ``offset`` was compacted away, reading resumes at the next
+        surviving record (Kafka fetch semantics).  The byte budget is one
+        bisect over the positions, so no record's size is summed.
 
         Returns ``(taken, found, start, nbytes)``: the records added, the
-        ones ``max_messages`` allowed, the first one's byte position and the
-        bytes added — what the view's :meth:`~SegmentView.prefix_within` and
-        :meth:`~SegmentView.prefix_bytes` give.
+        ones ``max_messages`` allowed, the first one's byte position (the
+        segment's end when none is found) and the bytes added.
         """
         held = self._offsets
         idx = bisect_left(held, offset)
@@ -528,9 +454,9 @@ class LogSegment:
         if k and framed[k - 1][1] > start:
             k -= 1
         n = len(framed)
-        # Only the first piece can continue the run's last one (a frame or
-        # records the previous segment ended with); within the segment,
-        # framed runs and the records between them alternate.
+        # Only the first piece can continue the run's last one (a frame the
+        # previous segment ended with); within the segment, framed runs and
+        # the records between them alternate.
         i = start
         while i < stop:
             if k < n and framed[k][0] <= i:
@@ -556,11 +482,11 @@ class LogSegment:
 
     def offset_for_timestamp(self, timestamp: float) -> int | None:
         """Smallest offset whose record timestamp >= ``timestamp``."""
-        messages = self._messages if not self.framed else list(self.run(0, len(self)))
-        idx = bisect_left(messages, timestamp, key=_timestamp_of)
-        if idx >= len(messages):
+        run = self.run()
+        idx = bisect_left(run, timestamp, key=_timestamp_of)
+        if idx >= len(run):
             return None
-        return messages[idx].offset
+        return run[idx].offset
 
     # -- compaction support -----------------------------------------------------
 
@@ -580,7 +506,7 @@ class LogSegment:
         # From a list, which array converts in one pass (an iterator it
         # grows per item).
         positions = array(
-            "q", list(accumulate((m.stored_size for m in survivors), initial=0))
+            "q", list(accumulate([m.stored_size for m in survivors], initial=0))
         )
         self._messages = list(survivors)
         self._offsets = array("q", offsets)
@@ -618,9 +544,7 @@ class LogSegment:
 
     def messages(self) -> Iterator[StoredMessage]:
         """The records, built from the frames for a segment holding any."""
-        if self.framed:
-            return iter(self.run(0, len(self._offsets)))
-        return iter(self._messages)
+        return iter(self.run())
 
     def __len__(self) -> int:
         return len(self._offsets)

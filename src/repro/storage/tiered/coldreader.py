@@ -164,7 +164,7 @@ class ColdReader:
             stop = min(len(hydrated.records), idx + max_messages - len(collected))
             positions = hydrated.positions
             # Largest prefix whose bytes fit the budget: a bisect over the
-            # cumulative positions, as SegmentView.prefix_within does.
+            # cumulative positions, as LogSegment.read_into does.
             keep = (
                 bisect_right(
                     positions, positions[idx] + byte_budget, idx + 1, stop + 1

@@ -11,7 +11,6 @@ the hot tier.
 
 from __future__ import annotations
 
-from repro.common.clock import SimClock
 from repro.common.errors import OffsetOutOfRangeError
 from repro.common.metrics import MetricsRegistry, metric_name
 from repro.storage.log import PartitionLog, ReadResult
@@ -37,20 +36,18 @@ class ColdTier:
         namespace: str,
         config: TieredConfig | None = None,
         metrics: MetricsRegistry | None = None,
-        clock: SimClock | None = None,
     ) -> None:
         self.log = log
         self.config = config if config is not None else TieredConfig()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        clock = clock if clock is not None else log.clock
         self.manifest = TierManifest()
         self.archiver = SegmentArchiver(
-            store, self.manifest, namespace, clock, self.metrics
+            store, self.manifest, namespace, log.clock, self.metrics
         )
         self.reader = ColdReader(
             store,
             self.manifest,
-            clock,
+            log.clock,
             page_cache=log.page_cache,
             hydration_cache_bytes=self.config.hydration_cache_bytes,
             metrics=self.metrics,
@@ -96,7 +93,13 @@ class ColdTier:
                 offset, self.earliest_offset, self.log.log_end_offset
             )
         if not self.covers(offset):
-            return self.log.read(offset, max_messages, max_bytes)
+            # Past the archive's last record, but maybe below the hot log's
+            # start: offsets compaction removed before their segment was
+            # archived.  The read resumes at the next surviving record
+            # (Kafka fetch semantics), as it does within a tier.
+            return self.log.read(
+                max(offset, self.log.log_start_offset), max_messages, max_bytes
+            )
         result = self.reader.read(offset, max_messages, max_bytes)
         self.metrics.counter(_M_COLD_READS).increment()
         self.metrics.histogram(_M_COLD_READ_LATENCY).observe(result.latency)

@@ -34,7 +34,7 @@ class TestFigure1:
         # Legacy path: land in DFS, run an MR normalize job, read output.
         dfs = SimulatedDFS(clock)
         dfs.write_file("/activity/part-0", events)
-        engine = MapReduceEngine(dfs, clock)
+        engine = MapReduceEngine(dfs)
         result = engine.run(
             MRJobSpec(
                 name="normalize",

@@ -12,7 +12,7 @@ from repro.baselines.mapreduce import MapReduceEngine
 def make_job(name="wc") -> tuple[SimulatedDFS, HourglassJob]:
     clock = SimClock()
     dfs = SimulatedDFS(clock)
-    engine = MapReduceEngine(dfs, clock)
+    engine = MapReduceEngine(dfs)
     job = HourglassJob(
         dfs,
         engine,

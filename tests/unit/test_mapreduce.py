@@ -11,7 +11,7 @@ from repro.baselines.mapreduce import MapReduceEngine, MRJobSpec
 def make_engine(**kwargs) -> tuple[SimClock, SimulatedDFS, MapReduceEngine]:
     clock = SimClock()
     dfs = SimulatedDFS(clock)
-    return clock, dfs, MapReduceEngine(dfs, clock, **kwargs)
+    return clock, dfs, MapReduceEngine(dfs, **kwargs)
 
 
 def wordcount_spec(name="wc", inputs=("/in",), output="/out") -> MRJobSpec:

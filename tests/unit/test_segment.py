@@ -1,10 +1,12 @@
 """Unit tests for log segments."""
 
+from array import array
+
 import pytest
 
 from repro.common.errors import ConfigError
 from repro.common.records import StoredMessage
-from repro.storage.segment import LogSegment
+from repro.storage.segment import LogSegment, run_of
 
 
 def msg(offset: int, key="k", value="v", timestamp=None) -> StoredMessage:
@@ -24,7 +26,19 @@ def append(segment: LogSegment, *messages: StoredMessage) -> None:
     for message in messages:
         positions.append(position)
         position += message.stored_size
-    segment.extend(list(messages), [m.offset for m in messages], positions, position)
+    segment.extend(
+        list(messages), array("q", [m.offset for m in messages]), positions, position
+    )
+
+
+def read(segment: LogSegment, offset: int, max_messages: int):
+    """Records with offset >= ``offset``, at most ``max_messages``, read
+    into an empty run, and the byte position the read starts at."""
+    pieces, offsets = [], array("q")
+    taken, _found, start, _nbytes = segment.read_into(
+        pieces, offsets, offset, max_messages, 1 << 62, True
+    )
+    return run_of(pieces, offsets, taken), start
 
 
 class TestAppend:
@@ -63,36 +77,36 @@ class TestRead:
         segment = LogSegment(0)
         for i in range(5):
             append(segment, msg(i))
-        got = segment.read_from(0, max_messages=3)
-        assert [m.offset for m in got.messages] == [0, 1, 2]
+        got, _start = read(segment, 0, max_messages=3)
+        assert [m.offset for m in got] == [0, 1, 2]
 
     def test_read_from_middle(self):
         segment = LogSegment(0)
         for i in range(5):
             append(segment, msg(i))
-        got = segment.read_from(3, max_messages=10)
-        assert [m.offset for m in got.messages] == [3, 4]
+        got, _start = read(segment, 3, max_messages=10)
+        assert [m.offset for m in got] == [3, 4]
 
     def test_read_skips_compacted_hole(self):
         segment = LogSegment(0)
         append(segment, msg(0))
         append(segment, msg(4))
-        got = segment.read_from(2, max_messages=10)
-        assert [m.offset for m in got.messages] == [4]
+        got, _start = read(segment, 2, max_messages=10)
+        assert [m.offset for m in got] == [4]
 
     def test_read_past_end_empty(self):
         segment = LogSegment(0)
         append(segment, msg(0))
-        assert segment.read_from(1, max_messages=10).messages == []
+        assert read(segment, 1, max_messages=10) == ([], segment.size_bytes)
 
     def test_position_of(self):
-        # A view starts at its first record's byte position, or at the
-        # segment's end when it is empty.
+        # A read starts at its first record's byte position, or at the
+        # segment's end when it finds none.
         segment = LogSegment(0)
         append(segment, msg(0))
         append(segment, msg(1))
-        assert segment.read_from(1, 1).start_position == msg(0).stored_size
-        assert segment.read_from(99, 1).start_position == segment.size_bytes
+        assert read(segment, 1, 1)[1] == msg(0).stored_size
+        assert read(segment, 99, 1)[1] == segment.size_bytes
 
 
 class TestTimestampLookup:
@@ -133,7 +147,7 @@ class TestRewrite:
         survivors = list(segment.messages())[2:]
         segment.replace_messages(survivors)
         assert list(segment._positions) == [0, survivors[0].stored_size]
-        assert segment.read_from(2, 1).start_position == 0
+        assert read(segment, 2, 1)[1] == 0
 
     def test_replace_requires_sealed(self):
         segment = LogSegment(0)
