@@ -22,13 +22,12 @@ from repro.common.errors import (
     PartitionNotFoundError,
 )
 from repro.common.metrics import MetricsRegistry, metric_name
-from repro.common.records import StoredMessage, TopicPartition
+from repro.common.records import TopicPartition
 from repro.chaos.failpoints import failpoint
 from repro.storage.compaction import CompactionConfig, LogCompactor
 from repro.storage.log import BatchEntry, PartitionLog, ReadResult
 from repro.storage.pagecache import PageCache
 from repro.storage.retention import RetentionEnforcer
-from repro.storage.segment import FramedRun
 from repro.storage.tiered import ColdTier, ObjectStore
 from repro.messaging.partition import PartitionReplica, ProduceResult
 from repro.messaging.topic import TopicConfig
@@ -178,8 +177,9 @@ class Broker:
             offset, max_messages, max_bytes, committed_only=True,
             isolation=isolation,
         )
-        latency = self.cost_model.request(len(result.messages)) + result.latency
-        self.metrics.counter(_M_MESSAGES_OUT).increment(len(result.messages))
+        count = len(result.offsets)
+        latency = self.cost_model.request(count) + result.latency
+        self.metrics.counter(_M_MESSAGES_OUT).increment(count)
         self.metrics.histogram(_M_FETCH_LATENCY).observe(latency)
         return result, latency
 
@@ -189,28 +189,25 @@ class Broker:
         offset: int,
         follower_id: int,
         max_messages: int = 1000,
-    ) -> tuple[
-        list[StoredMessage] | FramedRun, int, int, int, list[BatchEntry]
-    ]:
+    ) -> tuple[ReadResult, int, int, list[BatchEntry]]:
         """Follower fetch from this (leader) broker.
 
-        Returns ``(messages, leader_leo, leader_hw, stored_bytes, entries)``
-        (``messages`` being the log's read as held — a
-        :class:`~repro.storage.segment.FramedRun` where it holds a frame —
-        and ``stored_bytes`` the run's physical size).  As in Kafka, the
-        fetch *offset itself* tells the leader how far the follower has got:
-        the leader records it and may advance the high watermark.
-        ``entries`` are the batch-index entries overlapping the run (from
-        ``offset`` on), so the follower learns the producer state the run
-        carries and stores the same opaque frames.
+        Returns ``(read, leader_leo, leader_hw, entries)``: ``read`` is the
+        log's read as held, with its offset column (which the follower's
+        append takes as it is) and its physical size in ``stored_bytes``.
+        As in Kafka, the fetch *offset itself* tells the leader how far the
+        follower has got: the leader records it and may advance the high
+        watermark.  ``entries`` are the batch-index entries overlapping the
+        run (from ``offset`` on), so the follower learns the producer state
+        the run carries and stores the same opaque frames.
         """
         self._check_online()
         replica = self.replica(partition)
         hw = replica.record_follower_position(follower_id, offset)
         result = replica.fetch(offset, max_messages, committed_only=False)
         return (
-            result.messages, replica.log_end_offset, hw, result.stored_bytes,
-            replica.log.batches_spanned_by(offset, result.messages),
+            result, replica.log_end_offset, hw,
+            replica.log.batches_spanned_by(offset, result.offsets),
         )
 
     # -- maintenance (driven by the cluster tick) -------------------------------------------

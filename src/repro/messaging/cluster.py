@@ -418,10 +418,10 @@ class MessagingCluster:
                 self.controller.shrink_isr(tp, follower_id)
                 continue
             follower_replica = follower_broker.replica(tp)
-            messages, _leo, _hw, _bytes, entries = leader_broker.replica_fetch(
+            read, _leo, _hw, entries = leader_broker.replica_fetch(
                 tp, follower_replica.log_end_offset, follower_id, 1 << 30
             )
-            append_latency = follower_replica.replicate_batch(messages, entries)
+            append_latency = follower_replica.replicate_batch(read, entries)
             leader_replica.record_follower_position(
                 follower_id, follower_replica.log_end_offset
             )
@@ -479,8 +479,8 @@ class MessagingCluster:
             tp, offset, max_messages, max_bytes, isolation=isolation
         )
         batches = build_fetch_batches(
-            topic, partition, result.messages,
-            broker.replica(tp).log.batches_spanned_by(offset, result.messages),
+            topic, partition, result.messages, result.offsets,
+            broker.replica(tp).log.batches_spanned_by(offset, result.offsets),
         )
         # The wire carries what the log stores: compressed runs ship as their
         # frames, so egress shrinks by the same ratio as the disk did.
@@ -490,7 +490,7 @@ class MessagingCluster:
         if client_id is not None:
             latency += self.quotas.record_fetch(client_id, out_bytes)
         self.metrics.histogram(_M_FETCH_LATENCY).observe(latency)
-        self.metrics.counter(_M_MESSAGES_OUT).increment(len(result.messages))
+        self.metrics.counter(_M_MESSAGES_OUT).increment(len(result.offsets))
         if lazy:
             return FetchResult([], latency, result.next_offset, batches=batches)
         records: list[ConsumerRecord] = []

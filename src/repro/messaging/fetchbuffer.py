@@ -4,17 +4,17 @@ A fetch response is not a flat record list but a sequence of *batches* —
 some plain (a run of the log's own :class:`~repro.common.records.StoredMessage`
 objects, the list the log read returned), some still the compressed
 :class:`~repro.common.compression.BatchFrame` the producer shipped.  Which
-frames stand in for their records is read off the response's offsets and
-the log's batch index (:func:`build_fetch_batches`), never off record
-objects: a log holds a kept frame as itself, so a read that reaches one
-returns a :class:`~repro.storage.segment.FramedRun` with no record in it,
-and only a stretch that no whole frame covers — a frame the response cuts —
-is built into records, on the broker, once for that response.  A
-``StoredMessage`` *is* a :class:`~repro.common.records.ConsumerRecord`, built
-once at append, so draining a plain batch for a consumer without serdes
-hands out those very objects in a fresh list and builds nothing.  Records
-are built only where there is something to build: :meth:`FetchBatch.inflate`
-builds exactly the records a drain delivers out of a frame, or through the
+frames stand in for their records is read off the response's offset column
+and the log's batch index (:func:`build_fetch_batches`), never off record
+objects or the way the log holds the run: a log holds a kept frame as
+itself, and only a stretch that no whole frame covers — a frame the
+response cuts — is built into records, on the broker, once for that
+response (:func:`~repro.storage.segment.records`).  A ``StoredMessage``
+*is* a :class:`~repro.common.records.ConsumerRecord`, built once at append,
+so draining a plain batch for a consumer without serdes hands out those
+very objects in a fresh list and builds nothing.  Records are built
+only where there is something to build: :meth:`FetchBatch.inflate` builds
+exactly the records a drain delivers out of a frame, or through the
 consumer's serdes, once each.  A serde decodes a drained slice in one call,
 :meth:`~repro.common.serde.Serde.deserialize_many` over the slice's value
 column (and its key column), whether the batch is plain or framed; for
@@ -39,6 +39,7 @@ re-charged), and the position a partially-drained poll should commit.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from operator import attrgetter
 
@@ -47,7 +48,7 @@ from repro.common.costmodel import CostModel
 from repro.common.records import ConsumerRecord, StoredMessage
 from repro.common.serde import Serde
 from repro.storage.log import BatchEntry
-from repro.storage.segment import FramedRun
+from repro.storage.segment import Run, records
 
 #: A stored record's fields in ``ConsumerRecord`` order after its partition.
 _STORED_FIELDS = attrgetter("offset", "key", "value", "timestamp", "headers", "size")
@@ -161,56 +162,43 @@ class FetchBatch:
 def build_fetch_batches(
     topic: str,
     partition: int,
-    messages: list[StoredMessage] | FramedRun,
+    messages: Run,
+    offsets: array,
     entries: list[BatchEntry],
 ) -> list[FetchBatch]:
     """Group a fetch response's records into frame-backed and plain batches.
 
-    ``messages`` is the response's run: the log's records, or the
-    :class:`~repro.storage.segment.FramedRun` a read that reached a framed
-    run returns.  ``entries`` are the log's batch-index entries around the
+    ``messages`` is the response's run as the log holds it, ``offsets`` its
+    offset column, and ``entries`` the log's batch-index entries around the
     response, in offset order.  An entry's frame stands in for its records
     only when the response holds the entry's *entire* offset range
-    contiguously, which the response's offsets show — partial visibility
-    (high watermark cut, compaction, skipped markers) falls back to records,
-    so correctness never depends on frame coverage.  A plain batch is the
-    log's own records; a stretch of a framed run that no frame stands for
-    is built from its frame here, once.  A frameless response is one batch
-    over ``messages`` itself.
+    contiguously, which the offset column shows — partial visibility (high
+    watermark cut, compaction, skipped markers) falls back to records, so
+    correctness never depends on frame coverage.  A plain batch is the
+    log's own records; a stretch of a frame that no frame stands for is
+    built into records here, once
+    (:func:`~repro.storage.segment.records`).  A frameless response is one
+    batch over ``messages`` itself.
     """
     batches: list[FetchBatch] = []
-    n = len(messages)
+    n = len(offsets)
     done = 0  # messages[:done] are batched
-    offsets = None
     for base, last, _pid, _seq, _kind, frame in entries:
         if frame is None:
             continue
-        if offsets is None:
-            offsets = (
-                messages.offsets
-                if type(messages) is FramedRun
-                else [m.offset for m in messages]
-            )
         i = bisect_left(offsets, base, done)
         end = i + frame.count
         # Offsets strictly increase, so matching endpoints over exactly
         # ``count`` records proves the whole frame range is present.
         if end <= n and offsets[i] == base and offsets[end - 1] == last:
             if i > done:
-                plain = (
-                    messages[done:i]
-                    if type(messages) is list
-                    else messages.records(done, i)
+                batches.append(
+                    FetchBatch(topic, partition, records(messages, done, i))
                 )
-                batches.append(FetchBatch(topic, partition, plain))
             batches.append(FetchBatch(topic, partition, frame=frame, base_offset=base))
             done = end
     if done < n:
-        if type(messages) is list:
-            rest = messages[done:] if done else messages
-        else:
-            rest = messages.records(done)
-        batches.append(FetchBatch(topic, partition, rest))
+        batches.append(FetchBatch(topic, partition, records(messages, done)))
     return batches
 
 

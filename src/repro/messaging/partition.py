@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Any, Sequence
 
 from repro.common.compression import BatchFrame
@@ -41,11 +40,7 @@ from repro.common.errors import (
     NotLeaderForPartitionError,
     StaleEpochError,
 )
-from repro.common.records import (
-    TRACE_HEADER,
-    StoredMessage,
-    TopicPartition,
-)
+from repro.common.records import TRACE_HEADER, TopicPartition
 from repro.observability.trace import current_tracer
 from repro.storage.log import (
     BatchEntry,
@@ -54,7 +49,7 @@ from repro.storage.log import (
     clip,
     runs_overlapping,
 )
-from repro.storage.segment import FramedRun, join_runs
+from repro.storage.segment import select
 from repro.storage.tiered.tier import ColdTier
 
 ROLE_LEADER = "leader"
@@ -70,8 +65,6 @@ KIND_ABORT = "abort"
 #: cache is the producer's last few index entries.
 DEDUP_WINDOW_BATCHES = 5
 
-_offset_of = attrgetter("offset")
-
 
 @dataclass
 class ProduceResult:
@@ -81,38 +74,6 @@ class ProduceResult:
     last_offset: int
     latency: float
     duplicate: bool = False
-
-
-def _hide_framed(
-    result: ReadResult, bound: int, hidden: list[tuple[int, int]]
-) -> None:
-    """Cut a read's :class:`~repro.storage.segment.FramedRun` to what a
-    client may see: the offsets below ``bound`` outside the ``hidden`` runs.
-    The cut works on the run's offsets and builds no record."""
-    run = result.messages
-    offsets = run.offsets
-    end = bisect_left(offsets, bound)
-    runs = (
-        runs_overlapping(hidden, offsets[0], offsets[end - 1])
-        if hidden and end
-        else ()
-    )
-    if not runs and end == len(offsets):
-        return
-    visible: list[StoredMessage] | FramedRun = []
-    kept = 0  # run[:kept] is dealt with
-    for base, last in runs:
-        cut = bisect_left(offsets, base, kept, end)
-        visible = join_runs(visible, run[kept:cut])
-        kept = bisect_right(offsets, last, cut, end)
-    visible = join_runs(visible, run[kept:end])
-    if len(visible) != len(run):
-        result.messages = visible
-        result.stored_bytes = sum(
-            visible.stored_sizes()
-            if type(visible) is FramedRun
-            else [m.stored_size for m in visible]
-        )
 
 
 class PartitionReplica:
@@ -337,6 +298,13 @@ class PartitionReplica:
         additionally bounds the read by the last stable offset, hides
         aborted transactional records, and hides control markers.
 
+        Visibility is one cut over the read's offset column, whatever the
+        read holds — records, frames, a cold read or a cold read stitched to
+        the hot log: bisect it against the bound and the hidden runs, and
+        let :func:`~repro.storage.segment.select` build the visible run, its
+        offsets and its stored bytes.  A read that hides nothing is returned
+        as the log produced it, its run the log's own.
+
         On a tiered partition, an ``offset`` that retention has already
         moved below ``log_start_offset`` is served transparently from the
         cold tier (and stitched into the hot log when the read crosses the
@@ -361,33 +329,29 @@ class PartitionReplica:
         if isolation == "read_committed":
             bound = min(bound, self.last_stable_offset)
             hidden = self._hidden
-        messages = result.messages
-        if type(messages) is FramedRun:
-            if hidden or messages.offsets[-1] >= bound:
-                _hide_framed(result, bound, hidden)
-        elif messages and (hidden or messages[-1].offset >= bound):
-            # The run against the bound and the hidden runs, by bisection:
-            # when it ends below the bound and none intersects it, the
-            # log's own list goes out untouched.
-            end = bisect_left(messages, bound, key=_offset_of)
+        offsets = result.offsets
+        if offsets and (hidden or offsets[-1] >= bound):
+            # The one cut, for every read: the offset column against the
+            # bound and the hidden runs, by bisection.  When the read ends
+            # below the bound and no hidden run intersects it, the log's own
+            # run goes out untouched.
+            end = bisect_left(offsets, bound)
             runs = (
-                runs_overlapping(
-                    hidden, messages[0].offset, messages[end - 1].offset
-                )
+                runs_overlapping(hidden, offsets[0], offsets[end - 1])
                 if hidden and end
                 else ()
             )
-            if runs or end < len(messages):
-                visible: list[StoredMessage] = []
-                kept = 0  # messages[:kept] are dealt with
+            if runs or end < len(offsets):
+                spans = []
+                kept = 0  # offsets[:kept] are dealt with
                 for base, last in runs:
-                    cut = bisect_left(messages, base, kept, end, key=_offset_of)
-                    visible += messages[kept:cut]
-                    kept = bisect_right(messages, last, cut, end, key=_offset_of)
-                visible += messages[kept:end]
-                if len(visible) != len(messages):
-                    result.messages = visible
-                    result.stored_bytes = sum([m.stored_size for m in visible])
+                    cut = bisect_left(offsets, base, kept, end)
+                    spans.append((kept, cut))
+                    kept = bisect_right(offsets, last, cut, end)
+                spans.append((kept, end))
+                visible = select(result.messages, offsets, spans)
+                if visible is not None:
+                    result.messages, result.offsets, result.stored_bytes = visible
         tracer = current_tracer()
         if tracer is not None and result.messages:
             now = self.log.clock.now()
@@ -408,16 +372,14 @@ class PartitionReplica:
     # -- replication bookkeeping ---------------------------------------------------------
 
     def replicate_batch(
-        self,
-        messages: list[StoredMessage] | FramedRun,
-        entries: list[BatchEntry] | None = None,
+        self, read: ReadResult, entries: list[BatchEntry] | None = None
     ) -> float:
-        """Follower-side append of records fetched from the leader: the
-        leader's read, records or a :class:`~repro.storage.segment.FramedRun`.
+        """Follower-side append of the leader's ``read`` (a replica fetch).
 
-        The whole fetched batch lands through one
-        :meth:`~repro.storage.log.PartitionLog.append_stored_batch` call —
-        one roll/index/page-cache pass instead of one per record.
+        The whole fetched run lands through one
+        :meth:`~repro.storage.log.PartitionLog.append_stored_batch` call,
+        handed the read's offset column — one roll/index/page-cache pass
+        instead of one per record, and no column rebuilt from the records.
         ``entries`` carries the leader's batch-index entries overlapping the
         range, counted from this log's end: each is clipped to what was
         copied (a fetch may stop inside a batch; the next copy grows the
@@ -430,15 +392,13 @@ class PartitionReplica:
         """
         if self.role == ROLE_LEADER:
             raise ConfigError(f"{self.partition}: leader cannot replicate from itself")
-        # A FramedRun holds at least one frame slice, so only a list of
-        # records can be empty.
-        if type(messages) is not FramedRun and not messages:
+        if not read.offsets:
             return 0.0
         # The leader's records and frames themselves, not copies: a
         # StoredMessage is immutable once appended, like a frame.
         log = self.log
         lo = log.log_end_offset if entries else 0
-        appended = log.append_stored_batch(messages)
+        appended = log.append_stored_batch(read.messages, read.offsets)
         latency = appended.latency
         if entries:
             hi = appended.last_offset
@@ -449,7 +409,7 @@ class PartitionReplica:
         tracer = current_tracer()
         if tracer is not None:
             now = self.log.clock.now()
-            for message in messages:
+            for message in read.messages:
                 ctx = message.headers.get(TRACE_HEADER) if message.headers else None
                 if ctx is not None:
                     tracer.record(

@@ -181,10 +181,8 @@ class ReplicationManager:
 
         fetch_offset = follower_replica.log_end_offset
         try:
-            messages, leader_leo, leader_hw, stored_bytes, entries = (
-                leader_broker.replica_fetch(
-                    partition, fetch_offset, follower_id, self.max_fetch
-                )
+            read, leader_leo, leader_hw, entries = leader_broker.replica_fetch(
+                partition, fetch_offset, follower_id, self.max_fetch
             )
         except (
             BrokerUnavailableError,
@@ -192,13 +190,13 @@ class ReplicationManager:
             OffsetOutOfRangeError,
         ):
             return False
-        if messages:
+        if read.offsets:
             # Batch-index entries ride along: the follower learns the
             # producer state the records carry, and compressed batches land
             # as the same opaque frames the leader stores (no re-encode).
-            follower_replica.replicate_batch(messages, entries)
-            stats.messages_copied += len(messages)
-            self.cluster.metrics.counter(_M_WIRE_BYTES).increment(stored_bytes)
+            follower_replica.replicate_batch(read, entries)
+            stats.messages_copied += len(read.offsets)
+            self.cluster.metrics.counter(_M_WIRE_BYTES).increment(read.stored_bytes)
             # Report the new position so the leader can advance the HW
             # without waiting for the next pass.
             leader_hw = leader_replica.record_follower_position(

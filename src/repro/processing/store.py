@@ -15,7 +15,9 @@ Two implementations share the :class:`KeyValueStore` interface:
 * :class:`LsmStore` — memtable + sorted runs with simulated probe costs from
   the cost model, including run compaction.
 
-Both are keyed by the key itself, so a point operation is a dict operation,
+A store is written one way, :meth:`~KeyValueStore.put_many`: a run of
+writes, value ``None`` a delete, landed as one dict update.  Both are keyed
+by the key itself, so a point operation is a dict operation,
 and both order keys by one definition, :func:`order_key`, which runs only
 where order matters: when a run is built and when a range is cut.
 """
@@ -111,11 +113,7 @@ class KeyValueStore(Protocol):
 
     def get(self, key: Any) -> Any: ...
 
-    def put(self, key: Any, value: Any) -> None: ...
-
     def put_many(self, writes: dict[Any, Any]) -> None: ...
-
-    def delete(self, key: Any) -> None: ...
 
     def __contains__(self, key: Any) -> bool: ...
 
@@ -141,9 +139,6 @@ class InMemoryStore:
     def get(self, key: Any) -> Any:
         return self._data.get(key)
 
-    def put(self, key: Any, value: Any) -> None:
-        self._data[key] = value
-
     def put_many(self, writes: dict[Any, Any]) -> None:
         """Apply a run of writes at once; value ``None`` deletes."""
         data = self._data
@@ -152,9 +147,6 @@ class InMemoryStore:
             for key, value in writes.items():
                 if value is None:
                     del data[key]
-
-    def delete(self, key: Any) -> None:
-        self._data.pop(key, None)
 
     def __contains__(self, key: Any) -> bool:
         return key in self._data

@@ -15,8 +15,8 @@ segment-contiguous chunk to one :meth:`~repro.storage.segment.LogSegment.extend`
 call, and :meth:`PartitionLog.read` gathers each segment's share with one
 :meth:`~repro.storage.segment.LogSegment.read_into` call.  A read comes back
 as the records themselves, or, where it reached a framed run, as a
-:class:`~repro.storage.segment.FramedRun`, and a follower copying it stores
-the same frame; records are built from a frame only for a reader that asks
+:class:`~repro.storage.segment.FramedRun`, with its offset column beside it,
+and a follower copying it stores the same frame; records are built from a frame only for a reader that asks
 for them — a fetch that cuts the frame, compaction, truncation, the tiered
 archiver, :meth:`PartitionLog.all_messages` — once per read.
 
@@ -32,7 +32,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import attrgetter
+from operator import attrgetter, lt
 from typing import Any, Sequence
 
 from repro.common.clock import SimClock
@@ -41,7 +41,16 @@ from repro.common.errors import ConfigError, OffsetOutOfRangeError
 from repro.common.records import RECORD_FRAMING_BYTES, StoredMessage, TopicPartition
 from repro.chaos.failpoints import failpoint
 from repro.storage.pagecache import PageCache
-from repro.storage.segment import FramedRun, LogSegment, Piece, StoredFrame, run_of
+from repro.storage.segment import (
+    FramedRun,
+    LogSegment,
+    Piece,
+    Run,
+    StoredFrame,
+    copy_of,
+    join_runs,
+    run_of,
+)
 
 
 @dataclass(frozen=True)
@@ -86,7 +95,16 @@ class BatchAppendResult:
 
 @dataclass
 class ReadResult:
-    """Outcome of a log read: records plus charged latency.
+    """Outcome of a log read: records, their offsets, and charged latency.
+
+    ``messages`` is the run as held (:data:`~repro.storage.segment.Run`):
+    the log's own records, or, where the read reached a run the log holds
+    as its frame, a run whose records are built only when a reader asks for
+    them.  ``offsets`` is its offset column, an ``array('q')`` parallel to
+    it, which the segments' offset columns already give: whoever cuts,
+    groups or copies the run bisects and compares this column and hands the
+    run to :mod:`repro.storage.segment`, so no layer above asks how a run is
+    held or walks its records for their offsets.
 
     ``next_offset`` is where a sequential reader should continue — one past
     the last *scanned* record.  Layers above may filter records out of
@@ -96,17 +114,24 @@ class ReadResult:
     ``stored_bytes`` is the physical size of ``messages`` — read off the
     segments' cumulative positions, so the wire, quota and byte-budget
     charges above never re-sum ``stored_size`` per record.
-
-    A read that reached a run the log holds as its frame returns
-    ``messages`` as a :class:`~repro.storage.segment.FramedRun`: the run as
-    held, whose records are built only when a reader asks for them.
     """
 
-    messages: list[StoredMessage] | FramedRun
+    messages: Run
+    offsets: array
     latency: float
     log_end_offset: int
     next_offset: int = 0
     stored_bytes: int = 0
+
+    def extend(self, tail: ReadResult) -> None:
+        """Continue this read with ``tail``, the read that picks up at its
+        ``next_offset``: a cold read stitched to the hot log."""
+        self.offsets += tail.offsets
+        self.messages = join_runs(self.messages, tail.messages, self.offsets)
+        self.latency += tail.latency
+        self.log_end_offset = tail.log_end_offset
+        self.next_offset = tail.next_offset
+        self.stored_bytes += tail.stored_bytes
 
 
 #: One batch-index entry: ``(base, last, producer_id, producer_seq, kind,
@@ -202,7 +227,7 @@ class PartitionLog:
     def append_stored(self, message: StoredMessage) -> AppendResult:
         """Append a pre-built record, preserving its offset: a one-record
         :meth:`append_stored_batch`."""
-        result = self.append_stored_batch([message])
+        result = self.append_stored_batch([message], array("q", [message.offset]))
         return AppendResult(result.base_offset, result.latency)
 
     def append_batch(
@@ -335,65 +360,50 @@ class PartitionLog:
         self.note_batch(base, last, producer_id, producer_seq, kind, frame)
         return BatchAppendResult(base, last, latency, frame.count)
 
-    def append_stored_batch(
-        self, messages: list[StoredMessage] | FramedRun
-    ) -> BatchAppendResult:
+    def append_stored_batch(self, run: Run, offsets: array) -> BatchAppendResult:
         """Append a fetched run, preserving its offsets: a follower copying
         the leader.
 
-        Offsets must continue the leader's sequence (strictly increasing,
-        starting at or beyond the local end offset; gaps from compaction are
-        allowed).  An out-of-order record ends the batch: the records before
-        it are appended, then :class:`ConfigError` is raised.  A
-        :class:`~repro.storage.segment.FramedRun` lands as the copy holds it
-        (:meth:`~repro.storage.segment.FramedRun.copied`): a whole frame as
-        the same frame, a cut one as its records.  The batch index entries
-        the copy carries are noted by the caller (:meth:`note_batch`).
+        ``offsets`` is the run's offset column, as the leader's read returned
+        it.  Offsets must continue the leader's sequence (strictly
+        increasing, starting at or beyond the local end offset; gaps from
+        compaction are allowed).  An out-of-order offset ends the batch: the
+        records before it are appended, then :class:`ConfigError` is
+        raised.  The run lands as a copy holds it
+        (:func:`~repro.storage.segment.copy_of`): a whole frame as the same
+        frame, a cut one as its records.  The batch index entries the copy
+        carries are noted by the caller (:meth:`note_batch`).
         """
-        failpoint("log.append", log=self.name, count=len(messages))
-        if type(messages) is FramedRun:
-            offsets = messages.offsets
-            # A read's offsets strictly increase: only the first can be late.
-            if offsets[0] < self._next_offset:
-                raise ConfigError(
-                    f"replica append out of order: {offsets[0]} < "
-                    f"{self._next_offset}"
-                )
-            latency = self._append_run(
-                messages.copied(), messages.stored_sizes(), offsets
-            )
-            return BatchAppendResult(
-                offsets[0], offsets[-1], latency, messages.count
-            )
-        valid = len(messages)
+        failpoint("log.append", log=self.name, count=len(offsets))
         error: ConfigError | None = None
         expected = self._next_offset
-        for i, message in enumerate(messages):
-            if message.offset < expected:
-                error = ConfigError(
-                    f"replica append out of order: {message.offset} < "
-                    f"{expected}"
-                )
-                valid = i
-                break
-            expected = message.offset + 1
-        run = messages[:valid] if valid < len(messages) else messages
-        latency = self._append_run(
-            run, [m.stored_size for m in run], array("q", [m.offset for m in run])
-        )
+        # Checked in C over the column; only a failing batch is walked.
+        if offsets and (
+            offsets[0] < expected or not all(map(lt, offsets, offsets[1:]))
+        ):
+            valid = 0
+            for offset in offsets:
+                if offset < expected:
+                    break
+                expected = offset + 1
+                valid += 1
+            error = ConfigError(
+                f"replica append out of order: {offset} < {expected}"
+            )
+            run, offsets = run[:valid], offsets[:valid]
+        held, sizes = copy_of(run)
+        latency = self._append_run(held, sizes, offsets)
         if error is not None:
             raise error
-        if not run:
+        if not offsets:
             return BatchAppendResult(
                 self._next_offset, self._next_offset - 1, 0.0, 0
             )
-        return BatchAppendResult(
-            run[0].offset, run[-1].offset, latency, len(run)
-        )
+        return BatchAppendResult(offsets[0], offsets[-1], latency, len(offsets))
 
     def _append_run(
         self,
-        run: list[StoredMessage] | FramedRun,
+        run: Run,
         sizes: list[int],
         offsets: array,
     ) -> float:
@@ -487,7 +497,9 @@ class PartitionLog:
                 offset, self._log_start_offset, self._next_offset
             )
         if max_messages <= 0:
-            return ReadResult([], 0.0, self._next_offset, next_offset=offset)
+            return ReadResult(
+                [], array("q"), 0.0, self._next_offset, next_offset=offset
+            )
 
         pieces: list[Piece] = []
         offsets = array("q")
@@ -519,7 +531,7 @@ class PartitionLog:
                 break  # the byte budget is spent
             seg_idx += 1
         return ReadResult(
-            run_of(pieces, offsets, count), latency, self._next_offset,
+            run_of(pieces, offsets, count), offsets, latency, self._next_offset,
             next_offset, stored_bytes,
         )
 
@@ -564,17 +576,14 @@ class PartitionLog:
             return []
         return runs_overlapping(self._batches, lo, hi)
 
-    def batches_spanned_by(
-        self, offset: int, messages: list[StoredMessage] | FramedRun
-    ) -> list[BatchEntry]:
+    def batches_spanned_by(self, offset: int, offsets: array) -> list[BatchEntry]:
         """:meth:`batches_between` a fetch's ``offset`` and the last record
-        it read — from the offset, not the first record, so an entry whose
-        records compaction has since removed still ships."""
-        if type(messages) is FramedRun:
-            return self.batches_between(offset, messages.offsets[-1])
-        if not messages:
+        it read (``offsets`` is the read's offset column) — from the offset,
+        not the first record, so an entry whose records compaction has since
+        removed still ships."""
+        if not offsets or not self._batches:
             return []
-        return self.batches_between(offset, messages[-1].offset)
+        return runs_overlapping(self._batches, offset, offsets[-1])
 
     def _clear_frames(self, lo: int, hi: int) -> None:
         """Compaction or retention rewrote offsets ``[lo, hi]``: the entries

@@ -31,6 +31,14 @@ caller gets: the records themselves when every piece is a record list, else
 a :class:`FramedRun`.  Records are built from a frame only for a reader that
 asks for them, once per read.  Rewrites (compaction, truncation) take
 records, so a rewritten range is held as records from then on.
+
+This module is the only one that knows which of the two a stretch of a run
+is.  A read carries its run's offset column beside it, and everything
+above the log works on that column and hands the run back here:
+:func:`select` keeps index spans of a run (read_committed visibility, the
+high watermark), :func:`join_runs` stitches two reads, :func:`records`
+builds a range of records for a fetch response and :func:`copy_of` turns a
+leader's read into what a follower's copy holds.
 """
 
 from __future__ import annotations
@@ -47,6 +55,7 @@ from repro.common.errors import ConfigError
 from repro.common.records import StoredMessage, TopicPartition
 
 _timestamp_of = attrgetter("timestamp")
+_stored_size_of = attrgetter("stored_size")
 _first_of = itemgetter(0)
 
 
@@ -116,6 +125,12 @@ class StoredFrame:
 #: run builds no object per stretch beyond the tuple itself.
 Piece = Union[list, tuple]
 
+#: A run of a log's records as held: the records themselves, or a
+#: :class:`FramedRun` where a frame stands for some of them.  Outside this
+#: module a run is handled through the functions below and its offset
+#: column, never by asking which of the two it is.
+Run = Union[list[StoredMessage], "FramedRun"]
+
 
 def _add_piece(pieces: list[Piece], piece: Piece) -> None:
     """Append ``piece`` to ``pieces``, joining it to the last one when both
@@ -130,9 +145,26 @@ def _add_piece(pieces: list[Piece], piece: Piece) -> None:
     pieces.append(piece)
 
 
-def run_of(
-    pieces: list[Piece], offsets: array, count: int
-) -> list[StoredMessage] | FramedRun:
+def _slice(pieces: list[Piece], start: int, stop: int, out: list[Piece]) -> None:
+    """Add the stretches of ``pieces`` that hold the run's records ``[start,
+    stop)`` to ``out``, as held."""
+    at = 0  # index of the piece's first record
+    for piece in pieces:
+        if at >= stop:
+            break
+        listed = type(piece) is list
+        count = len(piece) if listed else piece[2] - piece[1]
+        lo = start - at if start > at else 0
+        hi = stop - at if stop - at < count else count
+        if lo < hi:
+            if listed:
+                _add_piece(out, piece if hi - lo == count else piece[lo:hi])
+            else:
+                _add_piece(out, (piece[0], piece[1] + lo, piece[1] + hi))
+        at += count
+
+
+def run_of(pieces: list[Piece], offsets: array, count: int) -> Run:
     """The run ``pieces`` hold: a :class:`FramedRun` when a frame slice is
     among them, else the records themselves (one list, not copied when it is
     the only piece)."""
@@ -141,29 +173,97 @@ def run_of(
             return FramedRun(pieces, offsets, count)
     if len(pieces) == 1:
         return pieces[0]
-    records: list[StoredMessage] = []
+    out: list[StoredMessage] = []
     for piece in pieces:
-        records += piece
-    return records
+        out += piece
+    return out
 
 
-def join_runs(
-    head: list[StoredMessage] | FramedRun, tail: list[StoredMessage] | FramedRun
-) -> list[StoredMessage] | FramedRun:
-    """``head`` then ``tail`` as one run; a frame the two cut between them
-    is one slice again."""
+def join_runs(head: Run, tail: Run, offsets: array) -> Run:
+    """``head`` then ``tail`` as one run, ``offsets`` the joined offset
+    column; a frame the two cut between them is one slice again."""
     pieces: list[Piece] = []
-    offsets = array("q")
     for run in (head, tail):
-        if type(run) is list:
-            if run:
-                _add_piece(pieces, run)
-                offsets += array("q", [m.offset for m in run])
-        else:
-            for piece in run.pieces:
+        for piece in [run] if type(run) is list else run.pieces:
+            if piece:
                 _add_piece(pieces, piece)
-            offsets += run.offsets
     return run_of(pieces, offsets, len(offsets))
+
+
+def select(
+    run: Run, offsets: array, spans: list[tuple[int, int]]
+) -> tuple[Run, array, int] | None:
+    """The records of ``run`` at the index ``spans`` — ascending, disjoint
+    ``[lo, hi)`` ranges into ``offsets``, the run's offset column — as a
+    run as held, with its offset column and its stored bytes; ``None`` when
+    the spans keep every record, so the caller keeps the run it has."""
+    kept = array("q")
+    for lo, hi in spans:
+        kept += offsets[lo:hi]
+    if len(kept) == len(offsets):
+        return None
+    if type(run) is list:
+        visible: list[StoredMessage] = []
+        for lo, hi in spans:
+            visible += run[lo:hi]
+        return visible, kept, sum(map(_stored_size_of, visible))
+    pieces: list[Piece] = []
+    for lo, hi in spans:
+        _slice(run.pieces, lo, hi, pieces)
+    visible = run_of(pieces, kept, len(kept))
+    return visible, kept, sum(stored_sizes(visible))
+
+
+def records(run: Run, start: int = 0, stop: int | None = None) -> list[StoredMessage]:
+    """Records ``[start, stop)`` of ``run`` (to its end when ``stop`` is
+    ``None``) in a list, built from the frames for framed stretches: the run
+    itself when it is a list and the range all of it."""
+    if type(run) is list:
+        return run[start:stop] if start or stop is not None else run
+    pieces: list[Piece] = []
+    _slice(run.pieces, start, run.count if stop is None else stop, pieces)
+    out: list[StoredMessage] = []
+    for piece in pieces:
+        out += piece if type(piece) is list else piece[0].records(piece[1], piece[2])
+    return out
+
+
+def stored_sizes(run: Run) -> list[int]:
+    """Each record's ``stored_size``, read off the frames for framed
+    stretches."""
+    out: list[int] = []
+    for piece in [run] if type(run) is list else run.pieces:
+        if type(piece) is list:
+            out += map(_stored_size_of, piece)
+        else:
+            out += piece[0].frame.stored_sizes()[piece[1] : piece[2]]
+    return out
+
+
+def copy_of(run: Run) -> tuple[Run, list[int]]:
+    """The run as a replica copy stores it, and its records' stored sizes.
+
+    A frame the run holds only a cut of is held as those records (a frame
+    stands for its whole batch only); a whole one stays its frame.
+    """
+    pieces = [run] if type(run) is list else run.pieces
+    sizes: list[int] = []
+    held: list[Piece] | None = None  # set at the first cut frame
+    for i, piece in enumerate(pieces):
+        if type(piece) is list:
+            sizes += map(_stored_size_of, piece)
+        else:
+            stored, lo, hi = piece
+            sizes += stored.frame.stored_sizes()[lo:hi]
+            if lo or hi != stored.frame.count:
+                if held is None:
+                    held = pieces[:i]
+                piece = stored.records(lo, hi)
+        if held is not None:
+            _add_piece(held, piece)
+    if held is not None:
+        run = run_of(held, run.offsets, run.count)
+    return run, sizes
 
 
 class FramedRun(Sequence):
@@ -171,11 +271,10 @@ class FramedRun(Sequence):
     held as its frame: what a read that reached a framed run returns.
 
     ``pieces`` are the stretches (:data:`Piece`), ``offsets`` every record's
-    offset (an ``array('q')``) and ``count`` their number.  Length, offsets,
-    slicing (which returns a run again) and :meth:`stored_sizes` build no
-    record.  Indexing, iterating or comparing builds the records, once, and
-    keeps them on this run, which lives as long as the read that returned
-    it; :meth:`records` builds a range of them.
+    offset (an ``array('q')``) and ``count`` their number.  Length and
+    slicing (which returns a run again) build no record.  Indexing,
+    iterating or comparing builds the records, once, and keeps them on this
+    run, which lives as long as the read that returned it.
     """
 
     __slots__ = ("pieces", "offsets", "count", "_records")
@@ -203,10 +302,10 @@ class FramedRun(Sequence):
             start, stop, step = index.indices(self.count)
             if step != 1:
                 raise ValueError("a run slices with step 1 only")
-            return self.between(start, stop)
-        if self._records is None:
-            self.records()
-        return self._records[index]
+            pieces: list[Piece] = []
+            _slice(self.pieces, start, stop, pieces)
+            return run_of(pieces, self.offsets[start:stop], stop - start)
+        return self.records()[index]
 
     def __iter__(self) -> Iterator[StoredMessage]:
         return iter(self.records())
@@ -216,75 +315,12 @@ class FramedRun(Sequence):
             return self.records() == list(other)
         return NotImplemented
 
-    def records(self, start: int = 0, stop: int | None = None) -> list[StoredMessage]:
-        """Records ``[start, stop)`` of the run, built from the frames for
-        framed stretches; the whole run's are built once and kept."""
-        if stop is None or stop > self.count:
-            stop = self.count
-        if self._records is not None:
-            return self._records[start:stop]
-        out: list[StoredMessage] = []
-        for piece, lo, hi in self._cut(start, stop):
-            if type(piece) is list:
-                out += piece[lo:hi]
-            else:
-                out += piece[0].records(piece[1] + lo, piece[1] + hi)
-        if start == 0 and stop == self.count:
-            self._records = out
-        return out
-
-    def between(self, start: int, stop: int) -> list[StoredMessage] | FramedRun:
-        """Records ``[start, stop)`` as a run, as held."""
-        pieces: list[Piece] = []
-        for piece, lo, hi in self._cut(start, stop):
-            if type(piece) is list:
-                pieces.append(piece if hi - lo == len(piece) else piece[lo:hi])
-            else:
-                pieces.append((piece[0], piece[1] + lo, piece[1] + hi))
-        return run_of(pieces, self.offsets[start:stop], stop - start)
-
-    def _cut(self, start: int, stop: int) -> list[tuple[Piece, int, int]]:
-        """``(piece, lo, hi)`` for each piece holding records of
-        ``[start, stop)``: its records ``[lo, hi)``."""
-        out = []
-        at = 0  # index of the piece's first record
-        for piece in self.pieces:
-            if at >= stop:
-                break
-            count = len(piece) if type(piece) is list else piece[2] - piece[1]
-            lo = start - at if start > at else 0
-            hi = stop - at if stop - at < count else count
-            if lo < hi:
-                out.append((piece, lo, hi))
-            at += count
-        return out
-
-    def stored_sizes(self) -> list[int]:
-        """Each record's ``stored_size``, read off the frames for framed
-        stretches."""
-        out: list[int] = []
-        for piece in self.pieces:
-            if type(piece) is list:
-                out += [m.stored_size for m in piece]
-            else:
-                out += piece[0].frame.stored_sizes()[piece[1] : piece[2]]
-        return out
-
-    def copied(self) -> list[StoredMessage] | FramedRun:
-        """The run as a replica copy stores it: a frame the run holds only a
-        cut of is held as those records (a frame stands for its whole batch
-        only), a whole one stays its frame."""
-        pieces: list[Piece] | None = None  # set at the first cut frame
-        for i, piece in enumerate(self.pieces):
-            if type(piece) is tuple and (piece[1] or piece[2] != piece[0].frame.count):
-                if pieces is None:
-                    pieces = self.pieces[:i]
-                piece = piece[0].records(piece[1], piece[2])
-            if pieces is not None:
-                _add_piece(pieces, piece)
-        if pieces is None:
-            return self
-        return run_of(pieces, self.offsets, self.count)
+    def records(self) -> list[StoredMessage]:
+        """The run's records, built from the frames for framed stretches
+        once and kept."""
+        if self._records is None:
+            self._records = records(self)
+        return self._records
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"FramedRun(n={self.count}, pieces={len(self.pieces)})"
@@ -333,7 +369,7 @@ class LogSegment:
 
     def extend(
         self,
-        run: list[StoredMessage] | FramedRun,
+        run: Run,
         offsets: array,
         positions: list[int],
         size_bytes: int,
@@ -388,7 +424,7 @@ class LogSegment:
 
     # -- read path ------------------------------------------------------------
 
-    def run(self) -> list[StoredMessage] | FramedRun:
+    def run(self) -> Run:
         """The segment's records as held, for a reader that keeps none of
         them: a :class:`FramedRun` where a framed run is among them, else the
         segment's own record list, not copied (a timestamp lookup bisects

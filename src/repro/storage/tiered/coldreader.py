@@ -57,7 +57,8 @@ class _HydratedSegment:
 
     def __init__(self, records: list[StoredMessage], size_bytes: int) -> None:
         self.records = records
-        self.offsets = [r.offset for r in records]
+        # From a list, which array converts in one pass.
+        self.offsets = array("q", [r.offset for r in records])
         # positions[i] = byte offset of record i; final element = total size,
         # so served byte ranges are prefix-sum arithmetic as in LogSegment,
         # and machine words as there.  Physical (stored) sizes: compressed
@@ -152,6 +153,7 @@ class ColdReader:
         if start is None or end is None or offset < start:
             raise OffsetOutOfRangeError(offset, start if start is not None else 0, end if end is not None else 0)
         collected: list[StoredMessage] = []
+        offsets = array("q")
         latency = 0.0
         stored_bytes = 0
         byte_budget = max_bytes if max_bytes is not None else 1 << 62
@@ -180,8 +182,15 @@ class ColdReader:
                 latency += self._charge_read(
                     entry.object_key, positions[idx], nbytes
                 )
-                collected.extend(hydrated.records[idx:keep])
-                cursor = hydrated.offsets[keep - 1] + 1
+                # Most reads stay in one segment: its slices are the read's
+                # lists, not copied again into empty ones.
+                if collected:
+                    collected += hydrated.records[idx:keep]
+                    offsets += hydrated.offsets[idx:keep]
+                else:
+                    collected = hydrated.records[idx:keep]
+                    offsets = hydrated.offsets[idx:keep]
+                cursor = offsets[-1] + 1
                 self.metrics.counter(_M_COLD_RECORDS_READ).increment(
                     keep - idx
                 )
@@ -190,11 +199,13 @@ class ColdReader:
             entry = self.manifest.next_entry(entry)
             if entry is not None:
                 cursor = max(cursor, entry.first_offset)
-        next_offset = collected[-1].offset + 1 if collected else offset
+        next_offset = offsets[-1] + 1 if offsets else offset
         if entry is None and len(collected) < max_messages and byte_budget > 0:
             # Ran off the end of the archive: the hot log continues at `end`.
             next_offset = max(next_offset, end)
-        return ReadResult(collected, latency, end, next_offset, stored_bytes)
+        return ReadResult(
+            collected, offsets, latency, end, next_offset, stored_bytes
+        )
 
     def _charge_read(self, object_key: str, position: int, nbytes: int) -> float:
         """Cost of copying served bytes out of the hydrated segment."""

@@ -14,7 +14,6 @@ from __future__ import annotations
 from repro.common.errors import OffsetOutOfRangeError
 from repro.common.metrics import MetricsRegistry, metric_name
 from repro.storage.log import PartitionLog, ReadResult
-from repro.storage.segment import join_runs
 from repro.storage.tiered.archiver import SegmentArchiver
 from repro.storage.tiered.coldreader import ColdReader
 from repro.storage.tiered.config import TieredConfig
@@ -104,7 +103,7 @@ class ColdTier:
         self.metrics.counter(_M_COLD_READS).increment()
         self.metrics.histogram(_M_COLD_READ_LATENCY).observe(result.latency)
         result.log_end_offset = self.log.log_end_offset
-        remaining = max_messages - len(result.messages)
+        remaining = max_messages - len(result.offsets)
         byte_budget = None
         if max_bytes is not None:
             byte_budget = max_bytes - result.stored_bytes
@@ -116,14 +115,9 @@ class ColdTier:
             and result.next_offset >= self.log.log_start_offset
             and result.next_offset < self.log.log_end_offset
         ):
-            hot = self.log.read(result.next_offset, remaining, byte_budget)
-            if type(hot.messages) is list:
-                result.messages += hot.messages
-            else:
-                result.messages = join_runs(result.messages, hot.messages)
-            result.latency += hot.latency
-            result.next_offset = hot.next_offset
-            result.stored_bytes += hot.stored_bytes
+            result.extend(
+                self.log.read(result.next_offset, remaining, byte_budget)
+            )
         return result
 
     def offset_for_timestamp(self, timestamp: float) -> int | None:

@@ -12,6 +12,7 @@ segment layout and roll points, record positions, simulated latency to the
 last ulp, and the commit-prefix-then-raise error behaviour.
 """
 
+from array import array
 from types import SimpleNamespace
 
 import pytest
@@ -155,6 +156,11 @@ def layout(log: PartitionLog) -> dict:
     }
 
 
+def offsets_of(records) -> array:
+    """The offset column a leader's read hands a follower with ``records``."""
+    return array("q", [r.offset for r in records])
+
+
 def raised(call, *args) -> str | None:
     """The ConfigError text ``call(*args)`` raises, or None."""
     try:
@@ -257,7 +263,7 @@ class TestAppendStoredBatchEquivalence:
         reference, batched = ReferenceLog(config), fresh_log(config)
         for chunk in chunked(messages, draw):
             latency = reference.append_stored(chunk)
-            result = batched.append_stored_batch(chunk)
+            result = batched.append_stored_batch(chunk, offsets_of(chunk))
             assert result.latency == latency
             assert (result.base_offset, result.last_offset, result.count) == (
                 chunk[0].offset, chunk[-1].offset, len(chunk)
@@ -278,7 +284,9 @@ class TestAppendStoredBatchEquivalence:
         reference, batched = ReferenceLog(config), fresh_log(config)
         expected = raised(reference.append_stored, poisoned)
         assert expected is not None
-        assert raised(batched.append_stored_batch, poisoned) == expected
+        assert raised(
+            batched.append_stored_batch, poisoned, offsets_of(poisoned)
+        ) == expected
         assert batched.log_end_offset == messages[bad_after - 1].offset + 1
         assert layout(batched) == reference.layout()
 

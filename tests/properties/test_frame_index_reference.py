@@ -24,6 +24,7 @@ meets producer state.
 
 from __future__ import annotations
 
+from array import array
 from unittest import mock
 
 from hypothesis import example, given, settings, strategies as st
@@ -93,8 +94,8 @@ def shadowed_log_class(shipped: dict):
                 self.ref.register(result.base_offset, result.last_offset, frame)
             return result
 
-        def append_stored_batch(self, messages):
-            result = super().append_stored_batch(messages)
+        def append_stored_batch(self, messages, offsets):
+            result = super().append_stored_batch(messages, offsets)
             _run, frames = shipped.pop(id(messages), (None, ()))
             for base, last, frame in frames:  # fully appended coverage only
                 if result.base_offset <= base and last <= result.last_offset:
@@ -129,7 +130,7 @@ def shipping(broker: Broker, shipped: dict):
 
     def replica_fetch(partition, offset, follower_id, max_messages=1000):
         response = fetch(partition, offset, follower_id, max_messages)
-        messages = response[0]
+        messages = response[0].messages
         shipped[id(messages)] = (
             messages, broker.replica(partition).log.ref.spanned_by(messages)
         )
@@ -155,7 +156,8 @@ def shape(batches) -> list:
 
 
 def served(messages, entries) -> list:
-    return shape(build_fetch_batches("t", 0, messages, entries))
+    offsets = array("q", [m.offset for m in messages])
+    return shape(build_fetch_batches("t", 0, messages, offsets, entries))
 
 
 # -- the schedule ---------------------------------------------------------------------
@@ -302,14 +304,15 @@ class Driven:
         ] == log.ref.runs
         for offset in range(replica.earliest_offset, replica.log_end_offset + 1):
             raw = replica.fetch(offset, few, committed_only=False).messages
-            got = replica.fetch(offset, few).messages
+            read = replica.fetch(offset, few)
+            got = read.messages
             # read_uncommitted hides the control markers and nothing else.
             want = [
                 m for m in raw
                 if m.offset < replica.high_watermark and "__ctrl" not in (m.headers or {})
             ]
             assert [m.offset for m in got] == [m.offset for m in want]
-            assert served(got, log.batches_spanned_by(offset, got)) == served(
+            assert served(got, log.batches_spanned_by(offset, read.offsets)) == served(
                 want, as_entries(log.ref.spanned_by(want))
             )
 

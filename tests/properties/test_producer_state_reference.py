@@ -341,10 +341,10 @@ def shadowed_replica_class():
                     twins[self.partition, message.offset] = (message, twin)
             return result
 
-        def replicate_batch(self, messages, entries=None) -> float:
-            latency = super().replicate_batch(messages, entries)
+        def replicate_batch(self, read, entries=None) -> float:
+            latency = super().replicate_batch(read, entries)
             copied = []
-            for m in messages:
+            for m in read.messages:
                 appended, twin = twins[self.partition, m.offset]
                 assert m == appended and m.stored_size == appended.stored_size
                 copied.append(twin)

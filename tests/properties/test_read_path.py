@@ -3,16 +3,18 @@
 ``PartitionReplica.fetch`` hands the log's run straight through when nothing
 in it can be hidden (no marker or aborted run intersects it, last offset
 under the HW/LSO bound), and every ``ReadResult`` carries the stored-byte total the
-segments' cumulative positions already give.  Nothing downstream re-walks the
-records, so these properties do: over random partition histories — plain,
+segments' cumulative positions already give and the offset column the segments'
+offsets already give.  Nothing downstream re-walks the records, so these
+properties do: over random partition histories — plain,
 idempotent, compressed, committed and aborted transactional batches, control
 markers with and without a producer id, a high watermark that stops
 mid-run, compaction gaps and a hot/cold tier boundary — the fetch must return
 exactly what the per-record visibility filter it replaced returns (kept below
 as the reference, over a model of the transactions the history ran: which
 offsets each wrote, which it aborted — the replica's own bookkeeping is not
-consulted), and every byte total must equal the per-record sum, for hot,
-cold and stitched cold→hot reads, with and without ``max_bytes``.
+consulted), and every byte total and offset column must equal the
+per-record ones, for hot, cold and stitched cold→hot reads, with and without
+``max_bytes``.
 """
 
 from array import array
@@ -211,6 +213,7 @@ class TestFetchEqualsThePerRecordFilter:
                         assert all(a is b for a, b in zip(got.messages, visible))
                     assert got.next_offset == next_offset
                     assert got.stored_bytes == stored(visible)
+                    assert list(got.offsets) == [m.offset for m in visible]
 
     @given(plain_histories)
     @settings(max_examples=60, deadline=None)
@@ -284,6 +287,7 @@ class TestStoredBytesIsAColumn:
                 want = reference_prefix(tail, max_messages, max_bytes)
                 assert cold.messages == want
                 assert cold.stored_bytes == stored(want)
+                assert list(cold.offsets) == [m.offset for m in want]
 
                 stitched = tier.read_through(offset, max_messages, max_bytes)
                 left = None if max_bytes is None else max_bytes - stored(want)
@@ -296,6 +300,7 @@ class TestStoredBytesIsAColumn:
                     want = want + reference_prefix(hot, max_messages - len(want), left)
                 assert stitched.messages == want
                 assert stitched.stored_bytes == stored(want)
+                assert list(stitched.offsets) == [m.offset for m in want]
 
 
 # -- a kept frame reads as the records it stands for ----------------------------------
@@ -335,7 +340,7 @@ class RecordsLog(PartitionLog):
         if offset < self._log_start_offset or offset > self._next_offset:
             raise OffsetOutOfRangeError(offset, self._log_start_offset, self._next_offset)
         if max_messages <= 0:
-            return ReadResult([], 0.0, self._next_offset, next_offset=offset)
+            return ReadResult([], array("q"), 0.0, self._next_offset, next_offset=offset)
         collected = []
         latency = 0.0
         stored_bytes = 0
@@ -374,7 +379,10 @@ class RecordsLog(PartitionLog):
             if seg_idx < len(segments):
                 cursor = max(cursor, segments[seg_idx].base_offset)
         next_offset = collected[-1].offset + 1 if collected else offset
-        return ReadResult(collected, latency, self._next_offset, next_offset, stored_bytes)
+        return ReadResult(
+            collected, array("q", [m.offset for m in collected]), latency,
+            self._next_offset, next_offset, stored_bytes,
+        )
 
 
 def replica_set(log_class):
@@ -466,10 +474,10 @@ class Twins:
                 offset = follower.log_end_offset
                 if not leader.earliest_offset <= offset <= log.log_end_offset:
                     continue  # a real follower would truncate or reset first
-                messages = leader.fetch(offset, step[1], committed_only=False).messages
-                if messages:
+                read = leader.fetch(offset, step[1], committed_only=False)
+                if read.messages:
                     follower.replicate_batch(
-                        messages, log.batches_spanned_by(offset, messages)
+                        read, log.batches_spanned_by(offset, read.offsets)
                     )
         elif kind == "compact":
             for replica in replicas:
@@ -523,8 +531,8 @@ class Twins:
                     # same records out of them.
                     served = [
                         build_fetch_batches(
-                            "t", 0, read.messages,
-                            replica.log.batches_spanned_by(offset, read.messages),
+                            "t", 0, read.messages, read.offsets,
+                            replica.log.batches_spanned_by(offset, read.offsets),
                         )
                         for read, replica in ((got, leader), (want, reference))
                     ]
@@ -544,6 +552,7 @@ def same_run(got, want) -> None:
 
 def same_read(got, want) -> None:
     same_run(got.messages, want.messages)
+    assert got.offsets == want.offsets == array("q", [m.offset for m in want.messages])
     assert (got.next_offset, got.stored_bytes, got.log_end_offset) == (
         want.next_offset, want.stored_bytes, want.log_end_offset
     )

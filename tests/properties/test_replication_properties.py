@@ -242,10 +242,8 @@ def reference_sync_follower(
 
     fetch_offset = follower_replica.log_end_offset
     try:
-        messages, leader_leo, leader_hw, stored_bytes, entries = (
-            leader_broker.replica_fetch(
-                partition, fetch_offset, follower_id, self.max_fetch
-            )
+        read, leader_leo, leader_hw, entries = leader_broker.replica_fetch(
+            partition, fetch_offset, follower_id, self.max_fetch
         )
     except (
         BrokerUnavailableError,
@@ -253,10 +251,10 @@ def reference_sync_follower(
         OffsetOutOfRangeError,
     ):
         return
-    if messages:
-        follower_replica.replicate_batch(messages, entries)
-        stats.messages_copied += len(messages)
-        self.cluster.metrics.counter(WIRE_BYTES).increment(stored_bytes)
+    if read.messages:
+        follower_replica.replicate_batch(read, entries)
+        stats.messages_copied += len(read.messages)
+        self.cluster.metrics.counter(WIRE_BYTES).increment(read.stored_bytes)
         leader_hw = leader_replica.record_follower_position(
             follower_id, follower_replica.log_end_offset
         )

@@ -38,10 +38,10 @@ class TestAgainstDictModel:
         model: dict = {}
         for op, key, value in ops:
             if op == "put":
-                store.put(key, value)
+                store.put_many({key: value})
                 model[key] = value
             else:
-                store.delete(key)
+                store.put_many({key: None})
                 model.pop(key, None)
             assert store.get(key) == model.get(key)
         for key in model:
@@ -58,10 +58,10 @@ class TestAgainstDictModel:
         model: dict = {}
         for op, key, value in ops:
             if op == "put":
-                store.put(key, value)
+                store.put_many({key: value})
                 model[key] = value
             else:
-                store.delete(key)
+                store.put_many({key: None})
                 model.pop(key, None)
         store.flush_memtable()
         store.compact()
@@ -74,10 +74,10 @@ class TestAgainstDictModel:
         model: dict = {}
         for op, key, value in ops:
             if op == "put":
-                store.put(key, value)
+                store.put_many({key: value})
                 model[key] = value
             else:
-                store.delete(key)
+                store.put_many({key: None})
                 model.pop(key, None)
         for key in "abcdefgh":
             assert (key in store) == (key in model)
@@ -93,12 +93,12 @@ class LsmStateMachine(RuleBasedStateMachine):
 
     @rule(key=keys, value=values)
     def put(self, key, value):
-        self.store.put(key, value)
+        self.store.put_many({key: value})
         self.model[key] = value
 
     @rule(key=keys)
     def delete(self, key):
-        self.store.delete(key)
+        self.store.put_many({key: None})
         self.model.pop(key, None)
 
     @rule()
@@ -301,12 +301,12 @@ class TestReadsMatchReference:
             written = []
             if op == "put":
                 for store in (lsm, ref, mem):
-                    store.put(key, value)
+                    store.put_many({key: value})
                 model[key] = value
                 written = [key]
             elif op == "delete":
                 for store in (lsm, ref, mem):
-                    store.delete(key)
+                    store.put_many({key: None})
                 model.pop(key, None)
                 written = [key]
             elif op == "put_many":

@@ -53,13 +53,13 @@ class PerMutationState(KeyValueState):
             raise StateStoreError(
                 f"state {self.name!r}: None values are reserved for deletes"
             )
-        self.store.put(key, value)
+        self.store.put_many({key: value})
         self.puts += 1
         if self.changelog is not None:
             self._stage(key, value)
 
     def delete(self, key):
-        self.store.delete(key)
+        self.store.put_many({key: None})
         self.deletes += 1
         if self.changelog is not None:
             self._stage(key, None)

@@ -79,12 +79,10 @@ class TestRequestPaths:
     def test_replica_fetch_reports_position(self):
         _clock, broker = leader_broker()
         broker.produce(TP, entries(3))
-        messages, leo, hw, stored_bytes, batches = broker.replica_fetch(
-            TP, 0, follower_id=1
-        )
-        assert len(messages) == 3
+        read, leo, hw, batches = broker.replica_fetch(TP, 0, follower_id=1)
+        assert len(read.messages) == 3 and list(read.offsets) == [0, 1, 2]
         assert leo == 3
-        assert stored_bytes == sum(m.stored_size for m in messages)
+        assert read.stored_bytes == sum(m.stored_size for m in read.messages)
         frames = [frame for *_entry, frame in batches if frame is not None]
         assert frames == []  # uncompressed produce keeps no frames
         assert batches == []  # ... and one without a producer id no entry
@@ -94,10 +92,10 @@ class TestRequestPaths:
         _clock, broker = leader_broker()
         broker.produce(TP, entries(3), producer_id=7, producer_seq=0)
         broker.produce(TP, entries(3), producer_id=7, producer_seq=1, transactional=True)
-        messages, *_rest, batches = broker.replica_fetch(
+        read, *_rest, batches = broker.replica_fetch(
             TP, 1, follower_id=1, max_messages=3
         )
-        assert [m.offset for m in messages] == [1, 2, 3]
+        assert [m.offset for m in read.messages] == list(read.offsets) == [1, 2, 3]
         assert batches == [
             (0, 2, 7, 0, "idempotent", None), (3, 5, 7, 1, "transactional", None)
         ]

@@ -10,6 +10,7 @@ nothing; ``ConsumerRecord`` instances come into being only in
 
 import gc
 import sys
+from array import array
 
 import pytest
 
@@ -57,6 +58,10 @@ def stored_run(count=12, linger=4, compression="zlib:6", **producer_options):
     return messages, log.batches_between(0, messages[-1].offset)
 
 
+def offsets_of(messages) -> array:
+    return array("q", [m.offset for m in messages])
+
+
 def materialise(batches):
     return [r for batch in batches for r in batch.inflate(DEFAULT_COST_MODEL)[0]]
 
@@ -77,7 +82,7 @@ def built(monkeypatch):
 class TestLazyDrain:
     def test_partial_take_leaves_later_frames_compressed_and_uncharged(self, built):
         messages, frames = stored_run()
-        batches = build_fetch_batches("t", 0, messages, frames)
+        batches = build_fetch_batches("t", 0, messages, offsets_of(messages), frames)
         assert [b.count for b in batches] == [4, 4, 4]
         assert all(b.messages is None and not b.inflated for b in batches)
         cost = DEFAULT_COST_MODEL
@@ -98,7 +103,7 @@ class TestLazyDrain:
 
     def test_plain_take_builds_nothing(self, built):
         messages, _frames = stored_run(compression="none")
-        (batch,) = build_fetch_batches("t", 0, messages, [])
+        (batch,) = build_fetch_batches("t", 0, messages, offsets_of(messages), [])
         assert batch.messages is messages  # the log's run itself, no copy
         buffer = FetchBuffer([batch], 12, latency=0.0, issued_at=0.0)
         records, latency = buffer.take(5, DEFAULT_COST_MODEL)
@@ -108,7 +113,7 @@ class TestLazyDrain:
         assert all(r is m for r, m in zip(rest, messages[5:]))
         assert len(rest) == 7 and built == []
         # The records are shared, the lists are not.
-        (whole,) = build_fetch_batches("t", 0, messages, [])
+        (whole,) = build_fetch_batches("t", 0, messages, offsets_of(messages), [])
         delivered, _latency = whole.inflate(DEFAULT_COST_MODEL)
         assert delivered == messages and delivered is not messages
 
@@ -223,7 +228,7 @@ class TestDecodedBatchLivesOnTheResponse:
 class TestPosition:
     def test_before_mid_and_after_with_trailing_skipped_markers(self):
         messages, _frames = stored_run(count=4, compression="none")
-        batches = build_fetch_batches("t", 0, messages, [])
+        batches = build_fetch_batches("t", 0, messages, offsets_of(messages), [])
         # Offsets 4 and 5 were control markers the broker filtered out.
         buffer = FetchBuffer(batches, 6, latency=0.0, issued_at=0.0)
         assert buffer.position() is None
@@ -244,8 +249,8 @@ class TestFramedEqualsPlain:
     @pytest.mark.parametrize("idempotent", [False, True])
     def test_same_records_either_way(self, idempotent):
         messages, frames = stored_run(idempotent=idempotent)
-        framed = build_fetch_batches("t", 0, messages, frames)
-        plain = build_fetch_batches("t", 0, messages, [])
+        framed = build_fetch_batches("t", 0, messages, offsets_of(messages), frames)
+        plain = build_fetch_batches("t", 0, messages, offsets_of(messages), [])
         assert [b.frame is not None for b in framed] == [True] * 3
         from_frames = materialise(framed)
         from_log = materialise(plain)
@@ -271,7 +276,9 @@ class TestFramedEqualsPlain:
             producer.send("t", ("n", i), key=f"k{i}")
         log = cluster.broker(0).replica(TP).log
         messages = log.all_messages()
-        framed = materialise(build_fetch_batches("t", 0, messages, log.batches()))
+        framed = materialise(
+            build_fetch_batches("t", 0, messages, offsets_of(messages), log.batches())
+        )
         assert len(framed) == 8
         for record, message in zip(framed, messages):
             assert type(record) is not type(message)
@@ -281,7 +288,8 @@ class TestFramedEqualsPlain:
 
     def test_frame_with_partial_visibility_falls_back_to_the_log(self):
         messages, frames = stored_run()
-        batches = build_fetch_batches("t", 0, messages[:6], frames)
+        visible = messages[:6]
+        batches = build_fetch_batches("t", 0, visible, offsets_of(visible), frames)
         assert [(b.frame is not None, b.count) for b in batches] == [
             (True, 4), (False, 2),
         ]

@@ -23,7 +23,7 @@ def log_of(*records: StoredMessage, per_segment: int = 10) -> PartitionLog:
     log = PartitionLog(
         "p-0", LogConfig(segment_max_messages=per_segment), clock=SimClock()
     )
-    log.append_stored_batch(list(records))
+    log.append_stored_batch(list(records), array("q", [r.offset for r in records]))
     return log
 
 
@@ -48,7 +48,7 @@ class TestMaybeAdd:
     def test_offsets_must_increase(self):
         log = log_of(record(5))
         with pytest.raises(ConfigError):
-            log.append_stored_batch([record(5)])
+            log.append_stored_batch([record(5)], array("q", [5]))
         assert list(log.active_segment()._offsets) == [5]
 
 

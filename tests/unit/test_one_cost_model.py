@@ -133,7 +133,7 @@ def test_a_world_charges_its_model():
     runner.run_until_idle()
     lsm = runner.task(0).stores["table"].store
     assert lsm.cost_model is model
-    lsm.put("k", 1)
+    lsm.put_many({"k": 1})
     assert lsm.last_op_cost == model.store_put
     ((standby,),) = [tuple(s.values()) for s in runner.standbys.of(0)]
     assert standby.store.cost_model is model

@@ -1,5 +1,7 @@
 """Unit tests for partition replicas (roles, HW, epochs, idempotence)."""
 
+from array import array
+
 import pytest
 
 from repro.common.clock import SimClock
@@ -11,9 +13,14 @@ from repro.common.errors import (
 from repro.common.records import StoredMessage, TopicPartition
 from repro.messaging.partition import PartitionReplica
 from repro.storage.compaction import LogCompactor
-from repro.storage.log import LogConfig, PartitionLog
+from repro.storage.log import LogConfig, PartitionLog, ReadResult
 
 TP = TopicPartition("t", 0)
+
+
+def read_of(messages) -> ReadResult:
+    """``messages`` as a leader's read hands them to a follower."""
+    return ReadResult(messages, array("q", [m.offset for m in messages]), 0.0, 0)
 
 
 def make_replica(broker_id=0) -> PartitionReplica:
@@ -108,9 +115,7 @@ class TestHighWatermark:
 
     def test_follower_hw_capped_by_own_leo(self):
         replica = make_replica(1)
-        replica.replicate_batch(
-            [StoredMessage("k", "v", 0.0, offset=0)]
-        )
+        replica.replicate_batch(read_of([StoredMessage("k", "v", 0.0, offset=0)]))
         replica.update_high_watermark(100)
         assert replica.high_watermark == 1
 
@@ -131,14 +136,14 @@ class TestReplicateBatch:
         source = leader()
         source.append_batch(entries(3))
         follower = make_replica(1)
-        follower.replicate_batch(source.log.all_messages())
+        follower.replicate_batch(read_of(source.log.all_messages()))
         assert [m.offset for m in follower.log.all_messages()] == [0, 1, 2]
         assert follower.log.all_messages()[0].size == source.log.all_messages()[0].size
 
     def test_leader_cannot_replicate(self):
         replica = leader()
         with pytest.raises(ConfigError):
-            replica.replicate_batch([])
+            replica.replicate_batch(read_of([]))
 
     def test_copies_are_independent(self):
         # The follower's log lists the leader's record objects themselves;
@@ -156,7 +161,7 @@ class TestReplicateBatch:
             follower = PartitionReplica(
                 TP, 1, PartitionLog("b1/t-0", config, clock=SimClock())
             )
-            follower.replicate_batch(source.log.all_messages())
+            follower.replicate_batch(read_of(source.log.all_messages()))
             return source, follower
 
         def snapshot(replica):

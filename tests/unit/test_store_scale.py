@@ -31,7 +31,7 @@ def key(i: int) -> str:
 def flushed_store(keys: int) -> LsmStore:
     store = LsmStore(DEFAULT_COST_MODEL, memtable_max_entries=1000, max_runs=4)
     for i in range(keys):
-        store.put(key(i), i)
+        store.put_many({key(i): i})
     store.flush_memtable()
     assert not store._memtable
     return store
