@@ -16,7 +16,7 @@ and multi-second MR job startup on YARN.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Hashable, Iterable
 
 from repro.common.errors import ConfigError
 
@@ -164,3 +164,24 @@ class CostModel:
 
 #: The model of a :class:`~repro.common.clock.SimClock` built without one.
 DEFAULT_COST_MODEL = CostModel()
+
+
+def round_latency(requests: Iterable[tuple[Hashable, float]]) -> float:
+    """Latency of one client round: requests sent at one simulated instant.
+
+    A client keeps one request in flight per broker, so requests to
+    different brokers overlap and requests to one broker queue.  The round
+    costs the largest per-broker sum of the ``(broker, latency)`` pairs
+    (latencies are never negative), ``0.0`` when there are none.
+    """
+    totals: dict[Hashable, float] = {}
+    slowest = 0.0
+    # No call per pair: a poll is one fetch most of the time, and this
+    # runs once per poll.
+    for broker, latency in requests:
+        if broker in totals:
+            latency += totals[broker]
+        totals[broker] = latency
+        if latency > slowest:
+            slowest = latency
+    return slowest

@@ -29,6 +29,7 @@ from repro.common.compression import (
     BatchFrame,
     payload_sizes,
 )
+from repro.common.costmodel import round_latency
 from repro.common.errors import (
     BrokerUnavailableError,
     ConfigError,
@@ -83,12 +84,14 @@ _M_WIRE_BYTES = metric_name("messaging", "cluster", "bytes_on_wire")
 
 @dataclass
 class ProduceAck:
-    """Acknowledgment for a produced batch."""
+    """Acknowledgment for a produced batch; ``broker`` is the leader that
+    served the request."""
 
     partition: TopicPartition
     base_offset: int
     last_offset: int
     latency: float
+    broker: int
     duplicate: bool = False
 
 
@@ -104,11 +107,14 @@ class FetchResult:
     the response grouped into :class:`~repro.messaging.fetchbuffer.FetchBatch`
     units, compressed ones still framed; ``records`` is then empty and the
     decompress CPU is charged by whoever inflates.
+
+    ``broker`` is the leader that served the request.
     """
 
     records: list[ConsumerRecord]
     latency: float
     next_offset: int
+    broker: int
     batches: list[FetchBatch] | None = None
 
 
@@ -384,7 +390,8 @@ class MessagingCluster:
         if client_id is not None:
             latency += self.quotas.record_produce(client_id, batch_bytes)
         return ProduceAck(
-            tp, result.base_offset, result.last_offset, latency, result.duplicate
+            tp, result.base_offset, result.last_offset, latency,
+            leader_broker.broker_id, result.duplicate,
         )
 
     def _replicate_synchronously(
@@ -393,8 +400,9 @@ class MessagingCluster:
         """acks=all: push the new records to every ISR follower and wait.
 
         Followers replicate in parallel, so the added latency is the slowest
-        follower's (network + append), matching the paper's observation that
-        maximum durability waits for all acknowledgments.
+        follower's (network + append; one request per follower broker,
+        :func:`~repro.common.costmodel.round_latency`), matching the paper's
+        observation that maximum durability waits for all acknowledgments.
 
         An ISR member that is unreachable (crashed but its session has not
         expired yet) cannot simply be skipped: acks=all promises every
@@ -407,7 +415,7 @@ class MessagingCluster:
         """
         leader_broker = self._brokers[state.leader]
         leader_replica = leader_broker.replica(tp)
-        slowest = 0.0
+        pushes: list[tuple[int, float]] = []
         for follower_id in list(state.isr):
             if follower_id == state.leader:
                 continue
@@ -426,10 +434,10 @@ class MessagingCluster:
                 follower_id, follower_replica.log_end_offset
             )
             self.metrics.counter(_M_WIRE_BYTES).increment(batch_bytes)
-            follower_latency = (
-                self.cost_model.network_transfer(batch_bytes) + append_latency
-            )
-            slowest = max(slowest, follower_latency)
+            pushes.append((
+                follower_id,
+                self.cost_model.network_transfer(batch_bytes) + append_latency,
+            ))
         # Followers learn the advanced HW on their next fetch; push it now so
         # a failover immediately after the ack exposes the committed data.
         for follower_id in state.isr:
@@ -448,7 +456,7 @@ class MessagingCluster:
                 f"{tp}: ISR shrank to {state.isr} during acks=all produce, "
                 f"below min_insync_replicas={config.min_insync_replicas}"
             )
-        return slowest
+        return round_latency(pushes)
 
     def fetch(
         self,
@@ -492,13 +500,15 @@ class MessagingCluster:
         self.metrics.histogram(_M_FETCH_LATENCY).observe(latency)
         self.metrics.counter(_M_MESSAGES_OUT).increment(len(result.offsets))
         if lazy:
-            return FetchResult([], latency, result.next_offset, batches=batches)
+            return FetchResult(
+                [], latency, result.next_offset, leader_id, batches=batches
+            )
         records: list[ConsumerRecord] = []
         for batch in batches:
             inflated, inflate_latency = batch.inflate(self.cost_model)
             records.extend(inflated)
             latency += inflate_latency
-        return FetchResult(records, latency, result.next_offset)
+        return FetchResult(records, latency, result.next_offset, leader_id)
 
     # -- offset / metadata queries -----------------------------------------------------------
 

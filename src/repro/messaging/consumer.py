@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, Literal
 
+from repro.common.costmodel import round_latency
 from repro.common.errors import (
     BrokerUnavailableError,
     ConfigError,
@@ -173,13 +174,20 @@ class Consumer:
         a poll drains them.  With ``prefetch=True`` the consumer issues the
         next fetch as soon as a buffer drains, so its latency overlaps whatever
         simulated time the application spends processing the previous poll.
+
+        The poll's fetches are one round
+        (:func:`~repro.common.costmodel.round_latency`): one request in
+        flight per broker, so :attr:`last_poll_latency` is the largest
+        per-broker sum of what the fetches still owe, plus the summed
+        client-side inflate CPU.
         """
         if self.closed:
             raise ConfigError("consumer is closed")
         self._maybe_rejoin()
         budget = max_messages if max_messages is not None else self.max_poll_messages
         records: list[ConsumerRecord] = []
-        latency = 0.0
+        fetches: list[tuple[int, float]] = []
+        inflate = 0.0
         if not self._assignment:
             self.last_poll_latency = 0.0
             return records
@@ -202,19 +210,20 @@ class Consumer:
                 except (BrokerUnavailableError, NotLeaderForPartitionError):
                     continue  # transient during failover; retry next poll
             if buffer.latency:
+                owed = buffer.latency
                 if buffer.prefetched:
                     # The fetch has been in flight since it was issued; only
                     # the portion that did not overlap application time is
                     # still owed.
                     elapsed = self.cluster.clock.now() - buffer.issued_at
-                    latency += max(0.0, buffer.latency - elapsed)
-                else:
-                    latency += buffer.latency
+                    owed = max(0.0, owed - elapsed)
+                # In place, not append(): no call per fetch on the poll path.
+                fetches += ((buffer.broker, owed),)
                 buffer.latency = 0.0
             batch, inflate_latency = buffer.take(
                 budget, self.cluster.cost_model, self.key_serde, self.value_serde
             )
-            latency += inflate_latency
+            inflate += inflate_latency
             if batch:
                 if buffer.prefetched:
                     self.cluster.metrics.counter(_M_PREFETCH_HITS).increment(1)
@@ -231,7 +240,7 @@ class Consumer:
             elif self.prefetch:
                 self._issue_prefetch(tp)
         self._rr = (self._rr + 1) % n
-        self.last_poll_latency = latency
+        self.last_poll_latency = round_latency(fetches) + inflate
         self.records_consumed += len(records)
         tracer = current_tracer()
         if tracer is not None and records:
@@ -280,6 +289,7 @@ class Consumer:
             result.batches or [],
             result.next_offset,
             result.latency,
+            result.broker,
             issued_at=self.cluster.clock.now(),
             prefetched=prefetched,
         )

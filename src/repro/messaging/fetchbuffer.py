@@ -32,9 +32,10 @@ copy of its records on the heap; two consumers reading it decode it once
 each, and a response that cuts it decodes it once on the broker.
 
 :class:`FetchBuffer` holds one response's batches plus the bookkeeping a
-prefetching consumer needs: the fetch latency still owed, the simulated
-issue time (so latency that overlapped application processing is not
-re-charged), and the position a partially-drained poll should commit.
+prefetching consumer needs: the fetch latency still owed and the broker it
+is owed to (a poll overlaps its requests to different brokers), the
+simulated issue time (so latency that overlapped application processing is
+not re-charged), and the position a partially-drained poll should commit.
 """
 
 from __future__ import annotations
@@ -215,6 +216,7 @@ class FetchBuffer:
         "batches",
         "next_offset",
         "latency",
+        "broker",
         "issued_at",
         "prefetched",
         "_index",
@@ -227,12 +229,15 @@ class FetchBuffer:
         batches: list[FetchBatch],
         next_offset: int,
         latency: float,
+        broker: int,
         issued_at: float,
         prefetched: bool = False,
     ) -> None:
         self.batches = batches
         self.next_offset = next_offset
         self.latency = latency
+        #: The leader that served the fetch.
+        self.broker = broker
         self.issued_at = issued_at
         self.prefetched = prefetched
         self._index = 0

@@ -17,7 +17,11 @@ module is the reproduction of Samza's container/task runtime:
   behind (its backlog grows) without back-pressuring producers.
 
 Simulated processing cost (CPU per message) is charged to the clock so that
-end-to-end latencies across multi-job dataflows are meaningful (E2).
+end-to-end latencies across multi-job dataflows are meaningful (E2).  A
+pass runs every task at one simulated instant, so its input fetches are one
+client round and its pass-end flushes another
+(:func:`~repro.common.costmodel.round_latency`): requests to different
+brokers overlap, requests to one broker queue.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
 from repro.chaos.failpoints import SKIP, failpoint
+from repro.common.costmodel import round_latency
 from repro.common.errors import JobConfigError, MessagingError, TaskFailedError
 from repro.common.metrics import metric_name, metric_segment
 from repro.common.records import TRACE_HEADER, ConsumerRecord, TopicPartition
@@ -118,7 +123,12 @@ class JobConfig:
 
 @dataclass
 class PollResult:
-    """Outcome of one scheduling pass over all tasks."""
+    """Outcome of one scheduling pass over all tasks.
+
+    ``latency`` is the pass's: one round over every task's input fetches,
+    the summed per-record CPU, and one round over every task's pass-end
+    flush requests.
+    """
 
     records_processed: int = 0
     records_emitted: int = 0
@@ -441,13 +451,22 @@ class JobRunner:
             if max_messages is not None
             else self.max_fetch_per_partition
         )
+        # (broker, latency) of every request the pass sends: the tasks' input
+        # fetches, then their pass-end flushes, each set one round.
+        fetches: list[tuple[int, float]] = []
+        flushes: list[tuple[int, float]] = []
         for task_id in task_ids:
             remaining = budget
             if shared_budget:
                 remaining -= result.records_processed
                 if remaining <= 0:
                     break
-            self._poll_task(self._tasks[task_id], remaining, result)
+            self._poll_task(
+                self._tasks[task_id], remaining, result, fetches, flushes
+            )
+        result.latency = (
+            round_latency(fetches) + result.latency + round_latency(flushes)
+        )
         if result.latency and self.auto_advance_clock:
             self.clock.advance(result.latency)
         if result.records_processed:
@@ -461,7 +480,11 @@ class JobRunner:
         instance: _TaskInstance,
         budget: int,
         result: PollResult,
+        fetches: list[tuple[int, float]],
+        flushes: list[tuple[int, float]],
     ) -> None:
+        """Run one task's share of a pass: its per-record CPU goes to
+        ``result.latency``, its requests to ``fetches`` and ``flushes``."""
         tracer = current_tracer()
         instance.collector.start_pass(tracer)
         ages: list[float] = []
@@ -473,7 +496,7 @@ class JobRunner:
                     tp.topic, tp.partition, instance.positions[tp], budget,
                     isolation=self.isolation,
                 )
-                result.latency += fetched.latency
+                fetches.append((fetched.broker, fetched.latency))
                 for record in fetched.records:
                     age = self._process_record(instance, record, result, tracer)
                     if age >= 0:
@@ -494,7 +517,7 @@ class JobRunner:
         # The pass is the batch: everything it staged — emits and changelog —
         # leaves the task here, before any checkpoint that would cover it.
         result.records_emitted += self._hand_over(instance)
-        result.latency += instance.output.flush()
+        flushes += [(ack.broker, ack.latency) for ack in instance.output.flush()]
         if instance.records_since_checkpoint >= self.config.checkpoint_interval:
             self._checkpoint_task(instance)
 

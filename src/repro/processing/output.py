@@ -24,6 +24,7 @@ from typing import Any
 from repro.common.errors import ProducerFlushError
 from repro.common.partitioning import partition_for_key
 from repro.common.records import EMPTY_HEADERS, TRACE_HEADER, TopicPartition
+from repro.messaging.cluster import ProduceAck
 from repro.messaging.producer import check_headers
 from repro.messaging.transactions import TransactionalProducer
 from repro.observability.trace import TraceContext, Tracer
@@ -88,12 +89,14 @@ class AtLeastOnceOutput:
         duplicates the emits."""
         return False
 
-    def flush(self) -> float:
-        """Ship every staged (and any parked) write; returns the summed ack
-        latency.  Both producers flush even when the first fails; then one
+    def flush(self) -> list[ProduceAck]:
+        """Ship every staged (and any parked) write; returns the acks, one
+        per request, for the runner to charge as one round with the other
+        tasks' (:func:`~repro.common.costmodel.round_latency`).  Both
+        producers flush even when the first fails; then one
         :class:`ProducerFlushError` carries both sets of acks and failures,
         the undelivered batches parked for the next flush."""
-        acks: list = []
+        acks: list[ProduceAck] = []
         failures: list = []
         for producer in (self.producer, self.changelog):
             try:
@@ -103,7 +106,7 @@ class AtLeastOnceOutput:
                 failures += exc.failures
         if failures:
             raise ProducerFlushError(acks, failures)
-        return sum(ack.latency for ack in acks)
+        return acks
 
     def commit_open(
         self, positions: dict[TopicPartition, int], metadata: dict[str, Any]
@@ -168,8 +171,8 @@ class ExactlyOnceOutput(AtLeastOnceOutput):
             self.producer.abort()
         return True
 
-    def flush(self) -> float:
-        return sum(ack.latency for ack in self.producer.flush())
+    def flush(self) -> list[ProduceAck]:
+        return self.producer.flush()
 
     def commit_open(
         self, positions: dict[TopicPartition, int], metadata: dict[str, Any]

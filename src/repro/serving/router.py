@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.common.costmodel import round_latency
 from repro.common.errors import ServingError
 from repro.common.metrics import metric_name, metric_segment
 from repro.common.partitioning import partition_for_key
@@ -175,8 +176,10 @@ def _merged(
 ) -> QueryResult:
     """One answer for a scatter-gather over every shard.
 
-    The shards answer in parallel, so the reported latency is the slowest
-    shard's; the staleness bound is the worst across shards.
+    Each shard is its own server and the shards answer in parallel, so the
+    reported latency is the slowest shard's
+    (:func:`~repro.common.costmodel.round_latency`); the staleness bound is
+    the worst across shards.
     """
     first = shards[0]
     return _new_result(QueryResult, (
@@ -184,7 +187,7 @@ def _merged(
         _worst_served_by(shards), first.consistency,
         max([s.staleness_records for s in shards]),
         max([s.staleness_seconds for s in shards]),
-        max([s.latency for s in shards]),
+        round_latency([(s.task_id, s.latency) for s in shards]),
     ))
 
 

@@ -317,7 +317,9 @@ class ReferenceJobRunner(JobRunner):
     What the two share is everything after the producers' buffers: the
     pass-end flush (so the fixed at-least-once flush, which ships the
     changelog even when the output partition fails, is on both sides),
-    checkpoints, recovery and migration.
+    checkpoints, recovery and migration.  The pass latency follows the
+    runner's accounting (its fetches one round, its flush acks another),
+    since what this reference pins is the staging, not the cost model.
     """
 
     def __init__(self, config, cluster):
@@ -347,7 +349,7 @@ class ReferenceJobRunner(JobRunner):
             )
         return stores
 
-    def _poll_task(self, instance, budget, result):
+    def _poll_task(self, instance, budget, result, fetches, flushes):
         collector = MessageCollector()
         tracer = current_tracer()
         for tp in instance.partitions:
@@ -357,7 +359,7 @@ class ReferenceJobRunner(JobRunner):
                 tp.topic, tp.partition, instance.positions[tp], budget,
                 isolation=self.isolation,
             )
-            result.latency += fetched.latency
+            fetches.append((fetched.broker, fetched.latency))
             for record in fetched.records:
                 ctx = self._reference_process_record(
                     instance, record, collector, result, tracer
@@ -371,7 +373,7 @@ class ReferenceJobRunner(JobRunner):
         self._reference_maybe_window(instance, result)
         for state in instance.stores.values():
             state.hand_over()
-        result.latency += instance.output.flush()
+        flushes += [(ack.broker, ack.latency) for ack in instance.output.flush()]
         if instance.records_since_checkpoint >= self.config.checkpoint_interval:
             self._checkpoint_task(instance)
 

@@ -40,6 +40,8 @@ ISOLATIONS = ("read_uncommitted", "read_committed")
 #: Examples per property: small in tier-1, as deep as the profile asks under
 #: ``--hypothesis-profile=deep`` (CI's ``determinism`` job).
 EXAMPLES = settings.default.max_examples if settings.default.max_examples > 100 else 60
+#: The same for the two read properties that draw 150 in tier-1.
+EXAMPLES_AT_LEAST_150 = max(150, settings.default.max_examples)
 
 pids = st.integers(0, 1)
 appends = st.tuples(st.sampled_from(["plain", "idempotent", "zlib"]), st.integers(1, 6))
@@ -182,7 +184,7 @@ def stored(messages):
 
 class TestFetchEqualsThePerRecordFilter:
     @given(histories, final_acks, st.integers(1, 9), st.integers(0, 400))
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=EXAMPLES_AT_LEAST_150, deadline=None)
     def test_same_objects_same_next_offset_same_bytes(
         self, history, final_ack, few, budget
     ):
@@ -264,7 +266,7 @@ class TestFetchEqualsThePerRecordFilter:
 
 class TestStoredBytesIsAColumn:
     @given(histories, st.integers(1, 9), st.integers(0, 400))
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=EXAMPLES_AT_LEAST_150, deadline=None)
     def test_hot_cold_and_stitched_reads(self, history, few, budget):
         replica, archived, _model = build(history)
         log, tier = replica.log, replica.cold_tier

@@ -1,5 +1,7 @@
 """Unit tests for the consumer client."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.common.clock import SimClock
@@ -351,3 +353,118 @@ class TestPrefetchOverlap:
         assert ahead_records == sync_records
         assert len(ahead_records) == self.RECORDS
         assert ahead_latency < sync_latency
+
+    def test_prefetched_remainders_group_by_broker(self):
+        """A poll that drains four prefetched buffers, from partitions led by
+        brokers [0, 1, 2, 0], owes each fetch's unoverlapped remainder and
+        pays them as one round: broker 0's two remainders queue, the other
+        brokers' overlap them."""
+        cluster, fetched = _four_partitions(brokers=3, records=20)
+        consumer = Consumer(
+            cluster,
+            ConsumerConfig(
+                auto_offset_reset="earliest", max_poll_messages=10, prefetch=True
+            ),
+        )
+        consumer.assign(cluster.partitions_of("t"))
+        # Each poll takes one partition's first ten records, and the drained
+        # response issues that partition's next fetch ahead of demand.
+        for _ in range(4):
+            assert len(consumer.poll()) == 10
+        # Each of those polls made a synchronous fetch, then a prefetch.
+        assert len(fetched) == 8
+        prefetched = {result.tp: result for result in fetched[1::2]}
+        assert len(prefetched) == 4
+        cluster.clock.advance(1e-4)  # the application works on what it got
+        now = cluster.clock.now()
+        records = consumer.poll(40)
+        assert len(records) == 40
+        assert len(fetched) == 12  # no synchronous fetch; four new prefetches
+        owed = {}
+        for tp in cluster.partitions_of("t"):
+            result = prefetched[tp]
+            assert 0.0 < now - result.issued_at < result.latency
+            owed[result.broker] = owed.get(result.broker, 0.0) + (
+                result.latency - (now - result.issued_at)
+            )
+        assert consumer.last_poll_latency == max(owed.values())
+        assert consumer.last_poll_latency < sum(owed.values())
+
+
+def _four_partitions(brokers, records, compression="none"):
+    """A four-partition topic on ``brokers`` brokers (leaders ``[0, 1, 2,
+    0]`` on three) holding ``records`` records per partition, and the list
+    every later ``cluster.fetch`` appends its request to: partition,
+    serving broker, latency, issue time and the inflate CPU of its frames."""
+    cluster = MessagingCluster(num_brokers=brokers, clock=SimClock())
+    cluster.create_topic("t", num_partitions=4, replication_factor=1)
+    assert [cluster.leader_of("t", p) for p in range(4)] == [
+        p % brokers for p in range(4)
+    ]
+    producer = Producer(
+        cluster, ProducerConfig(linger_messages=25, compression=compression)
+    )
+    for p in range(4):
+        for i in range(records):
+            producer.send("t", {"i": i, "page": f"/p/{i % 7}"}, partition=p)
+    producer.flush()
+    return cluster, _record_fetches(cluster)
+
+
+def _record_fetches(cluster):
+    fetched = []
+    fetch = cluster.fetch
+
+    def recorded(topic, partition, *args, **kwargs):
+        issued_at = cluster.clock.now()
+        result = fetch(topic, partition, *args, **kwargs)
+        fetched.append(SimpleNamespace(
+            tp=TopicPartition(topic, partition),
+            broker=result.broker,
+            latency=result.latency,
+            issued_at=issued_at,
+            inflate=[
+                cluster.cost_model.decompress(batch.frame.payload_bytes)
+                for batch in result.batches or ()
+                if batch.frame is not None
+            ],
+        ))
+        return result
+
+    cluster.fetch = recorded
+    return fetched
+
+
+class TestPollIsOneRound:
+    """A poll's fetches are one client round: one request in flight per
+    broker, so requests to different brokers overlap."""
+
+    def test_a_poll_costs_its_slowest_broker_plus_inflate(self):
+        cluster, fetched = _four_partitions(3, 50, compression="zlib:6")
+        consumer = Consumer(cluster, ConsumerConfig(auto_offset_reset="earliest"))
+        consumer.assign(cluster.partitions_of("t"))
+        assert len(consumer.poll(200)) == 200
+        assert [result.broker for result in fetched] == [0, 1, 2, 0]
+        per_broker = {}
+        inflate = 0.0
+        for result in fetched:
+            per_broker[result.broker] = (
+                per_broker.get(result.broker, 0.0) + result.latency
+            )
+            drained = 0.0
+            for latency in result.inflate:
+                drained += latency
+            inflate += drained
+        assert inflate > 0.0
+        assert consumer.last_poll_latency == max(per_broker.values()) + inflate
+        assert consumer.last_poll_latency < (
+            sum(result.latency for result in fetched) + inflate
+        )
+
+    def test_on_one_broker_a_poll_costs_the_serial_sum(self):
+        cluster, fetched = _four_partitions(1, 50, compression="zlib:6")
+        consumer = Consumer(cluster, ConsumerConfig(auto_offset_reset="earliest"))
+        consumer.assign(cluster.partitions_of("t"))
+        assert len(consumer.poll(200)) == 200
+        serial = sum(r.latency + sum(r.inflate) for r in fetched)
+        assert consumer.last_poll_latency == pytest.approx(serial, rel=1e-12)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.costmodel import DEFAULT_COST_MODEL, CostModel
+from repro.common.costmodel import DEFAULT_COST_MODEL, CostModel, round_latency
 from repro.common.errors import ConfigError
 
 
@@ -54,6 +54,34 @@ class TestCosts:
         assert DEFAULT_COST_MODEL.mr_job_startup > (
             10_000 * DEFAULT_COST_MODEL.cpu_per_message
         )
+
+
+class TestRoundLatency:
+    """One client round: requests to one broker queue, requests to
+    different brokers overlap."""
+
+    def test_one_brokers_requests_add_up(self):
+        assert round_latency([(0, 0.25), (0, 0.5), (0, 0.125)]) == 0.875
+
+    def test_different_brokers_overlap(self):
+        assert round_latency([(0, 0.25), (1, 0.5), (2, 0.125)]) == 0.5
+
+    def test_the_round_costs_the_largest_broker_sum(self):
+        # Broker 0's two requests (0.25 + 0.375) outlast broker 1's single
+        # 0.5, though no single request does.
+        pairs = [(0, 0.25), (1, 0.5), (0, 0.375), (2, 0.0625)]
+        assert round_latency(pairs) == 0.625
+        assert round_latency(reversed(pairs)) == 0.625
+
+    def test_a_broker_sums_in_request_order(self):
+        latencies = [0.1, 0.2, 0.3, 1e-17, 0.7]
+        serial = 0.0
+        for latency in latencies:
+            serial += latency
+        assert round_latency((7, latency) for latency in latencies) == serial
+
+    def test_no_requests_cost_nothing(self):
+        assert round_latency([]) == 0.0
 
 
 class TestValidation:

@@ -87,7 +87,7 @@ class TestLazyDrain:
         assert all(b.messages is None and not b.inflated for b in batches)
         cost = DEFAULT_COST_MODEL
         charge = [cost.decompress(frame.payload_bytes) for *_entry, frame in frames]
-        buffer = FetchBuffer(batches, 12, latency=0.0, issued_at=0.0)
+        buffer = FetchBuffer(batches, 12, latency=0.0, broker=0, issued_at=0.0)
 
         records, latency = buffer.take(5, cost)
         assert [r.offset for r in records] == built == [0, 1, 2, 3, 4]
@@ -105,7 +105,7 @@ class TestLazyDrain:
         messages, _frames = stored_run(compression="none")
         (batch,) = build_fetch_batches("t", 0, messages, offsets_of(messages), [])
         assert batch.messages is messages  # the log's run itself, no copy
-        buffer = FetchBuffer([batch], 12, latency=0.0, issued_at=0.0)
+        buffer = FetchBuffer([batch], 12, latency=0.0, broker=0, issued_at=0.0)
         records, latency = buffer.take(5, DEFAULT_COST_MODEL)
         assert (len(records), latency) == (5, 0.0)
         assert all(r is m for r, m in zip(records, messages[:5]))
@@ -230,7 +230,7 @@ class TestPosition:
         messages, _frames = stored_run(count=4, compression="none")
         batches = build_fetch_batches("t", 0, messages, offsets_of(messages), [])
         # Offsets 4 and 5 were control markers the broker filtered out.
-        buffer = FetchBuffer(batches, 6, latency=0.0, issued_at=0.0)
+        buffer = FetchBuffer(batches, 6, latency=0.0, broker=0, issued_at=0.0)
         assert buffer.position() is None
         buffer.take(3, DEFAULT_COST_MODEL)
         assert not buffer.exhausted
@@ -240,7 +240,7 @@ class TestPosition:
         assert buffer.position() == 6
 
     def test_empty_response_steps_over_what_was_scanned(self):
-        buffer = FetchBuffer([], 9, latency=0.0, issued_at=0.0)
+        buffer = FetchBuffer([], 9, latency=0.0, broker=0, issued_at=0.0)
         assert buffer.exhausted
         assert buffer.position() == 9
 

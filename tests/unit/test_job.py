@@ -14,7 +14,13 @@ from repro.common.errors import (
 from repro.common.records import TopicPartition
 from repro.messaging.cluster import MessagingCluster
 from repro.messaging.producer import Producer
-from repro.processing.job import JobConfig, JobRunner, StoreConfig
+from repro.processing.job import (
+    AT_LEAST_ONCE,
+    EXACTLY_ONCE,
+    JobConfig,
+    JobRunner,
+    StoreConfig,
+)
 from repro.processing.state import changelog_topic_name
 
 
@@ -398,6 +404,75 @@ class TestPassIsTheBatch:
         assert with_changelog.latency == pytest.approx(
             without.latency + made["all"][1]
         )
+
+
+class TestPassIsOneRoundPerSide:
+    """A pass runs every task at one simulated instant: its input fetches
+    are one client round and its pass-end flushes another, so requests to
+    different brokers overlap and requests to one broker queue."""
+
+    RECORDS = 40
+
+    def _one_pass(self, brokers, guarantee):
+        """One pass of a counting, tagging job over two input partitions;
+        returns its result and the (broker, latency) of every fetch and
+        produce request the pass made, in order."""
+        cluster = MessagingCluster(num_brokers=brokers, clock=SimClock())
+        for topic in ("in", "out"):
+            cluster.create_topic(topic, num_partitions=2, replication_factor=1)
+        producer = Producer(cluster)
+        for i in range(self.RECORDS):
+            producer.send("in", {"i": i}, key=f"k{i % 4}", partition=i % 2)
+        runner = JobRunner(
+            JobConfig(
+                name="j", inputs=["in"], task_factory=CountAndTagTask,
+                stores=[StoreConfig("counts")], checkpoint_interval=1000,
+                processing_guarantee=guarantee,
+            ),
+            cluster,
+        )
+        requests = {"fetch": [], "produce": []}
+        for name, seen in requests.items():
+            def recorded(*args, _call=getattr(cluster, name), _seen=seen, **kwargs):
+                reply = _call(*args, **kwargs)
+                _seen.append((reply.broker, reply.latency))
+                return reply
+
+            setattr(cluster, name, recorded)
+        before = cluster.clock.now()
+        result = runner.poll_once()
+        assert result.records_processed == self.RECORDS
+        assert cluster.clock.now() == before + result.latency
+        cpu = 0.0
+        for _ in range(self.RECORDS):
+            cpu += runner.cpu_cost
+        return cluster, result, requests["fetch"], cpu, requests["produce"]
+
+    @pytest.mark.parametrize("guarantee", [AT_LEAST_ONCE, EXACTLY_ONCE])
+    def test_pass_costs_fetch_round_cpu_and_flush_round(self, guarantee):
+        cluster, result, fetches, cpu, flushes = self._one_pass(2, guarantee)
+        changelog = changelog_topic_name("j", "counts")
+        for topic in ("in", "out", changelog):
+            assert [cluster.leader_of(topic, p) for p in range(2)] == [0, 1]
+        # One input fetch per task; per task an output and a changelog
+        # request, to the task's own broker.
+        assert [broker for broker, _ in fetches] == [0, 1]
+        assert sorted(broker for broker, _ in flushes) == [0, 0, 1, 1]
+        fetch_round = max(fetches[0][1], fetches[1][1])
+        per_broker = {0: 0.0, 1: 0.0}
+        for broker, latency in flushes:
+            per_broker[broker] += latency
+        flush_round = max(per_broker.values())
+        assert result.latency == fetch_round + cpu + flush_round
+        serial = sum(latency for _, latency in fetches + flushes) + cpu
+        assert result.latency < serial
+
+    @pytest.mark.parametrize("guarantee", [AT_LEAST_ONCE, EXACTLY_ONCE])
+    def test_on_one_broker_a_pass_costs_the_serial_sum(self, guarantee):
+        _, result, fetches, cpu, flushes = self._one_pass(1, guarantee)
+        assert len(fetches) == 2 and len(flushes) == 4
+        serial = sum(latency for _, latency in fetches + flushes) + cpu
+        assert result.latency == pytest.approx(serial, rel=1e-12)
 
 
 class TestFailedOutputFlush:
