@@ -11,6 +11,12 @@ arrival order, because runs are bounded and determinism matters more than
 constant memory.  Nothing keeps a second copy for windows: a reader marks a
 histogram by its ``count`` and summarises ``snapshot(since=mark)``, the way
 it marks a counter by its ``value``.
+
+An instrument is bound once, where its component is built
+(``self._c_x = metrics.counter(NAME)`` in ``__init__``), and the request
+path increments the bound object.  The registry's get-or-create lookup
+serves that set-up and the admin reports; ``tests/unit/
+test_metrics_binding.py`` fails on a lookup anywhere else.
 """
 
 from __future__ import annotations
@@ -47,9 +53,9 @@ def metric_name(layer: str, component: str, *parts: str) -> str:
     """Build a convention-compliant metric name.
 
     Deployment metrics all funnel through this helper (call sites hoist the
-    result to a module-level constant, so the hot path pays only a dict
-    lookup).  The registry itself stays name-agnostic — tests and scratch
-    code can register short ad-hoc names.
+    result to a module-level constant and bind the instrument once).  The
+    registry itself stays name-agnostic — tests and scratch code can
+    register short ad-hoc names.
     """
     if layer not in METRIC_LAYERS:
         raise ConfigError(
@@ -258,19 +264,7 @@ class MetricsRegistry:
         return self._get_or_create(name, Gauge)
 
     def histogram(self, name: str) -> Histogram:
-        # The lookup stays inline (not through _get_or_create): histograms
-        # are fetched on hot paths, where the extra call shows.
-        existing = self._metrics.get(name)
-        if existing is None:
-            created = Histogram(name)
-            self._metrics[name] = created
-            return created
-        if not isinstance(existing, Histogram):
-            raise TypeError(
-                f"metric {name!r} already registered as "
-                f"{type(existing).__name__}, requested Histogram"
-            )
-        return existing
+        return self._get_or_create(name, Histogram)
 
     def _get_or_create(self, name: str, cls: type) -> "Counter | Gauge | Histogram":
         existing = self._metrics.get(name)
@@ -318,10 +312,11 @@ class MetricsRegistry:
     def reset(self) -> None:
         """Zero every instrument in place.
 
-        Call sites hoist instruments to module/instance attributes (the hot
+        Components bind their instruments where they are built (the request
         path pays only an attribute load), so dropping entries from the
-        registry would leave those live references diverged from what the
-        registry reports.  Resetting in place keeps both views consistent.
+        registry would leave those bound references diverged from what the
+        registry reports.  Resetting in place keeps both views the same
+        objects.
         """
         for metric in self._metrics.values():
             metric.reset()

@@ -60,6 +60,14 @@ class Broker:
         self.cost_model = clock.cost_model
         self.object_store = object_store
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self._c_messages_in = self.metrics.counter(_M_MESSAGES_IN)
+        self._c_messages_out = self.metrics.counter(_M_MESSAGES_OUT)
+        self._h_produce_latency = self.metrics.histogram(_M_PRODUCE_LATENCY)
+        self._h_fetch_latency = self.metrics.histogram(_M_FETCH_LATENCY)
+        self._c_bytes_saved = self.metrics.counter(_M_BYTES_SAVED)
+        self._c_retention_deleted = self.metrics.counter(_M_RETENTION_DELETED)
+        self._c_retention_archived = self.metrics.counter(_M_RETENTION_ARCHIVED)
+        self._c_compaction_removed = self.metrics.counter(_M_COMPACTION_REMOVED)
         self.page_cache = PageCache(
             clock=clock,
             capacity_bytes=page_cache_bytes,
@@ -153,12 +161,12 @@ class Broker:
             entries, epoch, producer_id, producer_seq, frame, sizes, transactional
         )
         latency = self.cost_model.request(len(entries)) + result.latency
-        self.metrics.counter(_M_MESSAGES_IN).increment(len(entries))
-        self.metrics.histogram(_M_PRODUCE_LATENCY).observe(latency)
+        self._c_messages_in.increment(len(entries))
+        self._h_produce_latency.observe(latency)
         if frame is not None and not result.duplicate:
             saved = frame.payload_bytes - frame.wire_bytes
             if saved > 0:
-                self.metrics.counter(_M_BYTES_SAVED).increment(saved)
+                self._c_bytes_saved.increment(saved)
         return result, latency
 
     def fetch(
@@ -168,8 +176,10 @@ class Broker:
         max_messages: int = 100,
         max_bytes: int | None = None,
         isolation: str = "read_uncommitted",
-    ) -> tuple[ReadResult, float]:
-        """Consumer fetch (committed data only); returns (result, latency)."""
+    ) -> tuple[ReadResult, float, list[BatchEntry]]:
+        """Consumer fetch (committed data only); returns ``(result, latency,
+        entries)``, ``entries`` the batch-index entries the read spans (see
+        :meth:`replica_fetch`), from which the response is cut into batches."""
         failpoint("broker.fetch", broker=self.broker_id, partition=partition)
         self._check_online()
         replica = self.replica(partition)
@@ -179,9 +189,12 @@ class Broker:
         )
         count = len(result.offsets)
         latency = self.cost_model.request(count) + result.latency
-        self.metrics.counter(_M_MESSAGES_OUT).increment(count)
-        self.metrics.histogram(_M_FETCH_LATENCY).observe(latency)
-        return result, latency
+        self._c_messages_out.increment(count)
+        self._h_fetch_latency.observe(latency)
+        return (
+            result, latency,
+            replica.log.batches_spanned_by(offset, result.offsets),
+        )
 
     def replica_fetch(
         self,
@@ -235,9 +248,9 @@ class Broker:
             deleted += result.messages_deleted
             archived += result.segments_archived
         if deleted:
-            self.metrics.counter(_M_RETENTION_DELETED).increment(deleted)
+            self._c_retention_deleted.increment(deleted)
         if archived:
-            self.metrics.counter(_M_RETENTION_ARCHIVED).increment(archived)
+            self._c_retention_archived.increment(archived)
         return deleted
 
     def run_compaction(self) -> int:
@@ -252,7 +265,7 @@ class Broker:
             )
             removed += result.messages_removed
         if removed:
-            self.metrics.counter(_M_COMPACTION_REMOVED).increment(removed)
+            self._c_compaction_removed.increment(removed)
         return removed
 
     # -- lifecycle ----------------------------------------------------------------------------

@@ -67,8 +67,7 @@ ACKS_ALL = "all"
 _ACK_MODES = (ACKS_NONE, ACKS_LEADER, ACKS_ALL)
 
 # Metric names precomputed once (layer.component.metric convention); the
-# per-acks latency histograms are a closed set, so the hot path does one
-# dict lookup instead of an f-string build.
+# per-acks latency histograms are a closed set, bound one per mode.
 _M_MESSAGES_IN = metric_name("messaging", "cluster", "messages_in")
 _M_MESSAGES_OUT = metric_name("messaging", "cluster", "messages_out")
 _M_FETCH_LATENCY = metric_name("messaging", "cluster", "fetch_latency")
@@ -137,6 +136,14 @@ class MessagingCluster:
         self.clock = clock if clock is not None else SimClock()
         self.cost_model = self.clock.cost_model
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self._c_wire_bytes = self.metrics.counter(_M_WIRE_BYTES)
+        self._c_messages_in = self.metrics.counter(_M_MESSAGES_IN)
+        self._c_messages_out = self.metrics.counter(_M_MESSAGES_OUT)
+        self._h_fetch_latency = self.metrics.histogram(_M_FETCH_LATENCY)
+        self._h_produce_latency = {
+            mode: self.metrics.histogram(name)
+            for mode, name in _M_PRODUCE_LATENCY.items()
+        }
         # One cold store shared by every broker (the offline tier is a
         # separate shared system, not broker-local disk).  Created lazily on
         # the first tiered topic when not supplied.
@@ -369,7 +376,7 @@ class MessagingCluster:
             latency += self.cost_model.network_oneway(batch_bytes)
         else:
             latency += self.cost_model.network_transfer(batch_bytes)
-        self.metrics.counter(_M_WIRE_BYTES).increment(batch_bytes)
+        self._c_wire_bytes.increment(batch_bytes)
         if acks == ACKS_ALL and len(state.isr) < config.min_insync_replicas:
             raise NotEnoughReplicasError(
                 f"{tp}: ISR {state.isr} below min_insync_replicas="
@@ -385,8 +392,8 @@ class MessagingCluster:
         latency += broker_latency
         if acks == ACKS_ALL and not result.duplicate:
             latency += self._replicate_synchronously(tp, state, batch_bytes)
-        self.metrics.histogram(_M_PRODUCE_LATENCY[acks]).observe(latency)
-        self.metrics.counter(_M_MESSAGES_IN).increment(len(entries))
+        self._h_produce_latency[acks].observe(latency)
+        self._c_messages_in.increment(len(entries))
         if client_id is not None:
             latency += self.quotas.record_produce(client_id, batch_bytes)
         return ProduceAck(
@@ -433,7 +440,7 @@ class MessagingCluster:
             leader_replica.record_follower_position(
                 follower_id, follower_replica.log_end_offset
             )
-            self.metrics.counter(_M_WIRE_BYTES).increment(batch_bytes)
+            self._c_wire_bytes.increment(batch_bytes)
             pushes.append((
                 follower_id,
                 self.cost_model.network_transfer(batch_bytes) + append_latency,
@@ -483,22 +490,21 @@ class MessagingCluster:
         if leader_id is None:
             raise BrokerUnavailableError(f"{tp} is offline (no leader)")
         broker = self._brokers[leader_id]
-        result, latency = broker.fetch(
+        result, latency, entries = broker.fetch(
             tp, offset, max_messages, max_bytes, isolation=isolation
         )
         batches = build_fetch_batches(
-            topic, partition, result.messages, result.offsets,
-            broker.replica(tp).log.batches_spanned_by(offset, result.offsets),
+            topic, partition, result.messages, result.offsets, entries
         )
         # The wire carries what the log stores: compressed runs ship as their
         # frames, so egress shrinks by the same ratio as the disk did.
         out_bytes = result.stored_bytes
         latency += self.cost_model.network_transfer(out_bytes)
-        self.metrics.counter(_M_WIRE_BYTES).increment(out_bytes)
+        self._c_wire_bytes.increment(out_bytes)
         if client_id is not None:
             latency += self.quotas.record_fetch(client_id, out_bytes)
-        self.metrics.histogram(_M_FETCH_LATENCY).observe(latency)
-        self.metrics.counter(_M_MESSAGES_OUT).increment(len(result.offsets))
+        self._h_fetch_latency.observe(latency)
+        self._c_messages_out.increment(len(result.offsets))
         if lazy:
             return FetchResult(
                 [], latency, result.next_offset, leader_id, batches=batches
@@ -627,8 +633,8 @@ class MessagingCluster:
             "replicas": replica_count,
             "stored_bytes": stored_bytes,
             "replication_pending": self.replication.pending(),
-            "messages_in": self.metrics.counter(_M_MESSAGES_IN).value,
-            "messages_out": self.metrics.counter(_M_MESSAGES_OUT).value,
+            "messages_in": self._c_messages_in.value,
+            "messages_out": self._c_messages_out.value,
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -61,6 +61,7 @@ class Consumer:
             raise ConfigError("group subscription requires a group_coordinator")
         self.config = config
         self.cluster = cluster
+        self._c_prefetch_hits = cluster.metrics.counter(_M_PREFETCH_HITS)
         self.group = config.group
         self.group_coordinator = group_coordinator
         self.auto_offset_reset = config.auto_offset_reset
@@ -226,7 +227,7 @@ class Consumer:
             inflate += inflate_latency
             if batch:
                 if buffer.prefetched:
-                    self.cluster.metrics.counter(_M_PREFETCH_HITS).increment(1)
+                    self._c_prefetch_hits.increment(1)
                     buffer.prefetched = False
                 records.extend(batch)
                 budget -= len(batch)

@@ -123,6 +123,16 @@ class Producer:
         # no compress step.
         self._codec, self._codec_level = parse_compression(config.compression)
         self._last_frame: BatchFrame | None = None
+        self._h_compression_ratio = (
+            cluster.metrics.histogram(_M_COMPRESSION_RATIO)
+            if self._codec != "none"
+            else None
+        )
+        self._c_retries = (
+            cluster.metrics.counter(self._retries_metric)
+            if self._retries_metric is not None
+            else None
+        )
         self.producer_id = self._new_producer_id()
         self.retry_backoff = config.retry_backoff
         self.retry_backoff_max = config.retry_backoff_max
@@ -413,8 +423,8 @@ class Producer:
             except _RETRIABLE as exc:
                 attempts += 1
                 self.retries += 1
-                if self._retries_metric is not None:
-                    self.cluster.metrics.counter(self._retries_metric).increment()
+                if self._c_retries is not None:
+                    self._c_retries.increment()
                 if attempts > self.max_retries:
                     self._failed_batches.setdefault(tp, []).append(
                         (producer_seq, list(entries))
@@ -451,9 +461,7 @@ class Producer:
             entries, self._codec, self._codec_level
         )
         if frame is not None:
-            self.cluster.metrics.histogram(_M_COMPRESSION_RATIO).observe(
-                frame.ratio
-            )
+            self._h_compression_ratio.observe(frame.ratio)
         return frame
 
     def _annotate_compression(self, span) -> None:

@@ -65,6 +65,7 @@ class ReplicationManager:
         if max_fetch <= 0:
             raise ConfigError("max_fetch must be > 0")
         self.cluster = cluster
+        self._c_wire_bytes = cluster.metrics.counter(_M_WIRE_BYTES)
         self.max_lag_messages = max_lag_messages
         self.max_fetch = max_fetch
         # Partitions some follower may have work on.  Every other partition
@@ -196,7 +197,7 @@ class ReplicationManager:
             # as the same opaque frames the leader stores (no re-encode).
             follower_replica.replicate_batch(read, entries)
             stats.messages_copied += len(read.offsets)
-            self.cluster.metrics.counter(_M_WIRE_BYTES).increment(read.stored_bytes)
+            self._c_wire_bytes.increment(read.stored_bytes)
             # Report the new position so the leader can advance the HW
             # without waiting for the next pass.
             leader_hw = leader_replica.record_follower_position(

@@ -104,6 +104,14 @@ class TransactionCoordinator:
 
     def __init__(self, cluster: MessagingCluster) -> None:
         self.cluster = cluster
+        counter = cluster.metrics.counter
+        self._c_begins = counter(_M_BEGINS)
+        self._c_commits = counter(_M_COMMITS)
+        self._c_aborts = counter(_M_ABORTS)
+        self._c_fencings = counter(_M_FENCINGS)
+        self._c_markers = counter(_M_MARKERS)
+        self._c_offsets = counter(_M_OFFSETS)
+        self._c_commits_resumed = counter(_M_COMMITS_RESUMED)
         self._states: dict[str, _TxnState] = {}
         self.fencings = 0
         # Producer ids are allocated per coordinator (= per cluster), not
@@ -127,11 +135,11 @@ class TransactionCoordinator:
         else:
             state.epoch += 1
             self.fencings += 1
-            self.cluster.metrics.counter(_M_FENCINGS).increment()
+            self._c_fencings.increment()
             if state.decided == CTRL_COMMIT:
                 # Crash landed mid-commit: roll the decision forward so the
                 # new incarnation starts from a clean, fully-applied state.
-                self.cluster.metrics.counter(_M_COMMITS_RESUMED).increment()
+                self._c_commits_resumed.increment()
                 self._complete_commit(transactional_id, state)
             elif state.open:
                 # An incomplete, undecided transaction aborts.
@@ -156,7 +164,7 @@ class TransactionCoordinator:
         if state.open:
             raise TransactionError(f"{transactional_id!r}: transaction already open")
         state.open = True
-        self.cluster.metrics.counter(_M_BEGINS).increment()
+        self._c_begins.increment()
 
     def add_partition(
         self, transactional_id: str, epoch: int, tp: TopicPartition
@@ -217,12 +225,12 @@ class TransactionCoordinator:
         for (group, tp) in sorted(state.pending_offsets):
             offset, metadata = state.pending_offsets[(group, tp)]
             self.cluster.offset_manager.commit(group, tp, offset, metadata)
-            self.cluster.metrics.counter(_M_OFFSETS).increment()
+            self._c_offsets.increment()
         state.pending_offsets.clear()
         state.in_flight.clear()
         state.open = False
         state.decided = None
-        self.cluster.metrics.counter(_M_COMMITS).increment()
+        self._c_commits.increment()
         self._close_span(span)
 
     def abort(self, transactional_id: str, epoch: int) -> None:
@@ -242,7 +250,7 @@ class TransactionCoordinator:
         state.pending_offsets.clear()
         state.in_flight.clear()
         state.open = False
-        self.cluster.metrics.counter(_M_ABORTS).increment()
+        self._c_aborts.increment()
         self._close_span(span)
 
     def _write_marker(
@@ -254,7 +262,7 @@ class TransactionCoordinator:
             [(None, None, None, {HDR_CTRL: verdict, HDR_PID: producer_id})],
             acks=ACKS_ALL,
         )
-        self.cluster.metrics.counter(_M_MARKERS).increment()
+        self._c_markers.increment()
 
     def is_open(self, transactional_id: str) -> bool:
         state = self._states.get(transactional_id)

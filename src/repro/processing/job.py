@@ -180,17 +180,15 @@ class JobRunner:
         self.max_fetch_per_partition = max_fetch_per_partition
         self.clock = cluster.clock
         self.metrics = cluster.metrics
-        # Per-job metric names, precomputed once (convention:
-        # layer.component.metric, with the job name as a sub-component).
-        self._m_processed = metric_name(
+        # Per-job instruments, bound once (convention: layer.component.metric,
+        # with the job name as a sub-component).
+        self._c_processed = self.metrics.counter(metric_name(
             "processing", "job", metric_segment(config.name), "processed"
-        )
-        # Freshness stamp: a hoisted gauge (safe now that registry.reset()
-        # zeroes in place) holding the age of the last record processed, set
-        # once per task pass — the end-to-end signal the SLO monitor samples
-        # on its cadence.  The age histogram beside it is held the same way
-        # and fed the same way: one lookup per runner, one bulk observe per
-        # task pass.
+        ))
+        # Freshness stamp: a gauge holding the age of the last record
+        # processed, set once per task pass — the end-to-end signal the SLO
+        # monitor samples on its cadence.  The age histogram beside it is fed
+        # the same way: one bulk observe per task pass.
         self._g_freshness = self.metrics.gauge(metric_name(
             "processing", "job", metric_segment(config.name), "freshness"
         ))
@@ -470,9 +468,7 @@ class JobRunner:
         if result.latency and self.auto_advance_clock:
             self.clock.advance(result.latency)
         if result.records_processed:
-            self.metrics.counter(self._m_processed).increment(
-                result.records_processed
-            )
+            self._c_processed.increment(result.records_processed)
         return result
 
     def _poll_task(

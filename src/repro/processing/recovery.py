@@ -124,12 +124,14 @@ class Standbys:
         self._job_name = config.name
         self._isolation = runner.isolation
         self._stores = [sc for sc in config.stores if sc.changelog]
-        self._m_promotions = metric_name(
-            "serving", "standby", metric_segment(config.name), "promotions"
-        )
         self._seq: dict[int, int] = {}
         self._sets: dict[int, tuple[dict[str, StandbyReplica], ...]] = {}
         if config.num_standby_replicas > 0 and self._stores:
+            # Bound only where there is something to promote: a job without
+            # standbys registers no serving.standby.* instrument.
+            self._c_promotions = self._cluster.metrics.counter(metric_name(
+                "serving", "standby", metric_segment(config.name), "promotions"
+            ))
             for task_id in range(runner.num_tasks):
                 self._sets[task_id] = tuple(
                     self._new_set(task_id)
@@ -201,7 +203,7 @@ class Standbys:
             return None
         finally:
             self._sets[task_id] = (*rest, self._new_set(task_id))
-        self._cluster.metrics.counter(self._m_promotions).increment(1)
+        self._c_promotions.increment(1)
         report = RecoveryReport()
         for store_name, (store, stats) in promoted.items():
             # The new incarnation adopts the replica's store object outright;

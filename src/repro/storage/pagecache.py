@@ -91,6 +91,18 @@ class PageCache:
         self.prefetch_pages = prefetch_pages
         self.eviction = eviction
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        counter = self.metrics.counter
+        self._c_bytes_written = counter(_M_BYTES_WRITTEN)
+        self._c_bytes_flushed = counter(_M_BYTES_FLUSHED)
+        self._c_background_disk_seconds = counter(_M_BACKGROUND_DISK_SECONDS)
+        self._c_hits = counter(_M_HITS)
+        self._c_misses = counter(_M_MISSES)
+        self._c_bytes_read_disk = counter(_M_BYTES_READ_DISK)
+        self._c_bytes_read = counter(_M_BYTES_READ)
+        self._c_bytes_installed = counter(_M_BYTES_INSTALLED)
+        self._c_bytes_prefetched = counter(_M_BYTES_PREFETCHED)
+        self._c_forced_flushes = counter(_M_FORCED_FLUSHES)
+        self._c_evictions = counter(_M_EVICTIONS)
         self.page_size = self.cost_model.page_size
         # Iteration order of this dict is the eviction order.
         self._pages: OrderedDict[tuple[str, int], _Page] = OrderedDict()
@@ -143,7 +155,7 @@ class PageCache:
             self.clock.schedule(self.flush_timeout, self._flush_pages, keys)
         else:
             self._flush_pages(keys)
-        self.metrics.counter(_M_BYTES_WRITTEN).increment(nbytes)
+        self._c_bytes_written.increment(nbytes)
         return latency
 
     def _flush_pages(self, keys: list[tuple[str, int]]) -> None:
@@ -156,8 +168,8 @@ class PageCache:
                 flushed += 1
         if flushed:
             nbytes = flushed * self.page_size
-            self.metrics.counter(_M_BYTES_FLUSHED).increment(nbytes)
-            self.metrics.counter(_M_BACKGROUND_DISK_SECONDS).increment(
+            self._c_bytes_flushed.increment(nbytes)
+            self._c_background_disk_seconds.increment(
                 self.cost_model.disk_sequential_write(nbytes)
             )
 
@@ -204,7 +216,7 @@ class PageCache:
 
         latency = hits * self.cost_model.ram_read(self.page_size)
         if hits:
-            self.metrics.counter(_M_HITS).increment(hits)
+            self._c_hits.increment(hits)
         for first, length in miss_runs:
             run_bytes = length * self.page_size
             cost = self.cost_model.disk_sequential_read(run_bytes)
@@ -213,11 +225,11 @@ class PageCache:
             if not (sequential and first == pages[0]):
                 cost += self.cost_model.disk_seek_time
             latency += cost
-            self.metrics.counter(_M_MISSES).increment(length)
-            self.metrics.counter(_M_BYTES_READ_DISK).increment(run_bytes)
+            self._c_misses.increment(length)
+            self._c_bytes_read_disk.increment(run_bytes)
         if miss_runs:
             self._prefetch(file_id, pages[-1] + 1, now)
-        self.metrics.counter(_M_BYTES_READ).increment(nbytes)
+        self._c_bytes_read.increment(nbytes)
         return latency
 
     def _insert_clean(self, file_id: str, page_no: int, now: float) -> None:
@@ -243,9 +255,7 @@ class PageCache:
                 self._pages[key] = _Page(file_id, page_no, dirty=False, now=now)
                 inserted += 1
         if inserted:
-            self.metrics.counter(_M_BYTES_INSTALLED).increment(
-                inserted * self.page_size
-            )
+            self._c_bytes_installed.increment(inserted * self.page_size)
             self._evict_to_capacity()
         return inserted
 
@@ -259,8 +269,8 @@ class PageCache:
                 loaded += 1
         if loaded:
             nbytes = loaded * self.page_size
-            self.metrics.counter(_M_BYTES_PREFETCHED).increment(nbytes)
-            self.metrics.counter(_M_BACKGROUND_DISK_SECONDS).increment(
+            self._c_bytes_prefetched.increment(nbytes)
+            self._c_background_disk_seconds.increment(
                 self.cost_model.disk_sequential_read(nbytes)
             )
             self._evict_to_capacity()
@@ -289,12 +299,12 @@ class PageCache:
             if victim is None:
                 return False
             self._pages[victim].dirty = False
-            self.metrics.counter(_M_FORCED_FLUSHES).increment()
-            self.metrics.counter(_M_BACKGROUND_DISK_SECONDS).increment(
+            self._c_forced_flushes.increment()
+            self._c_background_disk_seconds.increment(
                 self.cost_model.disk_sequential_write(self.page_size)
             )
         del self._pages[victim]
-        self.metrics.counter(_M_EVICTIONS).increment()
+        self._c_evictions.increment()
         return True
 
     def _pick_victim(self, require_clean: bool) -> tuple[str, int] | None:

@@ -57,6 +57,8 @@ class SegmentArchiver:
         self.namespace = namespace
         self.clock = clock
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self._c_segments_archived = self.metrics.counter(_M_SEGMENTS_ARCHIVED)
+        self._c_bytes_archived = self.metrics.counter(_M_BYTES_ARCHIVED)
 
     def object_key(self, segment: LogSegment) -> str:
         return f"{self.namespace}/{segment.base_offset:020d}"
@@ -86,10 +88,8 @@ class SegmentArchiver:
             archived_at=self.clock.now(),
         )
         self.manifest.add(entry)
-        self.metrics.counter(_M_SEGMENTS_ARCHIVED).increment()
-        self.metrics.counter(_M_BYTES_ARCHIVED).increment(
-            segment.size_bytes
-        )
+        self._c_segments_archived.increment()
+        self._c_bytes_archived.increment(segment.size_bytes)
         return ArchiveResult(
             archived=True,
             object_key=key,

@@ -89,6 +89,12 @@ class ColdReader:
         self.page_cache = page_cache
         self.hydration_cache_bytes = hydration_cache_bytes
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self._c_cold_hits = self.metrics.counter(_M_COLD_HITS)
+        self._c_cold_fetches = self.metrics.counter(_M_COLD_FETCHES)
+        self._c_bytes_hydrated = self.metrics.counter(_M_BYTES_HYDRATED)
+        self._h_hydration_latency = self.metrics.histogram(_M_HYDRATION_LATENCY)
+        self._c_hydration_evictions = self.metrics.counter(_M_HYDRATION_EVICTIONS)
+        self._c_cold_records_read = self.metrics.counter(_M_COLD_RECORDS_READ)
         self._hydrated: OrderedDict[str, _HydratedSegment] = OrderedDict()
         self._hydrated_bytes = 0
         self.hits = 0
@@ -105,10 +111,10 @@ class ColdReader:
         if cached is not None:
             self._hydrated.move_to_end(entry.object_key)
             self.hits += 1
-            self.metrics.counter(_M_COLD_HITS).increment()
+            self._c_cold_hits.increment()
             return cached, 0.0
         self.misses += 1
-        self.metrics.counter(_M_COLD_FETCHES).increment()
+        self._c_cold_fetches.increment()
         got = self.store.get(entry.object_key)
         hydrated = _HydratedSegment(got.records, entry.size_bytes)
         self._hydrated[entry.object_key] = hydrated
@@ -118,8 +124,8 @@ class ColdReader:
                 self._file_id(entry.object_key), 0, entry.size_bytes
             )
         self._evict_to_cap()
-        self.metrics.counter(_M_BYTES_HYDRATED).increment(entry.size_bytes)
-        self.metrics.histogram(_M_HYDRATION_LATENCY).observe(got.latency)
+        self._c_bytes_hydrated.increment(entry.size_bytes)
+        self._h_hydration_latency.observe(got.latency)
         return hydrated, got.latency
 
     def _evict_to_cap(self) -> None:
@@ -131,7 +137,7 @@ class ColdReader:
             self._hydrated_bytes -= victim.size_bytes
             if self.page_cache is not None:
                 self.page_cache.forget_file(self._file_id(key))
-            self.metrics.counter(_M_HYDRATION_EVICTIONS).increment()
+            self._c_hydration_evictions.increment()
 
     # -- read path ------------------------------------------------------------------
 
@@ -191,9 +197,7 @@ class ColdReader:
                     collected = hydrated.records[idx:keep]
                     offsets = hydrated.offsets[idx:keep]
                 cursor = offsets[-1] + 1
-                self.metrics.counter(_M_COLD_RECORDS_READ).increment(
-                    keep - idx
-                )
+                self._c_cold_records_read.increment(keep - idx)
             if keep < stop or byte_budget <= 0:
                 break  # byte budget exhausted mid-segment
             entry = self.manifest.next_entry(entry)

@@ -39,6 +39,8 @@ class ColdTier:
         self.log = log
         self.config = config if config is not None else TieredConfig()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self._c_cold_reads = self.metrics.counter(_M_COLD_READS)
+        self._h_cold_read_latency = self.metrics.histogram(_M_COLD_READ_LATENCY)
         self.manifest = TierManifest()
         self.archiver = SegmentArchiver(
             store, self.manifest, namespace, log.clock, self.metrics
@@ -100,8 +102,8 @@ class ColdTier:
                 max(offset, self.log.log_start_offset), max_messages, max_bytes
             )
         result = self.reader.read(offset, max_messages, max_bytes)
-        self.metrics.counter(_M_COLD_READS).increment()
-        self.metrics.histogram(_M_COLD_READ_LATENCY).observe(result.latency)
+        self._c_cold_reads.increment()
+        self._h_cold_read_latency.observe(result.latency)
         result.log_end_offset = self.log.log_end_offset
         remaining = max_messages - len(result.offsets)
         byte_budget = None

@@ -218,7 +218,7 @@ class TestFetchEqualsThePerRecordFilter:
                     assert list(got.offsets) == [m.offset for m in visible]
 
     @given(plain_histories)
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=EXAMPLES, deadline=None)
     def test_untouched_run_is_passed_through_not_copied(self, history):
         """With no marker in the run and the run under the bound, the fetch
         result *is* the log's list: no per-record pass ran."""

@@ -64,9 +64,10 @@ class TestRequestPaths:
         assert result.base_offset == 0
         assert result.last_offset == 2
         assert latency > 0
-        read, fetch_latency = broker.fetch(TP, 0, max_messages=10)
+        read, fetch_latency, batches = broker.fetch(TP, 0, max_messages=10)
         assert [m.offset for m in read.messages] == [0, 1, 2]
         assert fetch_latency > 0
+        assert batches == []  # a produce without a producer id: no entry
 
     def test_offline_broker_rejects_requests(self):
         _clock, broker = leader_broker()
