@@ -124,6 +124,15 @@ class CostModel:
         """Fixed request overhead plus per-message CPU cost."""
         return self.request_overhead + nmessages * self.cpu_per_message
 
+    def request_fixed(self, oneway: bool = False) -> float:
+        """The part of one request's latency that does not grow with it: the
+        broker's dispatch and the network round trip (half of it for a
+        fire-and-forget send).  What one client sends one broker in one
+        round is one request and pays it once (:func:`round_latency`)."""
+        return self.request_overhead + (
+            self.network_rtt / 2 if oneway else self.network_rtt
+        )
+
     def compress(self, nbytes: int) -> float:
         """CPU cost of deflating ``nbytes`` of logical payload."""
         return nbytes / self.compress_bandwidth
@@ -166,19 +175,34 @@ class CostModel:
 DEFAULT_COST_MODEL = CostModel()
 
 
-def round_latency(requests: Iterable[tuple[Hashable, float]]) -> float:
-    """Latency of one client round: requests sent at one simulated instant.
+def round_latency(
+    requests: Iterable[tuple[Hashable, Hashable, float, float]],
+) -> float:
+    """Latency of one client round: requests sent at one simulated instant,
+    as ``(client, broker, fixed, latency)``.
 
-    A client keeps one request in flight per broker, so requests to
-    different brokers overlap and requests to one broker queue.  The round
-    costs the largest per-broker sum of the ``(broker, latency)`` pairs
-    (latencies are never negative), ``0.0`` when there are none.
+    A client keeps one request in flight per broker, so what one client
+    sends one broker in a round is one request: its fixed part (``fixed``,
+    :meth:`CostModel.request_fixed`, included in ``latency``) is paid once,
+    by the first, and every further request of the pair adds only the rest.
+    Client ``None`` marks a request that stays alone (a prefetch sent at an
+    earlier instant, a push the model does not merge).  Requests to one
+    broker queue, those of different clients too; requests to different
+    brokers overlap.  The round costs the largest per-broker sum (latencies
+    are never negative), ``0.0`` when there are none.
     """
     totals: dict[Hashable, float] = {}
+    sent: dict[tuple[Hashable, Hashable], None] = {}
     slowest = 0.0
-    # No call per pair: a poll is one fetch most of the time, and this
+    # No call per request: a poll is one fetch most of the time, and this
     # runs once per poll.
-    for broker, latency in requests:
+    for client, broker, fixed, latency in requests:
+        if client is not None:
+            pair = client, broker
+            if pair in sent:
+                latency -= fixed
+            else:
+                sent[pair] = None
         if broker in totals:
             latency += totals[broker]
         totals[broker] = latency

@@ -422,7 +422,8 @@ class MessagingCluster:
         """
         leader_broker = self._brokers[state.leader]
         leader_replica = leader_broker.replica(tp)
-        pushes: list[tuple[int, float]] = []
+        # (client, broker, fixed, latency): each push is a request of its own.
+        pushes: list[tuple[None, int, float, float]] = []
         for follower_id in list(state.isr):
             if follower_id == state.leader:
                 continue
@@ -442,7 +443,9 @@ class MessagingCluster:
             )
             self._c_wire_bytes.increment(batch_bytes)
             pushes.append((
+                None,
                 follower_id,
+                0.0,
                 self.cost_model.network_transfer(batch_bytes) + append_latency,
             ))
         # Followers learn the advanced HW on their next fetch; push it now so

@@ -62,6 +62,8 @@ class Consumer:
         self.config = config
         self.cluster = cluster
         self._c_prefetch_hits = cluster.metrics.counter(_M_PREFETCH_HITS)
+        # What the poll's fetches to one broker share (round_latency).
+        self._request_fixed = cluster.cost_model.request_fixed()
         self.group = config.group
         self.group_coordinator = group_coordinator
         self.auto_offset_reset = config.auto_offset_reset
@@ -178,16 +180,20 @@ class Consumer:
 
         The poll's fetches are one round
         (:func:`~repro.common.costmodel.round_latency`): one request in
-        flight per broker, so :attr:`last_poll_latency` is the largest
-        per-broker sum of what the fetches still owe, plus the summed
-        client-side inflate CPU.
+        flight per broker, so the poll's own fetches to one broker are one
+        request, paying its dispatch and round trip once, and
+        :attr:`last_poll_latency` is the largest per-broker sum of what the
+        fetches still owe, plus the summed client-side inflate CPU.  A
+        prefetched remainder was sent at an earlier instant: it stays a
+        request of its own.
         """
         if self.closed:
             raise ConfigError("consumer is closed")
         self._maybe_rejoin()
         budget = max_messages if max_messages is not None else self.max_poll_messages
         records: list[ConsumerRecord] = []
-        fetches: list[tuple[int, float]] = []
+        fetches: list[tuple[Consumer | None, int, float, float]] = []
+        fixed = self._request_fixed
         inflate = 0.0
         if not self._assignment:
             self.last_poll_latency = 0.0
@@ -212,14 +218,16 @@ class Consumer:
                     continue  # transient during failover; retry next poll
             if buffer.latency:
                 owed = buffer.latency
+                client = self
                 if buffer.prefetched:
                     # The fetch has been in flight since it was issued; only
                     # the portion that did not overlap application time is
-                    # still owed.
+                    # still owed, by a request of its own.
                     elapsed = self.cluster.clock.now() - buffer.issued_at
                     owed = max(0.0, owed - elapsed)
+                    client = None
                 # In place, not append(): no call per fetch on the poll path.
-                fetches += ((buffer.broker, owed),)
+                fetches += ((client, buffer.broker, fixed, owed),)
                 buffer.latency = 0.0
             batch, inflate_latency = buffer.take(
                 budget, self.cluster.cost_model, self.key_serde, self.value_serde

@@ -460,9 +460,17 @@ class TransactionalProducer(Producer):
         )
 
 
+def find_transaction_coordinator(
+    cluster: MessagingCluster,
+) -> TransactionCoordinator | None:
+    """The cluster's coordinator, ``None`` until a transactional client
+    first used it: a reader looks without creating one."""
+    return getattr(cluster, "_txn_coordinator", None)
+
+
 def get_transaction_coordinator(cluster: MessagingCluster) -> TransactionCoordinator:
     """One coordinator per cluster, created on first use."""
-    coordinator = getattr(cluster, "_txn_coordinator", None)
+    coordinator = find_transaction_coordinator(cluster)
     if coordinator is None:
         coordinator = TransactionCoordinator(cluster)
         cluster._txn_coordinator = coordinator

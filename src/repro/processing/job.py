@@ -21,7 +21,9 @@ end-to-end latencies across multi-job dataflows are meaningful (E2).  A
 pass runs every task at one simulated instant, so its input fetches are one
 client round and its pass-end flushes another
 (:func:`~repro.common.costmodel.round_latency`): requests to different
-brokers overlap, requests to one broker queue.
+brokers overlap, requests to one broker queue, and what one client sends
+one broker is one request — the container's fetches, each producer's
+batches.
 """
 
 from __future__ import annotations
@@ -224,6 +226,8 @@ class JobRunner:
             ),
         )
         self.checkpoints = CheckpointManager(cluster.offset_manager, config.name)
+        # What the pass's input fetches to one broker share (round_latency).
+        self._request_fixed = cluster.cost_model.request_fixed()
         self.cpu_cost = (
             config.cpu_cost_per_message
             if config.cpu_cost_per_message is not None
@@ -449,10 +453,11 @@ class JobRunner:
             if max_messages is not None
             else self.max_fetch_per_partition
         )
-        # (broker, latency) of every request the pass sends: the tasks' input
-        # fetches, then their pass-end flushes, each set one round.
-        fetches: list[tuple[int, float]] = []
-        flushes: list[tuple[int, float]] = []
+        # (client, broker, fixed, latency) of every request the pass sends:
+        # the tasks' input fetches, then their pass-end flushes, each set one
+        # round.
+        fetches: list[tuple[Any, int, float, float]] = []
+        flushes: list[tuple[Any, int, float, float]] = []
         for task_id in task_ids:
             remaining = budget
             if shared_budget:
@@ -476,8 +481,8 @@ class JobRunner:
         instance: _TaskInstance,
         budget: int,
         result: PollResult,
-        fetches: list[tuple[int, float]],
-        flushes: list[tuple[int, float]],
+        fetches: list[tuple[Any, int, float, float]],
+        flushes: list[tuple[Any, int, float, float]],
     ) -> None:
         """Run one task's share of a pass: its per-record CPU goes to
         ``result.latency``, its requests to ``fetches`` and ``flushes``."""
@@ -492,7 +497,11 @@ class JobRunner:
                     tp.topic, tp.partition, instance.positions[tp], budget,
                     isolation=self.isolation,
                 )
-                fetches.append((fetched.broker, fetched.latency))
+                # The container is the client: every task's fetches to one
+                # broker are one request.
+                fetches.append(
+                    (self, fetched.broker, self._request_fixed, fetched.latency)
+                )
                 for record in fetched.records:
                     age = self._process_record(instance, record, result, tracer)
                     if age >= 0:
@@ -513,7 +522,7 @@ class JobRunner:
         # The pass is the batch: everything it staged — emits and changelog —
         # leaves the task here, before any checkpoint that would cover it.
         result.records_emitted += self._hand_over(instance)
-        flushes += [(ack.broker, ack.latency) for ack in instance.output.flush()]
+        flushes += instance.output.flush()
         if instance.records_since_checkpoint >= self.config.checkpoint_interval:
             self._checkpoint_task(instance)
 

@@ -21,11 +21,12 @@ from __future__ import annotations
 import sys
 from typing import Any
 
+from repro.common.costmodel import CostModel
 from repro.common.errors import ProducerFlushError
 from repro.common.partitioning import partition_for_key
 from repro.common.records import EMPTY_HEADERS, TRACE_HEADER, TopicPartition
-from repro.messaging.cluster import ProduceAck
-from repro.messaging.producer import check_headers
+from repro.messaging.cluster import ACKS_NONE, ProduceAck
+from repro.messaging.producer import Producer, check_headers
 from repro.messaging.transactions import TransactionalProducer
 from repro.observability.trace import TraceContext, Tracer
 from repro.processing.task import MessageCollector
@@ -72,6 +73,9 @@ class AtLeastOnceOutput:
         self.producer = runner.producer
         self.changelog = runner._changelog_producer
         self.checkpoints = runner.checkpoints
+        self._clients = _clients(
+            runner.cluster.cost_model, self.producer, self.changelog
+        )
 
     def hand_over(self, emits: Runs, changelog: Runs) -> None:
         """Give a pass's staged runs to the producers that ship them; both
@@ -89,24 +93,30 @@ class AtLeastOnceOutput:
         duplicates the emits."""
         return False
 
-    def flush(self) -> list[ProduceAck]:
-        """Ship every staged (and any parked) write; returns the acks, one
-        per request, for the runner to charge as one round with the other
-        tasks' (:func:`~repro.common.costmodel.round_latency`).  Both
-        producers flush even when the first fails; then one
-        :class:`ProducerFlushError` carries both sets of acks and failures,
-        the undelivered batches parked for the next flush."""
+    def flush(self) -> list[tuple[Producer, int, float, float]]:
+        """Ship every staged (and any parked) write; returns one
+        ``(producer, broker, fixed, latency)`` per request, for the runner
+        to charge as one round with the other tasks'
+        (:func:`~repro.common.costmodel.round_latency`): each producer is
+        one client.  Every producer flushes even when one fails; then one
+        :class:`ProducerFlushError` carries all acks and failures, the
+        undelivered batches parked for the next flush."""
+        requests: list[tuple[Producer, int, float, float]] = []
         acks: list[ProduceAck] = []
         failures: list = []
-        for producer in (self.producer, self.changelog):
+        for producer, fixed in self._clients:
             try:
-                acks += producer.flush()
+                sent = producer.flush()
             except ProducerFlushError as exc:
                 acks += exc.acks
                 failures += exc.failures
+                continue
+            acks += sent
+            for ack in sent:
+                requests += ((producer, ack.broker, fixed, ack.latency),)
         if failures:
             raise ProducerFlushError(acks, failures)
-        return acks
+        return requests
 
     def commit_open(
         self, positions: dict[TopicPartition, int], metadata: dict[str, Any]
@@ -150,6 +160,7 @@ class ExactlyOnceOutput(AtLeastOnceOutput):
             transactional_id(runner.config.name, task_id),
             linger_messages=STAGE_ONLY,
         )
+        self._clients = _clients(runner.cluster.cost_model, self.producer)
 
     def hand_over(self, emits: Runs, changelog: Runs) -> None:
         """Begin a transaction at the first hand-over after a commit; it
@@ -171,9 +182,6 @@ class ExactlyOnceOutput(AtLeastOnceOutput):
             self.producer.abort()
         return True
 
-    def flush(self) -> list[ProduceAck]:
-        return self.producer.flush()
-
     def commit_open(
         self, positions: dict[TopicPartition, int], metadata: dict[str, Any]
     ) -> bool:
@@ -186,6 +194,15 @@ class ExactlyOnceOutput(AtLeastOnceOutput):
         self.checkpoints.commit_transactional(producer, positions, metadata)
         producer.commit()
         return True
+
+
+def _clients(model: CostModel, *producers: Producer) -> list[tuple[Producer, float]]:
+    """Each producer with the fixed part its requests to one broker share
+    in a flush round (:meth:`~repro.common.costmodel.CostModel.request_fixed`)."""
+    return [
+        (producer, model.request_fixed(producer.acks == ACKS_NONE))
+        for producer in producers
+    ]
 
 
 OUTPUT_PATHS = {

@@ -178,8 +178,8 @@ def _merged(
 
     Each shard is its own server and the shards answer in parallel, so the
     reported latency is the slowest shard's
-    (:func:`~repro.common.costmodel.round_latency`); the staleness bound is
-    the worst across shards.
+    (:func:`~repro.common.costmodel.round_latency`, each shard's request
+    its own); the staleness bound is the worst across shards.
     """
     first = shards[0]
     return _new_result(QueryResult, (
@@ -187,7 +187,7 @@ def _merged(
         _worst_served_by(shards), first.consistency,
         max([s.staleness_records for s in shards]),
         max([s.staleness_seconds for s in shards]),
-        round_latency([(s.task_id, s.latency) for s in shards]),
+        round_latency([(None, s.task_id, 0.0, s.latency) for s in shards]),
     ))
 
 

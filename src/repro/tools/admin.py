@@ -191,13 +191,21 @@ class AdminClient:
         demand.
         """
         metrics = self.cluster.metrics
-        ratio = metrics.histogram(_M_COMPRESSION_RATIO)
+
+        def value(name: str) -> float:
+            # A reader creates nothing: an instrument no component has
+            # made yet reads 0.
+            instrument = metrics.get(name)
+            return 0.0 if instrument is None else instrument.value
+
+        ratio = metrics.get(_M_COMPRESSION_RATIO)
+        count = 0 if ratio is None else ratio.count
         return {
-            "mean_compression_ratio": ratio.mean if ratio.count else 0.0,
-            "compressed_batches": float(ratio.count),
-            "bytes_saved": metrics.counter(_M_BYTES_SAVED).value,
-            "bytes_on_wire": metrics.counter(_M_WIRE_BYTES).value,
-            "prefetch_hits": metrics.counter(_M_PREFETCH_HITS).value,
+            "mean_compression_ratio": ratio.mean if count else 0.0,
+            "compressed_batches": float(count),
+            "bytes_saved": value(_M_BYTES_SAVED),
+            "bytes_on_wire": value(_M_WIRE_BYTES),
+            "prefetch_hits": value(_M_PREFETCH_HITS),
         }
 
     def describe_topic(self, topic: str) -> list[PartitionInfo]:
@@ -293,11 +301,13 @@ class AdminClient:
         records a ``read_committed`` consumer cannot see yet because an
         open transaction holds them back.  Lifecycle counters come from the
         ``messaging.transactions.*`` instruments.  Returns a typed
-        :class:`TransactionReport`.
+        :class:`TransactionReport`.  Reading creates nothing: before any
+        transactional client there is no coordinator, no open transaction
+        and no counter.
         """
-        from repro.messaging.transactions import get_transaction_coordinator
+        from repro.messaging.transactions import find_transaction_coordinator
 
-        coordinator = get_transaction_coordinator(self.cluster)
+        coordinator = find_transaction_coordinator(self.cluster)
         lso_lag: dict[str, int] = {}
         for topic in self.cluster.topics():
             for tp in self.cluster.partitions_of(topic):
@@ -308,9 +318,12 @@ class AdminClient:
                 lag = replica.high_watermark - replica.last_stable_offset
                 if lag > 0:
                     lso_lag[str(tp)] = lag
+        open_transactions = (
+            [] if coordinator is None else coordinator.open_transactions()
+        )
         metrics = self.cluster.metrics
         counters = {
-            name.rsplit(".", 1)[-1]: metrics.counter(name).value
+            name.rsplit(".", 1)[-1]: metrics.get(name).value
             for name in metrics.names()
             if name.startswith("messaging.transactions.")
         }
@@ -324,7 +337,7 @@ class AdminClient:
                     pending_offsets=txn["pending_offsets"],
                     decided=txn["decided"],
                 )
-                for txn in coordinator.open_transactions()
+                for txn in open_transactions
             ),
             lso_lag=dict(sorted(lso_lag.items())),
             counters=counters,

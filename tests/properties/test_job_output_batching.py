@@ -318,8 +318,9 @@ class ReferenceJobRunner(JobRunner):
     pass-end flush (so the fixed at-least-once flush, which ships the
     changelog even when the output partition fails, is on both sides),
     checkpoints, recovery and migration.  The pass latency follows the
-    runner's accounting (its fetches one round, its flush acks another),
-    since what this reference pins is the staging, not the cost model.
+    runner's accounting (its fetches one round, its flush requests another,
+    one request per client and broker), since what this reference pins is
+    the staging, not the cost model.
     """
 
     def __init__(self, config, cluster):
@@ -359,7 +360,9 @@ class ReferenceJobRunner(JobRunner):
                 tp.topic, tp.partition, instance.positions[tp], budget,
                 isolation=self.isolation,
             )
-            fetches.append((fetched.broker, fetched.latency))
+            fetches.append(
+                (self, fetched.broker, self._request_fixed, fetched.latency)
+            )
             for record in fetched.records:
                 ctx = self._reference_process_record(
                     instance, record, collector, result, tracer
@@ -373,7 +376,7 @@ class ReferenceJobRunner(JobRunner):
         self._reference_maybe_window(instance, result)
         for state in instance.stores.values():
             state.hand_over()
-        flushes += [(ack.broker, ack.latency) for ack in instance.output.flush()]
+        flushes += instance.output.flush()
         if instance.records_since_checkpoint >= self.config.checkpoint_interval:
             self._checkpoint_task(instance)
 

@@ -437,7 +437,9 @@ def _record_fetches(cluster):
 
 class TestPollIsOneRound:
     """A poll's fetches are one client round: one request in flight per
-    broker, so requests to different brokers overlap."""
+    broker, so requests to different brokers overlap, and the poll's
+    fetches to one broker are one request, paying the broker's dispatch and
+    the round trip once."""
 
     def test_a_poll_costs_its_slowest_broker_plus_inflate(self):
         cluster, fetched = _four_partitions(3, 50, compression="zlib:6")
@@ -445,26 +447,51 @@ class TestPollIsOneRound:
         consumer.assign(cluster.partitions_of("t"))
         assert len(consumer.poll(200)) == 200
         assert [result.broker for result in fetched] == [0, 1, 2, 0]
+        model = cluster.cost_model
+        fixed = model.request_overhead + model.network_rtt
         per_broker = {}
+        whole = {}
         inflate = 0.0
         for result in fetched:
-            per_broker[result.broker] = (
-                per_broker.get(result.broker, 0.0) + result.latency
-            )
+            latency = result.latency
+            whole[result.broker] = whole.get(result.broker, 0.0) + latency
+            if result.broker in per_broker:
+                latency -= fixed  # broker 0's second fetch joins its first
+            per_broker[result.broker] = per_broker.get(result.broker, 0.0) + latency
             drained = 0.0
             for latency in result.inflate:
                 drained += latency
             inflate += drained
         assert inflate > 0.0
         assert consumer.last_poll_latency == max(per_broker.values()) + inflate
+        # Broker 0 is slowest either way, and its two fetches are one request.
+        assert max(whole.values()) == whole[0]
+        assert consumer.last_poll_latency == pytest.approx(
+            whole[0] - fixed + inflate, rel=1e-12
+        )
         assert consumer.last_poll_latency < (
             sum(result.latency for result in fetched) + inflate
         )
 
     def test_on_one_broker_a_poll_costs_the_serial_sum(self):
+        """On one broker the four fetches are one request: their serial sum
+        less the dispatch and round trip three of them no longer pay."""
         cluster, fetched = _four_partitions(1, 50, compression="zlib:6")
         consumer = Consumer(cluster, ConsumerConfig(auto_offset_reset="earliest"))
         consumer.assign(cluster.partitions_of("t"))
         assert len(consumer.poll(200)) == 200
+        assert len(fetched) == 4
+        model = cluster.cost_model
         serial = sum(r.latency + sum(r.inflate) for r in fetched)
-        assert consumer.last_poll_latency == pytest.approx(serial, rel=1e-12)
+        shared = 3 * (model.request_overhead + model.network_rtt)
+        assert consumer.last_poll_latency == pytest.approx(serial - shared, rel=1e-12)
+
+    def test_one_fetch_per_broker_costs_the_slowest_to_the_bit(self):
+        """One fetch per broker: nothing is shared, so the poll costs exactly
+        what it did before requests were merged."""
+        cluster, fetched = _four_partitions(3, 50)
+        consumer = Consumer(cluster, ConsumerConfig(auto_offset_reset="earliest"))
+        consumer.assign(cluster.partitions_of("t")[:3])
+        assert len(consumer.poll(150)) == 150
+        assert [result.broker for result in fetched] == [0, 1, 2]
+        assert consumer.last_poll_latency == max(r.latency for r in fetched)

@@ -12,7 +12,7 @@ from repro.common.errors import (
     TaskFailedError,
 )
 from repro.common.records import TopicPartition
-from repro.messaging.cluster import MessagingCluster
+from repro.messaging.cluster import ACKS_LEADER, ACKS_NONE, MessagingCluster
 from repro.messaging.producer import Producer
 from repro.processing.job import (
     AT_LEAST_ONCE,
@@ -396,27 +396,36 @@ class TestPassIsTheBatch:
 
     def test_pass_latency_includes_the_changelog_acks(self):
         """The changelog's acks=all round trips are part of what a pass
-        costs; the per-record closure used to drop them on the floor."""
+        costs; the per-record closure used to drop them on the floor.  Its
+        requests to the one broker are one request: the dispatch and round
+        trip are paid once, not once per partition."""
         _, _, without, made = self._one_pass(changelog=False)
         assert made["all"] == (0, 0.0)
-        _, _, with_changelog, made = self._one_pass(changelog=True)
+        cluster, _, with_changelog, made = self._one_pass(changelog=True)
         assert made["all"][1] > 0
+        model = cluster.cost_model
+        shared = (self.PARTITIONS - 1) * (model.request_overhead + model.network_rtt)
         assert with_changelog.latency == pytest.approx(
-            without.latency + made["all"][1]
+            without.latency + made["all"][1] - shared
         )
 
 
 class TestPassIsOneRoundPerSide:
     """A pass runs every task at one simulated instant: its input fetches
     are one client round and its pass-end flushes another, so requests to
-    different brokers overlap and requests to one broker queue."""
+    different brokers overlap and requests to one broker queue.  What one
+    client sends one broker is one request, paying the dispatch and round
+    trip once: the container's fetches, and each producer's batches."""
 
     RECORDS = 40
 
-    def _one_pass(self, brokers, guarantee):
+    def _one_pass(self, brokers, guarantee, acks=ACKS_LEADER):
         """One pass of a counting, tagging job over two input partitions;
-        returns its result and the (broker, latency) of every fetch and
-        produce request the pass made, in order."""
+        returns its result and the (client, broker, latency) of every fetch
+        and produce request the pass made, in order.  A produce request's
+        client is its producer: per topic at least once (the output and the
+        changelog producer), per task exactly once (its transactional
+        producer)."""
         cluster = MessagingCluster(num_brokers=brokers, clock=SimClock())
         for topic in ("in", "out"):
             cluster.create_topic(topic, num_partitions=2, replication_factor=1)
@@ -427,18 +436,26 @@ class TestPassIsOneRoundPerSide:
             JobConfig(
                 name="j", inputs=["in"], task_factory=CountAndTagTask,
                 stores=[StoreConfig("counts")], checkpoint_interval=1000,
-                processing_guarantee=guarantee,
+                processing_guarantee=guarantee, acks=acks,
             ),
             cluster,
         )
         requests = {"fetch": [], "produce": []}
-        for name, seen in requests.items():
-            def recorded(*args, _call=getattr(cluster, name), _seen=seen, **kwargs):
-                reply = _call(*args, **kwargs)
-                _seen.append((reply.broker, reply.latency))
-                return reply
+        fetch, produce = cluster.fetch, cluster.produce
 
-            setattr(cluster, name, recorded)
+        def fetched(*args, **kwargs):
+            reply = fetch(*args, **kwargs)
+            requests["fetch"].append(("container", reply.broker, reply.latency))
+            return reply
+
+        def produced(*args, **kwargs):
+            reply = produce(*args, **kwargs)
+            tp = reply.partition
+            client = tp.partition if guarantee == EXACTLY_ONCE else tp.topic
+            requests["produce"].append((client, reply.broker, reply.latency))
+            return reply
+
+        cluster.fetch, cluster.produce = fetched, produced
         before = cluster.clock.now()
         result = runner.poll_once()
         assert result.records_processed == self.RECORDS
@@ -448,6 +465,18 @@ class TestPassIsOneRoundPerSide:
             cpu += runner.cpu_cost
         return cluster, result, requests["fetch"], cpu, requests["produce"]
 
+    @staticmethod
+    def _round(requests, fixed):
+        """The largest per-broker sum, a repeated (client, broker) pair
+        paying ``fixed`` less, in request order."""
+        per_broker, seen = {}, set()
+        for client, broker, latency in requests:
+            if (client, broker) in seen:
+                latency -= fixed
+            seen.add((client, broker))
+            per_broker[broker] = per_broker.get(broker, 0.0) + latency
+        return max(per_broker.values())
+
     @pytest.mark.parametrize("guarantee", [AT_LEAST_ONCE, EXACTLY_ONCE])
     def test_pass_costs_fetch_round_cpu_and_flush_round(self, guarantee):
         cluster, result, fetches, cpu, flushes = self._one_pass(2, guarantee)
@@ -456,23 +485,50 @@ class TestPassIsOneRoundPerSide:
             assert [cluster.leader_of(topic, p) for p in range(2)] == [0, 1]
         # One input fetch per task; per task an output and a changelog
         # request, to the task's own broker.
-        assert [broker for broker, _ in fetches] == [0, 1]
-        assert sorted(broker for broker, _ in flushes) == [0, 0, 1, 1]
-        fetch_round = max(fetches[0][1], fetches[1][1])
-        per_broker = {0: 0.0, 1: 0.0}
-        for broker, latency in flushes:
-            per_broker[broker] += latency
-        flush_round = max(per_broker.values())
+        assert [broker for _, broker, _ in fetches] == [0, 1]
+        assert sorted(broker for _, broker, _ in flushes) == [0, 0, 1, 1]
+        model = cluster.cost_model
+        fixed = model.request_overhead + model.network_rtt
+        fetch_round = max(fetches[0][2], fetches[1][2])
+        assert self._round(fetches, fixed) == fetch_round
+        flush_round = self._round(flushes, fixed)
         assert result.latency == fetch_round + cpu + flush_round
-        serial = sum(latency for _, latency in fetches + flushes) + cpu
+        whole = self._round(flushes, 0.0)
+        if guarantee == EXACTLY_ONCE:
+            # A task's one producer sends its output and changelog batches
+            # to its broker as one request.
+            assert flush_round == pytest.approx(whole - fixed, rel=1e-12)
+        else:
+            # Two producers, two requests: they queue whole.
+            assert flush_round == whole
+        serial = sum(latency for _, _, latency in fetches + flushes) + cpu
         assert result.latency < serial
 
     @pytest.mark.parametrize("guarantee", [AT_LEAST_ONCE, EXACTLY_ONCE])
     def test_on_one_broker_a_pass_costs_the_serial_sum(self, guarantee):
-        _, result, fetches, cpu, flushes = self._one_pass(1, guarantee)
+        """On one broker each client's requests are one request: the
+        serial sum, less the dispatch and round trip that the container's
+        second fetch and each producer's second batch no longer pay."""
+        cluster, result, fetches, cpu, flushes = self._one_pass(1, guarantee)
         assert len(fetches) == 2 and len(flushes) == 4
-        serial = sum(latency for _, latency in fetches + flushes) + cpu
-        assert result.latency == pytest.approx(serial, rel=1e-12)
+        assert len({client for client, _, _ in flushes}) == 2
+        model = cluster.cost_model
+        shared = 3 * (model.request_overhead + model.network_rtt)
+        serial = sum(latency for _, _, latency in fetches + flushes) + cpu
+        assert result.latency == pytest.approx(serial - shared, rel=1e-12)
+
+    def test_a_fire_and_forget_producer_shares_half_a_round_trip(self):
+        """acks=none sends pay half the round trip, and so share half: the
+        output producer's two batches save the dispatch and half a round
+        trip, the acks=all changelog's two the dispatch and a whole one."""
+        cluster, result, fetches, cpu, flushes = self._one_pass(
+            1, AT_LEAST_ONCE, acks=ACKS_NONE
+        )
+        model = cluster.cost_model
+        rtt, overhead = model.network_rtt, model.request_overhead
+        shared = (overhead + rtt) + (overhead + rtt / 2) + (overhead + rtt)
+        serial = sum(latency for _, _, latency in fetches + flushes) + cpu
+        assert result.latency == pytest.approx(serial - shared, rel=1e-12)
 
 
 class TestFailedOutputFlush:

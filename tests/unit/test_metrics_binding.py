@@ -3,9 +3,10 @@
 A component asks the registry for its counters and histograms once, in its
 ``__init__``, and the request path increments the bound objects: a fetch, a
 produce or a page-cache touch looks nothing up.  The registry's
-get-or-create lookup serves that set-up and the readers below.  The walk
-keeps lookups out of every other function, and the identity check keeps the
-bound objects the registry's own, across ``reset()``.
+get-or-create lookup serves that set-up alone; a report reads through
+``metrics.get`` and creates nothing.  The walk keeps lookups out of every
+other function, and the identity check keeps the bound objects the
+registry's own, across ``reset()``.
 """
 
 import ast
@@ -21,26 +22,18 @@ from repro.messaging.producer import Producer
 from repro.messaging.topic import TopicConfig
 from repro.messaging.transactions import (
     TransactionalProducer,
+    find_transaction_coordinator,
     get_transaction_coordinator,
 )
 from repro.processing.job import JobConfig, JobRunner, StoreConfig
 from repro.storage.log import LogConfig
 from repro.storage.retention import RetentionConfig
 from repro.storage.tiered import TieredConfig
+from repro.tools.admin import AdminClient
 
 ROOT = Path(repro.__file__).parent
 
 LOOKUPS = {"counter", "histogram", "gauge"}
-
-#: Functions that may look instruments up after set-up: readers that report
-#: on instruments other components own, once per report.
-READERS = {
-    ("tools/admin.py", "AdminClient.compression_stats"):
-        "admin report over instruments the producer, brokers, cluster and "
-        "consumers own",
-    ("tools/admin.py", "AdminClient.transaction_report"):
-        "admin report over every messaging.transactions.* counter by name",
-}
 
 
 def _lookups(tree) -> list[tuple[str, int]]:
@@ -70,19 +63,31 @@ def _lookups(tree) -> list[tuple[str, int]]:
     return found
 
 
-def test_no_lookup_outside_a_constructor_or_a_reader():
+def test_no_lookup_outside_a_constructor():
     offenders = []
-    readers_seen = set()
     for path in sorted(ROOT.rglob("*.py")):
         name = path.relative_to(ROOT).as_posix()
         for function, line in _lookups(ast.parse(path.read_text())):
-            if (name, function) in READERS:
-                readers_seen.add((name, function))
-            else:
-                offenders.append(f"{name}:{line} {function}")
+            offenders.append(f"{name}:{line} {function}")
     assert offenders == []
-    # A reader that stopped looking anything up leaves the allowlist.
-    assert readers_seen == set(READERS)
+
+
+def test_admin_reports_create_no_instrument():
+    """Regression: ``describe_cluster`` created the consumer's prefetch
+    counter and the producer's compression histogram on a cluster that had
+    neither, and ``transaction_report`` built the transaction coordinator
+    with its seven counters."""
+    cluster = MessagingCluster(num_brokers=1, clock=SimClock())
+    cluster.create_topic("t", num_partitions=1, replication_factor=1)
+    names = cluster.metrics.names()
+    admin = AdminClient(cluster)
+    stats = admin.describe_cluster()["compression"]
+    assert stats["prefetch_hits"] == 0
+    assert stats["mean_compression_ratio"] == stats["compressed_batches"] == 0.0
+    report = admin.transaction_report()
+    assert report.open_transactions == () and report.counters == {}
+    assert cluster.metrics.names() == names
+    assert find_transaction_coordinator(cluster) is None
 
 
 def test_the_walk_sees_the_lookups_it_forbids():
