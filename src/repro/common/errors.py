@@ -22,6 +22,10 @@ class ReservedHeaderError(ConfigError):
     """A client record set a header in the system's ``__`` namespace."""
 
 
+class ReservedTopicError(ConfigError):
+    """A client tried to create a topic in the system's ``__`` namespace."""
+
+
 class SerdeError(LiquidError):
     """A value could not be serialized or deserialized."""
 

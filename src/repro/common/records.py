@@ -14,6 +14,17 @@ to a topic partition, identified by a per-partition monotonically increasing
   serde-less) fetch hand out that same object; only frame inflation and
   serde consumers build a separate ``ConsumerRecord``.
 
+Both record types are tuples of their fields (a ``NamedTuple`` and its
+subclass), so whoever builds a batch of them builds it in one C pass over
+its columns with :data:`new_record`, running no Python code per record: the
+log at append, a kept frame for its reader, the fetch buffer for frames and
+serdes.  A tuple is one length word (8 B) larger than the slot object it
+replaced, and a field read goes through the namedtuple's C getter (about
+22 ns against a slot's 9 ns on a 2-core CPython 3.11 box); building one
+is one C call, about 210 ns on that box (about 300 ns a record for a
+whole batch pass, the column ``zip`` included), where the slot object's
+``__init__`` took about 470 ns.
+
 A record sent without headers carries :data:`EMPTY_HEADERS`, one shared
 read-only mapping, instead of an empty dict of its own.
 """
@@ -23,7 +34,6 @@ from __future__ import annotations
 import sys
 from collections.abc import Mapping as _AbcMapping
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Any, Mapping, NamedTuple
 
 
@@ -196,22 +206,17 @@ class ProducerRecord:
         return payload_size(self.key, self.value, self.headers)
 
 
-@dataclass(init=False, slots=True, eq=False)
-class ConsumerRecord:
-    """A message as delivered to a consumer, with full provenance.
+#: Builds a record of class ``cls`` from its complete field tuple in one C
+#: call, running no Python code: ``new_record(StoredMessage, fields)``.  The
+#: batch builders map it over a batch's columns,
+#: ``list(map(new_record, repeat(cls), zip(*columns)))``, so a whole batch is
+#: one C pass; the class constructors below are for callers that build one
+#: record at a time.
+new_record = tuple.__new__
 
-    ``size`` is the payload size — key, value and headers, log framing
-    excluded — on every record, stored or built.  It is computed once at
-    construction; fetch paths that already know it pass it in so
-    quota/WAN accounting never re-walks keys, values and headers.
 
-    Immutable, yet built by plain slot stores: ``__init__`` ends by
-    re-classing the instance to a slot-less subclass whose ``__setattr__``
-    raises (a frozen dataclass pays ``object.__setattr__`` per field, a
-    tuple is larger).  Equality and hash are over the eight fields, across
-    subclasses: a :class:`StoredMessage` equals the ``ConsumerRecord`` built
-    from the same record.
-    """
+class _RecordFields(NamedTuple):
+    """The eight fields of a :class:`ConsumerRecord`, in tuple order."""
 
     topic: str
     partition: int
@@ -222,50 +227,62 @@ class ConsumerRecord:
     headers: Mapping[str, Any]
     size: int
 
-    def __init__(
-        self, topic, partition, offset, key, value, timestamp, headers=None, size=0
-    ) -> None:
-        self.topic = topic
-        self.partition = partition
-        self.offset = offset
-        self.key = key
-        self.value = value
-        self.timestamp = timestamp
-        self.headers = headers = EMPTY_HEADERS if headers is None else headers
-        self.size = size or payload_size(key, value, headers)
-        self.__class__ = _FrozenConsumerRecord
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ConsumerRecord):
-            return NotImplemented
-        return _record_fields(self) == _record_fields(other)
+class ConsumerRecord(_RecordFields):
+    """A message as delivered to a consumer, with full provenance.
 
-    def __hash__(self) -> int:
-        return hash(_record_fields(self))
+    ``size`` is the payload size — key, value and headers, log framing
+    excluded — on every record, stored or built.  It is computed once at
+    construction; fetch paths that already know it pass it in so
+    quota/WAN accounting never re-walks keys, values and headers.
 
-
-#: The eight ``ConsumerRecord`` fields of a record, as a tuple.
-_record_fields = attrgetter(*ConsumerRecord.__slots__)
-
-
-class _FrozenConsumerRecord(ConsumerRecord):
-    """What every constructed :class:`ConsumerRecord` becomes."""
+    A tuple of its eight fields, so a batch of records is built in one C
+    pass (:data:`new_record`) and a field read is the tuple's own getter.
+    Immutable: assigning or deleting any attribute raises
+    :class:`AttributeError`.  Equality and hash are over the eight fields,
+    across subclasses — a :class:`StoredMessage` equals the
+    ``ConsumerRecord`` built from the same record — and a record never
+    equals a plain tuple.
+    """
 
     __slots__ = ()
 
+    def __new__(
+        cls, topic, partition, offset, key, value, timestamp, headers=None, size=0
+    ) -> ConsumerRecord:
+        if headers is None:
+            headers = EMPTY_HEADERS
+        return new_record(cls, (
+            topic, partition, offset, key, value, timestamp, headers,
+            size or payload_size(key, value, headers),
+        ))
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, ConsumerRecord) and self[:8] == other[:8]
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash(self[:8])
+
     def __setattr__(self, name: str, value: Any = None) -> None:
-        raise AttributeError(
-            f"{type(self).__bases__[0].__name__} is immutable ({name!r})"
-        )
+        raise AttributeError(f"{type(self).__name__} is immutable ({name!r})")
 
     __delattr__ = __setattr__
 
-    def __reduce__(self) -> tuple:  # copy/pickle rebuild through __init__
-        return ConsumerRecord, _record_fields(self)
+    def __reduce__(self) -> tuple:  # copy/pickle rebuild the fields as they are
+        return new_record, (type(self), tuple(self))
 
 
-@dataclass(init=False, slots=True, eq=False)
-class StoredMessage(ConsumerRecord):
+#: The nine fields of a :class:`StoredMessage`: a record's eight, then its
+#: ``stored_size``.
+_StoredFields = NamedTuple(
+    "_StoredFields", [*_RecordFields.__annotations__.items(), ("stored_size", int)]
+)
+
+
+class StoredMessage(_StoredFields, ConsumerRecord):
     """A message at rest inside a log segment — and, once appended, the very
     record a plain fetch delivers.
 
@@ -286,13 +303,15 @@ class StoredMessage(ConsumerRecord):
     :data:`RECORD_FRAMING_BYTES` by default, or the record's share of the
     compressed batch frame it arrived in.  Segments, the page cache,
     replication and the cold tier all move physical bytes, so they charge
-    ``stored_size``.  It takes no part in equality.
+    ``stored_size``.  It is the tuple's ninth element and takes no part in
+    equality.  The constructor takes the fields in its own order, the tuple
+    holds them in :class:`ConsumerRecord`'s.
     """
 
-    stored_size: int
+    __slots__ = ()
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         key,
         value,
         timestamp,
@@ -302,39 +321,22 @@ class StoredMessage(ConsumerRecord):
         stored_size=None,
         topic=None,
         partition=None,
-    ) -> None:
-        self.topic = topic
-        self.partition = partition
-        self.offset = offset
-        self.key = key
-        self.value = value
-        self.timestamp = timestamp
-        self.headers = EMPTY_HEADERS if headers is None else headers
+    ) -> StoredMessage:
+        if headers is None:
+            headers = EMPTY_HEADERS
         if size is None:
-            self.__post_init__()
-        else:
-            self.size = size
-        self.stored_size = (
-            self.size + RECORD_FRAMING_BYTES if stored_size is None else stored_size
-        )
-        self.__class__ = _FrozenStoredMessage
+            size = cls.__post_init__(key, value, headers)
+        return new_record(cls, (
+            topic, partition, offset, key, value, timestamp, headers, size,
+            size + RECORD_FRAMING_BYTES if stored_size is None else stored_size,
+        ))
 
-    def __post_init__(self) -> None:
-        # A size that was not supplied (direct ``StoredMessage(...)``
-        # callers; the log sizes its own appends).
-        self.size = payload_size(self.key, self.value, self.headers)
-
-
-class _FrozenStoredMessage(StoredMessage, _FrozenConsumerRecord):
-    """What every constructed :class:`StoredMessage` becomes."""
-
-    __slots__ = ()
-
-    def __reduce__(self) -> tuple:
-        return StoredMessage, (
-            self.key, self.value, self.timestamp, self.offset, self.headers,
-            self.size, self.stored_size, self.topic, self.partition,
-        )
+    @staticmethod
+    def __post_init__(key: Any, value: Any, headers: Mapping[str, Any]) -> int:
+        """The size hook: the payload size of a record built without one
+        (direct ``StoredMessage(...)`` callers; the log sizes its batches
+        as a column)."""
+        return payload_size(key, value, headers)
 
 
 class TopicPartition(NamedTuple):

@@ -20,7 +20,7 @@ from dataclasses import replace
 from typing import Any, Iterable
 
 from repro.common.clock import SimClock
-from repro.common.errors import ConfigError, FeedNotFoundError
+from repro.common.errors import FeedNotFoundError, ReservedTopicError
 from repro.common.records import TopicPartition
 from repro.messaging.cluster import MessagingCluster
 from repro.messaging.config import ConsumerConfig, ProducerConfig
@@ -85,7 +85,7 @@ class Liquid:
     ) -> Feed:
         """Create a source-of-truth feed (topic + registry entry)."""
         if is_system_topic(name):
-            raise ConfigError(
+            raise ReservedTopicError(
                 f"feed name {name!r} is reserved: the "
                 f"{SYSTEM_TOPIC_PREFIX!r} namespace belongs to system "
                 f"feeds (offsets, telemetry)"

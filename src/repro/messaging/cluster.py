@@ -35,6 +35,7 @@ from repro.common.errors import (
     ConfigError,
     NotEnoughReplicasError,
     RecordTooLargeError,
+    ReservedTopicError,
     TopicAlreadyExistsError,
     TopicNotFoundError,
 )
@@ -58,7 +59,12 @@ from repro.messaging.fetchbuffer import (
 from repro.messaging.offset_manager import OFFSETS_TOPIC, OffsetManager
 from repro.messaging.quotas import QuotaManager
 from repro.messaging.replication import ReplicationManager, ReplicationStats
-from repro.messaging.topic import CLEANUP_COMPACT, TopicConfig
+from repro.messaging.topic import (
+    CLEANUP_COMPACT,
+    SYSTEM_TOPIC_PREFIX,
+    TopicConfig,
+    is_system_topic,
+)
 
 #: Valid ack modes.
 ACKS_NONE = "none"
@@ -178,7 +184,7 @@ class MessagingCluster:
     # -- internal topic ----------------------------------------------------------
 
     def _create_offsets_topic(self, num_brokers: int) -> None:
-        self.create_topic(
+        self.create_system_topic(
             TopicConfig(
                 name=OFFSETS_TOPIC,
                 num_partitions=1,
@@ -224,11 +230,36 @@ class MessagingCluster:
         return self._object_store
 
     def create_topic(self, config: TopicConfig | str, **kwargs: Any) -> TopicConfig:
-        """Create a topic from a :class:`TopicConfig` or name + kwargs."""
+        """Create a client topic from a :class:`TopicConfig` or name + kwargs.
+
+        A name in the system's ``__`` namespace
+        (:func:`~repro.messaging.topic.is_system_topic`) is refused with
+        :class:`~repro.common.errors.ReservedTopicError`: those topics are
+        created by :meth:`create_system_topic` alone.
+        """
         if isinstance(config, str):
             config = TopicConfig(name=config, **kwargs)
         elif kwargs:
             raise ConfigError("pass either a TopicConfig or name + kwargs")
+        if is_system_topic(config.name):
+            raise ReservedTopicError(
+                f"topic name {config.name!r} is reserved: the "
+                f"{SYSTEM_TOPIC_PREFIX!r} namespace belongs to system topics"
+            )
+        return self._create(config)
+
+    def create_system_topic(self, config: TopicConfig) -> TopicConfig:
+        """Create a topic in the system's ``__`` namespace: the path of the
+        offsets topic, the telemetry feeds and job changelogs, and of
+        nothing else (a client name is a :class:`ConfigError` here)."""
+        if not is_system_topic(config.name):
+            raise ConfigError(
+                f"system topic {config.name!r} must start with "
+                f"{SYSTEM_TOPIC_PREFIX!r}"
+            )
+        return self._create(config)
+
+    def _create(self, config: TopicConfig) -> TopicConfig:
         if config.name in self._topics:
             raise TopicAlreadyExistsError(config.name)
         if config.tiered is not None:

@@ -42,17 +42,14 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from operator import attrgetter
+from itertools import repeat
 
 from repro.common.compression import BatchFrame
 from repro.common.costmodel import CostModel
-from repro.common.records import ConsumerRecord, StoredMessage
+from repro.common.records import ConsumerRecord, StoredMessage, new_record
 from repro.common.serde import Serde
 from repro.storage.log import BatchEntry
 from repro.storage.segment import Run, records
-
-#: A stored record's fields in ``ConsumerRecord`` order after its partition.
-_STORED_FIELDS = attrgetter("offset", "key", "value", "timestamp", "headers", "size")
 
 
 class FetchBatch:
@@ -108,9 +105,11 @@ class FetchBatch:
         A plain batch without serdes builds nothing: its records are the
         log's own :class:`~repro.common.records.StoredMessage` objects.
         Frames and serdes build one ``ConsumerRecord`` per record asked
-        for; no record is memoized, as the caller's cursor asks for each
-        record once, but a frame is decoded on its first touch only and its
-        entries kept in :attr:`decoded`.  A serde decodes the slice's column
+        for, the whole slice in one C pass over its columns
+        (:data:`~repro.common.records.new_record`); no record is memoized,
+        as the caller's cursor asks for each record once, but a frame is
+        decoded on its first touch only and its entries kept in
+        :attr:`decoded`.  A serde decodes the slice's column
         in one :meth:`~repro.common.serde.Serde.deserialize_many` call (the
         values, and the keys when a key serde is set), for plain and framed
         batches alike; a ``None`` key or value stays ``None``.  The returned
@@ -130,9 +129,8 @@ class FetchBatch:
                 return run, 0.0
             if not run:
                 return [], 0.0
-            offsets, keys, values, timestamps, headers, sizes = zip(
-                *map(_STORED_FIELDS, run)
-            )
+            # A record is a tuple: the transposed run is its columns.
+            _, _, offsets, keys, values, timestamps, headers, sizes, *_ = zip(*run)
         else:
             decoded = self.decoded
             if decoded is None:
@@ -149,15 +147,10 @@ class FetchBatch:
             keys = key_serde.deserialize_many(keys)
         if value_serde is not None:
             values = value_serde.deserialize_many(values)
-        topic, partition = self.topic, self.partition
-        return [
-            ConsumerRecord(
-                topic, partition, offset, key, value, timestamp, held, size
-            )
-            for offset, key, value, timestamp, held, size in zip(
-                offsets, keys, values, timestamps, headers, sizes
-            )
-        ], latency
+        return list(map(new_record, repeat(ConsumerRecord), zip(
+            repeat(self.topic), repeat(self.partition),
+            offsets, keys, values, timestamps, headers, sizes,
+        ))), latency
 
 
 def build_fetch_batches(

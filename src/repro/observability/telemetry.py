@@ -158,7 +158,7 @@ class TelemetryExporter:
         existing = set(self.cluster.topics())
         for feed in TELEMETRY_FEEDS:
             if feed not in existing:
-                self.cluster.create_topic(TopicConfig(
+                self.cluster.create_system_topic(TopicConfig(
                     name=feed,
                     num_partitions=self._partitions,
                     replication_factor=replication,

@@ -265,7 +265,7 @@ class JobRunner:
                 continue
             topic = changelog_topic_name(self.config.name, store_config.name)
             if topic not in self.cluster.topics():
-                self.cluster.create_topic(
+                self.cluster.create_system_topic(
                     TopicConfig(
                         name=topic,
                         num_partitions=self.num_tasks,

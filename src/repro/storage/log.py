@@ -31,14 +31,20 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import attrgetter, lt
+from itertools import accumulate, repeat
+from operator import add, attrgetter, lt
 from typing import Any, Sequence
 
 from repro.common.clock import SimClock
 from repro.common.compression import BatchFrame, payload_sizes
 from repro.common.errors import ConfigError, OffsetOutOfRangeError
-from repro.common.records import RECORD_FRAMING_BYTES, StoredMessage, TopicPartition
+from repro.common.records import (
+    EMPTY_HEADERS,
+    RECORD_FRAMING_BYTES,
+    StoredMessage,
+    TopicPartition,
+    new_record,
+)
 from repro.chaos.failpoints import failpoint
 from repro.storage.pagecache import PageCache
 from repro.storage.segment import (
@@ -295,28 +301,24 @@ class PartitionLog:
         # is its size plus framing.
         topic, partition = self.partition or (None, None)
         base = self._next_offset
-        messages = [
-            StoredMessage(
-                key,
-                value,
-                timestamp if timestamp is not None else now,
-                offset,
-                headers,
-                size,
-                None,
-                topic,
-                partition,
-            )
-            for offset, ((key, value, timestamp, headers), size) in enumerate(
-                zip(entries, sizes), base
-            )
-        ]
+        count = len(entries)
+        stored_sizes = list(map(add, sizes, repeat(RECORD_FRAMING_BYTES, count)))
+        keys, values, timestamps, headers = zip(*entries) if entries else ((),) * 4
+        if None in headers:  # only a direct caller leaves headers out
+            headers = [EMPTY_HEADERS if held is None else held for held in headers]
+        # The whole batch in one C pass over its columns; a missing
+        # timestamp is looked up as ``now`` on the way.
+        messages = list(map(new_record, repeat(StoredMessage), zip(
+            repeat(topic), repeat(partition), range(base, base + count),
+            keys, values, map({None: now}.get, timestamps, timestamps),
+            headers, sizes, stored_sizes,
+        )))
         latency = self._append_run(
             messages,
-            [m.stored_size for m in messages],
+            stored_sizes,
             # From a list, which array converts in one pass (an iterator
             # it grows per item).
-            array("q", list(range(base, base + len(messages)))),
+            array("q", list(range(base, base + count))),
         )
         if messages and kind is not None:
             self.note_batch(

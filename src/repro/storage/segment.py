@@ -46,13 +46,13 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import attrgetter, itemgetter
 from typing import Iterator, Union
 
 from repro.common.compression import BatchFrame
 from repro.common.errors import ConfigError
-from repro.common.records import StoredMessage, TopicPartition
+from repro.common.records import StoredMessage, TopicPartition, new_record
 
 _timestamp_of = attrgetter("timestamp")
 _stored_size_of = attrgetter("stored_size")
@@ -95,28 +95,20 @@ class StoredFrame:
         ``stored_size`` (its share of the frame) included."""
         frame = self.frame
         entries = frame.entries()[start:stop]
-        stamp = self.stamp
+        if not entries:
+            return []
         topic, partition = self.partition or (None, None)
-        return [
-            StoredMessage(
-                key,
-                value,
-                stamp if timestamp is None else timestamp,
-                offset,
-                headers,
-                size,
-                stored,
-                topic,
-                partition,
-            )
-            for offset, (key, value, timestamp, _), headers, size, stored in zip(
-                range(self.base_offset + start, self.base_offset + stop),
-                entries,
-                frame.headers(entries, start),
-                frame.sizes[start:stop],
-                frame.stored_sizes()[start:stop],
-            )
-        ]
+        keys, values, timestamps, _ = zip(*entries)
+        # One C pass, as the log builds a batch: a missing timestamp is
+        # looked up as the batch's stamp.
+        return list(map(new_record, repeat(StoredMessage), zip(
+            repeat(topic), repeat(partition),
+            range(self.base_offset + start, self.base_offset + stop),
+            keys, values, map({None: self.stamp}.get, timestamps, timestamps),
+            frame.headers(entries, start),
+            frame.sizes[start:stop],
+            frame.stored_sizes()[start:stop],
+        )))
 
 
 #: One stretch of a run: a list of records held as objects, or a frame

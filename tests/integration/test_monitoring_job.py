@@ -148,7 +148,7 @@ class TestAlertsSurviveRetentionStorm:
         cluster = MessagingCluster(num_brokers=1, maintenance_interval=1.0)
         # Chaos config: tiny segments, aggressive retention on the alerts
         # feed.  The exporter adopts the pre-created topic as-is.
-        cluster.create_topic(
+        cluster.create_system_topic(
             TopicConfig(
                 name=TELEMETRY_ALERTS_FEED,
                 num_partitions=1,

@@ -3,9 +3,9 @@
 Dedup windows, open transactions and aborted runs are a fold of the log's
 batch index, so they shrink when the log does.  These are the cases where
 the per-record bookkeeping this replaced did not: a truncation that left a
-phantom transaction or sequence behind (ROADMAP item 1c), a follower that
-copied after compaction and never saw the marker, and state that only ever
-grew (item 1d).
+phantom transaction or sequence behind after an unclean election, a
+follower that copied after compaction and never saw the marker, and state
+that only ever grew under retention.
 """
 
 import pytest
@@ -42,9 +42,10 @@ def entries(*values):
 
 
 class TestUncleanElectionTruncatesProducerState:
-    """ROADMAP 1(c).  Broker 2 misses a batch, brokers 0 and 1 die holding
-    it, broker 2 is crowned uncleanly with the shorter log, broker 1 returns
-    and truncates the batch away — then leads."""
+    """An unclean election truncates producer state.  Broker 2 misses a
+    batch, brokers 0 and 1 die holding it, broker 2 is crowned uncleanly
+    with the shorter log, broker 1 returns and truncates the batch away —
+    then leads."""
 
     def lose_the_tail(self, cluster, write_the_tail):
         Producer(cluster).send("t", "before")
@@ -149,7 +150,8 @@ class TestFollowerCopiesAfterCompaction:
 
 
 class TestProducerStateIsBounded:
-    """ROADMAP 1(d): a soak through a partition with retention."""
+    """Producer state shrinks with the log: a soak through a partition with
+    retention."""
 
     BATCHES = 2_000
     ABORTS = 200

@@ -5,7 +5,8 @@ A fetch response holds the log's ``StoredMessage`` runs and the producer's
 ``BatchFrame`` objects.  A ``StoredMessage`` is a ``ConsumerRecord``, so a
 plain batch drained without serdes hands out the log's objects and builds
 nothing; ``ConsumerRecord`` instances come into being only in
-``FetchBatch.inflate`` for frames and serdes, once per delivered record.
+``FetchBatch.inflate`` for frames and serdes, once per delivered record,
+each slice in one pass of ``records.new_record`` over its columns.
 """
 
 import gc
@@ -23,6 +24,7 @@ from repro.common.records import (
     ConsumerRecord,
     StoredMessage,
     TopicPartition,
+    new_record,
 )
 from repro.common.serde import JsonSerde, StringSerde
 from repro.messaging import fetchbuffer
@@ -68,14 +70,15 @@ def materialise(batches):
 
 @pytest.fixture
 def built(monkeypatch):
-    """Offsets of every ``ConsumerRecord`` the fetch buffer constructs."""
+    """Offsets of every record the fetch buffer builds, counted through the
+    C builder it maps over a batch's columns."""
     offsets = []
 
-    def counting(*args):
-        offsets.append(args[2])
-        return ConsumerRecord(*args)
+    def counting(cls, fields):
+        offsets.append(fields[2])
+        return new_record(cls, fields)
 
-    monkeypatch.setattr(fetchbuffer, "ConsumerRecord", counting)
+    monkeypatch.setattr(fetchbuffer, "new_record", counting)
     return offsets
 
 

@@ -21,6 +21,11 @@ Those drained through :class:`~repro.common.serde.JsonSerde` from one
 batch are decoded in one scan, so their dicts share one string per field
 name instead of holding a fresh copy each; that too shows as bytes per
 record.
+
+A job that keeps each record in a changelogged store leaves the input
+log's record, the changelog log's record and the store's entry; a standby
+copy of the store adds its own entry.  Those are counted with ``gc`` the
+same way, with the producer, runner and cluster held to the end.
 """
 
 import gc
@@ -40,6 +45,7 @@ from repro.messaging.cluster import MessagingCluster
 from repro.messaging.config import ConsumerConfig, ProducerConfig
 from repro.messaging.consumer import Consumer
 from repro.messaging.producer import Producer
+from repro.processing.job import JobConfig, JobRunner, StoreConfig
 
 #: Retained bytes per record, as measured x 1.05.  Before frames stopped
 #: keeping their decoded batch and segment positions became machine words
@@ -51,6 +57,13 @@ BOUNDS = {"none": 504.4, "zlib:6": 84.1}
 #: GC-tracked objects a frameless record leaves at rest, as measured x 1.05:
 #: one ``StoredMessage``, the same object on all three replicas (0.995).
 FRAMELESS_OBJECTS = 1.045
+
+#: GC-tracked objects a record a job keeps in a changelogged store leaves
+#: at rest, by the job's standby count, as measured x 1.05: the input
+#: record and the changelog record (2.027 with no standby and with one; a
+#: standby's store holds the same value objects, and dicts of atomic values
+#: are not tracked).
+JOB_OBJECTS = {0: 2.128, 1: 2.128}
 
 #: Heap a fresh interpreter traces while it runs ``import repro.api``, in
 #: MiB, as measured x 1.05: 4.31 on CPython 3.11 (17.41 while the package
@@ -145,6 +158,60 @@ def test_a_frameless_record_at_rest_is_one_object():
         retained_objects(3_000, "none") - retained_objects(1_000, "none")
     ) / 2_000
     assert per_record <= FRAMELESS_OBJECTS
+
+
+class Remember:
+    """A task that keeps every record's value under its key, through a
+    changelogged store."""
+
+    def init(self, context):
+        self.store = context.store("table")
+
+    def process(self, record, collector):
+        self.store.put(record.key, record.value)
+
+
+def remembered(count: int, standbys: int) -> tuple:
+    """A cluster whose job has stored ``count`` produced records under their
+    keys, checkpointed, its ``standbys`` standby copies caught up; and its
+    producer and runner."""
+    cluster = MessagingCluster(num_brokers=1, clock=SimClock())
+    cluster.create_topic("in", num_partitions=1, replication_factor=1)
+    producer = Producer(cluster, ProducerConfig(linger_messages=100))
+    for i in range(count):
+        producer.send("in", {"n": i, "pad": "x" * 40}, key=f"k{i}")
+    producer.flush()
+    runner = JobRunner(
+        JobConfig(
+            name="footprint", inputs=["in"], task_factory=Remember,
+            stores=[StoreConfig("table")], num_standby_replicas=standbys,
+        ),
+        cluster,
+    )
+    runner.run_until_idle()
+    runner.checkpoint()
+    return cluster, producer, runner
+
+
+def retained_job_objects(count: int, standbys: int) -> int:
+    """Objects the cyclic collector tracks that a :func:`remembered` job's
+    cluster, producer and runner still hold at rest."""
+    gc.collect()
+    before = len(gc.get_objects())
+    stack = remembered(count, standbys)
+    stack[0].clock.advance(60.0)
+    gc.collect()
+    held = len(gc.get_objects()) - before
+    stack = None
+    return held
+
+
+@pytest.mark.parametrize("standbys", sorted(JOB_OBJECTS))
+def test_a_stored_record_at_rest(standbys):
+    per_record = (
+        retained_job_objects(3_000, standbys) - retained_job_objects(1_000, standbys)
+    ) / 2_000
+    assert per_record <= JOB_OBJECTS[standbys]
 
 
 def event(i: int) -> dict:

@@ -101,7 +101,7 @@ class TestStoredMessage:
             stored.topic, stored.partition, stored.offset, stored.key,
             stored.value, stored.timestamp, stored.headers, stored.size,
         ) == ("t", 0, 5, "k", "v", 1.0, {"h": 1}, 9)
-        for name in ConsumerRecord.__slots__ + ("stored_size", "extra"):
+        for name in ConsumerRecord._fields + ("stored_size", "extra"):
             with pytest.raises(AttributeError, match="StoredMessage is immutable"):
                 setattr(stored, name, 1)
             with pytest.raises(AttributeError):
@@ -173,7 +173,7 @@ class TestConsumerRecord:
 
     def test_no_field_can_be_assigned_or_deleted(self):
         record = ConsumerRecord("t", 0, 5, "k", "v", 1.0, {"h": 1}, 9)
-        for name in ConsumerRecord.__slots__ + ("extra", "__class__"):
+        for name in ConsumerRecord._fields + ("extra", "__class__"):
             with pytest.raises(AttributeError):
                 setattr(record, name, 1)
             with pytest.raises(AttributeError):
@@ -181,10 +181,20 @@ class TestConsumerRecord:
         assert (record.offset, record.headers, record.size) == (5, {"h": 1}, 9)
 
     def test_small_slot_object(self):
+        # A tuple of the eight fields (nine for a stored record) and no
+        # ``__dict__``: one length word more than eight slots would take.
         record = ConsumerRecord("t", 0, 5, "k", "v", 1.0)
-        assert isinstance(record, ConsumerRecord)
+        assert isinstance(record, ConsumerRecord) and isinstance(record, tuple)
         assert not hasattr(record, "__dict__")
-        assert sys.getsizeof(record) <= 96
+        assert ConsumerRecord._fields == (
+            "topic", "partition", "offset", "key", "value", "timestamp",
+            "headers", "size",
+        )
+        assert sys.getsizeof(record) == 104
+        stored = StoredMessage("k", "v", 1.0, 5)
+        assert not hasattr(stored, "__dict__")
+        assert StoredMessage._fields == ConsumerRecord._fields + ("stored_size",)
+        assert sys.getsizeof(stored) == 112
 
     def test_value_equality_and_hash(self):
         a = ConsumerRecord("t", 0, 5, "k", "v", 1.0, (), 3)
@@ -194,6 +204,8 @@ class TestConsumerRecord:
         assert a != ConsumerRecord("t", 0, 6, "k", "v", 1.0, (), 3)
         assert a != ConsumerRecord("t", 0, 5, "k", "v", 1.0, (), 4)
         assert a != ("t", 0, 5, "k", "v", 1.0, (), 3)
+        assert ("t", 0, 5, "k", "v", 1.0, (), 3) != a
+        assert not a == tuple(a) and not tuple(a) == a
 
     def test_positional_and_keyword_construction_agree(self):
         by_keyword = ConsumerRecord(
@@ -202,6 +214,12 @@ class TestConsumerRecord:
         )
         assert by_keyword == ConsumerRecord("t", 0, 5, "kk", "vvvv", 1.0, {"h": "x"}, 11)
         assert "offset=5" in repr(by_keyword)
+        stored = StoredMessage("kk", "vvvv", 1.0, 5, None, 6, 30, "t", 0)
+        assert repr(stored).startswith("StoredMessage(topic='t', partition=0,")
+        assert repr(stored).endswith("size=6, stored_size=30)")
+        moved = stored._replace(offset=9)
+        assert type(moved) is StoredMessage and moved.stored_size == 30
+        assert moved.offset == 9 and moved._replace(offset=5) == stored
 
     def test_omitted_size_is_recomputed_with_headers(self):
         record = ConsumerRecord("t", 0, 5, "kk", "vvvv", 1.0, headers={"h": "x"})

@@ -381,7 +381,7 @@ def make_changelog_env(retention=None, segment_messages=100):
     kwargs = {}
     if retention is not None:
         kwargs["retention"] = RetentionConfig(retention_seconds=retention)
-    cluster.create_topic(
+    cluster.create_system_topic(
         TopicConfig(
             name=changelog_topic_name("j", "s"),
             num_partitions=1,
@@ -443,7 +443,9 @@ class TestStandbyReplica:
         clock = SimClock()
         cluster = MessagingCluster(num_brokers=2, clock=clock)
         topic = changelog_topic_name("j", "s")
-        cluster.create_topic(topic, num_partitions=1, replication_factor=2)
+        cluster.create_system_topic(
+            TopicConfig(name=topic, num_partitions=1, replication_factor=2)
+        )
         producer = Producer(cluster, ProducerConfig(acks="all"))
         for i in range(5):
             producer.send(topic, i, key=f"k{i}")

@@ -8,7 +8,7 @@ sim-clock cadence, and the facade wiring (``Liquid.enable_telemetry``).
 
 import pytest
 
-from repro.common.errors import ConfigError
+from repro.common.errors import ConfigError, ReservedTopicError
 from repro.common.metrics import metric_name
 from repro.core.liquid import Liquid
 from repro.messaging.cluster import MessagingCluster
@@ -63,9 +63,9 @@ class TestFeedNaming:
 
     def test_liquid_refuses_user_feeds_in_system_namespace(self):
         liquid = Liquid(num_brokers=1)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ReservedTopicError):
             liquid.create_feed("__telemetry.rogue")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ReservedTopicError):
             liquid.create_feed("__mine")
 
     def test_interval_must_be_positive(self):
