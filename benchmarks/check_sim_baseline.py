@@ -10,7 +10,7 @@ A change that means to move one says so up front and, because only a
 ``[benchmark]`` PR may edit ``baseline.json``, records the new exact value in
 :data:`MOVED_SINCE_BASELINE`, which overrides the stale baseline entry — so
 every ``sim_*`` number of every workload stays pinned to the bit.  The
-``[benchmark]`` re-anchor (ROADMAP item 2a) re-measures ``baseline.json``,
+next re-measure of ``baseline.json`` (itself a ``[benchmark]`` change)
 folds this table and :data:`CALL_CEILINGS` into it and deletes both.
 
 The same run's ``py_calls_per_record`` (a ``cProfile`` call count — it

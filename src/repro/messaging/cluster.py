@@ -437,22 +437,21 @@ class MessagingCluster:
     ) -> float:
         """acks=all: push the new records to every ISR follower and wait.
 
-        Followers replicate in parallel, so the added latency is the slowest
-        follower's (network + append; one request per follower broker,
-        :func:`~repro.common.costmodel.round_latency`), matching the paper's
-        observation that maximum durability waits for all acknowledgments.
+        Each push is the replication loop's copy step
+        (:meth:`ReplicationManager.copy`), charged as the producer's batch;
+        followers copy in parallel, so the wait is the slowest one's
+        (:func:`~repro.common.costmodel.round_latency`).
 
-        An ISR member that is unreachable (crashed but its session has not
-        expired yet) cannot simply be skipped: acks=all promises every
-        in-sync replica has the batch, and a failover onto the skipped
-        follower would lose acknowledged data.  Instead the leader shrinks
-        it out of the ISR on the spot; if that leaves the ISR below
-        ``min_insync_replicas`` the produce fails with
+        An unreachable ISR member (crashed, session not yet expired) cannot
+        simply be skipped: a failover onto it would lose acknowledged data.
+        The leader shrinks it out of the ISR on the spot; if that leaves the
+        ISR below ``min_insync_replicas`` the produce fails with
         :class:`NotEnoughReplicasError` (the leader append stands — the
         producer retries and the idempotent path dedupes).
         """
         leader_broker = self._brokers[state.leader]
         leader_replica = leader_broker.replica(tp)
+        followers = []
         # (client, broker, fixed, latency): each push is a request of its own.
         pushes: list[tuple[None, int, float, float]] = []
         for follower_id in list(state.isr):
@@ -465,32 +464,17 @@ class MessagingCluster:
                 self.controller.shrink_isr(tp, follower_id)
                 continue
             follower_replica = follower_broker.replica(tp)
-            read, _leo, _hw, entries = leader_broker.replica_fetch(
-                tp, follower_replica.log_end_offset, follower_id, 1 << 30
+            _read, latency = self.replication.copy(
+                leader_broker, leader_replica, follower_replica, 1 << 30
             )
-            append_latency = follower_replica.replicate_batch(read, entries)
-            leader_replica.record_follower_position(
-                follower_id, follower_replica.log_end_offset
-            )
+            followers.append(follower_replica)
             self._c_wire_bytes.increment(batch_bytes)
-            pushes.append((
-                None,
-                follower_id,
-                0.0,
-                self.cost_model.network_transfer(batch_bytes) + append_latency,
-            ))
-        # Followers learn the advanced HW on their next fetch; push it now so
-        # a failover immediately after the ack exposes the committed data.
-        for follower_id in state.isr:
-            follower_broker = self._brokers.get(follower_id)
-            if (
-                follower_id != state.leader
-                and follower_broker is not None
-                and follower_broker.online
-            ):
-                follower_broker.replica(tp).update_high_watermark(
-                    leader_replica.high_watermark
-                )
+            latency += self.cost_model.network_transfer(batch_bytes)
+            pushes.append((None, follower_id, 0.0, latency))
+        # Each follower learned the HW as of its own copy; push the final one
+        # so a failover right after the ack exposes the committed data.
+        for follower_replica in followers:
+            follower_replica.update_high_watermark(leader_replica.high_watermark)
         config = self.topic_config(tp.topic)
         if len(state.isr) < config.min_insync_replicas:
             raise NotEnoughReplicasError(

@@ -130,12 +130,21 @@ class PartitionReplica:
         self._follower_leo = {b: 0 for b in isr if b != self.broker_id}
         self._advance_high_watermark()
 
-    def become_follower(self, epoch: int) -> None:
-        """Demote to follower under a new leader epoch."""
+    def become_follower(self, epoch: int) -> int:
+        """Follow the leader of ``epoch``; returns the records dropped.
+
+        A newer epoch drops the log above this replica's own HW: that tail
+        was never committed, and the new leader may reuse its offsets
+        (pre-KIP-101 truncate-to-HW).  A log ending at its HW pays nothing.
+        """
+        removed = 0
+        if epoch > self.leader_epoch and self.log_end_offset > self.high_watermark:
+            removed = self.truncate_to(self.high_watermark)
         self.role = ROLE_FOLLOWER
         self.leader_epoch = epoch
         self._follower_leo.clear()
         self._isr = []
+        return removed
 
     def mark_offline(self) -> None:
         self.role = ROLE_OFFLINE
@@ -215,8 +224,8 @@ class PartitionReplica:
                         partition=self.partition.partition,
                         offset=batch.base_offset + i,
                     )
-        if self._only_isr_member():
-            self._advance_high_watermark()
+        if set(self._isr) <= {self.broker_id}:
+            self._advance_high_watermark()  # the only ISR member commits alone
         return result
 
     def _apply_entry(self, entry: BatchEntry) -> None:
@@ -265,9 +274,6 @@ class PartitionReplica:
         self._hidden.clear()
         for entry in self.log.batches():
             self._apply_entry(entry)
-
-    def _only_isr_member(self) -> bool:
-        return self.role == ROLE_LEADER and set(self._isr) <= {self.broker_id}
 
     def _check_leader(self, epoch: int | None) -> None:
         if self.role != ROLE_LEADER:

@@ -220,6 +220,9 @@ class Producer:
         """
         if headers:
             check_headers(headers)
+            headers = dict(headers)  # the sender's dict stays the sender's
+        else:
+            headers = EMPTY_HEADERS
         if self.value_serde is not None:
             value = self.value_serde.serialize(value)
         if self.key_serde is not None and key is not None:
@@ -240,14 +243,11 @@ class Producer:
             if span is not None:
                 if self.client_id is not None:
                     span.attrs["client_id"] = self.client_id
-                headers = dict(headers) if headers else {}
-                headers[TRACE_HEADER] = span.context()
+                headers = {**headers, TRACE_HEADER: span.context()}
         tp = self._choose_partition(topic, key, partition)
         if span is not None:
             span.attrs["partition"] = tp.partition
-        entry = (
-            key, value, timestamp, headers if headers is not None else EMPTY_HEADERS
-        )
+        entry = (key, value, timestamp, headers)
         parked = tp in self._failed_batches
         if self.linger_messages == 1 and not parked:
             batch = [entry]

@@ -6,10 +6,10 @@ a given partition may not have incorporated all data from the lead broker
 when it fails."
 
 The :class:`ReplicationManager` is driven from the cluster tick: each pass,
-every follower replica of a *pending* partition reconciles a divergent tail
-(truncation after leader changes) and, unless it is already caught up,
-fetches from its leader; the controller's ISR is shrunk or re-expanded based
-on observed lag — the "configurable minimum up-to-date threshold" the paper
+every follower of a *pending* partition that is not already caught up runs
+the one copy step (:meth:`ReplicationManager.copy`, which the ``acks=all``
+push runs too), and the controller's ISR is shrunk or re-expanded by the lag
+observed — the "configurable minimum up-to-date threshold" the paper
 describes.  A partition is pending from the moment the cluster marks it (a
 leader append, a leadership or ISR change, a broker crash or restart) until a
 pass in which every online follower of it had nothing to do; a settled
@@ -29,6 +29,9 @@ from repro.common.errors import (
 from repro.common.metrics import metric_name
 from repro.common.records import TopicPartition
 from repro.chaos.failpoints import SKIP, failpoint
+from repro.messaging.broker import Broker
+from repro.messaging.partition import PartitionReplica
+from repro.storage.log import ReadResult
 
 # Physical bytes a background catch-up pass moved leader -> follower.
 _M_WIRE_BYTES = metric_name("messaging", "cluster", "bytes_on_wire")
@@ -105,19 +108,21 @@ class ReplicationManager:
             state = controller.partition_state(partition)
             if state.leader is None:
                 continue
-            if not cluster.broker(state.leader).online:
+            leader_broker = cluster.broker(state.leader)
+            if not leader_broker.online:
                 continue
+            leader_replica = leader_broker.replica(partition)
             pairs = 0
             settled = True
             for follower_id in state.replicas:
                 if follower_id == state.leader:
                     continue
-                if not cluster.broker(follower_id).online:
+                follower_broker = cluster.broker(follower_id)
+                if not follower_broker.online:
                     continue
                 pairs += 1
-                if not self._sync_follower(
-                    partition, state.leader, follower_id, stats
-                ):
+                replica = follower_broker.replica(partition)
+                if not self._sync_follower(leader_broker, leader_replica, replica, stats):
                     settled = False
             if settled:
                 # Every online follower took the short cut, which changes
@@ -129,18 +134,14 @@ class ReplicationManager:
 
     def _sync_follower(
         self,
-        partition: TopicPartition,
-        leader_id: int,
-        follower_id: int,
+        leader_broker: Broker,
+        leader_replica: PartitionReplica,
+        follower_replica: PartitionReplica,
         stats: ReplicationStats,
     ) -> bool:
         """Bring one follower up to date; True if it had nothing to do."""
         controller = self.cluster.controller
-        leader_broker = self.cluster.broker(leader_id)
-        follower_broker = self.cluster.broker(follower_id)
-        leader_replica = leader_broker.replica(partition)
-        follower_replica = follower_broker.replica(partition)
-
+        partition, follower_id = follower_replica.partition, follower_replica.broker_id
         fetch_offset = follower_replica.log_end_offset
         if (
             follower_replica.leader_epoch == leader_replica.leader_epoch
@@ -152,38 +153,18 @@ class ReplicationManager:
             # Caught up, and the leader knows it: the fetch would return
             # nothing, record the position the leader already holds, and
             # leave both high watermarks and the ISR as they are.  With the
-            # first two conditions reconciliation below is a no-op too, and
-            # a follower with nothing to fetch has nothing to stall.
+            # first two conditions reconciliation is a no-op too, and a
+            # follower with nothing to fetch has nothing to stall.
             stats.partitions_synced += 1
             return True
         # Armed with `skipping`, this stalls the follower: no fetch, no ISR
         # maintenance — the lag just accumulates until the stall is lifted.
         if failpoint("replication.sync", partition=partition, follower=follower_id) is SKIP:
             return False
-
-        # Epoch reconciliation: a follower that lived through a leadership
-        # change (e.g. a deposed leader) may hold an un-replicated tail the
-        # new leader never had — possibly in the SAME offset range as the new
-        # leader's fresh writes.  Anything above the follower's own high
-        # watermark was never committed, so it is discarded before catch-up
-        # (pre-KIP-101 Kafka truncate-to-HW semantics).
-        if follower_replica.leader_epoch < leader_replica.leader_epoch:
-            safe_point = min(
-                follower_replica.high_watermark, leader_replica.log_end_offset
-            )
-            removed = follower_replica.truncate_to(safe_point)
-            if removed:
-                stats.truncations.append((partition, follower_id, removed))
-            follower_replica.become_follower(leader_replica.leader_epoch)
-        elif fetch_offset > leader_replica.log_end_offset:
-            removed = follower_replica.truncate_to(leader_replica.log_end_offset)
-            if removed:
-                stats.truncations.append((partition, follower_id, removed))
-
-        fetch_offset = follower_replica.log_end_offset
         try:
-            read, leader_leo, leader_hw, entries = leader_broker.replica_fetch(
-                partition, fetch_offset, follower_id, self.max_fetch
+            read, _latency = self.copy(
+                leader_broker, leader_replica, follower_replica, self.max_fetch,
+                stats.truncations,
             )
         except (
             BrokerUnavailableError,
@@ -192,29 +173,57 @@ class ReplicationManager:
         ):
             return False
         if read.offsets:
-            # Batch-index entries ride along: the follower learns the
-            # producer state the records carry, and compressed batches land
-            # as the same opaque frames the leader stores (no re-encode).
-            follower_replica.replicate_batch(read, entries)
             stats.messages_copied += len(read.offsets)
             self._c_wire_bytes.increment(read.stored_bytes)
-            # Report the new position so the leader can advance the HW
-            # without waiting for the next pass.
+        stats.partitions_synced += 1
+
+        # ISR maintenance against the post-fetch lag (_apply_isr tells the leader).
+        lag = leader_replica.log_end_offset - follower_replica.log_end_offset
+        isr = controller.isr_for(partition)
+        if lag > self.max_lag_messages and follower_id in isr:
+            controller.shrink_isr(partition, follower_id)
+            stats.isr_shrinks.append((partition, follower_id))
+        elif lag == 0 and follower_id not in isr:
+            controller.expand_isr(partition, follower_id)
+            stats.isr_expansions.append((partition, follower_id))
+        return False
+
+    @staticmethod
+    def copy(
+        leader_broker: Broker,
+        leader_replica: PartitionReplica,
+        follower_replica: PartitionReplica,
+        max_messages: int,
+        truncations: list[tuple[TopicPartition, int, int]] | None = None,
+    ) -> tuple[ReadResult, float]:
+        """The one copy leader -> follower, for the tick's catch-up and the
+        ``acks=all`` push alike; returns the read and the append latency.
+
+        A follower on an older epoch (restarted after the change) first
+        follows this leader, dropping its log above its own HW; anything
+        still past the leader's end is cut, noted in ``truncations``.  Then
+        one replica fetch and one append; the leader records the follower's
+        position and the follower learns the HW.
+        """
+        partition, follower_id = follower_replica.partition, follower_replica.broker_id
+        removed = 0
+        if follower_replica.leader_epoch < leader_replica.leader_epoch:
+            removed = follower_replica.become_follower(leader_replica.leader_epoch)
+        fetch_offset = follower_replica.log_end_offset
+        leader_leo = leader_replica.log_end_offset
+        if fetch_offset > leader_leo:
+            removed += follower_replica.truncate_to(leader_leo)
+            fetch_offset = leader_leo
+        if removed and truncations is not None:
+            truncations.append((partition, follower_id, removed))
+        read, _leo, leader_hw, entries = leader_broker.replica_fetch(
+            partition, fetch_offset, follower_id, max_messages
+        )
+        latency = 0.0
+        if read.offsets:
+            latency = follower_replica.replicate_batch(read, entries)
             leader_hw = leader_replica.record_follower_position(
                 follower_id, follower_replica.log_end_offset
             )
         follower_replica.update_high_watermark(leader_hw)
-        stats.partitions_synced += 1
-
-        # ISR maintenance against the post-fetch lag.
-        lag = leader_replica.log_end_offset - follower_replica.log_end_offset
-        isr = controller.isr_for(partition)
-        if lag > self.max_lag_messages and follower_id in isr:
-            new_isr = controller.shrink_isr(partition, follower_id)
-            leader_replica.set_isr(new_isr)
-            stats.isr_shrinks.append((partition, follower_id))
-        elif lag == 0 and follower_id not in isr:
-            new_isr = controller.expand_isr(partition, follower_id)
-            leader_replica.set_isr(new_isr)
-            stats.isr_expansions.append((partition, follower_id))
-        return False
+        return read, latency

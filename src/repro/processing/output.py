@@ -253,6 +253,7 @@ class RunCollector(MessageCollector):
     ) -> None:
         if headers:
             check_headers(headers)
+            headers = dict(headers)  # the task's dict stays the task's
         else:
             headers = EMPTY_HEADERS
         if partition is None and key is not None:

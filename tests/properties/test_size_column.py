@@ -195,16 +195,15 @@ class TestCarriedSizeEqualsRecomputedSize:
                 )
         if mode.startswith("zlib"):
             assert len(shares) == len(stored)
-        # Never a copy: a record the log holds as an object holds the dict
-        # the producer was handed; one held as its frame is built from it
-        # with what was sent.
+        # One copy, at the send boundary, and none after it: a record holds
+        # what was sent but never the sender's own dict, and a record sent
+        # without headers holds the shared empty ones, framed or not.
         for message, headers in zip(stored, handed):
-            if mode.startswith("zlib"):
-                assert message.headers == (headers or {})
+            if headers:
+                assert message.headers == headers
+                assert message.headers is not headers
             else:
-                assert message.headers is headers or (
-                    not headers and message.headers == {}
-                )
+                assert message.headers is EMPTY_HEADERS
 
         fetched = cluster.fetch(
             "t", 0, 0, max_messages=1000, isolation="read_committed"

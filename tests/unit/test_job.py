@@ -11,7 +11,7 @@ from repro.common.errors import (
     ProducerFlushError,
     TaskFailedError,
 )
-from repro.common.records import TopicPartition
+from repro.common.records import EMPTY_HEADERS, TopicPartition
 from repro.messaging.cluster import ACKS_LEADER, ACKS_NONE, MessagingCluster
 from repro.messaging.producer import Producer
 from repro.processing.job import (
@@ -52,6 +52,18 @@ class CountAndTagTask(CountTask):
     def process(self, record, collector):
         super().process(record, collector)
         TagTask.process(self, record, collector)
+
+
+class HeaderReuseTask:
+    """Emits every record with one dict it then changes for the next."""
+
+    def __init__(self):
+        self.headers = {}
+
+    def process(self, record, collector):
+        self.headers["i"] = record.value["i"]
+        collector.send("out", record.value, key=record.key, headers=self.headers)
+        self.headers["i"] = "changed"
 
 
 class FailingTask:
@@ -231,6 +243,31 @@ class TestProcessing:
         assert runner.backlog() == 20
         runner.run_until_idle()
         assert runner.backlog() == 0
+
+
+class TestEmitsKeepTheirHeaders:
+    def test_a_change_after_send_does_not_reach_the_output(self):
+        _clock, cluster, _producer = make_env(partitions=1, n=3)
+        runner = JobRunner(
+            JobConfig(name="j", inputs=["in"], task_factory=HeaderReuseTask),
+            cluster,
+        )
+        runner.run_until_idle()
+        out = cluster.fetch("out", 0, 0).records
+        assert [r.headers for r in out] == [{"i": 0}, {"i": 1}, {"i": 2}]
+
+    def test_empty_headers_stage_as_the_shared_instance(self):
+        class EmptyHeaderTask:
+            def process(self, record, collector):
+                collector.send("out", record.value, headers={})
+
+        _clock, cluster, _producer = make_env(partitions=1, n=2)
+        JobRunner(
+            JobConfig(name="j", inputs=["in"], task_factory=EmptyHeaderTask),
+            cluster,
+        ).run_until_idle()
+        out = cluster.fetch("out", 0, 0).records
+        assert [r.headers is EMPTY_HEADERS for r in out] == [True, True]
 
 
 class TestCheckpointing:

@@ -13,7 +13,7 @@ from repro.common.errors import (
     ReservedHeaderError,
     TopicNotFoundError,
 )
-from repro.common.records import TopicPartition
+from repro.common.records import EMPTY_HEADERS, TopicPartition
 from repro.common.partitioning import stable_hash
 from repro.messaging.cluster import ACKS_ALL, MessagingCluster
 from repro.messaging.config import ProducerConfig
@@ -458,3 +458,37 @@ class TestReservedHeaders:
             ack = sender.send("t", "v", partition=0, headers={"__trace": ctx})
             assert ack is not None
             assert sender.send("t", "v", headers={"_a": "b", "a__b": "c"})
+
+
+class TestSentHeadersAreTheRecords:
+    """A record's headers are what the sender passed at ``send``: a later
+    change to the sender's dict does not reach the stored record, and a
+    record sent with ``{}`` reads back as the shared ``EMPTY_HEADERS``
+    whether its batch was compressed or not."""
+
+    def test_a_change_after_send_does_not_reach_the_record(self):
+        cluster = make_cluster(partitions=1)
+        headers = {"h": 1}
+        Producer(cluster).send("t", "a", headers=headers)
+        headers["h"] = "changed"
+        cluster.run_until_replicated()
+        assert cluster.fetch("t", 0, 0).records[0].headers == {"h": 1}
+
+    def test_a_buffered_record_keeps_its_headers_too(self):
+        cluster = make_cluster(partitions=1)
+        producer = Producer(cluster, ProducerConfig(linger_messages=8))
+        headers = {"h": 1}
+        producer.send("t", "a", headers=headers)
+        headers.clear()
+        producer.flush()
+        cluster.run_until_replicated()
+        assert cluster.fetch("t", 0, 0).records[0].headers == {"h": 1}
+
+    @pytest.mark.parametrize("compression", ["none", "zlib"])
+    def test_empty_headers_read_back_as_the_shared_instance(self, compression):
+        cluster = make_cluster(partitions=1)
+        Producer(cluster, ProducerConfig(compression=compression)).send(
+            "t", "a", headers={}
+        )
+        cluster.run_until_replicated()
+        assert cluster.fetch("t", 0, 0).records[0].headers is EMPTY_HEADERS

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.chaos.failpoints import registry, skipping
+from repro.chaos.failpoints import SKIP, registry, skipping
 from repro.common.clock import SimClock
 from repro.common.records import TopicPartition
-from repro.messaging.cluster import ACKS_LEADER, MessagingCluster
+from repro.messaging.cluster import ACKS_ALL, ACKS_LEADER, MessagingCluster
 from repro.messaging.replication import ReplicationManager
 
 TP = TopicPartition("t", 0)
@@ -208,3 +208,60 @@ class TestDivergenceReconciliation:
         survivor = [b for b in range(3) if b not in (old_leader, new_leader)][0]
         replica = cluster.broker(survivor).replica(TP)
         assert replica.leader_epoch == cluster.controller.epoch_for(TP)
+
+    def test_online_deposed_leader_drops_its_tail_at_the_epoch_change(self):
+        cluster = make_cluster()
+        cluster.produce("t", 0, entries(5), acks=ACKS_ALL)
+        cluster.produce("t", 0, entries(2), acks=ACKS_LEADER)  # never copied
+        old_leader = cluster.leader_of("t", 0)
+        deposed = cluster.broker(old_leader).replica(TP)
+        assert (deposed.log_end_offset, deposed.high_watermark) == (7, 5)
+        # Its session expires while the machine stays up (a long pause).
+        cluster.controller.broker_failed(old_leader)
+        assert cluster.leader_of("t", 0) != old_leader
+        assert deposed.role == "follower"
+        assert deposed.leader_epoch == cluster.controller.epoch_for(TP)
+        assert deposed.log_end_offset == deposed.high_watermark == 5
+        # The new leader's writes at 5 and 6 are what it copies back.
+        cluster.produce("t", 0, [("n", "new", None, {})] * 2, acks=ACKS_ALL)
+        cluster.controller.broker_recovered(old_leader)
+        cluster.run_until_replicated()
+        assert [m.value for m in deposed.log.all_messages()][5:] == ["new", "new"]
+
+
+class TestNewEpochDropsUncommittedTail:
+    """Clean elections only.  Ten committed records; two more the leader
+    acks alone, which follower 2 copies and follower 1 does not, so both
+    stay in the ISR with the high watermark at 10.  The leader dies, broker 1
+    takes three records at 10-12, then broker 1 dies.  Broker 2 must serve
+    those three: it drops its uncommitted 10-11 when it takes broker 1's
+    epoch, not after the new leader has written over their offsets."""
+
+    @pytest.mark.parametrize("acks", [ACKS_ALL, ACKS_LEADER], ids=["push", "ticks"])
+    def test_the_new_leaders_records_survive_the_next_failover(self, acks):
+        cluster = make_cluster()
+        assert cluster.leader_of("t", 0) == 0
+        cluster.produce("t", 0, entries(10), acks=acks)
+        cluster.run_until_replicated()
+        cluster.produce(
+            "t", 0, [("a", "OLD-A", None, {}), ("b", "OLD-B", None, {})],
+            acks=ACKS_LEADER,
+        )
+
+        def only_follower_2(follower=None, **_ctx):
+            return None if follower == 2 else SKIP
+
+        with registry().scoped("replication.sync", only_follower_2):
+            cluster.tick()
+        assert cluster.broker(2).replica(TP).log_end_offset == 12
+        assert cluster.controller.isr_for(TP) == [0, 1, 2]
+        cluster.kill_broker(0)
+        assert cluster.leader_of("t", 0) == 1
+        new = [("n", f"NEW-{i}", None, {}) for i in range(3)]
+        ack = cluster.produce("t", 0, new, acks=acks)
+        assert (ack.base_offset, ack.last_offset) == (10, 12)
+        cluster.run_until_replicated()
+        cluster.kill_broker(1)
+        assert cluster.leader_of("t", 0) == 2
+        values = [r.value for r in cluster.fetch("t", 0, 10).records]
+        assert values == ["NEW-0", "NEW-1", "NEW-2"]

@@ -39,9 +39,9 @@ def visits_in_one_pass(cluster) -> tuple[list[TopicPartition], ReplicationStats]
     visited = []
     sync = replication._sync_follower
 
-    def counting(partition, *args):
-        visited.append(partition)
-        return sync(partition, *args)
+    def counting(leader_broker, leader_replica, follower_replica, stats):
+        visited.append(follower_replica.partition)
+        return sync(leader_broker, leader_replica, follower_replica, stats)
 
     replication._sync_follower = counting
     try:
