@@ -304,14 +304,17 @@ class MessagingCluster:
         isr: list[int],
     ) -> None:
         self.replication.mark(partition)
-        for broker in self._brokers.values():
-            if not broker.hosts(partition) or not broker.online:
-                continue
-            replica = broker.replica(partition)
-            if broker.broker_id == leader:
-                replica.become_leader(epoch, isr)
-            else:
+        replicas = [b.replica(partition) for b in self._brokers.values()
+                    if b.online and b.hosts(partition)]
+        leading = next((r for r in replicas if r.broker_id == leader), None)
+        if leading is not None:
+            came_from = leading.leader_epoch
+            leading.become_leader(epoch, isr)
+        for replica in replicas:
+            if leading is None:
                 replica.become_follower(epoch)
+            elif replica is not leading:
+                self.replication.reconcile(replica, leading, replica.leader_epoch == came_from)
 
     def _apply_isr(self, partition: TopicPartition, isr: list[int]) -> None:
         self.replication.mark(partition)
@@ -464,15 +467,14 @@ class MessagingCluster:
                 self.controller.shrink_isr(tp, follower_id)
                 continue
             follower_replica = follower_broker.replica(tp)
+            followers.append(follower_replica)
             _read, latency = self.replication.copy(
                 leader_broker, leader_replica, follower_replica, 1 << 30
             )
-            followers.append(follower_replica)
             self._c_wire_bytes.increment(batch_bytes)
             latency += self.cost_model.network_transfer(batch_bytes)
             pushes.append((None, follower_id, 0.0, latency))
-        # Each follower learned the HW as of its own copy; push the final one
-        # so a failover right after the ack exposes the committed data.
+        # The final HW too, so a failover right after the ack serves the batch.
         for follower_replica in followers:
             follower_replica.update_high_watermark(leader_replica.high_watermark)
         config = self.topic_config(tp.topic)

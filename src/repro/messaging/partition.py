@@ -130,21 +130,12 @@ class PartitionReplica:
         self._follower_leo = {b: 0 for b in isr if b != self.broker_id}
         self._advance_high_watermark()
 
-    def become_follower(self, epoch: int) -> int:
-        """Follow the leader of ``epoch``; returns the records dropped.
-
-        A newer epoch drops the log above this replica's own HW: that tail
-        was never committed, and the new leader may reuse its offsets
-        (pre-KIP-101 truncate-to-HW).  A log ending at its HW pays nothing.
-        """
-        removed = 0
-        if epoch > self.leader_epoch and self.log_end_offset > self.high_watermark:
-            removed = self.truncate_to(self.high_watermark)
+    def become_follower(self, epoch: int) -> None:
+        """Demote to follower under a new leader epoch."""
         self.role = ROLE_FOLLOWER
         self.leader_epoch = epoch
         self._follower_leo.clear()
         self._isr = []
-        return removed
 
     def mark_offline(self) -> None:
         self.role = ROLE_OFFLINE

@@ -243,7 +243,9 @@ class Producer:
             if span is not None:
                 if self.client_id is not None:
                     span.attrs["client_id"] = self.client_id
-                headers = {**headers, TRACE_HEADER: span.context()}
+                if headers is EMPTY_HEADERS:
+                    headers = {}
+                headers[TRACE_HEADER] = span.context()  # into send's own copy
         tp = self._choose_partition(topic, key, partition)
         if span is not None:
             span.attrs["partition"] = tp.partition

@@ -83,6 +83,8 @@ class ReplicationManager:
         # sum: what a pass adds to ``partitions_synced`` without a visit.
         self._settled: dict[TopicPartition, int] = {}
         self._settled_pairs = 0
+        # Cuts :meth:`reconcile` made since the last pass ended; the next reports them.
+        self._truncations: list[tuple[TopicPartition, int, int]] = []
 
     def mark(self, partition: TopicPartition) -> None:
         """Something about ``partition`` changed: visit it from the next
@@ -100,7 +102,7 @@ class ReplicationManager:
         """Run one replication pass over the pending partitions."""
         stats = ReplicationStats(partitions_synced=self._settled_pairs)
         pending = self._pending
-        if not pending:
+        if not pending and not self._truncations:
             return stats
         cluster = self.cluster
         controller = cluster.controller
@@ -130,6 +132,7 @@ class ReplicationManager:
                 pending.remove(partition)
                 self._settled[partition] = pairs
                 self._settled_pairs += pairs
+        stats.truncations, self._truncations = self._truncations, []
         return stats
 
     def _sync_follower(
@@ -163,8 +166,7 @@ class ReplicationManager:
             return False
         try:
             read, _latency = self.copy(
-                leader_broker, leader_replica, follower_replica, self.max_fetch,
-                stats.truncations,
+                leader_broker, leader_replica, follower_replica, self.max_fetch
             )
         except (
             BrokerUnavailableError,
@@ -188,34 +190,25 @@ class ReplicationManager:
             stats.isr_expansions.append((partition, follower_id))
         return False
 
-    @staticmethod
     def copy(
+        self,
         leader_broker: Broker,
         leader_replica: PartitionReplica,
         follower_replica: PartitionReplica,
         max_messages: int,
-        truncations: list[tuple[TopicPartition, int, int]] | None = None,
     ) -> tuple[ReadResult, float]:
         """The one copy leader -> follower, for the tick's catch-up and the
         ``acks=all`` push alike; returns the read and the append latency.
 
-        A follower on an older epoch (restarted after the change) first
-        follows this leader, dropping its log above its own HW; anything
-        still past the leader's end is cut, noted in ``truncations``.  Then
-        one replica fetch and one append; the leader records the follower's
-        position and the follower learns the HW.
+        A follower on an older epoch (down at the election) or past the
+        leader's end is reconciled first; then one fetch and one append.
         """
         partition, follower_id = follower_replica.partition, follower_replica.broker_id
-        removed = 0
-        if follower_replica.leader_epoch < leader_replica.leader_epoch:
-            removed = follower_replica.become_follower(leader_replica.leader_epoch)
         fetch_offset = follower_replica.log_end_offset
-        leader_leo = leader_replica.log_end_offset
-        if fetch_offset > leader_leo:
-            removed += follower_replica.truncate_to(leader_leo)
-            fetch_offset = leader_leo
-        if removed and truncations is not None:
-            truncations.append((partition, follower_id, removed))
+        stale = follower_replica.leader_epoch < leader_replica.leader_epoch
+        if stale or fetch_offset > leader_replica.log_end_offset:
+            self.reconcile(follower_replica, leader_replica, in_step=not stale)
+            fetch_offset = follower_replica.log_end_offset
         read, _leo, leader_hw, entries = leader_broker.replica_fetch(
             partition, fetch_offset, follower_id, max_messages
         )
@@ -227,3 +220,22 @@ class ReplicationManager:
             )
         follower_replica.update_high_watermark(leader_hw)
         return read, latency
+
+    def reconcile(
+        self, follower: PartitionReplica, leader: PartitionReplica, in_step: bool
+    ) -> None:
+        """Have ``follower`` take ``leader``'s epoch, first dropping what of
+        its log the leader cannot vouch for (the next pass reports the cut).
+
+        ``in_step``: both logs are prefixes of one log — within one epoch,
+        and at an election for a follower on the epoch the new leader comes
+        from — so only what lies past ``leader``'s end diverges.  Any other
+        follower keeps at most its own HW: committed records, which a leader
+        a clean election picks holds (pre-KIP-101 truncate-to-HW).
+        """
+        keep = follower.log_end_offset if in_step else follower.high_watermark
+        keep = min(keep, leader.log_end_offset)
+        if keep < follower.log_end_offset:
+            removed = follower.truncate_to(keep)
+            self._truncations.append((follower.partition, follower.broker_id, removed))
+        follower.become_follower(leader.leader_epoch)

@@ -13,13 +13,13 @@ from repro.common.errors import (
     ReservedHeaderError,
     TopicNotFoundError,
 )
-from repro.common.records import EMPTY_HEADERS, TopicPartition
+from repro.common.records import EMPTY_HEADERS, TRACE_HEADER, TopicPartition
 from repro.common.partitioning import stable_hash
 from repro.messaging.cluster import ACKS_ALL, MessagingCluster
 from repro.messaging.config import ProducerConfig
 from repro.messaging.producer import Producer
 from repro.messaging.transactions import TransactionalProducer
-from repro.observability.trace import TraceContext
+from repro.observability.trace import TraceContext, tracing
 
 
 @pytest.fixture(autouse=True)
@@ -483,6 +483,17 @@ class TestSentHeadersAreTheRecords:
         producer.flush()
         cluster.run_until_replicated()
         assert cluster.fetch("t", 0, 0).records[0].headers == {"h": 1}
+
+    @pytest.mark.parametrize("sent", [{"h": 1}, None], ids=["headers", "none"])
+    def test_a_traced_send_adds_its_header_to_the_record_only(self, sent):
+        cluster = make_cluster(partitions=1)
+        handed = dict(sent) if sent else sent
+        with tracing():
+            Producer(cluster).send("t", "a", headers=handed)
+        assert handed == sent
+        cluster.run_until_replicated()
+        headers = cluster.fetch("t", 0, 0).records[0].headers
+        assert set(headers) == set(sent or ()) | {TRACE_HEADER}
 
     @pytest.mark.parametrize("compression", ["none", "zlib"])
     def test_empty_headers_read_back_as_the_shared_instance(self, compression):

@@ -265,3 +265,46 @@ class TestNewEpochDropsUncommittedTail:
         assert cluster.leader_of("t", 0) == 2
         values = [r.value for r in cluster.fetch("t", 0, 10).records]
         assert values == ["NEW-0", "NEW-1", "NEW-2"]
+
+
+class TestCommittedRecordsSurviveCleanElections:
+    """A follower learns the high watermark only when it fetches, so an ISR
+    member can hold committed records above its own HW.  The epoch change
+    must keep them: it cuts an in-step follower at the new leader's end,
+    not at its own HW."""
+
+    @staticmethod
+    def sync_only(cluster, follower_id):
+        def only(follower=None, **_ctx):
+            return None if follower == follower_id else SKIP
+
+        with registry().scoped("replication.sync", only):
+            cluster.tick()
+
+    def test_an_isr_member_keeps_records_committed_above_its_hw(self):
+        cluster = make_cluster()
+        cluster.produce("t", 0, entries(3), acks=ACKS_LEADER)
+        self.sync_only(cluster, 2)  # LEO 3, but the HW it learns is 0
+        self.sync_only(cluster, 1)  # the leader's HW reaches 3
+        follower_2 = cluster.broker(2).replica(TP)
+        assert (follower_2.log_end_offset, follower_2.high_watermark) == (3, 0)
+        cluster.kill_broker(0)
+        assert cluster.leader_of("t", 0) == 1
+        # Committed and served by the new leader ...
+        assert [r.value for r in cluster.fetch("t", 0, 0).records] == [0, 1, 2]
+        assert 2 in cluster.controller.isr_for(TP)
+        assert follower_2.log_end_offset == 3
+        # ... so still served after the next clean failover.
+        cluster.kill_broker(1)
+        assert cluster.leader_of("t", 0) == 2
+        assert [r.value for r in cluster.fetch("t", 0, 0).records] == [0, 1, 2]
+
+    def test_the_next_pass_reports_the_cut_an_election_made(self):
+        cluster = make_cluster()
+        cluster.produce("t", 0, entries(5), acks=ACKS_ALL)
+        cluster.produce("t", 0, entries(2), acks=ACKS_LEADER)
+        self.sync_only(cluster, 2)  # follower 2 alone holds 5-6
+        cluster.kill_broker(0)
+        assert cluster.broker(2).replica(TP).log_end_offset == 5
+        assert cluster.tick().truncations == [(TP, 2, 2)]
+        assert cluster.tick().truncations == []
