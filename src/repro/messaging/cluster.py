@@ -604,21 +604,15 @@ class MessagingCluster:
         for replica in broker.replicas():
             self.replication.mark(replica.partition)
 
-    def tick(self, dt: float = 0.1, replication_passes: int = 1) -> ReplicationStats:
+    def tick(self, dt: float = 0.1) -> ReplicationStats:
         """Advance simulated time and run background work.
 
-        Fires flush timers, runs the follower replication loop, and runs
-        retention/compaction sweeps every ``maintenance_interval`` seconds.
+        Fires flush timers, runs one pass of the follower replication loop,
+        and runs retention/compaction sweeps every ``maintenance_interval``
+        seconds.  Returns the replication pass's statistics.
         """
         self.clock.advance(dt)
-        stats = ReplicationStats()
-        for _ in range(replication_passes):
-            passed = self.replication.poll()
-            stats.messages_copied += passed.messages_copied
-            stats.partitions_synced += passed.partitions_synced
-            stats.isr_shrinks.extend(passed.isr_shrinks)
-            stats.isr_expansions.extend(passed.isr_expansions)
-            stats.truncations.extend(passed.truncations)
+        stats = self.replication.poll()
         if self.clock.now() - self._last_maintenance >= self.maintenance_interval:
             self._last_maintenance = self.clock.now()
             for broker in self._brokers.values():

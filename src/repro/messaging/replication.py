@@ -185,7 +185,12 @@ class ReplicationManager:
         if lag > self.max_lag_messages and follower_id in isr:
             controller.shrink_isr(partition, follower_id)
             stats.isr_shrinks.append((partition, follower_id))
-        elif lag == 0 and follower_id not in isr:
+        elif (
+            lag == 0
+            and follower_id not in isr
+            # A broker whose session expired rejoins through the controller.
+            and follower_id in controller.live_brokers()
+        ):
             controller.expand_isr(partition, follower_id)
             stats.isr_expansions.append((partition, follower_id))
         return False

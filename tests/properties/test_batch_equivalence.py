@@ -3,8 +3,9 @@
 ``PartitionLog`` has one implementation of "land records in a log"
 (``_append_run`` → ``LogSegment.extend`` / ``PageCache.write_batch``),
 and it works on whole segment-contiguous chunks.  The rule it implements is
-per record (DESIGN.md §8), so the reference here is that rule written out
-the slow way, one record at a time, sharing no code with ``repro.storage``.
+per record (DESIGN.md §8), so the reference
+(:class:`~tests.reference.log.ReferenceLog`) is that rule written out the
+slow way, one record at a time, sharing no code with ``repro.storage``.
 The properties drive the log and the reference side by side over random
 workloads — byte- and message-triggered segment rolls, offset gaps,
 oversized and out-of-order records — and require exact equality: offsets,
@@ -13,16 +14,15 @@ last ulp, and the commit-prefix-then-raise error behaviour.
 """
 
 from array import array
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.clock import SimClock
-from repro.common.costmodel import DEFAULT_COST_MODEL
 from repro.common.errors import ConfigError
-from repro.common.records import RECORD_FRAMING_BYTES, StoredMessage, estimate_size
+from repro.common.records import StoredMessage, estimate_size
 from repro.storage.log import LogConfig, PartitionLog
+from tests.reference.log import ReferenceLog
 
 keys = st.one_of(st.none(), st.text(alphabet="abcde", min_size=1, max_size=3))
 values = st.one_of(
@@ -57,85 +57,6 @@ def chunked(data, draw):
         chunks.append(data[i : i + size])
         i += size
     return chunks
-
-
-class ReferenceLog:
-    """The append rule, one record at a time, from the spec.
-
-    For a record of ``stored_size`` s: a non-empty active segment that would
-    exceed ``segment_max_bytes`` with it, or already holds
-    ``segment_max_messages``, is sealed and a new one starts at the log end
-    offset; the record's position is the segment's bytes before it; it
-    costs ``s / ram_bandwidth``, folded left to right; the log end offset
-    becomes its offset + 1.
-    """
-
-    def __init__(self, config: LogConfig) -> None:
-        self.config = config
-        self.leo = 0
-        self.segments = [self._segment(0)]
-
-    def _segment(self, base: int) -> SimpleNamespace:
-        return SimpleNamespace(
-            base=base, sealed=False, records=[], offsets=[], positions=[],
-            bytes=0,
-        )
-
-    def land(self, record: StoredMessage, latency: float) -> float:
-        """Land one record; returns ``latency`` plus its charge."""
-        config, segment, s = self.config, self.segments[-1], record.stored_size
-        if segment.records and (
-            segment.bytes + s > config.segment_max_bytes
-            or len(segment.records) >= config.segment_max_messages
-        ):
-            segment.sealed = True
-            segment = self._segment(self.leo)
-            self.segments.append(segment)
-        segment.records.append(record)
-        segment.offsets.append(record.offset)
-        segment.positions.append(segment.bytes)
-        segment.bytes += s
-        self.leo = record.offset + 1
-        return latency + s / DEFAULT_COST_MODEL.ram_bandwidth
-
-    def append(self, batch) -> tuple[list[int], float]:
-        """Leader append at time 0.0: consecutive offsets from the log end;
-        an oversized record raises after the records before it landed."""
-        offsets, latency = [], 0.0
-        for key, value, timestamp, hdr in batch:
-            record = StoredMessage(
-                key, value, timestamp if timestamp is not None else 0.0,
-                self.leo, hdr if hdr is not None else {},
-            )
-            # The limit charges the record's framing; its size does not.
-            framed = record.size + RECORD_FRAMING_BYTES
-            if framed > self.config.max_message_bytes:
-                raise ConfigError(
-                    f"message of {framed}B exceeds max_message_bytes="
-                    f"{self.config.max_message_bytes}"
-                )
-            latency = self.land(record, latency)
-            offsets.append(record.offset)
-        return offsets, latency
-
-    def append_stored(self, records) -> float:
-        """Follower copy: offsets kept; one below the log end raises after
-        the records before it landed."""
-        latency = 0.0
-        for record in records:
-            if record.offset < self.leo:
-                raise ConfigError(
-                    f"replica append out of order: {record.offset} < {self.leo}"
-                )
-            latency = self.land(record, latency)
-        return latency
-
-    def layout(self) -> dict:
-        return {
-            "leo": self.leo,
-            "start": 0,
-            "segments": [vars(s) for s in self.segments],
-        }
 
 
 def layout(log: PartitionLog) -> dict:

@@ -3,10 +3,11 @@
 A log used to keep its compressed frames in a registry of their own —
 ``(base, last, frame)`` runs beside the batch index, with their own
 invalidation — and every replication hop shipped both lists.  A frame is
-now a field of its batch-index entry.  The registry survives here as
-:class:`ReferenceFrames`: pure Python, sharing nothing with the index, fed
-by every log of a real rf=3 cluster the calls that fed the registry
-(appends, a copy's shipped frames, truncation, compaction, retention).
+now a field of its batch-index entry.  The registry survives as
+:class:`~tests.reference.log.ReferenceFrames`: pure Python, sharing nothing
+with the index, fed by every log of a real rf=3 cluster the calls that fed
+the registry (appends, a copy's shipped frames, truncation, compaction,
+retention).
 
 After every step of a random schedule — plain, idempotent and
 transactional batches with codec ``none`` or ``zlib``, commit and abort
@@ -25,52 +26,22 @@ meets producer state.
 from __future__ import annotations
 
 from array import array
-from unittest import mock
 
 from hypothesis import example, given, settings, strategies as st
 
-from repro.chaos.failpoints import registry
-from repro.common.clock import SimClock
-from repro.common.compression import compress_entries
-from repro.common.errors import ConfigError, MessagingError
 from repro.common.records import TopicPartition
-from repro.messaging import broker as broker_module
 from repro.messaging.broker import Broker
-from repro.messaging.cluster import ACKS_ALL, ACKS_LEADER, MessagingCluster
+from repro.messaging.cluster import ACKS_ALL, ACKS_LEADER
 from repro.messaging.fetchbuffer import build_fetch_batches
 from repro.messaging.topic import CLEANUP_COMPACT, TopicConfig
 from repro.storage.log import LogConfig, PartitionLog
 from repro.storage.retention import RetentionConfig
 from repro.storage.tiered import TieredConfig
-
-#: Examples per property: small in tier-1, as deep as the profile asks under
-#: ``--hypothesis-profile=deep`` (CI's ``determinism`` job).
-EXAMPLES = settings.default.max_examples if settings.default.max_examples > 100 else 60
+from tests.reference import examples
+from tests.reference.cluster import IDEMPOTENT, NO_ID, TICK, TXN, Cluster, send
+from tests.reference.log import ReferenceFrames
 
 _MAX_OFFSET = 1 << 62
-
-
-class ReferenceFrames:
-    """The frame registry as it was: ``(base, last, frame)`` runs in offset
-    order, kept beside the batch index rather than on it."""
-
-    def __init__(self) -> None:
-        self.runs: list[tuple] = []
-
-    def register(self, base, last, frame) -> None:
-        self.runs.append((base, last, frame))
-
-    def between(self, lo, hi) -> list[tuple]:
-        """Frames whose whole range lies within ``[lo, hi]``."""
-        return [run for run in self.runs if lo <= run[0] and run[1] <= hi]
-
-    def spanned_by(self, messages) -> list[tuple]:
-        if not messages:
-            return []
-        return self.between(messages[0].offset, messages[-1].offset)
-
-    def drop_overlapping(self, lo, hi) -> None:
-        self.runs = [run for run in self.runs if run[1] < lo or hi < run[0]]
 
 
 def shadowed_log_class(shipped: dict):
@@ -163,44 +134,33 @@ def served(messages, entries) -> list:
 # -- the schedule ---------------------------------------------------------------------
 
 #: One partition each: retention, compaction, retention onto a cold tier.
-TOPICS = (
-    TopicConfig(
-        name="plain",
-        replication_factor=3,
-        retention=RetentionConfig(retention_seconds=4.0),
-        log=LogConfig(segment_max_messages=3),
-    ),
-    TopicConfig(
-        name="compact",
-        replication_factor=3,
-        cleanup_policy=CLEANUP_COMPACT,
-        log=LogConfig(segment_max_messages=3),
-    ),
-    TopicConfig(
-        name="tiered",
-        replication_factor=3,
-        retention=RetentionConfig(retention_seconds=4.0),
-        log=LogConfig(segment_max_messages=3),
-        tiered=TieredConfig(),
-    ),
-)
+TOPICS = [
+    TopicConfig(name=name, replication_factor=3, log=LogConfig(segment_max_messages=3),
+                **config)
+    for name, config in (
+        ("plain", {"retention": RetentionConfig(retention_seconds=4.0)}),
+        ("compact", {"cleanup_policy": CLEANUP_COMPACT}),
+        ("tiered", {"retention": RetentionConfig(retention_seconds=4.0),
+                    "tiered": TieredConfig()}),
+    )
+]
 TPS = [TopicPartition(config.name, 0) for config in TOPICS]
+PLAIN, COMPACT, TIERED = range(len(TOPICS))
 ISOLATIONS = ("read_uncommitted", "read_committed")
 
 #: Senders: a transactional producer, an idempotent one, and one with no
 #: producer id at all.
-PRODUCERS = ((1000, True), (7, False), (None, False))
-
 topics = st.integers(0, len(TOPICS) - 1)
 sends = st.tuples(
-    st.just("send"), topics, st.integers(0, len(PRODUCERS) - 1), st.integers(1, 5),
-    st.booleans(), st.sampled_from([ACKS_LEADER, ACKS_LEADER, ACKS_ALL]),
+    st.just("send"), topics, st.sampled_from([TXN, IDEMPOTENT, NO_ID]),
+    st.integers(1, 5), st.booleans(),
+    st.sampled_from([ACKS_LEADER, ACKS_LEADER, ACKS_ALL]),
 )
 brokers = st.integers(0, 2)
 steps = st.one_of(
     sends, sends, sends,
-    st.tuples(st.just("end"), topics, st.sampled_from(["commit", "abort"])),
-    st.just(("tick",)), st.just(("tick",)),
+    st.tuples(st.just("end"), topics, st.just(TXN), st.sampled_from(["commit", "abort"])),
+    st.just(TICK), st.just(TICK),
     st.tuples(st.just("kill"), brokers),
     st.tuples(st.just("restart"), brokers),
     st.tuples(st.just("maintain"), st.floats(0.0, 8.0)),
@@ -208,151 +168,67 @@ steps = st.one_of(
 schedules = st.lists(steps, min_size=1, max_size=20)
 
 
-class Driven:
-    """A three-broker cluster of shadowed logs and the raw produce requests
-    that drive it."""
-
-    def __init__(self, unclean: bool, max_fetch: int) -> None:
-        self.shipped: dict = {}
-        with mock.patch.object(
-            broker_module, "PartitionLog", shadowed_log_class(self.shipped)
-        ):
-            self.cluster = cluster = MessagingCluster(
-                num_brokers=3,
-                clock=SimClock(),
-                allow_unclean_election=unclean,
-                replication_max_lag=2,
-                maintenance_interval=float("inf"),  # ``maintain`` steps only
-            )
-            for config in TOPICS:
-                cluster.create_topic(config)
+def check(driven, few: int) -> None:
+    cluster = driven.cluster
+    for tp in TPS:
         for broker in cluster.brokers():
-            broker.replica_fetch = shipping(broker, self.shipped)
-        cluster.replication.max_fetch = max_fetch  # copies stop inside batches
-        self.next_seq = {
-            (pid, tp): 0 for pid, _txn in PRODUCERS if pid is not None for tp in TPS
-        }
-        self.sent = 0
-
-    def step(self, step):
-        cluster = self.cluster
-        kind = step[0]
-        if kind == "send":
-            _kind, topic, sender, count, framed, acks = step
-            pid, transactional = PRODUCERS[sender]
-            now = cluster.clock.now()
-            entries = [
-                (f"k{n % 3}", {"n": n, "pad": "x" * 24}, now, {"h": n} if n % 2 else {})
-                for n in range(self.sent, self.sent + count)
-            ]
-            self.sent += count
-            request = {}
-            if pid is not None:
-                seq_key = (pid, TPS[topic])
-                request.update(
-                    producer_id=pid, producer_seq=self.next_seq[seq_key],
-                    transactional=transactional,
-                )
-                self.next_seq[seq_key] += 1
-            if framed:
-                request["frame"] = compress_entries(entries, "zlib", 6)
-            return self._produce(topic, entries, acks, **request)
-        if kind == "end":
-            marker = (None, None, None, {"__ctrl": step[2], "__pid": PRODUCERS[0][0]})
-            return self._produce(step[1], [marker], ACKS_ALL)
-        if kind == "tick":
-            cluster.tick(0.1)
-        elif kind == "kill":
-            if len(cluster.controller.live_brokers()) > 1:
-                cluster.kill_broker(step[1])
-        elif kind == "restart":
-            cluster.restart_broker(step[1])
-        elif kind == "maintain":
-            for broker in cluster.brokers():
-                cluster.restart_broker(broker.broker_id)
-            cluster.run_until_replicated()
-            cluster.clock.advance(step[1])
-            for broker in cluster.brokers():
-                broker.run_retention()
-                broker.run_compaction()
-        return None
-
-    def _produce(self, topic, entries, acks, **request):
-        try:
-            ack = self.cluster.produce(TOPICS[topic].name, 0, entries, acks=acks, **request)
-        except (MessagingError, ConfigError) as exc:
-            return type(exc).__name__
-        return ack.base_offset, ack.last_offset, ack.duplicate
-
-    # -- the comparison -----------------------------------------------------------------
-
-    def check(self, few: int) -> None:
-        cluster = self.cluster
-        for tp in TPS:
-            for broker in cluster.brokers():
-                self._check_replica(broker.replica(tp), few)
-            leader_id = cluster.leader_of(tp.topic, 0)
-            if leader_id is not None:
-                self._check_through_the_cluster(cluster.broker(leader_id).replica(tp))
-
-    def _check_replica(self, replica, few: int) -> None:
-        log = replica.log
-        # The index holds exactly the registry's frames: same runs, same objects.
-        assert [
-            (base, last, frame) for base, last, *_entry, frame in log.batches()
-            if frame is not None
-        ] == log.ref.runs
-        for offset in range(replica.earliest_offset, replica.log_end_offset + 1):
-            raw = replica.fetch(offset, few, committed_only=False).messages
-            read = replica.fetch(offset, few)
-            got = read.messages
-            # read_uncommitted hides the control markers and nothing else.
-            want = [
-                m for m in raw
-                if m.offset < replica.high_watermark and "__ctrl" not in (m.headers or {})
-            ]
-            assert [m.offset for m in got] == [m.offset for m in want]
-            assert served(got, log.batches_spanned_by(offset, read.offsets)) == served(
-                want, as_entries(log.ref.spanned_by(want))
-            )
-
-    def _check_through_the_cluster(self, leader) -> None:
-        start = leader.earliest_offset
+            check_replica(broker.replica(tp), few)
+        leader_id = cluster.leader_of(tp.topic, 0)
+        if leader_id is None:
+            continue
+        leader = cluster.broker(leader_id).replica(tp)  # through the cluster too
         for isolation in ISOLATIONS:
-            got = leader.fetch(start, 1000, isolation=isolation).messages
-            result = self.cluster.fetch(
-                leader.partition.topic, 0, start, max_messages=1000,
-                isolation=isolation, lazy=True,
-            )
-            assert shape(result.batches) == served(
-                got, as_entries(leader.log.ref.spanned_by(got))
-            )
+            got = leader.fetch(leader.earliest_offset, 1000, isolation=isolation).messages
+            result = cluster.fetch(tp.topic, 0, leader.earliest_offset, max_messages=1000,
+                                   isolation=isolation, lazy=True)
+            want = served(got, as_entries(leader.log.ref.spanned_by(got)))
+            assert shape(result.batches) == want
 
 
-def run(schedule, unclean=False, max_fetch=2, few=2) -> Driven:
-    registry().disarm_all()
-    driven = Driven(unclean, max_fetch)
-    driven.check(few)
-    for step in schedule:
-        driven.step(step)
-        driven.check(few)
-    return driven
+def check_replica(replica, few: int) -> None:
+    log = replica.log
+    # The index holds exactly the registry's frames: same runs, same objects.
+    framed = [(base, last, f) for base, last, *_entry, f in log.batches() if f is not None]
+    assert framed == log.ref.runs
+    for offset in range(replica.earliest_offset, replica.log_end_offset + 1):
+        raw = replica.fetch(offset, few, committed_only=False).messages
+        read = replica.fetch(offset, few)
+        got = read.messages
+        # read_uncommitted hides the control markers and nothing else.
+        want = [m for m in raw
+                if m.offset < replica.high_watermark and "__ctrl" not in (m.headers or {})]
+        assert [m.offset for m in got] == [m.offset for m in want]
+        assert served(got, log.batches_spanned_by(offset, read.offsets)) == served(
+            want, as_entries(log.ref.spanned_by(want))
+        )
+
+
+def run(schedule, unclean=False, max_fetch=2, few=2) -> Cluster:
+    """Three topics of shadowed logs whose leaders ship the registry's
+    frames beside every replica fetch; copies cut inside batches."""
+    shipped: dict = {}
+    driven = Cluster(
+        TOPICS, unclean=unclean, max_fetch=max_fetch,
+        log_class=shadowed_log_class(shipped),
+    )
+    for broker in driven.cluster.brokers():
+        broker.replica_fetch = shipping(broker, shipped)
+    check(driven, few)
+    return driven.run(schedule, lambda driven, *_: check(driven, few))
 
 
 # -- pinned schedules -----------------------------------------------------------------
 
-PLAIN, COMPACT, TIERED = range(len(TOPICS))
-TXN, IDEMPOTENT, NO_ID = range(len(PRODUCERS))
-SEND = lambda topic, sender, count=3, framed=True, acks=ACKS_LEADER: (  # noqa: E731
-    "send", topic, sender, count, framed, acks
-)
-TICK = ("tick",)
+
+def SEND(topic, sender, count=3, acks=ACKS_LEADER):
+    return send(sender, count, topic=topic, framed=True, acks=acks)
+
 
 #: Frames of every producer kind, copied in cuts, then compacted and retained
 #: onto the cold tier.
 EVERY_INVALIDATION = [
     SEND(PLAIN, NO_ID, 4), SEND(PLAIN, IDEMPOTENT, 4), SEND(PLAIN, TXN, 3), TICK, TICK,
-    ("end", PLAIN, "abort"), TICK, TICK, TICK,
+    ("end", PLAIN, TXN, "abort"), TICK, TICK, TICK,
     SEND(COMPACT, NO_ID), SEND(COMPACT, IDEMPOTENT), SEND(COMPACT, NO_ID, 1),
     SEND(TIERED, NO_ID), SEND(TIERED, IDEMPOTENT, acks=ACKS_ALL), SEND(TIERED, NO_ID, 1),
     ("maintain", 6.0), TICK,
@@ -372,7 +248,7 @@ class TestOneIndexServesTheRegistrysFrames:
     @given(schedules, st.booleans(), st.integers(1, 4), st.integers(1, 4))
     @example(EVERY_INVALIDATION, False, 2, 2)
     @example(UNCLEAN_TRUNCATION, True, 2, 3)
-    @settings(max_examples=EXAMPLES, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     def test_every_replica_serves_the_registrys_frames_after_every_step(
         self, schedule, unclean, max_fetch, few
     ):
@@ -411,26 +287,18 @@ class TestOneIndexServesTheRegistrysFrames:
 # -- where a frame on the entry meets producer state -----------------------------------
 
 
-def one_topic(config: TopicConfig, num_brokers: int) -> MessagingCluster:
-    cluster = MessagingCluster(
-        num_brokers=num_brokers, clock=SimClock(), maintenance_interval=float("inf")
-    )
-    cluster.create_topic(config)
-    return cluster
-
-
-def framed(cluster, count, **request):
-    now = cluster.clock.now()
-    entries = [(f"k{n}", {"n": n, "pad": "x" * 24}, now, {}) for n in range(count)]
-    return cluster.produce(
-        "t", 0, entries, frame=compress_entries(entries, "zlib", 6), **request
-    )
+def one_topic(**config):
+    """One broker, one partition that retention trims after 4 s."""
+    retention = RetentionConfig(retention_seconds=4.0)
+    log = LogConfig(segment_max_messages=3)
+    topic = TopicConfig(name="t", retention=retention, log=log, **config)
+    return Cluster([topic], brokers=1)
 
 
 class TestFoldPitfalls:
     def test_a_frame_only_entry_is_not_folded_as_a_marker(self):
-        cluster = one_topic(TopicConfig(name="t", replication_factor=2), 2)
-        framed(cluster, 4)
+        driven = Cluster([TopicConfig(name="t", replication_factor=2)], brokers=2)
+        cluster = driven.run([SEND(0, NO_ID, 4)]).cluster
         cluster.run_until_replicated()
         leader_log = cluster.broker(cluster.leader_of("t", 0)).replica(
             TopicPartition("t", 0)
@@ -447,38 +315,21 @@ class TestFoldPitfalls:
                 assert [m.offset for m in replica.fetch(0, 100).messages] == [0, 1, 2, 3]
 
     def test_a_window_entry_whose_frame_retention_cleared_still_answers(self):
-        cluster = one_topic(
-            TopicConfig(
-                name="t",
-                retention=RetentionConfig(retention_seconds=4.0),
-                log=LogConfig(segment_max_messages=3),
-            ),
-            1,
-        )
-        framed(cluster, 3, producer_id=7, producer_seq=0)
+        driven = one_topic()
+        cluster = driven.run([SEND(0, IDEMPOTENT)]).cluster
         cluster.clock.advance(10.0)
-        framed(cluster, 3, producer_id=7, producer_seq=1)
+        driven.step(SEND(0, IDEMPOTENT))
         replica = cluster.broker(0).replica(TopicPartition("t", 0))
         assert cluster.broker(0).run_retention() == 3
         assert replica.earliest_offset == 3
         assert replica.log.batches()[0] == (0, 2, 7, 0, "idempotent", None)
-        retry = framed(cluster, 3, producer_id=7, producer_seq=0)
-        assert (retry.base_offset, retry.last_offset, retry.duplicate) == (0, 2, True)
+        assert driven.step(("retry", 0, IDEMPOTENT, 1)) == (0, 2, True)  # sequence 0
 
     def test_archived_runs_are_served_from_the_cold_tier_not_their_frames(self):
-        cluster = one_topic(
-            TopicConfig(
-                name="t",
-                retention=RetentionConfig(retention_seconds=4.0),
-                log=LogConfig(segment_max_messages=3),
-                tiered=TieredConfig(),
-            ),
-            1,
-        )
-        framed(cluster, 3)
-        framed(cluster, 3, producer_id=7, producer_seq=0)
+        driven = one_topic(tiered=TieredConfig())
+        cluster = driven.run([SEND(0, NO_ID), SEND(0, IDEMPOTENT)]).cluster
         cluster.clock.advance(10.0)
-        framed(cluster, 3)
+        driven.step(SEND(0, NO_ID))
         replica = cluster.broker(0).replica(TopicPartition("t", 0))
         assert cluster.broker(0).run_retention() == 6
         assert (replica.earliest_offset, replica.log.log_start_offset) == (0, 6)

@@ -6,8 +6,8 @@ each export and summarising ``snapshot(since=mark)`` next time, exactly as
 it marks a counter by its ``value``.  Before that, every histogram sorted
 its list in place for percentiles and kept a second list of the
 observations made since the last export, which the exporter took as the
-window and dropped again after its own sends.  That code lives on here as
-:class:`ReferenceHistogram`.
+window and dropped again after its own sends.  That code lives on as
+:class:`~tests.reference.metrics.ReferenceHistogram`.
 
 One random schedule — observe, observe_many, export cycles, percentile and
 snapshot reads, counter increments and ``registry.reset()`` — runs through a
@@ -18,89 +18,15 @@ No histogram other than the schedule's may ever be exported: the exporter's
 own sends move the cluster's latency histograms, and it absorbs them.
 """
 
-import math
-
 from hypothesis import given, settings, strategies as st
 
 from repro.messaging.cluster import MessagingCluster
 from repro.observability.telemetry import TELEMETRY_METRICS_FEED, TelemetryExporter
+from tests.reference import examples
+from tests.reference.metrics import ReferenceHistogram, summarize
 
 HISTOGRAMS = ("core.demo.a", "core.demo.b")
 COUNTER = "core.demo.events"
-
-#: Sized from the profile: 60 in tier-1, the ``deep`` profile's in CI's
-#: ``determinism`` job.
-EXAMPLES = settings.default.max_examples if settings.default.max_examples > 100 else 60
-
-
-class ReferenceHistogram:
-    """The histogram as it was: sorted in place for percentiles, with a
-    separate list of the observations since the last exported window."""
-
-    def __init__(self):
-        self.values = []
-        self.sorted = True
-        self.delta = None  # armed by the first take_window / drop_window
-
-    def observe(self, value):
-        if self.delta is not None:
-            self.delta.append(value)
-        if self.values and value < self.values[-1]:
-            self.sorted = False
-        self.values.append(value)
-
-    def percentile(self, pct):
-        if not self.values:
-            return 0.0
-        if not self.sorted:
-            self.values.sort()
-            self.sorted = True
-        values = self.values
-        if len(values) == 1:
-            return values[0]
-        rank = (pct / 100) * (len(values) - 1)
-        low, high = int(math.floor(rank)), int(math.ceil(rank))
-        if low == high:
-            return values[low]
-        frac = rank - low
-        blend = values[low] * (1 - frac) + values[high] * frac
-        return min(max(blend, values[low]), values[high])
-
-    def snapshot(self):
-        count = len(self.values)
-        return {
-            "count": float(count),
-            "mean": math.fsum(self.values) / count if count else 0.0,
-            "min": min(self.values) if self.values else 0.0,
-            "p50": self.percentile(50),
-            "p95": self.percentile(95),
-            "p99": self.percentile(99),
-            "max": max(self.values) if self.values else 0.0,
-        }
-
-    def take_window(self):
-        pending, self.delta = self.delta, []
-        if pending is None:
-            return self.snapshot()
-        return summarize(pending)
-
-    def drop_window(self):
-        self.delta = []
-
-    def reset(self):
-        self.values.clear()
-        self.sorted = True
-        if self.delta is not None:
-            self.delta = []
-
-
-def summarize(values):
-    """Snapshot of a plain list, through a scratch reference histogram."""
-    scratch = ReferenceHistogram()
-    for value in values:
-        scratch.observe(value)
-    return scratch.snapshot()
-
 
 # Signed zeros are folded to +0.0: which of two equal zeros a sort puts
 # first is not part of either contract.
@@ -210,7 +136,7 @@ class Schedule:
 
 
 class TestMarkedWindowsMatchSampleLists:
-    @settings(max_examples=EXAMPLES, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     @given(schedule=steps)
     def test_exports_and_reads_match_the_reference(self, schedule):
         model = Schedule()

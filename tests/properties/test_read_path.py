@@ -18,7 +18,6 @@ per-record ones, for hot, cold and stitched cold→hot reads, with and without
 """
 
 from array import array
-from bisect import bisect_left
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -26,22 +25,19 @@ from repro.common.clock import SimClock
 from repro.common.compression import compress_entries
 from repro.common.costmodel import DEFAULT_COST_MODEL
 from repro.common.errors import OffsetOutOfRangeError
-from repro.common.records import StoredMessage, TopicPartition
+from repro.common.records import TopicPartition
 from repro.messaging.fetchbuffer import build_fetch_batches
 from repro.messaging.partition import PartitionReplica
 from repro.storage.compaction import LogCompactor
-from repro.storage.log import BatchAppendResult, LogConfig, PartitionLog, ReadResult
+from repro.storage.log import LogConfig, PartitionLog
 from repro.storage.retention import RetentionConfig, RetentionEnforcer
 from repro.storage.tiered import ColdTier, InMemoryObjectStore, TieredConfig
+from tests.reference import examples
+from tests.reference.log import RecordsLog
 
 TP = TopicPartition("t", 0)
 ISOLATIONS = ("read_uncommitted", "read_committed")
 
-#: Examples per property: small in tier-1, as deep as the profile asks under
-#: ``--hypothesis-profile=deep`` (CI's ``determinism`` job).
-EXAMPLES = settings.default.max_examples if settings.default.max_examples > 100 else 60
-#: The same for the two read properties that draw 150 in tier-1.
-EXAMPLES_AT_LEAST_150 = max(150, settings.default.max_examples)
 
 pids = st.integers(0, 1)
 appends = st.tuples(st.sampled_from(["plain", "idempotent", "zlib"]), st.integers(1, 6))
@@ -184,7 +180,7 @@ def stored(messages):
 
 class TestFetchEqualsThePerRecordFilter:
     @given(histories, final_acks, st.integers(1, 9), st.integers(0, 400))
-    @settings(max_examples=EXAMPLES_AT_LEAST_150, deadline=None)
+    @settings(max_examples=examples(150), deadline=None)
     def test_same_objects_same_next_offset_same_bytes(
         self, history, final_ack, few, budget
     ):
@@ -218,7 +214,7 @@ class TestFetchEqualsThePerRecordFilter:
                     assert list(got.offsets) == [m.offset for m in visible]
 
     @given(plain_histories)
-    @settings(max_examples=EXAMPLES, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     def test_untouched_run_is_passed_through_not_copied(self, history):
         """With no marker in the run and the run under the bound, the fetch
         result *is* the log's list: no per-record pass ran."""
@@ -266,7 +262,7 @@ class TestFetchEqualsThePerRecordFilter:
 
 class TestStoredBytesIsAColumn:
     @given(histories, st.integers(1, 9), st.integers(0, 400))
-    @settings(max_examples=EXAMPLES_AT_LEAST_150, deadline=None)
+    @settings(max_examples=examples(150), deadline=None)
     def test_hot_cold_and_stitched_reads(self, history, few, budget):
         replica, archived, _model = build(history)
         log, tier = replica.log, replica.cold_tier
@@ -306,85 +302,6 @@ class TestStoredBytesIsAColumn:
 
 
 # -- a kept frame reads as the records it stands for ----------------------------------
-
-
-class RecordsLog(PartitionLog):
-    """The log as it held a kept frame before frames were held as
-    themselves: one ``StoredMessage`` per record, built at append and sized
-    by its share of the frame, beside the entry that carries the frame, and
-    read by the plain per-segment walk (:meth:`read`) rather than the
-    pieces walk every :class:`PartitionLog` takes."""
-
-    def _append_frame(self, frame, entries, now, producer_id, producer_seq, kind):
-        topic, partition = self.partition or (None, None)
-        base = self._next_offset
-        messages = [
-            StoredMessage(
-                key, value, now if ts is None else ts, base + i, headers, size,
-                share, topic, partition,
-            )
-            for i, ((key, value, ts, headers), size, share) in enumerate(
-                zip(entries, frame.sizes, frame.stored_sizes())
-            )
-        ]
-        latency = self._append_run(
-            messages, frame.stored_sizes(), array("q", range(base, base + len(messages)))
-        )
-        last = base + len(messages) - 1
-        self.note_batch(base, last, producer_id, producer_seq, kind, frame)
-        return BatchAppendResult(base, last, latency, len(messages))
-
-    def read(self, offset, max_messages=100, max_bytes=None):
-        """The plain walk, as reads took it before every log read its
-        segments as pieces: per segment, the records from the cursor on, cut
-        to the byte budget by one bisect over the segment's record end
-        positions, extended onto one list."""
-        if offset < self._log_start_offset or offset > self._next_offset:
-            raise OffsetOutOfRangeError(offset, self._log_start_offset, self._next_offset)
-        if max_messages <= 0:
-            return ReadResult([], array("q"), 0.0, self._next_offset, next_offset=offset)
-        collected = []
-        latency = 0.0
-        stored_bytes = 0
-        byte_budget = max_bytes if max_bytes is not None else 1 << 62
-        seg_idx = self._segment_index_for(offset)
-        cursor = offset
-        segments = self._segments
-        while seg_idx < len(segments) and len(collected) < max_messages:
-            segment = segments[seg_idx]
-            assert not segment.framed  # every record is held as an object
-            latency += self.cost_model.request_overhead / 10
-            idx = bisect_left(segment._offsets, cursor)
-            batch = segment._messages[idx : idx + max_messages - len(collected)]
-            budget_hit = False
-            if batch:
-                end = idx + len(batch)
-                start = segment._positions[idx]
-                end_positions = list(segment._positions[idx + 1 : end])
-                end_positions.append(
-                    segment._positions[end] if end < len(segment) else segment.size_bytes
-                )
-                keep = bisect_left(end_positions, start + byte_budget + 1)
-                if keep == 0 and not collected:
-                    keep = 1
-                budget_hit = keep < len(batch)
-                if keep:
-                    nbytes = end_positions[keep - 1] - start
-                    latency += self.page_cache.read(self._file_id(segment), start, nbytes)
-                    collected.extend(batch[:keep])
-                    stored_bytes += nbytes
-                    byte_budget -= nbytes
-                    cursor = batch[keep - 1].offset + 1
-            if budget_hit:
-                break
-            seg_idx += 1
-            if seg_idx < len(segments):
-                cursor = max(cursor, segments[seg_idx].base_offset)
-        next_offset = collected[-1].offset + 1 if collected else offset
-        return ReadResult(
-            collected, array("q", [m.offset for m in collected]), latency,
-            self._next_offset, next_offset, stored_bytes,
-        )
 
 
 def replica_set(log_class):
@@ -580,7 +497,7 @@ class TestFramedRunsReadAsRecords:
         st.integers(1, 7),
         st.integers(0, 300),
     )
-    @settings(max_examples=EXAMPLES, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     # Compaction empties offsets 1-3 of the first segment before it is
     # archived, so offset 1 lies between the archive's end and the hot
     # log's start: a fetch there resumes at the hot log's first record.

@@ -8,12 +8,10 @@ The model is a plain dict applying the same ops in order.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.common.clock import SimClock
 from repro.common.partitioning import partition_for_key
-from repro.messaging.cluster import MessagingCluster
-from repro.messaging.producer import Producer
-from repro.processing.job import JobConfig, JobRunner, StoreConfig
+from repro.processing.job import StoreConfig
 from repro.serving import StateQueryRouter
+from tests.reference.job import job
 
 KEYS = [f"k{i}" for i in range(8)]
 
@@ -40,21 +38,13 @@ class UpsertDeleteTask:
 
 
 def build(data, partitions):
-    clock = SimClock()
-    cluster = MessagingCluster(num_brokers=1, clock=clock)
-    cluster.create_topic("in", num_partitions=partitions, replication_factor=1)
-    producer = Producer(cluster)
-    for key, value in data:
-        producer.send("in", value, key=key)
-    runner = JobRunner(
-        JobConfig(
-            name="prop",
-            inputs=["in"],
-            task_factory=UpsertDeleteTask,
-            stores=[StoreConfig("table")],
-        ),
-        cluster,
+    env = job(
+        {"in": (partitions, 1)},
+        name="prop", task_factory=UpsertDeleteTask, stores=[StoreConfig("table")],
     )
+    for key, value in data:
+        env.producer.send("in", value, key=key)
+    runner = env.runner
     runner.run_until_idle()
     runner.checkpoint()
     model: dict = {}

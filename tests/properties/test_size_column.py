@@ -45,6 +45,7 @@ from repro.messaging.config import ProducerConfig
 from repro.messaging.producer import Producer
 from repro.messaging.transactions import TransactionalProducer
 from repro.observability.trace import TraceContext
+from tests.reference import examples
 
 TP = TopicPartition("t", 0)
 WIRE_BYTES = "messaging.cluster.bytes_on_wire"
@@ -361,7 +362,6 @@ class Alias:
         return hash(self.text)
 
 
-EXAMPLES = settings.default.max_examples if settings.default.max_examples > 100 else 200
 #: What a slot of a drawn shape holds: a leaf kind or a nested shape.
 LEAVES = {
     "str": text,
@@ -455,7 +455,7 @@ class TestShapeColumn:
     reference rule per entry, and the cluster stores and charges it."""
 
     @given(shaped_batches())
-    @settings(max_examples=EXAMPLES, deadline=None)
+    @settings(max_examples=examples(200), deadline=None)
     def test_column_is_the_reference_per_entry(self, batch):
         column = [payload_size(k, v, h) for k, v, _ts, h in batch]
         assert payload_sizes(batch) == column

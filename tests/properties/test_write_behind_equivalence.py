@@ -5,7 +5,8 @@ job shows depends on it.
 as one ``put_many`` and in the changelog as one run at the pass's
 hand-over.  The rule it replaced — every ``put`` / ``delete`` written
 through to the store and staged as its own changelog entry at once — lives
-on here as :class:`PerMutationState`, run by :class:`PerMutationRunner`.
+on as :class:`~tests.reference.job.PerMutationState`, run by
+:class:`~tests.reference.job.PerMutationRunner`.
 
 Two same-seed clusters, one per rule, run the same random task programs —
 puts, deletes, point gets, ``in``, ranges and ``len`` inside passes, some
@@ -21,90 +22,17 @@ changelog's live content and holds no pending write.
 
 from __future__ import annotations
 
-from types import SimpleNamespace
+from hypothesis import example, given, settings, strategies as st
 
-from hypothesis import given, settings, strategies as st
-
-from repro.common.clock import SimClock
-from repro.common.errors import LiquidError, StateStoreError
-from repro.common.records import EMPTY_HEADERS, TopicPartition
-from repro.messaging.cluster import MessagingCluster
-from repro.messaging.producer import Producer
-from repro.processing.job import (
-    AT_LEAST_ONCE,
-    EXACTLY_ONCE,
-    JobConfig,
-    JobRunner,
-    StoreConfig,
-)
-from repro.processing.state import KeyValueState, changelog_topic_name
+from repro.common.records import TopicPartition
+from repro.processing.job import AT_LEAST_ONCE, EXACTLY_ONCE, JobRunner, StoreConfig
+from repro.processing.state import changelog_topic_name
+from tests.reference import examples
+from tests.reference.job import PerMutationRunner, job, lockstep, read, states
 
 PARTITIONS = 2
 STORES = ("s", "t")
 KEYS = ("k0", "k1", "k2", "k3", "k4")
-
-
-class PerMutationState(KeyValueState):
-    """``KeyValueState`` as it was: every mutation goes straight to the
-    store and stages its own changelog entry."""
-
-    def put(self, key, value):
-        if value is None:
-            raise StateStoreError(
-                f"state {self.name!r}: None values are reserved for deletes"
-            )
-        self.store.put_many({key: value})
-        self.puts += 1
-        if self.changelog is not None:
-            self._stage(key, value)
-
-    def delete(self, key):
-        self.store.put_many({key: None})
-        self.deletes += 1
-        if self.changelog is not None:
-            self._stage(key, None)
-
-    def _stage(self, key, value):
-        tp = self.changelog
-        entry = (
-            key, value, None, EMPTY_HEADERS if self.trace is None else self.trace(tp)
-        )
-        self.staged.setdefault(tp, []).append(entry)
-
-    def get(self, key):
-        self.gets += 1
-        return self.store.get(key)
-
-    def __contains__(self, key):
-        return key in self.store
-
-    def items(self):
-        return self.store.items()
-
-    def range(self, start=None, end=None):
-        return self.store.range_items(start, end)
-
-    def __len__(self):
-        return len(self.store)
-
-    def approximate_size_bytes(self):
-        return self.store.approximate_size_bytes()
-
-    def hand_over(self):
-        return {}  # nothing is ever behind
-
-    def clear(self):
-        self.store.clear()
-
-
-class PerMutationRunner(JobRunner):
-    def _build_stores(self, task_id, staged):
-        return {
-            name: PerMutationState(
-                name, state.store, state.changelog, staged
-            )
-            for name, state in super()._build_stores(task_id, staged).items()
-        }
 
 
 class ProgramTask:
@@ -140,54 +68,18 @@ class ProgramTask:
         collector.send("derived", seen, key=record.key)
 
 
-def build(per_mutation, guarantee, standbys, store_type):
-    cluster = MessagingCluster(num_brokers=1, clock=SimClock())
-    cluster.create_topic("in", num_partitions=PARTITIONS, replication_factor=1)
-    cluster.create_topic("derived", num_partitions=PARTITIONS, replication_factor=1)
+def side(per_mutation, guarantee, standbys, store_type):
     failed: set = set()
     options = {"memtable_max_entries": 3, "max_runs": 2} if store_type == "lsm" else {}
-    config = JobConfig(
-        name="programs",
-        inputs=["in"],
-        task_factory=lambda: ProgramTask(failed),
+    return job(
+        {"in": (PARTITIONS, 1), "derived": (PARTITIONS, 1)},
+        runner=PerMutationRunner if per_mutation else JobRunner,
+        name="programs", task_factory=lambda: ProgramTask(failed),
         stores=[StoreConfig(name, store_type=store_type, store_options=options)
                 for name in STORES],
-        checkpoint_interval=4,
-        processing_guarantee=guarantee,
-        num_standby_replicas=standbys,
-        changelog_segment_messages=4,
+        checkpoint_interval=4, processing_guarantee=guarantee,
+        num_standby_replicas=standbys, changelog_segment_messages=4,
     )
-    runner = (PerMutationRunner if per_mutation else JobRunner)(config, cluster)
-    return SimpleNamespace(cluster=cluster, runner=runner, producer=Producer(cluster))
-
-
-def apply(env, step):
-    kind, arg = step
-    try:
-        if kind == "produce":
-            for i, program in enumerate(arg):
-                env.producer.send("in", program, key=f"r{i}", partition=i % PARTITIONS)
-            env.producer.flush()
-            return None
-        if kind == "poll":
-            result = env.runner.poll_once(max_messages=arg)
-            return result.records_processed, result.records_emitted
-        if kind == "checkpoint":
-            env.runner.checkpoint()
-            return None
-        if kind == "compact":
-            # How much it removes depends on how many records were shipped.
-            for broker in env.cluster.brokers():
-                broker.run_compaction()
-            return None
-        if kind == "recover":
-            env.runner.crash()
-            return [
-                (e.store, e.task_id, e.source) for e in env.runner.recover().entries
-            ]
-        raise AssertionError(kind)
-    except LiquidError as exc:
-        return type(exc).__name__
 
 
 def compacted_changelogs(env):
@@ -195,44 +87,35 @@ def compacted_changelogs(env):
     every key (a tombstone and its absence read the same)."""
     kept = {}
     for name in STORES:
-        for tp in env.cluster.partitions_of(changelog_topic_name("programs", name)):
-            fetched = env.cluster.fetch(
-                tp.topic, tp.partition, 0, max_messages=100_000,
-                isolation=env.runner.isolation,
-            )
-            last = {r.key: r.value for r in fetched.records}
+        topic = changelog_topic_name("programs", name)
+        for tp, records in zip(env.cluster.partitions_of(topic), read(env, topic)):
+            last = {r.key: r.value for r in records}
             kept[tp] = {k: v for k, v in last.items() if v is not None}
     return kept
 
 
-def observe(env):
-    runner = env.runner
+def observe(env, step, outcome):
+    kind = step and step[0]
+    if kind == "recover" and not isinstance(outcome, str):
+        restored_is_the_changelog(env)
+        # Replayed and skipped counts depend on how much was shipped.
+        outcome = [(e.store, e.task_id, e.source) for e in outcome]
+    elif kind == "poll" and not isinstance(outcome, str):
+        outcome = outcome[:2]  # fewer changelog records, a different latency
+    elif kind == "compact":
+        outcome = None  # how much it removes depends on how much was shipped
     return {
+        "outcome": outcome,
         # Offsets and values; not timestamps: fewer changelog records make
         # a different simulated clock.
         "derived": [
-            [
-                (r.offset, r.key, r.value)
-                for r in env.cluster.fetch(
-                    "derived", p, 0, max_messages=100_000, isolation=runner.isolation
-                ).records
-            ]
-            for p in range(PARTITIONS)
+            [(r.offset, r.key, r.value) for r in records]
+            for records in read(env, "derived")
         ],
-        "stores": [
-            {name: list(state.items()) for name, state in instance.stores.items()}
-            for instance in runner.tasks()
-        ],
-        "standbys": {
-            task_id: [
-                {name: (replica.position is None, list(replica.store.items()))
-                 for name, replica in replicas.items()}
-                for replicas in sets
-            ]
-            for task_id, sets in runner.standbys._sets.items()
-        },
+        # Standby positions: fewer changelog records, different offsets.
+        "stores and standbys": states(env, positions=False),
         "changelogs": compacted_changelogs(env),
-        "counts": (runner.records_processed, runner.records_emitted),
+        "counts": (env.runner.records_processed, env.runner.records_emitted),
     }
 
 
@@ -275,16 +158,19 @@ ROUND = st.tuples(
 def expand(rounds):
     steps = []
     for programs, budgets, event in rounds:
-        steps.append(("produce", programs))
-        steps += [("poll", budget) for budget in budgets]
+        records = [(f"r{i}", program, i % PARTITIONS) for i, program in enumerate(programs)]
+        steps.append(("produce", records, None))
+        steps += [("poll", budget, None) for budget in budgets]
         if event is not None:
-            steps.append((event, None))
+            steps.append((event, None, None))
     return steps
 
 
-#: Sized from the profile: 40 in tier-1, the ``deep`` profile's under
-#: ``--hypothesis-profile=deep``.
-EXAMPLES = settings.default.max_examples if settings.default.max_examples > 100 else 40
+#: A record's program reads back its own put: the read must see the pass's
+#: pending write, which the write-through side reads from its store.
+READS_ITS_OWN_WRITE = expand([
+    ([[("put", "s", "k0", 1), ("get", "s", "k0", None)]], [1], None),
+])
 
 
 class TestWriteBehindMatchesPerMutation:
@@ -294,16 +180,10 @@ class TestWriteBehindMatchesPerMutation:
         st.sampled_from(("memory", "lsm")),
         st.lists(ROUND, min_size=1, max_size=5).map(expand),
     )
-    @settings(max_examples=EXAMPLES, deadline=None)
+    @example(AT_LEAST_ONCE, 0, "memory", READS_ITS_OWN_WRITE)
+    @settings(max_examples=examples(40), deadline=None)
     def test_every_step_equals_the_per_mutation_reference(
         self, guarantee, standbys, store_type, steps
     ):
-        new = build(False, guarantee, standbys, store_type)
-        ref = build(True, guarantee, standbys, store_type)
-        assert observe(new) == observe(ref)
-        for step in steps:
-            outcome = apply(new, step)
-            assert outcome == apply(ref, step), step
-            assert observe(new) == observe(ref), step
-            if step[0] == "recover" and not isinstance(outcome, str):
-                restored_is_the_changelog(new)
+        setup = (guarantee, standbys, store_type)
+        lockstep(side(False, *setup), side(True, *setup), steps, observe)

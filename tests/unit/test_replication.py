@@ -170,6 +170,15 @@ class TestIsrMaintenance:
         assert stats.isr_expansions
         assert len(cluster.controller.isr_for(TP)) == 3
 
+    def test_a_follower_whose_session_expired_is_not_re_expanded(self):
+        cluster = make_cluster()
+        cluster.controller.broker_failed(2)  # session gone, broker still up
+        cluster.produce("t", 0, entries(1), acks=ACKS_ALL)
+        stats = cluster.tick()  # broker 2 catches up, yet is not live
+        assert cluster.broker(2).replica(TP).log_end_offset == 1
+        assert not stats.isr_expansions
+        assert 2 not in cluster.controller.isr_for(TP)
+
     def test_shrink_advances_leader_hw(self):
         cluster = make_cluster(max_lag=2)
         cluster.replication.max_fetch = 1
