@@ -19,7 +19,7 @@ Grouped by role:
   the consistency-mode constants;
 * **elasticity** — the lag-driven autoscaling loop
   (:class:`LagMonitor` → :class:`ScalingPolicy` →
-  :class:`ElasticJobController`) and the :class:`BackpressureValve`;
+  :class:`ElasticJobController`);
 * **observability** — the tracer and its install/query helpers, the
   self-hosted telemetry exporter and its reserved feeds, SLO burn-rate
   monitoring, and the cluster health rollup;
@@ -53,7 +53,6 @@ from repro.common.records import (
 )
 from repro.core.liquid import Liquid
 from repro.elasticity import (
-    BackpressureValve,
     ElasticJobController,
     LagMonitor,
     LagSample,
@@ -171,7 +170,6 @@ __all__ = [
     "ScalingDecision",
     "ElasticJobController",
     "ScaleEvent",
-    "BackpressureValve",
     # observability
     "Tracer",
     "Span",

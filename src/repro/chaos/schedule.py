@@ -247,10 +247,6 @@ class ChaosSchedule:
         broker = self.cluster.broker(broker_id)
         if broker.online:
             return "skipped: already online"
-        if broker_id in self.cluster.controller.live_brokers():
-            # Unclean crash whose session never expired: expire it first so
-            # the restart goes through the normal recovery path.
-            self.cluster.controller.broker_failed(broker_id)
         self.cluster.restart_broker(broker_id)
         return ""
 
@@ -316,10 +312,7 @@ class ChaosSchedule:
         for name in ("replication.sync", "cluster.produce", "cluster.fetch"):
             self.failpoints.disarm(name)
         for broker in self.cluster.brokers():
-            if not broker.online:
-                if broker.broker_id in self.cluster.controller.live_brokers():
-                    self.cluster.controller.broker_failed(broker.broker_id)
-                self.cluster.restart_broker(broker.broker_id)
+            self.cluster.restart_broker(broker.broker_id)
 
     def plan(self) -> list[str]:
         """The seed-deterministic fault plan (before any cluster feedback)."""

@@ -8,18 +8,21 @@ slice of ZooKeeper's API, which this module reproduces:
 * *ephemeral* znodes tied to a client session, deleted when the session
   expires (this is how broker liveness is detected);
 * *sequential* znodes for fair election queues;
-* one-shot *watches* on nodes and on children, fired on changes.
+* a first-write-wins election on an ephemeral znode (:meth:`Coordinator.elect`).
 
-The implementation is single-process and synchronous: watch callbacks run
-inline at the mutation point, which keeps failure-handling deterministic in
-tests and benchmarks.
+ZooKeeper's watches and data reads are left out: the
+:class:`~repro.cluster.controller.ClusterController` is told of broker
+failures directly and tells its own listeners of leadership and ISR changes,
+so nothing reads a znode back.  The implementation is single-process and
+synchronous, which keeps failure-handling deterministic in tests and
+benchmarks.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 from repro.common.clock import Clock, SimClock
 from repro.common.errors import (
@@ -28,20 +31,10 @@ from repro.common.errors import (
     SessionExpiredError,
 )
 
-#: Watch callbacks receive (event_type, path); event types below.
-EVENT_CREATED = "created"
-EVENT_DELETED = "deleted"
-EVENT_CHANGED = "changed"
-EVENT_CHILD = "child"
-
-WatchCallback = Callable[[str, str], None]
-
-
 @dataclass
 class _ZNode:
     data: Any
     ephemeral_session: int | None = None
-    version: int = 0
     children: set[str] = field(default_factory=set)
 
 
@@ -59,7 +52,7 @@ class Session:
 
 
 class Coordinator:
-    """In-process coordination service with znodes, sessions, and watches."""
+    """In-process coordination service with znodes and sessions."""
 
     def __init__(self, clock: Clock | None = None) -> None:
         self.clock = clock if clock is not None else SimClock()
@@ -67,10 +60,6 @@ class Coordinator:
         self._sessions: dict[int, Session] = {}
         self._session_ids = itertools.count(1)
         self._seq = itertools.count(0)
-        # One-shot watches: path -> callbacks. Child watches fire on
-        # create/delete of direct children.
-        self._data_watches: dict[str, list[WatchCallback]] = {}
-        self._child_watches: dict[str, list[WatchCallback]] = {}
 
     # -- sessions ---------------------------------------------------------------
 
@@ -84,8 +73,8 @@ class Coordinator:
         """Expire a session, deleting its ephemeral znodes.
 
         Returns deleted paths.  This is how a broker crash is simulated:
-        the broker's ephemeral registration disappears and watchers (the
-        controller) react.
+        the broker's ephemeral registration (and its ``/controller`` seat)
+        disappears.
         """
         if not session.alive:
             return []
@@ -145,8 +134,6 @@ class Coordinator:
             ephemeral_session=session.session_id if ephemeral else None,
         )
         self._nodes[parent].children.add(path)
-        self._fire_data_watches(path, EVENT_CREATED)
-        self._fire_child_watches(parent)
         return path
 
     def _create_parents(self, path: str) -> None:
@@ -156,7 +143,6 @@ class Coordinator:
         self._create_parents(parent)
         self._nodes[path] = _ZNode(data=None)
         self._nodes[parent].children.add(path)
-        self._fire_child_watches(parent)
 
     def delete(self, path: str) -> None:
         """Delete a znode (children are deleted recursively, leaf-first)."""
@@ -170,60 +156,6 @@ class Coordinator:
         parent = self._parent_of(path)
         if parent in self._nodes:
             self._nodes[parent].children.discard(path)
-            self._fire_child_watches(parent)
-        self._fire_data_watches(path, EVENT_DELETED)
-
-    def exists(self, path: str) -> bool:
-        return path in self._nodes
-
-    def get(self, path: str) -> Any:
-        node = self._nodes.get(path)
-        if node is None:
-            raise NoNodeError(path)
-        return node.data
-
-    def set_data(self, path: str, data: Any) -> int:
-        """Update a znode's data; returns the new version."""
-        node = self._nodes.get(path)
-        if node is None:
-            raise NoNodeError(path)
-        node.data = data
-        node.version += 1
-        self._fire_data_watches(path, EVENT_CHANGED)
-        return node.version
-
-    def version(self, path: str) -> int:
-        node = self._nodes.get(path)
-        if node is None:
-            raise NoNodeError(path)
-        return node.version
-
-    def children(self, path: str) -> list[str]:
-        """Sorted child paths of a znode."""
-        node = self._nodes.get(path)
-        if node is None:
-            raise NoNodeError(path)
-        return sorted(node.children)
-
-    # -- watches ---------------------------------------------------------------------
-
-    def watch(self, path: str, callback: WatchCallback) -> None:
-        """One-shot watch on a node's creation/deletion/data change."""
-        self._data_watches.setdefault(path, []).append(callback)
-
-    def watch_children(self, path: str, callback: WatchCallback) -> None:
-        """One-shot watch on a node's direct-children set."""
-        self._child_watches.setdefault(path, []).append(callback)
-
-    def _fire_data_watches(self, path: str, event: str) -> None:
-        callbacks = self._data_watches.pop(path, [])
-        for callback in callbacks:
-            callback(event, path)
-
-    def _fire_child_watches(self, path: str) -> None:
-        callbacks = self._child_watches.pop(path, [])
-        for callback in callbacks:
-            callback(EVENT_CHILD, path)
 
     # -- convenience patterns -----------------------------------------------------------
 

@@ -53,6 +53,7 @@ from repro.common.records import (
     EMPTY_HEADERS,
     SURROGATES,
     TRACE_HEADER,
+    Headers,
     estimate_size,
 )
 
@@ -330,15 +331,18 @@ class BatchFrame:
     def headers(self, entries: list, start: int = 0) -> list:
         """The headers records ``start...`` of the batch were sent with, for
         their decoded ``entries``: the reserved ``__trace`` context put back
-        from the frame, and a headerless record's the shared read-only
+        from the frame, each read-only :class:`~repro.common.records.Headers`
+        and a headerless record's the shared
         :data:`~repro.common.records.EMPTY_HEADERS`, so a record built from a
         frame equals (and hashes like) the one built from the batch."""
-        headers = [entry[3] or EMPTY_HEADERS for entry in entries]
+        headers = [
+            Headers(entry[3]) if entry[3] else EMPTY_HEADERS for entry in entries
+        ]
         if self.trace_contexts:
             contexts = self.trace_contexts[start : start + len(entries)]
             for i, ctx in enumerate(contexts):
                 if ctx is not None:
-                    headers[i] = {**headers[i], TRACE_HEADER: ctx}
+                    headers[i] = Headers({**headers[i], TRACE_HEADER: ctx})
         return headers
 
     @property

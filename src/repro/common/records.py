@@ -25,8 +25,11 @@ is one C call, about 210 ns on that box (about 300 ns a record for a
 whole batch pass, the column ``zip`` included), where the slot object's
 ``__init__`` took about 470 ns.
 
-A record sent without headers carries :data:`EMPTY_HEADERS`, one shared
-read-only mapping, instead of an empty dict of its own.
+A record's headers are read-only :class:`Headers`, so a consumer that
+changes the headers it was handed cannot change the stored record under
+every later reader.  A record sent without headers carries
+:data:`EMPTY_HEADERS`, the one shared empty instance, instead of an empty
+dict of its own.
 """
 
 from __future__ import annotations
@@ -61,28 +64,34 @@ RESERVED_HEADER_PREFIX = "__"
 SURROGATES = "surrogatepass"
 
 
-class _EmptyHeaders(dict):
-    """The type of :data:`EMPTY_HEADERS`: an empty ``dict`` that refuses
-    mutation, hashes, and pickles and copies as the one shared instance."""
+class Headers(dict):
+    """A record's headers: a ``dict`` that refuses mutation and hashes.
+
+    The producers build one where they copy the sender's headers, and a
+    framed read builds one per record, so the headers a consumer is handed
+    are never a dict it could change under other readers.  ``dict(headers)``
+    or ``{**headers}`` is a mutable copy.  The empty instance pickles and
+    copies as :data:`EMPTY_HEADERS`.
+    """
 
     __slots__ = ()
 
     def _refuse(self, *args: Any, **kwargs: Any) -> None:
-        raise TypeError("a record's empty headers are shared and read-only")
+        raise TypeError("a record's headers are read-only")
 
     __setitem__ = __delitem__ = __ior__ = _refuse
     clear = pop = popitem = setdefault = update = _refuse
 
     def __hash__(self) -> int:
-        return 0
+        return hash(frozenset(self.items()))
 
-    def __reduce__(self) -> str:
-        return "EMPTY_HEADERS"
+    def __reduce__(self) -> str | tuple:
+        return (Headers, (dict(self),)) if self else "EMPTY_HEADERS"
 
 
 #: The headers of every record sent without any: equal to ``{}``, shared by
 #: all of them, so a headerless record allocates no dict it would keep.
-EMPTY_HEADERS: Mapping[str, Any] = _EmptyHeaders()
+EMPTY_HEADERS: Mapping[str, Any] = Headers()
 
 
 def estimate_size(value: Any) -> int:

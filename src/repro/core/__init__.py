@@ -21,7 +21,6 @@ from repro.core.etl import (
     CleaningTask,
     DeduplicateTask,
     EnrichTask,
-    FilterTask,
     GroupCountTask,
     MapTask,
     RouterTask,
@@ -46,7 +45,6 @@ __all__ = [
     "offsets_committed_before",
     "annotate_positions",
     "MapTask",
-    "FilterTask",
     "CleaningTask",
     "EnrichTask",
     "GroupCountTask",

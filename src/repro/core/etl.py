@@ -44,20 +44,6 @@ class MapTask:
         )
 
 
-class FilterTask:
-    """Forward only records whose value satisfies the predicate."""
-
-    def __init__(self, output: str, predicate: Callable[[Any], bool]) -> None:
-        self.output = output
-        self.predicate = predicate
-
-    def process(self, record: ConsumerRecord, collector: MessageCollector) -> None:
-        if self.predicate(record.value):
-            collector.send(
-                self.output, record.value, key=record.key, timestamp=record.timestamp
-            )
-
-
 class CleaningTask:
     """Field-level cleaning/normalization (§5.1 data cleaning use case).
 

@@ -1,19 +1,15 @@
-"""Elasticity layer: lag-driven autoscaling and end-to-end backpressure.
+"""Elasticity layer: lag-driven autoscaling.
 
 The feedback loop *Reactive Liquid* (arXiv:1902.05968) proposes on top of
 Liquid's static resource isolation: sense consumer lag
 (:class:`LagMonitor`), decide with hysteresis (:class:`ScalingPolicy`),
-act by growing/shrinking a job's task containers at checkpoint boundaries
-(:class:`ElasticJobController`), and throttle intake when the bottleneck
-is downstream (:class:`BackpressureValve`).
+and act by growing/shrinking a job's task containers at checkpoint
+boundaries (:class:`ElasticJobController`).  There is no backpressure
+mechanism: as §3.2 says, jobs are decoupled by writing to and reading from
+the messaging layer, so a slow consumer leaves a backlog in its input
+topic and never stalls its producer.
 """
 
-from repro.elasticity.backpressure import (
-    VALVE_CLOSED,
-    VALVE_OPEN,
-    VALVE_THROTTLED,
-    BackpressureValve,
-)
 from repro.elasticity.controller import (
     ElasticJobController,
     ScaleEvent,
@@ -29,7 +25,6 @@ from repro.elasticity.policy import (
 )
 
 __all__ = [
-    "BackpressureValve",
     "ElasticJobController",
     "Ewma",
     "LagMonitor",
@@ -41,7 +36,4 @@ __all__ = [
     "ScalingDecision",
     "ScalingPolicy",
     "StepReport",
-    "VALVE_CLOSED",
-    "VALVE_OPEN",
-    "VALVE_THROTTLED",
 ]

@@ -10,11 +10,7 @@ from repro.messaging.cluster import (
 )
 from repro.messaging.config import ConsumerConfig, ProducerConfig
 from repro.messaging.consumer import Consumer
-from repro.messaging.consumer_group import (
-    ASSIGN_RANGE,
-    ASSIGN_ROUND_ROBIN,
-    GroupCoordinator,
-)
+from repro.messaging.consumer_group import GroupCoordinator
 from repro.messaging.offset_manager import OFFSETS_TOPIC, OffsetCommit, OffsetManager
 from repro.messaging.partition import PartitionReplica, ProduceResult
 from repro.messaging.producer import (
@@ -39,8 +35,6 @@ __all__ = [
     "ACKS_ALL",
     "Consumer",
     "GroupCoordinator",
-    "ASSIGN_RANGE",
-    "ASSIGN_ROUND_ROBIN",
     "OffsetManager",
     "OffsetCommit",
     "OFFSETS_TOPIC",

@@ -589,11 +589,22 @@ class MessagingCluster:
         self.controller.broker_failed(broker_id)
 
     def restart_broker(self, broker_id: int) -> None:
-        """Restart a crashed broker; it re-syncs before rejoining ISRs."""
+        """Bring a broker back; it re-syncs before rejoining ISRs.
+
+        A broker is up (``broker.online``) and live (it holds a controller
+        session) as two separate facts, and this reconciles them: a broker
+        that is up but no longer live (its session expired) re-registers,
+        and one that is down but still live (an unclean crash whose session
+        never expired) has its session expired before it starts.
+        """
         broker = self.broker(broker_id)
-        if broker.online:
+        live = broker_id in self.controller.live_brokers()
+        if broker.online and live:
             return
-        broker.startup()
+        if not broker.online:
+            if live:
+                self.controller.broker_failed(broker_id)
+            broker.startup()
         self._mark_hosted(broker)
         self.controller.broker_recovered(broker_id)
 

@@ -12,35 +12,18 @@ is owned by exactly one member, so within the group each message is
 delivered once, while independent groups each receive the full stream.
 
 Rebalancing is *eager*: any membership change bumps the group generation and
-recomputes the whole assignment; members detect the generation change on
-their next poll and re-fetch their assignment (E9 exercises scaling a group
-up and down).
-
-The ``cooperative_sticky`` strategy reduces the cost of that eagerness for
-elastic groups: instead of recomputing from scratch, it keeps each
-surviving member's current partitions wherever the post-change balance
-allows, so a single join/leave moves only the minimum set of partitions —
-every move is a consumer that must re-seed its position and refill its
-prefetch buffers, so fewer moves means less rebalance disruption.
+recomputes the whole assignment with the range strategy (per topic, the
+partition range split contiguously over the subscribers); members detect
+the generation change on their next poll and re-fetch their assignment (E9
+exercises scaling a group up and down).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.common.errors import ConfigError, UnknownMemberError
+from repro.common.errors import UnknownMemberError
 from repro.common.records import TopicPartition
-
-#: Assignment strategies.
-ASSIGN_RANGE = "range"
-ASSIGN_ROUND_ROBIN = "round_robin"
-ASSIGN_COOPERATIVE_STICKY = "cooperative_sticky"
-
-ASSIGNMENT_STRATEGIES = (
-    ASSIGN_RANGE,
-    ASSIGN_ROUND_ROBIN,
-    ASSIGN_COOPERATIVE_STICKY,
-)
 
 
 @dataclass
@@ -57,11 +40,8 @@ class GroupState:
 class GroupCoordinator:
     """Tracks group membership and computes partition assignments."""
 
-    def __init__(self, cluster, strategy: str = ASSIGN_RANGE) -> None:
-        if strategy not in ASSIGNMENT_STRATEGIES:
-            raise ConfigError(f"unknown assignment strategy {strategy!r}")
+    def __init__(self, cluster) -> None:
         self.cluster = cluster
-        self.strategy = strategy
         self._groups: dict[str, GroupState] = {}
 
     # -- membership ----------------------------------------------------------------
@@ -87,17 +67,9 @@ class GroupCoordinator:
     def _rebalance(self, state: GroupState) -> None:
         state.generation += 1
         state.rebalances += 1
-        previous = state.assignment
         state.assignment = {member: [] for member in state.members}
-        if not state.members:
-            return
-        members = sorted(state.members)
-        if self.strategy == ASSIGN_RANGE:
-            self._assign_range(state, members)
-        elif self.strategy == ASSIGN_ROUND_ROBIN:
-            self._assign_round_robin(state, members)
-        else:
-            self._assign_cooperative_sticky(state, members, previous)
+        if state.members:
+            self._assign_range(state, sorted(state.members))
 
     def _assign_range(self, state: GroupState, members: list[str]) -> None:
         """Per topic, split the partition range contiguously over subscribers."""
@@ -114,73 +86,6 @@ class GroupCoordinator:
                 take = per_member + (1 if i < extra else 0)
                 state.assignment[member].extend(partitions[cursor : cursor + take])
                 cursor += take
-
-    def _assign_round_robin(self, state: GroupState, members: list[str]) -> None:
-        """Deal all subscribed partitions round-robin over subscribers."""
-        topics = sorted({t for subs in state.members.values() for t in subs})
-        all_partitions = [
-            tp for topic in topics for tp in self.cluster.partitions_of(topic)
-        ]
-        i = 0
-        for tp in all_partitions:
-            eligible = [m for m in members if tp.topic in state.members[m]]
-            if not eligible:
-                continue
-            member = eligible[i % len(eligible)]
-            state.assignment[member].append(tp)
-            i += 1
-
-    def _assign_cooperative_sticky(
-        self,
-        state: GroupState,
-        members: list[str],
-        previous: dict[str, list[TopicPartition]],
-    ) -> None:
-        """Keep current owners where balance allows; move only the minimum.
-
-        Per topic: each surviving subscriber claims the partitions it owned
-        in the previous generation.  Balance targets (``n // k`` each, one
-        extra for some) hand the extras to the members keeping the most, so
-        the fewest claims must be broken; whatever is left over — new
-        partitions, the leaver's partitions, claims above target — is dealt
-        to below-target members in name order.  Per-topic balance matches
-        the range strategy's (counts differ by at most one).
-        """
-        topics = sorted({t for subs in state.members.values() for t in subs})
-        for topic in topics:
-            subscribers = [m for m in members if topic in state.members[m]]
-            if not subscribers:
-                continue
-            partitions = self.cluster.partitions_of(topic)
-            per_member, extra = divmod(len(partitions), len(subscribers))
-            owner: dict[TopicPartition, str] = {}
-            for member in subscribers:
-                for tp in previous.get(member, []):
-                    if tp.topic == topic:
-                        owner[tp] = member
-            claimed = {
-                member: sum(1 for tp in partitions if owner.get(tp) == member)
-                for member in subscribers
-            }
-            by_keep = sorted(subscribers, key=lambda m: (-claimed[m], m))
-            target = {member: per_member for member in subscribers}
-            for member in by_keep[:extra]:
-                target[member] += 1
-            kept: dict[str, list[TopicPartition]] = {m: [] for m in subscribers}
-            unassigned: list[TopicPartition] = []
-            for tp in partitions:
-                member = owner.get(tp)
-                if member is not None and len(kept[member]) < target[member]:
-                    kept[member].append(tp)
-                else:
-                    unassigned.append(tp)
-            for tp in unassigned:
-                for member in subscribers:
-                    if len(kept[member]) < target[member]:
-                        kept[member].append(tp)
-                        break
-            for member in subscribers:
-                state.assignment[member].extend(kept[member])
 
     # -- queries --------------------------------------------------------------------
 

@@ -42,6 +42,7 @@ from repro.common.records import (
     EMPTY_HEADERS,
     RESERVED_HEADER_PREFIX,
     TRACE_HEADER,
+    Headers,
     TopicPartition,
 )
 from repro.messaging.cluster import MessagingCluster, ProduceAck
@@ -220,9 +221,6 @@ class Producer:
         """
         if headers:
             check_headers(headers)
-            headers = dict(headers)  # the sender's dict stays the sender's
-        else:
-            headers = EMPTY_HEADERS
         if self.value_serde is not None:
             value = self.value_serde.serialize(value)
         if self.key_serde is not None and key is not None:
@@ -243,9 +241,10 @@ class Producer:
             if span is not None:
                 if self.client_id is not None:
                     span.attrs["client_id"] = self.client_id
-                if headers is EMPTY_HEADERS:
-                    headers = {}
-                headers[TRACE_HEADER] = span.context()  # into send's own copy
+                headers = {**(headers or {}), TRACE_HEADER: span.context()}
+        # A read-only copy: the sender's dict stays the sender's, and no
+        # consumer can change the stored record.
+        headers = Headers(headers) if headers else EMPTY_HEADERS
         tp = self._choose_partition(topic, key, partition)
         if span is not None:
             span.attrs["partition"] = tp.partition

@@ -1,8 +1,8 @@
 """Cluster-wide health rollup: one status, machine-readable reasons.
 
 This module is the stack's one health verdict.  It aggregates everything an
-operator pages on — broker liveness, ISR state, consumer lag, backpressure
-valves, open transactions, standby staleness — into a single ``healthy`` /
+operator pages on — broker liveness, ISR state, consumer lag, open
+transactions, standby staleness — into a single ``healthy`` /
 ``degraded`` / ``unhealthy`` status with typed reasons, so dashboards and
 the telemetry dogfood job can act on codes instead of parsing prose
 (``dataclasses.asdict`` gives the plain-dict shape).  Lag comes from
@@ -10,8 +10,8 @@ the telemetry dogfood job can act on codes instead of parsing prose
 
 Severity model: conditions that lose data or block progress (offline
 partitions, no live broker) are *unhealthy*; conditions that merely erode
-headroom (under-replication, lag, throttled valves, stuck transactions,
-stale standbys) are *degraded*.  The worst reason wins.
+headroom (under-replication, lag, stuck transactions, stale standbys) are
+*degraded*.  The worst reason wins.
 """
 
 from __future__ import annotations
@@ -51,8 +51,6 @@ class ClusterHealthReport:
     max_group_lag: int
     open_transactions: int
     lso_lag: int
-    closed_valves: int
-    throttled_valves: int
     max_standby_staleness: int
 
     @property
@@ -85,7 +83,6 @@ def evaluate_cluster_health(
     cluster,
     *,
     runners: Iterable = (),
-    valves: Iterable = (),
     servers: Iterable = (),
     max_group_lag: int = 1000,
     max_standby_staleness: int = 1000,
@@ -93,7 +90,6 @@ def evaluate_cluster_health(
     now: float | None = None,
 ) -> ClusterHealthReport:
     """Evaluate every health rule against live cluster state."""
-    from repro.elasticity.backpressure import VALVE_CLOSED, VALVE_THROTTLED
     from repro.processing.recovery import worst_standby_lag
     from repro.tools.admin import AdminClient
 
@@ -161,27 +157,6 @@ def evaluate_cluster_health(
             ),
         ))
 
-    closed = throttled = 0
-    for valve in valves:
-        if valve.state == VALVE_CLOSED:
-            closed += 1
-        elif valve.state == VALVE_THROTTLED:
-            throttled += 1
-    if closed:
-        reasons.append(HealthReason(
-            code="backpressure_closed",
-            severity=DEGRADED,
-            value=float(closed),
-            detail=f"{closed} backpressure valves fully closed",
-        ))
-    if throttled:
-        reasons.append(HealthReason(
-            code="backpressure_throttled",
-            severity=DEGRADED,
-            value=float(throttled),
-            detail=f"{throttled} backpressure valves throttled",
-        ))
-
     staleness = worst_standby_lag(runners, servers)
     if staleness > max_standby_staleness:
         reasons.append(HealthReason(
@@ -210,8 +185,6 @@ def evaluate_cluster_health(
         max_group_lag=worst_lag,
         open_transactions=open_count,
         lso_lag=lso_total,
-        closed_valves=closed,
-        throttled_valves=throttled,
         max_standby_staleness=staleness,
     )
 

@@ -20,7 +20,6 @@ from repro.processing.task import (
 )
 from repro.processing.windows import (
     SessionWindow,
-    SlidingWindow,
     TumblingWindow,
     WindowResult,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "ResourceQuota",
     "QuantumReport",
     "TumblingWindow",
-    "SlidingWindow",
     "SessionWindow",
     "WindowResult",
 ]

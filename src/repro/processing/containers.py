@@ -168,14 +168,5 @@ class IsolatedHost:
     def memory_violations(self, name: str) -> int:
         return self._jobs[name].memory_violations
 
-    def memory_ratio(self, name: str) -> float:
-        """Fraction of a hosted job's memory quota currently in use.
-
-        The pressure signal a :class:`~repro.elasticity.backpressure.BackpressureValve`
-        watches: >= 1.0 means the job is at/over its quota.
-        """
-        hosted = self._jobs[name]
-        return hosted.runner.state_size_bytes() / hosted.quota.memory_bytes
-
     def run_quanta(self, n: int, dt: float = 0.1) -> list[QuantumReport]:
         return [self.run_quantum(dt) for _ in range(n)]

@@ -24,7 +24,7 @@ from typing import Any
 from repro.common.costmodel import CostModel
 from repro.common.errors import ProducerFlushError
 from repro.common.partitioning import partition_for_key
-from repro.common.records import EMPTY_HEADERS, TRACE_HEADER, TopicPartition
+from repro.common.records import EMPTY_HEADERS, TRACE_HEADER, Headers, TopicPartition
 from repro.messaging.cluster import ACKS_NONE, ProduceAck
 from repro.messaging.producer import Producer, check_headers
 from repro.messaging.transactions import TransactionalProducer
@@ -253,7 +253,7 @@ class RunCollector(MessageCollector):
     ) -> None:
         if headers:
             check_headers(headers)
-            headers = dict(headers)  # the task's dict stays the task's
+            headers = Headers(headers)  # the task's dict stays the task's
         else:
             headers = EMPTY_HEADERS
         if partition is None and key is not None:
@@ -285,7 +285,7 @@ class RunCollector(MessageCollector):
         runs = self.runs
         for tp, (key, value, timestamp, headers) in self._held:
             if parent is not None:
-                headers = {**headers, TRACE_HEADER: parent}
+                headers = Headers({**headers, TRACE_HEADER: parent})
             entry = (key, value, timestamp, self.traced_headers(tp, headers))
             if tp in runs:
                 runs[tp].append(entry)
@@ -294,11 +294,11 @@ class RunCollector(MessageCollector):
         self._held.clear()
 
     def traced_headers(
-        self, tp: TopicPartition, headers: dict[str, Any] | None = None
-    ) -> dict[str, Any]:
+        self, tp: TopicPartition, headers: Headers | None = None
+    ) -> Headers:
         """Record the ``produce.send`` span of one buffered write to ``tp``
-        as ``Producer.send`` does; returns the headers that carry it (the
-        given ones when sampling drops a new trace)."""
+        as ``Producer.send`` does; returns the read-only headers that carry
+        it (the given ones when sampling drops a new trace)."""
         tracer = self.tracer
         parent = headers.get(TRACE_HEADER) if headers else None
         span = tracer.open_span(
@@ -306,8 +306,7 @@ class RunCollector(MessageCollector):
         )
         if span is None:
             return EMPTY_HEADERS if headers is None else headers
-        headers = dict(headers) if headers else {}
-        headers[TRACE_HEADER] = span.context()
+        headers = Headers({**(headers or {}), TRACE_HEADER: span.context()})
         span.attrs["partition"] = tp.partition
         span.attrs["buffered"] = True
         tracer.close(span)

@@ -2,11 +2,10 @@
 
 The paper gives "a window of the most recent stream data" as the canonical
 example of task state, and the §5.1 site-speed use case groups client events
-"per session".  These helpers implement the three standard window types over
-event time, as plain data structures a task embeds in its state:
+"per session".  These helpers implement those two window types over event
+time, as plain data structures a task embeds in its state:
 
 * :class:`TumblingWindow` — fixed, non-overlapping buckets;
-* :class:`SlidingWindow` — fixed length, sliding by a smaller step;
 * :class:`SessionWindow` — gap-based sessionization (RUM sessions).
 
 All are keyed: each key (user, CDN, page, ...) aggregates independently.
@@ -84,76 +83,6 @@ class TumblingWindow(Generic[A]):
 
     def open_windows(self) -> int:
         return len(self._open)
-
-
-class SlidingWindow(Generic[A]):
-    """Fixed-length window sliding by ``step`` (< size ⇒ overlapping).
-
-    Implemented as ``size/step`` tumbling panes per key; a closed window is
-    the fold over the panes it covers.
-    """
-
-    def __init__(
-        self,
-        size: float,
-        step: float,
-        init: Callable[[], A],
-        fold: Callable[[A, Any], A],
-        merge: Callable[[A, A], A],
-    ) -> None:
-        if size <= 0 or step <= 0:
-            raise ConfigError("size and step must be > 0")
-        if size % step != 0:
-            raise ConfigError("size must be a multiple of step")
-        self.size = size
-        self.step = step
-        self.init = init
-        self.fold = fold
-        self.merge = merge
-        # key -> {pane_start: (accumulator, count)}
-        self._panes: dict[Hashable, dict[float, tuple[A, int]]] = {}
-        self._watermark: dict[Hashable, float] = {}
-
-    def add(self, key: Hashable, timestamp: float, event: Any) -> list[WindowResult[A]]:
-        pane_start = (timestamp // self.step) * self.step
-        panes = self._panes.setdefault(key, {})
-        acc, count = panes.get(pane_start, (self.init(), 0))
-        panes[pane_start] = (self.fold(acc, event), count + 1)
-        closed: list[WindowResult[A]] = []
-        previous = self._watermark.get(key)
-        if previous is not None and pane_start > previous:
-            # Windows ending in (previous, pane_start] are complete.
-            end = previous + self.step
-            while end <= pane_start:
-                result = self._assemble(key, end)
-                if result is not None:
-                    closed.append(result)
-                end += self.step
-            self._expire(key, pane_start)
-        self._watermark[key] = max(self._watermark.get(key, pane_start), pane_start)
-        return closed
-
-    def _assemble(self, key: Hashable, window_end: float) -> WindowResult[A] | None:
-        window_start = window_end - self.size
-        panes = self._panes.get(key, {})
-        acc: A | None = None
-        count = 0
-        start = window_start
-        while start < window_end:
-            pane = panes.get(start)
-            if pane is not None:
-                acc = pane[0] if acc is None else self.merge(acc, pane[0])
-                count += pane[1]
-            start += self.step
-        if acc is None:
-            return None
-        return WindowResult(key, window_start, window_end, acc, count)
-
-    def _expire(self, key: Hashable, newest_pane: float) -> None:
-        horizon = newest_pane - self.size
-        panes = self._panes.get(key, {})
-        for pane_start in [p for p in panes if p < horizon]:
-            del panes[pane_start]
 
 
 class SessionWindow(Generic[A]):

@@ -11,7 +11,7 @@ PATHS = ["/a", "/a/x", "/a/y", "/b", "/b/z"]
 
 
 class CoordinatorMachine(RuleBasedStateMachine):
-    """Random create/delete/set against a dict model of the znode tree."""
+    """Random create/delete/expire against a dict model of the znode tree."""
 
     def __init__(self):
         super().__init__()
@@ -66,16 +66,6 @@ class CoordinatorMachine(RuleBasedStateMachine):
         except NoNodeError:
             assert not exists
 
-    @rule(path=st.sampled_from(PATHS), data=st.integers())
-    def set_data(self, path, data):
-        exists = path in self.model
-        try:
-            self.coordinator.set_data(path, data)
-            assert exists
-            self.model[path] = data
-        except NoNodeError:
-            assert not exists
-
     @rule()
     @precondition(lambda self: self.ephemerals)
     def expire_and_reconnect(self):
@@ -90,22 +80,20 @@ class CoordinatorMachine(RuleBasedStateMachine):
 
     @invariant()
     def model_matches(self):
+        nodes = self.coordinator._nodes
+        assert set(nodes) == set(self.model)
         for path, data in self.model.items():
-            assert self.coordinator.exists(path)
             if path != "/":
-                assert self.coordinator.get(path) == data
-        for path in PATHS:
-            if path not in self.model:
-                assert not self.coordinator.exists(path)
+                assert nodes[path].data == data
 
     @invariant()
     def children_consistent(self):
-        for path in self.model:
-            expected_children = sorted(
+        for path, node in self.coordinator._nodes.items():
+            expected_children = {
                 c for c in self.model
                 if c != path and self._parent(c) == path
-            )
-            assert self.coordinator.children(path) == expected_children
+            }
+            assert node.children == expected_children
 
 
 TestCoordinatorMachine = CoordinatorMachine.TestCase

@@ -16,13 +16,12 @@ member_actions = st.lists(
 )
 
 partition_counts = st.integers(min_value=1, max_value=8)
-strategies_list = st.sampled_from(["range", "round_robin", "cooperative_sticky"])
 
 
-def apply_actions(actions, partitions, strategy):
+def apply_actions(actions, partitions):
     cluster = MessagingCluster(num_brokers=1, clock=SimClock())
     cluster.create_topic("t", num_partitions=partitions, replication_factor=1)
-    gc = GroupCoordinator(cluster, strategy=strategy)
+    gc = GroupCoordinator(cluster)
     members: set[str] = set()
     for action, idx in actions:
         member = f"m{idx}"
@@ -36,10 +35,10 @@ def apply_actions(actions, partitions, strategy):
 
 
 class TestAssignmentInvariants:
-    @given(member_actions, partition_counts, strategies_list)
+    @given(member_actions, partition_counts)
     @settings(max_examples=80, deadline=None)
-    def test_partitions_covered_exactly_once(self, actions, partitions, strategy):
-        cluster, gc, members = apply_actions(actions, partitions, strategy)
+    def test_partitions_covered_exactly_once(self, actions, partitions):
+        cluster, gc, members = apply_actions(actions, partitions)
         if not members:
             return
         assigned = []
@@ -48,21 +47,21 @@ class TestAssignmentInvariants:
         assert len(assigned) == partitions
         assert len(set(assigned)) == partitions  # disjoint
 
-    @given(member_actions, partition_counts, strategies_list)
+    @given(member_actions, partition_counts)
     @settings(max_examples=60, deadline=None)
-    def test_assignment_balanced(self, actions, partitions, strategy):
-        _cluster, gc, members = apply_actions(actions, partitions, strategy)
+    def test_assignment_balanced(self, actions, partitions):
+        _cluster, gc, members = apply_actions(actions, partitions)
         if not members:
             return
         sizes = [len(gc.assignment_for("g", m)) for m in members]
         assert max(sizes) - min(sizes) <= 1
 
-    @given(member_actions, partition_counts, strategies_list)
+    @given(member_actions, partition_counts)
     @settings(max_examples=60, deadline=None)
-    def test_generation_strictly_increases(self, actions, partitions, strategy):
+    def test_generation_strictly_increases(self, actions, partitions):
         cluster = MessagingCluster(num_brokers=1, clock=SimClock())
         cluster.create_topic("t", num_partitions=partitions, replication_factor=1)
-        gc = GroupCoordinator(cluster, strategy=strategy)
+        gc = GroupCoordinator(cluster)
         members: set[str] = set()
         last_generation = 0
         for action, idx in actions:
@@ -83,71 +82,31 @@ class TestAssignmentInvariants:
     @settings(max_examples=80, deadline=None)
     def test_invariants_hold_at_every_step_under_churn(self, actions, partitions):
         """Disjointness, completeness, and generation monotonicity checked
-        after *every* membership change of a random join/leave storm, for
-        every strategy — not just at the end state."""
-        for strategy in ("range", "round_robin", "cooperative_sticky"):
-            cluster = MessagingCluster(num_brokers=1, clock=SimClock())
-            cluster.create_topic(
-                "t", num_partitions=partitions, replication_factor=1
-            )
-            gc = GroupCoordinator(cluster, strategy=strategy)
-            members: set[str] = set()
-            last_generation = 0
-            for action, idx in actions:
-                member = f"m{idx}"
-                if action == "join":
-                    gc.join("g", member, {"t"})
-                    members.add(member)
-                elif member in members:
-                    gc.leave("g", member)
-                    members.remove(member)
-                else:
-                    continue
-                generation = gc.generation("g")
-                assert generation > last_generation, strategy
-                last_generation = generation
-                assigned = []
-                for m in members:
-                    assigned.extend(gc.assignment_for("g", m))
-                if members:
-                    assert len(assigned) == partitions, strategy
-                    assert len(set(assigned)) == partitions, strategy
-                    sizes = [len(gc.assignment_for("g", m)) for m in members]
-                    assert max(sizes) - min(sizes) <= 1, strategy
-
-    @given(member_actions, partition_counts)
-    @settings(max_examples=60, deadline=None)
-    def test_sticky_moves_at_most_the_eager_strategies(self, actions, partitions):
-        """Under identical churn, cooperative-sticky never moves more
-        partitions (summed over every rebalance) than range does."""
-
-        def total_moves(strategy):
-            cluster = MessagingCluster(num_brokers=1, clock=SimClock())
-            cluster.create_topic(
-                "t", num_partitions=partitions, replication_factor=1
-            )
-            gc = GroupCoordinator(cluster, strategy=strategy)
-            members: set[str] = set()
-            previous: dict[str, set] = {}
-            moves = 0
-            for action, idx in actions:
-                member = f"m{idx}"
-                if action == "join":
-                    gc.join("g", member, {"t"})
-                    members.add(member)
-                elif member in members:
-                    gc.leave("g", member)
-                    members.remove(member)
-                else:
-                    continue
-                current = {
-                    m: set(gc.assignment_for("g", m)) for m in members
-                }
-                moves += sum(
-                    len(previous.get(m, set()) - current[m])
-                    for m in members
-                )
-                previous = current
-            return moves
-
-        assert total_moves("cooperative_sticky") <= total_moves("range")
+        after *every* membership change of a random join/leave storm — not
+        just at the end state."""
+        cluster = MessagingCluster(num_brokers=1, clock=SimClock())
+        cluster.create_topic("t", num_partitions=partitions, replication_factor=1)
+        gc = GroupCoordinator(cluster)
+        members: set[str] = set()
+        last_generation = 0
+        for action, idx in actions:
+            member = f"m{idx}"
+            if action == "join":
+                gc.join("g", member, {"t"})
+                members.add(member)
+            elif member in members:
+                gc.leave("g", member)
+                members.remove(member)
+            else:
+                continue
+            generation = gc.generation("g")
+            assert generation > last_generation
+            last_generation = generation
+            assigned = []
+            for m in members:
+                assigned.extend(gc.assignment_for("g", m))
+            if members:
+                assert len(assigned) == partitions
+                assert len(set(assigned)) == partitions
+                sizes = [len(gc.assignment_for("g", m)) for m in members]
+                assert max(sizes) - min(sizes) <= 1

@@ -240,6 +240,35 @@ class TestFailover:
         cluster.run_until_replicated()
         assert victim in cluster.controller.isr_for(tp)
 
+    def test_restart_rejoins_a_broker_whose_session_expired_while_up(self):
+        cluster = make_cluster()
+        cluster.create_topic("t", replication_factor=3)
+        tp = TopicPartition("t", 0)
+        cluster.controller.broker_failed(2)
+        cluster.produce("t", 0, entries(3), acks=ACKS_ALL)
+        for _ in range(5):
+            cluster.tick()
+        cluster.restart_broker(2)
+        cluster.run_until_replicated()
+        cluster.tick()
+        assert cluster.controller.live_brokers() == {0, 1, 2}
+        assert sorted(cluster.controller.isr_for(tp)) == [0, 1, 2]
+        assert cluster.broker(2).replica(tp).log_end_offset == 3
+        assert cluster.replication.pending() == 0
+
+    def test_restart_expires_the_session_of_an_unclean_crash(self):
+        cluster = make_cluster()
+        cluster.create_topic("t", replication_factor=3)
+        tp = TopicPartition("t", 0)
+        victim = [b for b in range(3) if b != cluster.leader_of("t", 0)][0]
+        cluster.broker(victim).shutdown()  # no session expiry
+        cluster.restart_broker(victim)
+        cluster.produce("t", 0, entries(3), acks=ACKS_ALL)
+        cluster.run_until_replicated()
+        assert victim in cluster.controller.live_brokers()
+        assert victim in cluster.controller.isr_for(tp)
+        assert cluster.broker(victim).replica(tp).log_end_offset == 3
+
     def test_unknown_broker_rejected(self):
         with pytest.raises(ConfigError):
             make_cluster().broker(99)

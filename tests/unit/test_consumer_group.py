@@ -3,22 +3,17 @@
 import pytest
 
 from repro.common.clock import SimClock
-from repro.common.errors import ConfigError, UnknownMemberError
+from repro.common.errors import UnknownMemberError
 from repro.common.records import TopicPartition
 from repro.messaging.cluster import MessagingCluster
-from repro.messaging.consumer_group import (
-    ASSIGN_COOPERATIVE_STICKY,
-    ASSIGN_RANGE,
-    ASSIGN_ROUND_ROBIN,
-    GroupCoordinator,
-)
+from repro.messaging.consumer_group import GroupCoordinator
 
 
-def make_coordinator(strategy="range", partitions=6):
+def make_coordinator(partitions=6):
     cluster = MessagingCluster(num_brokers=1, clock=SimClock())
     cluster.create_topic("t", num_partitions=partitions, replication_factor=1)
     cluster.create_topic("u", num_partitions=2, replication_factor=1)
-    return GroupCoordinator(cluster, strategy=strategy)
+    return GroupCoordinator(cluster)
 
 
 class TestMembership:
@@ -44,11 +39,6 @@ class TestMembership:
         gc.join("g", "a", {"t"})
         assert gc.members("g") == ["a", "b"]
 
-    def test_invalid_strategy_rejected(self):
-        cluster = MessagingCluster(num_brokers=1, clock=SimClock())
-        with pytest.raises(ConfigError):
-            GroupCoordinator(cluster, strategy="sticky")
-
 
 class TestRangeAssignment:
     def test_single_member_gets_everything(self):
@@ -58,14 +48,18 @@ class TestRangeAssignment:
 
     def test_assignment_is_disjoint_partition_of_topic(self):
         gc = make_coordinator()
-        gc.join("g", "m1", {"t"})
-        gc.join("g", "m2", {"t"})
+        gc.join("g", "m1", {"t", "u"})
+        gc.join("g", "m2", {"t", "u"})
         a1 = set(gc.assignment_for("g", "m1"))
         a2 = set(gc.assignment_for("g", "m2"))
         assert a1.isdisjoint(a2)
         assert a1 | a2 == set(
-            TopicPartition("t", p) for p in range(6)
+            TopicPartition(topic, p) for topic, n in (("t", 6), ("u", 2))
+            for p in range(n)
         )
+        for topic in ("t", "u"):  # balanced per topic
+            counts = [sum(tp.topic == topic for tp in a) for a in (a1, a2)]
+            assert abs(counts[0] - counts[1]) <= 1
 
     def test_uneven_split_gives_extra_to_first(self):
         gc = make_coordinator(partitions=5)
@@ -98,26 +92,6 @@ class TestRangeAssignment:
         assert all(tp.topic == "u" for tp in gc.assignment_for("g", "m2"))
 
 
-class TestRoundRobinAssignment:
-    def test_deals_alternately(self):
-        gc = make_coordinator(strategy=ASSIGN_ROUND_ROBIN)
-        gc.join("g", "m1", {"t"})
-        gc.join("g", "m2", {"t"})
-        a1 = [tp.partition for tp in gc.assignment_for("g", "m1")]
-        a2 = [tp.partition for tp in gc.assignment_for("g", "m2")]
-        assert a1 == [0, 2, 4]
-        assert a2 == [1, 3, 5]
-
-    def test_multi_topic_coverage(self):
-        gc = make_coordinator(strategy=ASSIGN_ROUND_ROBIN)
-        gc.join("g", "m1", {"t", "u"})
-        gc.join("g", "m2", {"t", "u"})
-        combined = set(gc.assignment_for("g", "m1")) | set(
-            gc.assignment_for("g", "m2")
-        )
-        assert len(combined) == 8
-
-
 class TestRebalance:
     def test_leave_redistributes(self):
         gc = make_coordinator()
@@ -148,85 +122,3 @@ class TestRebalance:
         assert len(gc.assignment_for("g2", "m1")) == 6
         assert gc.groups() == ["g1", "g2"]
 
-
-class TestCooperativeSticky:
-    def _assignments(self, gc, group, members):
-        return {m: set(gc.assignment_for(group, m)) for m in members}
-
-    def test_initial_assignment_is_balanced_and_complete(self):
-        gc = make_coordinator(strategy=ASSIGN_COOPERATIVE_STICKY)
-        gc.join("g", "m1", {"t"})
-        gc.join("g", "m2", {"t"})
-        a = self._assignments(gc, "g", ["m1", "m2"])
-        assert a["m1"].isdisjoint(a["m2"])
-        assert a["m1"] | a["m2"] == {TopicPartition("t", p) for p in range(6)}
-        assert abs(len(a["m1"]) - len(a["m2"])) <= 1
-
-    def test_join_moves_only_the_minimum(self):
-        """A new member takes only its fair share; nothing else shuffles."""
-        gc = make_coordinator(strategy=ASSIGN_COOPERATIVE_STICKY)
-        gc.join("g", "m1", {"t"})
-        gc.join("g", "m2", {"t"})
-        before = self._assignments(gc, "g", ["m1", "m2"])
-        gc.join("g", "m3", {"t"})
-        after = self._assignments(gc, "g", ["m1", "m2", "m3"])
-        # Survivors only shed partitions (down to the new target), never swap.
-        assert after["m1"] <= before["m1"]
-        assert after["m2"] <= before["m2"]
-        moved = (before["m1"] - after["m1"]) | (before["m2"] - after["m2"])
-        assert moved == after["m3"]
-        assert len(after["m3"]) == 2  # exactly the new member's share
-
-    def test_leave_moves_only_the_leavers_partitions(self):
-        gc = make_coordinator(strategy=ASSIGN_COOPERATIVE_STICKY)
-        for m in ("m1", "m2", "m3"):
-            gc.join("g", m, {"t"})
-        before = self._assignments(gc, "g", ["m1", "m2", "m3"])
-        gc.leave("g", "m2")
-        after = self._assignments(gc, "g", ["m1", "m3"])
-        # Survivors keep everything they had; only m2's partitions move.
-        assert before["m1"] <= after["m1"]
-        assert before["m3"] <= after["m3"]
-        gained = (after["m1"] - before["m1"]) | (after["m3"] - before["m3"])
-        assert gained == before["m2"]
-
-    def test_eager_strategies_reshuffle_where_sticky_does_not(self):
-        """The satellite's regression: range moves partitions a sticky
-        rebalance leaves in place, on the same join sequence."""
-
-        def churn(strategy):
-            gc = make_coordinator(strategy=strategy, partitions=6)
-            gc.join("g", "b", {"t"})
-            gc.join("g", "c", {"t"})
-            before = {
-                m: set(gc.assignment_for("g", m)) for m in ("b", "c")
-            }
-            gc.join("g", "a", {"t"})  # sorts first: shifts range splits
-            after = {
-                m: set(gc.assignment_for("g", m)) for m in ("b", "c")
-            }
-            return sum(len(before[m] - after[m]) for m in ("b", "c"))
-
-        sticky_moves = churn(ASSIGN_COOPERATIVE_STICKY)
-        range_moves = churn(ASSIGN_RANGE)
-        assert sticky_moves == 2   # only the new member's fair share
-        assert range_moves > sticky_moves
-
-    def test_multi_topic_balance_per_topic(self):
-        gc = make_coordinator(strategy=ASSIGN_COOPERATIVE_STICKY)
-        gc.join("g", "m1", {"t", "u"})
-        gc.join("g", "m2", {"t", "u"})
-        for topic, total in (("t", 6), ("u", 2)):
-            counts = [
-                sum(1 for tp in gc.assignment_for("g", m) if tp.topic == topic)
-                for m in ("m1", "m2")
-            ]
-            assert sum(counts) == total
-            assert abs(counts[0] - counts[1]) <= 1
-
-    def test_generation_still_bumps_per_rebalance(self):
-        gc = make_coordinator(strategy=ASSIGN_COOPERATIVE_STICKY)
-        assert gc.join("g", "m1", {"t"}) == 1
-        assert gc.join("g", "m2", {"t"}) == 2
-        gc.leave("g", "m1")
-        assert gc.generation("g") == 3

@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.cluster.coordinator import (
-    EVENT_CHANGED,
-    EVENT_CHILD,
-    EVENT_CREATED,
-    EVENT_DELETED,
-    Coordinator,
-)
+from repro.cluster.coordinator import Coordinator
 from repro.common.errors import (
     NodeExistsError,
     NoNodeError,
@@ -16,11 +10,20 @@ from repro.common.errors import (
 )
 
 
+def data(coord, path):
+    """A znode's data, read from the tree (the coordinator has no reads)."""
+    return coord._nodes[path].data
+
+
+def exists(coord, path):
+    return path in coord._nodes
+
+
 class TestNamespace:
     def test_create_and_get(self):
         coord = Coordinator()
         coord.create("/a", data={"x": 1})
-        assert coord.get("/a") == {"x": 1}
+        assert data(coord, "/a") == {"x": 1}
 
     def test_duplicate_create_rejected(self):
         coord = Coordinator()
@@ -36,15 +39,15 @@ class TestNamespace:
     def test_make_parents(self):
         coord = Coordinator()
         coord.create("/a/b/c", make_parents=True)
-        assert coord.exists("/a")
-        assert coord.exists("/a/b")
-        assert coord.children("/a") == ["/a/b"]
+        assert exists(coord, "/a")
+        assert exists(coord, "/a/b")
+        assert coord._nodes["/a"].children == {"/a/b"}
 
     def test_delete(self):
         coord = Coordinator()
         coord.create("/a")
         coord.delete("/a")
-        assert not coord.exists("/a")
+        assert not exists(coord, "/a")
 
     def test_delete_missing_rejected(self):
         with pytest.raises(NoNodeError):
@@ -54,21 +57,7 @@ class TestNamespace:
         coord = Coordinator()
         coord.create("/a/b/c", make_parents=True)
         coord.delete("/a")
-        assert not coord.exists("/a/b/c")
-
-    def test_set_data_bumps_version(self):
-        coord = Coordinator()
-        coord.create("/a", data=1)
-        assert coord.version("/a") == 0
-        assert coord.set_data("/a", 2) == 1
-        assert coord.get("/a") == 2
-
-    def test_children_sorted(self):
-        coord = Coordinator()
-        coord.create("/p")
-        coord.create("/p/b")
-        coord.create("/p/a")
-        assert coord.children("/p") == ["/p/a", "/p/b"]
+        assert not exists(coord, "/a/b/c")
 
     def test_invalid_path_rejected(self):
         coord = Coordinator()
@@ -100,8 +89,8 @@ class TestSessions:
         coord.create("/durable")
         victims = coord.expire_session(session)
         assert sorted(victims) == ["/e1", "/e2"]
-        assert not coord.exists("/e1")
-        assert coord.exists("/durable")
+        assert not exists(coord, "/e1")
+        assert exists(coord, "/durable")
 
     def test_expired_session_cannot_create(self):
         coord = Coordinator()
@@ -117,51 +106,6 @@ class TestSessions:
         assert coord.expire_session(session) == []
 
 
-class TestWatches:
-    def test_create_watch_fires(self):
-        coord = Coordinator()
-        events = []
-        coord.watch("/w", lambda ev, path: events.append((ev, path)))
-        coord.create("/w")
-        assert events == [(EVENT_CREATED, "/w")]
-
-    def test_delete_watch_fires(self):
-        coord = Coordinator()
-        coord.create("/w")
-        events = []
-        coord.watch("/w", lambda ev, path: events.append(ev))
-        coord.delete("/w")
-        assert events == [EVENT_DELETED]
-
-    def test_change_watch_fires(self):
-        coord = Coordinator()
-        coord.create("/w", data=1)
-        events = []
-        coord.watch("/w", lambda ev, path: events.append(ev))
-        coord.set_data("/w", 2)
-        assert events == [EVENT_CHANGED]
-
-    def test_watch_is_one_shot(self):
-        coord = Coordinator()
-        coord.create("/w", data=1)
-        events = []
-        coord.watch("/w", lambda ev, path: events.append(ev))
-        coord.set_data("/w", 2)
-        coord.set_data("/w", 3)
-        assert len(events) == 1
-
-    def test_child_watch_fires_on_create_and_delete(self):
-        coord = Coordinator()
-        coord.create("/p")
-        events = []
-        coord.watch_children("/p", lambda ev, path: events.append((ev, path)))
-        coord.create("/p/c")
-        assert events == [(EVENT_CHILD, "/p")]
-        coord.watch_children("/p", lambda ev, path: events.append((ev, path)))
-        coord.delete("/p/c")
-        assert len(events) == 2
-
-
 class TestElection:
     def test_first_candidate_wins(self):
         coord = Coordinator()
@@ -169,7 +113,7 @@ class TestElection:
         s2 = coord.connect("b2")
         assert coord.elect("/controller", "b1", s1) is True
         assert coord.elect("/controller", "b2", s2) is False
-        assert coord.get("/controller") == "b1"
+        assert data(coord, "/controller") == "b1"
 
     def test_expiry_frees_the_seat(self):
         coord = Coordinator()
@@ -178,4 +122,4 @@ class TestElection:
         coord.elect("/controller", "b1", s1)
         coord.expire_session(s1)
         assert coord.elect("/controller", "b2", s2) is True
-        assert coord.get("/controller") == "b2"
+        assert data(coord, "/controller") == "b2"

@@ -1,4 +1,4 @@
-"""Unit tests for the elasticity layer: sensor, policy, controller, valve."""
+"""Unit tests for the elasticity layer: sensor, policy, controller."""
 
 import pytest
 
@@ -9,10 +9,6 @@ from repro.elasticity import (
     SCALE_IN,
     SCALE_NONE,
     SCALE_OUT,
-    VALVE_CLOSED,
-    VALVE_OPEN,
-    VALVE_THROTTLED,
-    BackpressureValve,
     ElasticJobController,
     Ewma,
     LagMonitor,
@@ -20,7 +16,6 @@ from repro.elasticity import (
     ScalingPolicy,
 )
 from repro.messaging.cluster import MessagingCluster
-from repro.messaging.consumer import Consumer
 from repro.messaging.producer import Producer
 from repro.processing.job import JobConfig, JobRunner
 
@@ -340,71 +335,3 @@ class TestElasticController:
         names = cluster.metrics.names()
         assert "elasticity.controller.elastic.containers" in names
 
-
-class TestBackpressureValve:
-    def _consumer_with_backlog(self, n=200):
-        cluster = make_cluster(partitions=2)
-        producer = Producer(cluster)
-        for i in range(n):
-            producer.send("in", f"v{i}", partition=i % 2)
-        producer.flush()
-        cluster.run_until_replicated()
-        consumer = Consumer(cluster)
-        consumer.assign(cluster.partitions_of("in"))
-        return cluster, consumer
-
-    def test_needs_a_signal(self):
-        _cluster, consumer = self._consumer_with_backlog()
-        with pytest.raises(ConfigError):
-            BackpressureValve(consumer)
-
-    def test_watermark_hysteresis_validated(self):
-        _cluster, consumer = self._consumer_with_backlog()
-        with pytest.raises(ConfigError):
-            BackpressureValve(consumer, memory=lambda: 0.0,
-                              memory_low=0.9, memory_high=0.9)
-        with pytest.raises(ConfigError):
-            BackpressureValve(consumer, memory=lambda: 0.0,
-                              throttle_fraction=0.0)
-
-    def test_memory_pressure_closes_then_reopens(self):
-        _cluster, consumer = self._consumer_with_backlog()
-        pressure = {"ratio": 0.2}
-        valve = BackpressureValve(consumer, memory=lambda: pressure["ratio"],
-                                  memory_high=0.9, memory_low=0.7)
-        assert valve.check() == VALVE_OPEN
-        assert valve.fetch_budget(100) == 100
-
-        pressure["ratio"] = 0.95
-        assert valve.check() == VALVE_CLOSED
-        assert valve.fetch_budget(100) == 0
-        assert consumer.paused() == set(consumer.assignment())
-        assert consumer.poll(100) == []
-
-        pressure["ratio"] = 0.8  # below high, above low: throttled
-        assert valve.check() == VALVE_THROTTLED
-        assert consumer.paused() == set()
-        assert valve.fetch_budget(100) == 25
-
-        pressure["ratio"] = 0.1
-        assert valve.check() == VALVE_OPEN
-        assert valve.fetch_budget(100) == 100
-
-    def test_downstream_lag_throttles_intake(self):
-        cluster, consumer = self._consumer_with_backlog()
-        downstream = LagMonitor(cluster, "sink", ["in"])
-        valve = BackpressureValve(consumer, downstream=downstream,
-                                  lag_high=100.0, lag_low=10.0)
-        assert valve.check() == VALVE_CLOSED  # 200 unconsumed >= 100
-        for tp in cluster.partitions_of("in"):
-            cluster.offset_manager.commit("sink", tp, 100)
-        assert valve.check() == VALVE_OPEN
-
-    def test_valve_poll_respects_budget(self):
-        _cluster, consumer = self._consumer_with_backlog()
-        pressure = {"ratio": 0.8}
-        valve = BackpressureValve(consumer, memory=lambda: pressure["ratio"],
-                                  memory_high=0.9, memory_low=0.7,
-                                  throttle_fraction=0.1)
-        batch = valve.poll(100)
-        assert len(batch) == 10  # throttled to 10% of the request

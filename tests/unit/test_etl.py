@@ -8,7 +8,6 @@ from repro.core.etl import (
     AnomalyDetectorTask,
     CleaningTask,
     EnrichTask,
-    FilterTask,
     GroupCountTask,
     MapTask,
     RouterTask,
@@ -49,12 +48,6 @@ class TestMapTask:
     def test_timestamp_not_preserved_when_disabled(self):
         emits = run_task(MapTask("out", preserve_timestamp=False), [1])
         assert emits[0].timestamp is None
-
-
-class TestFilterTask:
-    def test_predicate_filters(self):
-        emits = run_task(FilterTask("out", lambda v: v % 2 == 0), [1, 2, 3, 4])
-        assert [e.value for e in emits] == [2, 4]
 
 
 class TestCleaningTask:

@@ -40,7 +40,7 @@ class TestHealthyCluster:
             "status", "reasons", "checked_at", "live_brokers",
             "total_brokers", "offline_partitions", "under_replicated",
             "max_group_lag", "open_transactions", "lso_lag",
-            "closed_valves", "throttled_valves", "max_standby_staleness",
+            "max_standby_staleness",
         ]
 
 
@@ -112,24 +112,6 @@ class TestDegradation:
         cluster.offset_manager.commit("__mirror", TopicPartition("events", 0), 0)
         report = evaluate_cluster_health(cluster, max_group_lag=10)
         assert report.status == HEALTHY
-
-    def test_backpressure_valves_reported(self):
-        class _FakeValve:
-            def __init__(self, state):
-                self.state = state
-
-        cluster = make_cluster()
-        report = evaluate_cluster_health(
-            cluster,
-            valves=[_FakeValve("closed"), _FakeValve("throttled"),
-                    _FakeValve("open")],
-        )
-        assert report.status == DEGRADED
-        assert report.closed_valves == 1
-        assert report.throttled_valves == 1
-        codes = report.reason_codes()
-        assert "backpressure_closed" in codes
-        assert "backpressure_throttled" in codes
 
     def test_standby_staleness_reported(self):
         from repro.messaging.cluster import MessagingCluster

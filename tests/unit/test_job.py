@@ -1,5 +1,7 @@
 """Unit tests for the job runner (§3.2)."""
 
+import contextlib
+
 import pytest
 
 from repro.chaos.failpoints import registry
@@ -11,7 +13,7 @@ from repro.common.errors import (
     ProducerFlushError,
     TaskFailedError,
 )
-from repro.common.records import EMPTY_HEADERS, TopicPartition
+from repro.common.records import EMPTY_HEADERS, TRACE_HEADER, TopicPartition
 from repro.messaging.cluster import ACKS_LEADER, ACKS_NONE, MessagingCluster
 from repro.messaging.producer import Producer
 from repro.processing.job import (
@@ -21,6 +23,7 @@ from repro.processing.job import (
     JobRunner,
     StoreConfig,
 )
+from repro.observability.trace import tracing
 from repro.processing.state import changelog_topic_name
 
 
@@ -255,6 +258,21 @@ class TestEmitsKeepTheirHeaders:
         runner.run_until_idle()
         out = cluster.fetch("out", 0, 0).records
         assert [r.headers for r in out] == [{"i": 0}, {"i": 1}, {"i": 2}]
+
+    @pytest.mark.parametrize("traced", [False, True], ids=["plain", "traced"])
+    def test_a_reader_cannot_change_the_output_headers(self, traced):
+        _clock, cluster, _producer = make_env(partitions=1, n=2)
+        runner = JobRunner(
+            JobConfig(name="j", inputs=["in"], task_factory=HeaderReuseTask),
+            cluster,
+        )
+        with tracing() if traced else contextlib.nullcontext():
+            runner.run_until_idle()
+        delivered = cluster.fetch("out", 0, 0).records[0].headers
+        with pytest.raises(TypeError):
+            delivered["i"] = "x"
+        assert cluster.fetch("out", 0, 0).records[0].headers["i"] == 0
+        assert (TRACE_HEADER in delivered) is traced
 
     def test_empty_headers_stage_as_the_shared_instance(self):
         class EmptyHeaderTask:

@@ -1,5 +1,7 @@
 """Unit tests for the producer client."""
 
+import contextlib
+
 import pytest
 
 from repro.chaos.failpoints import raising, registry
@@ -13,7 +15,7 @@ from repro.common.errors import (
     ReservedHeaderError,
     TopicNotFoundError,
 )
-from repro.common.records import EMPTY_HEADERS, TRACE_HEADER, TopicPartition
+from repro.common.records import EMPTY_HEADERS, TRACE_HEADER, Headers, TopicPartition
 from repro.common.partitioning import stable_hash
 from repro.messaging.cluster import ACKS_ALL, MessagingCluster
 from repro.messaging.config import ProducerConfig
@@ -494,6 +496,27 @@ class TestSentHeadersAreTheRecords:
         cluster.run_until_replicated()
         headers = cluster.fetch("t", 0, 0).records[0].headers
         assert set(headers) == set(sent or ()) | {TRACE_HEADER}
+
+    @pytest.mark.parametrize("compression", ["none", "zlib"])
+    @pytest.mark.parametrize("traced", [False, True], ids=["plain", "traced"])
+    def test_a_reader_cannot_change_the_stored_headers(self, compression, traced):
+        cluster = make_cluster(partitions=1)
+        producer = Producer(
+            cluster, ProducerConfig(compression=compression, linger_messages=2)
+        )
+        with tracing() if traced else contextlib.nullcontext():
+            producer.send("t", "a", headers={"h": 1})
+            producer.send("t", "b", headers={"h": 2})
+        cluster.run_until_replicated()
+        delivered = cluster.fetch("t", 0, 0).records[0].headers
+        with pytest.raises(TypeError):
+            delivered["h"] = "x"
+        with pytest.raises(TypeError):
+            delivered.clear()
+        again = cluster.fetch("t", 0, 0).records
+        assert [r.headers["h"] for r in again] == [1, 2]
+        assert all(type(r.headers) is Headers for r in again)
+        assert (TRACE_HEADER in again[0].headers) is traced
 
     @pytest.mark.parametrize("compression", ["none", "zlib"])
     def test_empty_headers_read_back_as_the_shared_instance(self, compression):

@@ -57,7 +57,6 @@ EXPECTED_API = sorted(
         "ScalingDecision",
         "ElasticJobController",
         "ScaleEvent",
-        "BackpressureValve",
         # observability
         "Tracer",
         "Span",

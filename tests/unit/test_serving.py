@@ -178,7 +178,7 @@ class TestRouting:
         assert repro.api.QueryResult is QueryResult
         assert repro.serving.QueryResult is QueryResult
         assert "QueryResult" in repro.api.__all__
-        assert len(repro.api.__all__) == 81
+        assert len(repro.api.__all__) == 80
 
     def test_latency_accounts_probe_and_response(self):
         _cluster, runner, _producer = make_job()

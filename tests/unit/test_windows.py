@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.errors import ConfigError
-from repro.processing.windows import SessionWindow, SlidingWindow, TumblingWindow
+from repro.processing.windows import SessionWindow, TumblingWindow
 
 
 def counting_tumbling(size=10.0) -> TumblingWindow:
@@ -52,34 +52,6 @@ class TestTumbling:
     def test_invalid_size_rejected(self):
         with pytest.raises(ConfigError):
             counting_tumbling(size=0)
-
-
-class TestSliding:
-    def make(self, size=10.0, step=5.0) -> SlidingWindow:
-        return SlidingWindow(
-            size=size, step=step,
-            init=lambda: 0,
-            fold=lambda acc, e: acc + e,
-            merge=lambda a, b: a + b,
-        )
-
-    def test_overlapping_windows_share_events(self):
-        window = self.make()
-        window.add("k", 1.0, 10)   # pane [0,5)
-        window.add("k", 6.0, 20)   # pane [5,10)
-        closed = window.add("k", 12.0, 30)  # pane [10,15) -> closes [0,10)
-        assert len(closed) == 1
-        assert closed[0].value == 30  # 10 + 20
-        closed = window.add("k", 17.0, 1)  # closes window [5,15): 20+30
-        assert closed[0].value == 50
-
-    def test_size_must_be_multiple_of_step(self):
-        with pytest.raises(ConfigError):
-            self.make(size=10.0, step=3.0)
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ConfigError):
-            self.make(size=0)
 
 
 class TestSession:
