@@ -7,15 +7,15 @@ slice of ZooKeeper's API, which this module reproduces:
 * a hierarchical namespace of *znodes* holding small data blobs;
 * *ephemeral* znodes tied to a client session, deleted when the session
   expires (this is how broker liveness is detected);
-* *sequential* znodes for fair election queues;
 * a first-write-wins election on an ephemeral znode (:meth:`Coordinator.elect`).
 
-ZooKeeper's watches and data reads are left out: the
+ZooKeeper's watches, data reads and sequential znodes are left out: the
 :class:`~repro.cluster.controller.ClusterController` is told of broker
 failures directly and tells its own listeners of leadership and ISR changes,
-so nothing reads a znode back.  The implementation is single-process and
-synchronous, which keeps failure-handling deterministic in tests and
-benchmarks.
+so nothing reads a znode back, and its one election is first-write-wins on
+one path, so no queue needs sequence numbers.  The implementation is
+single-process and synchronous, which keeps failure-handling deterministic
+in tests and benchmarks.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ class Coordinator:
         self._nodes: dict[str, _ZNode] = {"/": _ZNode(data=None)}
         self._sessions: dict[int, Session] = {}
         self._session_ids = itertools.count(1)
-        self._seq = itertools.count(0)
 
     # -- sessions ---------------------------------------------------------------
 
@@ -111,17 +110,14 @@ class Coordinator:
         path: str,
         data: Any = None,
         ephemeral: bool = False,
-        sequential: bool = False,
         session: Session | None = None,
         make_parents: bool = False,
     ) -> str:
-        """Create a znode; returns the actual path (suffixed if sequential)."""
+        """Create a znode; returns its path."""
         self._validate_path(path)
         self._check_session(session)
         if ephemeral and session is None:
             raise SessionExpiredError("ephemeral znodes require a session")
-        if sequential:
-            path = f"{path}{next(self._seq):010d}"
         if path in self._nodes:
             raise NodeExistsError(path)
         parent = self._parent_of(path)

@@ -1,4 +1,4 @@
-"""Shared substrate: simulated clock, cost model, metrics, records, serdes."""
+"""Shared substrate: simulated clock, cost model, metrics, records, the value codec."""
 
 from repro.common.clock import Clock, SimClock, TimerHandle
 from repro.common.costmodel import DEFAULT_COST_MODEL, CostModel
@@ -11,15 +11,7 @@ from repro.common.records import (
     TopicPartition,
     estimate_size,
 )
-from repro.common.serde import (
-    BytesSerde,
-    IntSerde,
-    JsonSerde,
-    NoopSerde,
-    Serde,
-    StringSerde,
-    serde_by_name,
-)
+from repro.common.serde import JsonSerde, Serde
 
 __all__ = [
     "Clock",
@@ -38,10 +30,5 @@ __all__ = [
     "TopicPartition",
     "estimate_size",
     "Serde",
-    "BytesSerde",
-    "StringSerde",
-    "IntSerde",
     "JsonSerde",
-    "NoopSerde",
-    "serde_by_name",
 ]

@@ -259,8 +259,8 @@ class ConsumerRecord(_RecordFields):
     def __new__(
         cls, topic, partition, offset, key, value, timestamp, headers=None, size=0
     ) -> ConsumerRecord:
-        if headers is None:
-            headers = EMPTY_HEADERS
+        if headers.__class__ is not Headers:
+            headers = Headers(headers) if headers else EMPTY_HEADERS
         return new_record(cls, (
             topic, partition, offset, key, value, timestamp, headers,
             size or payload_size(key, value, headers),
@@ -331,8 +331,8 @@ class StoredMessage(_StoredFields, ConsumerRecord):
         topic=None,
         partition=None,
     ) -> StoredMessage:
-        if headers is None:
-            headers = EMPTY_HEADERS
+        if headers.__class__ is not Headers:
+            headers = Headers(headers) if headers else EMPTY_HEADERS
         if size is None:
             size = cls.__post_init__(key, value, headers)
         return new_record(cls, (

@@ -1,10 +1,11 @@
-"""Serializers/deserializers for message keys and values.
+"""The value codec: one built-in serde, :class:`JsonSerde`.
 
 The messaging layer itself is schema-agnostic (the paper stresses Liquid
-"operates on unstructured data"), but clients usually want typed access.
-A :class:`Serde` pairs a ``serialize`` and ``deserialize`` function; the
-producer/consumer clients apply them at the boundary, so everything inside
-the brokers deals with opaque values.
+"operates on unstructured data", and §3.1's clients are Kafka's, with
+values as opaque bytes), but clients usually want typed values.  A
+:class:`Serde` pairs a ``serialize`` and ``deserialize`` function; a
+client's ``value_serde`` applies them at the boundary, so everything inside
+the brokers deals with opaque values.  Keys travel as the sender gave them.
 
 :class:`JsonSerde` is the codec every JSON produce and every JSON consumer
 pays for, so it calls what ``json``'s Python wrappers call, without the
@@ -56,7 +57,7 @@ import json
 from collections.abc import Callable, Sequence
 from json.decoder import NaN
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from typing import Any, Generic, Protocol, TypeVar
+from typing import Any, Protocol, TypeVar
 
 from repro.common.errors import SerdeError
 
@@ -69,11 +70,10 @@ class Serde(Protocol[T]):
     ``deserialize_many(datas)`` is part of the contract: it returns
     ``[None if d is None else deserialize(d) for d in datas]`` and raises
     what the first bad ``d`` raises.  The fetch side decodes through it
-    alone, one call per drained slice of a batch (its value column, and its
-    key column), so a ``None`` — a tombstone's value, a keyless record's
-    key — is delivered as ``None``.  Every built-in serde implements it; a
-    serde may decode the column faster than one value at a time, as
-    :class:`JsonSerde` does, as long as the result is the same.
+    alone, one call per drained slice of a batch (its value column), so a
+    tombstone's ``None`` value is delivered as ``None``.  A serde may decode
+    the column faster than one value at a time, as :class:`JsonSerde` does,
+    as long as the result is the same.
     """
 
     def serialize(self, value: T) -> bytes: ...
@@ -88,59 +88,6 @@ def _each(
 ) -> list[Any]:
     """``deserialize`` over a column, one value at a time, ``None`` kept."""
     return [None if data is None else deserialize(data) for data in datas]
-
-
-class BytesSerde:
-    """Identity serde for already-encoded payloads."""
-
-    def serialize(self, value: bytes) -> bytes:
-        if not isinstance(value, (bytes, bytearray)):
-            raise SerdeError(f"BytesSerde expects bytes, got {type(value).__name__}")
-        return bytes(value)
-
-    def deserialize(self, data: bytes) -> bytes:
-        return bytes(data)
-
-    def deserialize_many(self, datas: Sequence[bytes | None]) -> list:
-        return _each(bytes, datas)
-
-
-class StringSerde:
-    """UTF-8 string serde."""
-
-    def serialize(self, value: str) -> bytes:
-        if not isinstance(value, str):
-            raise SerdeError(f"StringSerde expects str, got {type(value).__name__}")
-        return value.encode("utf-8")
-
-    def deserialize(self, data: bytes) -> str:
-        try:
-            return data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise SerdeError(f"invalid utf-8 payload: {exc}") from exc
-
-    def deserialize_many(self, datas: Sequence[bytes | None]) -> list:
-        return _each(self.deserialize, datas)
-
-
-class IntSerde:
-    """Big-endian signed 64-bit integer serde."""
-
-    def serialize(self, value: int) -> bytes:
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise SerdeError(f"IntSerde expects int, got {type(value).__name__}")
-        try:
-            return value.to_bytes(8, "big", signed=True)
-        except OverflowError as exc:
-            raise SerdeError(f"int out of 64-bit range: {value}") from exc
-
-    def deserialize(self, data: bytes) -> int:
-        if len(data) != 8:
-            raise SerdeError(f"IntSerde expects 8 bytes, got {len(data)}")
-        return int.from_bytes(data, "big", signed=True)
-
-    def deserialize_many(self, datas: Sequence[bytes | None]) -> list:
-        return _each(self.deserialize, datas)
 
 
 # ``json.dumps`` with non-default settings builds a JSONEncoder per call; the
@@ -237,41 +184,3 @@ class JsonSerde:
                         ):
                             return items[::2]
         return _each(self.deserialize, datas)
-
-
-class NoopSerde:
-    """Pass-through serde for in-process pipelines.
-
-    The in-process simulation does not need to round-trip every payload
-    through bytes; NoopSerde keeps Python objects intact while still letting
-    code paths that expect a serde stay uniform.
-    """
-
-    def serialize(self, value: Any) -> Any:
-        return value
-
-    def deserialize(self, data: Any) -> Any:
-        return data
-
-    def deserialize_many(self, datas: Sequence[Any]) -> list:
-        return list(datas)
-
-
-#: Serdes by name for config-driven construction.
-SERDES: dict[str, Any] = {
-    "bytes": BytesSerde(),
-    "string": StringSerde(),
-    "int": IntSerde(),
-    "json": JsonSerde(),
-    "noop": NoopSerde(),
-}
-
-
-def serde_by_name(name: str) -> Any:
-    """Look up a built-in serde, raising :class:`SerdeError` if unknown."""
-    try:
-        return SERDES[name]
-    except KeyError:
-        raise SerdeError(
-            f"unknown serde {name!r}; known: {sorted(SERDES)}"
-        ) from None

@@ -316,12 +316,6 @@ class Liquid:
         """Advance time: replication, retention, compaction, flush timers."""
         self.cluster.tick(dt)
 
-    def kill_broker(self, broker_id: int) -> None:
-        self.cluster.kill_broker(broker_id)
-
-    def restart_broker(self, broker_id: int) -> None:
-        self.cluster.restart_broker(broker_id)
-
     def stats(self) -> dict[str, Any]:
         """Deployment statistics in the shape of the paper's §5 numbers."""
         stats = self.cluster.stats()

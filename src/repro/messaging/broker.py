@@ -28,7 +28,7 @@ from repro.storage.compaction import CompactionConfig, LogCompactor
 from repro.storage.log import BatchEntry, PartitionLog, ReadResult
 from repro.storage.pagecache import PageCache
 from repro.storage.retention import RetentionEnforcer
-from repro.storage.tiered import ColdTier, ObjectStore
+from repro.storage.tiered import ColdTier, DfsObjectStore
 from repro.messaging.partition import PartitionReplica, ProduceResult
 from repro.messaging.topic import TopicConfig
 
@@ -53,12 +53,13 @@ class Broker:
         clock: SimClock,
         page_cache_bytes: int = 256 * 1024 * 1024,
         metrics: MetricsRegistry | None = None,
-        object_store: ObjectStore | None = None,
     ) -> None:
         self.broker_id = broker_id
         self.clock = clock
         self.cost_model = clock.cost_model
-        self.object_store = object_store
+        #: The cluster's shared cold store, set by the cluster on its first
+        #: tiered topic.
+        self.object_store: DfsObjectStore | None = None
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._c_messages_in = self.metrics.counter(_M_MESSAGES_IN)
         self._c_messages_out = self.metrics.counter(_M_MESSAGES_OUT)

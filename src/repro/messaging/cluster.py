@@ -50,7 +50,7 @@ from repro.chaos.failpoints import failpoint
 from repro.cluster.controller import ClusterController
 from repro.cluster.coordinator import Coordinator
 from repro.storage.log import LogConfig
-from repro.storage.tiered import DfsObjectStore, ObjectStore
+from repro.storage.tiered import DfsObjectStore
 from repro.messaging.broker import Broker
 from repro.messaging.fetchbuffer import (
     FetchBatch,
@@ -135,7 +135,6 @@ class MessagingCluster:
         replication_max_lag: int = 4,
         maintenance_interval: float = 5.0,
         metrics: MetricsRegistry | None = None,
-        object_store: ObjectStore | None = None,
     ) -> None:
         if num_brokers <= 0:
             raise ConfigError("num_brokers must be > 0")
@@ -152,8 +151,8 @@ class MessagingCluster:
         }
         # One cold store shared by every broker (the offline tier is a
         # separate shared system, not broker-local disk).  Created lazily on
-        # the first tiered topic when not supplied.
-        self._object_store = object_store
+        # the first tiered topic.
+        self._object_store: DfsObjectStore | None = None
         self.coordinator = Coordinator(self.clock)
         self.controller = ClusterController(
             self.coordinator, allow_unclean_election=allow_unclean_election
@@ -165,7 +164,6 @@ class MessagingCluster:
                 self.clock,
                 page_cache_bytes=page_cache_bytes,
                 metrics=self.metrics,
-                object_store=self._object_store,
             )
             self._brokers[broker_id] = broker
             self.controller.register_broker(broker_id)
@@ -213,10 +211,10 @@ class MessagingCluster:
     # -- topic admin ------------------------------------------------------------------
 
     @property
-    def object_store(self) -> ObjectStore:
+    def object_store(self) -> DfsObjectStore:
         """The shared cold store backing tiered topics (created on demand).
 
-        Defaults to a :class:`DfsObjectStore` over a fresh
+        A :class:`DfsObjectStore` over a fresh
         :class:`~repro.baselines.dfs.SimulatedDFS` on the cluster clock —
         the paper's batch-storage system doubling as the offline tier.
         """

@@ -41,7 +41,6 @@ class ProducerConfig:
     max_retries: int = 3
     idempotent: bool = False
     client_id: str | None = None
-    key_serde: Any = None
     value_serde: Any = None
     retry_backoff: float = 0.05
     retry_backoff_max: float = 2.0
@@ -81,7 +80,6 @@ class ConsumerConfig:
     max_poll_messages: int = 100
     isolation_level: str = "read_uncommitted"
     client_id: str | None = None
-    key_serde: Any = None
     value_serde: Any = None
     #: Prefetch sessions: after serving a poll, pre-issue the next fetch so
     #: its (simulated) latency overlaps the application's processing time.

@@ -70,7 +70,6 @@ class Consumer:
         self.max_poll_messages = config.max_poll_messages
         self.isolation_level = config.isolation_level
         self.client_id = config.client_id
-        self.key_serde = config.key_serde
         self.value_serde = config.value_serde
         self.prefetch = config.prefetch
         self.member_id = f"consumer-{next(_consumer_ids)}"
@@ -79,7 +78,6 @@ class Consumer:
         # One buffered fetch response per partition: the remainder of a
         # partially-drained poll, or a response fetched ahead of demand.
         self._buffers: dict[TopicPartition, FetchBuffer] = {}
-        self._paused: set[TopicPartition] = set()
         self._generation: int | None = None
         self._subscribed_topics: set[str] = set()
         self._rr = 0  # round-robin cursor over assigned partitions
@@ -120,7 +118,6 @@ class Consumer:
         self._buffers = {
             tp: buf for tp, buf in self._buffers.items() if tp in self._assignment
         }
-        self._paused = {tp for tp in self._paused if tp in self._assignment}
         self._seed_positions()
 
     def _seed_positions(self) -> None:
@@ -141,28 +138,6 @@ class Consumer:
     def assignment(self) -> list[TopicPartition]:
         return list(self._assignment)
 
-    # -- flow control ----------------------------------------------------------------
-
-    def pause(self, *partitions: TopicPartition) -> None:
-        """Stop fetching from ``partitions`` until :meth:`resume`.
-
-        Paused partitions stay assigned (and owned, under group membership);
-        :meth:`poll` simply spends none of its budget on them.  Buffered
-        responses are kept — they resume exactly where they stopped.
-        """
-        for tp in partitions:
-            self._require_assigned(tp)
-            self._paused.add(tp)
-
-    def resume(self, *partitions: TopicPartition) -> None:
-        """Undo :meth:`pause`; unknown or never-paused partitions are a no-op."""
-        for tp in partitions:
-            self._paused.discard(tp)
-
-    def paused(self) -> set[TopicPartition]:
-        """Partitions currently excluded from the poll fetch budget."""
-        return set(self._paused)
-
     # -- poll loop -------------------------------------------------------------------
 
     def poll(self, max_messages: int | None = None) -> list[ConsumerRecord]:
@@ -173,8 +148,8 @@ class Consumer:
         refreshes the assignment before fetching.
 
         Responses arrive as lazy :class:`~repro.messaging.fetchbuffer.FetchBuffer`
-        objects: records are built (frames inflated, serdes applied) only as
-        a poll drains them.  With ``prefetch=True`` the consumer issues the
+        objects: records are built (frames inflated, the value serde applied)
+        only as a poll drains them.  With ``prefetch=True`` the consumer issues the
         next fetch as soon as a buffer drains, so its latency overlaps whatever
         simulated time the application spends processing the previous poll.
 
@@ -203,8 +178,6 @@ class Consumer:
             if budget <= 0:
                 break
             tp = self._assignment[(self._rr + i) % n]
-            if tp in self._paused:
-                continue
             buffer = self._buffers.pop(tp, None)
             if buffer is not None and buffer.exhausted:
                 buffer = None
@@ -230,7 +203,7 @@ class Consumer:
                 fetches += ((client, buffer.broker, fixed, owed),)
                 buffer.latency = 0.0
             batch, inflate_latency = buffer.take(
-                budget, self.cluster.cost_model, self.key_serde, self.value_serde
+                budget, self.cluster.cost_model, self.value_serde
             )
             inflate += inflate_latency
             if batch:
@@ -273,8 +246,6 @@ class Consumer:
         drains it, only fetch latency that did not overlap the application's
         processing time is charged (see :meth:`poll`).
         """
-        if tp in self._paused:
-            return
         try:
             self._buffers[tp] = self._fetch(tp, self.max_poll_messages, True)
         except (

@@ -11,13 +11,13 @@ itself, and only a stretch that no whole frame covers — a frame the
 response cuts — is built into records, on the broker, once for that
 response (:func:`~repro.storage.segment.records`).  A ``StoredMessage``
 *is* a :class:`~repro.common.records.ConsumerRecord`, built once at append,
-so draining a plain batch for a consumer without serdes hands out those
-very objects in a fresh list and builds nothing.  Records are built
+so draining a plain batch for a consumer without a value serde hands out
+those very objects in a fresh list and builds nothing.  Records are built
 only where there is something to build: :meth:`FetchBatch.inflate` builds
 exactly the records a drain delivers out of a frame, or through the
-consumer's serdes, once each.  A serde decodes a drained slice in one call,
-:meth:`~repro.common.serde.Serde.deserialize_many` over the slice's value
-column (and its key column), whether the batch is plain or framed; for
+consumer's value serde, once each.  The serde decodes a drained slice in one
+call, :meth:`~repro.common.serde.Serde.deserialize_many` over the slice's
+value column, whether the batch is plain or framed; for
 :class:`~repro.common.serde.JsonSerde` that is one scan, so the slice's
 records share their field-name strings.  A framed batch stays compressed until the
 consumer drains into it (the payload is decoded through a memoryview, no
@@ -96,28 +96,26 @@ class FetchBatch:
         cost_model: CostModel,
         start: int = 0,
         stop: int | None = None,
-        key_serde: Serde | None = None,
         value_serde: Serde | None = None,
     ) -> tuple[list[ConsumerRecord], float]:
         """Records ``[start:stop]`` of the batch, deserialized, in a list of
         their own.
 
-        A plain batch without serdes builds nothing: its records are the
-        log's own :class:`~repro.common.records.StoredMessage` objects.
-        Frames and serdes build one ``ConsumerRecord`` per record asked
+        A plain batch without a value serde builds nothing: its records are
+        the log's own :class:`~repro.common.records.StoredMessage` objects.
+        Frames and the serde build one ``ConsumerRecord`` per record asked
         for, the whole slice in one C pass over its columns
         (:data:`~repro.common.records.new_record`); no record is memoized,
         as the caller's cursor asks for each record once, but a frame is
         decoded on its first touch only and its entries kept in
-        :attr:`decoded`.  A serde decodes the slice's column
-        in one :meth:`~repro.common.serde.Serde.deserialize_many` call (the
-        values, and the keys when a key serde is set), for plain and framed
-        batches alike; a ``None`` key or value stays ``None``.  The returned
-        latency is the simulated inflate CPU for a framed batch on that
-        first touch, ``0.0`` afterwards and for plain batches.  ``size``
-        stays the stored payload size — recomputing it from deserialized
-        objects would skew quota/WAN accounting away from the bytes actually
-        transferred.
+        :attr:`decoded`.  The serde decodes the slice's value column
+        in one :meth:`~repro.common.serde.Serde.deserialize_many` call, for
+        plain and framed batches alike; a ``None`` value stays ``None``.
+        The returned latency is the simulated inflate CPU for a framed
+        batch on that first touch, ``0.0`` afterwards and for plain batches.
+        ``size`` stays the stored payload size — recomputing it from
+        deserialized objects would skew quota/WAN accounting away from the
+        bytes actually transferred.
         """
         if stop is None:
             stop = self.count
@@ -125,7 +123,7 @@ class FetchBatch:
         latency = 0.0
         if frame is None:
             run = self.messages[start:stop]
-            if key_serde is None and value_serde is None:
+            if value_serde is None:
                 return run, 0.0
             if not run:
                 return [], 0.0
@@ -143,8 +141,6 @@ class FetchBatch:
             offsets = range(self.base_offset + start, self.base_offset + stop)
             headers = frame.headers(entries, start)
             sizes = frame.sizes[start:stop]
-        if key_serde is not None:
-            keys = key_serde.deserialize_many(keys)
         if value_serde is not None:
             values = value_serde.deserialize_many(values)
         return list(map(new_record, repeat(ConsumerRecord), zip(
@@ -245,7 +241,6 @@ class FetchBuffer:
         self,
         limit: int,
         cost_model: CostModel,
-        key_serde: Serde | None = None,
         value_serde: Serde | None = None,
     ) -> tuple[list[ConsumerRecord], float]:
         """Drain up to ``limit`` records; returns them + inflate latency.
@@ -260,9 +255,7 @@ class FetchBuffer:
             batch = batches[self._index]
             start = self._cursor
             stop = min(batch.count, start + limit)
-            records, lat = batch.inflate(
-                cost_model, start, stop, key_serde, value_serde
-            )
+            records, lat = batch.inflate(cost_model, start, stop, value_serde)
             latency += lat
             out.extend(records)
             limit -= stop - start

@@ -113,10 +113,8 @@ class Producer:
         self.max_retries = config.max_retries
         self.idempotent = config.idempotent
         self.client_id = config.client_id
-        # Optional typed boundary: values/keys are serialized on the way in
-        # (see repro.common.serde; pass e.g. JsonSerde() or a name like
-        # "json" resolved via serde_by_name at the call site).
-        self.key_serde = config.key_serde
+        # Optional typed boundary: values are serialized on the way in
+        # (see repro.common.serde; pass JsonSerde()).
         self.value_serde = config.value_serde
         # Batch compression: each linger batch is deflated once, client-side,
         # into a BatchFrame that then travels broker -> follower -> cold tier
@@ -223,8 +221,6 @@ class Producer:
             check_headers(headers)
         if self.value_serde is not None:
             value = self.value_serde.serialize(value)
-        if self.key_serde is not None and key is not None:
-            key = self.key_serde.serialize(key)
         tracer = current_tracer()
         span = None
         if tracer is not None:

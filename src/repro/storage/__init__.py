@@ -13,7 +13,6 @@ from repro.storage.tiered import (
     ColdReader,
     ColdTier,
     DfsObjectStore,
-    InMemoryObjectStore,
     SegmentArchiver,
     TierManifest,
     TieredConfig,
@@ -35,7 +34,6 @@ __all__ = [
     "ColdReader",
     "ColdTier",
     "DfsObjectStore",
-    "InMemoryObjectStore",
     "SegmentArchiver",
     "TierManifest",
     "TieredConfig",

@@ -41,6 +41,7 @@ from repro.common.errors import ConfigError, OffsetOutOfRangeError
 from repro.common.records import (
     EMPTY_HEADERS,
     RECORD_FRAMING_BYTES,
+    Headers,
     StoredMessage,
     TopicPartition,
     new_record,
@@ -145,6 +146,9 @@ class ReadResult:
 BatchEntry = tuple[int, int, int | None, int | None, str | None, BatchFrame | None]
 
 _MAX_OFFSET = 1 << 62
+
+#: The one type a stored record's headers have.
+_ONLY_HEADERS = {Headers}
 
 _base_offset_of = attrgetter("base_offset")
 
@@ -304,8 +308,11 @@ class PartitionLog:
         count = len(entries)
         stored_sizes = list(map(add, sizes, repeat(RECORD_FRAMING_BYTES, count)))
         keys, values, timestamps, headers = zip(*entries) if entries else ((),) * 4
-        if None in headers:  # only a direct caller leaves headers out
-            headers = [EMPTY_HEADERS if held is None else held for held in headers]
+        # A stored record's headers are read-only, so no reader can change
+        # them under the next one.  The producers hand over ``Headers``; a
+        # direct caller's dict is copied, and headers left out are empty.
+        if not set(map(type, headers)) <= _ONLY_HEADERS:
+            headers = [Headers(held) if held else EMPTY_HEADERS for held in headers]
         # The whole batch in one C pass over its columns; a missing
         # timestamp is looked up as ``now`` on the way.
         messages = list(map(new_record, repeat(StoredMessage), zip(

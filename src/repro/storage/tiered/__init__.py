@@ -4,8 +4,8 @@ The hot tier (:class:`~repro.storage.log.PartitionLog`) keeps a bounded
 window of recent history at RAM/disk speed; this package provides the cold
 tier that makes the rest of the history *rewindable* instead of deleted:
 
-* :class:`ObjectStore` / :class:`DfsObjectStore` / :class:`InMemoryObjectStore`
-  — the immutable object store holding archived segments;
+* :class:`DfsObjectStore` — the immutable object store, over the batch DFS,
+  holding archived segments;
 * :class:`TierManifest` / :class:`ArchivedSegment` — the per-partition index
   of archived offset ranges;
 * :class:`SegmentArchiver` — copies sealed segments to the store before
@@ -23,10 +23,8 @@ from repro.storage.tiered.config import TieredConfig
 from repro.storage.tiered.manifest import ArchivedSegment, TierManifest
 from repro.storage.tiered.objectstore import (
     DfsObjectStore,
-    InMemoryObjectStore,
     ObjectGetResult,
     ObjectPutResult,
-    ObjectStore,
 )
 from repro.storage.tiered.tier import ColdTier
 
@@ -37,10 +35,8 @@ __all__ = [
     "ColdReader",
     "ColdTier",
     "DfsObjectStore",
-    "InMemoryObjectStore",
     "ObjectGetResult",
     "ObjectPutResult",
-    "ObjectStore",
     "SegmentArchiver",
     "TierManifest",
     "TieredConfig",

@@ -22,7 +22,7 @@ from repro.common.clock import Clock
 from repro.common.metrics import MetricsRegistry, metric_name
 from repro.storage.segment import LogSegment
 from repro.storage.tiered.manifest import ArchivedSegment, TierManifest
-from repro.storage.tiered.objectstore import ObjectStore
+from repro.storage.tiered.objectstore import DfsObjectStore
 
 # Metric names precomputed once (layer.component.metric convention).
 _M_SEGMENTS_ARCHIVED = metric_name("storage", "tiered", "segments_archived")
@@ -42,11 +42,11 @@ class ArchiveResult:
 
 
 class SegmentArchiver:
-    """Uploads sealed segments to an :class:`ObjectStore` and indexes them."""
+    """Uploads sealed segments to the :class:`DfsObjectStore` and indexes them."""
 
     def __init__(
         self,
-        store: ObjectStore,
+        store: DfsObjectStore,
         manifest: TierManifest,
         namespace: str,
         clock: Clock,

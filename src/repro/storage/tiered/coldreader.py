@@ -33,7 +33,7 @@ from repro.common.records import StoredMessage
 from repro.storage.log import ReadResult
 from repro.storage.pagecache import PageCache
 from repro.storage.tiered.manifest import ArchivedSegment, TierManifest
-from repro.storage.tiered.objectstore import ObjectStore
+from repro.storage.tiered.objectstore import DfsObjectStore
 
 # Metric names precomputed once (layer.component.metric convention).
 _M_COLD_HITS = metric_name("storage", "tiered", "cold_hits")
@@ -75,7 +75,7 @@ class ColdReader:
 
     def __init__(
         self,
-        store: ObjectStore,
+        store: DfsObjectStore,
         manifest: TierManifest,
         clock: SimClock,
         page_cache: PageCache | None = None,

@@ -1,15 +1,12 @@
-"""Cold-store abstraction: immutable objects keyed by name.
+"""The cold store: immutable objects keyed by name.
 
 The offline tier of the tiered log is an object store in the S3/HDFS mold:
-whole-object puts and gets, no appends, no offsets.  Two implementations:
-
-* :class:`DfsObjectStore` — persists objects as files in a
-  :class:`~repro.baselines.dfs.SimulatedDFS`, turning the paper's batch-
-  storage foil into the cold tier of the unified system.  Latency charges
-  the cross-tier cost model *plus* the DFS's own block mechanics (namenode
-  round trip, per-block seeks, replication pipeline).
-* :class:`InMemoryObjectStore` — a test double charging only the cold-tier
-  cost model, with deterministic contents.
+whole-object puts and gets, no appends, no offsets.  Paper §4.1 makes the
+batch DFS the offline tier, so :class:`DfsObjectStore` persists objects as
+files in a :class:`~repro.baselines.dfs.SimulatedDFS`, turning the paper's
+batch-storage foil into the cold tier of the unified system.  Latency
+charges the cross-tier cost model *plus* the DFS's own block mechanics
+(namenode round trip, per-block seeks, replication pipeline).
 
 Objects are immutable once written; an idempotent ``put`` of an existing key
 (two replicas archiving the same segment) is a free no-op by design, which
@@ -19,9 +16,8 @@ is what makes replica-side archiving race-free.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Protocol
+from typing import TYPE_CHECKING, Any
 
-from repro.common.costmodel import CostModel
 from repro.common.errors import ObjectNotFoundError
 
 if TYPE_CHECKING:  # pragma: no cover - avoids storage <-> baselines cycle
@@ -46,90 +42,6 @@ class ObjectGetResult:
     records: list[Any] = field(default_factory=list)
     size_bytes: int = 0
     latency: float = 0.0
-
-
-class ObjectStore(Protocol):
-    """Minimal cold-store surface the tiered subsystem depends on."""
-
-    def put(self, key: str, records: list[Any], size_bytes: int) -> ObjectPutResult:
-        """Upload ``records`` under ``key``; no-op if the key exists."""
-        ...
-
-    def get(self, key: str) -> ObjectGetResult:
-        """Download the object stored under ``key``."""
-        ...
-
-    def exists(self, key: str) -> bool:
-        ...
-
-    def delete(self, key: str) -> None:
-        ...
-
-    def list_prefix(self, prefix: str) -> list[str]:
-        """Keys under ``prefix``, sorted."""
-        ...
-
-    def size_of(self, key: str) -> int:
-        ...
-
-    def total_stored_bytes(self) -> int:
-        ...
-
-
-class InMemoryObjectStore:
-    """Dict-backed cold store charging only the cold-tier cost model.
-
-    It holds no clock, so it is handed the world's model:
-    ``InMemoryObjectStore(clock.cost_model)``.
-    """
-
-    def __init__(self, cost_model: CostModel) -> None:
-        self.cost_model = cost_model
-        self._objects: dict[str, tuple[list[Any], int]] = {}
-        self.puts = 0
-        self.gets = 0
-
-    def put(self, key: str, records: list[Any], size_bytes: int) -> ObjectPutResult:
-        if key in self._objects:
-            return ObjectPutResult(key, self._objects[key][1], 0.0, created=False)
-        self._objects[key] = (list(records), size_bytes)
-        self.puts += 1
-        return ObjectPutResult(
-            key, size_bytes, self.cost_model.cold_put(size_bytes), created=True
-        )
-
-    def get(self, key: str) -> ObjectGetResult:
-        stored = self._objects.get(key)
-        if stored is None:
-            raise ObjectNotFoundError(key)
-        records, size_bytes = stored
-        self.gets += 1
-        return ObjectGetResult(
-            key, list(records), size_bytes, self.cost_model.cold_fetch(size_bytes)
-        )
-
-    def exists(self, key: str) -> bool:
-        return key in self._objects
-
-    def delete(self, key: str) -> None:
-        if key not in self._objects:
-            raise ObjectNotFoundError(key)
-        del self._objects[key]
-
-    def list_prefix(self, prefix: str) -> list[str]:
-        return sorted(k for k in self._objects if k.startswith(prefix))
-
-    def size_of(self, key: str) -> int:
-        stored = self._objects.get(key)
-        if stored is None:
-            raise ObjectNotFoundError(key)
-        return stored[1]
-
-    def total_stored_bytes(self) -> int:
-        return sum(size for _records, size in self._objects.values())
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"InMemoryObjectStore(objects={len(self._objects)})"
 
 
 class DfsObjectStore:
@@ -168,34 +80,6 @@ class DfsObjectStore:
         size = self.dfs.file_size(path)
         latency = self.cost_model.cold_fetch(size) + dfs_result.latency
         return ObjectGetResult(key, dfs_result.records, size, latency)
-
-    def exists(self, key: str) -> bool:
-        return self.dfs.exists(self._path(key))
-
-    def delete(self, key: str) -> None:
-        path = self._path(key)
-        if not self.dfs.exists(path):
-            raise ObjectNotFoundError(key)
-        self.dfs.delete(path)
-
-    def list_prefix(self, prefix: str) -> list[str]:
-        start = len(self.root) + 1
-        normalized = self._path(prefix)
-        return sorted(
-            p[start:] for p in self.dfs.list_dir(self.root)
-            if p.startswith(normalized)
-        )
-
-    def size_of(self, key: str) -> int:
-        path = self._path(key)
-        if not self.dfs.exists(path):
-            raise ObjectNotFoundError(key)
-        return self.dfs.file_size(path)
-
-    def total_stored_bytes(self) -> int:
-        return sum(
-            self.dfs.file_size(p) for p in self.dfs.list_dir(self.root)
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"DfsObjectStore(root={self.root!r})"

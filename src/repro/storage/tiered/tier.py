@@ -18,7 +18,7 @@ from repro.storage.tiered.archiver import SegmentArchiver
 from repro.storage.tiered.coldreader import ColdReader
 from repro.storage.tiered.config import TieredConfig
 from repro.storage.tiered.manifest import TierManifest
-from repro.storage.tiered.objectstore import ObjectStore
+from repro.storage.tiered.objectstore import DfsObjectStore
 
 # Metric names precomputed once (layer.component.metric convention).
 _M_COLD_READS = metric_name("storage", "tiered", "cold_reads")
@@ -31,7 +31,7 @@ class ColdTier:
     def __init__(
         self,
         log: PartitionLog,
-        store: ObjectStore,
+        store: DfsObjectStore,
         namespace: str,
         config: TieredConfig | None = None,
         metrics: MetricsRegistry | None = None,

@@ -21,6 +21,7 @@ from array import array
 
 from hypothesis import example, given, settings, strategies as st
 
+from repro.baselines.dfs import SimulatedDFS
 from repro.common.clock import SimClock
 from repro.common.compression import compress_entries
 from repro.common.costmodel import DEFAULT_COST_MODEL
@@ -31,7 +32,7 @@ from repro.messaging.partition import PartitionReplica
 from repro.storage.compaction import LogCompactor
 from repro.storage.log import LogConfig, PartitionLog
 from repro.storage.retention import RetentionConfig, RetentionEnforcer
-from repro.storage.tiered import ColdTier, InMemoryObjectStore, TieredConfig
+from repro.storage.tiered import ColdTier, DfsObjectStore, TieredConfig
 from tests.reference import examples
 from tests.reference.log import RecordsLog
 
@@ -72,7 +73,7 @@ def build(history, final_ack=1.0):
     replica = PartitionReplica(TP, 0, log)
     replica.cold_tier = ColdTier(
         log,
-        InMemoryObjectStore(clock.cost_model),
+        DfsObjectStore(SimulatedDFS(clock)),
         namespace="t/0",
         config=TieredConfig(),
     )
@@ -316,7 +317,7 @@ def replica_set(log_class):
     leader = replicas[0]
     leader.cold_tier = ColdTier(
         leader.log,
-        InMemoryObjectStore(clock.cost_model),
+        DfsObjectStore(SimulatedDFS(clock)),
         namespace="t/0",
         config=TieredConfig(),
     )

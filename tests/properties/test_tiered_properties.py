@@ -8,15 +8,12 @@ retention passes and rewinds interleave.
 
 from hypothesis import given, settings, strategies as st
 
+from repro.baselines.dfs import SimulatedDFS
 from repro.common.clock import SimClock
 from repro.common.compression import compress_entries
 from repro.storage.log import LogConfig, PartitionLog
 from repro.storage.retention import RetentionConfig, RetentionEnforcer
-from repro.storage.tiered import (
-    ColdTier,
-    InMemoryObjectStore,
-    TieredConfig,
-)
+from repro.storage.tiered import ColdTier, DfsObjectStore, TieredConfig
 
 # An interleaving step: produce a batch, let time pass + run retention, or
 # rewind-read from a chosen point of the history.
@@ -43,7 +40,7 @@ def build_pair(per_segment, cache_bytes):
     )
     tier = ColdTier(
         tiered_log,
-        InMemoryObjectStore(clock.cost_model),
+        DfsObjectStore(SimulatedDFS(clock)),
         namespace="t/0",
         config=TieredConfig(hydration_cache_bytes=cache_bytes),
     )

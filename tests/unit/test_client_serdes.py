@@ -5,7 +5,7 @@ import pytest
 from repro.common.clock import SimClock
 from repro.common.errors import SerdeError
 from repro.common.records import TopicPartition
-from repro.common.serde import JsonSerde, StringSerde
+from repro.common.serde import JsonSerde
 from repro.messaging.cluster import MessagingCluster
 from repro.messaging.config import ConsumerConfig, ProducerConfig
 from repro.messaging.consumer import Consumer
@@ -33,41 +33,34 @@ class TestSerdeRoundtrip:
         assert records[0].value == {"nested": {"x": [1, 2]}}
 
     def test_string_keys_roundtrip(self):
+        """A value serde leaves the key as the sender gave it."""
         cluster = make_cluster()
-        producer = Producer(
-            cluster, ProducerConfig(key_serde=StringSerde(), value_serde=JsonSerde())
-        )
+        producer = Producer(cluster, ProducerConfig(value_serde=JsonSerde()))
         producer.send("t", {"v": 1}, key="member-42")
-        consumer = Consumer(
-            cluster, ConsumerConfig(key_serde=StringSerde(), value_serde=JsonSerde())
-        )
+        consumer = Consumer(cluster, ConsumerConfig(value_serde=JsonSerde()))
         consumer.assign([TopicPartition("t", 0)])
         records = consumer.poll(10)
-        assert records[0].key == "member-42"
+        assert (records[0].key, records[0].value) == ("member-42", {"v": 1})
 
     def test_none_keys_pass_through(self):
         cluster = make_cluster()
-        producer = Producer(
-            cluster, ProducerConfig(key_serde=StringSerde(), value_serde=JsonSerde())
-        )
+        producer = Producer(cluster, ProducerConfig(value_serde=JsonSerde()))
         producer.send("t", {"v": 1})  # no key
-        consumer = Consumer(
-            cluster, ConsumerConfig(key_serde=StringSerde(), value_serde=JsonSerde())
-        )
+        consumer = Consumer(cluster, ConsumerConfig(value_serde=JsonSerde()))
         consumer.assign([TopicPartition("t", 0)])
         assert consumer.poll(10)[0].key is None
 
     @pytest.mark.parametrize("compression", ["none", "zlib:6"])
     @pytest.mark.parametrize(
         "serde, first, decoded",
-        [(JsonSerde(), b'{"a":1}', {"a": 1}), (StringSerde(), b"x", "x")],
-        ids=["json", "string"],
+        [(JsonSerde(), b'{"a":1}', {"a": 1})],
+        ids=["json"],
     )
     def test_a_tombstone_reaches_a_typed_consumer_as_none(
         self, compression, serde, first, decoded
     ):
         """A ``None`` value (a delete; changelogs and compaction write them)
-        is delivered as ``None``, as a ``None`` key is, not decoded."""
+        is delivered as ``None``, not decoded."""
         cluster = make_cluster()
         producer = Producer(
             cluster, ProducerConfig(compression=compression, linger_messages=2)
@@ -99,25 +92,11 @@ class TestSerdeRoundtrip:
         Python objects — skewing byte accounting away from what was actually
         stored and transferred."""
         cluster = make_cluster()
-        producer = Producer(
-            cluster, ProducerConfig(key_serde=StringSerde(), value_serde=JsonSerde())
-        )
+        producer = Producer(cluster, ProducerConfig(value_serde=JsonSerde()))
         producer.send("t", {"payload": "x" * 64, "n": [1, 2, 3]}, key="k1")
         raw = cluster.fetch("t", 0, 0).records[0]
-        consumer = Consumer(
-            cluster, ConsumerConfig(key_serde=StringSerde(), value_serde=JsonSerde())
-        )
+        consumer = Consumer(cluster, ConsumerConfig(value_serde=JsonSerde()))
         consumer.assign([TopicPartition("t", 0)])
         typed = consumer.poll(10)[0]
         assert typed.size == raw.size
         assert typed.size > 0
-
-    def test_partitioning_consistent_for_serialized_keys(self):
-        cluster = MessagingCluster(num_brokers=1, clock=SimClock())
-        cluster.create_topic("multi", num_partitions=4, replication_factor=1)
-        producer = Producer(cluster, ProducerConfig(key_serde=StringSerde()))
-        partitions = {
-            producer.send("multi", i, key="stable").partition.partition
-            for i in range(5)
-        }
-        assert len(partitions) == 1

@@ -10,7 +10,7 @@ from repro.common.errors import (
     TopicAlreadyExistsError,
     TopicNotFoundError,
 )
-from repro.common.records import TopicPartition
+from repro.common.records import EMPTY_HEADERS, Headers, TopicPartition
 from repro.messaging.cluster import ACKS_ALL, ACKS_LEADER, ACKS_NONE, MessagingCluster
 from repro.messaging.offset_manager import OFFSETS_TOPIC
 from repro.messaging.topic import TopicConfig
@@ -80,6 +80,24 @@ class TestProduceFetch:
         assert [r.value["i"] for r in result.records] == [0, 1, 2]
         assert result.records[0].topic == "t"
         assert result.latency > 0
+
+    def test_a_reader_cannot_change_the_stored_headers(self):
+        """The low-level produce copies the caller's header dict into
+        read-only ``Headers``: neither the caller nor a reader can change
+        the stored record under the next reader."""
+        cluster = make_cluster()
+        cluster.create_topic("t", replication_factor=3)
+        sent = {"h": 1}
+        cluster.produce(
+            "t", 0, [(None, "a", None, sent), (None, "b", None, None)],
+            acks=ACKS_ALL,
+        )
+        sent["h"] = "caller"
+        first, second = cluster.fetch("t", 0, 0).records
+        assert type(first.headers) is Headers and second.headers is EMPTY_HEADERS
+        with pytest.raises(TypeError):
+            first.headers["h"] = "reader"
+        assert cluster.fetch("t", 0, 0).records[0].headers == {"h": 1}
 
     def test_unknown_acks_rejected(self):
         cluster = make_cluster()

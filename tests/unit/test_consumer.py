@@ -232,84 +232,6 @@ class TestAutoOffsetReset:
         assert batch[0].offset == cluster.beginning_offset(tp)
 
 
-class TestPauseResume:
-    def test_paused_partition_gets_no_budget(self):
-        _clock, cluster = setup_cluster()
-        consumer = Consumer(cluster)
-        consumer.assign(cluster.partitions_of("t"))
-        tp0, tp1 = cluster.partitions_of("t")
-        consumer.pause(tp0)
-        assert consumer.paused() == {tp0}
-        got = []
-        for _ in range(10):
-            got.extend(consumer.poll(100))
-        assert got, "the unpaused partition must still be served"
-        assert all(r.partition == tp1.partition for r in got)
-        # The paused partition's position never advanced.
-        assert consumer.position(tp0) == 0
-
-    def test_resume_restores_fetching(self):
-        _clock, cluster = setup_cluster()
-        consumer = Consumer(cluster)
-        consumer.assign(cluster.partitions_of("t"))
-        tp0, tp1 = cluster.partitions_of("t")
-        consumer.pause(tp0, tp1)
-        assert consumer.poll(100) == []
-        consumer.resume(tp0, tp1)
-        assert consumer.paused() == set()
-        got = []
-        while True:
-            batch = consumer.poll(100)
-            if not batch:
-                break
-            got.extend(batch)
-        assert len(got) == 20
-
-    def test_pause_requires_assignment(self):
-        _clock, cluster = setup_cluster()
-        consumer = Consumer(cluster)
-        consumer.assign([TopicPartition("t", 0)])
-        with pytest.raises(ConfigError):
-            consumer.pause(TopicPartition("t", 1))
-
-    def test_resume_unknown_partition_is_noop(self):
-        _clock, cluster = setup_cluster()
-        consumer = Consumer(cluster)
-        consumer.assign([TopicPartition("t", 0)])
-        consumer.resume(TopicPartition("t", 1))  # must not raise
-        assert consumer.paused() == set()
-
-    def test_prefetch_skips_paused_partitions(self):
-        _clock, cluster = setup_cluster()
-        consumer = Consumer(cluster, ConsumerConfig(prefetch=True))
-        consumer.assign(cluster.partitions_of("t"))
-        tp0, _tp1 = cluster.partitions_of("t")
-        consumer.pause(tp0)
-        for _ in range(6):
-            consumer.poll(100)
-        assert consumer._buffers.get(tp0) is None
-
-    def test_rebalance_prunes_paused_set(self):
-        _clock, cluster = setup_cluster()
-        gc = GroupCoordinator(cluster)
-        consumer = Consumer(
-            cluster,
-            ConsumerConfig(group="g", auto_offset_reset="earliest"),
-            group_coordinator=gc,
-        )
-        consumer.subscribe(["t"])
-        consumer.pause(*consumer.assignment())
-        # A second member takes half the partitions away.
-        other = Consumer(
-            cluster,
-            ConsumerConfig(group="g", auto_offset_reset="earliest"),
-            group_coordinator=gc,
-        )
-        other.subscribe(["t"])
-        consumer.poll(10)  # detects the generation bump
-        assert consumer.paused() <= set(consumer.assignment())
-
-
 class TestPrefetchOverlap:
     RECORDS = 600
 

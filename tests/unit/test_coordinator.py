@@ -66,14 +66,6 @@ class TestNamespace:
         with pytest.raises(NoNodeError):
             coord.create("/trailing/")
 
-    def test_sequential_nodes_unique_and_ordered(self):
-        coord = Coordinator()
-        coord.create("/q")
-        first = coord.create("/q/n-", sequential=True)
-        second = coord.create("/q/n-", sequential=True)
-        assert first != second
-        assert sorted([first, second]) == [first, second]
-
 
 class TestSessions:
     def test_ephemeral_requires_session(self):

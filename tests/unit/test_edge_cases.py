@@ -136,7 +136,7 @@ class TestLiquidEdges:
     def test_stats_after_failures_reflect_live_brokers(self):
         liquid = Liquid(num_brokers=3)
         liquid.create_feed("a")
-        liquid.kill_broker(1)
+        liquid.cluster.kill_broker(1)
         stats = liquid.stats()
         assert stats["brokers"] == 3
         assert stats["live_brokers"] == 2

@@ -26,7 +26,7 @@ from repro.common.records import (
     TopicPartition,
     new_record,
 )
-from repro.common.serde import JsonSerde, StringSerde
+from repro.common.serde import JsonSerde
 from repro.messaging import fetchbuffer
 from repro.messaging.cluster import MessagingCluster
 from repro.messaging.config import ConsumerConfig, ProducerConfig
@@ -305,17 +305,20 @@ class TestSerdesAppliedInTheOneConstruction:
     def test_one_record_per_delivery_and_wire_size_kept(self, built, compression):
         cluster = MessagingCluster(num_brokers=1, clock=SimClock())
         cluster.create_topic("t", num_partitions=1, replication_factor=1)
-        serdes = {"key_serde": StringSerde(), "value_serde": JsonSerde()}
         producer = Producer(
             cluster,
-            ProducerConfig(linger_messages=4, compression=compression, **serdes),
+            ProducerConfig(
+                linger_messages=4, compression=compression, value_serde=JsonSerde()
+            ),
         )
         values = [{"payload": "x" * 64, "n": [i, 2, 3]} for i in range(8)]
         for i, value in enumerate(values):
             producer.send("t", value, key=None if i == 0 else f"k{i}")
         raw = cluster.fetch("t", 0, 0).records
         del built[:]
-        consumer = Consumer(cluster, ConsumerConfig(max_poll_messages=3, **serdes))
+        consumer = Consumer(
+            cluster, ConsumerConfig(max_poll_messages=3, value_serde=JsonSerde())
+        )
         consumer.assign([TP])
         typed = []
         while len(typed) < 8:

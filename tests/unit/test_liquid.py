@@ -156,9 +156,9 @@ class TestOperations:
     def test_broker_lifecycle_via_facade(self):
         liquid = make_liquid()
         liquid.create_feed("raw")
-        liquid.kill_broker(2)
+        liquid.cluster.kill_broker(2)
         assert 2 not in liquid.cluster.controller.live_brokers()
-        liquid.restart_broker(2)
+        liquid.cluster.restart_broker(2)
         assert 2 in liquid.cluster.controller.live_brokers()
 
     def test_stats_include_processing_shape(self):

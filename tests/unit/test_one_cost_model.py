@@ -27,7 +27,7 @@ from repro.messaging.topic import TopicConfig
 from repro.processing.job import JobConfig, JobRunner, StoreConfig
 from repro.storage.log import LogConfig
 from repro.storage.retention import RetentionConfig
-from repro.storage.tiered import ColdTier, InMemoryObjectStore, TieredConfig
+from repro.storage.tiered import ColdTier, DfsObjectStore, TieredConfig
 
 #: The one place a world's model has a default.
 THE_DEFAULT = "repro.common.clock.SimClock.__init__"
@@ -108,13 +108,19 @@ def test_a_world_charges_its_model():
     assert cluster.object_store.cost_model is model
     assert cluster.object_store.dfs.cost_model is model
 
-    # An in-memory cold store handed the world's model: a cold read pays
-    # its fetch overhead, and the reader beside it charges the same model.
-    store = InMemoryObjectStore(clock.cost_model)
+    # A cold store over a DFS on the world's clock: a put pays the model's
+    # upload on top of the DFS's own write, a get its fetch on top of the
+    # read, and the reader beside it charges the same model.
+    store = DfsObjectStore(SimulatedDFS(clock))
+    twin = SimulatedDFS(SimClock(cost_model=model))
     tier = ColdTier(replica.log, store, namespace="t/0")
     assert tier.reader.cost_model is model
-    assert store.put("k", ["v"], 1000).latency == model.cold_put(1000)
-    assert store.get("k").latency == model.cold_fetch(1000)
+    assert store.put("k", ["v"], 1000).latency == (
+        model.cold_put(1000) + twin.write_file("/k", ["v"], 1000).latency
+    )
+    assert store.get("k").latency == (
+        model.cold_fetch(1000) + twin.read_file("/k").latency
+    )
 
     # An LSM job store and its standby: a put pays the model's store_put.
     cluster.create_topic("in", num_partitions=1, replication_factor=1)

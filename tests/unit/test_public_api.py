@@ -122,7 +122,6 @@ EXPECTED_PRODUCER_CONFIG_FIELDS = sorted(
         "max_retries",
         "idempotent",
         "client_id",
-        "key_serde",
         "value_serde",
         "retry_backoff",
         "retry_backoff_max",
@@ -137,7 +136,6 @@ EXPECTED_CONSUMER_CONFIG_FIELDS = sorted(
         "max_poll_messages",
         "isolation_level",
         "client_id",
-        "key_serde",
         "value_serde",
         "prefetch",
     ]

@@ -25,8 +25,8 @@ class TestEstimateSize:
         assert estimate_size(b"abcd") == 4
 
     def test_bytes_likes_are_their_byte_length(self):
-        # What key_to_bytes and BytesSerde accept as bytes is sized as
-        # bytes, not by its object overhead.
+        # What key_to_bytes accepts as bytes is sized as bytes, not by its
+        # object overhead.
         assert estimate_size(bytearray(b"abc")) == 3
         assert estimate_size(memoryview(b"abc")) == 3
         assert estimate_size(memoryview(b"abcdef")[1:3]) == 2

@@ -24,7 +24,6 @@ from repro.storage.tiered import (
     ColdReader,
     ColdTier,
     DfsObjectStore,
-    InMemoryObjectStore,
     SegmentArchiver,
     TierManifest,
     TieredConfig,
@@ -59,11 +58,16 @@ def filled_log(clock, n=20, per_segment=5, page_cache=None):
     return log
 
 
+def cold_store(clock):
+    """The cold store a cluster builds: objects as files in a batch DFS."""
+    return DfsObjectStore(SimulatedDFS(clock))
+
+
 def tiered_fixture(clock=None, n=20, per_segment=5, **tier_kwargs):
     """A log whose sealed segments were archived then retention-deleted."""
     clock = clock if clock is not None else SimClock()
     log = filled_log(clock, n=n, per_segment=per_segment)
-    store = InMemoryObjectStore(clock.cost_model)
+    store = cold_store(clock)
     tier = ColdTier(log, store, namespace="t/0", config=TieredConfig(**tier_kwargs))
     enforcer = RetentionEnforcer(
         RetentionConfig(retention_seconds=1.0), clock, archiver=tier.archiver
@@ -160,12 +164,9 @@ class TestManifest:
 
 
 class TestObjectStores:
-    @pytest.fixture(params=["memory", "dfs"])
-    def store(self, request):
-        if request.param == "memory":
-            return InMemoryObjectStore(DEFAULT_COST_MODEL)
-        dfs = SimulatedDFS(clock=SimClock())
-        return DfsObjectStore(dfs)
+    @pytest.fixture
+    def store(self):
+        return cold_store(SimClock())
 
     def test_put_get_roundtrip(self, store):
         put = store.put("a/1", ["r0", "r1"], 64)
@@ -184,32 +185,13 @@ class TestObjectStores:
     def test_missing_key_raises(self, store):
         with pytest.raises(ObjectNotFoundError):
             store.get("nope")
-        with pytest.raises(ObjectNotFoundError):
-            store.delete("nope")
-        with pytest.raises(ObjectNotFoundError):
-            store.size_of("nope")
-
-    def test_list_prefix_and_delete(self, store):
-        store.put("t/0/b", ["x"], 1)
-        store.put("t/0/a", ["x"], 1)
-        store.put("t/1/c", ["x"], 1)
-        assert store.list_prefix("t/0/") == ["t/0/a", "t/0/b"]
-        store.delete("t/0/a")
-        assert store.list_prefix("t/0/") == ["t/0/b"]
-        assert not store.exists("t/0/a")
-
-    def test_total_stored_bytes(self):
-        store = InMemoryObjectStore(DEFAULT_COST_MODEL)
-        store.put("a", ["x"], 10)
-        store.put("b", ["x"], 15)
-        assert store.total_stored_bytes() == 25
 
 
 class TestArchiver:
     def test_archives_sealed_segments(self):
         clock = SimClock()
         log = filled_log(clock)
-        store = InMemoryObjectStore(clock.cost_model)
+        store = cold_store(clock)
         manifest = TierManifest()
         archiver = SegmentArchiver(store, manifest, "t/0", clock)
         for segment in log.sealed_segments():
@@ -218,12 +200,15 @@ class TestArchiver:
             assert result.latency > 0
         assert manifest.segment_count == 3
         assert (manifest.start_offset, manifest.end_offset) == (0, 15)
-        assert store.total_stored_bytes() == manifest.total_bytes
+        dfs = store.dfs
+        paths = dfs.list_dir(store.root)
+        assert len(paths) == 3
+        assert sum(map(dfs.file_size, paths)) == manifest.total_bytes
 
     def test_replica_duplicate_upload_dedupes(self):
         """Two replicas archiving the same segment upload it once."""
         clock = SimClock()
-        store = InMemoryObjectStore(clock.cost_model)
+        store = cold_store(clock)
         logs = [filled_log(SimClock()) for _ in range(2)]
         results = []
         for log in logs:  # same namespace: keys carry no broker id
@@ -232,16 +217,14 @@ class TestArchiver:
         assert results[0].archived and not results[0].deduplicated
         assert results[1].archived and results[1].deduplicated
         assert results[1].latency == 0.0
-        assert store.puts == 1
+        assert len(store.dfs.list_dir(store.root)) == 1
 
     def test_empty_segment_skipped(self):
         clock = SimClock()
         log = filled_log(clock)
         segment = log.sealed_segments()[0]
         segment.replace_messages([])  # fully compacted away
-        archiver = SegmentArchiver(
-            InMemoryObjectStore(clock.cost_model), TierManifest(), "t/0", clock
-        )
+        archiver = SegmentArchiver(cold_store(clock), TierManifest(), "t/0", clock)
         result = archiver.archive(segment)
         assert not result.archived
 
@@ -269,7 +252,7 @@ class TestRetentionArchiving:
         clock = SimClock()
         log = filled_log(clock, n=10, per_segment=5)
         log.sealed_segments()[0].replace_messages([])
-        store = InMemoryObjectStore(clock.cost_model)
+        store = cold_store(clock)
         tier = ColdTier(log, store, namespace="t/0")
         # Huge window: only the empty husk is expired.
         enforcer = RetentionEnforcer(
@@ -279,7 +262,7 @@ class TestRetentionArchiving:
         assert result.segments_deleted == 1
         assert result.messages_deleted == 0
         assert result.segments_archived == 0
-        assert store.puts == 0
+        assert store.dfs.list_dir(store.root) == []
 
     def test_empty_segment_does_not_block_head_scan(self):
         clock = SimClock()
@@ -425,7 +408,7 @@ class TestColdTier:
         clock.advance(8.0)
         tier = ColdTier(
             log,
-            InMemoryObjectStore(clock.cost_model),
+            cold_store(clock),
             namespace="t/0",
             config=TieredConfig(),
         )
