@@ -105,7 +105,7 @@ def estimate_size(value: Any) -> int:
     numbers without calling it for a batch of same-shaped dicts
     (:func:`~repro.common.compression.payload_sizes`) and calls it for
     everything else, so the common concrete types take exact-``type`` fast
-    paths and a ``dict`` sizes its
+    paths and a ``dict`` (or a record's :class:`Headers`) sizes its
     ``str``/``int``/``float`` leaves inside its own loop (no call per leaf;
     an ASCII string's UTF-8 length is its ``len``, so nothing is encoded;
     any other string is encoded with :data:`SURROGATES`, so the rule is
@@ -119,7 +119,7 @@ def estimate_size(value: Any) -> int:
         return (
             len(value) if value.isascii() else len(value.encode("utf-8", SURROGATES))
         )
-    if tp is dict:
+    if tp is dict or tp is Headers:
         total = 0
         for k, v in value.items():
             if k == TRACE_HEADER:

@@ -280,9 +280,7 @@ class Broker:
         # Losing the machine loses its RAM: cold cache on restart.
         for partition in self._replicas:
             for segment in self._replicas[partition].log.segments():
-                self.page_cache.forget_file(
-                    self._replicas[partition].log._file_id(segment)
-                )
+                self.page_cache.forget_file(segment.file_id)
             cold_tier = self._replicas[partition].cold_tier
             if cold_tier is not None:
                 cold_tier.reader.drop_cache()

@@ -527,10 +527,15 @@ class MessagingCluster:
             return FetchResult(
                 [], latency, result.next_offset, leader_id, batches=batches
             )
+        # The first batch's list is the response's (the caller's own, see
+        # FetchBatch.inflate); a later batch extends it.
         records: list[ConsumerRecord] = []
         for batch in batches:
             inflated, inflate_latency = batch.inflate(self.cost_model)
-            records.extend(inflated)
+            if records:
+                records += inflated
+            else:
+                records = inflated
             latency += inflate_latency
         return FetchResult(records, latency, result.next_offset, leader_id)
 

@@ -210,7 +210,12 @@ class Consumer:
                 if buffer.prefetched:
                     self._c_prefetch_hits.increment(1)
                     buffer.prefetched = False
-                records.extend(batch)
+                # The first partition's list is the poll's (the caller's
+                # own, see FetchBuffer.take); a later one extends it.
+                if records:
+                    records += batch
+                else:
+                    records = batch
                 budget -= len(batch)
             # Advance by the scan position, not the last delivered record:
             # skipped markers/aborted records must not wedge the consumer.

@@ -12,7 +12,10 @@ response cuts — is built into records, on the broker, once for that
 response (:func:`~repro.storage.segment.records`).  A ``StoredMessage``
 *is* a :class:`~repro.common.records.ConsumerRecord`, built once at append,
 so draining a plain batch for a consumer without a value serde hands out
-those very objects in a fresh list and builds nothing.  Records are built
+those very objects and builds nothing — the whole batch in the very list
+the log read made for this response, which no log, cache or buffer reads
+again, so the caller owns it (one copy of a delivered run, at the log
+boundary; a part of a batch is a slice).  Records are built
 only where there is something to build: :meth:`FetchBatch.inflate` builds
 exactly the records a drain delivers out of a frame, or through the
 consumer's value serde, once each.  The serde decodes a drained slice in one
@@ -98,11 +101,14 @@ class FetchBatch:
         stop: int | None = None,
         value_serde: Serde | None = None,
     ) -> tuple[list[ConsumerRecord], float]:
-        """Records ``[start:stop]`` of the batch, deserialized, in a list of
-        their own.
+        """Records ``[start:stop]`` of the batch, deserialized, in a list the
+        caller owns.
 
         A plain batch without a value serde builds nothing: its records are
-        the log's own :class:`~repro.common.records.StoredMessage` objects.
+        the log's own :class:`~repro.common.records.StoredMessage` objects,
+        and a drain of the whole batch returns :attr:`messages` itself, the
+        list the log read made for this response (no copy; nothing reads it
+        again), a part of it a slice.
         Frames and the serde build one ``ConsumerRecord`` per record asked
         for, the whole slice in one C pass over its columns
         (:data:`~repro.common.records.new_record`); no record is memoized,
@@ -122,7 +128,11 @@ class FetchBatch:
         frame = self.frame
         latency = 0.0
         if frame is None:
-            run = self.messages[start:stop]
+            # The whole batch is the read's own list (see ReadResult):
+            # handed on, not copied.
+            run = self.messages
+            if start or stop != self.count:
+                run = run[start:stop]
             if value_serde is None:
                 return run, 0.0
             if not run:
@@ -247,6 +257,8 @@ class FetchBuffer:
 
         Only the drained slice of each batch is delivered, so only that
         slice is inflated or deserialized (see :meth:`FetchBatch.inflate`).
+        The first batch's list is the one returned, extended only when a
+        later batch adds to it: the caller owns it.
         """
         out: list[ConsumerRecord] = []
         latency = 0.0
@@ -257,7 +269,10 @@ class FetchBuffer:
             stop = min(batch.count, start + limit)
             records, lat = batch.inflate(cost_model, start, stop, value_serde)
             latency += lat
-            out.extend(records)
+            if out:
+                out += records
+            else:
+                out = records
             limit -= stop - start
             if stop == batch.count:
                 self._index += 1

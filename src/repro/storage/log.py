@@ -113,6 +113,16 @@ class ReadResult:
     run to :mod:`repro.storage.segment`, so no layer above asks how a run is
     held or walks its records for their offsets.
 
+    Ownership: when ``messages`` is a list, it is one that no segment,
+    hydration cache or buffer reads again — the read made it (a slice of a
+    segment's or a hydrated segment's records, or a list built by
+    :func:`~repro.storage.segment.select`,
+    :func:`~repro.storage.segment.join_runs` or
+    :func:`~repro.storage.segment.run_of`), never a list the log keeps
+    (:meth:`~repro.storage.segment.LogSegment.run` must not feed a read).
+    So a fetch response hands it up unchanged, and the consumer's poll
+    returns it: one copy of each delivered record reference, made here.
+
     ``next_offset`` is where a sequential reader should continue — one past
     the last *scanned* record.  Layers above may filter records out of
     ``messages`` (high-watermark bounds, transaction markers); consumers
@@ -201,7 +211,7 @@ class PartitionLog:
         self.page_cache = (
             page_cache if page_cache is not None else PageCache(clock=self.clock)
         )
-        self._segments: list[LogSegment] = [LogSegment(0)]
+        self._segments: list[LogSegment] = [self._new_segment(0)]
         self._next_offset = 0
         self._log_start_offset = 0
         # Batch index: one ``(base, last, producer_id, producer_seq, kind,
@@ -218,8 +228,10 @@ class PartitionLog:
 
     # -- identity helpers -------------------------------------------------------
 
-    def _file_id(self, segment: LogSegment) -> str:
-        return f"{self.name}/{segment.base_offset:020d}.log"
+    def _new_segment(self, base_offset: int) -> LogSegment:
+        """An empty segment of this log at ``base_offset``, its page-cache
+        file id made once."""
+        return LogSegment(base_offset, f"{self.name}/{base_offset:020d}.log")
 
     # -- append path --------------------------------------------------------------
 
@@ -466,7 +478,7 @@ class PartitionLog:
                 else:
                     # Active segment is full: seal it and roll.
                     active.seal()
-                    active = LogSegment(vnext)
+                    active = self._new_segment(vnext)
                     self._segments.append(active)
                     continue
             end = i + k
@@ -479,7 +491,7 @@ class PartitionLog:
                 chunk_offsets, chunk_positions, base + cum[end],
             )
             latency = self.page_cache.write_batch(
-                self._file_id(active), start, sizes[i:end], latency
+                active.file_id, start, sizes[i:end], latency
             )
             vnext = chunk_offsets[-1] + 1
             i = end
@@ -531,7 +543,7 @@ class PartitionLog:
                 not count,
             )
             if taken:
-                latency += self.page_cache.read(self._file_id(segment), start, nbytes)
+                latency += self.page_cache.read(segment.file_id, start, nbytes)
                 count += taken
                 stored_bytes += nbytes
                 byte_budget -= nbytes
@@ -669,9 +681,9 @@ class PartitionLog:
         while self._segments and self._segments[-1].base_offset >= offset:
             victim = self._segments.pop()
             removed += victim.message_count
-            self.page_cache.forget_file(self._file_id(victim))
+            self.page_cache.forget_file(victim.file_id)
         if not self._segments:
-            self._segments = [LogSegment(offset)]
+            self._segments = [self._new_segment(offset)]
         else:
             tail = self._segments[-1]
             survivors = [m for m in tail.messages() if m.offset < offset]
@@ -705,7 +717,7 @@ class PartitionLog:
             segment.base_offset, last if last is not None else segment.base_offset
         )
         self._segments.remove(segment)
-        self.page_cache.forget_file(self._file_id(segment))
+        self.page_cache.forget_file(segment.file_id)
         if self._segments:
             first = self._segments[0]
             start = first.first_offset
@@ -713,7 +725,7 @@ class PartitionLog:
                 start if start is not None else first.base_offset
             )
         else:
-            self._segments = [LogSegment(self._next_offset)]
+            self._segments = [self._new_segment(self._next_offset)]
             self._log_start_offset = self._next_offset
         return freed
 
@@ -727,7 +739,7 @@ class PartitionLog:
             # Compaction may delete records out of a frame's range.
             self._clear_frames(segment.base_offset, last)
         reclaimed = segment.replace_messages(survivors)
-        self.page_cache.forget_file(self._file_id(segment))
+        self.page_cache.forget_file(segment.file_id)
         # log_start_offset is NOT advanced by compaction (Kafka semantics):
         # reads below the first surviving offset skip forward to it.
         return reclaimed
@@ -755,12 +767,12 @@ class PartitionLog:
             if len(group) == 1:
                 new_segments.append(group[0])
             else:
-                merged = LogSegment(group[0].base_offset)
+                merged = self._new_segment(group[0].base_offset)
                 merged.seal()
                 bulk: list[StoredMessage] = []
                 for old in group:
                     bulk.extend(old.messages())
-                    self.page_cache.forget_file(self._file_id(old))
+                    self.page_cache.forget_file(old.file_id)
                 merged.replace_messages(bulk)
                 eliminated += len(group) - 1
                 new_segments.append(merged)

@@ -49,13 +49,12 @@ _M_EVICTIONS = metric_name("storage", "pagecache", "evictions")
 
 
 class _Page:
-    __slots__ = ("file_id", "page_no", "dirty", "last_access")
+    __slots__ = ("file_id", "page_no", "dirty")
 
-    def __init__(self, file_id: str, page_no: int, dirty: bool, now: float) -> None:
+    def __init__(self, file_id: str, page_no: int, dirty: bool) -> None:
         self.file_id = file_id
         self.page_no = page_no
         self.dirty = dirty
-        self.last_access = now
 
 
 class PageCache:
@@ -137,17 +136,15 @@ class PageCache:
                 nbytes += size
         if nbytes == 0:
             return latency
-        now = self.clock.now()
         touched = self._page_range(start, nbytes)
         pages = self._pages
         for page_no in touched:
             key = (file_id, page_no)
             page = pages.get(key)
             if page is None:
-                pages[key] = _Page(file_id, page_no, dirty=True, now=now)
+                pages[key] = _Page(file_id, page_no, dirty=True)
             else:
                 page.dirty = True
-                page.last_access = now
                 pages.move_to_end(key)  # rewritten pages are newest
         self._evict_to_capacity()
         keys = [(file_id, p) for p in touched]
@@ -190,7 +187,6 @@ class PageCache:
         """
         if nbytes <= 0:
             return 0.0
-        now = self.clock.now()
         pages = self._page_range(start, nbytes)
         sequential = self._last_read_end.get(file_id) == start
         self._last_read_end[file_id] = start + nbytes
@@ -202,7 +198,6 @@ class PageCache:
             key = (file_id, page_no)
             page = self._pages.get(key)
             if page is not None:
-                page.last_access = now
                 if self.eviction == "lru":
                     self._pages.move_to_end(key)
                 hits += 1
@@ -212,7 +207,7 @@ class PageCache:
                     miss_runs[-1] = (first, length + 1)
                 else:
                     miss_runs.append((page_no, 1))
-                self._insert_clean(file_id, page_no, now)
+                self._insert_clean(file_id, page_no)
 
         latency = hits * self.cost_model.ram_read(self.page_size)
         if hits:
@@ -228,13 +223,13 @@ class PageCache:
             self._c_misses.increment(length)
             self._c_bytes_read_disk.increment(run_bytes)
         if miss_runs:
-            self._prefetch(file_id, pages[-1] + 1, now)
+            self._prefetch(file_id, pages[-1] + 1)
         self._c_bytes_read.increment(nbytes)
         return latency
 
-    def _insert_clean(self, file_id: str, page_no: int, now: float) -> None:
+    def _insert_clean(self, file_id: str, page_no: int) -> None:
         key = (file_id, page_no)
-        self._pages[key] = _Page(file_id, page_no, dirty=False, now=now)
+        self._pages[key] = _Page(file_id, page_no, dirty=False)
         self._evict_to_capacity()
 
     def install(self, file_id: str, start: int, nbytes: int) -> int:
@@ -247,25 +242,24 @@ class PageCache:
         """
         if nbytes <= 0:
             return 0
-        now = self.clock.now()
         inserted = 0
         for page_no in self._page_range(start, nbytes):
             key = (file_id, page_no)
             if key not in self._pages:
-                self._pages[key] = _Page(file_id, page_no, dirty=False, now=now)
+                self._pages[key] = _Page(file_id, page_no, dirty=False)
                 inserted += 1
         if inserted:
             self._c_bytes_installed.increment(inserted * self.page_size)
             self._evict_to_capacity()
         return inserted
 
-    def _prefetch(self, file_id: str, from_page: int, now: float) -> None:
+    def _prefetch(self, file_id: str, from_page: int) -> None:
         """Readahead: pull the next pages into cache in the background."""
         loaded = 0
         for page_no in range(from_page, from_page + self.prefetch_pages):
             key = (file_id, page_no)
             if key not in self._pages:
-                self._pages[key] = _Page(file_id, page_no, dirty=False, now=now)
+                self._pages[key] = _Page(file_id, page_no, dirty=False)
                 loaded += 1
         if loaded:
             nbytes = loaded * self.page_size

@@ -331,6 +331,7 @@ class LogSegment:
 
     __slots__ = (
         "base_offset",
+        "file_id",
         "sealed",
         "_messages",
         "_offsets",
@@ -340,10 +341,13 @@ class LogSegment:
         "_last_timestamp",
     )
 
-    def __init__(self, base_offset: int) -> None:
+    def __init__(self, base_offset: int, file_id: str = "") -> None:
         if base_offset < 0:
             raise ConfigError(f"base_offset must be >= 0, got {base_offset}")
         self.base_offset = base_offset
+        #: The page-cache file the segment's bytes live in, named by the log
+        #: that holds it.
+        self.file_id = file_id
         self.sealed = False
         self._messages: list[StoredMessage] = []  # the records held as objects
         self._offsets = array("q")  # offset of each record (bisect key)
@@ -420,7 +424,8 @@ class LogSegment:
         """The segment's records as held, for a reader that keeps none of
         them: a :class:`FramedRun` where a framed run is among them, else the
         segment's own record list, not copied (a timestamp lookup bisects
-        it)."""
+        it).  Never a read's run: a read's list is handed to a consumer,
+        which owns it (see :class:`~repro.storage.log.ReadResult`)."""
         if not self.framed:
             return self._messages
         pieces: list[Piece] = []

@@ -53,9 +53,11 @@ COLD_FILE_PREFIX = "!cold/"
 class _HydratedSegment:
     """One archived segment's records, resident in the hydration cache."""
 
-    __slots__ = ("records", "offsets", "positions", "size_bytes")
+    __slots__ = ("records", "offsets", "positions", "size_bytes", "file_id")
 
-    def __init__(self, records: list[StoredMessage], size_bytes: int) -> None:
+    def __init__(
+        self, records: list[StoredMessage], size_bytes: int, object_key: str
+    ) -> None:
         self.records = records
         # From a list, which array converts in one pass.
         self.offsets = array("q", [r.offset for r in records])
@@ -68,6 +70,8 @@ class _HydratedSegment:
             "q", list(accumulate((r.stored_size for r in records), initial=0))
         )
         self.size_bytes = size_bytes
+        #: The page-cache file its bytes are resident under.
+        self.file_id = COLD_FILE_PREFIX + object_key
 
 
 class ColdReader:
@@ -102,9 +106,6 @@ class ColdReader:
 
     # -- hydration cache ---------------------------------------------------------
 
-    def _file_id(self, object_key: str) -> str:
-        return COLD_FILE_PREFIX + object_key
-
     def _hydrate(self, entry: ArchivedSegment) -> tuple[_HydratedSegment, float]:
         """Return the hydrated segment, fetching from the cold store on miss."""
         cached = self._hydrated.get(entry.object_key)
@@ -116,13 +117,11 @@ class ColdReader:
         self.misses += 1
         self._c_cold_fetches.increment()
         got = self.store.get(entry.object_key)
-        hydrated = _HydratedSegment(got.records, entry.size_bytes)
+        hydrated = _HydratedSegment(got.records, entry.size_bytes, entry.object_key)
         self._hydrated[entry.object_key] = hydrated
         self._hydrated_bytes += entry.size_bytes
         if self.page_cache is not None:
-            self.page_cache.install(
-                self._file_id(entry.object_key), 0, entry.size_bytes
-            )
+            self.page_cache.install(hydrated.file_id, 0, entry.size_bytes)
         self._evict_to_cap()
         self._c_bytes_hydrated.increment(entry.size_bytes)
         self._h_hydration_latency.observe(got.latency)
@@ -133,10 +132,10 @@ class ColdReader:
             self._hydrated_bytes > self.hydration_cache_bytes
             and len(self._hydrated) > 1  # keep the segment being served
         ):
-            key, victim = self._hydrated.popitem(last=False)
+            _key, victim = self._hydrated.popitem(last=False)
             self._hydrated_bytes -= victim.size_bytes
             if self.page_cache is not None:
-                self.page_cache.forget_file(self._file_id(key))
+                self.page_cache.forget_file(victim.file_id)
             self._c_hydration_evictions.increment()
 
     # -- read path ------------------------------------------------------------------
@@ -154,22 +153,30 @@ class ColdReader:
         :class:`OffsetOutOfRangeError` when ``offset`` precedes the oldest
         archived record.
         """
+        # The manifest's bounds, read once per request.
         start = self.manifest.start_offset
         end = self.manifest.end_offset
-        if start is None or end is None or offset < start:
-            raise OffsetOutOfRangeError(offset, start if start is not None else 0, end if end is not None else 0)
+        if start is None or offset < start:
+            raise OffsetOutOfRangeError(
+                offset, 0 if start is None else start, 0 if end is None else end
+            )
         collected: list[StoredMessage] = []
         offsets = array("q")
         latency = 0.0
         stored_bytes = 0
         byte_budget = max_bytes if max_bytes is not None else 1 << 62
+        left = max_messages  # records the read may still add
+        page_cache = self.page_cache
         cursor = offset
         entry = self.manifest.entry_for(offset)
-        while entry is not None and len(collected) < max_messages:
+        while entry is not None and left > 0:
             hydrated, fetch_latency = self._hydrate(entry)
             latency += fetch_latency
-            idx = bisect_left(hydrated.offsets, cursor)
-            stop = min(len(hydrated.records), idx + max_messages - len(collected))
+            held = hydrated.offsets
+            idx = bisect_left(held, cursor)
+            stop = idx + left
+            if stop > len(held):
+                stop = len(held)
             positions = hydrated.positions
             # Largest prefix whose bytes fit the budget: a bisect over the
             # cumulative positions, as LogSegment.read_into does.
@@ -179,50 +186,48 @@ class ColdReader:
                 )
                 - 1
             )
-            if keep == idx and idx < stop and not collected:
+            if keep == idx and idx < stop and left == max_messages:
                 keep = idx + 1  # Kafka semantics: always deliver >= 1 record
             if keep > idx:
                 nbytes = positions[keep] - positions[idx]
                 stored_bytes += nbytes
                 byte_budget -= nbytes
-                latency += self._charge_read(
-                    entry.object_key, positions[idx], nbytes
+                # The cost of copying the served bytes out of the segment.
+                latency += (
+                    page_cache.read(hydrated.file_id, positions[idx], nbytes)
+                    if page_cache is not None
+                    else self.cost_model.ram_read(nbytes)
                 )
                 # Most reads stay in one segment: its slices are the read's
                 # lists, not copied again into empty ones.
                 if collected:
                     collected += hydrated.records[idx:keep]
-                    offsets += hydrated.offsets[idx:keep]
+                    offsets += held[idx:keep]
                 else:
                     collected = hydrated.records[idx:keep]
-                    offsets = hydrated.offsets[idx:keep]
+                    offsets = held[idx:keep]
                 cursor = offsets[-1] + 1
+                left -= keep - idx
                 self._c_cold_records_read.increment(keep - idx)
-            if keep < stop or byte_budget <= 0:
-                break  # byte budget exhausted mid-segment
+            if keep < stop or byte_budget <= 0 or not left:
+                break  # a budget is spent, mid-segment or at its end
             entry = self.manifest.next_entry(entry)
-            if entry is not None:
-                cursor = max(cursor, entry.first_offset)
+            if entry is not None and cursor < entry.first_offset:
+                cursor = entry.first_offset
         next_offset = offsets[-1] + 1 if offsets else offset
-        if entry is None and len(collected) < max_messages and byte_budget > 0:
+        if entry is None and left > 0 and byte_budget > 0 and next_offset < end:
             # Ran off the end of the archive: the hot log continues at `end`.
-            next_offset = max(next_offset, end)
+            next_offset = end
         return ReadResult(
             collected, offsets, latency, end, next_offset, stored_bytes
         )
-
-    def _charge_read(self, object_key: str, position: int, nbytes: int) -> float:
-        """Cost of copying served bytes out of the hydrated segment."""
-        if self.page_cache is not None:
-            return self.page_cache.read(self._file_id(object_key), position, nbytes)
-        return self.cost_model.ram_read(nbytes)
 
     def drop_cache(self) -> None:
         """Discard all hydrated segments (e.g. the hosting machine crashed —
         the hydration cache is RAM and does not survive)."""
         if self.page_cache is not None:
-            for key in self._hydrated:
-                self.page_cache.forget_file(self._file_id(key))
+            for hydrated in self._hydrated.values():
+                self.page_cache.forget_file(hydrated.file_id)
         self._hydrated.clear()
         self._hydrated_bytes = 0
 

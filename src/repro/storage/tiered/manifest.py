@@ -59,6 +59,12 @@ class TierManifest:
     def __init__(self) -> None:
         self._entries: list[ArchivedSegment] = []
         self._firsts: list[int] = []  # first_offset of each entry (bisect key)
+        #: Offset of the oldest archived record (the true log beginning), and
+        #: one past the newest; ``None`` while nothing is archived.  Plain
+        #: attributes, set by :meth:`add`, so a read looks them up without
+        #: a call.
+        self.start_offset: int | None = None
+        self.end_offset: int | None = None
 
     # -- bookkeeping -----------------------------------------------------------
 
@@ -78,6 +84,8 @@ class TierManifest:
                 )
         self._entries.append(entry)
         self._firsts.append(entry.first_offset)
+        self.start_offset = self._firsts[0]
+        self.end_offset = entry.last_offset + 1
 
     # -- lookup -----------------------------------------------------------------
 
@@ -118,16 +126,6 @@ class TierManifest:
     @property
     def is_empty(self) -> bool:
         return not self._entries
-
-    @property
-    def start_offset(self) -> int | None:
-        """Offset of the oldest archived record (the true log beginning)."""
-        return self._entries[0].first_offset if self._entries else None
-
-    @property
-    def end_offset(self) -> int | None:
-        """One past the newest archived record."""
-        return self._entries[-1].last_offset + 1 if self._entries else None
 
     @property
     def segment_count(self) -> int:

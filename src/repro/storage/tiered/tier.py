@@ -68,12 +68,6 @@ class ColdTier:
             return self.log.log_start_offset
         return min(start, self.log.log_start_offset)
 
-    def covers(self, offset: int) -> bool:
-        """True iff the archive can serve a read starting at ``offset``."""
-        start = self.manifest.start_offset
-        end = self.manifest.end_offset
-        return start is not None and start <= offset < end
-
     # -- read path ---------------------------------------------------------------
 
     def read_through(
@@ -89,22 +83,26 @@ class ColdTier:
         :class:`OffsetOutOfRangeError` (with the full tiered range) when
         ``offset`` precedes the oldest archived record.
         """
-        if offset < self.earliest_offset:
-            raise OffsetOutOfRangeError(
-                offset, self.earliest_offset, self.log.log_end_offset
-            )
-        if not self.covers(offset):
+        # Both tiers' bounds, read once per request.
+        log = self.log
+        log_start = log.log_start_offset
+        start = self.manifest.start_offset
+        end = self.manifest.end_offset
+        earliest = log_start if start is None or log_start < start else start
+        if offset < earliest:
+            raise OffsetOutOfRangeError(offset, earliest, log.log_end_offset)
+        if start is None or not start <= offset < end:
             # Past the archive's last record, but maybe below the hot log's
             # start: offsets compaction removed before their segment was
             # archived.  The read resumes at the next surviving record
             # (Kafka fetch semantics), as it does within a tier.
-            return self.log.read(
-                max(offset, self.log.log_start_offset), max_messages, max_bytes
+            return log.read(
+                offset if offset > log_start else log_start, max_messages, max_bytes
             )
         result = self.reader.read(offset, max_messages, max_bytes)
         self._c_cold_reads.increment()
         self._h_cold_read_latency.observe(result.latency)
-        result.log_end_offset = self.log.log_end_offset
+        log_end = result.log_end_offset = log.log_end_offset
         remaining = max_messages - len(result.offsets)
         byte_budget = None
         if max_bytes is not None:
@@ -114,12 +112,9 @@ class ColdTier:
         if (
             remaining > 0
             and (byte_budget is None or byte_budget > 0)
-            and result.next_offset >= self.log.log_start_offset
-            and result.next_offset < self.log.log_end_offset
+            and log_start <= result.next_offset < log_end
         ):
-            result.extend(
-                self.log.read(result.next_offset, remaining, byte_budget)
-            )
+            result.extend(log.read(result.next_offset, remaining, byte_budget))
         return result
 
     def offset_for_timestamp(self, timestamp: float) -> int | None:

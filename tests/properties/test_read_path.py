@@ -27,8 +27,15 @@ from repro.common.compression import compress_entries
 from repro.common.costmodel import DEFAULT_COST_MODEL
 from repro.common.errors import OffsetOutOfRangeError
 from repro.common.records import TopicPartition
+from repro.common.serde import JsonSerde
+from repro.messaging.cluster import MessagingCluster
+from repro.messaging.config import ConsumerConfig, ProducerConfig
+from repro.messaging.consumer import Consumer
 from repro.messaging.fetchbuffer import build_fetch_batches
 from repro.messaging.partition import PartitionReplica
+from repro.messaging.producer import Producer
+from repro.messaging.topic import TopicConfig
+from repro.messaging.transactions import TransactionalProducer
 from repro.storage.compaction import LogCompactor
 from repro.storage.log import LogConfig, PartitionLog
 from repro.storage.retention import RetentionConfig, RetentionEnforcer
@@ -528,3 +535,180 @@ class TestFramedRunsReadAsRecords:
         assert all(not s._messages for s in leader.log.segments())
         held = [m for s in follower.log.segments() for m in s._messages]
         assert [m.offset for m in held] == [6, 7, 8]
+
+
+# -- a delivered list is the caller's own ----------------------------------------------
+
+#: Appended to every delivered list once it has been compared, so a list the
+#: log, a cache or a buffer still reads shows up as a record that was never
+#: written.
+SENTINEL = object()
+SERDE = JsonSerde()
+
+owned_steps = st.one_of(
+    st.tuples(
+        st.just("send"), st.integers(0, 1), st.integers(1, 5),
+        st.sampled_from(["none", "zlib:6"]),
+    ),
+    st.tuples(
+        st.just("txn"), st.integers(0, 1), st.integers(1, 3),
+        st.sampled_from(["commit", "abort"]),
+    ),
+    st.tuples(st.just("compact")),
+    st.tuples(st.just("archive")),
+)
+
+
+class World:
+    """A one-broker cluster with a tiered two-partition topic (four records
+    a segment, two seconds of hot retention), and a consumer per isolation
+    level, value serde and poll size."""
+
+    def __init__(self, few: int) -> None:
+        self.clock = SimClock()
+        self.cluster = cluster = MessagingCluster(num_brokers=1, clock=self.clock)
+        cluster.create_topic(
+            TopicConfig(
+                name="t",
+                num_partitions=2,
+                replication_factor=1,
+                retention=RetentionConfig(retention_seconds=2.0),
+                log=LogConfig(segment_max_messages=4),
+                tiered=TieredConfig(),
+            )
+        )
+        self.partitions = [TopicPartition("t", p) for p in range(2)]
+        self.consumers = []
+        for isolation in ISOLATIONS:
+            for serde in (None, SERDE):
+                for size in (few, 1000):
+                    consumer = Consumer(
+                        cluster,
+                        ConsumerConfig(
+                            max_poll_messages=size,
+                            isolation_level=isolation,
+                            value_serde=serde,
+                        ),
+                    )
+                    consumer.assign(self.partitions)
+                    self.consumers.append(consumer)
+        self.txns = 0
+
+    def replicas(self):
+        broker = self.cluster.broker(0)
+        return [broker.replica(tp) for tp in self.partitions]
+
+    def step(self, step, sent: int) -> None:
+        kind = step[0]
+        # Values travel serialized, so consumers with and without the serde
+        # read the same log; three keys take turns, so compaction has
+        # something to remove.
+        values = [
+            (f"k{n % 3}", SERDE.serialize({"n": n, "pad": "x" * (n % 5)}))
+            for n in range(sent, sent + (step[2] if len(step) > 2 else 0))
+        ]
+        if kind == "send":
+            _kind, partition, _count, compression = step
+            producer = Producer(
+                self.cluster,
+                ProducerConfig(linger_messages=len(values), compression=compression),
+            )
+            for key, value in values:
+                producer.send("t", value, key=key, partition=partition)
+            producer.flush()
+        elif kind == "txn":
+            _kind, partition, _count, outcome = step
+            self.txns += 1
+            producer = TransactionalProducer(
+                self.cluster, f"tx{self.txns}", linger_messages=len(values)
+            )
+            producer.begin()
+            for key, value in values:
+                producer.send("t", value, key=key, partition=partition)
+            if outcome == "commit":
+                producer.commit()
+            else:
+                producer.abort()
+        elif kind == "compact":
+            for replica in self.replicas():
+                LogCompactor(clock=self.clock).compact(
+                    replica.log, bounds=replica.compaction_bounds
+                )
+        else:
+            self.cluster.broker(0).run_retention()
+        self.clock.advance(1.0)
+
+    def deliveries(self, few: int):
+        """Every list a consumer's rewind over the whole topic and a
+        non-lazy fetch at every offset return, in one fixed order."""
+        for consumer in self.consumers:
+            for tp in self.partitions:
+                consumer.seek_to_beginning(tp)
+            for _ in range(200):
+                records = consumer.poll()
+                drained = not records
+                yield records
+                if drained:
+                    break
+        cluster = self.cluster
+        for tp in self.partitions:
+            start = cluster.beginning_offset(tp)
+            for offset in range(start, cluster.end_offset(tp) + 1):
+                for max_messages in (few, 4, 1000):
+                    for isolation in ISOLATIONS:
+                        yield cluster.fetch(
+                            "t", tp.partition, offset, max_messages,
+                            isolation=isolation,
+                        ).records
+
+    def held(self):
+        """What each partition's log and cold tier hold."""
+        out = []
+        for replica in self.replicas():
+            tier = replica.cold_tier
+            archived = (
+                list(tier.reader.read(tier.manifest.start_offset, 10**6).messages)
+                if tier.manifest.start_offset is not None
+                else []
+            )
+            out.append((replica.log.all_messages(), archived))
+        return out
+
+
+class TestDeliveredListsAreTheCallersOwn:
+    """A list ``Consumer.poll`` or a non-lazy ``MessagingCluster.fetch``
+    returns is the caller's: clearing it and appending to it changes
+    nothing any later read returns.  Two worlds run the same history —
+    plain and zlib batches, committed and aborted transactions with their
+    markers, compaction, retention onto the cold tier — and after every step
+    each reads everything back, hot, cold and stitched, through consumers
+    with and without a value serde under both isolation levels and through
+    fetches at every offset.  The first world clears every list it is
+    handed and appends a sentinel to it once it has been compared with the
+    twin's; the second leaves them alone.  Every read must still equal the
+    twin's, and both worlds' segments and archives must hold the same
+    records."""
+
+    @given(st.lists(owned_steps, min_size=1, max_size=10), st.integers(1, 5))
+    @settings(max_examples=examples(30), deadline=None)
+    def test_clearing_what_was_delivered_changes_no_later_read(self, steps, few):
+        abused, untouched = World(few), World(few)
+        sent = 0
+        # Each pass seeks back over what the one before it cleared; a last
+        # send gives every history a record, and one more pass reads back
+        # what the last step's pass cleared.
+        for step in [*steps, ("send", 0, 1, "none"), None]:
+            if step is not None:
+                abused.step(step, sent)
+                untouched.step(step, sent)
+                sent += step[2] if len(step) > 2 else 0
+            for got, want in zip(
+                abused.deliveries(few), untouched.deliveries(few), strict=True
+            ):
+                assert got == want
+                assert [(type(r), r.size) for r in got] == [
+                    (type(r), r.size) for r in want
+                ]
+                got.clear()
+                got.append(SENTINEL)
+            assert abused.held() == untouched.held()

@@ -155,7 +155,7 @@ class RecordsLog(PartitionLog):
                 budget_hit = keep < len(batch)
                 if keep:
                     nbytes = end_positions[keep - 1] - start
-                    latency += self.page_cache.read(self._file_id(segment), start, nbytes)
+                    latency += self.page_cache.read(segment.file_id, start, nbytes)
                     collected.extend(batch[:keep])
                     stored_bytes += nbytes
                     byte_budget -= nbytes

@@ -164,7 +164,7 @@ class TestLifecycle:
         assert broker.page_cache.resident_bytes() > 0
         broker.shutdown()
         assert broker.page_cache.resident_pages_of(
-            broker.replica(TP).log._file_id(broker.replica(TP).log.active_segment())
+            broker.replica(TP).log.active_segment().file_id
         ) == 0
         broker.startup()
         assert broker.replica(TP).log_end_offset == 5  # durable log survived

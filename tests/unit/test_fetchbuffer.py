@@ -115,10 +115,18 @@ class TestLazyDrain:
         rest, _latency = buffer.take(100, DEFAULT_COST_MODEL)
         assert all(r is m for r, m in zip(rest, messages[5:]))
         assert len(rest) == 7 and built == []
-        # The records are shared, the lists are not.
+        # One copy, at the log boundary: a drain of a whole plain batch hands
+        # on the list the read made for the response (the caller's own from
+        # then on); a part of a batch is a slice of it.
         (whole,) = build_fetch_batches("t", 0, messages, offsets_of(messages), [])
         delivered, _latency = whole.inflate(DEFAULT_COST_MODEL)
-        assert delivered == messages and delivered is not messages
+        assert delivered is whole.messages is messages
+        part, _latency = whole.inflate(DEFAULT_COST_MODEL, 2, 7)
+        assert part == messages[2:7] and part is not messages
+        whole_take, _latency = FetchBuffer(
+            [whole], 12, latency=0.0, broker=0, issued_at=0.0
+        ).take(100, DEFAULT_COST_MODEL)
+        assert whole_take is messages and built == []
 
     def test_consumer_poll_stops_mid_response(self):
         cluster = MessagingCluster(num_brokers=1, clock=SimClock())

@@ -6,10 +6,12 @@ import sys
 
 import pytest
 
+from repro.common import records
 from repro.common.records import (
     EMPTY_HEADERS,
     RECORD_FRAMING_BYTES,
     ConsumerRecord,
+    Headers,
     ProducerRecord,
     StoredMessage,
     TopicPartition,
@@ -52,6 +54,19 @@ class TestEstimateSize:
 
     def test_dict_recurses(self):
         assert estimate_size({"ab": "cd"}) == 2 + 2 + 2
+
+    def test_headers_take_the_dict_fast_path(self, monkeypatch):
+        """A record's read-only ``Headers`` is sized in the function's own
+        loop, as a ``dict`` is: the fallback is never entered."""
+        plain = {"__ctrl": "commit", "__pid": 7}
+
+        def refuse(value):
+            raise AssertionError(f"fallback entered for {type(value).__name__}")
+
+        monkeypatch.setattr(records, "_estimate_size_slow", refuse)
+        assert estimate_size(Headers(plain)) == estimate_size(plain) == (
+            (6 + 2 + 6) + (5 + 2 + 8)
+        )
 
     def test_list_recurses(self):
         assert estimate_size(["ab", "cd"]) == (2 + 1) * 2

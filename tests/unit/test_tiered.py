@@ -303,8 +303,11 @@ class TestColdReader:
         log, store, tier, _ = tiered_fixture()
         # Simulate an archive that itself was trimmed: rebuild from offset 5.
         reader = tier.reader
-        reader.manifest._entries = reader.manifest._entries[1:]
-        reader.manifest._firsts = reader.manifest._firsts[1:]
+        trimmed = TierManifest()
+        for entry in reader.manifest.entries()[1:]:
+            trimmed.add(entry)
+        reader.manifest = trimmed
+        assert trimmed.start_offset > 0
         with pytest.raises(OffsetOutOfRangeError):
             reader.read(0)
 
