@@ -11,7 +11,7 @@ from repro.processing.recovery import (
     restore_state,
 )
 from repro.processing.state import KeyValueState, changelog_topic_name
-from repro.processing.store import InMemoryStore, KeyValueStore, LsmStore, make_store
+from repro.processing.store import LsmStore
 from repro.processing.task import (
     Emit,
     MessageCollector,
@@ -34,10 +34,7 @@ __all__ = [
     "job_group_name",
     "KeyValueState",
     "changelog_topic_name",
-    "InMemoryStore",
     "LsmStore",
-    "KeyValueStore",
-    "make_store",
     "StreamTask",
     "TaskContext",
     "MessageCollector",

@@ -57,26 +57,30 @@ from repro.processing.output import (  # the guarantees and task ids re-exported
 )
 from repro.processing.recovery import RecoveryReport, Standbys, restore_job_state
 from repro.processing.state import KeyValueState, changelog_topic_name
-from repro.processing.store import STORE_TYPES, make_store
+from repro.processing.store import LsmStore
 from repro.processing.task import StreamTask, TaskContext
 
 
 @dataclass(frozen=True)
 class StoreConfig:
-    """Declaration of one state store used by a job's tasks."""
+    """Declaration of one state store used by a job's tasks.
+
+    Every store is an :class:`~repro.processing.store.LsmStore` built with
+    ``store_options``; ``store_type`` names it and accepts ``"lsm"`` alone.
+    """
 
     name: str
-    store_type: str = "memory"
+    store_type: str = "lsm"
     changelog: bool = True
     store_options: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.name:
             raise JobConfigError("store name must be non-empty")
-        if self.store_type not in STORE_TYPES:
+        if self.store_type != "lsm":
             raise JobConfigError(
                 f"store {self.name!r}: unknown store_type "
-                f"{self.store_type!r}; known: {sorted(STORE_TYPES)}"
+                f"{self.store_type!r}; the one store is 'lsm'"
             )
 
 
@@ -336,10 +340,8 @@ class JobRunner:
                 )
             stores[store_config.name] = KeyValueState(
                 store_config.name,
-                make_store(
-                    store_config.store_type,
-                    self.cluster.clock,
-                    **store_config.store_options,
+                LsmStore(
+                    self.cluster.clock.cost_model, **store_config.store_options
                 ),
                 changelog,
                 staged,

@@ -152,7 +152,7 @@ class Standbys:
         return {
             sc.name: StandbyReplica(
                 self._cluster, self._job_name, sc.name, task_id,
-                store_type=sc.store_type, store_options=dict(sc.store_options),
+                store_options=sc.store_options,
                 isolation=self._isolation, replica_id=replica_id,
             )
             for sc in self._stores

@@ -4,7 +4,7 @@
 changelog, which is a derived feed stored by the messaging layer.  After
 failure, state is reconstructed from the changelog."
 
-:class:`KeyValueState` wraps a local :class:`~repro.processing.store.KeyValueStore`
+:class:`KeyValueState` wraps a local :class:`~repro.processing.store.LsmStore`
 behind a write-behind pass cache (Samza's ``CachedStore``): a pass's writes
 collect in one dict, last value per key, and at the pass's hand-over land in
 the store as one ``put_many`` and in a *compacted* changelog topic as one
@@ -23,7 +23,7 @@ from typing import Any, Callable, Iterator
 
 from repro.common.errors import OffsetOutOfRangeError, StateStoreError
 from repro.common.records import EMPTY_HEADERS, TopicPartition
-from repro.processing.store import KeyValueStore
+from repro.processing.store import LsmStore
 
 
 def changelog_topic_name(job_name: str, store_name: str) -> str:
@@ -48,7 +48,7 @@ class CatchUpStats:
 def replay_changelog(
     cluster,
     tp: TopicPartition,
-    store: KeyValueStore,
+    store: LsmStore,
     position: int | None,
     isolation: str,
     batch: int,
@@ -132,7 +132,7 @@ class KeyValueState:
     def __init__(
         self,
         name: str,
-        store: KeyValueStore,
+        store: LsmStore,
         changelog: TopicPartition | None = None,
         staged: dict[TopicPartition, list] | None = None,
     ) -> None:

@@ -9,26 +9,23 @@ memtable and immutable sorted runs — because that shape is what interacts
 with changelogs and compaction, while the GC motivation is moot in Python
 (noted in DESIGN.md).
 
-Two implementations share the :class:`KeyValueStore` interface:
+One store, :class:`LsmStore` — a memtable plus sorted runs, with simulated
+probe costs from the cost model and run compaction — backs every task, every
+standby and every snapshot follower.
 
-* :class:`InMemoryStore` — plain dict; zero-cost, for tests and small state;
-* :class:`LsmStore` — memtable + sorted runs with simulated probe costs from
-  the cost model, including run compaction.
-
-A store is written one way, :meth:`~KeyValueStore.put_many`: a run of
-writes, value ``None`` a delete, landed as one dict update.  Both are keyed
-by the key itself, so a point operation is a dict operation,
-and both order keys by one definition, :func:`order_key`, which runs only
-where order matters: when a run is built and when a range is cut.
+A store is written one way, :meth:`~LsmStore.put_many`: a run of writes,
+value ``None`` a delete, landed as one dict update.  It is keyed by the key
+itself, so a point operation is a dict operation, and it orders keys by one
+definition, :func:`order_key`, which runs only where order matters: when a
+run is built and when a range is cut.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from operator import countOf, itemgetter
-from typing import Any, Iterator, Protocol, runtime_checkable
+from typing import Any, Iterator
 
-from repro.common.clock import SimClock
 from repro.common.costmodel import CostModel
 from repro.common.errors import ConfigError, StateStoreError
 from repro.common.records import estimate_size
@@ -59,13 +56,6 @@ def order_key(key: Any) -> tuple[int, Any]:
 def _all_str(keys) -> bool:
     """Whether every key is a plain ``str``, so keys sort as they are."""
     return set(map(type, keys)) <= _JUST_STR
-
-
-def in_order(keys) -> list:
-    """``keys`` sorted in the store order."""
-    if _all_str(keys):
-        return sorted(keys)
-    return sorted(keys, key=order_key)
 
 
 def _item_order(item: tuple[Any, Any]) -> tuple[int, Any]:
@@ -107,74 +97,6 @@ def _between(entries: dict, start: Any, end: Any) -> dict:
     return inside
 
 
-@runtime_checkable
-class KeyValueStore(Protocol):
-    """Interface every task-local store implements."""
-
-    def get(self, key: Any) -> Any: ...
-
-    def put_many(self, writes: dict[Any, Any]) -> None: ...
-
-    def __contains__(self, key: Any) -> bool: ...
-
-    def items(self) -> Iterator[tuple[Any, Any]]: ...
-
-    def range_items(
-        self, start: Any = None, end: Any = None
-    ) -> Iterator[tuple[Any, Any]]: ...
-
-    def __len__(self) -> int: ...
-
-    def approximate_size_bytes(self) -> int: ...
-
-    def clear(self) -> None: ...
-
-
-class InMemoryStore:
-    """Dict-backed store; the zero-overhead baseline."""
-
-    def __init__(self) -> None:
-        self._data: dict[Any, Any] = {}
-
-    def get(self, key: Any) -> Any:
-        return self._data.get(key)
-
-    def put_many(self, writes: dict[Any, Any]) -> None:
-        """Apply a run of writes at once; value ``None`` deletes."""
-        data = self._data
-        data |= writes
-        if None in writes.values():
-            for key, value in writes.items():
-                if value is None:
-                    del data[key]
-
-    def __contains__(self, key: Any) -> bool:
-        return key in self._data
-
-    def items(self) -> Iterator[tuple[Any, Any]]:
-        return self.range_items()
-
-    def range_items(
-        self, start: Any = None, end: Any = None
-    ) -> Iterator[tuple[Any, Any]]:
-        """Pairs with ``start <= key < end`` in the store order
-        (:func:`order_key`); ``None`` means unbounded.  The snapshot is taken
-        at the call."""
-        inside = _between(self._data, start, end)
-        return iter([(key, inside[key]) for key in in_order(inside)])
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def approximate_size_bytes(self) -> int:
-        return sum(
-            estimate_size(k) + estimate_size(v) + 16 for k, v in self._data.items()
-        )
-
-    def clear(self) -> None:
-        self._data.clear()
-
-
 class _SortedRun:
     """An immutable sorted run.
 
@@ -205,8 +127,8 @@ class LsmStore:
 
     ``last_op_cost`` exposes the simulated cost of the most recent operation
     so the task runner can charge it to the job's CPU/IO budget.  A store
-    holds no clock, so it is handed the world's model (:func:`make_store`
-    reads it off the clock).
+    holds no clock, so it is handed the world's model (its builders read it
+    off the clock).
     """
 
     def __init__(
@@ -343,7 +265,7 @@ class LsmStore:
             for key in keys[first:stop]:
                 merged[key] = data[key]
         merged |= _between(self._memtable, start, end)
-        for key in in_order(merged):
+        for key in sorted(merged, key=None if _all_str(merged) else order_key):
             value = merged[key]
             if value is not None:
                 yield key, value
@@ -381,26 +303,3 @@ class LsmStore:
         return (
             f"LsmStore(memtable={len(self._memtable)}, runs={len(self._runs)})"
         )
-
-
-#: Store factories by name for config-driven construction.
-STORE_TYPES = {
-    "memory": InMemoryStore,
-    "lsm": LsmStore,
-}
-
-
-def make_store(store_type: str, clock: SimClock, **kwargs: Any) -> KeyValueStore:
-    """Construct a store by type name (``"memory"`` or ``"lsm"``).
-
-    A store type that charges simulated time (``"lsm"``) charges the model
-    of ``clock``, the simulated world's, whatever ``kwargs`` say.
-    """
-    factory = STORE_TYPES.get(store_type)
-    if factory is None:
-        raise ConfigError(
-            f"unknown store type {store_type!r}; known: {sorted(STORE_TYPES)}"
-        )
-    if factory is LsmStore:
-        kwargs["cost_model"] = clock.cost_model
-    return factory(**kwargs)

@@ -8,7 +8,7 @@ owner adopts a standby's store and pays only the catch-up *tail* — the
 changelog records published since the standby last caught up.
 
 A :class:`StandbyReplica` is exactly that machinery: a local
-:class:`~repro.processing.store.KeyValueStore` plus a position in one
+:class:`~repro.processing.store.LsmStore` plus a position in one
 changelog partition, advanced by :meth:`catch_up` — a restore that never
 stops: the same :func:`~repro.processing.state.replay_changelog` loop the
 cold restore runs once, resumed from where the last pass left off.  The
@@ -48,7 +48,7 @@ from repro.processing.state import (
     changelog_topic_name,
     replay_changelog,
 )
-from repro.processing.store import KeyValueStore, make_store
+from repro.processing.store import LsmStore
 
 
 class StandbyReplica:
@@ -61,7 +61,6 @@ class StandbyReplica:
         store_name: str,
         task_id: int,
         *,
-        store_type: str = "memory",
         store_options: dict[str, Any] | None = None,
         isolation: str = "read_uncommitted",
         replica_id: int = 0,
@@ -77,9 +76,7 @@ class StandbyReplica:
         self.tp = TopicPartition(
             changelog_topic_name(job_name, store_name), task_id
         )
-        self.store: KeyValueStore = make_store(
-            store_type, cluster.clock, **(store_options or {})
-        )
+        self.store = LsmStore(cluster.clock.cost_model, **(store_options or {}))
         #: Next changelog offset to apply.  ``None`` until the first
         #: catch-up seats the replica at the partition's earliest offset.
         self.position: int | None = None
@@ -161,7 +158,7 @@ class StandbyReplica:
 
     # -- failover ----------------------------------------------------------------
 
-    def promote(self) -> tuple[KeyValueStore, CatchUpStats]:
+    def promote(self) -> tuple[LsmStore, CatchUpStats]:
         """Final catch-up, then hand the store to the new task incarnation.
 
         The returned stats cover only the catch-up *tail* — that is the

@@ -116,8 +116,7 @@ class StateServer:
                 self.runner.config.name,
                 store,
                 self.task_id,
-                store_type=config.store_type,
-                store_options=dict(config.store_options),
+                store_options=config.store_options,
                 isolation=self.runner.isolation,
                 replica_id=-1,  # follower, never promoted
             )
@@ -149,7 +148,7 @@ class StateServer:
 
     def _select(
         self, store: str, consistency: str, allow_stale: bool
-    ) -> tuple[Any, str, int, float]:
+    ) -> tuple[LsmStore, str, int, float]:
         """Pick the store copy a query reads: ``(store, served_by,
         staleness_records, staleness_seconds)``.
 
@@ -196,11 +195,6 @@ class StateServer:
             SERVED_BY_PRIMARY, 0, 0.0,
         )
 
-    def _scan_cost(self, target: Any) -> float:
-        if type(target) is LsmStore:
-            return target.scan_cost()
-        return self.cost_model.store_memtable_get
-
     # -- queries -----------------------------------------------------------------
 
     def get(
@@ -215,17 +209,13 @@ class StateServer:
             store, consistency, allow_stale
         )
         value = target.get(key)
-        cost_model = self.cost_model
-        # The point-probe cost is the LSM's charge for the get just made.
-        probe = (
-            target.last_op_cost
-            if type(target) is LsmStore
-            else cost_model.store_memtable_get
+        # The point-probe cost is the store's charge for the get just made.
+        latency = target.last_op_cost + self.cost_model.network_oneway(
+            estimate_size(value)
         )
         return _new_result(QueryResult, (
             key, value, value is not None, store, self.task_id, served_by,
-            consistency, lag, seconds,
-            probe + cost_model.network_oneway(estimate_size(value)),
+            consistency, lag, seconds, latency,
         ))
 
     def range(
@@ -241,7 +231,7 @@ class StateServer:
             store, consistency, allow_stale
         )
         pairs = tuple(target.range_items(start, end))
-        latency = self._scan_cost(target) + self.cost_model.network_oneway(
+        latency = target.scan_cost() + self.cost_model.network_oneway(
             estimate_size(pairs)
         )
         return _new_result(QueryResult, (
@@ -264,7 +254,7 @@ class StateServer:
             store, consistency, allow_stale
         )
         count = len(target)
-        latency = self._scan_cost(target) + self.cost_model.network_oneway(
+        latency = target.scan_cost() + self.cost_model.network_oneway(
             estimate_size(count)
         )
         return _new_result(QueryResult, (

@@ -256,7 +256,7 @@ def side(reference, guarantee, standbys, replication, traced):
         topics, brokers=2, traced=traced,
         runner=ReferenceJobRunner if reference else JobRunner,
         name="staging", task_factory=EveryWrite,
-        stores=[StoreConfig("a", store_type="lsm"), StoreConfig("b")],
+        stores=[StoreConfig("a"), StoreConfig("b")],
         checkpoint_interval=5, window_interval=0.5, processing_guarantee=guarantee,
         num_standby_replicas=standbys, changelog_replication=replication,
     )

@@ -70,15 +70,15 @@ class Upsert:
         self.b.put(record.key, (self.b.get(record.key) or 0) + 1)
 
 
-def side(reference, guarantee, standbys, partitions, replication, store_type):
-    options = {"memtable_max_entries": 3} if store_type == "lsm" else {}
+def side(reference, guarantee, standbys, partitions, replication):
     catch_up = mock.patch.object(StandbyReplica, "catch_up", ReferenceRecovery.catch_up)
     return job(
         {"in": (partitions, 1)}, brokers=2, router=True,
         runner=ReferenceRunner if reference else JobRunner,
         patch=catch_up if reference else None,
         name="eq", task_factory=Upsert,
-        stores=[StoreConfig("a", store_type=store_type, store_options=options),
+        # "a" flushes every three keys; "b" keeps the default memtable.
+        stores=[StoreConfig("a", store_options={"memtable_max_entries": 3}),
                 StoreConfig("b")],
         checkpoint_interval=1000,  # checkpoints are schedule steps
         processing_guarantee=guarantee, num_standby_replicas=standbys,
@@ -146,12 +146,11 @@ class TestRecoveryMatchesReference:
         st.integers(0, 2),
         st.sampled_from([2, 1]),  # tasks: two make the restore order visible
         st.integers(1, 2),
-        st.sampled_from(["memory", "lsm"]),
         st.lists(ROUND, min_size=1, max_size=8).map(expand),
     )
     @settings(max_examples=examples(60), deadline=None)
     def test_every_step_equals_the_reference(
-        self, guarantee, standbys, partitions, replication, store_type, steps
+        self, guarantee, standbys, partitions, replication, steps
     ):
-        setup = (guarantee, standbys, partitions, replication, store_type)
+        setup = (guarantee, standbys, partitions, replication)
         lockstep(side(False, *setup), side(True, *setup), steps, observe)

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.common.costmodel import DEFAULT_COST_MODEL
-from repro.processing.store import InMemoryStore, LsmStore
+from repro.processing.store import LsmStore
 from tests.reference import examples
 from tests.reference.store import ReferenceLsm, model_range
 
@@ -171,28 +171,25 @@ class TestReadsMatchReference:
             max_runs=max_runs,
         )
         ref = ReferenceLsm(memtable_size, max_runs)
-        mem = InMemoryStore()
         model: dict = {}
         seen: list = []
         for (op, key, value), start, end in steps:
             # Generators made before the mutation, consumed after it: the
-            # LSM snapshots at the first ``next`` (so it sees the mutation),
-            # the dict store when ``range_items`` is called (so it does not).
+            # LSM snapshots at the first ``next``, so it sees the mutation.
             early = lsm.range_items(start, end), ref.range_items(start, end)
-            early_mem = mem.range_items(start, end), model_range(model, start, end)
             written = []
             if op == "put":
-                for store in (lsm, ref, mem):
+                for store in (lsm, ref):
                     store.put_many({key: value})
                 model[key] = value
                 written = [key]
             elif op == "delete":
-                for store in (lsm, ref, mem):
+                for store in (lsm, ref):
                     store.put_many({key: None})
                 model.pop(key, None)
                 written = [key]
             elif op == "put_many":
-                for store in (lsm, ref, mem):
+                for store in (lsm, ref):
                     store.put_many(value)
                 for k, v in value.items():
                     if v is None:
@@ -209,20 +206,18 @@ class TestReadsMatchReference:
             assert lsm.last_op_cost == ref.last_op_cost
             assert (lsm.flushes, lsm.compactions) == (ref.flushes, ref.compactions)
             assert list(early[0]) == list(early[1])
-            assert list(early_mem[0]) == early_mem[1]
 
             for k in written:
                 if k not in seen:
                     seen.append(k)
             for probe in seen + [start, end]:
-                assert lsm.get(probe) == ref.get(probe) == mem.get(probe)
+                assert lsm.get(probe) == ref.get(probe) == model.get(probe)
                 assert lsm.last_op_cost == ref.last_op_cost
-                assert (probe in lsm) == (probe in ref) == (probe in mem)
-            assert len(lsm) == len(ref) == len(mem) == len(model)
+                assert (probe in lsm) == (probe in ref) == (probe in model)
+            assert len(lsm) == len(ref) == len(model)
             assert lsm.scan_cost() == ref.scan_cost()
             everything = list(ref.items())
-            assert list(lsm.items()) == everything
-            assert list(mem.items()) == everything == model_range(model, None, None)
+            assert list(lsm.items()) == everything == model_range(model, None, None)
             # The drawn bounds (either may be None, absent from the store,
             # equal or inverted), then the same pair inverted, the empty
             # range at a key just written or tombstoned, and that key as
@@ -233,5 +228,4 @@ class TestReadsMatchReference:
             ):
                 expected = list(ref.range_items(lo, hi))
                 assert list(lsm.range_items(lo, hi)) == expected
-                assert list(mem.range_items(lo, hi)) == expected
                 assert expected == model_range(model, lo, hi)

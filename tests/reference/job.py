@@ -27,7 +27,7 @@ from repro.observability.trace import Tracer, current_tracer, tracing
 from repro.processing.job import AT_LEAST_ONCE, EXACTLY_ONCE, JobConfig, JobRunner
 from repro.processing.output import OUTPUT_PATHS, AtLeastOnceOutput, ExactlyOnceOutput
 from repro.processing.state import KeyValueState, changelog_topic_name
-from repro.processing.store import make_store
+from repro.processing.store import LsmStore
 from repro.processing.task import MessageCollector
 from repro.serving.router import StateQueryRouter
 
@@ -218,10 +218,8 @@ class ReferenceJobRunner(JobRunner):
 
             stores[store_config.name] = ReferenceState(
                 store_config.name,
-                make_store(
-                    store_config.store_type,
-                    self.cluster.clock,
-                    **store_config.store_options,
+                LsmStore(
+                    self.cluster.clock.cost_model, **store_config.store_options
                 ),
                 append,
             )

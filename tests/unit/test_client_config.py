@@ -135,8 +135,9 @@ class TestJobConfigValidation:
     def test_store_config_validation(self):
         with pytest.raises(JobConfigError):
             StoreConfig(name="")
-        with pytest.raises(JobConfigError):
-            StoreConfig(name="table", store_type="rocksdb")
+        for store_type in ("rocksdb", "memory"):
+            with pytest.raises(JobConfigError):
+                StoreConfig(name="table", store_type=store_type)
         assert StoreConfig(name="t", store_type="lsm").store_type == "lsm"
 
     def test_negative_standby_replicas_rejected(self):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.common.costmodel import DEFAULT_COST_MODEL
 from repro.common.errors import ConfigError
 from repro.common.records import ConsumerRecord
 from repro.core.etl import (
@@ -13,7 +14,7 @@ from repro.core.etl import (
     RouterTask,
 )
 from repro.processing.state import KeyValueState
-from repro.processing.store import InMemoryStore
+from repro.processing.store import LsmStore
 from repro.processing.task import MessageCollector, TaskContext
 
 
@@ -83,7 +84,7 @@ class TestCleaningTask:
 
 class TestEnrichTask:
     def _stores(self):
-        state = KeyValueState("reference", InMemoryStore())
+        state = KeyValueState("reference", LsmStore(DEFAULT_COST_MODEL))
         state.put("r1", {"region": "eu"})
         return {"reference": state}
 
@@ -106,7 +107,7 @@ class TestEnrichTask:
 
 class TestGroupCountTask:
     def test_running_counts_per_group(self):
-        stores = {"counts": KeyValueState("counts", InMemoryStore())}
+        stores = {"counts": KeyValueState("counts", LsmStore(DEFAULT_COST_MODEL))}
         task = GroupCountTask("out", lambda v: v["dim"])
         emits = run_task(
             task, [{"dim": "a"}, {"dim": "b"}, {"dim": "a"}], stores=stores
@@ -136,7 +137,7 @@ class TestAnomalyDetector:
         return AnomalyDetectorTask("alerts", **defaults)
 
     def _stores(self):
-        return {"baselines": KeyValueState("baselines", InMemoryStore())}
+        return {"baselines": KeyValueState("baselines", LsmStore(DEFAULT_COST_MODEL))}
 
     def test_no_alert_during_warmup(self):
         emits = run_task(

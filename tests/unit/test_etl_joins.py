@@ -3,6 +3,7 @@
 import pytest
 
 from repro.common.clock import SimClock
+from repro.common.costmodel import DEFAULT_COST_MODEL
 from repro.common.errors import ConfigError
 from repro.common.records import ConsumerRecord
 from repro.core.etl import (
@@ -11,12 +12,12 @@ from repro.core.etl import (
     WindowedStreamJoinTask,
 )
 from repro.processing.state import KeyValueState
-from repro.processing.store import InMemoryStore
+from repro.processing.store import LsmStore
 from repro.processing.task import MessageCollector, TaskContext
 
 
 def make_context(store_names):
-    stores = {name: KeyValueState(name, InMemoryStore()) for name in store_names}
+    stores = {name: KeyValueState(name, LsmStore(DEFAULT_COST_MODEL)) for name in store_names}
     return TaskContext("test", 0, SimClock(), stores), stores
 
 

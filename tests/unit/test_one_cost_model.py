@@ -131,7 +131,7 @@ def test_a_world_charges_its_model():
             name="j",
             inputs=["in"],
             task_factory=Table,
-            stores=[StoreConfig("table", store_type="lsm")],
+            stores=[StoreConfig("table")],
             num_standby_replicas=1,
         ),
         cluster,

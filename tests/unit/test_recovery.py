@@ -5,6 +5,7 @@ from unittest import mock
 import pytest
 
 from repro.common.clock import SimClock
+from repro.common.costmodel import DEFAULT_COST_MODEL
 from repro.common.records import TopicPartition
 from repro.messaging.cluster import MessagingCluster
 from repro.messaging.producer import Producer
@@ -18,7 +19,7 @@ from repro.processing.recovery import (
     restore_state,
 )
 from repro.processing.state import KeyValueState, changelog_topic_name
-from repro.processing.store import InMemoryStore
+from repro.processing.store import LsmStore
 from repro.serving.replica import StandbyReplica
 
 
@@ -52,7 +53,7 @@ class TestRestoreState:
     def test_restore_rebuilds_exact_state(self):
         _clock, cluster, runner = make_env()
         original = dict(runner.task(0).stores["table"].items())
-        fresh = KeyValueState("table", InMemoryStore())
+        fresh = KeyValueState("table", LsmStore(DEFAULT_COST_MODEL))
         report = restore_state(cluster, "j", "table", 0, fresh)
         assert dict(fresh.items()) == original
         # One pass wrote 60 updates to 5 keys: the changelog holds its net
@@ -68,7 +69,7 @@ class TestRestoreState:
         topic = changelog_topic_name("j", "table")
         broker = cluster.broker(0)
         removed = broker.run_compaction()
-        fresh = KeyValueState("table", InMemoryStore())
+        fresh = KeyValueState("table", LsmStore(DEFAULT_COST_MODEL))
         report = restore_state(cluster, "j", "table", 0, fresh)
         assert dict(fresh.items()) == original  # same state...
         if removed:
@@ -76,7 +77,7 @@ class TestRestoreState:
 
     def test_restore_clears_stale_state(self):
         _clock, cluster, _runner = make_env()
-        fresh = KeyValueState("table", InMemoryStore())
+        fresh = KeyValueState("table", LsmStore(DEFAULT_COST_MODEL))
         fresh.put("stale", "leftover")
         restore_state(cluster, "j", "table", 0, fresh)
         assert fresh.get("stale") is None
@@ -108,7 +109,7 @@ class TestRestoreState:
         )
         runner.run_until_idle()
         original = dict(runner.task(0).stores["table"].items())
-        fresh = KeyValueState("table", InMemoryStore())
+        fresh = KeyValueState("table", LsmStore(DEFAULT_COST_MODEL))
         restore_state(cluster, "d", "table", 0, fresh)
         assert dict(fresh.items()) == original
 
@@ -120,7 +121,7 @@ class TestRestoreState:
         runner.checkpoint()
         tp = TopicPartition(changelog_topic_name("j", "table"), 0)
         end = cluster.end_offset(tp)
-        fresh = KeyValueState("table", InMemoryStore(), changelog=tp)
+        fresh = KeyValueState("table", LsmStore(DEFAULT_COST_MODEL), changelog=tp)
         restore_state(cluster, "j", "table", 0, fresh)
         runner.crash()
         runner.recover()
@@ -226,7 +227,7 @@ class TestRecoveryReportEntries:
 
     def test_restore_state_records_one_entry(self):
         _clock, cluster, _runner = make_env()
-        fresh = KeyValueState("table", InMemoryStore())
+        fresh = KeyValueState("table", LsmStore(DEFAULT_COST_MODEL))
         report = restore_state(cluster, "j", "table", 0, fresh)
         assert len(report.entries) == 1
         entry = report.entries[0]

@@ -50,7 +50,7 @@ class CountingTask:
         self.store.put(record.key, (self.store.get(record.key) or 0) + 1)
 
 
-def make_job(partitions=2, standbys=0, records=40, keys=8, store_type="memory"):
+def make_job(partitions=2, standbys=0, records=40, keys=8, store_options=None):
     clock = SimClock()
     cluster = MessagingCluster(num_brokers=1, clock=clock)
     cluster.create_topic("in", num_partitions=partitions, replication_factor=1)
@@ -62,7 +62,7 @@ def make_job(partitions=2, standbys=0, records=40, keys=8, store_type="memory"):
             name="served",
             inputs=["in"],
             task_factory=CountingTask,
-            stores=[StoreConfig("counts", store_type=store_type)],
+            stores=[StoreConfig("counts", store_options=store_options or {})],
             num_standby_replicas=standbys,
         ),
         cluster,
@@ -186,7 +186,7 @@ class TestRouting:
         assert result.latency > 0.0
 
     def test_range_latency_is_the_scan_plus_the_pairs_on_the_wire(self):
-        _cluster, runner, _producer = make_job(store_type="lsm")
+        _cluster, runner, _producer = make_job()
         result = StateQueryRouter(runner).server(0).range("counts")
         store = runner.task(0).stores["counts"].store
         # The answer is sized as the tuple it is; a list of the same pairs
@@ -228,7 +228,9 @@ class TestScatterGather:
         assert result.value == 10
 
     def test_works_over_lsm_stores(self):
-        _cluster, runner, _producer = make_job(store_type="lsm")
+        # A memtable of 3 flushes: the answers come from sorted runs.
+        _cluster, runner, _producer = make_job(store_options={"memtable_max_entries": 3})
+        assert all(instance.stores["counts"].store._runs for instance in runner.tasks())
         router = StateQueryRouter(runner)
         assert router.get("counts", "k1").value == direct_read(runner, "k1")
         assert router.approximate_count("counts").value == 8

@@ -2,16 +2,17 @@
 
 import pytest
 
+from repro.common.costmodel import DEFAULT_COST_MODEL
 from repro.common.errors import StateStoreError
 from repro.common.records import TopicPartition
 from repro.processing.state import KeyValueState, changelog_topic_name
-from repro.processing.store import InMemoryStore
+from repro.processing.store import LsmStore
 
 CHANGELOG = TopicPartition(changelog_topic_name("job", "counts"), 0)
 
 
 def logged_state() -> KeyValueState:
-    return KeyValueState("counts", InMemoryStore(), changelog=CHANGELOG)
+    return KeyValueState("counts", LsmStore(DEFAULT_COST_MODEL), changelog=CHANGELOG)
 
 
 def staged(state: KeyValueState) -> list:
@@ -83,7 +84,7 @@ class TestWriteThrough:
             state.put("k", None)
 
     def test_transient_state_skips_changelog(self):
-        state = KeyValueState("s", InMemoryStore(), changelog=None)
+        state = KeyValueState("s", LsmStore(DEFAULT_COST_MODEL), changelog=None)
         state.put("k", 1)  # no error, nothing staged
         assert state.get("k") == 1
         assert state.staged == {}

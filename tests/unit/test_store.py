@@ -1,19 +1,23 @@
-"""Unit tests for task-local KV stores (InMemory + LSM)."""
-
-from dataclasses import replace
+"""Unit tests for the task-local KV store, :class:`LsmStore`."""
 
 import pytest
 
 from repro.common.clock import SimClock
 from repro.common.costmodel import DEFAULT_COST_MODEL
 from repro.common.errors import ConfigError, StateStoreError
-from repro.processing.store import InMemoryStore, LsmStore, make_store
+from repro.messaging.cluster import MessagingCluster
+from repro.messaging.producer import Producer
+from repro.processing.job import JobConfig, JobRunner, StoreConfig
+from repro.processing.store import LsmStore
+from repro.serving import CONSISTENCY_SNAPSHOT, StateQueryRouter
 
 
 @pytest.fixture(params=["memory", "lsm"])
 def store(request):
+    """``memory``: every write these tests make stays in the memtable;
+    ``lsm``: a small memtable and run cap, so writes flush and compact."""
     if request.param == "memory":
-        return InMemoryStore()
+        return LsmStore(DEFAULT_COST_MODEL)
     return LsmStore(DEFAULT_COST_MODEL, memtable_max_entries=4, max_runs=2)
 
 
@@ -83,7 +87,7 @@ class TestCommonBehaviour:
 
 class TestKeyOrder:
     """Keys order by the key, not its ``repr`` (regressions: under ``repr``
-    order each of these came out wrong on both stores)."""
+    order each of these came out wrong, in the memtable and in runs)."""
 
     @pytest.fixture
     def ints(self, store):
@@ -195,27 +199,44 @@ class TestLsmSpecifics:
             LsmStore(DEFAULT_COST_MODEL, max_runs=0)
 
 
+class Table:
+    def init(self, context):
+        self.store = context.store("counts")
+
+    def process(self, record, collector):
+        self.store.put(record.key, record.value)
+
+
 class TestFactory:
-    def test_make_known_types(self):
-        assert isinstance(make_store("memory", SimClock()), InMemoryStore)
-        assert isinstance(make_store("lsm", SimClock()), LsmStore)
+    """A job builds every copy of a store, its task's, each standby's and
+    each snapshot follower's, from the store's ``StoreConfig``."""
 
     def test_kwargs_forwarded(self):
-        store = make_store("lsm", SimClock(), memtable_max_entries=7)
-        assert store.memtable_max_entries == 7
-
-    def test_unknown_type_rejected(self):
-        with pytest.raises(ConfigError):
-            make_store("rocksdb", SimClock())
-
-
-class TestStoresChargeTheWorldsCostModel:
-    """A store holds no clock: :func:`make_store` hands an LSM store the
-    model of the clock it is given (``test_one_cost_model.py`` follows the
-    model through a whole world)."""
-
-    def test_make_store_hands_the_model_to_the_lsm_store_only(self):
-        model = replace(DEFAULT_COST_MODEL, store_put=7e-6)
-        assert make_store("lsm", SimClock(cost_model=model)).cost_model is model
-        assert make_store("lsm", SimClock()).cost_model is DEFAULT_COST_MODEL
-        assert isinstance(make_store("memory", SimClock(cost_model=model)), InMemoryStore)
+        cluster = MessagingCluster(num_brokers=1, clock=SimClock())
+        cluster.create_topic("in", num_partitions=1, replication_factor=1)
+        for i in range(10):
+            Producer(cluster).send("in", i, key=f"k{i}")
+        runner = JobRunner(
+            JobConfig(
+                name="opts", inputs=["in"], task_factory=Table,
+                stores=[StoreConfig("counts", store_options={"memtable_max_entries": 3})],
+                num_standby_replicas=1,
+            ),
+            cluster,
+        )
+        runner.run_until_idle()
+        runner.checkpoint()
+        server = StateQueryRouter(runner).server(0)
+        assert server.get("counts", "k9", consistency=CONSISTENCY_SNAPSHOT).value == 9
+        ((standby,),) = [tuple(s.values()) for s in runner.standbys.of(0)]
+        copies = (
+            runner.task(0).stores["counts"].store,
+            standby.store,
+            server._snapshot_followers["counts"].store,
+        )
+        for store in copies:
+            assert type(store) is LsmStore
+            assert store.memtable_max_entries == 3
+            assert store.flushes > 0 and dict(store.items()) == {
+                f"k{i}": i for i in range(10)
+            }

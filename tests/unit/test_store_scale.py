@@ -108,18 +108,17 @@ class CountingTask:
 #: ``QueryResult``), the queries counter, the latency histogram (its
 #: ``list.append``) and the tracer check.  A stale read adds the standby
 #: set's ``len``, ``StandbyReplica.lag``, ``clock.now`` and the stale-served
-#: counter; the memory store's get adds its ``dict.get``.  (With the old
-#: per-query hop chain: 20 / 34 over LSM, 21 / 35 over memory.)
-POINT_GET_CALLS = {
-    ("lsm", False): 16,
-    ("lsm", True): 20,
-    ("memory", False): 17,
-    ("memory", True): 21,
-}
+#: counter.  The same whether the key sits in the memtable or in a run: a
+#: run probe is a dict lookup.  (With the old per-query hop chain: 20 / 34.)
+POINT_GET_CALLS = {False: 16, True: 20}
 
 
-@pytest.mark.parametrize("store_type", ["lsm", "memory"])
-def test_a_routed_point_get_costs_a_fixed_handful_of_calls(store_type):
+#: Where the store holds the queried key: ``memory``, its memtable (the
+#: default size holds every key); ``lsm``, a run (a memtable of 8 flushes).
+@pytest.mark.parametrize("memtable_max_entries", [
+    pytest.param(1000, id="memory"), pytest.param(8, id="lsm"),
+])
+def test_a_routed_point_get_costs_a_fixed_handful_of_calls(memtable_max_entries):
     cluster = MessagingCluster(num_brokers=1, clock=SimClock())
     cluster.create_topic("in", num_partitions=4, replication_factor=1)
     producer = Producer(cluster)
@@ -130,7 +129,12 @@ def test_a_routed_point_get_costs_a_fixed_handful_of_calls(store_type):
             name="pinned",
             inputs=["in"],
             task_factory=CountingTask,
-            stores=[StoreConfig("counts", store_type=store_type)],
+            stores=[
+                StoreConfig(
+                    "counts",
+                    store_options={"memtable_max_entries": memtable_max_entries},
+                )
+            ],
             num_standby_replicas=1,
         ),
         cluster,
@@ -139,13 +143,17 @@ def test_a_routed_point_get_costs_a_fixed_handful_of_calls(store_type):
     runner.checkpoint()
     router = StateQueryRouter(runner)
     k = key(42)
+    task_id = router.task_for_key(k)
+    ((standby,),) = [tuple(s.values()) for s in runner.standbys.of(task_id)]
+    for store in (runner.task(task_id).stores["counts"].store, standby.store):
+        assert (k in store._memtable) == (memtable_max_entries == 1000)
     for allow_stale in (False, True):
         result = router.get("counts", k, allow_stale=allow_stale)
         assert result.value == 4
         assert result.served_by == ("standby" if allow_stale else "primary")
         assert python_calls(
             lambda: router.get("counts", k, allow_stale=allow_stale)
-        ) == POINT_GET_CALLS[store_type, allow_stale]
+        ) == POINT_GET_CALLS[allow_stale]
 
 
 def store_ordered(keys) -> list:
@@ -183,7 +191,6 @@ def test_a_routed_range_over_four_shards_is_the_dict_models_in_store_order():
             stores=[
                 StoreConfig(
                     "counts",
-                    store_type="lsm",
                     store_options={"memtable_max_entries": 16, "max_runs": 3},
                 )
             ],
