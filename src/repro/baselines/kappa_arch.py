@@ -28,8 +28,11 @@ from repro.common.errors import ConfigError
 from repro.common.records import TopicPartition
 from repro.messaging.cluster import MessagingCluster
 from repro.messaging.producer import Producer
+from repro.messaging.reader import PartitionReader
 
 StreamUpdate = Callable[[dict[Any, Any], Any], None]
+
+EVENTS = TopicPartition("events", 0)
 
 
 @dataclass
@@ -60,7 +63,8 @@ class KappaArchitecture:
         self._update: StreamUpdate | None = None
         self.version = "v0"
         self.view: dict[Any, Any] = {}
-        self._position = 0
+        # The live view's read position in the log.
+        self._reader = PartitionReader(self.stream)
         self.code_paths = 0
         self.compute_seconds = 0.0
         self.reprocess_seconds = 0.0
@@ -89,34 +93,25 @@ class KappaArchitecture:
             raise ConfigError("register_logic before processing")
         self.stream.tick(0.0)
         processed, latency = self._fold_range(
-            self.view, self._position, self.stream.end_offset(self._tp())
+            self.view, self._reader, self.stream.end_offset(EVENTS)
         )
-        self._position += processed
         self.compute_seconds += latency
         self.clock.advance(latency)
         return processed
 
-    def _tp(self) -> TopicPartition:
-        return TopicPartition("events", 0)
-
     def _fold_range(
-        self, view: dict[Any, Any], start: int, end: int
+        self, view: dict[Any, Any], reader: PartitionReader, end: int
     ) -> tuple[int, float]:
+        """Fold the log from ``reader``'s position up to ``end``."""
         assert self._update is not None
         processed = 0
         latency = 0.0
-        position = start
-        while position < end:
-            fetched = self.stream.fetch("events", 0, position, 500)
-            records = fetched.records
-            if not records:
-                break
-            latency += fetched.latency
+        for records, fetch_latency in reader.drain(EVENTS, end, 500):
+            latency += fetch_latency
             for record in records:
                 self._update(view, record.value)
                 latency += self.cost_model.cpu_per_message
             processed += len(records)
-            position = records[-1].offset + 1
         return processed, latency
 
     # -- reprocessing (the Kappa move) ------------------------------------------------------------
@@ -133,20 +128,21 @@ class KappaArchitecture:
         self._update = update
         new_view: dict[Any, Any] = {}
         self.stream.tick(0.0)
-        end = self.stream.end_offset(self._tp())
-        processed, latency = self._fold_range(new_view, 0, end)
+        end = self.stream.end_offset(EVENTS)
+        replay = PartitionReader(self.stream)
+        processed, latency = self._fold_range(new_view, replay, end)
         self.reprocess_seconds += latency
         self.clock.advance(latency)
         # Catch up anything ingested while reprocessing ran.
         self.stream.tick(0.0)
-        tail, tail_latency = self._fold_range(
-            new_view, end, self.stream.end_offset(self._tp())
+        _tail, tail_latency = self._fold_range(
+            new_view, replay, self.stream.end_offset(EVENTS)
         )
         self.reprocess_seconds += tail_latency
         self.clock.advance(tail_latency)
         # Cutover.
         self.view = new_view
-        self._position = end + tail
+        self._reader = replay
         self.version = version
         self.last_staleness_window = self.clock.now() - started_at
         del old_update

@@ -29,6 +29,7 @@ from repro.baselines.dfs import SimulatedDFS
 from repro.baselines.mapreduce import MapReduceEngine, MRJobSpec
 from repro.messaging.cluster import MessagingCluster
 from repro.messaging.producer import Producer
+from repro.messaging.reader import PartitionReader
 
 #: A streaming fold: (view, event) -> None, mutating the view in place.
 StreamUpdate = Callable[[dict[Any, Any], Any], None]
@@ -72,7 +73,9 @@ class LambdaArchitecture:
         # Serving layer.
         self.batch_view: dict[Any, Any] = {}
         self.realtime_view: dict[Any, Any] = {}
-        self._speed_position = 0
+        # The speed layer's read position in the stream.
+        self._speed_tp = TopicPartition("events", 0)
+        self._speed = PartitionReader(self.stream)
         self._batch_view_built_at = 0.0
         # The duplicated logic.
         self._stream_update: StreamUpdate | None = None
@@ -136,19 +139,12 @@ class LambdaArchitecture:
         assert self._stream_update is not None
         self.stream.tick(0.0)
         processed = 0
-        tp = TopicPartition("events", 0)
-        end = self.stream.end_offset(tp)
-        while self._speed_position < end:
-            fetched = self.stream.fetch("events", 0, self._speed_position, 500)
-            records = fetched.records
-            if not records:
-                break
-            latency = fetched.latency
+        end = self.stream.end_offset(self._speed_tp)
+        for records, latency in self._speed.drain(self._speed_tp, end, 500):
             for record in records:
                 self._stream_update(self.realtime_view, record.value)
                 latency += self.cost_model.cpu_per_message
             processed += len(records)
-            self._speed_position = records[-1].offset + 1
             self.speed_compute_seconds += latency
             self.clock.advance(latency)
         return processed

@@ -19,8 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Generic, TypeVar
 
-from repro.common.records import ConsumerRecord, TopicPartition
+from repro.common.records import ConsumerRecord
 from repro.messaging.cluster import MessagingCluster
+from repro.messaging.reader import PartitionReader
 
 S = TypeVar("S")  # state type
 
@@ -32,6 +33,8 @@ class UpdateReport:
     records_read: int
     simulated_seconds: float
     from_scratch: bool
+    #: Offsets retention deleted below the fold's position, jumped over.
+    records_skipped: int = 0
 
 
 class IncrementalFold(Generic[S]):
@@ -60,47 +63,33 @@ class IncrementalFold(Generic[S]):
         self.version = version
         self.batch = batch
         self.state: S = init()
-        self._positions: dict[TopicPartition, int] = {}
-        self._seed_positions()
-
-    def _seed_positions(self) -> None:
-        """Resume from checkpoints (the §4.2 'fetch the offsets' step)."""
-        for tp in self.cluster.partitions_of(self.topic):
-            commit = self.cluster.offset_manager.fetch(self.group, tp)
-            self._positions[tp] = (
-                commit.offset if commit is not None else self.cluster.beginning_offset(tp)
-            )
+        # Resume from checkpoints (the §4.2 'fetch the offsets' step).
+        self._reader = PartitionReader(cluster, group=group)
+        self._reader.assign(cluster.partitions_of(topic))
 
     # -- incremental path ---------------------------------------------------------------
 
     def update(self) -> UpdateReport:
         """Fold in only the records appended since the last update."""
-        records_read, latency = self._fold_from(self._positions)
-        return UpdateReport(records_read, latency, from_scratch=False)
+        return self._fold_from(self._reader, from_scratch=False)
 
-    def _fold_from(self, positions: dict[TopicPartition, int]) -> tuple[int, float]:
+    def _fold_from(self, reader: PartitionReader, from_scratch: bool) -> UpdateReport:
         records_read = 0
         latency = 0.0
+        skipped = reader.skipped
         for tp in self.cluster.partitions_of(self.topic):
-            position = positions[tp]
             end = self.cluster.end_offset(tp)
-            while position < end:
-                result = self.cluster.fetch(
-                    tp.topic, tp.partition, position, self.batch
-                )
-                latency += result.latency
-                for record in result.records:
+            for records, fetch_latency in reader.drain(tp, end, self.batch):
+                latency += fetch_latency
+                for record in records:
                     self.state = self.fold(self.state, record)
                     latency += self.cluster.cost_model.cpu_per_message
-                records_read += len(result.records)
-                if result.next_offset <= position:
-                    break
-                position = result.next_offset
-            self._positions[tp] = position
+                records_read += len(records)
             self.cluster.offset_manager.commit(
-                self.group, tp, position, {"software_version": self.version}
+                self.group, tp, reader.positions[tp], {"software_version": self.version}
             )
-        return records_read, latency
+        skipped = reader.skipped - skipped
+        return UpdateReport(records_read, latency, from_scratch, skipped)
 
     # -- full-recompute baseline ------------------------------------------------------------
 
@@ -111,12 +100,6 @@ class IncrementalFold(Generic[S]):
         on every change — the cost that "would increase linearly with data
         size"."""
         self.state = self.init()
-        start_positions = {
-            tp: self.cluster.beginning_offset(tp)
-            for tp in self.cluster.partitions_of(self.topic)
-        }
-        records_read, latency = self._fold_from(start_positions)
-        return UpdateReport(records_read, latency, from_scratch=True)
-
-    def positions(self) -> dict[TopicPartition, int]:
-        return dict(self._positions)
+        self._reader = PartitionReader(self.cluster)
+        self._reader.assign(self.cluster.partitions_of(self.topic))
+        return self._fold_from(self._reader, from_scratch=True)

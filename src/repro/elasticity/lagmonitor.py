@@ -122,7 +122,7 @@ class LagMonitor:
         def positions() -> dict[TopicPartition, int]:
             merged: dict[TopicPartition, int] = {}
             for instance in runner.tasks():
-                merged.update(instance.positions)
+                merged.update(instance.reader.positions)
             return merged
 
         return cls(

@@ -6,23 +6,23 @@ This approach makes it efficient to maintain the latest consumed data, i.e.
 it requires only storing a single integer per partition."
 
 The consumer supports both manual partition assignment (:meth:`assign`) and
-group subscription (:meth:`subscribe`), positions seeded from committed
-offsets, time- and metadata-based rewind (the paper's rewindability
-property), and offset commits carrying annotations through the offset
-manager.
+group subscription (:meth:`subscribe`), time- and metadata-based rewind
+(the paper's rewindability property), and offset commits carrying
+annotations through the offset manager.  Positions, the fetch and
+``auto_offset_reset`` live in its
+:class:`~repro.messaging.reader.PartitionReader`.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Literal
+from typing import Any
 
 from repro.common.costmodel import round_latency
 from repro.common.errors import (
     BrokerUnavailableError,
     ConfigError,
     NotLeaderForPartitionError,
-    OffsetOutOfRangeError,
 )
 from repro.common.metrics import metric_name
 from repro.common.records import TRACE_HEADER, ConsumerRecord, TopicPartition
@@ -30,9 +30,8 @@ from repro.messaging.cluster import MessagingCluster
 from repro.messaging.config import ConsumerConfig
 from repro.messaging.consumer_group import GroupCoordinator
 from repro.messaging.fetchbuffer import FetchBuffer
+from repro.messaging.reader import PartitionReader
 from repro.observability.trace import current_tracer
-
-AutoOffsetReset = Literal["earliest", "latest"]
 
 _consumer_ids = itertools.count(1)
 
@@ -68,13 +67,15 @@ class Consumer:
         self.group_coordinator = group_coordinator
         self.auto_offset_reset = config.auto_offset_reset
         self.max_poll_messages = config.max_poll_messages
-        self.isolation_level = config.isolation_level
-        self.client_id = config.client_id
         self.value_serde = config.value_serde
         self.prefetch = config.prefetch
         self.member_id = f"consumer-{next(_consumer_ids)}"
         self._assignment: list[TopicPartition] = []
-        self._positions: dict[TopicPartition, int] = {}
+        # The assigned partitions' positions, the fetch and the policy.
+        self._reader = PartitionReader(
+            cluster, config.group, config.auto_offset_reset,
+            config.isolation_level, config.client_id,
+        )
         # One buffered fetch response per partition: the remainder of a
         # partially-drained poll, or a response fetched ahead of demand.
         self._buffers: dict[TopicPartition, FetchBuffer] = {}
@@ -91,8 +92,7 @@ class Consumer:
         """Manually assign partitions (no group management)."""
         if self.group is not None:
             raise ConfigError("cannot mix manual assign with group subscribe")
-        self._assignment = list(partitions)
-        self._seed_positions()
+        self._assign(partitions)
 
     def subscribe(self, topics: list[str] | set[str]) -> None:
         """Join the consumer group for ``topics``; assignment is managed."""
@@ -106,34 +106,17 @@ class Consumer:
 
     def _refresh_assignment(self) -> None:
         assert self.group is not None and self.group_coordinator is not None
-        self._assignment = self.group_coordinator.assignment_for(
-            self.group, self.member_id
-        )
+        self._assign(self.group_coordinator.assignment_for(self.group, self.member_id))
         self._generation = self.group_coordinator.generation(self.group)
-        self._positions = {
-            tp: pos for tp, pos in self._positions.items() if tp in self._assignment
-        }
+
+    def _assign(self, partitions: list[TopicPartition]) -> None:
+        self._assignment = list(partitions)
         # A rebalance may hand our partitions elsewhere; buffered responses
         # for them are stale the moment the new owner starts consuming.
         self._buffers = {
             tp: buf for tp, buf in self._buffers.items() if tp in self._assignment
         }
-        self._seed_positions()
-
-    def _seed_positions(self) -> None:
-        """Initialize positions: committed offset first, else reset policy."""
-        for tp in self._assignment:
-            if tp in self._positions:
-                continue
-            committed = None
-            if self.group is not None:
-                committed = self.cluster.offset_manager.fetch(self.group, tp)
-            if committed is not None:
-                self._positions[tp] = committed.offset
-            elif self.auto_offset_reset == "earliest":
-                self._positions[tp] = self.cluster.beginning_offset(tp)
-            else:
-                self._positions[tp] = self.cluster.end_offset(tp)
+        self._reader.assign(self._assignment)
 
     def assignment(self) -> list[TopicPartition]:
         return list(self._assignment)
@@ -173,6 +156,8 @@ class Consumer:
         if not self._assignment:
             self.last_poll_latency = 0.0
             return records
+        reader = self._reader
+        positions = reader.positions
         n = len(self._assignment)
         for i in range(n):
             if budget <= 0:
@@ -183,12 +168,13 @@ class Consumer:
                 buffer = None
             if buffer is None:
                 try:
-                    buffer = self._fetch(tp, budget)
-                except OffsetOutOfRangeError as exc:
-                    self._positions[tp] = self._reset_position(tp, exc)
-                    continue
+                    result = reader.fetch(tp, budget, lazy=True)
                 except (BrokerUnavailableError, NotLeaderForPartitionError):
                     continue  # transient during failover; retry next poll
+                buffer = FetchBuffer(
+                    result.batches, result.next_offset, result.latency,
+                    result.broker, issued_at=self.cluster.clock.now(),
+                )
             if buffer.latency:
                 owed = buffer.latency
                 client = self
@@ -221,7 +207,7 @@ class Consumer:
             # skipped markers/aborted records must not wedge the consumer.
             position = buffer.position()
             if position is not None:
-                self._positions[tp] = max(self._positions[tp], position)
+                positions[tp] = max(positions[tp], position)
             if not buffer.exhausted:
                 self._buffers[tp] = buffer
             elif self.prefetch:
@@ -252,31 +238,12 @@ class Consumer:
         processing time is charged (see :meth:`poll`).
         """
         try:
-            self._buffers[tp] = self._fetch(tp, self.max_poll_messages, True)
-        except (
-            OffsetOutOfRangeError,
-            BrokerUnavailableError,
-            NotLeaderForPartitionError,
-        ):
+            result = self._reader.fetch(tp, self.max_poll_messages, lazy=True)
+        except (BrokerUnavailableError, NotLeaderForPartitionError):
             return  # next poll falls back to a synchronous fetch
-
-    def _fetch(
-        self, tp: TopicPartition, max_messages: int, prefetched: bool = False
-    ) -> FetchBuffer:
-        """One lazy fetch from ``tp``'s position, buffered for draining."""
-        result = self.cluster.fetch(
-            tp.topic, tp.partition, self._positions[tp], max_messages,
-            isolation=self.isolation_level,
-            client_id=self.client_id,
-            lazy=True,
-        )
-        return FetchBuffer(
-            result.batches or [],
-            result.next_offset,
-            result.latency,
-            result.broker,
-            issued_at=self.cluster.clock.now(),
-            prefetched=prefetched,
+        self._buffers[tp] = FetchBuffer(
+            result.batches, result.next_offset, result.latency, result.broker,
+            issued_at=self.cluster.clock.now(), prefetched=True,
         )
 
     def _maybe_rejoin(self) -> None:
@@ -288,26 +255,16 @@ class Consumer:
         if current != self._generation:
             self._refresh_assignment()
 
-    def _reset_position(self, tp: TopicPartition, exc: OffsetOutOfRangeError) -> int:
-        """Position fell off the retained log (retention won the race)."""
-        self._buffers.pop(tp, None)
-        if self.auto_offset_reset == "earliest":
-            return self.cluster.beginning_offset(tp)
-        return self.cluster.end_offset(tp)
-
     # -- seeking (rewindability, §3.1/§4.2) -----------------------------------------------
 
     def seek(self, tp: TopicPartition, offset: int) -> None:
         self._require_assigned(tp)
-        self._positions[tp] = offset
+        self._reader.positions[tp] = offset
         # Any buffered response is for the old position.
         self._buffers.pop(tp, None)
 
     def seek_to_beginning(self, tp: TopicPartition) -> None:
         self.seek(tp, self.cluster.beginning_offset(tp))
-
-    def seek_to_end(self, tp: TopicPartition) -> None:
-        self.seek(tp, self.cluster.end_offset(tp))
 
     def seek_to_timestamp(self, tp: TopicPartition, timestamp: float) -> int:
         """Rewind to the first record at/after ``timestamp``; returns the
@@ -320,10 +277,10 @@ class Consumer:
 
     def position(self, tp: TopicPartition) -> int:
         self._require_assigned(tp)
-        return self._positions[tp]
+        return self._reader.positions[tp]
 
     def _require_assigned(self, tp: TopicPartition) -> None:
-        if tp not in self._positions:
+        if tp not in self._reader.positions:
             raise ConfigError(f"{tp} is not assigned to this consumer")
 
     # -- commits -----------------------------------------------------------------------------
@@ -334,14 +291,8 @@ class Consumer:
             raise ConfigError("commit requires a group")
         for tp in self._assignment:
             self.cluster.offset_manager.commit(
-                self.group, tp, self._positions[tp], metadata
+                self.group, tp, self._reader.positions[tp], metadata
             )
-
-    def committed(self, tp: TopicPartition) -> int | None:
-        if self.group is None:
-            return None
-        commit = self.cluster.offset_manager.fetch(self.group, tp)
-        return commit.offset if commit is not None else None
 
     # -- lifecycle -----------------------------------------------------------------------------
 

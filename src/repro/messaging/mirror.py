@@ -10,7 +10,9 @@ cluster (Kafka's MirrorMaker).  :class:`MirrorMaker` reproduces that:
 * per-partition, order-preserving copy with keys/timestamps/headers intact
   (offsets are re-assigned by the target, as in the real tool);
 * progress checkpointed through the *source* cluster's offset manager, so a
-  restarted mirror resumes instead of re-copying;
+  restarted mirror resumes instead of re-copying; a position a source
+  retention sweep deleted is reseated at the earliest offset (the
+  :class:`~repro.messaging.reader.PartitionReader` policy) and checkpointed;
 * WAN costs: each mirrored batch pays a cross-datacenter round trip at a
   configurable RTT (tens of milliseconds vs. the intra-DC half-millisecond).
 
@@ -21,14 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.common.errors import (
-    ConfigError,
-    OffsetOutOfRangeError,
-    TopicNotFoundError,
-)
+from repro.common.errors import ConfigError, TopicNotFoundError
 from repro.common.records import TopicPartition
 from repro.messaging.cluster import ACKS_LEADER, MessagingCluster
 from repro.messaging.config import ISOLATION_LEVELS
+from repro.messaging.reader import PartitionReader
 from repro.messaging.topic import is_system_topic
 
 #: Default cross-datacenter round-trip time (continental WAN).
@@ -80,7 +79,7 @@ class MirrorMaker:
         self.isolation = isolation
         self.group = f"__mirror-{name}"
         self._topics = list(topics) if topics is not None else None
-        self._positions: dict[TopicPartition, int] = {}
+        self._reader = PartitionReader(source, group=self.group, isolation=isolation)
 
     # -- topic selection / provisioning ------------------------------------------
 
@@ -104,17 +103,12 @@ class MirrorMaker:
             cleanup_policy=source_config.cleanup_policy,
         )
 
-    def _seed_position(self, tp: TopicPartition) -> int:
-        commit = self.source.offset_manager.fetch(self.group, tp)
-        if commit is not None:
-            return commit.offset
-        return self.source.beginning_offset(tp)
-
     # -- mirroring ------------------------------------------------------------------
 
     def poll(self) -> MirrorStats:
         """Copy one batch per partition of every mirrored topic."""
         stats = MirrorStats()
+        skipped = self._reader.skipped
         for topic in self.mirrored_topics():
             try:
                 partitions = self.source.partitions_of(topic)
@@ -126,32 +120,20 @@ class MirrorMaker:
                 copied_for_topic += self._mirror_partition(tp, stats)
             if copied_for_topic:
                 stats.per_topic[topic] = copied_for_topic
+        stats.records_skipped = self._reader.skipped - skipped
         return stats
 
     def _mirror_partition(self, tp: TopicPartition, stats: MirrorStats) -> int:
-        position = self._positions.get(tp)
-        if position is None:
-            position = self._seed_position(tp)
-        try:
-            result = self.source.fetch(
-                tp.topic, tp.partition, position, self.batch,
-                isolation=self.isolation,
-            )
-        except OffsetOutOfRangeError:
-            # A source retention sweep deleted records below our position
-            # (or truncated above it).  Reseat at the earliest retained
-            # offset and account for what the sweep cost us.
-            reseated = self.source.beginning_offset(tp)
-            stats.records_skipped += max(0, reseated - position)
-            self._positions[tp] = reseated
+        reader = self._reader
+        reader.seed(tp)
+        reseats = reader.reseats
+        result = reader.fetch(tp, self.batch)
+        position = reader.positions[tp]  # where a reseat put it
+        if reader.reseats != reseats:
+            # Checkpoint the jump at once, so a restart does not re-wedge.
             self.source.offset_manager.commit(
-                self.group, tp, reseated, {"mirror": self.name, "reseated": True}
+                self.group, tp, position, {"mirror": self.name, "reseated": True}
             )
-            result = self.source.fetch(
-                tp.topic, tp.partition, reseated, self.batch,
-                isolation=self.isolation,
-            )
-            position = reseated
         stats.simulated_seconds += result.latency
         if result.records:
             # A record's headers are the user's: the source's producer
@@ -169,14 +151,11 @@ class MirrorMaker:
             )
             stats.simulated_seconds += ack.latency
             stats.records_mirrored += len(entries)
-        new_position = max(position, result.next_offset)
-        if new_position != position:
-            self._positions[tp] = new_position
+        if result.next_offset > position:
+            reader.positions[tp] = result.next_offset
             self.source.offset_manager.commit(
-                self.group, tp, new_position, {"mirror": self.name}
+                self.group, tp, result.next_offset, {"mirror": self.name}
             )
-        else:
-            self._positions[tp] = position
         return len(result.records)
 
     def run_until_synced(self, max_polls: int = 1000) -> int:
@@ -198,9 +177,7 @@ class MirrorMaker:
         pending = 0
         for topic in self.mirrored_topics():
             for tp in self.source.partitions_of(topic):
-                position = self._positions.get(tp)
-                if position is None:
-                    position = self._seed_position(tp)
+                position = self._reader.seed(tp)
                 pending += max(0, self.source.end_offset(tp) - position)
         return pending
 

@@ -41,6 +41,7 @@ from repro.common.records import TRACE_HEADER, ConsumerRecord, TopicPartition
 from repro.messaging.cluster import ACKS_LEADER, MessagingCluster
 from repro.messaging.config import ProducerConfig
 from repro.messaging.producer import Producer
+from repro.messaging.reader import PartitionReader
 from repro.observability.trace import Tracer, current_tracer
 from repro.messaging.topic import TopicConfig
 from repro.storage.log import LogConfig
@@ -139,12 +140,15 @@ class PollResult:
     records_processed: int = 0
     records_emitted: int = 0
     latency: float = 0.0
+    #: Input offsets retention deleted below a task's position, jumped over
+    #: by its reader (which reseats at the earliest offset).
+    records_skipped: int = 0
 
 
 class _TaskInstance:
-    """Runtime state of one task: user logic + positions + stores, and the
-    pass's staged writes — emits in :attr:`collector`, changelog entries in
-    :attr:`staged` (shared by the stores)."""
+    """Runtime state of one task: user logic + input reader + stores, and
+    the pass's staged writes — emits in :attr:`collector`, changelog entries
+    in :attr:`staged` (shared by the stores)."""
 
     def __init__(
         self,
@@ -155,6 +159,7 @@ class _TaskInstance:
         staged: dict[TopicPartition, list],
         context: TaskContext,
         cluster: MessagingCluster,
+        reader: PartitionReader,
     ) -> None:
         self.task_id = task_id
         self.task = task
@@ -165,7 +170,8 @@ class _TaskInstance:
         self.collector = RunCollector(self, cluster)
         #: Set once per incarnation, after any predecessor's restore reads.
         self.output: AtLeastOnceOutput | None = None
-        self.positions: dict[TopicPartition, int] = {}
+        #: The input positions, placed after the restore (see _build_tasks).
+        self.reader = reader
         self.records_since_checkpoint = 0
         self.last_window_at = 0.0
 
@@ -295,7 +301,7 @@ class JobRunner:
             instance = self._new_task(task_id, partitions)
             self._tasks.append(instance)
             instance.output = self._output_path(self, task_id)
-            self._seed_positions(instance)
+            instance.reader.assign(partitions)
 
     def _new_task(
         self, task_id: int, partitions: list[TopicPartition]
@@ -311,8 +317,11 @@ class JobRunner:
             processing_guarantee=self.config.processing_guarantee,
         )
         task = self.config.task_factory()
+        reader = PartitionReader(
+            self.cluster, self.checkpoints.group, isolation=self.isolation
+        )
         return _TaskInstance(
-            task_id, task, partitions, stores, staged, context, self.cluster
+            task_id, task, partitions, stores, staged, context, self.cluster, reader
         )
 
     def _start_task(self, instance: _TaskInstance) -> None:
@@ -347,15 +356,6 @@ class JobRunner:
                 staged,
             )
         return stores
-
-    def _seed_positions(self, instance: _TaskInstance) -> None:
-        """Start from the last checkpoint, else from the earliest offset."""
-        for tp in instance.partitions:
-            commit = self.checkpoints.fetch(tp)
-            if commit is not None:
-                instance.positions[tp] = commit.offset
-            else:
-                instance.positions[tp] = self.cluster.beginning_offset(tp)
 
     # -- snapshots (serving) ------------------------------------------------------------
 
@@ -491,14 +491,14 @@ class JobRunner:
         tracer = current_tracer()
         instance.collector.start_pass(tracer)
         ages: list[float] = []
+        reader = instance.reader
+        positions = reader.positions
+        skipped = reader.skipped
         try:
             for tp in instance.partitions:
                 if budget <= 0:
                     break
-                fetched = self.cluster.fetch(
-                    tp.topic, tp.partition, instance.positions[tp], budget,
-                    isolation=self.isolation,
-                )
+                fetched = reader.fetch(tp, budget)
                 # The container is the client: every task's fetches to one
                 # broker are one request.
                 fetches.append(
@@ -510,9 +510,8 @@ class JobRunner:
                         ages.append(age)
                 if fetched.records:
                     budget -= len(fetched.records)
-                instance.positions[tp] = max(
-                    instance.positions[tp], fetched.next_offset
-                )
+                positions[tp] = max(positions[tp], fetched.next_offset)
+            result.records_skipped += reader.skipped - skipped
             self._maybe_window(instance, tracer)
         except Exception:
             self._h_record_age.observe_many(ages)
@@ -641,7 +640,7 @@ class JobRunner:
             # (the commit marker lands after it); the in-memory post-commit
             # _record_snapshot value is the authoritative bound.
             metadata[CHANGELOG_OFFSETS_KEY] = stamp
-        instance.output.commit(instance.positions, metadata)
+        instance.output.commit(instance.reader.positions, metadata)
         instance.records_since_checkpoint = 0
         self._record_snapshot(instance.task_id)
         self.standbys.catch_up(instance.task_id)
@@ -671,7 +670,7 @@ class JobRunner:
         """Input records available but not yet processed."""
         pending = 0
         for instance in self._tasks:
-            for tp, position in instance.positions.items():
+            for tp, position in instance.reader.positions.items():
                 pending += max(0, self.cluster.end_offset(tp) - position)
         return pending
 
@@ -750,7 +749,7 @@ class JobRunner:
         # processed work, so it commits — together with the positions that
         # account for it.
         if old.output.commit_open(
-            old.positions,
+            old.reader.positions,
             {"software_version": self.config.version, "task_id": task_id},
         ):
             old.records_since_checkpoint = 0
@@ -771,7 +770,7 @@ class JobRunner:
         self._tasks[task_id] = instance
         try:
             report = restore_job_state(self, [instance])
-            self._seed_positions(instance)
+            instance.reader.assign(instance.partitions)
         except Exception:
             self._tasks[task_id] = old
             raise

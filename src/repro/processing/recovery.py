@@ -5,8 +5,8 @@ is proportional to the changelog's *retained* size, which is why compaction
 matters: a compacted changelog replays one record per live key instead of
 one per historical update (E4 measures the difference).
 
-Two restore paths feed the same :class:`RecoveryReport`, and both run the
-one replay loop, :func:`~repro.processing.state.replay_changelog`:
+Two restore paths feed the same :class:`RecoveryReport`, and both run
+:func:`~repro.processing.state.replay_changelog`, a reader's drain:
 
 * **cold restore** — replay the store's compacted changelog from its
   earliest offset (``source="changelog"``);

@@ -12,8 +12,9 @@ run.  Because the changelog is keyed by the state key, compaction (§4.1)
 bounds its size by the number of live keys, which is what makes recovery
 fast (E4); the pass cache ships only what compaction would keep of the pass.
 
-:func:`replay_changelog` is the way back, the one loop that fetches a
-changelog into a store: the cold restore and the standby tail both run it.
+:func:`replay_changelog` is the way back: the cold restore and the standby
+tail both run it, and it reads the changelog through a
+:class:`~repro.messaging.reader.PartitionReader` drain.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
-from repro.common.errors import OffsetOutOfRangeError, StateStoreError
+from repro.common.errors import StateStoreError
 from repro.common.records import EMPTY_HEADERS, TopicPartition
+from repro.messaging.reader import PartitionReader
 from repro.processing.store import LsmStore
 
 
@@ -61,53 +63,34 @@ def replay_changelog(
 
     Each fetched batch goes straight into the store as one ``put_many`` (no
     re-publication): a tombstone deletes, any other record puts.  When
-    retention deleted the range about to be read the loop *reseats*: clears
-    the store and replays from the surviving head, which on a compacted
-    changelog holds the newest value per live key.  Never ticks the cluster
+    retention deleted the range about to be read the reader *reseats* at the
+    surviving head, and the store is cleared first: on a compacted changelog
+    the head holds the newest value per live key.  Never ticks the cluster
     or advances the clock; the caller charges the summed fetch latency, or
     not.  A pass that raises returns no position, so the caller's stays put
     and its next pass re-applies from there.
     """
-    applied = skipped = 0
-    seconds = 0.0
-    reseated = False
-    if position is None:
-        position = cluster.beginning_offset(tp)
+    stats = CatchUpStats()
+    reader = PartitionReader(cluster, isolation=isolation)
+    cleared = 0
+    if position is not None:
+        reader.positions[tp] = position
     end = cluster.end_offset(tp)
     if limit_offset is not None:
         end = min(end, limit_offset)
-    while position < end:
-        budget = batch
-        if max_records is not None:
-            budget = min(budget, max_records - applied)
-            if budget <= 0:
-                break
-        try:
-            result = cluster.fetch(
-                tp.topic, tp.partition, position, budget, isolation=isolation
-            )
-        except OffsetOutOfRangeError:
-            head = cluster.beginning_offset(tp)
-            skipped += max(0, head - position)
-            reseated = True
+    for records, latency in reader.drain(tp, end, batch, max_records):
+        if reader.reseats > cleared:
+            # The store holds what was read before the gap: start over.
+            cleared = reader.reseats
             store.clear()
-            position = head
-            end = cluster.end_offset(tp)
-            if limit_offset is not None:
-                end = min(end, limit_offset)
-            continue
-        seconds += result.latency
-        records = result.records
-        if records and records[-1].offset >= end:
-            records = [record for record in records if record.offset < end]
+        stats.simulated_seconds += latency
         # The batch lands as one write run: last value per key, a tombstone
         # (value None) deleting.
         store.put_many({record.key: record.value for record in records})
-        applied += len(records)
-        if result.next_offset <= position:
-            break  # no progress (e.g. everything above the LSO)
-        position = min(result.next_offset, end)
-    return position, CatchUpStats(applied, seconds, skipped, reseated)
+        stats.records_applied += len(records)
+    stats.records_skipped = reader.skipped
+    stats.reseated = cleared > 0
+    return reader.positions[tp], stats
 
 
 class KeyValueState:

@@ -10,8 +10,9 @@ changelog records published since the standby last caught up.
 A :class:`StandbyReplica` is exactly that machinery: a local
 :class:`~repro.processing.store.LsmStore` plus a position in one
 changelog partition, advanced by :meth:`catch_up` — a restore that never
-stops: the same :func:`~repro.processing.state.replay_changelog` loop the
-cold restore runs once, resumed from where the last pass left off.  The
+stops: the same :func:`~repro.processing.state.replay_changelog` drain
+(a :class:`~repro.messaging.reader.PartitionReader`'s) the cold restore
+runs once, resumed from where the last pass left off.  The
 same class backs three consumers of the idea:
 
 * **failover standbys** (``num_standby_replicas``) owned by
@@ -28,10 +29,10 @@ changelog is written transactionally, so ``read_committed`` tails only ever
 apply entries whose checkpoint committed — a promoted standby can never
 resurrect state from an aborted transaction.
 
-A retention storm can delete changelog segments a slow standby still needs
-(the same hazard MirrorMaker handles): :meth:`catch_up` then *reseats* —
-clears the store, rewinds to ``beginning_offset`` and replays from there —
-rather than crashing.  On a compacted changelog the surviving head carries
+A retention storm can delete changelog segments a slow standby still needs:
+the reader's out-of-range policy then *reseats* at ``beginning_offset``,
+the store is cleared and :meth:`catch_up` replays from there rather than
+crashing.  On a compacted changelog the surviving head carries
 the latest value per live key, so the reseated replay converges to the
 correct state.
 """

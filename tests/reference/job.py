@@ -232,7 +232,7 @@ class ReferenceJobRunner(JobRunner):
             if budget <= 0:
                 break
             fetched = self.cluster.fetch(
-                tp.topic, tp.partition, instance.positions[tp], budget,
+                tp.topic, tp.partition, instance.reader.positions[tp], budget,
                 isolation=self.isolation,
             )
             fetches.append(
@@ -245,8 +245,8 @@ class ReferenceJobRunner(JobRunner):
                 self._send_emits(instance, collector.drain(), ctx, result)
             if fetched.records:
                 budget -= len(fetched.records)
-            instance.positions[tp] = max(
-                instance.positions[tp], fetched.next_offset
+            instance.reader.positions[tp] = max(
+                instance.reader.positions[tp], fetched.next_offset
             )
         self._reference_maybe_window(instance, result)
         for state in instance.stores.values():

@@ -164,7 +164,7 @@ class ReferenceRecovery:
     def migrate_task(runner, task_id: int) -> RecoveryReport:
         old = runner._tasks[task_id]
         if old.output.commit_open(
-            old.positions,
+            old.reader.positions,
             {"software_version": runner.config.version, "task_id": task_id},
         ):
             old.records_since_checkpoint = 0
@@ -172,7 +172,7 @@ class ReferenceRecovery:
         runner._tasks[task_id] = instance
         try:
             report = ReferenceRecovery.restore_task_state(runner, task_id)
-            runner._seed_positions(instance)
+            instance.reader.assign(instance.partitions)
         except Exception:
             runner._tasks[task_id] = old
             raise

@@ -88,7 +88,7 @@ class TestSeek:
         tp = TopicPartition("t", 0)
         consumer = Consumer(cluster)
         consumer.assign([tp])
-        consumer.seek_to_end(tp)
+        consumer.seek(tp, cluster.end_offset(tp))
         assert consumer.poll(10) == []
         consumer.seek_to_beginning(tp)
         assert consumer.poll(1)[0].offset == 0
@@ -150,16 +150,6 @@ class TestGroupFlow:
         )
         assert commit is not None
         assert commit.offset == consumer.position(tp)
-
-    def test_committed(self):
-        _clock, cluster = setup_cluster(partitions=1)
-        gc = GroupCoordinator(cluster)
-        consumer = Consumer(cluster, ConsumerConfig(group="g"), group_coordinator=gc)
-        consumer.subscribe(["t"])
-        assert consumer.committed(TopicPartition("t", 0)) is None
-        consumer.poll(3)
-        consumer.commit()
-        assert consumer.committed(TopicPartition("t", 0)) == 3
 
     def test_rebalance_detected_on_poll(self):
         _clock, cluster = setup_cluster(partitions=2)

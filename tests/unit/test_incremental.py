@@ -1,8 +1,12 @@
 """Unit tests for incremental processing (§4.2, the E3 mechanism)."""
 
 from repro.common.clock import SimClock
+from repro.common.records import TopicPartition
 from repro.core.incremental import IncrementalFold
 from repro.messaging.cluster import MessagingCluster
+from repro.messaging.topic import TopicConfig
+from repro.storage.log import LogConfig
+from repro.storage.retention import RetentionConfig
 
 
 def make_cluster(n=50) -> MessagingCluster:
@@ -72,6 +76,40 @@ class TestIncrementalUpdate:
 
         commit = cluster.offset_manager.fetch("stats", TopicPartition("t", 0))
         assert commit.metadata["software_version"] == "v3"
+
+    def test_checkpoint_deleted_by_retention_reseats_instead_of_wedging(self):
+        """Retention deletes the offsets below the fold's position: the
+        next update reseats at the earliest offset and counts what it
+        jumped, where every update used to raise OffsetOutOfRangeError."""
+        cluster = MessagingCluster(num_brokers=1, clock=SimClock())
+        cluster.create_topic(
+            TopicConfig(
+                name="t",
+                replication_factor=1,
+                retention=RetentionConfig(retention_seconds=1.0),
+                log=LogConfig(segment_max_messages=5),
+            )
+        )
+
+        def append_one(i):
+            cluster.produce("t", 0, [(None, i, None, {})])
+
+        for i in range(3):
+            append_one(i)
+        fold = IncrementalFold(
+            cluster, "t", "stats", init=list, fold=lambda s, r: s + [r.offset]
+        )
+        assert fold.update().records_read == 3
+        for i in range(3, 23):
+            append_one(i)
+        cluster.tick(10.0)  # the sweep deletes offsets 0-19
+        tp = TopicPartition("t", 0)
+        assert cluster.beginning_offset(tp) == 20
+        report = fold.update()
+        assert (report.records_read, report.records_skipped) == (3, 17)
+        assert fold.state == [0, 1, 2, 20, 21, 22]
+        assert cluster.offset_manager.fetch("stats", tp).offset == 23
+        assert fold.update().records_skipped == 0
 
 
 class TestFullRecompute:

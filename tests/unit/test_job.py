@@ -16,6 +16,7 @@ from repro.common.errors import (
 from repro.common.records import EMPTY_HEADERS, TRACE_HEADER, TopicPartition
 from repro.messaging.cluster import ACKS_LEADER, ACKS_NONE, MessagingCluster
 from repro.messaging.producer import Producer
+from repro.messaging.topic import TopicConfig
 from repro.processing.job import (
     AT_LEAST_ONCE,
     EXACTLY_ONCE,
@@ -25,6 +26,8 @@ from repro.processing.job import (
 )
 from repro.observability.trace import tracing
 from repro.processing.state import changelog_topic_name
+from repro.storage.log import LogConfig
+from repro.storage.retention import RetentionConfig
 
 
 class EchoTask:
@@ -327,6 +330,47 @@ class TestCheckpointing:
         runner.run_until_idle()
         commit = cluster.offset_manager.fetch("job-j", TopicPartition("in", 0))
         assert commit is not None and commit.offset >= 5
+
+    def test_checkpoint_deleted_by_retention_reseats_instead_of_wedging(self):
+        """Retention deletes the offsets below a job's position: the next
+        pass reseats at the earliest offset and counts what it jumped,
+        where every pass used to raise OffsetOutOfRangeError for good."""
+        clock = SimClock()
+        cluster = MessagingCluster(num_brokers=1, clock=clock)
+        cluster.create_topic(
+            TopicConfig(
+                name="in",
+                replication_factor=1,
+                retention=RetentionConfig(retention_seconds=1.0),
+                log=LogConfig(segment_max_messages=5),
+            )
+        )
+        producer = Producer(cluster)
+        for i in range(3):
+            producer.send("in", i)
+        seen = []
+
+        class Record:
+            def process(self, record, collector):
+                seen.append(record.offset)
+
+        runner = JobRunner(
+            JobConfig(name="j", inputs=["in"], task_factory=Record), cluster
+        )
+        assert runner.poll_once().records_processed == 3
+        runner.checkpoint()
+        for i in range(20):
+            producer.send("in", i)
+        cluster.tick(10.0)  # the sweep deletes offsets 0-19
+        tp = TopicPartition("in", 0)
+        assert cluster.beginning_offset(tp) == 20
+        result = runner.poll_once()
+        assert seen[3:] == [20, 21, 22]
+        assert result.records_processed == 3
+        assert result.records_skipped == 17
+        assert runner.poll_once().records_skipped == 0
+        runner.checkpoint()
+        assert cluster.offset_manager.fetch("job-j", tp).offset == 23
 
 
 class TestStateAndRecovery:
